@@ -130,13 +130,18 @@ func P1() (*Table, error) {
 		"each arrival wave into one pre-prepare, so prepare/commit traffic amortises " +
 		"across the batch and msgs/request approaches the 1-request+4-replies floor. " +
 		"Batching sharpens, not contradicts, the paper's super-linear group-size " +
-		"penalty: the quadratic term is paid per round, so the fix is fewer rounds."
+		"penalty: the quadratic term is paid per round, so the fix is fewer rounds. " +
+		"The batch wait is load-adaptive: an idle primary whose last batch held at " +
+		"most one request proposes at once, so k=1 pays the unbatched latency and " +
+		"k=2 (each window closes on a lone request) does not coalesce; from k=4 " +
+		"the primary stays on the BatchWait timer."
 	return t, nil
 }
 
 // CheckP1 re-runs the headline cell of P1 and returns an error unless
-// batching beats the unbatched baseline at k=16 by at least minGain. CI runs
-// it (via itdos-bench -check P1) so the perf win is guarded per commit.
+// batching beats the unbatched baseline at k=16 by at least minGain, and
+// the k=1 cell unless a lone sender pays no batch wait. CI runs it (via
+// itdos-bench -check P1) so both are guarded per commit.
 func CheckP1(minGain float64) error {
 	unbatched, err := p1Measure(16, 1, nil)
 	if err != nil {
@@ -150,6 +155,18 @@ func CheckP1(minGain float64) error {
 	if gain < minGain {
 		return fmt.Errorf("P1 regression: batched msgs/request %.1f vs unbatched %.1f at k=16 (%.2fx, want >= %.2fx)",
 			batched.msgsPerReq, unbatched.msgsPerReq, gain, minGain)
+	}
+	loneUnbatched, err := p1Measure(1, 1, nil)
+	if err != nil {
+		return err
+	}
+	loneBatched, err := p1Measure(1, 16, nil)
+	if err != nil {
+		return err
+	}
+	if loneBatched.latency > loneUnbatched.latency {
+		return fmt.Errorf("P1 regression: k=1 latency %s batched vs %s unbatched (an idle primary waited on the batch timer)",
+			ms(loneBatched.latency), ms(loneUnbatched.latency))
 	}
 	return nil
 }

@@ -24,6 +24,13 @@ type batchHarness struct {
 
 func newBatchHarness(t *testing.T, n, f int, seed int64, maxBatch, k int) *batchHarness {
 	t.Helper()
+	return newBatchHarnessWait(t, n, f, seed, maxBatch, k, 0)
+}
+
+// newBatchHarnessWait is newBatchHarness with an explicit BatchWait (0 = the
+// 2 ms default).
+func newBatchHarnessWait(t *testing.T, n, f int, seed int64, maxBatch, k int, wait time.Duration) *batchHarness {
+	t.Helper()
 	net := netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
 	ring := NewKeyring()
 	apps := make([]*logApp, n)
@@ -33,6 +40,7 @@ func newBatchHarness(t *testing.T, n, f int, seed int64, maxBatch, k int) *batch
 		CheckpointInterval: 4,
 		ViewTimeout:        200 * time.Millisecond,
 		MaxBatch:           maxBatch,
+		BatchWait:          wait,
 		Metrics:            metrics,
 		MetricsLabel:       "grp",
 	}, ring, func(i int) App {
@@ -57,9 +65,9 @@ func newBatchHarness(t *testing.T, n, f int, seed int64, maxBatch, k int) *batch
 	return h
 }
 
-// wave has every client invoke one op concurrently (same virtual instant)
-// and runs the network until all k invocations complete.
-func (h *batchHarness) wave(t *testing.T, tag string) {
+// invokeAll has every client invoke one op concurrently (same virtual
+// instant) and returns the condition "all k invocations completed".
+func (h *batchHarness) invokeAll(t *testing.T, tag string) (done func() bool) {
 	t.Helper()
 	want := make([]int, len(h.clients))
 	for i, cli := range h.clients {
@@ -68,14 +76,20 @@ func (h *batchHarness) wave(t *testing.T, tag string) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.net.RunUntil(func() bool {
+	return func() bool {
 		for i := range h.clients {
 			if h.acked[i] < want[i] {
 				return false
 			}
 		}
 		return true
-	}, 5_000_000); err != nil {
+	}
+}
+
+// wave is invokeAll, then runs the network until all k invocations complete.
+func (h *batchHarness) wave(t *testing.T, tag string) {
+	t.Helper()
+	if err := h.net.RunUntil(h.invokeAll(t, tag), 5_000_000); err != nil {
 		t.Fatalf("wave %s did not complete: %v", tag, err)
 	}
 }

@@ -114,20 +114,19 @@ func (c *Client) Invoke(op []byte) (uint64, error) {
 	return c.seq, nil
 }
 
-// HandleMessage processes a wire message (expected: Reply).
+// HandleMessage processes a wire message (expected: Reply). A reply that
+// answers nothing outstanding is dropped before its signature is checked:
+// of the n replies to an invocation, those after the accepting f+1 are
+// exactly that.
 func (c *Client) HandleMessage(data []byte) {
 	m, err := Decode(data)
 	if err != nil {
 		return
 	}
 	reply, ok := m.(*Reply)
-	if !ok || !VerifyMessage(c.cfg.Auth, reply) {
+	if !ok {
 		return
 	}
-	c.onReply(reply)
-}
-
-func (c *Client) onReply(reply *Reply) {
 	p := c.pending
 	if p == nil || reply.ClientID != c.cfg.ID || reply.ClientSeq != p.seq {
 		return
@@ -135,6 +134,13 @@ func (c *Client) onReply(reply *Reply) {
 	if int(reply.Replica) >= c.cfg.N {
 		return
 	}
+	if !VerifyMessage(c.cfg.Auth, reply) {
+		return
+	}
+	c.onReply(p, reply)
+}
+
+func (c *Client) onReply(p *pendingInvocation, reply *Reply) {
 	p.replies[reply.Replica] = reply
 	// Track the current primary so the next request goes to the right
 	// replica first.

@@ -47,7 +47,8 @@ type Env interface {
 	StopTimer()
 	// SetBatchTimer (re)arms the batch-accumulation timer, which fires
 	// HandleBatchTimer after d. It is only armed by a primary with
-	// Config.MaxBatch > 1; a firing with nothing pending is a no-op.
+	// Config.MaxBatch > 1; a firing with nothing pending (the batch filled
+	// first, or a view change dropped it) is a no-op.
 	SetBatchTimer(d time.Duration)
 }
 
@@ -70,13 +71,15 @@ type Config struct {
 	// proposed immediately in its own agreement round, with a message
 	// schedule identical to the pre-batching implementation (the
 	// determinism regression guard for recorded experiments). Above 1 the
-	// primary accumulates concurrently-arriving requests for BatchWait and
-	// orders them as one batch, amortising the quadratic prepare/commit
-	// traffic over up to MaxBatch requests per round.
+	// primary orders concurrently-arriving requests as one batch, amortising
+	// the quadratic prepare/commit traffic over up to MaxBatch requests per
+	// round; a full batch is proposed at once.
 	MaxBatch int
-	// BatchWait is how long the primary accumulates a batch before
-	// proposing it (only used when MaxBatch > 1). It should be comparable
-	// to the transport latency spread so concurrent arrivals coalesce.
+	// BatchWait is the window over which a loaded primary accumulates a
+	// batch before proposing it (only used when MaxBatch > 1). It should be
+	// comparable to the transport latency spread so concurrent arrivals
+	// coalesce. An idle, lightly loaded primary does not wait (see
+	// assignOrder).
 	BatchWait time.Duration
 	// TentativeExecution enables Castro–Liskov speculative execution: a
 	// replica executes a batch as soon as it is *prepared* (skipping the
@@ -196,6 +199,9 @@ type Replica struct {
 	pending         []*Request
 	pendingSet      map[Digest]bool
 	batchTimerArmed bool
+	// lastBatch is the size of the last batch this primary proposed: the
+	// load signal of the batching policy (see assignOrder).
+	lastBatch int
 
 	// ppIndex maps each unexecuted proposed request digest to the log
 	// sequence of the pre-prepare carrying it, replacing the O(window)
@@ -262,6 +268,9 @@ type Replica struct {
 	mRecoveries     *obs.Counter
 	mTentative      *obs.Counter
 	mTentRollbacks  *obs.Counter
+	mProposeIdle    *obs.Counter
+	mProposeTimer   *obs.Counter
+	mProposeFull    *obs.Counter
 	hBatchSize      *obs.Histogram
 	gBacklog        *obs.Gauge
 
@@ -306,6 +315,9 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		r.mRecoveries = m.Counter("pbft_recoveries_total", label)
 		r.mTentative = m.Counter("pbft_tentative_execs_total", label)
 		r.mTentRollbacks = m.Counter("pbft_tentative_rollbacks_total", label)
+		r.mProposeIdle = m.Counter("pbft_proposals_total", label, "trigger=idle")
+		r.mProposeTimer = m.Counter("pbft_proposals_total", label, "trigger=timer")
+		r.mProposeFull = m.Counter("pbft_proposals_total", label, "trigger=full")
 		r.hBatchSize = m.Histogram("pbft_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}, label)
 		r.gBacklog = m.Gauge("pbft_primary_backlog", label)
@@ -355,16 +367,54 @@ func (r *Replica) quorum() int { return quorum.Prepared(r.cfg.N, r.cfg.F) }
 
 // HandleMessage decodes, authenticates and dispatches one wire message.
 // Malformed or badly-signed messages are dropped (Byzantine senders own
-// this code path; it must never panic or corrupt state).
+// this code path; it must never panic or corrupt state). A phase message
+// that would be dropped unread is dropped before its signature is checked:
+// once a round has its quorum, the stragglers are most of the phase traffic.
 func (r *Replica) HandleMessage(data []byte) {
 	m, err := Decode(data)
 	if err != nil {
 		return
 	}
-	if !VerifyMessage(r.cfg.Auth, m) {
+	if r.stalePhase(m) || !VerifyMessage(r.cfg.Auth, m) {
 		return
 	}
 	r.dispatch(m)
+}
+
+// stalePhase reports whether m is a prepare or commit that cannot change
+// state whatever its signature: not of the current view in normal operation,
+// outside the window, a prepare claiming to be the primary's (the pre-prepare
+// stands in for it), a second one from the same replica, or for an entry
+// already executed. It reads plain fields only and creates nothing.
+func (r *Replica) stalePhase(m Message) bool {
+	var view, seq uint64
+	var from ReplicaID
+	prepare := false
+	switch msg := m.(type) {
+	case *Prepare:
+		view, seq, from, prepare = msg.View, msg.Seq, msg.Replica, true
+	case *Commit:
+		view, seq, from = msg.View, msg.Seq, msg.Replica
+	default:
+		return false
+	}
+	if r.inViewChange || view != r.view || !r.inWindow(seq) {
+		return true
+	}
+	if prepare && from == r.Primary(view) {
+		return true
+	}
+	en := r.log[seq]
+	if en == nil {
+		return false
+	}
+	dup := false
+	if prepare {
+		_, dup = en.prepares[from]
+	} else {
+		_, dup = en.commits[from]
+	}
+	return dup || en.executed
 }
 
 func (r *Replica) dispatch(m Message) {
@@ -374,9 +424,9 @@ func (r *Replica) dispatch(m Message) {
 	case *PrePrepare:
 		r.onPrePrepare(msg)
 	case *Prepare:
-		r.onPrepare(msg)
+		r.recordPrepare(msg)
 	case *Commit:
-		r.onCommit(msg)
+		r.recordCommit(msg)
 	case *Checkpoint:
 		r.onCheckpoint(msg)
 	case *ViewChange:
@@ -485,8 +535,6 @@ func (r *Replica) assignOrder(req *Request) {
 		delete(r.ppIndex, d)
 	}
 	if r.cfg.MaxBatch > 1 {
-		// Batching: accumulate the request and propose on the batch timer,
-		// so concurrent arrivals share one agreement round.
 		if r.pendingSet[d] {
 			return
 		}
@@ -494,7 +542,18 @@ func (r *Replica) assignOrder(req *Request) {
 		r.pending = append(r.pending, req)
 		r.pendingSet[d] = true
 		r.setBacklogGauge()
-		if !r.batchTimerArmed {
+		// Batching policy: BatchWait is an accumulation window, worth its
+		// latency only while it fills batches. When no window is open,
+		// nothing is in flight and the last wait bought nothing (the last
+		// batch held at most one request), the group is idle and lightly
+		// loaded: propose at once. A batch of two or more keeps the primary
+		// on the timer until a window again closes on a lone request.
+		switch {
+		case !r.batchTimerArmed && r.seq <= r.lastExec && r.lastBatch <= 1:
+			r.flushPending(r.mProposeIdle)
+		case len(r.pending) >= r.cfg.MaxBatch:
+			r.flushPending(r.mProposeFull)
+		case !r.batchTimerArmed:
 			r.batchTimerArmed = true
 			r.env.SetBatchTimer(r.cfg.BatchWait)
 		}
@@ -516,15 +575,15 @@ func (r *Replica) assignOrder(req *Request) {
 // single-threaded loop as HandleMessage/HandleTimer.
 func (r *Replica) HandleBatchTimer() {
 	r.batchTimerArmed = false
-	r.flushPending()
+	r.flushPending(r.mProposeTimer)
 }
 
 // flushPending proposes the accumulated requests as batches of up to
 // MaxBatch, as far as the ordering window allows. Batches are pipelined:
 // when more than MaxBatch requests are pending, several pre-prepares go out
 // back to back and run their three-phase rounds concurrently within the
-// window.
-func (r *Replica) flushPending() {
+// window. trigger counts the batches proposed (nil: uncounted).
+func (r *Replica) flushPending(trigger *obs.Counter) {
 	if !r.isPrimary() || r.inViewChange || len(r.pending) == 0 {
 		return
 	}
@@ -542,6 +601,7 @@ func (r *Replica) flushPending() {
 			delete(r.pendingSet, req.Digest())
 		}
 		r.proposeBatch(batch)
+		trigger.Inc()
 	}
 	if len(r.pending) == 0 {
 		r.pending = nil
@@ -554,6 +614,7 @@ func (r *Replica) flushPending() {
 // legacy path; the batch path re-checks in flushPending.
 func (r *Replica) proposeBatch(batch []*Request) {
 	r.seq++
+	r.lastBatch = len(batch)
 	pp := &PrePrepare{
 		View: r.view, Seq: r.seq, Digest: BatchDigest(batch),
 		Requests: batch, Replica: r.cfg.ID,
@@ -574,7 +635,7 @@ func (r *Replica) drainBuffered() {
 	for _, req := range buf {
 		r.onRequest(req)
 	}
-	r.flushPending()
+	r.flushPending(nil)
 	r.setBacklogGauge()
 }
 
@@ -693,16 +754,6 @@ func (r *Replica) acceptPrePrepare(pp *PrePrepare) {
 	r.tryPrepared(pp.Seq)
 }
 
-func (r *Replica) onPrepare(p *Prepare) {
-	if r.inViewChange || p.View != r.view || !r.inWindow(p.Seq) {
-		return
-	}
-	if p.Replica == r.Primary(p.View) {
-		return // the primary's pre-prepare stands in for its prepare
-	}
-	r.recordPrepare(p)
-}
-
 func (r *Replica) recordPrepare(p *Prepare) {
 	en := r.entryAt(p.Seq)
 	if _, dup := en.prepares[p.Replica]; dup {
@@ -745,13 +796,6 @@ func (r *Replica) tryPrepared(seq uint64) {
 	r.mCommits.Inc()
 	r.recordCommit(c)
 	r.trySpeculate()
-}
-
-func (r *Replica) onCommit(c *Commit) {
-	if r.inViewChange || c.View != r.view || !r.inWindow(c.Seq) {
-		return
-	}
-	r.recordCommit(c)
 }
 
 func (r *Replica) recordCommit(c *Commit) {

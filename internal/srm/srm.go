@@ -92,7 +92,15 @@ func (q *Queue) Execute(clientID string, op []byte) []byte {
 	q.nextSeq++
 	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: append([]byte(nil), op...)})
 	if len(q.window) > q.capacity {
-		q.window = append([]queuedMsg(nil), q.window[len(q.window)-q.capacity:]...)
+		// Trim by reslicing, and compact only when the dead prefix has used
+		// up the backing array — into one with room for as many appends as
+		// it holds messages, so a full queue copies one message per append
+		// instead of the whole window.
+		q.window[0] = queuedMsg{} // let the collected payload go
+		q.window = q.window[1:]
+		if cap(q.window) == len(q.window) {
+			q.window = append(make([]queuedMsg, 0, 2*len(q.window)), q.window...)
+		}
 	}
 	q.gDepth.Set(float64(len(q.window)))
 	if q.onAppend != nil {

@@ -152,6 +152,44 @@ func TestQueueGarbageCollection(t *testing.T) {
 	}
 }
 
+// TestQueueFullAppendAmortised: a queue at capacity trims without copying
+// the window on every append (about one compaction per capacity appends)
+// and, across several compactions, always retains exactly the newest
+// capacity messages — the same window, hence the same snapshot bytes, as
+// copying on every append gave.
+func TestQueueFullAppendAmortised(t *testing.T) {
+	const capacity = 64
+	q := NewQueue(capacity, nil)
+	compactions := 0
+	for i := 0; i < 6*capacity; i++ {
+		var second *queuedMsg
+		if q.Len() == capacity {
+			second = &q.window[1]
+		}
+		q.Execute("c", []byte{byte(i)})
+		if second != nil && &q.window[0] != second {
+			compactions++
+		}
+		if i < capacity {
+			continue
+		}
+		if q.Len() != capacity {
+			t.Fatalf("append %d: window length %d, want %d", i, q.Len(), capacity)
+		}
+		for j, m := range q.messages() {
+			n := i - capacity + 1 + j // index of the append that made m
+			if m.seq != uint64(n+1) || len(m.data) != 1 || m.data[0] != byte(n) {
+				t.Fatalf("append %d: slot %d holds seq %d data %v, want seq %d data [%d]",
+					i, j, m.seq, m.data, n+1, byte(n))
+			}
+		}
+	}
+	if compactions > 6 {
+		t.Fatalf("%d compactions in %d appends to a full queue of %d, want about one per %d",
+			compactions, 5*capacity, capacity, capacity)
+	}
+}
+
 func TestQueueSnapshotRoundTrip(t *testing.T) {
 	q := NewQueue(8, nil)
 	for i := 0; i < 5; i++ {
