@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-sarif test race bench-json fuzz fuzz-smoke corpus clean
+.PHONY: check build vet lint lint-sarif test race bench-build bench-json fuzz fuzz-smoke corpus clean
 
-check: build vet lint race
+check: build vet lint race bench-build
 
 # Perf regression guards: batched ordering keeps its msgs/request win (P1),
 # digest replies keep their bytes/call win (P2), the read-only fast path
@@ -55,6 +55,12 @@ test:
 # non-race `make test` still covers them.
 race:
 	$(GO) test -race -short ./...
+
+# benchmark/ is its own module (the root ./... patterns skip it) and calls
+# internal/smiop, vote, pbft and replica directly: compile, vet and test it
+# here so an internal rename cannot break the repo benchmark silently.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable experiment tables: one BENCH_<id>.json per experiment
 # (schema itdos-bench/2), plus a sample trace dump. CI uploads bench-out/

@@ -46,9 +46,9 @@ type Env interface {
 	// StopTimer disarms the view-change timer.
 	StopTimer()
 	// SetBatchTimer (re)arms the batch-accumulation timer, which fires
-	// HandleBatchTimer after d. It is only armed by a primary with
-	// Config.MaxBatch > 1; a firing with nothing pending (the batch filled
-	// first, or a view change dropped it) is a no-op.
+	// HandleBatchTimer after d. Only a primary arms it; a firing with
+	// nothing pending (the batch filled first, or a view change dropped it)
+	// is a no-op.
 	SetBatchTimer(d time.Duration)
 }
 
@@ -67,16 +67,15 @@ type Config struct {
 	// consecutive failed view changes and resets on progress.
 	ViewTimeout time.Duration
 	// MaxBatch is the largest request batch one pre-prepare may carry.
-	// 0 or 1 selects the legacy unbatched protocol: every request is
-	// proposed immediately in its own agreement round, with a message
-	// schedule identical to the pre-batching implementation (the
-	// determinism regression guard for recorded experiments). Above 1 the
-	// primary orders concurrently-arriving requests as one batch, amortising
-	// the quadratic prepare/commit traffic over up to MaxBatch requests per
+	// 0 or 1 is a batch of one: every request fills its batch on arrival
+	// and is proposed immediately in its own agreement round (the message
+	// schedule of the recorded unbatched experiments). Above 1 the primary
+	// orders concurrently-arriving requests as one batch, amortising the
+	// quadratic prepare/commit traffic over up to MaxBatch requests per
 	// round; a full batch is proposed at once.
 	MaxBatch int
 	// BatchWait is the window over which a loaded primary accumulates a
-	// batch before proposing it (only used when MaxBatch > 1). It should be
+	// batch before proposing it (never reached with MaxBatch 1). It should be
 	// comparable to the transport latency spread so concurrent arrivals
 	// coalesce. An idle, lightly loaded primary does not wait (see
 	// assignOrder).
@@ -192,10 +191,9 @@ type Replica struct {
 	// outstanding tracks forwarded-but-unexecuted request digests for
 	// view-change liveness.
 	outstanding map[Digest]*Request
-	// buffered holds requests the primary cannot order yet (window full).
-	buffered []*Request
-	// pending accumulates the batch under construction (primary with
-	// MaxBatch > 1); pendingSet dedupes client retransmissions against it.
+	// pending holds the requests the primary has not proposed yet: the
+	// batch under construction plus whatever a full ordering window holds
+	// back; pendingSet dedupes client retransmissions against it.
 	pending         []*Request
 	pendingSet      map[Digest]bool
 	batchTimerArmed bool
@@ -534,41 +532,29 @@ func (r *Replica) assignOrder(req *Request) {
 		}
 		delete(r.ppIndex, d)
 	}
-	if r.cfg.MaxBatch > 1 {
-		if r.pendingSet[d] {
-			return
-		}
-		r.outstanding[d] = req
-		r.pending = append(r.pending, req)
-		r.pendingSet[d] = true
-		r.setBacklogGauge()
-		// Batching policy: BatchWait is an accumulation window, worth its
-		// latency only while it fills batches. When no window is open,
-		// nothing is in flight and the last wait bought nothing (the last
-		// batch held at most one request), the group is idle and lightly
-		// loaded: propose at once. A batch of two or more keeps the primary
-		// on the timer until a window again closes on a lone request.
-		switch {
-		case !r.batchTimerArmed && r.seq <= r.lastExec && r.lastBatch <= 1:
-			r.flushPending(r.mProposeIdle)
-		case len(r.pending) >= r.cfg.MaxBatch:
-			r.flushPending(r.mProposeFull)
-		case !r.batchTimerArmed:
-			r.batchTimerArmed = true
-			r.env.SetBatchTimer(r.cfg.BatchWait)
-		}
-		return
-	}
-	if r.seq < r.lowWater {
-		r.seq = r.lowWater
-	}
-	if r.seq+1 > r.lowWater+r.cfg.WindowSize {
-		r.buffered = append(r.buffered, req)
-		r.setBacklogGauge()
+	if r.pendingSet[d] {
 		return
 	}
 	r.outstanding[d] = req
-	r.proposeBatch([]*Request{req})
+	r.pending = append(r.pending, req)
+	r.pendingSet[d] = true
+	r.setBacklogGauge()
+	// Batching policy: BatchWait is an accumulation window, worth its
+	// latency only while it fills batches. When no window is open,
+	// nothing is in flight and the last wait bought nothing (the last
+	// batch held at most one request), the group is idle and lightly
+	// loaded: propose at once. A batch of two or more keeps the primary
+	// on the timer until a window again closes on a lone request. With
+	// MaxBatch 1 every arrival fills its batch, so the timer never arms.
+	switch {
+	case !r.batchTimerArmed && r.seq <= r.lastExec && r.lastBatch <= 1:
+		r.flushPending(r.mProposeIdle)
+	case len(r.pending) >= r.cfg.MaxBatch:
+		r.flushPending(r.mProposeFull)
+	case !r.batchTimerArmed:
+		r.batchTimerArmed = true
+		r.env.SetBatchTimer(r.cfg.BatchWait)
+	}
 }
 
 // HandleBatchTimer proposes the accumulated batch. Drive it from the same
@@ -610,8 +596,7 @@ func (r *Replica) flushPending(trigger *obs.Counter) {
 }
 
 // proposeBatch assigns the next sequence number to the batch and broadcasts
-// its pre-prepare. The window must have been checked by the caller for the
-// legacy path; the batch path re-checks in flushPending.
+// its pre-prepare. flushPending, the only caller, checks the window.
 func (r *Replica) proposeBatch(batch []*Request) {
 	r.seq++
 	r.lastBatch = len(batch)
@@ -626,22 +611,9 @@ func (r *Replica) proposeBatch(batch []*Request) {
 	r.armTimer()
 }
 
-func (r *Replica) drainBuffered() {
-	if !r.isPrimary() || r.inViewChange {
-		return
-	}
-	buf := r.buffered
-	r.buffered = nil
-	for _, req := range buf {
-		r.onRequest(req)
-	}
-	r.flushPending(nil)
-	r.setBacklogGauge()
-}
-
 // setBacklogGauge publishes the primary's unproposed backlog depth.
 func (r *Replica) setBacklogGauge() {
-	r.gBacklog.Set(float64(len(r.buffered) + len(r.pending)))
+	r.gBacklog.Set(float64(len(r.pending)))
 }
 
 // indexRequests records each request of an accepted pre-prepare in the
@@ -1113,7 +1085,7 @@ func (r *Replica) stabilise(seq uint64, proof []*Checkpoint) {
 		}
 	}
 	r.reindexLog()
-	r.drainBuffered()
+	r.flushPending(nil)
 }
 
 // --- state transfer ---
@@ -1150,7 +1122,6 @@ func (r *Replica) Recover() {
 	r.stableProof = nil
 	r.clientTable = make(map[string]*clientRecord)
 	r.outstanding = make(map[Digest]*Request)
-	r.buffered = nil
 	r.pending = nil
 	r.pendingSet = make(map[Digest]bool)
 	r.ppIndex = make(map[Digest]uint64)

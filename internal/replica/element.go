@@ -283,16 +283,9 @@ func (el *Element) onDirectInbox(payload []byte) {
 	if err != nil {
 		return
 	}
-	sp, err := smiop.DecodeSignedPayload(plaintext)
+	sp, err := smiop.OpenSignedPayload(env, plaintext, el.sys.verifyData())
 	if err != nil {
 		return
-	}
-	if verify := el.sys.verifyData(); verify != nil {
-		signing := smiop.DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
-			env.SrcMember, env.Reply, sp.GIOP)
-		if !verify(env.SrcDomain, env.SrcMember, signing, sp.Sig) {
-			return
-		}
 	}
 	msg, err := giop.Decode(sp.GIOP)
 	if err != nil || msg.Request == nil || !msg.Request.ReadOnly {

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 
 	"itdos/internal/cdr"
@@ -35,9 +36,6 @@ type waitState struct {
 	span *obs.Span
 }
 
-// debugCR enables change-request proof tracing (tests only).
-var debugCR bool
-
 // callFailure resumes a parked call with an error.
 type callFailure struct {
 	err error
@@ -46,9 +44,9 @@ type callFailure struct {
 	rekeyed bool
 }
 
-// fallbackSignal resumes a parked call whose fast-path vote (digest or
-// read-only) stalled or timed out; the invocation falls back to the
-// ordered full-reply path.
+// fallbackSignal resumes a parked call whose vote stalled or timed out
+// under a policy with a fallback; the invocation falls back to the ordered
+// full-reply path.
 type fallbackSignal struct{}
 
 // connState is one endpoint's view of a live connection plus its inbound
@@ -220,7 +218,7 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 	for attempt := 0; ; attempt++ {
 		reply, order, err := ep.invokeOnce(ref, req, retry)
 		var rekey *rekeyError
-		if err != nil && errorsAs(err, &rekey) && attempt < 2 {
+		if errors.As(err, &rekey) && attempt < 2 {
 			// Retry under the new key with the SAME request id: acceptors
 			// that already executed the request answer from their reply
 			// cache, so the operation still executes at most once.
@@ -236,118 +234,98 @@ type rekeyError struct{ msg string }
 
 func (e *rekeyError) Error() string { return e.msg }
 
-func errorsAs(err error, target **rekeyError) bool {
-	re, ok := err.(*rekeyError)
-	if ok {
-		*target = re
-	}
-	return ok
-}
-
 func (ep *endpoint) invokeOnce(ref orb.ObjectRef, req *giop.Request, retry bool) (*giop.Reply, cdr.ByteOrder, error) {
 	cs, err := ep.ensureConn(ref.Domain)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Fast-path eligibility: the Castro-Liskov reply optimisations apply
-	// only on the client edge — a singleton caller invoking a replicated
-	// domain, on the first attempt. A rekey retry always takes the ordered
-	// full-reply path (cached replies are full replies).
-	fastEligible := !retry && ep.local.N == 1 && cs.peer.N > 1
-	readOnlyMode := fastEligible && ep.sys.cfg.ReadOnlyFastPath && req.ReadOnly
-	// Tentative mode rides the ordered path but accepts 2f+1 matching
-	// tentative replies — one commit round earlier. It subsumes digest
-	// mode for the same invocation: the speculative reply arrives before
-	// a digest vote could close anyway.
-	tentativeMode := fastEligible && ep.sys.cfg.TentativeExecution && !readOnlyMode
-	digestMode := fastEligible && ep.sys.cfg.DigestReplies && !readOnlyMode && !tentativeMode
-	// Clear the extension flags unless this invocation takes the matching
-	// path: with the features off every request stays byte-identical to
-	// the legacy wire form.
-	req.ReadOnly = readOnlyMode
-	req.DigestOK = digestMode
-
 	if retry {
-		reqID := cs.conn.CurrentRequestID()
-		req.RequestID = reqID
-		if err := cs.stream.RetryReply(reqID, ref.Interface, req.Operation); err != nil {
-			return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-		}
-		if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
+		req.RequestID = cs.conn.CurrentRequestID()
+		if err := ep.requestFull(cs, ref, req); err != nil {
 			return nil, 0, err
 		}
-		return ep.awaitReply(cs, ref, req, false, false, false)
+		return ep.awaitReply(cs, ref, req, smiop.ReplyPolicy{})
 	}
 
 	reqID := cs.conn.NextRequestID()
 	req.RequestID = reqID
-	var directFrame *pool.Buffer
-	if readOnlyMode {
+	// The reply policy is chosen once, here. The Castro-Liskov reply
+	// optimisations apply only on the client edge — a singleton caller
+	// invoking a replicated domain, on the first attempt. The extension
+	// flags stay clear unless this invocation takes the matching path: with
+	// the features off every request keeps the legacy wire form.
+	cfg := &ep.sys.cfg
+	fast := ep.local.N == 1 && cs.peer.N > 1
+	req.ReadOnly = fast && cfg.ReadOnlyFastPath && req.ReadOnly
+	req.DigestOK = false
+	var direct *pool.Buffer
+	if req.ReadOnly {
 		// The direct path delivers whole envelopes only (no reassembly
 		// across an unordered channel): a request too large for one
 		// envelope aborts to the ordered path before anything is sent.
 		frames, err := cs.conn.SealGIOPWire(reqID, false,
 			func(dst []byte) []byte { return giop.AppendRequest(dst, ep.profile.Order, req) },
-			ep.sign, ep.sys.cfg.FragmentSize)
+			ep.sign, cfg.FragmentSize)
 		if err != nil {
 			return nil, 0, err
 		}
 		if len(frames) == 1 {
-			directFrame = frames[0]
+			direct = frames[0]
 		} else {
 			smiop.ReleaseFrames(frames)
 			ep.mReadOnlyAborts.Inc()
-			readOnlyMode = false
 			req.ReadOnly = false
-			tentativeMode = fastEligible && ep.sys.cfg.TentativeExecution
-			digestMode = fastEligible && ep.sys.cfg.DigestReplies && !tentativeMode
-			req.DigestOK = digestMode
 		}
 	}
+	var policy smiop.ReplyPolicy
+	var armed *obs.Counter
 	switch {
-	case readOnlyMode:
-		if err := cs.stream.ExpectReadOnlyReply(reqID, ref.Interface, req.Operation); err != nil {
-			directFrame.Release()
-			return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
+	case req.ReadOnly:
+		policy, armed = smiop.ReadOnlyReply, ep.mReadOnlyCalls
+	case fast && cfg.TentativeExecution:
+		// Subsumes digest mode for the same invocation: the speculative
+		// reply arrives before a digest vote could close anyway.
+		policy, armed = smiop.TentativeReply, ep.mTentCalls
+	case fast && cfg.DigestReplies:
+		policy = smiop.DigestReply(smiop.DesignatedResponder(reqID, cs.peer.N, func(m int) bool {
+			return cs.conn.Expelled(uint32(m))
+		}))
+		armed = ep.mDigestCalls
+		req.DigestOK = true
+	}
+	if err := cs.stream.Expect(reqID, ref.Interface, req.Operation, policy); err != nil {
+		if direct != nil {
+			direct.Release()
 		}
-		ep.mReadOnlyCalls.Inc()
+		return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
+	}
+	armed.Inc()
+	if direct != nil {
 		rsp := ep.tracer().Start("smiop.direct", fmt.Sprintf("req=%d", reqID))
 		for m := 0; m < cs.peer.N; m++ {
 			// The network copies the payload on Send, so one pooled frame
 			// serves every destination and is released right after.
 			ep.sys.tr.Send(netsim.NodeID(ep.identity),
-				netsim.NodeID(elementInboxAddr(cs.peer.Name, m)), directFrame.B)
+				netsim.NodeID(elementInboxAddr(cs.peer.Name, m)), direct.B)
 		}
-		directFrame.Release()
+		direct.Release()
 		rsp.End()
-	case tentativeMode:
-		if err := cs.stream.ExpectTentativeReply(reqID, ref.Interface, req.Operation); err != nil {
-			return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-		}
-		ep.mTentCalls.Inc()
-		if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
-			return nil, 0, err
-		}
-	case digestMode:
-		responder := smiop.DesignatedResponder(reqID, cs.peer.N, func(m int) bool {
-			return cs.conn.Expelled(uint32(m))
-		})
-		if err := cs.stream.ExpectDigestReply(reqID, ref.Interface, req.Operation, responder); err != nil {
-			return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-		}
-		ep.mDigestCalls.Inc()
-		if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
-			return nil, 0, err
-		}
-	default:
-		if err := cs.stream.ExpectReply(reqID, ref.Interface, req.Operation); err != nil {
-			return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-		}
-		if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
-			return nil, 0, err
-		}
+	} else if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
+		return nil, 0, err
 	}
-	return ep.awaitReply(cs, ref, req, readOnlyMode, digestMode, tentativeMode)
+	return ep.awaitReply(cs, ref, req, policy)
+}
+
+// requestFull arms the plain policy for req.RequestID and multicasts req on
+// the ordered path: where the rekey retry and every fast-path fallback
+// land. Under the request's own id, elements that already executed it
+// answer from their reply caches, so it still executes at most once.
+func (ep *endpoint) requestFull(cs *connState, ref orb.ObjectRef, req *giop.Request) error {
+	req.ReadOnly, req.DigestOK = false, false
+	if err := cs.stream.ExpectReply(req.RequestID, ref.Interface, req.Operation); err != nil {
+		return fmt.Errorf("replica: %s: %w", ep.identity, err)
+	}
+	return ep.sendOrderedRequest(cs, ref.Domain, req)
 }
 
 // sendOrderedRequest encodes, seals, and multicasts req into the peer's
@@ -372,20 +350,19 @@ func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.R
 	return nil
 }
 
-// awaitReply parks the ORB thread for the voted reply. A fast-path vote
-// (digest or read-only) that stalls or times out falls back to the ordered
-// full-reply path and parks again; the fallback preserves correctness —
-// only the optimisation is abandoned.
+// awaitReply parks the ORB thread for the voted reply. A vote whose policy
+// names a fallback and that stalls or times out re-requests full replies
+// on the ordered path under the plain policy and parks again; the fallback
+// preserves correctness — only the optimisation is abandoned.
 func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Request,
-	readOnlyMode, digestMode, tentativeMode bool) (*giop.Reply, cdr.ByteOrder, error) {
+	policy smiop.ReplyPolicy) (*giop.Reply, cdr.ByteOrder, error) {
 
 	for {
 		var timer netsim.Timer
-		if readOnlyMode || digestMode || tentativeMode {
-			// Fast-path liveness: a silent designated responder (digest
-			// mode) or dropped direct requests (read-only mode) never trip
-			// the voter's stall detection, so a virtual-time timeout forces
-			// the fallback.
+		if policy.Fallback != smiop.FallbackNone {
+			// Fast-path liveness: a silent designated responder, dropped
+			// direct requests or stalled speculation never trip the voter's
+			// stall detection, so a virtual-time timeout forces the fallback.
 			id := req.RequestID
 			timer = ep.sys.tr.After(ep.sys.cfg.SendTimeout, func() {
 				if w := ep.waiting; w != nil && w.kind == waitReply &&
@@ -401,58 +378,17 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 			return res.Msg.Reply, res.Msg.Order, nil
 		case fallbackSignal:
 			cs.stream.NoteFallback() // idempotent when the stream fired it
-			switch {
-			case readOnlyMode:
-				// The 2f+1 unordered quorum failed. Fall back to the
-				// ordered path under a NEW request id so stale fast-path
-				// replies are discarded by id mismatch; re-executing a
-				// read-only operation is harmless by definition.
-				readOnlyMode = false
-				req.ReadOnly, req.DigestOK = false, false
+			if ctrl := ep.sys.itc; ctrl != nil && policy.Digest {
+				// A stalled digest vote implicates its designated
+				// responder without proving anything — weak signal.
+				ctrl.ObserveFallback(cs.peer.Name, policy.Responder)
+			}
+			if policy.Fallback == smiop.FallbackFreshID {
 				req.RequestID = cs.conn.NextRequestID()
-				if err := cs.stream.ExpectReply(req.RequestID, ref.Interface, req.Operation); err != nil {
-					return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-				}
-				if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
-					return nil, 0, err
-				}
-			case tentativeMode:
-				// The 2f+1 tentative quorum failed — a lying replica split
-				// the byte-exact vote, or speculation stalled (view change,
-				// checkpoint-boundary hold plus loss). Fall back to the
-				// committed f+1 full vote under the SAME id: elements that
-				// executed answer from their reply caches, preserving
-				// at-most-once execution.
-				tentativeMode = false
-				if err := cs.stream.RetryReply(req.RequestID, ref.Interface, req.Operation); err != nil {
-					return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-				}
-				if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
-					return nil, 0, err
-				}
-			case digestMode:
-				// The digest vote stalled (lying responder, canonical
-				// divergence, silent responder): re-request full replies
-				// under the SAME id — elements answer from their reply
-				// caches, preserving at-most-once execution.
-				if ctrl := ep.sys.itc; ctrl != nil {
-					// A stalled digest vote implicates its designated
-					// responder without proving anything — weak signal.
-					if dv := cs.stream.Voter().DigestVoter(); dv != nil {
-						ctrl.ObserveFallback(cs.peer.Name, dv.Responder())
-					}
-				}
-				digestMode = false
-				req.DigestOK = false
-				if err := cs.stream.RetryReply(req.RequestID, ref.Interface, req.Operation); err != nil {
-					return nil, 0, fmt.Errorf("replica: %s: %w", ep.identity, err)
-				}
-				if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
-					return nil, 0, err
-				}
-			default:
-				// A stalled full vote has no further fallback: keep
-				// waiting, matching legacy stall semantics.
+			}
+			policy = smiop.ReplyPolicy{}
+			if err := ep.requestFull(cs, ref, req); err != nil {
+				return nil, 0, err
 			}
 		case callFailure:
 			if res.rekeyed {
@@ -648,16 +584,6 @@ func (ep *endpoint) fileChangeRequest(cs *connState, report vote.FaultReport) {
 		}
 	}
 	cs.reported[report.Member] = true
-	if debugCR {
-		for _, item := range cr.Proof {
-			signing := smiop.DataSigningBytes(cr.ConnID, cr.RequestID, cr.TargetDomain,
-				item.Member, cr.Reply, item.GIOP)
-			identity := fmt.Sprintf("%s/r%d", cr.TargetDomain, item.Member)
-			fmt.Printf("debugCR: item member=%d sigOK=%v reqID=%d conn=%d reply=%v\n",
-				item.Member, ep.sys.verifyIdentity(identity, signing, item.Sig),
-				cr.RequestID, cr.ConnID, cr.Reply)
-		}
-	}
 	env := &smiop.Envelope{
 		Kind:      smiop.KindChangeRequest,
 		SrcDomain: ep.local.Name,
@@ -859,14 +785,12 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 	stream.OnFault = func(member int, report vote.FaultReport) {
 		ep.onFault(cs, report)
 	}
-	if ep.sys.cfg.DigestReplies || ep.sys.cfg.ReadOnlyFastPath || ep.sys.cfg.TentativeExecution {
-		// Only wired when a fast path can be armed: with the features off,
-		// stalled full votes keep the legacy park-forever semantics.
-		stream.OnFallback = func(requestID uint64) {
-			if w := ep.waiting; w != nil && w.kind == waitReply &&
-				w.connID == cs.conn.ID && w.reqID == requestID {
-				ep.resume(fallbackSignal{})
-			}
+	// The stream fires this only for a vote whose policy has a fallback; a
+	// stalled plain vote keeps waiting.
+	stream.OnFallback = func(requestID uint64) {
+		if w := ep.waiting; w != nil && w.kind == waitReply &&
+			w.connID == cs.conn.ID && w.reqID == requestID {
+			ep.resume(fallbackSignal{})
 		}
 	}
 	if ep.onPostDecision != nil {
@@ -897,4 +821,3 @@ func (ep *endpoint) ConnTo(peer string) (uint64, bool) {
 	id, ok := ep.connByPeer[peer]
 	return id, ok
 }
-

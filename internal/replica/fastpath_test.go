@@ -10,6 +10,7 @@ import (
 	"itdos/internal/idl"
 	"itdos/internal/netsim"
 	"itdos/internal/obs"
+	"itdos/internal/obs/flight"
 	"itdos/internal/orb"
 	"itdos/internal/smiop"
 )
@@ -442,5 +443,129 @@ func TestFastPathsOffNothingChanges(t *testing.T) {
 	}
 	if got := ts.metrics.Counter("smiop_reply_fallback_total", ts.connLabel(t, "alice")).Value(); got != 0 {
 		t.Errorf("fallbacks = %d, want 0", got)
+	}
+}
+
+// TestPlainVoteStallWithFlagsOn: with a fast-path flag on, a call the flag
+// does not cover arms the plain policy. When its f+1 vote scatters past
+// deciding there is nothing to fall back to, so nothing may be counted or
+// flight-recorded as a fallback (the stream used to fire its fallback hook
+// for every stalled vote once any flag wired it).
+func TestPlainVoteStallWithFlagsOn(t *testing.T) {
+	rec := flight.New(64)
+	ts := newKVSystem(t, 19, func(cfg *SystemConfig) {
+		cfg.ReadOnlyFastPath = true
+		cfg.Flight = rec
+	})
+	alice := ts.sys.Client("alice")
+	if _, err := alice.CallAndRun(kvRef, "add", []cdr.Value{1.0, 1.0}, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for m, el := range ts.sys.Domain("kv").Elements {
+		v := float64(100 + m)
+		scatter := orb.ServantFunc(func(_ *orb.CallContext, _ string, _ []cdr.Value) ([]cdr.Value, error) {
+			return []cdr.Value{v}, nil
+		})
+		if err := el.Adapter.Register("kv", kvIface, scatter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := alice.Go(func() error {
+		_, err := alice.Call(kvRef, "add", []cdr.Value{2.0, 3.0})
+		return err
+	})
+	ts.sys.Net.Run(2_000_000)
+	if a.Done() {
+		t.Fatalf("four distinct replies decided (err %v)", a.Err())
+	}
+	id, _ := alice.ConnTo("kv")
+	if !alice.conns[id].stream.Voter().Stalled() {
+		t.Fatal("the scattered f+1 vote did not stall")
+	}
+	if got := ts.metrics.Counter("smiop_reply_fallback_total", ts.connLabel(t, "alice")).Value(); got != 0 {
+		t.Errorf("fallbacks = %d, want 0", got)
+	}
+	for _, ev := range rec.Events("alice") {
+		if ev.Kind == flight.KindDigestFallback {
+			t.Errorf("digest-fallback flight event for a plain vote: %+v", ev)
+		}
+	}
+}
+
+// TestFastPathFlagMatrix runs one workload under every subset of the three
+// fast-path flags, with and without a lying replica. The flags choose a
+// reply policy per call and nothing else: every subset must decide the
+// same values, fall back at most once per call, and expel at most f.
+func TestFastPathFlagMatrix(t *testing.T) {
+	type call struct {
+		op   string
+		args []cdr.Value
+		want cdr.Value
+	}
+	workload := []call{
+		{"store", []cdr.Value{"v1"}, ""},
+		{"get", nil, "v1"},
+		{"add", []cdr.Value{2.0, 3.0}, 5.0},
+		{"store", []cdr.Value{"v2"}, "v1"},
+		{"get", nil, "v2"},
+		{"add", []cdr.Value{4.0, 4.0}, 8.0},
+		{"get", nil, "v2"},
+	}
+	const liar, f = 2, 1
+	evil := orb.ServantFunc(func(_ *orb.CallContext, op string, _ []cdr.Value) ([]cdr.Value, error) {
+		if op == "add" {
+			return []cdr.Value{666.0}, nil
+		}
+		return []cdr.Value{"evil"}, nil
+	})
+	for flags := 0; flags < 8; flags++ {
+		d, r, tent := flags&1 != 0, flags&2 != 0, flags&4 != 0
+		for _, lying := range []bool{false, true} {
+			name := fmt.Sprintf("D=%t,R=%t,T=%t,liar=%t", d, r, tent, lying)
+			t.Run(name, func(t *testing.T) {
+				ts := newKVSystem(t, int64(100+flags), func(cfg *SystemConfig) {
+					cfg.DigestReplies, cfg.ReadOnlyFastPath, cfg.TentativeExecution = d, r, tent
+				})
+				if lying {
+					if err := ts.sys.Domain("kv").Elements[liar].Adapter.Register("kv", kvIface, evil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				alice := ts.sys.Client("alice")
+				var fallbacks uint64
+				for i, c := range workload {
+					res, err := alice.CallAndRun(kvRef, c.op, c.args, 30_000_000)
+					if err != nil {
+						t.Fatalf("call %d (%s): %v", i, c.op, err)
+					}
+					if res[0] != c.want {
+						t.Fatalf("call %d (%s) decided %v, want %v", i, c.op, res[0], c.want)
+					}
+					now := ts.metrics.Counter("smiop_reply_fallback_total", ts.connLabel(t, "alice")).Value()
+					if now-fallbacks > 1 {
+						t.Errorf("call %d (%s) fell back %d times, want at most 1", i, c.op, now-fallbacks)
+					}
+					fallbacks = now
+				}
+				if !lying && fallbacks != 0 {
+					t.Errorf("%d fallbacks with every replica honest", fallbacks)
+				}
+				ts.sys.Net.Run(5_000_000)
+				for _, mgr := range ts.sys.GMManagers {
+					expelled := 0
+					for m := 0; m < 4; m++ {
+						if mgr.IsExpelled("kv", m) {
+							if m != liar {
+								t.Errorf("honest replica %d expelled", m)
+							}
+							expelled++
+						}
+					}
+					if expelled > f {
+						t.Errorf("%d replicas expelled, want at most f=%d", expelled, f)
+					}
+				}
+			})
+		}
 	}
 }

@@ -89,6 +89,27 @@ func DecodeDigestPayload(buf []byte) (*DigestPayload, error) {
 	}, nil
 }
 
+// openDigestPayload authenticates the plaintext of a digest envelope and
+// returns the canonical digest it carries. Digests never fragment.
+func openDigestPayload(env *Envelope, plaintext []byte, verify VerifyFunc) ([]byte, error) {
+	if env.FragCount > 1 {
+		return nil, fmt.Errorf("smiop: conn %d: fragmented digest envelope", env.ConnID)
+	}
+	payload, err := DecodeDigestPayload(plaintext)
+	if err != nil {
+		return nil, err
+	}
+	if verify != nil {
+		signing := DigestSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
+			env.SrcMember, payload.Digest)
+		if !verify(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
+			return nil, fmt.Errorf("smiop: conn %d member %d: bad digest signature",
+				env.ConnID, env.SrcMember)
+		}
+	}
+	return payload.Digest, nil
+}
+
 // DigestSigningBytes builds the byte string a digest message's signature
 // covers, binding the digest to its transport context exactly as
 // DataSigningBytes binds full messages.

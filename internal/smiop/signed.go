@@ -42,6 +42,30 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 	}, nil
 }
 
+// VerifyFunc authenticates a sending element's signature over the signing
+// bytes of its data or digest context.
+type VerifyFunc func(srcDomain string, member uint32, signingBytes, sig []byte) bool
+
+// OpenSignedPayload is the one authentication step every full data copy
+// passes, whichever vote or channel it arrives on: parse the (reassembled)
+// plaintext of env and check the sender's signature over its data context.
+// A nil verify skips the signature check (benchmark ablations only).
+func OpenSignedPayload(env *Envelope, plaintext []byte, verify VerifyFunc) (*SignedPayload, error) {
+	payload, err := DecodeSignedPayload(plaintext)
+	if err != nil {
+		return nil, err
+	}
+	if verify != nil {
+		signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
+			env.SrcMember, env.Reply, payload.GIOP)
+		if !verify(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
+			return nil, fmt.Errorf("smiop: conn %d member %d: bad message signature",
+				env.ConnID, env.SrcMember)
+		}
+	}
+	return payload, nil
+}
+
 // DataSigningBytes builds the byte string a data message's signature
 // covers. It binds the GIOP bytes to their full transport context —
 // connection, request id, direction and sender — so signed material cannot

@@ -89,7 +89,7 @@ type StreamConfig struct {
 	// VerifySig authenticates the sending element's signature over its
 	// data context (see DataSigningBytes). Nil disables per-message
 	// signature verification (benchmark ablations only).
-	VerifySig func(srcDomain string, member uint32, signingBytes, sig []byte) bool
+	VerifySig VerifyFunc
 	// Metrics, if non-nil, receives per-stream delivery counters. Tracer,
 	// if non-nil, wraps Deliver in smiop.deliver / smiop.unmarshal /
 	// vote.submit / vote.decide spans (Fig. 2 middle layers). Both are
@@ -114,7 +114,7 @@ type Stream struct {
 	frags *reassembler
 
 	// expectedOp records the operation a reply should answer, keyed at
-	// ExpectReply time.
+	// Expect time.
 	expectedIface, expectedOp string
 
 	// OnMessage receives each voted message exactly once.
@@ -127,11 +127,11 @@ type Stream struct {
 	// request whose reply it could not read (e.g. across a rekey). Servers
 	// use it to resend the cached reply without re-executing.
 	OnPostDecision func(env *Envelope, val *MessageVal)
-	// OnFallback fires once per armed vote when the vote stalls — no class
-	// can still decide. Digest-mode votes stall under a lying designated
-	// responder or canonical-digest divergence; read-only fast-path votes
-	// stall when the 2f+1 unordered quorum fails. The endpoint reacts by
-	// re-requesting over the slow path.
+	// OnFallback fires once per armed vote whose policy has a fallback when
+	// the vote stalls — no class can still decide. Digest votes stall under
+	// a lying designated responder or canonical-digest divergence; 2f+1
+	// votes stall when the quorum is out of reach. The endpoint reacts by
+	// re-requesting what the policy names.
 	OnFallback func(requestID uint64)
 
 	// Dropped counts envelopes rejected before voting (decryption failure,
@@ -147,15 +147,14 @@ type Stream struct {
 	// advancing to a new request id abandons, not closes, the old one).
 	voteOpen bool
 
-	// fallbackFired ensures OnFallback fires at most once per armed vote.
+	// policy is what armed the outstanding vote; fallbackFired ensures its
+	// fallback fires at most once.
+	policy        ReplyPolicy
 	fallbackFired bool
 
 	// carried holds full replies captured from an abandoned digest vote,
-	// to be replayed into the redone full vote for carriedID. Injection is
-	// deferred to the next Deliver so a decision can never fire while the
-	// caller of RetryReply is still arranging to wait for it.
-	carried   []vote.Submission
-	carriedID uint64
+	// to be replayed into the reopened vote (see Expect).
+	carried []vote.Submission
 
 	// Delivery counters (nil-safe; nil when unobserved).
 	mEnvelopes   *obs.Counter
@@ -225,89 +224,43 @@ func (s *Stream) comparator() vote.Comparator {
 	return msgComparator{epsilon: s.cfg.Epsilon}
 }
 
-// ExpectReply arms the voter for the reply to an outbound request
-// (client side). The operation identifies the result TypeCode.
-func (s *Stream) ExpectReply(requestID uint64, iface, op string) error {
-	s.expectedIface, s.expectedOp = iface, op
-	if err := s.cv.Expect(requestID, s.comparator()); err != nil {
-		return err
-	}
-	s.armed()
-	return nil
-}
-
-// ExpectDigestReply arms a digest-mode vote: the designated responder's
-// full reply plus f matching canonical digests decide (client side, digest
-// replies enabled).
-func (s *Stream) ExpectDigestReply(requestID uint64, iface, op string, responder int) error {
-	s.expectedIface, s.expectedOp = iface, op
-	if err := s.cv.ExpectDigest(requestID, responder); err != nil {
-		return err
-	}
-	s.armed()
-	return nil
-}
-
-// ExpectReadOnlyReply arms the voter for the replies to an unordered
-// read-only invocation. The threshold is 2f+1 — matching an unordered
-// read on 2f+1 replicas guarantees the value intersects every ordered
-// quorum (Castro–Liskov read-only optimisation).
-func (s *Stream) ExpectReadOnlyReply(requestID uint64, iface, op string) error {
-	s.expectedIface, s.expectedOp = iface, op
-	threshold := quorum.ReadOnly(s.conn.Peer.F)
-	if err := s.cv.ExpectThreshold(requestID, s.comparator(), threshold); err != nil {
-		return err
-	}
-	s.armed()
-	return nil
-}
-
-// ExpectTentativeReply arms the voter for tentative replies to an ordered
-// invocation against a group running speculative execution. The threshold
-// is 2f+1: that many matching tentative replies imply a prepared
-// certificate at f+1 correct replicas, so the batch survives any view
-// change and commits with the same result (Castro–Liskov tentative
-// execution acceptance rule).
-func (s *Stream) ExpectTentativeReply(requestID uint64, iface, op string) error {
-	s.expectedIface, s.expectedOp = iface, op
-	threshold := quorum.ReadOnly(s.conn.Peer.F)
-	if err := s.cv.ExpectThreshold(requestID, s.comparator(), threshold); err != nil {
-		return err
-	}
-	s.armed()
-	return nil
-}
-
-// RetryReply re-arms the voter for the same request id with fresh state —
-// the retry path after a rekey killed the in-flight vote, and the digest
-// fallback path re-requesting full replies for the same request.
-func (s *Stream) RetryReply(requestID uint64, iface, op string) error {
-	s.expectedIface, s.expectedOp = iface, op
-	// Full replies already accepted by an abandoned digest vote (signature-
-	// verified signed payloads) carry over into the redone full vote: a
-	// lying responder's reply then re-counts — and re-conflicts — without
-	// being re-sent.
+// Expect arms the vote for requestID under policy p — the one way a
+// client-side vote opens. The operation identifies the result TypeCode.
+// Expecting the outstanding id again is the retry: after a rekey killed the
+// in-flight vote, or when a stalled fast path re-requests full replies
+// under the same id. Full replies an abandoned digest vote already accepted
+// (signature-verified signed payloads) carry over into the reopened vote: a
+// lying responder's reply then re-counts — and re-conflicts — without being
+// re-sent.
+func (s *Stream) Expect(requestID uint64, iface, op string, p ReplyPolicy) error {
+	vp := vote.Policy{Digest: p.Digest, Responder: p.Responder, Reopen: requestID == s.cv.CurrentID()}
 	var carry []vote.Submission
-	if dv := s.cv.DigestVoter(); dv != nil && !s.cfg.ByteVoting {
+	if dv := s.cv.DigestVoter(); dv != nil && vp.Reopen && !s.cfg.ByteVoting {
 		for _, fs := range dv.FullSubmissions() {
 			carry = append(carry, vote.Submission{Member: fs.Member, Value: fs.Full, Raw: fs.Raw})
 		}
 	}
-	if err := s.cv.Redo(requestID, s.comparator()); err != nil {
+	if p.Quorum == QuorumReadOnly {
+		vp.Threshold = quorum.ReadOnly(s.conn.Peer.F)
+	}
+	if err := s.cv.Expect(requestID, s.comparator(), vp); err != nil {
 		return err
 	}
-	s.carried, s.carriedID = carry, requestID
-	s.armed()
-	return nil
-}
-
-// armed resets per-vote delivery state after the connection voter accepted
-// a new (or redone) expectation.
-func (s *Stream) armed() {
+	s.expectedIface, s.expectedOp = iface, op
+	s.policy = p
+	s.carried = carry
 	s.markVoteOpen()
 	s.faultsForwarded = 0
 	s.fallbackFired = false
 	s.frags.reset()
+	return nil
+}
+
+// ExpectReply arms the plain policy for requestID: full copies from every
+// member, f+1 decide, nothing to fall back to. The rekey retry and every
+// fast-path fallback land here.
+func (s *Stream) ExpectReply(requestID uint64, iface, op string) error {
+	return s.Expect(requestID, iface, op, ReplyPolicy{})
 }
 
 // markVoteOpen / markVoteClosed maintain the vote_inflight gauge.
@@ -325,9 +278,26 @@ func (s *Stream) markVoteClosed() {
 	}
 }
 
-// Deliver processes one inbound data envelope through the full pipeline.
-// Errors are diagnostic: the stream has already accounted for the envelope
-// (dropped or submitted) when Deliver returns.
+// drop accounts for an envelope rejected before voting.
+func (s *Stream) drop(err error) error {
+	s.Dropped++
+	s.mDropped.Inc()
+	return err
+}
+
+// discard accounts for a late or Byzantine copy — indistinguishable, so
+// the sender is not penalised (paper §3.6).
+func (s *Stream) discard() {
+	s.cv.Discarded++
+	s.mDiscarded.Inc()
+}
+
+// Deliver processes one inbound data envelope through the full pipeline:
+// open, reassemble, authenticate, unmarshal, submit. Whatever policy armed
+// the vote, a copy takes this one path; a digest vote differs only in what
+// it submits (the canonical digest, sent or recomputed from the full
+// reply). Errors are diagnostic: the stream has already accounted for the
+// envelope (dropped or submitted) when Deliver returns.
 func (s *Stream) Deliver(env *Envelope) error {
 	s.mEnvelopes.Inc()
 	sp := s.cfg.Tracer.Start("smiop.deliver",
@@ -337,23 +307,17 @@ func (s *Stream) Deliver(env *Envelope) error {
 		s.mFragments.Inc()
 	}
 	if s.cfg.AutoAdvance && env.RequestID > s.cv.CurrentID() {
-		if err := s.cv.Expect(env.RequestID, s.comparator()); err != nil {
+		if err := s.Expect(env.RequestID, "", "", ReplyPolicy{}); err != nil {
 			return err
 		}
-		s.armed()
 	}
 	if env.RequestID != s.cv.CurrentID() {
-		// Late or Byzantine — indistinguishable; discard without penalty
-		// (paper §3.6).
-		s.cv.Discarded++
-		s.mDiscarded.Inc()
+		s.discard()
 		return nil
 	}
 	plaintext, err := s.conn.OpenData(env)
 	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
+		return s.drop(err)
 	}
 	if env.Reply {
 		if env.Kind == KindDigest {
@@ -362,93 +326,94 @@ func (s *Stream) Deliver(env *Envelope) error {
 			s.mReplyFull.Inc()
 		}
 	}
-	if s.cv.DigestVoter() != nil {
-		return s.deliverDigestMode(env, plaintext)
-	}
+	digestVote := s.policy.Digest
+	sub := vote.Submission{Member: int(env.SrcMember)}
+	var digest []byte
 	if env.Kind == KindDigest {
-		// A digest without an armed digest vote: stale (post-fallback) or
-		// Byzantine — indistinguishable, discard without penalty.
-		s.cv.Discarded++
-		s.mDiscarded.Inc()
-		return nil
-	}
-	if err := s.injectCarried(env.RequestID); err != nil {
-		return err
-	}
-	// Fragmented messages reassemble before verification; incomplete
-	// messages simply wait for their remaining fragments.
-	plaintext, err = s.frags.add(env, plaintext)
-	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
-	}
-	if plaintext == nil {
-		return nil
-	}
-	payload, err := DecodeSignedPayload(plaintext)
-	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
-	}
-	if s.cfg.VerifySig != nil {
-		signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
-			env.SrcMember, env.Reply, payload.GIOP)
-		if !s.cfg.VerifySig(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
-			s.Dropped++
-			s.mDropped.Inc()
-			return fmt.Errorf("smiop: conn %d member %d: bad message signature",
-				s.conn.ID, env.SrcMember)
+		if !digestVote {
+			// Stale (post-fallback) or Byzantine.
+			s.discard()
+			return nil
 		}
-	}
-	giopBytes := payload.GIOP
-	raw := plaintext // evidence: signed payload (GIOP + signature)
-	var sub vote.Submission
-	if s.cfg.ByteVoting {
-		sub = vote.Submission{
-			Member: int(env.SrcMember),
-			Value:  giopBytes,
-			Raw:    raw,
+		if digest, err = openDigestPayload(env, plaintext, s.cfg.VerifySig); err != nil {
+			return s.drop(err)
 		}
+		sub.Raw = plaintext
 	} else {
-		usp := s.cfg.Tracer.Start("smiop.unmarshal")
-		val, err := s.unmarshal(giopBytes)
-		usp.End()
-		if err != nil {
-			s.Dropped++
-			s.mDropped.Inc()
+		if err := s.injectCarried(env.RequestID); err != nil {
 			return err
 		}
-		sub = vote.Submission{Member: int(env.SrcMember), Value: val, Raw: raw}
+		// Fragmented messages reassemble before verification; incomplete
+		// messages simply wait for their remaining fragments.
+		if sub.Raw, err = s.frags.add(env, plaintext); err != nil {
+			return s.drop(err)
+		}
+		if sub.Raw == nil {
+			return nil
+		}
+		// Raw is the evidence: signed payload (GIOP + signature).
+		payload, err := OpenSignedPayload(env, sub.Raw, s.cfg.VerifySig)
+		if err != nil {
+			return s.drop(err)
+		}
+		if s.cfg.ByteVoting && !digestVote {
+			sub.Value = payload.GIOP
+		} else {
+			usp := s.cfg.Tracer.Start("smiop.unmarshal")
+			val, err := s.unmarshal(payload.GIOP)
+			usp.End()
+			if err != nil {
+				return s.drop(err)
+			}
+			sub.Value = val
+			if digestVote {
+				digest, err = CanonicalReplyDigest(val.Interface, val.Operation, val.Status,
+					val.Exception, val.TC, val.Body)
+				if err != nil {
+					return s.drop(err)
+				}
+			}
+		}
 	}
-	decidedBefore := s.cv.Voter() != nil && s.cv.Voter().Decided()
+	decidedBefore := s.cv.Decided()
 	s.mSubmissions.Inc()
 	vsp := s.cfg.Tracer.Start("vote.submit")
-	dec, err := s.cv.Submit(env.RequestID, sub)
+	var dec *vote.Decision
+	if digestVote {
+		dec, err = s.cv.SubmitDigest(env.RequestID, vote.DigestSubmission{
+			Member: sub.Member, Digest: digest, Full: sub.Value, Raw: sub.Raw})
+	} else {
+		dec, err = s.cv.Submit(env.RequestID, sub)
+	}
 	vsp.End()
+	if err := s.settle(env.RequestID, dec, err); err != nil {
+		return err
+	}
+	if decidedBefore && s.OnPostDecision != nil {
+		// Copy arriving after the decision: surface it so acceptors can
+		// answer retries idempotently. Conflicting copies were already
+		// reported through OnFault.
+		pv, _ := sub.Value.(*MessageVal)
+		s.OnPostDecision(env, pv)
+	}
+	return nil
+}
+
+// settle handles what one submission produced: new fault reports, then
+// the decision or — when no class can still decide — the fallback. Digest
+// votes file fault reports only for conflicting FULL replies — a bare
+// digest is not GM-verifiable evidence; the fallback's full vote
+// re-detects digest-only faults.
+func (s *Stream) settle(requestID uint64, dec *vote.Decision, err error) error {
 	if err != nil {
 		return err
 	}
 	s.reportFaults()
-	if decidedBefore && s.OnPostDecision != nil {
-		// Copy arriving after the decision: surface it so acceptors can
-		// answer retries idempotently. Conflicting copies were already
-		// reported through OnFault above.
-		var pv *MessageVal
-		if mv, ok := sub.Value.(*MessageVal); ok {
-			pv = mv
-		}
-		s.OnPostDecision(env, pv)
+	if dec == nil {
+		s.maybeFallback(requestID)
+		return nil
 	}
-	if dec != nil {
-		if err := s.deliverDecision(dec); err != nil {
-			return err
-		}
-	} else {
-		s.maybeFallback(env.RequestID)
-	}
-	return nil
+	return s.deliverDecision(dec)
 }
 
 // deliverDecision closes the vote and surfaces the agreed message.
@@ -458,21 +423,24 @@ func (s *Stream) deliverDecision(dec *vote.Decision) error {
 		return nil
 	}
 	s.mDecisions.Inc()
+	path := ""
+	if s.policy.Digest {
+		s.mDigestDecisions.Inc()
+		path = "path=digest "
+	}
 	s.hReceived.Observe(float64(dec.Received))
 	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindVoteDecided, 0, 0,
-		s.cv.CurrentID(), fmt.Sprintf("received=%d", dec.Received))
-	var val *MessageVal
-	if s.cfg.ByteVoting {
+		s.cv.CurrentID(), fmt.Sprintf("%sreceived=%d", path, dec.Received))
+	val, ok := dec.Value.(*MessageVal)
+	if !ok {
+		// Byte voting compared raw GIOP; consumers still need the message.
 		rawPayload, err := DecodeSignedPayload(dec.Raw)
 		if err != nil {
 			return err
 		}
-		val, err = s.buildVal(rawPayload.GIOP)
-		if err != nil {
+		if val, err = s.buildVal(rawPayload.GIOP); err != nil {
 			return err
 		}
-	} else {
-		val = dec.Value.(*MessageVal)
 	}
 	dsp := s.cfg.Tracer.Start("vote.decide",
 		fmt.Sprintf("received=%d", dec.Received),
@@ -482,169 +450,35 @@ func (s *Stream) deliverDecision(dec *vote.Decision) error {
 	return nil
 }
 
-// injectCarried replays full replies captured from an abandoned digest
-// vote (see RetryReply) into the redone full vote for the same request
-// id. Stale stashes — the vote moved on — are dropped.
+// injectCarried replays the full replies Expect carried over from an
+// abandoned digest vote into the reopened vote. Injection is deferred to
+// the next Deliver so a decision can never fire while the caller of Expect
+// is still arranging to wait for it.
 func (s *Stream) injectCarried(requestID uint64) error {
-	if len(s.carried) == 0 {
-		return nil
-	}
-	if s.carriedID != requestID || requestID != s.cv.CurrentID() || s.cv.Voter() == nil {
-		s.carried = nil
-		return nil
-	}
 	carry := s.carried
 	s.carried = nil
+	if s.cv.Voter() == nil {
+		return nil
+	}
 	for _, cs := range carry {
 		s.mSubmissions.Inc()
 		dec, err := s.cv.Submit(requestID, cs)
-		if err != nil {
+		if err := s.settle(requestID, dec, err); err != nil {
 			return err
 		}
-		s.reportFaults()
-		if dec != nil {
-			if err := s.deliverDecision(dec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// deliverDigestMode routes one envelope into an armed digest vote: digest
-// envelopes submit their canonical digest directly; the designated
-// responder's full data reply is unmarshalled, its canonical digest
-// recomputed locally, and submitted as the full value.
-func (s *Stream) deliverDigestMode(env *Envelope, plaintext []byte) error {
-	if env.Kind == KindDigest {
-		if env.FragCount > 1 {
-			s.Dropped++
-			s.mDropped.Inc()
-			return fmt.Errorf("smiop: conn %d: fragmented digest envelope", s.conn.ID)
-		}
-		payload, err := DecodeDigestPayload(plaintext)
-		if err != nil {
-			s.Dropped++
-			s.mDropped.Inc()
-			return err
-		}
-		if s.cfg.VerifySig != nil {
-			signing := DigestSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
-				env.SrcMember, payload.Digest)
-			if !s.cfg.VerifySig(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
-				s.Dropped++
-				s.mDropped.Inc()
-				return fmt.Errorf("smiop: conn %d member %d: bad digest signature",
-					s.conn.ID, env.SrcMember)
-			}
-		}
-		return s.submitDigest(env.RequestID, vote.DigestSubmission{
-			Member: int(env.SrcMember),
-			Digest: payload.Digest,
-			Raw:    plaintext,
-		})
-	}
-	// The full reply (designated responder). Large replies may fragment.
-	plaintext, err := s.frags.add(env, plaintext)
-	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
-	}
-	if plaintext == nil {
-		return nil
-	}
-	payload, err := DecodeSignedPayload(plaintext)
-	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
-	}
-	if s.cfg.VerifySig != nil {
-		signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
-			env.SrcMember, env.Reply, payload.GIOP)
-		if !s.cfg.VerifySig(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
-			s.Dropped++
-			s.mDropped.Inc()
-			return fmt.Errorf("smiop: conn %d member %d: bad message signature",
-				s.conn.ID, env.SrcMember)
-		}
-	}
-	usp := s.cfg.Tracer.Start("smiop.unmarshal")
-	val, err := s.unmarshal(payload.GIOP)
-	usp.End()
-	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
-	}
-	digest, err := CanonicalReplyDigest(val.Interface, val.Operation, val.Status,
-		val.Exception, val.TC, val.Body)
-	if err != nil {
-		s.Dropped++
-		s.mDropped.Inc()
-		return err
-	}
-	return s.submitDigest(env.RequestID, vote.DigestSubmission{
-		Member: int(env.SrcMember),
-		Digest: digest,
-		Full:   val,
-		Raw:    plaintext,
-	})
-}
-
-// submitDigest routes a digest-mode submission and handles decision and
-// stall outcomes. Digest votes file fault reports only for conflicting
-// FULL replies — a bare digest is not GM-verifiable evidence; the
-// fallback's full vote re-detects digest-only faults.
-func (s *Stream) submitDigest(requestID uint64, sub vote.DigestSubmission) error {
-	s.mSubmissions.Inc()
-	vsp := s.cfg.Tracer.Start("vote.submit")
-	dec, err := s.cv.SubmitDigest(requestID, sub)
-	vsp.End()
-	if err != nil {
-		return err
-	}
-	s.reportFaults()
-	if dec == nil {
-		s.maybeFallback(requestID)
-		return nil
-	}
-	s.markVoteClosed()
-	s.mDecisions.Inc()
-	s.mDigestDecisions.Inc()
-	s.hReceived.Observe(float64(dec.Received))
-	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindVoteDecided, 0, 0,
-		requestID, fmt.Sprintf("path=digest received=%d", dec.Received))
-	if s.OnMessage != nil {
-		dsp := s.cfg.Tracer.Start("vote.decide",
-			fmt.Sprintf("received=%d", dec.Received),
-			fmt.Sprintf("supporters=%d", len(dec.Supporters)))
-		s.OnMessage(dec.Value.(*MessageVal), dec)
-		dsp.End()
 	}
 	return nil
 }
 
 // maybeFallback fires OnFallback exactly once when the armed vote has
-// stalled (digest mismatch, lying responder, or read-only quorum failure).
+// stalled (digest mismatch, lying responder, or a 2f+1 quorum out of
+// reach) and its policy has somewhere to fall back to.
 func (s *Stream) maybeFallback(requestID uint64) {
-	if s.fallbackFired || s.OnFallback == nil || requestID != s.cv.CurrentID() {
+	if s.policy.Fallback == FallbackNone || s.fallbackFired || s.OnFallback == nil ||
+		requestID != s.cv.CurrentID() || !s.cv.Stalled() {
 		return
 	}
-	stalled := false
-	if dv := s.cv.DigestVoter(); dv != nil {
-		stalled = dv.Stalled()
-	} else if v := s.cv.Voter(); v != nil {
-		stalled = v.Stalled()
-	}
-	if !stalled {
-		return
-	}
-	s.fallbackFired = true
-	s.mFallbacks.Inc()
-	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindDigestFallback, 0, 0,
-		requestID, "cause=stall")
+	s.recordFallback("cause=stall")
 	s.OnFallback(requestID)
 }
 
@@ -652,13 +486,15 @@ func (s *Stream) maybeFallback(requestID uint64) {
 // liveness timeout, which sees silence the voter cannot) on the stream's
 // per-connection fallback counter. Idempotent per armed vote.
 func (s *Stream) NoteFallback() {
-	if s.fallbackFired {
-		return
+	if s.policy.Fallback != FallbackNone && !s.fallbackFired {
+		s.recordFallback("cause=timeout")
 	}
+}
+
+func (s *Stream) recordFallback(cause string) {
 	s.fallbackFired = true
 	s.mFallbacks.Inc()
-	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindDigestFallback, 0, 0,
-		s.cv.CurrentID(), "cause=timeout")
+	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindDigestFallback, 0, 0, s.cv.CurrentID(), cause)
 }
 
 // buildVal decodes a GIOP message into a MessageVal (used by the

@@ -38,67 +38,66 @@ func NewConnectionVoter(n, f int, mode Mode) (*ConnectionVoter, error) {
 	return &ConnectionVoter{n: n, f: f, mode: mode}, nil
 }
 
+// Policy is what varies between the votes of one connection: the class
+// size that decides, and whether one designated responder sends the full
+// reply while the rest send canonical digests (see DigestVoter). The zero
+// value is the paper's vote: full copies from everyone, f+1 decide.
+type Policy struct {
+	// Threshold is the class size required to decide; 0 selects f+1.
+	Threshold int
+	// Digest arms a DigestVoter around Responder instead of a Voter.
+	Digest    bool
+	Responder int
+	// Reopen restarts collation for the outstanding identifier with fresh
+	// state — the retry after a rekey killed the in-flight vote or a fast
+	// path stalled — instead of opening the next one.
+	Reopen bool
+}
+
 // Expect opens collation for a request identifier, garbage-collecting any
 // previous vote state (even if the previous vote never completed — that is
 // the voter GC the paper requires for progress). Identifiers must be
-// strictly increasing.
-func (c *ConnectionVoter) Expect(requestID uint64, cmp Comparator) error {
-	return c.ExpectThreshold(requestID, cmp, 0)
-}
-
-// ExpectThreshold is Expect with an explicit decision threshold (0 selects
-// the default F+1). The read-only fast path votes with threshold 2F+1.
-func (c *ConnectionVoter) ExpectThreshold(requestID uint64, cmp Comparator, threshold int) error {
-	if requestID <= c.currentID && c.armed {
+// strictly increasing; a Reopen names the outstanding identifier and never
+// moves it.
+func (c *ConnectionVoter) Expect(requestID uint64, cmp Comparator, p Policy) error {
+	if c.armed && p.Reopen && requestID != c.currentID {
+		return fmt.Errorf("vote: reopen id %d does not match current %d", requestID, c.currentID)
+	}
+	if c.armed && !p.Reopen && requestID <= c.currentID {
 		return fmt.Errorf("vote: request id %d not increasing (current %d)",
 			requestID, c.currentID)
 	}
-	v, err := NewVoter(Config{N: c.n, F: c.f, Comparator: cmp, Mode: c.mode, Threshold: threshold})
+	var v *Voter
+	var dv *DigestVoter
+	var err error
+	if p.Digest {
+		dv, err = NewDigestVoter(c.n, c.f, p.Responder)
+	} else {
+		v, err = NewVoter(Config{N: c.n, F: c.f, Comparator: cmp, Mode: c.mode, Threshold: p.Threshold})
+	}
 	if err != nil {
 		return err
 	}
 	c.currentID = requestID
 	c.armed = true
-	c.voter = v
-	c.dvoter = nil
+	c.voter, c.dvoter = v, dv
 	return nil
 }
 
-// ExpectDigest opens collation for a request whose sender asked for digest
-// replies: the designated responder's full reply plus matching canonical
-// digests decide the vote (see DigestVoter). Identifiers must be strictly
-// increasing, as for Expect.
-func (c *ConnectionVoter) ExpectDigest(requestID uint64, responder int) error {
-	if requestID <= c.currentID && c.armed {
-		return fmt.Errorf("vote: request id %d not increasing (current %d)",
-			requestID, c.currentID)
+// Decided reports whether the outstanding vote has completed.
+func (c *ConnectionVoter) Decided() bool {
+	if c.dvoter != nil {
+		return c.dvoter.Decided()
 	}
-	dv, err := NewDigestVoter(c.n, c.f, responder)
-	if err != nil {
-		return err
-	}
-	c.currentID = requestID
-	c.armed = true
-	c.voter = nil
-	c.dvoter = dv
-	return nil
+	return c.voter != nil && c.voter.Decided()
 }
 
-// Redo reopens collation for the *current* request identifier with a
-// fresh voter — used when a connection rekey killed the in-flight vote and
-// the request is retried under the new key. Request-id monotonicity is
-// preserved: Redo never moves the id backwards.
-func (c *ConnectionVoter) Redo(requestID uint64, cmp Comparator) error {
-	if requestID != c.currentID {
-		return fmt.Errorf("vote: redo id %d does not match current %d", requestID, c.currentID)
+// Stalled reports whether the outstanding vote can no longer decide.
+func (c *ConnectionVoter) Stalled() bool {
+	if c.dvoter != nil {
+		return c.dvoter.Stalled()
 	}
-	v, err := NewVoter(Config{N: c.n, F: c.f, Comparator: cmp, Mode: c.mode})
-	if err != nil {
-		return err
-	}
-	c.voter = v
-	c.dvoter = nil
-	return nil
+	return c.voter != nil && c.voter.Stalled()
 }
 
 // CurrentID returns the outstanding request identifier.
@@ -108,8 +107,8 @@ func (c *ConnectionVoter) CurrentID() uint64 { return c.currentID }
 // Expect, and nil while a digest vote is armed).
 func (c *ConnectionVoter) Voter() *Voter { return c.voter }
 
-// DigestVoter exposes the in-progress digest voter (nil unless ExpectDigest
-// armed the outstanding request).
+// DigestVoter exposes the in-progress digest voter (nil unless a digest
+// policy armed the outstanding request).
 func (c *ConnectionVoter) DigestVoter() *DigestVoter { return c.dvoter }
 
 // Submit routes one member's message. Messages whose requestID does not

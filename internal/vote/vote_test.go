@@ -241,7 +241,7 @@ func TestConnectionVoterRequestIDDiscipline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cv.Expect(1, Exact{TC: doubleTC}); err != nil {
+	if err := cv.Expect(1, Exact{TC: doubleTC}, Policy{}); err != nil {
 		t.Fatal(err)
 	}
 	// Submissions for a different request id are discarded, not penalised.
@@ -258,10 +258,10 @@ func TestConnectionVoterRequestIDDiscipline(t *testing.T) {
 		t.Fatalf("vote on matching id failed: %v", err)
 	}
 	// Move to the next request: ids must increase.
-	if err := cv.Expect(1, Exact{TC: doubleTC}); err == nil {
+	if err := cv.Expect(1, Exact{TC: doubleTC}, Policy{}); err == nil {
 		t.Fatal("non-increasing request id accepted")
 	}
-	if err := cv.Expect(2, Exact{TC: doubleTC}); err != nil {
+	if err := cv.Expect(2, Exact{TC: doubleTC}, Policy{}); err != nil {
 		t.Fatal(err)
 	}
 	// Late replies to request 1 are discarded after GC.
@@ -271,14 +271,46 @@ func TestConnectionVoterRequestIDDiscipline(t *testing.T) {
 	}
 }
 
+// TestConnectionVoterReopen: a Reopen restarts the outstanding vote with
+// fresh state under the policy it is given, and never moves the id.
+func TestConnectionVoterReopen(t *testing.T) {
+	cv, err := NewConnectionVoter(4, 1, EagerFPlus1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cv.Expect(5, nil, Policy{Digest: true, Responder: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if cv.DigestVoter() == nil || cv.Voter() != nil {
+		t.Fatal("digest policy did not arm a digest voter")
+	}
+	if err := cv.Expect(6, Exact{TC: doubleTC}, Policy{Reopen: true}); err == nil {
+		t.Fatal("reopen moved the request id")
+	}
+	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{Reopen: true, Threshold: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if cv.DigestVoter() != nil || cv.Voter() == nil || cv.CurrentID() != 5 {
+		t.Fatal("reopen did not replace the digest vote with a full vote for id 5")
+	}
+	for m := 0; m < 2; m++ {
+		if d, _ := cv.Submit(5, Submission{Member: m, Value: dv(1.0)}); d != nil {
+			t.Fatal("threshold 3 vote decided on fewer copies")
+		}
+	}
+	if d, _ := cv.Submit(5, Submission{Member: 2, Value: dv(1.0)}); d == nil || !cv.Decided() {
+		t.Fatal("threshold 3 vote did not decide on 3 matching copies")
+	}
+}
+
 func TestConnectionVoterGarbageCollectsIncompleteVote(t *testing.T) {
 	cv, err := NewConnectionVoter(4, 1, EagerFPlus1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv.Expect(1, Exact{TC: doubleTC})
+	cv.Expect(1, Exact{TC: doubleTC}, Policy{})
 	cv.Submit(1, Submission{Member: 0, Value: dv(1.0)}) // never completes
-	if err := cv.Expect(2, Exact{TC: doubleTC}); err != nil {
+	if err := cv.Expect(2, Exact{TC: doubleTC}, Policy{}); err != nil {
 		t.Fatal(err)
 	}
 	if cv.Voter().Received() != 0 {
