@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-sarif test race bench-build bench-json fuzz fuzz-smoke corpus clean
+.PHONY: check build vet lint lint-sarif test race auth-budget bench-build bench-json fuzz fuzz-smoke corpus clean
 
-check: build vet lint race bench-build
+check: build vet lint race auth-budget bench-build
 
 # Perf regression guards: batched ordering keeps its msgs/request win (P1),
 # digest replies keep their bytes/call win (P2), the read-only fast path
@@ -56,6 +56,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# Authentication budget: signatures, verifications and MAC tags per ordered
+# request (whole group plus clients, counted on netsim where the counts
+# repeat exactly) may not rise above internal/pbft/testdata/auth_budget.json.
+# Regenerate with: go test ./internal/pbft -run TestAuthBudget -update-auth-budget
+auth-budget:
+	$(GO) test -run=TestAuthBudget -v ./internal/pbft
+
 # benchmark/ is its own module (the root ./... patterns skip it) and calls
 # internal/smiop, vote, pbft and replica directly: compile, vet and test it
 # here so an internal rename cannot break the repo benchmark silently.
@@ -92,6 +99,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReplyDigestDecode -fuzztime=$(FUZZTIME) ./internal/smiop
 	$(GO) test -run='^$$' -fuzz=FuzzSealedOpen -fuzztime=$(FUZZTIME) ./internal/seckey
 	$(GO) test -run='^$$' -fuzz=FuzzPrePrepareDecode -fuzztime=$(FUZZTIME) ./internal/pbft
+	$(GO) test -run='^$$' -fuzz=FuzzMACAuthenticator -fuzztime=$(FUZZTIME) ./internal/pbft
 	$(GO) test -run='^$$' -fuzz=FuzzTCPFrameDecode -fuzztime=$(FUZZTIME) ./internal/transport/tcp
 
 # Replay the committed seed corpora without fuzzing (fast; part of CI).
@@ -100,7 +108,7 @@ fuzz-smoke:
 
 # Regenerate the committed fuzz seed corpora from golden vectors.
 corpus:
-	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/transport/tcp
+	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp
 
 # --- real-socket cluster harness (cmd/itdos-cluster, cmd/itdos-load) ---
 

@@ -1,17 +1,31 @@
 package pbft
 
 import (
+	"bytes"
+	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/sha512"
 	"fmt"
+	"math/big"
 	"sync"
+
+	"itdos/internal/obs"
 )
 
-// Authenticator signs outgoing messages and verifies incoming ones. The
-// paper assumes signed messages ("each message is signed", §3.6) so that a
-// singleton client can later present replies as proof of Byzantine
-// behaviour to the Group Manager.
+// MACSize is the length of one authenticator tag: HMAC-SHA256 truncated to
+// 16 bytes, so the n = 4 tags of a commit take the room of one Ed25519
+// signature.
+const MACSize = 16
+
+// Authenticator authenticates outgoing messages and checks incoming ones,
+// by one of two mechanisms. Signatures are transferable: the paper signs
+// messages ("each message is signed", §3.6) so that they can later be shown
+// to the Group Manager as proof of Byzantine behaviour. MAC tags under a
+// pairwise key convince only the one receiver they are addressed to, and
+// cost a fiftieth; they protect the messages that never become proof.
+// SignMessage and VerifyMessage choose between the two by message type.
 //
 // Implementations must be safe for concurrent use: live environments verify
 // from multiple connection goroutines.
@@ -20,18 +34,92 @@ type Authenticator interface {
 	Sign(msg []byte) []byte
 	// Verify reports whether sig is a valid signature over msg by sender.
 	Verify(sender string, msg, sig []byte) bool
+	// MAC returns the MACSize-byte tag over msg under the key the local
+	// identity shares with peer, or nil when there is no such key.
+	MAC(peer string, msg []byte) []byte
+	// VerifyMAC reports whether tag is the tag over msg under the key shared
+	// with peer.
+	VerifyMAC(peer string, msg, tag []byte) bool
 	// Identity returns the local signer identity.
 	Identity() string
 }
 
-// SignMessage signs m in place using auth.
-func SignMessage(auth Authenticator, m Message) {
-	*m.sigRef() = auth.Sign(signingBytes(m))
+// SignMessage authenticates m in place as auth's identity: a Reply carries
+// the tag for its client, everything else a signature. A Commit carries one
+// tag per replica of its group, which only a replica can address
+// (Replica.sign); outside a group it gets none.
+func SignMessage(auth Authenticator, m Message) { signIn(auth, m, 0) }
+
+// VerifyMessage checks m's signature, or a Reply's tag, against its
+// SenderKey. A Commit verifies only at a replica of its group
+// (Replica.verify).
+func VerifyMessage(auth Authenticator, m Message) bool { return verifyIn(auth, m, 0, 0) }
+
+// signIn is SignMessage within a group of n replicas. A commit's Sig holds n
+// tags, slot i under the key shared with replica i; the sender's own slot,
+// and that of a peer it has no key with, stay zero.
+func signIn(auth Authenticator, m Message, n int) {
+	b := signingBytes(m)
+	switch msg := m.(type) {
+	case *Commit:
+		tags := make([]byte, n*MACSize)
+		for i := 0; i < n; i++ {
+			if ReplicaID(i) != msg.Replica {
+				copy(tags[i*MACSize:(i+1)*MACSize], auth.MAC(replicaKey(ReplicaID(i)), b))
+			}
+		}
+		msg.Sig = tags
+	case *Reply:
+		msg.Sig = auth.MAC(msg.ClientID, b)
+	default:
+		*m.sigRef() = auth.Sign(b)
+	}
 }
 
-// VerifyMessage checks m's signature against its SenderKey.
-func VerifyMessage(auth Authenticator, m Message) bool {
-	return auth.Verify(m.SenderKey(), signingBytes(m), *m.sigRef())
+// verifyIn is VerifyMessage at replica self of a group of n: a commit counts
+// only if it has exactly n slots and the receiver's own holds the sender's
+// tag — the other slots are none of its business.
+func verifyIn(auth Authenticator, m Message, self ReplicaID, n int) bool {
+	switch msg := m.(type) {
+	case *Commit:
+		if msg.Replica == self || int(msg.Replica) >= n || int(self) >= n || len(msg.Sig) != n*MACSize {
+			return false
+		}
+		tag := msg.Sig[int(self)*MACSize : (int(self)+1)*MACSize]
+		return auth.VerifyMAC(m.SenderKey(), signingBytes(m), tag)
+	case *Reply:
+		return auth.VerifyMAC(m.SenderKey(), signingBytes(m), msg.Sig)
+	default:
+		return auth.Verify(m.SenderKey(), signingBytes(m), *m.sigRef())
+	}
+}
+
+// meteredAuth counts the operations a replica asks of its authenticator
+// (pbft_auth_ops_total). A replica authenticates on its loop goroutine only,
+// which is what lets the counters be plain.
+type meteredAuth struct {
+	Authenticator
+	signs, verifies, macs *obs.Counter
+}
+
+func (a *meteredAuth) Sign(msg []byte) []byte {
+	a.signs.Inc()
+	return a.Authenticator.Sign(msg)
+}
+
+func (a *meteredAuth) Verify(sender string, msg, sig []byte) bool {
+	a.verifies.Inc()
+	return a.Authenticator.Verify(sender, msg, sig)
+}
+
+func (a *meteredAuth) MAC(peer string, msg []byte) []byte {
+	a.macs.Inc()
+	return a.Authenticator.MAC(peer, msg)
+}
+
+func (a *meteredAuth) VerifyMAC(peer string, msg, tag []byte) bool {
+	a.macs.Inc()
+	return a.Authenticator.VerifyMAC(peer, msg, tag)
 }
 
 // Keyring maps identities to Ed25519 public keys. It is populated from
@@ -70,11 +158,26 @@ func (k *Keyring) Lookup(identity string) (ed25519.PublicKey, bool) {
 }
 
 // Ed25519Auth authenticates with Ed25519 signatures against a shared
-// keyring.
+// keyring, and with HMAC-SHA256 tags under pairwise keys agreed from the
+// same identities: each side converts its Ed25519 key and the peer's public
+// key to X25519, so a pair key needs no key material beyond the keyring and
+// no distribution round.
 type Ed25519Auth struct {
 	identity string
 	priv     ed25519.PrivateKey
 	ring     *Keyring
+
+	// pairs caches one key per peer next to the public key it was agreed
+	// with: an entry is good only while the keyring still holds that key.
+	mu    sync.Mutex
+	pairs map[string]pairKey
+}
+
+// pairKey is a cached pairwise MAC key; key is nil when agreement with pub
+// was refused.
+type pairKey struct {
+	pub ed25519.PublicKey
+	key []byte
 }
 
 var _ Authenticator = (*Ed25519Auth)(nil)
@@ -82,7 +185,7 @@ var _ Authenticator = (*Ed25519Auth)(nil)
 // NewEd25519Auth returns an authenticator for identity holding priv,
 // verifying against ring.
 func NewEd25519Auth(identity string, priv ed25519.PrivateKey, ring *Keyring) *Ed25519Auth {
-	return &Ed25519Auth{identity: identity, priv: priv, ring: ring}
+	return &Ed25519Auth{identity: identity, priv: priv, ring: ring, pairs: make(map[string]pairKey)}
 }
 
 // Sign implements Authenticator.
@@ -99,8 +202,130 @@ func (a *Ed25519Auth) Verify(sender string, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
+// MAC implements Authenticator.
+func (a *Ed25519Auth) MAC(peer string, msg []byte) []byte {
+	key := a.pairKey(peer)
+	if key == nil {
+		return nil
+	}
+	return tagOf(key, msg)
+}
+
+// VerifyMAC implements Authenticator.
+func (a *Ed25519Auth) VerifyMAC(peer string, msg, tag []byte) bool {
+	key := a.pairKey(peer)
+	return key != nil && hmac.Equal(tag, tagOf(key, msg))
+}
+
+func tagOf(key, msg []byte) []byte {
+	mac := hmac.New(sha256.New, key)
+	mac.Write(msg)
+	return mac.Sum(nil)[:MACSize]
+}
+
 // Identity implements Authenticator.
 func (a *Ed25519Auth) Identity() string { return a.identity }
+
+// pairKey returns the MAC key shared with peer, deriving it on first use
+// from the public key the keyring holds now. An identity the keyring no
+// longer knows, or knows under another key, loses its cached key here: an
+// expelled member's tags stop verifying with its signatures.
+func (a *Ed25519Auth) pairKey(peer string) []byte {
+	pub, ok := a.ring.Lookup(peer)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !ok {
+		delete(a.pairs, peer)
+		return nil
+	}
+	if pk, hit := a.pairs[peer]; hit && bytes.Equal(pk.pub, pub) {
+		return pk.key
+	}
+	// A refusal is cached as a nil key; why matters to nobody on the message
+	// path, which drops the message either way.
+	key, _ := derivePairKey(a.identity, a.priv, peer, pub)
+	a.pairs[peer] = pairKey{pub: pub, key: key}
+	return key
+}
+
+// pairKeyInfo domain-separates the pair key from every other use of the
+// X25519 shared secret.
+const pairKeyInfo = "itdos/pbft-mac/1"
+
+// derivePairKey agrees the MAC key between the holder of priv, named self,
+// and the holder of the private half of pub, named peer. One identity
+// serves signing and key agreement: the X25519 scalar is the clamped
+// SHA-512(seed)[:32] Ed25519 itself multiplies by, and the peer's Montgomery
+// u = (1+y)/(1−y) is the birational image of its Edwards public point. The
+// key is HMAC-SHA256(shared secret, info ‖ lower id ‖ 0 ‖ higher id), the
+// same bytes on both sides.
+func derivePairKey(self string, priv ed25519.PrivateKey, peer string, pub ed25519.PublicKey) ([]byte, error) {
+	shared, err := sharedSecret(priv, pub)
+	if err != nil {
+		return nil, fmt.Errorf("pbft: pair key %s–%s: %w", self, peer, err)
+	}
+	lo, hi := self, peer
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	mac := hmac.New(sha256.New, shared)
+	mac.Write([]byte(pairKeyInfo))
+	mac.Write([]byte(lo))
+	mac.Write([]byte{0})
+	mac.Write([]byte(hi))
+	return mac.Sum(nil), nil
+}
+
+// sharedSecret is X25519 between the Ed25519 keys priv and pub.
+func sharedSecret(priv ed25519.PrivateKey, pub ed25519.PublicKey) ([]byte, error) {
+	if len(priv) != ed25519.PrivateKeySize {
+		return nil, fmt.Errorf("no private key")
+	}
+	h := sha512.Sum512(priv.Seed())
+	scalar, err := ecdh.X25519().NewPrivateKey(h[:32])
+	if err != nil {
+		return nil, err
+	}
+	u, err := montgomeryU(pub)
+	if err != nil {
+		return nil, err
+	}
+	point, err := ecdh.X25519().NewPublicKey(u)
+	if err != nil {
+		return nil, err
+	}
+	// ECDH refuses a low-order point (all-zero shared secret).
+	return scalar.ECDH(point)
+}
+
+// curve25519P is the field prime 2^255 − 19.
+var curve25519P = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
+
+// montgomeryU maps an Ed25519 public key (little-endian y, sign of x in the
+// top bit) to the X25519 u-coordinate (1+y)/(1−y) mod p.
+func montgomeryU(pub ed25519.PublicKey) ([]byte, error) {
+	if len(pub) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("public key of %d bytes", len(pub))
+	}
+	be := make([]byte, len(pub))
+	for i, b := range pub {
+		be[len(pub)-1-i] = b
+	}
+	be[0] &= 0x7f
+	y := new(big.Int).SetBytes(be)
+	den := new(big.Int).Sub(big.NewInt(1), y)
+	den.Mod(den, curve25519P)
+	if den.ModInverse(den, curve25519P) == nil {
+		return nil, fmt.Errorf("public key is the neutral point")
+	}
+	u := new(big.Int).Add(big.NewInt(1), y)
+	u.Mul(u, den).Mod(u, curve25519P)
+	out := u.FillBytes(make([]byte, 32))
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
+	}
+	return out, nil
+}
 
 // GenerateIdentity creates a fresh Ed25519 keypair for identity and
 // registers the public key in ring.
@@ -130,15 +355,19 @@ func DeriveIdentity(identity string, seed []byte, ring *Keyring) (ed25519.Privat
 	return priv, nil
 }
 
-// NullAuth performs no cryptography: Sign returns a cheap tag and Verify
-// accepts it. It exists for benchmark ablations isolating signature cost
-// (the paper notes signing every message is a deliberate performance
-// sacrifice, §4).
+// NullAuth performs no cryptography: Sign and MAC return constant tags and
+// the checks accept exactly those. It exists for benchmark ablations
+// isolating authentication cost (the paper notes signing every message is a
+// deliberate performance sacrifice, §4).
 type NullAuth struct {
 	identity string
 }
 
 var _ Authenticator = (*NullAuth)(nil)
+
+// nullTag is NullAuth's MAC: the size of a real tag, so a commit's slots
+// line up whatever the authenticator.
+var nullTag = bytes.Repeat([]byte{0xA5}, MACSize)
 
 // NewNullAuth returns a no-op authenticator for identity.
 func NewNullAuth(identity string) *NullAuth { return &NullAuth{identity: identity} }
@@ -150,6 +379,12 @@ func (a *NullAuth) Sign([]byte) []byte { return []byte{0xA5} }
 func (a *NullAuth) Verify(_ string, _, sig []byte) bool {
 	return len(sig) == 1 && sig[0] == 0xA5
 }
+
+// MAC implements Authenticator.
+func (a *NullAuth) MAC(string, []byte) []byte { return bytes.Clone(nullTag) }
+
+// VerifyMAC implements Authenticator.
+func (a *NullAuth) VerifyMAC(_ string, _, tag []byte) bool { return hmac.Equal(tag, nullTag) }
 
 // Identity implements Authenticator.
 func (a *NullAuth) Identity() string { return a.identity }

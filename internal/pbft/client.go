@@ -30,7 +30,7 @@ type ClientConfig struct {
 	N, F int
 	// RetransmitTimeout is the base request retransmission timeout.
 	RetransmitTimeout time.Duration
-	// Auth signs requests and verifies replies.
+	// Auth signs requests and checks the replicas' tags on replies.
 	Auth Authenticator
 }
 
@@ -115,9 +115,9 @@ func (c *Client) Invoke(op []byte) (uint64, error) {
 }
 
 // HandleMessage processes a wire message (expected: Reply). A reply that
-// answers nothing outstanding is dropped before its signature is checked:
-// of the n replies to an invocation, those after the accepting f+1 are
-// exactly that.
+// answers nothing outstanding is dropped before its tag is checked: of the
+// n replies to an invocation, those after the accepting f+1 are exactly
+// that.
 func (c *Client) HandleMessage(data []byte) {
 	m, err := Decode(data)
 	if err != nil {
@@ -131,7 +131,7 @@ func (c *Client) HandleMessage(data []byte) {
 	if p == nil || reply.ClientID != c.cfg.ID || reply.ClientSeq != p.seq {
 		return
 	}
-	if int(reply.Replica) >= c.cfg.N {
+	if reply.Replica < 0 || int(reply.Replica) >= c.cfg.N {
 		return
 	}
 	if !VerifyMessage(c.cfg.Auth, reply) {
@@ -142,19 +142,26 @@ func (c *Client) HandleMessage(data []byte) {
 
 func (c *Client) onReply(p *pendingInvocation, reply *Reply) {
 	p.replies[reply.Replica] = reply
-	// Track the current primary so the next request goes to the right
-	// replica first.
-	c.primary = ReplicaID(reply.View % uint64(c.cfg.N))
-
 	// Accept once f+1 distinct replicas agree on the result bytes.
-	count := 0
+	count, sameView := 0, 0
 	for _, other := range p.replies {
 		if bytes.Equal(other.Result, reply.Result) {
 			count++
+			if other.View == reply.View {
+				sameView++
+			}
 		}
 	}
 	if count < quorum.Vote(c.cfg.F) {
 		return
+	}
+	// Send the next request to the primary of the view the accepted replies
+	// name, if f+1 of them name one: a single replica's word would let it
+	// name itself and swallow every next request until the retransmission
+	// timer. Without agreement the old hint stands — a correct replica that
+	// is no longer primary forwards.
+	if sameView >= quorum.Vote(c.cfg.F) {
+		c.primary = ReplicaID(reply.View % uint64(c.cfg.N))
 	}
 	c.pending = nil
 	c.env.StopTimer()

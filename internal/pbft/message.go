@@ -755,8 +755,22 @@ func signingBytes(m Message) []byte {
 	return b
 }
 
-// replicaKey returns the authentication identity for a replica id.
-func replicaKey(id ReplicaID) string { return fmt.Sprintf("replica:%d", id) }
+// replicaKey returns the authentication identity for a replica id. Every
+// signature and tag names its sender this way, so the ids a group can
+// plausibly use are formatted once.
+func replicaKey(id ReplicaID) string {
+	if id >= 0 && int(id) < len(replicaKeys) {
+		return replicaKeys[id]
+	}
+	return fmt.Sprintf("replica:%d", id)
+}
+
+var replicaKeys = func() (keys [64]string) {
+	for i := range keys {
+		keys[i] = fmt.Sprintf("replica:%d", i)
+	}
+	return keys
+}()
 
 func readDigest(d *cdr.Decoder, out *Digest) error {
 	b, err := d.ReadOctets()

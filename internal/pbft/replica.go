@@ -89,7 +89,7 @@ type Config struct {
 	// snapshots always capture exactly-committed state. Off by default;
 	// the off path is byte-identical to the pre-speculation protocol.
 	TentativeExecution bool
-	// Auth signs and verifies every message.
+	// Auth authenticates every message sent and checks every one received.
 	Auth Authenticator
 	// IdentitySeed, when non-nil, makes NewSimGroup derive replica and
 	// client keys deterministically from the seed (DeriveIdentity) instead
@@ -319,6 +319,12 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		r.hBatchSize = m.Histogram("pbft_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}, label)
 		r.gBacklog = m.Gauge("pbft_primary_backlog", label)
+		r.cfg.Auth = &meteredAuth{
+			Authenticator: cfg.Auth,
+			signs:         m.Counter("pbft_auth_ops_total", label, "op=sign"),
+			verifies:      m.Counter("pbft_auth_ops_total", label, "op=verify"),
+			macs:          m.Counter("pbft_auth_ops_total", label, "op=mac"),
+		}
 	}
 	r.flightID = fmt.Sprintf("%s/r%d", cfg.MetricsLabel, cfg.ID)
 	// Seq 0 is the genesis stable checkpoint; its snapshot is the initial
@@ -364,26 +370,34 @@ func (r *Replica) isPrimary() bool { return r.Primary(r.view) == r.cfg.ID }
 func (r *Replica) quorum() int { return quorum.Prepared(r.cfg.N, r.cfg.F) }
 
 // HandleMessage decodes, authenticates and dispatches one wire message.
-// Malformed or badly-signed messages are dropped (Byzantine senders own
-// this code path; it must never panic or corrupt state). A phase message
-// that would be dropped unread is dropped before its signature is checked:
-// once a round has its quorum, the stragglers are most of the phase traffic.
+// Malformed or badly-authenticated messages are dropped (Byzantine senders
+// own this code path; it must never panic or corrupt state). A phase message
+// or checkpoint that would be dropped unread is dropped before it is
+// authenticated: once a round has its quorum, the stragglers are most of the
+// phase traffic.
 func (r *Replica) HandleMessage(data []byte) {
 	m, err := Decode(data)
 	if err != nil {
 		return
 	}
-	if r.stalePhase(m) || !VerifyMessage(r.cfg.Auth, m) {
+	if r.stalePhase(m) || !r.verify(m) {
 		return
 	}
 	r.dispatch(m)
 }
 
-// stalePhase reports whether m is a prepare or commit that cannot change
-// state whatever its signature: not of the current view in normal operation,
-// outside the window, a prepare claiming to be the primary's (the pre-prepare
-// stands in for it), a second one from the same replica, or for an entry
-// already executed. It reads plain fields only and creates nothing.
+// verify authenticates m as received by this replica of its group.
+func (r *Replica) verify(m Message) bool {
+	return verifyIn(r.cfg.Auth, m, r.cfg.ID, r.cfg.N)
+}
+
+// stalePhase reports whether m is a prepare, commit or checkpoint that
+// cannot change state whatever its authenticator: a phase message not of the
+// current view in normal operation, outside the window, a prepare claiming
+// to be the primary's (the pre-prepare stands in for it), a second one from
+// the same replica, or for an entry already executed; a checkpoint at or
+// below the stable one, or a second one from the same replica. It reads
+// plain fields only and creates nothing.
 func (r *Replica) stalePhase(m Message) bool {
 	var view, seq uint64
 	var from ReplicaID
@@ -393,6 +407,9 @@ func (r *Replica) stalePhase(m Message) bool {
 		view, seq, from, prepare = msg.View, msg.Seq, msg.Replica, true
 	case *Commit:
 		view, seq, from = msg.View, msg.Seq, msg.Replica
+	case *Checkpoint:
+		_, dup := r.checkpoints[msg.Seq][msg.Replica]
+		return dup || msg.Seq <= r.lowWater
 	default:
 		return false
 	}
@@ -426,7 +443,7 @@ func (r *Replica) dispatch(m Message) {
 	case *Commit:
 		r.recordCommit(msg)
 	case *Checkpoint:
-		r.onCheckpoint(msg)
+		r.recordCheckpoint(msg)
 	case *ViewChange:
 		r.onViewChange(msg)
 	case *NewView:
@@ -440,16 +457,20 @@ func (r *Replica) dispatch(m Message) {
 	}
 }
 
+// sign authenticates m as sent by this replica to its group, or to the
+// client a reply names.
+func (r *Replica) sign(m Message) { signIn(r.cfg.Auth, m, r.cfg.N) }
+
 // send signs m and transmits it to one replica.
 func (r *Replica) send(to ReplicaID, m Message) {
-	SignMessage(r.cfg.Auth, m)
+	r.sign(m)
 	r.env.SendReplica(to, Encode(m))
 }
 
 // broadcast signs m, transmits it to all peers, and returns it for local
 // processing.
 func (r *Replica) broadcast(m Message) Message {
-	SignMessage(r.cfg.Auth, m)
+	r.sign(m)
 	r.env.Broadcast(Encode(m))
 	return m
 }
@@ -490,7 +511,7 @@ func (r *Replica) onRequest(req *Request) {
 				View: r.view, ClientID: req.ClientID, ClientSeq: rec.seq,
 				Replica: r.cfg.ID, Result: rec.result,
 			}
-			SignMessage(r.cfg.Auth, reply)
+			r.sign(reply)
 			r.env.SendAddr(req.ReplyTo, Encode(reply))
 		}
 		return
@@ -709,7 +730,7 @@ func (r *Replica) validBatch(pp *PrePrepare) bool {
 			return false
 		}
 		seen[d] = true
-		if !VerifyMessage(r.cfg.Auth, req) {
+		if !r.verify(req) {
 			return false
 		}
 	}
@@ -782,7 +803,7 @@ func (r *Replica) recordCommit(c *Commit) {
 	if en.prePrepare == nil && !en.fetchedPP && len(en.commits) >= quorum.Vote(r.cfg.F) {
 		en.fetchedPP = true
 		fe := &FetchEntry{View: c.View, Seq: c.Seq, Replica: r.cfg.ID}
-		SignMessage(r.cfg.Auth, fe)
+		r.sign(fe)
 		data := Encode(fe)
 		// Ask the f+1 lowest-numbered committers: picking them by map
 		// iteration order would make the message schedule differ run to run
@@ -880,7 +901,7 @@ func (r *Replica) executeEntry(seq uint64, en *entry) {
 					View: r.view, ClientID: req.ClientID, ClientSeq: req.ClientSeq,
 					Replica: r.cfg.ID, Result: result,
 				}
-				SignMessage(r.cfg.Auth, reply)
+				r.sign(reply)
 				r.env.SendAddr(req.ReplyTo, Encode(reply))
 			}
 			if r.OnExecute != nil {
@@ -992,13 +1013,6 @@ func (r *Replica) takeCheckpoint(seq uint64) {
 	c := &Checkpoint{Seq: seq, StateDigest: sha256.Sum256(state), Replica: r.cfg.ID}
 	r.broadcast(c)
 	r.mCheckpoints.Inc()
-	r.recordCheckpoint(c)
-}
-
-func (r *Replica) onCheckpoint(c *Checkpoint) {
-	if c.Seq <= r.lowWater {
-		return
-	}
 	r.recordCheckpoint(c)
 }
 
@@ -1154,7 +1168,7 @@ func (r *Replica) requestState(seq uint64, proof []*Checkpoint) {
 	r.fetching = true
 	r.mStateTransfers.Inc()
 	fs := &FetchState{Seq: seq, Replica: r.cfg.ID}
-	SignMessage(r.cfg.Auth, fs)
+	r.sign(fs)
 	data := Encode(fs)
 	for _, cp := range proof {
 		if cp.Replica != r.cfg.ID {
@@ -1217,10 +1231,10 @@ func (r *Replica) verifyCheckpointProof(seq uint64, digest Digest, proof []*Chec
 		if cp.Seq != seq || cp.StateDigest != digest || seen[cp.Replica] {
 			return false
 		}
-		if int(cp.Replica) >= r.cfg.N {
+		if cp.Replica < 0 || int(cp.Replica) >= r.cfg.N {
 			return false
 		}
-		if !VerifyMessage(r.cfg.Auth, cp) {
+		if !r.verify(cp) {
 			return false
 		}
 		seen[cp.Replica] = true

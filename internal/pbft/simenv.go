@@ -29,7 +29,7 @@ func NewSimReplicaEnv(net transport.Transport, addrs []transport.NodeID, selfIdx
 
 // SendReplica implements Env.
 func (e *SimReplicaEnv) SendReplica(to ReplicaID, data []byte) {
-	if int(to) >= len(e.addrs) {
+	if to < 0 || int(to) >= len(e.addrs) {
 		return
 	}
 	e.net.Send(e.self, e.addrs[to], data)
@@ -92,7 +92,7 @@ func NewSimClientEnv(net transport.Transport, self transport.NodeID, addrs []tra
 
 // SendReplica implements ClientEnv.
 func (e *SimClientEnv) SendReplica(to ReplicaID, data []byte) {
-	if int(to) >= len(e.addrs) {
+	if to < 0 || int(to) >= len(e.addrs) {
 		return
 	}
 	e.net.Send(e.self, e.addrs[to], data)

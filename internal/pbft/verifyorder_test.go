@@ -10,11 +10,16 @@ import (
 	"itdos/internal/netsim"
 )
 
-// countingAuth counts the signature verifications a replica or client asks
-// for.
+// countingAuth counts what a replica or client asks of its authenticator:
+// signatures made and verified, tags made and checked.
 type countingAuth struct {
 	Authenticator
-	verifies int
+	signs, verifies, macs, macChecks int
+}
+
+func (a *countingAuth) Sign(msg []byte) []byte {
+	a.signs++
+	return a.Authenticator.Sign(msg)
 }
 
 func (a *countingAuth) Verify(sender string, msg, sig []byte) bool {
@@ -22,39 +27,76 @@ func (a *countingAuth) Verify(sender string, msg, sig []byte) bool {
 	return a.Authenticator.Verify(sender, msg, sig)
 }
 
-// TestVerificationsPerOrderedRequest: at n=4 the client pays f+1 reply
-// verifications per invocation, not n — the replies after the accepting
-// quorum are dropped unread — and no replica pays more than the seven an
-// unbatched round holds for it (backup: pre-prepare, request, 2 prepares,
-// 3 commits; primary: request, 3 prepares, 3 commits), and the group less
-// than four times seven, because the phase messages that arrive after an
-// entry executed are dropped unread too.
+func (a *countingAuth) MAC(peer string, msg []byte) []byte {
+	a.macs++
+	return a.Authenticator.MAC(peer, msg)
+}
+
+func (a *countingAuth) VerifyMAC(peer string, msg, tag []byte) bool {
+	a.macChecks++
+	return a.Authenticator.VerifyMAC(peer, msg, tag)
+}
+
+// checks is every authenticator an incoming message cost, of either kind.
+func (a *countingAuth) checks() int { return a.verifies + a.macChecks }
+
+// countedGroup is an n=4 Ed25519 group on netsim whose replicas' and
+// clients' authenticators count. One checkpoint interval covers a run: only
+// ordering is counted.
+type countedGroup struct {
+	net      *netsim.Network
+	group    *SimGroup
+	replicas []*countingAuth
+	clients  []*countingAuth
+	cli      []*Client
+	results  int
+}
+
+func newCountedGroup(t *testing.T, clients, maxBatch int) *countedGroup {
+	t.Helper()
+	cg := &countedGroup{net: netsim.NewNetwork(41, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))}
+	ring := NewKeyring()
+	var err error
+	cg.group, err = NewSimGroup(cg.net, "grp", Config{N: 4, F: 1, CheckpointInterval: 1 << 20,
+		WindowSize: 1 << 21, MaxBatch: maxBatch}, ring, func(int) App { return &logApp{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cg.group.Replicas {
+		ca := &countingAuth{Authenticator: r.cfg.Auth}
+		r.cfg.Auth = ca
+		cg.replicas = append(cg.replicas, ca)
+	}
+	for i := 0; i < clients; i++ {
+		id := fmt.Sprintf("client:count%d", i)
+		priv, err := GenerateIdentity(id, ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca := &countingAuth{Authenticator: NewEd25519Auth(id, priv, ring)}
+		cli, err := cg.group.NewSimClientWithAuth(id, fmt.Sprintf("client/count%d", i), ca, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli.OnResult = func(uint64, []byte) { cg.results++ }
+		cg.clients = append(cg.clients, ca)
+		cg.cli = append(cg.cli, cli)
+	}
+	return cg
+}
+
+// TestVerificationsPerOrderedRequest: at n=4 the client verifies no
+// signature for an acknowledged send and checks f+1 tags, not n — the
+// replies after the accepting quorum are dropped unread. No replica verifies
+// more than the four signatures an unbatched round holds for it (backup:
+// pre-prepare, request, 2 prepares; primary: request, 3 prepares) and none
+// for a commit, which costs it one tag check; the group checks fewer commit
+// tags than it receives commits, because those that arrive after an entry
+// executed are dropped unread too.
 func TestVerificationsPerOrderedRequest(t *testing.T) {
 	const n, f, calls = 4, 1, 8
-	net := netsim.NewNetwork(41, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-	ring := NewKeyring()
-	// One checkpoint interval covers the run: only ordering is counted.
-	group, err := NewSimGroup(net, "grp", Config{N: n, F: f, CheckpointInterval: 64}, ring,
-		func(int) App { return &logApp{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicaAuths := make([]*countingAuth, n)
-	for i, r := range group.Replicas {
-		replicaAuths[i] = &countingAuth{Authenticator: r.cfg.Auth}
-		r.cfg.Auth = replicaAuths[i]
-	}
-	priv, err := GenerateIdentity("client:count", ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientAuth := &countingAuth{Authenticator: NewEd25519Auth("client:count", priv, ring)}
-	cli, err := group.NewSimClientWithAuth("client:count", "client/count", clientAuth, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := 0
-	cli.OnResult = func(uint64, []byte) { results++ }
+	cg := newCountedGroup(t, 1, 1)
+	net, group, cli, clientAuth := cg.net, cg.group, cg.cli[0], cg.clients[0]
 
 	for i := 0; i < calls; i++ {
 		seq, err := cli.Invoke([]byte(fmt.Sprintf("op-%d", i)))
@@ -64,32 +106,36 @@ func TestVerificationsPerOrderedRequest(t *testing.T) {
 		if i == 0 {
 			// A forged reply to the outstanding invocation is still checked,
 			// and rejected.
-			forged := &Reply{ClientID: "client:count", ClientSeq: seq, Replica: 2, Result: []byte("lie")}
+			forged := &Reply{ClientID: "client:count0", ClientSeq: seq, Replica: 2, Result: []byte("lie")}
 			SignMessage(group.Replicas[2].cfg.Auth, forged)
 			forged.Sig[0] ^= 1
 			cli.HandleMessage(Encode(forged))
-			if clientAuth.verifies != 1 || results != 0 {
-				t.Fatalf("forged reply: %d verifications, %d results; want 1, 0", clientAuth.verifies, results)
+			if clientAuth.macChecks != 1 || cg.results != 0 {
+				t.Fatalf("forged reply: %d tag checks, %d results; want 1, 0", clientAuth.macChecks, cg.results)
 			}
-			clientAuth.verifies = 0
+			clientAuth.macChecks = 0
 		}
 		net.Run(1_000_000) // every replica's reply is delivered
 	}
-	if results != calls {
-		t.Fatalf("%d of %d invocations completed", results, calls)
+	if cg.results != calls {
+		t.Fatalf("%d of %d invocations completed", cg.results, calls)
 	}
-	if want := calls * (f + 1); clientAuth.verifies != want {
-		t.Errorf("client verified %d replies for %d invocations, want %d (f+1 each)", clientAuth.verifies, calls, want)
+	if want := calls * (f + 1); clientAuth.macChecks != want || clientAuth.verifies != 0 {
+		t.Errorf("client checked %d tags and verified %d signatures for %d invocations, want %d (f+1 each) and 0",
+			clientAuth.macChecks, clientAuth.verifies, calls, want)
 	}
-	total := 0
-	for i, a := range replicaAuths {
-		if a.verifies > 7*calls {
-			t.Errorf("replica %d: %d verifications for %d requests, want at most 7 each", i, a.verifies, calls)
+	commitChecks := 0
+	for i, a := range cg.replicas {
+		if a.verifies > 4*calls {
+			t.Errorf("replica %d: %d signature verifications for %d requests, want at most 4 each", i, a.verifies, calls)
 		}
-		total += a.verifies
+		if a.macChecks > (n-1)*calls {
+			t.Errorf("replica %d: %d tag checks for %d requests, want at most one per peer's commit", i, a.macChecks, calls)
+		}
+		commitChecks += a.macChecks
 	}
-	if total >= n*7*calls {
-		t.Errorf("group: %d verifications for %d requests: no late phase message was dropped unread", total, calls)
+	if commitChecks >= n*(n-1)*calls {
+		t.Errorf("group: %d commit tags checked for %d requests: no late commit was dropped unread", commitChecks, calls)
 	}
 }
 
@@ -117,9 +163,20 @@ type phaseFixture struct {
 
 func newPhaseFixture(t *testing.T) (*phaseFixture, *Keyring) {
 	t.Helper()
+	return newPhaseFixtureAuth(t, false)
+}
+
+// newPhaseFixtureAuth builds the fixture over Ed25519 identities, or over
+// NullAuth (and no keyring) when null is set.
+func newPhaseFixtureAuth(t *testing.T, null bool) (*phaseFixture, *Keyring) {
+	t.Helper()
 	ring := NewKeyring()
 	fx := &phaseFixture{auths: make(map[string]Authenticator)}
-	for _, id := range []string{"replica:0", "replica:1", "replica:2", "replica:3", "client:x"} {
+	for _, id := range []string{"replica:0", "replica:1", "replica:2", "replica:3", "client:x", "client:y"} {
+		if null {
+			fx.auths[id] = NewNullAuth(id)
+			continue
+		}
 		priv, err := GenerateIdentity(id, ring)
 		if err != nil {
 			t.Fatal(err)
@@ -132,12 +189,14 @@ func newPhaseFixture(t *testing.T) (*phaseFixture, *Keyring) {
 	return fx, ring
 }
 
-// wire signs m in its sender's name and encodes it; forged flips one bit of
-// the signature.
+// wire authenticates m in its sender's name within the group of four and
+// encodes it; forged flips one bit of the signature, or of every tag.
 func (fx *phaseFixture) wire(m Message, forged bool) []byte {
-	SignMessage(fx.auths[m.SenderKey()], m)
-	if forged {
-		(*m.sigRef())[0] ^= 1
+	signIn(fx.auths[m.SenderKey()], m, 4)
+	if sig := *m.sigRef(); forged {
+		for i := 0; i < len(sig); i += MACSize {
+			sig[i] ^= 1
+		}
 	}
 	return Encode(m)
 }
@@ -148,6 +207,7 @@ func (fx *phaseFixture) wire(m Message, forged bool) []byte {
 //	              prepared, its own commit sent, one commit short of executing
 //	"executed":   then a commit from 2 — seq 1 executed
 //	"viewchange": "prepared", then its view timer fires
+//	"checkpoint": "prepared", then a checkpoint at seq 16 from 2
 func (fx *phaseFixture) replica(t *testing.T, stage string) (*Replica, *recEnv, *countingAuth) {
 	t.Helper()
 	env := &recEnv{}
@@ -167,6 +227,11 @@ func (fx *phaseFixture) replica(t *testing.T, stage string) (*Replica, *recEnv, 
 		}
 	case "viewchange":
 		r.HandleTimer()
+	case "checkpoint":
+		r.HandleMessage(fx.wire(&Checkpoint{Seq: 16, Replica: 2}, false))
+		if len(r.checkpoints[16]) != 1 {
+			t.Fatalf("fixture: checkpoint not recorded")
+		}
 	}
 	if stage != "executed" && r.LastExecuted() != 0 {
 		t.Fatalf("fixture: seq 1 executed early")
@@ -203,13 +268,19 @@ func dumpReplica(r *Replica) string {
 		}
 		b.WriteByte('\n')
 	}
+	for seq, byRep := range r.checkpoints {
+		for id, c := range byRep {
+			// One checkpoint at most in these fixtures: no order to fix.
+			fmt.Fprintf(&b, "checkpoint %d from %d: %x %x\n", seq, id, c.StateDigest, c.Sig)
+		}
+	}
 	return b.String()
 }
 
 // TestDiscardedPhaseMessagesAreNeverVerified feeds each kind of phase message
-// the replica drops unread once validly signed and once forged: neither costs
-// a verification, neither changes state, neither sends anything — dropping
-// before the signature check is not observable.
+// or checkpoint the replica drops unread once validly authenticated and once
+// forged: neither costs a check, neither changes state, neither sends
+// anything — dropping before the check is not observable.
 func TestDiscardedPhaseMessagesAreNeverVerified(t *testing.T) {
 	fx, _ := newPhaseFixture(t)
 	d := fx.d
@@ -229,15 +300,18 @@ func TestDiscardedPhaseMessagesAreNeverVerified(t *testing.T) {
 		{"post-execution commit", "executed", func() Message { return &Commit{Seq: 1, Digest: d, Replica: 3} }},
 		{"prepare during view change", "viewchange", func() Message { return &Prepare{View: 1, Seq: 1, Digest: d, Replica: 3} }},
 		{"commit during view change", "viewchange", func() Message { return &Commit{View: 1, Seq: 1, Digest: d, Replica: 3} }},
+		{"checkpoint at the stable sequence", "prepared", func() Message { return &Checkpoint{Seq: 0, Replica: 3} }},
+		{"duplicate checkpoint", "checkpoint", func() Message { return &Checkpoint{Seq: 16, Replica: 2} }},
+		{"duplicate checkpoint, other digest", "checkpoint", func() Message { return &Checkpoint{Seq: 16, StateDigest: d, Replica: 2} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, forged := range []bool{false, true} {
 				r, env, auth := fx.replica(t, tc.stage)
-				state, sent, verified := dumpReplica(r), len(env.out), auth.verifies
+				state, sent, checked := dumpReplica(r), len(env.out), auth.checks()
 				r.HandleMessage(fx.wire(tc.msg(), forged))
-				if auth.verifies != verified {
-					t.Errorf("forged=%v: %d verifications", forged, auth.verifies-verified)
+				if auth.checks() != checked {
+					t.Errorf("forged=%v: %d checks", forged, auth.checks()-checked)
 				}
 				if got := dumpReplica(r); got != state {
 					t.Errorf("forged=%v: state changed\nbefore:\n%safter:\n%s", forged, state, got)
@@ -250,28 +324,29 @@ func TestDiscardedPhaseMessagesAreNeverVerified(t *testing.T) {
 	}
 }
 
-// TestLivePhaseMessagesAreVerifiedFirst is the other half: a prepare or
-// commit that would be recorded is verified, and a forged one changes
-// nothing — not even the commit that would complete the quorum.
+// TestLivePhaseMessagesAreVerifiedFirst is the other half: a prepare,
+// commit or checkpoint that would be recorded is checked, and a forged one
+// changes nothing — not even the commit that would complete the quorum.
 func TestLivePhaseMessagesAreVerifiedFirst(t *testing.T) {
 	fx, _ := newPhaseFixture(t)
 	for _, msg := range []func() Message{
 		func() Message { return &Prepare{Seq: 1, Digest: fx.d, Replica: 3} },
 		func() Message { return &Commit{Seq: 1, Digest: fx.d, Replica: 2} },
 		func() Message { return &Commit{Seq: 2, Digest: fx.d, Replica: 2} }, // no entry yet
+		func() Message { return &Checkpoint{Seq: 16, Replica: 3} },
 	} {
 		r, env, auth := fx.replica(t, "prepared")
-		state, sent, verified := dumpReplica(r), len(env.out), auth.verifies
+		state, sent, checked := dumpReplica(r), len(env.out), auth.checks()
 		r.HandleMessage(fx.wire(msg(), true))
-		if auth.verifies != verified+1 {
-			t.Errorf("%T forged: %d verifications, want 1", msg(), auth.verifies-verified)
+		if auth.checks() != checked+1 {
+			t.Errorf("%T forged: %d checks, want 1", msg(), auth.checks()-checked)
 		}
 		if got := dumpReplica(r); got != state || len(env.out) != sent {
 			t.Errorf("%T forged: state or sends changed\nbefore:\n%safter:\n%ssent %v", msg(), state, got, env.out[sent:])
 		}
 		r.HandleMessage(fx.wire(msg(), false))
-		if auth.verifies != verified+2 {
-			t.Errorf("%T valid: %d verifications, want 1", msg(), auth.verifies-verified-1)
+		if auth.checks() != checked+2 {
+			t.Errorf("%T valid: %d checks, want 1", msg(), auth.checks()-checked-1)
 		}
 		if dumpReplica(r) == state {
 			t.Errorf("%T valid: not recorded", msg())

@@ -174,7 +174,7 @@ func (r *Replica) computeNewViewPrePrepares(view uint64, vcs []*ViewChange) []*P
 			pp.Digest = best.PrePrepare.Digest
 			pp.Requests = best.PrePrepare.Requests
 		} // else: null request (zero digest)
-		SignMessage(r.cfg.Auth, pp)
+		r.sign(pp)
 		pps = append(pps, pp)
 	}
 	return pps
@@ -210,7 +210,7 @@ func (r *Replica) onNewView(nv *NewView) {
 		if vc.NewView != nv.View || seen[vc.Replica] {
 			return
 		}
-		if !VerifyMessage(r.cfg.Auth, vc) || !r.verifyViewChange(vc) {
+		if !r.verify(vc) || !r.verifyViewChange(vc) {
 			return
 		}
 		seen[vc.Replica] = true
@@ -228,7 +228,7 @@ func (r *Replica) onNewView(nv *NewView) {
 		if pp.View != want.View || pp.Seq != want.Seq || pp.Digest != want.Digest {
 			return
 		}
-		if pp.Replica != r.Primary(nv.View) || !VerifyMessage(r.cfg.Auth, pp) {
+		if pp.Replica != r.Primary(nv.View) || !r.verify(pp) {
 			return
 		}
 		if !r.validBatch(pp) {
@@ -351,7 +351,7 @@ func (r *Replica) verifyViewChange(vc *ViewChange) bool {
 			return false
 		}
 		seenSeq[pp.Seq] = true
-		if pp.Replica != r.Primary(pp.View) || !VerifyMessage(r.cfg.Auth, pp) {
+		if pp.Replica != r.Primary(pp.View) || !r.verify(pp) {
 			return false
 		}
 		if !r.validBatch(pp) {
@@ -365,7 +365,7 @@ func (r *Replica) verifyViewChange(vc *ViewChange) bool {
 			if p.Replica == r.Primary(pp.View) || seenRep[p.Replica] || int(p.Replica) >= r.cfg.N {
 				return false
 			}
-			if !VerifyMessage(r.cfg.Auth, p) {
+			if !r.verify(p) {
 				return false
 			}
 			seenRep[p.Replica] = true

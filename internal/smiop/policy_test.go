@@ -32,7 +32,9 @@ type policyHarness struct {
 	decided  []float64
 	received []int
 	faults   []int
+	evidence [][]byte
 	fellBack int
+	verifies int // VerifySig calls
 }
 
 const policyTestIface, policyTestOp = "IDL:Calc:1.0", "add"
@@ -52,6 +54,7 @@ func newPolicyHarness(t *testing.T, p ReplyPolicy) *policyHarness {
 	h.stream, err = NewStream(h.client, StreamConfig{
 		Registry: testRegistry(),
 		VerifySig: func(_ string, member uint32, signing, sig []byte) bool {
+			h.verifies++
 			return bytes.Equal(sig, toySig(member, signing))
 		},
 		Metrics: h.metrics, Flight: h.flight, FlightID: "client",
@@ -63,7 +66,10 @@ func newPolicyHarness(t *testing.T, p ReplyPolicy) *policyHarness {
 		h.decided = append(h.decided, val.Body.([]cdr.Value)[0].(float64))
 		h.received = append(h.received, dec.Received)
 	}
-	h.stream.OnFault = func(member int, _ vote.FaultReport) { h.faults = append(h.faults, member) }
+	h.stream.OnFault = func(member int, report vote.FaultReport) {
+		h.faults = append(h.faults, member)
+		h.evidence = append(h.evidence, report.Evidence)
+	}
 	// The endpoint resumes the parked call from inside this callback, so
 	// the re-arm runs re-entrantly under Deliver; mirror that.
 	h.stream.OnFallback = func(uint64) { h.fallBack() }
@@ -165,8 +171,20 @@ func TestReplyPolicyTable(t *testing.T) {
 	type want struct {
 		fallbacks uint64
 		faults    []int
-		discarded uint64
+		discarded uint64 // beyond the agreeing copies that arrive after the decision
 		dropped   uint64
+	}
+	// late is how many full copies arrive, agreeing, after the vote that
+	// finally decides (the plain one once a policy fell back): each is
+	// discarded unverified.
+	late := func(p ReplyPolicy, plain, digest, quorum3 uint64) uint64 {
+		switch {
+		case p.Digest:
+			return digest
+		case p.Quorum == QuorumReadOnly:
+			return quorum3
+		}
+		return plain
 	}
 	scenarios := []struct {
 		name string
@@ -180,7 +198,8 @@ func TestReplyPolicyTable(t *testing.T) {
 					h.send(m, honest, false)
 				}
 			},
-			want: func(ReplyPolicy) want { return want{} },
+			// A digest vote's stragglers are digests, which keep their path.
+			want: func(p ReplyPolicy) want { return want{discarded: late(p, 2, 0, 1)} },
 		},
 		{
 			// The member that sends the full reply lies. Plain and 2f+1
@@ -201,7 +220,7 @@ func TestReplyPolicyTable(t *testing.T) {
 				}
 			},
 			want: func(p ReplyPolicy) want {
-				w := want{faults: []int{responder}}
+				w := want{faults: []int{responder}, discarded: late(p, 1, 1, 0)}
 				if p.Digest {
 					w.fallbacks = 1
 				}
@@ -233,12 +252,12 @@ func TestReplyPolicyTable(t *testing.T) {
 				}
 			},
 			want: func(p ReplyPolicy) want {
-				w := want{}
+				w := want{discarded: 1} // member 3, after 0 and 2 decided
 				if p.Fallback != FallbackNone {
 					w.fallbacks = 1
 				}
 				if p.Fallback == FallbackFreshID {
-					w.discarded = 1
+					w.discarded++
 				}
 				return w
 			},
@@ -258,7 +277,7 @@ func TestReplyPolicyTable(t *testing.T) {
 				}
 			},
 			want: func(p ReplyPolicy) want {
-				w := want{discarded: 1}
+				w := want{discarded: 2} // the digest, and member 3's late copy
 				if p.Fallback != FallbackNone {
 					w.fallbacks = 1
 				}
@@ -275,7 +294,7 @@ func TestReplyPolicyTable(t *testing.T) {
 					h.send(m, honest, false)
 				}
 			},
-			want: func(ReplyPolicy) want { return want{dropped: 1} },
+			want: func(p ReplyPolicy) want { return want{dropped: 1, discarded: late(p, 1, 0, 0)} },
 		},
 	}
 	for _, pc := range policies {
@@ -331,5 +350,67 @@ func TestPlainVoteStallHasNoFallback(t *testing.T) {
 	}
 	if len(h.decided) != 0 {
 		t.Errorf("scattered vote decided %v", h.decided)
+	}
+}
+
+// TestLateReplyCopies: a full reply copy that arrives after its vote decided
+// is compared before it is authenticated. One that agrees costs no signature
+// check and is discarded; one that differs is checked and submitted as ever,
+// so a validly signed lie is reported with itself as evidence and a forged
+// one is dropped with nobody blamed. A member whose agreeing copy was
+// discarded is not marked seen: its later lie is still caught.
+func TestLateReplyCopies(t *testing.T) {
+	const honest, lie = 42.5, 666.0
+	for _, tc := range []struct {
+		name                string
+		sum                 float64
+		forge               bool
+		verifies, discarded int
+		dropped             uint64
+		faults              []int
+	}{
+		{name: "agrees", sum: honest, discarded: 1},
+		{name: "agrees, forged", sum: honest, forge: true, discarded: 1},
+		{name: "differs", sum: lie, verifies: 1, faults: []int{3}},
+		{name: "differs, forged", sum: lie, forge: true, verifies: 1, dropped: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newPolicyHarness(t, ReplyPolicy{})
+			h.send(0, honest, false)
+			h.send(1, honest, false)
+			if len(h.decided) != 1 {
+				t.Fatalf("decided %v after f+1 copies", h.decided)
+			}
+			before := h.verifies
+			h.send(3, tc.sum, tc.forge)
+			if got := h.verifies - before; got != tc.verifies {
+				t.Errorf("%d signature checks, want %d", got, tc.verifies)
+			}
+			if got := h.stream.Voter().Discarded; got != uint64(tc.discarded) {
+				t.Errorf("discarded = %d, want %d", got, tc.discarded)
+			}
+			if h.stream.Dropped != tc.dropped {
+				t.Errorf("dropped = %d, want %d", h.stream.Dropped, tc.dropped)
+			}
+			if !reflect.DeepEqual(h.faults, tc.faults) {
+				t.Fatalf("faults reported = %v, want %v", h.faults, tc.faults)
+			}
+			if len(tc.faults) == 1 {
+				payload, err := DecodeSignedPayload(h.evidence[0])
+				if err != nil || len(payload.Sig) == 0 {
+					t.Errorf("evidence is not the signed copy: %v", err)
+				}
+			}
+			if tc.discarded == 1 {
+				// Discarded, not seen: the same member's lie still counts.
+				h.send(3, lie, false)
+				if !reflect.DeepEqual(h.faults, []int{3}) {
+					t.Errorf("lie after a discarded copy: faults = %v, want [3]", h.faults)
+				}
+			}
+			if len(h.decided) != 1 || h.decided[0] != honest {
+				t.Errorf("decided %v, want one decision of %v", h.decided, honest)
+			}
+		})
 	}
 }

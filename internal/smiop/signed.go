@@ -46,24 +46,36 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 // bytes of its data or digest context.
 type VerifyFunc func(srcDomain string, member uint32, signingBytes, sig []byte) bool
 
-// OpenSignedPayload is the one authentication step every full data copy
-// passes, whichever vote or channel it arrives on: parse the (reassembled)
-// plaintext of env and check the sender's signature over its data context.
-// A nil verify skips the signature check (benchmark ablations only).
+// OpenSignedPayload parses the (reassembled) plaintext of env and checks the
+// sender's signature over its data context (SignedPayload.Verify) — the
+// authentication step of every full data copy, whichever vote or channel it
+// arrives on; only Stream.Deliver takes the two apart, for a reply copy it
+// compares first. A nil verify skips the signature check (benchmark
+// ablations only).
 func OpenSignedPayload(env *Envelope, plaintext []byte, verify VerifyFunc) (*SignedPayload, error) {
 	payload, err := DecodeSignedPayload(plaintext)
 	if err != nil {
 		return nil, err
 	}
-	if verify != nil {
-		signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
-			env.SrcMember, env.Reply, payload.GIOP)
-		if !verify(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
-			return nil, fmt.Errorf("smiop: conn %d member %d: bad message signature",
-				env.ConnID, env.SrcMember)
-		}
+	if err := payload.Verify(env, verify); err != nil {
+		return nil, err
 	}
 	return payload, nil
+}
+
+// Verify checks the sender's signature over the payload in env's data
+// context. A nil verify accepts.
+func (p *SignedPayload) Verify(env *Envelope, verify VerifyFunc) error {
+	if verify == nil {
+		return nil
+	}
+	signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
+		env.SrcMember, env.Reply, p.GIOP)
+	if !verify(env.SrcDomain, env.SrcMember, signing, p.Sig) {
+		return fmt.Errorf("smiop: conn %d member %d: bad message signature",
+			env.ConnID, env.SrcMember)
+	}
+	return nil
 }
 
 // DataSigningBytes builds the byte string a data message's signature

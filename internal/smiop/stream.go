@@ -296,8 +296,10 @@ func (s *Stream) discard() {
 // open, reassemble, authenticate, unmarshal, submit. Whatever policy armed
 // the vote, a copy takes this one path; a digest vote differs only in what
 // it submits (the canonical digest, sent or recomputed from the full
-// reply). Errors are diagnostic: the stream has already accounted for the
-// envelope (dropped or submitted) when Deliver returns.
+// reply). A full reply copy that arrives after its vote decided is compared
+// before it is authenticated, and goes on only if it disagrees. Errors are
+// diagnostic: the stream has already accounted for the envelope (dropped,
+// discarded or submitted) when Deliver returns.
 func (s *Stream) Deliver(env *Envelope) error {
 	s.mEnvelopes.Inc()
 	sp := s.cfg.Tracer.Start("smiop.deliver",
@@ -352,9 +354,18 @@ func (s *Stream) Deliver(env *Envelope) error {
 			return nil
 		}
 		// Raw is the evidence: signed payload (GIOP + signature).
-		payload, err := OpenSignedPayload(env, sub.Raw, s.cfg.VerifySig)
+		payload, err := DecodeSignedPayload(sub.Raw)
 		if err != nil {
 			return s.drop(err)
+		}
+		// A reply copy that arrives once its vote has decided can change
+		// nothing unless it disagrees: it is compared first, and pays for
+		// its signature check only if it is about to become evidence.
+		late := env.Reply && !digestVote && s.cv.Decided()
+		if !late {
+			if err := payload.Verify(env, s.cfg.VerifySig); err != nil {
+				return s.drop(err)
+			}
 		}
 		if s.cfg.ByteVoting && !digestVote {
 			sub.Value = payload.GIOP
@@ -372,6 +383,15 @@ func (s *Stream) Deliver(env *Envelope) error {
 				if err != nil {
 					return s.drop(err)
 				}
+			}
+		}
+		if late {
+			if eq, err := s.comparator().Equal(s.cv.Voter().Decision().Value, sub.Value); err == nil && eq {
+				s.discard()
+				return nil
+			}
+			if err := payload.Verify(env, s.cfg.VerifySig); err != nil {
+				return s.drop(err)
 			}
 		}
 	}
