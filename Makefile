@@ -83,11 +83,14 @@ bench-json:
 # pooled wire path, written to bench-out/ for the CI artifact, plus the
 # budget gate — TestSealChainAllocBudget fails when allocs/op regresses
 # more than 10% over the committed baseline in
-# internal/smiop/testdata/alloc_budget.json.
+# internal/smiop/testdata/alloc_budget.json. BenchmarkCheckpoint rides
+# along: one checkpoint on a queue retaining 64, 1024 or 4096 messages,
+# whose ns/op and B/op should not depend on that number.
 .PHONY: bench-mem
 bench-mem:
 	mkdir -p bench-out
 	$(GO) test -run='^$$' -bench='BenchmarkSealChain' -benchmem ./internal/smiop | tee bench-out/BENCHMEM.txt
+	$(GO) test -run='^$$' -bench='BenchmarkCheckpoint' -benchmem ./internal/srm | tee -a bench-out/BENCHMEM.txt
 	$(GO) test -run=TestSealChainAllocBudget -v ./internal/smiop
 
 # Continuous fuzzing of each decoder boundary, FUZZTIME per target.
@@ -101,14 +104,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPrePrepareDecode -fuzztime=$(FUZZTIME) ./internal/pbft
 	$(GO) test -run='^$$' -fuzz=FuzzMACAuthenticator -fuzztime=$(FUZZTIME) ./internal/pbft
 	$(GO) test -run='^$$' -fuzz=FuzzTCPFrameDecode -fuzztime=$(FUZZTIME) ./internal/transport/tcp
+	$(GO) test -run='^$$' -fuzz=FuzzQueueSnapshot -fuzztime=$(FUZZTIME) ./internal/srm
 
 # Replay the committed seed corpora without fuzzing (fast; part of CI).
 fuzz-smoke:
-	$(GO) test -run='Fuzz' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp
+	$(GO) test -run='Fuzz' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp ./internal/srm
 
 # Regenerate the committed fuzz seed corpora from golden vectors.
 corpus:
-	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp
+	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp ./internal/srm
 
 # --- real-socket cluster harness (cmd/itdos-cluster, cmd/itdos-load) ---
 

@@ -405,7 +405,7 @@ func BenchmarkC6StateSyncScaling(b *testing.B) {
 			b.ResetTimer()
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(q.Snapshot())
+				n = len(q.Capture().Bytes())
 			}
 			b.ReportMetric(float64(n), "snapshot-bytes")
 		})

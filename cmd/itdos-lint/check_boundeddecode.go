@@ -22,7 +22,7 @@ import (
 var checkBoundedDecode = &Check{
 	Name:  "bounded-decode",
 	Doc:   "forbids make/append sized by unvalidated wire-length fields in decode paths",
-	Paths: []string{"internal/cdr", "internal/giop", "internal/smiop", "internal/seckey", "internal/pbft", "internal/transport"},
+	Paths: []string{"internal/cdr", "internal/giop", "internal/smiop", "internal/seckey", "internal/pbft", "internal/transport", "internal/srm"},
 	Run:   runBoundedDecode,
 }
 

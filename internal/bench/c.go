@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"time"
 
@@ -286,25 +287,41 @@ func (a *blobApp) Execute(_ string, op []byte) []byte {
 	return []byte("ok")
 }
 
-func (a *blobApp) Snapshot() []byte {
+// Capture implements pbft.App the only way a blob can: serialise and hash
+// all of it, at every checkpoint — the cost C6 sets against the queue's.
+func (a *blobApp) Capture() pbft.Captured {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteULong(uint32(a.ops))
 	e.WriteOctets(a.state)
-	return e.Bytes()
+	return blobCapture(e.Bytes())
+}
+
+type blobCapture []byte
+
+func (c blobCapture) Digest() pbft.Digest { return sha256.Sum256(c) }
+func (c blobCapture) Bytes() []byte       { return c }
+
+func decodeBlob(snapshot []byte) (ops uint32, state []byte, err error) {
+	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
+	if ops, err = d.ReadULong(); err != nil {
+		return 0, nil, err
+	}
+	state, err = d.ReadOctets()
+	return ops, state, err
+}
+
+func (a *blobApp) SnapshotDigest(snapshot []byte) (pbft.Digest, error) {
+	_, _, err := decodeBlob(snapshot)
+	return sha256.Sum256(snapshot), err
 }
 
 func (a *blobApp) Restore(snapshot []byte) error {
-	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
-	n, err := d.ReadULong()
+	ops, state, err := decodeBlob(snapshot)
 	if err != nil {
 		return err
 	}
-	a.ops = int(n)
-	b, err := d.ReadOctets()
-	if err != nil {
-		return err
-	}
-	a.state = append([]byte(nil), b...)
+	a.ops = int(ops)
+	a.state = append([]byte(nil), state...)
 	return nil
 }
 

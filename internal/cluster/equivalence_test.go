@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"itdos/internal/fault"
 	"itdos/internal/orb"
 	"itdos/internal/replica"
+	"itdos/internal/srm"
 )
 
 const eqSeed = 20020623 // the paper's conference date; any fixed seed works
@@ -128,13 +130,50 @@ func runTCP(t *testing.T) []string {
 	ref := CalcRef("calc")
 	var decisions []string
 	for _, c := range eqCalls() {
-		res, err := load.Call("alice", ref, c.op, c.args, 30*time.Second)
+		// A call here takes milliseconds; the rare failure is one that never
+		// completes, so a long timeout buys nothing but a late report.
+		res, err := load.Call("alice", ref, c.op, c.args, 10*time.Second)
 		if err != nil {
+			dumpCluster(t, cl)
 			t.Fatalf("tcp %s%v: %v", c.op, c.args, err)
 		}
 		decisions = append(decisions, canonical(t, res))
 	}
 	return decisions
+}
+
+// dumpCluster logs, for every process, where the replicas it hosts stand in
+// each ordering group and its whole metrics registry — read on the process's
+// own loop, which is also the first thing to know: a loop that does not run
+// the dump is the wedge.
+func dumpCluster(t *testing.T, cl *InProcCluster) {
+	t.Helper()
+	spec := eqSpec()
+	for i, nd := range spec.Nodes {
+		node := cl.Nodes[nd.Name]
+		out := make(chan string, 1)
+		go node.Tr.Post(func() {
+			var b strings.Builder
+			if i < spec.N() {
+				for _, dom := range []*srm.Domain{node.Sys.GMDomain(), node.Sys.Domain(spec.Domain).Dom} {
+					r := dom.Elements[i].Replica
+					fmt.Fprintf(&b, "%s/r%d: view=%d inViewChange=%v lastExec=%d lowWater=%d state=%v queue=[%d,%d)\n",
+						dom.Name, i, r.View(), r.InViewChange(), r.LastExecuted(), r.StableCheckpoint(),
+						r.StateDigest(), dom.Elements[i].Queue().WindowStart(), dom.Elements[i].Queue().NextSeq())
+				}
+			}
+			if err := node.Metrics.WriteProm(&b); err != nil {
+				fmt.Fprintf(&b, "metrics: %v\n", err)
+			}
+			out <- b.String()
+		})
+		select {
+		case s := <-out:
+			t.Logf("--- %s ---\n%s", nd.Name, s)
+		case <-time.After(2 * time.Second):
+			t.Logf("--- %s --- loop goroutine did not run the dump within 2s", nd.Name)
+		}
+	}
 }
 
 // TestTransportEquivalence pins that the same seeded F1-style scenario —

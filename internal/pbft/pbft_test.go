@@ -9,6 +9,7 @@ import (
 
 	"itdos/internal/cdr"
 	"itdos/internal/netsim"
+	"itdos/internal/obs"
 )
 
 // logApp is a deterministic state machine recording every executed op, used
@@ -26,29 +27,53 @@ func (a *logApp) Execute(_ string, op []byte) []byte {
 	return sum.Sum(nil)
 }
 
-func (a *logApp) Snapshot() []byte {
+// Capture serialises eagerly: a test app has no cheaper way to stop later
+// Executes showing through.
+func (a *logApp) Capture() Captured {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteULong(uint32(len(a.ops)))
 	for _, o := range a.ops {
 		e.WriteOctets(o)
 	}
-	return e.Bytes()
+	return logCapture(e.Bytes())
 }
 
-func (a *logApp) Restore(snapshot []byte) error {
+type logCapture []byte
+
+func (c logCapture) Digest() Digest { return sha256.Sum256(c) }
+func (c logCapture) Bytes() []byte  { return c }
+
+func decodeLog(snapshot []byte) ([][]byte, error) {
 	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
 	n, err := d.ReadULong()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	a.ops = nil
+	var ops [][]byte
 	for i := 0; i < int(n); i++ {
 		o, err := d.ReadOctets()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		a.ops = append(a.ops, append([]byte(nil), o...))
+		ops = append(ops, append([]byte(nil), o...))
 	}
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("logApp: %d trailing bytes", d.Remaining())
+	}
+	return ops, nil
+}
+
+func (a *logApp) SnapshotDigest(snapshot []byte) (Digest, error) {
+	_, err := decodeLog(snapshot)
+	return sha256.Sum256(snapshot), err
+}
+
+func (a *logApp) Restore(snapshot []byte) error {
+	ops, err := decodeLog(snapshot)
+	if err != nil {
+		return err
+	}
+	a.ops = ops
 	return nil
 }
 
@@ -64,6 +89,12 @@ type harness struct {
 
 func newHarness(t *testing.T, n, f int, seed int64) *harness {
 	t.Helper()
+	return newHarnessWith(t, n, f, seed, nil)
+}
+
+// newHarnessWith is newHarness with the group's registry set (nil: none).
+func newHarnessWith(t *testing.T, n, f int, seed int64, metrics *obs.Registry) *harness {
+	t.Helper()
 	net := netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
 	ring := NewKeyring()
 	apps := make([]*logApp, n)
@@ -71,6 +102,8 @@ func newHarness(t *testing.T, n, f int, seed int64) *harness {
 		N: n, F: f,
 		CheckpointInterval: 4,
 		ViewTimeout:        200 * time.Millisecond,
+		Metrics:            metrics,
+		MetricsLabel:       "grp",
 	}, ring, func(i int) App {
 		apps[i] = &logApp{}
 		return apps[i]

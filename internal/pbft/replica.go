@@ -18,17 +18,57 @@ import (
 // machine the test needs.
 //
 // Execute must be deterministic: given the same sequence of operations,
-// every correct replica must produce the same results and the same
-// Snapshot bytes.
+// every correct replica must produce the same results, the same state
+// digest and the same snapshot bytes, whatever path brought it there
+// (executed from genesis, or restored from a snapshot and executed on).
 type App interface {
 	// Execute applies one totally-ordered operation and returns its
 	// result. clientID is the authenticated identity of the requester
 	// (verified by the client-signature check on the request).
 	Execute(clientID string, op []byte) []byte
-	// Snapshot serialises the application state canonically.
-	Snapshot() []byte
-	// Restore replaces the application state from a snapshot.
+	// Capture returns the application state as of now. It is called at
+	// every checkpoint, so it should cost what changed since the last one,
+	// not what the state holds; later Executes must not show through it.
+	Capture() Captured
+	// SnapshotDigest returns the digest a Capture would report right after
+	// Restore(snapshot), without changing anything: received state is
+	// checked against a checkpoint certificate before it is restored.
+	SnapshotDigest(snapshot []byte) (Digest, error)
+	// Restore replaces the application state from a snapshot, or fails and
+	// leaves it as it was.
 	Restore(snapshot []byte) error
+}
+
+// Captured is application state held by a checkpoint: its digest at once,
+// its canonical serialisation only if a peer asks for it.
+type Captured interface {
+	Digest() Digest
+	Bytes() []byte
+}
+
+// checkpointState is what this replica keeps of one of its own checkpoints.
+// digest is the StateDigest its Checkpoint message certifies:
+// H("itdos/pbft-state/2" ‖ app digest ‖ H(clients)).
+type checkpointState struct {
+	digest  Digest
+	app     Captured
+	clients []byte // client table, canonical (see clientTableBytes)
+	// wire is the encoded, signed StateData answering a FetchState, built
+	// when the first peer asks; servedAt is this replica's lastExec when it
+	// last answered each peer. Both go with the record in stabilise.
+	wire     []byte
+	servedAt map[ReplicaID]uint64
+}
+
+// stateDigest combines an application digest and a serialised client table
+// into the digest a checkpoint certifies.
+func stateDigest(app Digest, clients []byte) Digest {
+	table := sha256.Sum256(clients)
+	b := make([]byte, 0, 96)
+	b = append(b, "itdos/pbft-state/2"...)
+	b = append(b, app[:]...)
+	b = append(b, table[:]...)
+	return sha256.Sum256(b)
 }
 
 // Env is the world a replica talks to. Implementations exist for the
@@ -185,7 +225,7 @@ type Replica struct {
 	log         map[uint64]*entry
 	checkpoints map[uint64]map[ReplicaID]*Checkpoint
 	stableProof []*Checkpoint
-	snapshots   map[uint64][]byte
+	snapshots   map[uint64]*checkpointState
 	clientTable map[string]*clientRecord
 
 	// outstanding tracks forwarded-but-unexecuted request digests for
@@ -234,7 +274,7 @@ type Replica struct {
 	// session drains; specClient tracks per-client at-most-once during
 	// speculation.
 	specExec    uint64
-	specBase    []byte
+	specBase    Captured
 	specBaseSeq uint64
 	specJournal map[uint64]*specEntry
 	specClient  map[string]uint64
@@ -245,8 +285,10 @@ type Replica struct {
 	// it is contiguous with the live ordering stream again.
 	OnRecovered func(seq uint64)
 
-	// fetching dedupes concurrent state-transfer attempts.
-	fetching bool
+	// fetchSeq is the highest checkpoint sequence state was requested for:
+	// a quorum at a higher one asks again, so a lost reply delays catching
+	// up by one checkpoint instead of ending it.
+	fetchSeq uint64
 	// recovering is set by Recover and cleared when the post-recovery
 	// state transfer lands.
 	recovering bool
@@ -269,6 +311,11 @@ type Replica struct {
 	mProposeIdle    *obs.Counter
 	mProposeTimer   *obs.Counter
 	mProposeFull    *obs.Counter
+	mCkptHashed     *obs.Counter
+	mCkptSerialised *obs.Counter
+	mRejectDigest   *obs.Counter
+	mRejectProof    *obs.Counter
+	mRejectDecode   *obs.Counter
 	hBatchSize      *obs.Histogram
 	gBacklog        *obs.Gauge
 
@@ -287,7 +334,7 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		env:         env,
 		log:         make(map[uint64]*entry),
 		checkpoints: make(map[uint64]map[ReplicaID]*Checkpoint),
-		snapshots:   make(map[uint64][]byte),
+		snapshots:   make(map[uint64]*checkpointState),
 		clientTable: make(map[string]*clientRecord),
 		outstanding: make(map[Digest]*Request),
 		pendingSet:  make(map[Digest]bool),
@@ -316,6 +363,11 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		r.mProposeIdle = m.Counter("pbft_proposals_total", label, "trigger=idle")
 		r.mProposeTimer = m.Counter("pbft_proposals_total", label, "trigger=timer")
 		r.mProposeFull = m.Counter("pbft_proposals_total", label, "trigger=full")
+		r.mCkptHashed = m.Counter("pbft_checkpoint_bytes_total", label, "kind=hashed")
+		r.mCkptSerialised = m.Counter("pbft_checkpoint_bytes_total", label, "kind=serialised")
+		r.mRejectDigest = m.Counter("pbft_state_rejected_total", label, "reason=digest")
+		r.mRejectProof = m.Counter("pbft_state_rejected_total", label, "reason=proof")
+		r.mRejectDecode = m.Counter("pbft_state_rejected_total", label, "reason=decode")
 		r.hBatchSize = m.Histogram("pbft_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}, label)
 		r.gBacklog = m.Gauge("pbft_primary_backlog", label)
@@ -329,7 +381,7 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 	r.flightID = fmt.Sprintf("%s/r%d", cfg.MetricsLabel, cfg.ID)
 	// Seq 0 is the genesis stable checkpoint; its snapshot is the initial
 	// state so peers can bootstrap from it.
-	r.snapshots[0] = r.stateBytes()
+	r.snapshots[0] = r.captureState()
 	return r, nil
 }
 
@@ -356,6 +408,13 @@ func (r *Replica) LastExecuted() uint64 { return r.lastExec }
 
 // StableCheckpoint returns the current stable checkpoint sequence.
 func (r *Replica) StableCheckpoint() uint64 { return r.lowWater }
+
+// StateDigest returns the digest a checkpoint taken now would certify: equal
+// at two replicas exactly when their application state and client tables are.
+// For tests and diagnostics; O(client table).
+func (r *Replica) StateDigest() Digest {
+	return stateDigest(r.app.Capture().Digest(), r.clientTableBytes())
+}
 
 // InViewChange reports whether a view change is in progress.
 func (r *Replica) InViewChange() bool { return r.inViewChange }
@@ -460,12 +519,6 @@ func (r *Replica) dispatch(m Message) {
 // sign authenticates m as sent by this replica to its group, or to the
 // client a reply names.
 func (r *Replica) sign(m Message) { signIn(r.cfg.Auth, m, r.cfg.N) }
-
-// send signs m and transmits it to one replica.
-func (r *Replica) send(to ReplicaID, m Message) {
-	r.sign(m)
-	r.env.SendReplica(to, Encode(m))
-}
 
 // broadcast signs m, transmits it to all peers, and returns it for local
 // processing.
@@ -943,17 +996,17 @@ func (r *Replica) executeEntry(seq uint64, en *entry) {
 	}
 }
 
-// stateBytes canonically serialises replica state: the application snapshot
-// plus the client table (needed for at-most-once semantics after state
-// transfer, as in Castro-Liskov where the client table is part of state).
-func (r *Replica) stateBytes() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctets(r.app.Snapshot())
+// clientTableBytes canonically serialises the client table, which is part of
+// replicated state (at-most-once semantics must survive a state transfer, as
+// in Castro–Liskov): every record, sorted by client id. Deliberately the
+// simple form — tens of bytes per client, re-serialised per checkpoint.
+func (r *Replica) clientTableBytes() []byte {
 	ids := make([]string, 0, len(r.clientTable))
 	for id := range r.clientTable {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteULong(uint32(len(ids)))
 	for _, id := range ids {
 		rec := r.clientTable[id]
@@ -965,52 +1018,73 @@ func (r *Replica) stateBytes() []byte {
 	return e.Bytes()
 }
 
-func (r *Replica) restoreState(buf []byte) error {
+// minClientRecordBytes is the least a client record occupies on the wire
+// (empty id and result): what bounds a received table's claimed count.
+const minClientRecordBytes = 4 + 1 + 8 + 1 + 4
+
+func decodeClientTable(buf []byte) (map[string]*clientRecord, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	snap, err := d.ReadOctets()
-	if err != nil {
-		return fmt.Errorf("pbft: state snapshot: %w", err)
-	}
-	if err := r.app.Restore(append([]byte(nil), snap...)); err != nil {
-		return fmt.Errorf("pbft: app restore: %w", err)
-	}
 	n, err := d.ReadULong()
 	if err != nil {
-		return fmt.Errorf("pbft: state client table: %w", err)
+		return nil, fmt.Errorf("pbft: state client table: %w", err)
 	}
-	if n > maxProofEntries {
-		return fmt.Errorf("pbft: implausible client table size %d", n)
+	if int(n) > d.Remaining()/minClientRecordBytes {
+		return nil, fmt.Errorf("pbft: client table of %d records in %d bytes", n, d.Remaining())
 	}
 	table := make(map[string]*clientRecord, n)
 	for i := 0; i < int(n); i++ {
 		id, err := d.ReadString()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		seq, err := d.ReadULongLong()
-		if err != nil {
-			return err
+		rec := &clientRecord{}
+		if rec.seq, err = d.ReadULongLong(); err != nil {
+			return nil, err
 		}
-		hasReply, err := d.ReadBoolean()
-		if err != nil {
-			return err
+		if rec.hasReply, err = d.ReadBoolean(); err != nil {
+			return nil, err
 		}
-		result, err := d.ReadOctets()
-		if err != nil {
-			return err
+		if rec.result, err = readOctetsCopy(d); err != nil {
+			return nil, err
 		}
-		table[id] = &clientRecord{
-			seq: seq, result: append([]byte(nil), result...), hasReply: hasReply,
-		}
+		table[id] = rec
 	}
-	r.clientTable = table
-	return nil
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("pbft: state client table: %d trailing bytes", d.Remaining())
+	}
+	return table, nil
+}
+
+// captureState records replica state as of now: the application by
+// reference, the client table by value.
+func (r *Replica) captureState() *checkpointState {
+	app := r.app.Capture()
+	clients := r.clientTableBytes()
+	r.mCkptSerialised.Add(uint64(len(clients)))
+	r.mCkptHashed.Add(uint64(len(clients)))
+	return &checkpointState{digest: stateDigest(app.Digest(), clients), app: app, clients: clients}
+}
+
+// splitState parses the state a StateData carries — the application
+// snapshot, then the client table — into its two byte strings.
+func splitState(buf []byte) (app, clients []byte, err error) {
+	d := cdr.NewDecoder(buf, cdr.BigEndian)
+	if app, err = d.ReadOctets(); err != nil {
+		return nil, nil, fmt.Errorf("pbft: state snapshot: %w", err)
+	}
+	if clients, err = d.ReadOctets(); err != nil {
+		return nil, nil, fmt.Errorf("pbft: state client table: %w", err)
+	}
+	if d.Remaining() != 0 {
+		return nil, nil, fmt.Errorf("pbft: state: %d trailing bytes", d.Remaining())
+	}
+	return app, clients, nil
 }
 
 func (r *Replica) takeCheckpoint(seq uint64) {
-	state := r.stateBytes()
-	r.snapshots[seq] = state
-	c := &Checkpoint{Seq: seq, StateDigest: sha256.Sum256(state), Replica: r.cfg.ID}
+	cs := r.captureState()
+	r.snapshots[seq] = cs
+	c := &Checkpoint{Seq: seq, StateDigest: cs.digest, Replica: r.cfg.ID}
 	r.broadcast(c)
 	r.mCheckpoints.Inc()
 	r.recordCheckpoint(c)
@@ -1054,7 +1128,7 @@ func (r *Replica) recordCheckpoint(c *Checkpoint) {
 		}
 		// Only stabilise on our own digest; a mismatch means divergence
 		// (should be impossible for a correct replica).
-		if own, ok := r.snapshots[c.Seq]; ok && sha256.Sum256(own) == digest {
+		if own, ok := r.snapshots[c.Seq]; ok && own.digest == digest {
 			r.stabilise(c.Seq, proof)
 		}
 		return
@@ -1141,7 +1215,7 @@ func (r *Replica) Recover() {
 	r.ppIndex = make(map[Digest]uint64)
 	r.viewChanges = make(map[uint64]map[ReplicaID]*ViewChange)
 	r.inViewChange = false
-	r.fetching = false
+	r.fetchSeq = 0
 	// Speculative state is soft state like the rest: the app reset below
 	// discards tentative executions along with everything else.
 	r.specExec = 0
@@ -1149,8 +1223,8 @@ func (r *Replica) Recover() {
 	if ra, ok := r.app.(interface{ Reset() }); ok {
 		ra.Reset()
 	}
-	r.snapshots = map[uint64][]byte{0: r.stateBytes()}
-	// Ask every peer for its stable checkpoint. fetching stays false so a
+	r.snapshots = map[uint64]*checkpointState{0: r.captureState()}
+	// Ask every peer for its stable checkpoint. fetchSeq stays 0 so a
 	// later checkpoint quorum can still drive requestState if nobody
 	// answers (e.g. no checkpoint has stabilised yet).
 	r.mStateTransfers.Inc()
@@ -1162,10 +1236,10 @@ func (r *Replica) Recover() {
 func (r *Replica) Recovering() bool { return r.recovering }
 
 func (r *Replica) requestState(seq uint64, proof []*Checkpoint) {
-	if r.fetching {
+	if seq <= r.fetchSeq {
 		return
 	}
-	r.fetching = true
+	r.fetchSeq = seq
 	r.mStateTransfers.Inc()
 	fs := &FetchState{Seq: seq, Replica: r.cfg.ID}
 	r.sign(fs)
@@ -1177,37 +1251,87 @@ func (r *Replica) requestState(seq uint64, proof []*Checkpoint) {
 	}
 }
 
+// onFetchState answers with the stable checkpoint's state. The bytes are
+// serialised and signed once per stable checkpoint, when the first peer
+// asks, and a peer that asks again is answered again only after this
+// replica has executed something since: a repeated FetchState costs a
+// correct replica nothing, while a requester whose reply was lost is still
+// served once the group moves.
 func (r *Replica) onFetchState(fs *FetchState) {
 	if r.lowWater < fs.Seq || len(r.stableProof) == 0 {
 		return
 	}
-	snap, ok := r.snapshots[r.lowWater]
+	cs, ok := r.snapshots[r.lowWater]
 	if !ok {
 		return
 	}
-	sd := &StateData{
-		Seq: r.lowWater, Snapshot: snap,
-		Proof: r.stableProof, Replica: r.cfg.ID,
+	if at, asked := cs.servedAt[fs.Replica]; asked && at == r.lastExec {
+		return
 	}
-	r.send(fs.Replica, sd)
+	if cs.wire == nil {
+		app := cs.app.Bytes()
+		r.mCkptSerialised.Add(uint64(len(app)))
+		e := cdr.NewEncoder(cdr.BigEndian)
+		e.WriteOctets(app)
+		e.WriteOctets(cs.clients)
+		sd := &StateData{
+			Seq: r.lowWater, Snapshot: e.Bytes(),
+			Proof: r.stableProof, Replica: r.cfg.ID,
+		}
+		r.sign(sd)
+		cs.wire = Encode(sd)
+		cs.servedAt = make(map[ReplicaID]uint64)
+	}
+	cs.servedAt[fs.Replica] = r.lastExec
+	r.env.SendReplica(fs.Replica, cs.wire)
 }
 
+// onStateData installs a peer's stable checkpoint. Nothing changes until the
+// received bytes have been parsed, digested (App.SnapshotDigest and the
+// client table's hash, no side effects) and matched against 2f+1 signed
+// checkpoints: Restore replaces the application wholesale and, for the SRM
+// queue, replays it to the consumer.
 func (r *Replica) onStateData(sd *StateData) {
-	r.fetching = false
 	if sd.Seq <= r.lastExec {
 		return
 	}
-	if !r.verifyCheckpointProof(sd.Seq, sha256.Sum256(sd.Snapshot), sd.Proof) {
+	app, clients, err := splitState(sd.Snapshot)
+	if err != nil {
+		r.mRejectDecode.Inc()
+		return
+	}
+	appDigest, err := r.app.SnapshotDigest(app)
+	if err != nil {
+		r.mRejectDecode.Inc()
+		return
+	}
+	digest := stateDigest(appDigest, clients)
+	r.mCkptHashed.Add(uint64(len(app) + len(clients)))
+	for _, cp := range sd.Proof {
+		if cp.Seq == sd.Seq && cp.StateDigest != digest {
+			r.mRejectDigest.Inc() // not the state this certificate names
+			return
+		}
+	}
+	if !r.verifyCheckpointProof(sd.Seq, digest, sd.Proof) {
+		r.mRejectProof.Inc()
+		return
+	}
+	table, err := decodeClientTable(clients)
+	if err != nil {
+		r.mRejectDecode.Inc()
 		return
 	}
 	// The restore below replaces application state wholesale; any
 	// speculative suffix built on the old state is void.
 	r.dropSpeculation()
-	if err := r.restoreState(sd.Snapshot); err != nil {
+	if err := r.app.Restore(app); err != nil {
+		r.mRejectDecode.Inc()
 		return
 	}
+	r.clientTable = table
 	r.lastExec = sd.Seq
-	r.snapshots[sd.Seq] = sd.Snapshot
+	r.snapshots[sd.Seq] = &checkpointState{digest: digest, app: r.app.Capture(), clients: clients}
 	r.stabilise(sd.Seq, sd.Proof)
 	if r.seq < sd.Seq {
 		r.seq = sd.Seq

@@ -89,7 +89,7 @@ func (r *Replica) trySpeculate() {
 		}
 		if r.specExec == r.lastExec {
 			// Fresh session: remember the committed state to roll back to.
-			r.specBase = append([]byte(nil), r.app.Snapshot()...)
+			r.specBase = r.app.Capture()
 			r.specBaseSeq = r.lastExec
 		}
 		r.speculateEntry(next, en)
@@ -162,9 +162,9 @@ func (r *Replica) rollbackSpeculation() {
 	r.record(flight.KindTentativeRollback, r.view, r.lastExec,
 		fmt.Sprintf("spec=%d", r.specExec))
 	if sa, ok := r.app.(SpeculativeApp); ok {
-		_ = sa.RestoreSpeculation(append([]byte(nil), r.specBase...))
+		_ = sa.RestoreSpeculation(r.specBase.Bytes())
 	} else {
-		_ = r.app.Restore(append([]byte(nil), r.specBase...))
+		_ = r.app.Restore(r.specBase.Bytes())
 	}
 	for s := r.specBaseSeq + 1; s <= r.lastExec; s++ {
 		se := r.specJournal[s]

@@ -49,6 +49,10 @@ type callFailure struct {
 // full-reply path.
 type fallbackSignal struct{}
 
+// resendSignal resumes a parked call whose plain vote has stayed undecided
+// for a retransmission period.
+type resendSignal struct{}
+
 // connState is one endpoint's view of a live connection plus its inbound
 // voting stream.
 type connState struct {
@@ -127,6 +131,7 @@ type endpoint struct {
 	mConnHits    *obs.Counter
 	mConnMisses  *obs.Counter
 	mConnRetries *obs.Counter
+	mCallResends *obs.Counter // requests re-sent because their plain vote stayed undecided
 	mFragsOut    *obs.Counter
 
 	// Reply fast-path counters.
@@ -153,6 +158,7 @@ func (ep *endpoint) init(sys *System, identity string, local smiop.PeerInfo, mem
 		ep.mConnHits = r.Counter("conn_cache_hits_total")
 		ep.mConnMisses = r.Counter("conn_cache_misses_total")
 		ep.mConnRetries = r.Counter("smiop_conn_retries_total")
+		ep.mCallResends = r.Counter("smiop_call_resends_total")
 		ep.mFragsOut = r.Counter("smiop_fragments_total", "dir=out")
 		ep.mDigestCalls = r.Counter("digest_replies_armed_total")
 		ep.mReadOnlyCalls = r.Counter("readonly_fastpath_total")
@@ -353,29 +359,49 @@ func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.R
 // awaitReply parks the ORB thread for the voted reply. A vote whose policy
 // names a fallback and that stalls or times out re-requests full replies
 // on the ordered path under the plain policy and parks again; the fallback
-// preserves correctness — only the optimisation is abandoned.
+// preserves correctness — only the optimisation is abandoned. A plain vote
+// that stays undecided re-sends its request, with capped exponential
+// backoff: the ordering layer guarantees the request is delivered, not that
+// every element could open it (a rekey reaches the two sides of a connection
+// by different routes, so a request sealed under a key the elements do not
+// hold yet is dropped by all of them alike), nor that the replies arrive.
 func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Request,
 	policy smiop.ReplyPolicy) (*giop.Reply, cdr.ByteOrder, error) {
 
-	for {
-		var timer netsim.Timer
-		if policy.Fallback != smiop.FallbackNone {
-			// Fast-path liveness: a silent designated responder, dropped
-			// direct requests or stalled speculation never trip the voter's
-			// stall detection, so a virtual-time timeout forces the fallback.
-			id := req.RequestID
-			timer = ep.sys.tr.After(ep.sys.cfg.SendTimeout, func() {
-				if w := ep.waiting; w != nil && w.kind == waitReply &&
-					w.connID == cs.conn.ID && w.reqID == id {
-					ep.resume(fallbackSignal{})
-				}
-			})
+	for resends := 0; ; {
+		// Fast-path liveness: a silent designated responder, dropped
+		// direct requests or stalled speculation never trip the voter's
+		// stall detection, so a virtual-time timeout forces the fallback.
+		wait, signal := ep.sys.cfg.SendTimeout, any(fallbackSignal{})
+		plain := policy.Fallback == smiop.FallbackNone
+		if plain {
+			wait = smiop.RetryBackoff(resends, 2*ep.sys.cfg.SendTimeout, 16*ep.sys.cfg.SendTimeout)
+			signal = resendSignal{}
 		}
+		id := req.RequestID
+		timer := ep.sys.tr.After(wait, func() {
+			if w := ep.waiting; w == nil || w.kind != waitReply ||
+				w.connID != cs.conn.ID || w.reqID != id {
+				return
+			}
+			if plain && cs.stream.Voter().Stalled() {
+				return // the replies came and disagree: asking again changes nothing
+			}
+			ep.resume(signal)
+		})
 		res := ep.parkWait(&waitState{kind: waitReply, connID: cs.conn.ID, reqID: req.RequestID})
 		timer.Stop()
 		switch res := res.(type) {
 		case *smiop.MessageVal:
 			return res.Msg.Reply, res.Msg.Order, nil
+		case resendSignal:
+			// Under the request's own id: elements that executed it answer
+			// from their reply caches, the others vote on this copy.
+			resends++
+			ep.mCallResends.Inc()
+			if err := ep.requestFull(cs, ref, req); err != nil {
+				return nil, 0, err
+			}
 		case fallbackSignal:
 			cs.stream.NoteFallback() // idempotent when the stream fired it
 			if ctrl := ep.sys.itc; ctrl != nil && policy.Digest {

@@ -182,3 +182,77 @@ func TestCachedReplyRetransmissionFragmented(t *testing.T) {
 		}
 	}
 }
+
+// TestCallSurvivesElementsRekeyingLate is the seeded twin of a wedge found on
+// loopback TCP under load (TestTransportEquivalence, one call in ~40 never
+// completing right after the liar's expulsion). A rekey reaches the client on
+// the direct channel and the target's elements through their own ordering
+// group, so either side can have the new key first. When the client has it
+// first, its next request — sealed under a key no element holds yet — is
+// ordered, fails to open at every element alike, and is dropped; nothing ever
+// sent it again. On the simulator the elements' shares always won the race;
+// here they are held back until the request has been ordered.
+func TestCallSurvivesElementsRekeyingLate(t *testing.T) {
+	ts := newCalcSystem(t, 7, nil)
+	alice := ts.sys.Client("alice")
+	if _, err := alice.CallAndRun(calcRef, "add", []cdr.Value{1.0, 1.0}, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	evil := func(*orb.CallContext, string, []cdr.Value) ([]cdr.Value, error) {
+		return []cdr.Value{666.0}, nil
+	}
+	if err := ts.sys.Domain("calc").Elements[2].Adapter.Register("calc", calcIface,
+		orb.ServantFunc(evil)); err != nil {
+		t.Fatal(err)
+	}
+	// The Group Manager's sends into calc's ordering group are lost for now:
+	// calc's elements will not hear of the rekey. Its direct sends to alice
+	// arrive.
+	ts.sys.Net.AddFilter(func(from, _ netsim.NodeID, _ []byte) ([]byte, bool) {
+		return nil, strings.HasPrefix(string(from), GMDomainName+"/") && strings.HasSuffix(string(from), "/tx/calc")
+	})
+	if _, err := alice.CallAndRun(calcRef, "add", []cdr.Value{2.0, 2.0}, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	connID, _ := alice.ConnTo("calc")
+	if err := ts.sys.RunUntil(func() bool { return alice.Conn(connID).KeyEra() == 1 }, 10_000_000); err != nil {
+		t.Fatalf("the client never rekeyed: %v", err)
+	}
+	for i, el := range ts.sys.Domain("calc").Elements {
+		if era := el.Conn(connID).KeyEra(); era != 0 {
+			t.Fatalf("element %d is already in era %d: the scenario needs it behind the client", i, era)
+		}
+	}
+
+	var sum float64
+	call := alice.Go(func() error {
+		res, err := alice.Call(calcRef, "add", []cdr.Value{3.0, 3.0})
+		if err == nil {
+			sum = res[0].(float64)
+		}
+		return err
+	})
+	// Long enough for calc to order the request and every element to drop it.
+	ts.sys.Net.RunFor(60 * time.Millisecond)
+	if call.Done() {
+		t.Fatal("the call completed although no element could open its request")
+	}
+	for i, s := range ts.servants {
+		if i != 2 && s.calls != 2 {
+			t.Fatalf("element %d has executed %d calls, want 2: the request was not dropped", i, s.calls)
+		}
+	}
+	ts.sys.Net.ClearFilters() // the Group Manager's retransmissions now get through
+	if err := ts.sys.RunUntil(call.Done, 20_000_000); err != nil {
+		t.Fatalf("the call never completed once the elements had rekeyed: %v", err)
+	}
+	if call.Err() != nil || sum != 6.0 {
+		t.Fatalf("call: %v, sum %v", call.Err(), sum)
+	}
+	ts.sys.Net.Run(1_000_000)
+	for i, s := range ts.servants {
+		if i != 2 && s.calls != 3 {
+			t.Errorf("element %d executed %d calls, want 3 (the resent request runs once)", i, s.calls)
+		}
+	}
+}

@@ -745,6 +745,10 @@ func (sys *System) EnableTracing() *obs.Tracer {
 // Tracer returns the system tracer (nil until EnableTracing).
 func (sys *System) Tracer() *obs.Tracer { return sys.tracer }
 
+// GMDomain returns the Group Manager's ordering domain (diagnostics: its
+// replicas' view and execution point).
+func (sys *System) GMDomain() *srm.Domain { return sys.gmDomain }
+
 // GMInfo returns the Group Manager group description.
 func (sys *System) GMInfo() smiop.PeerInfo { return sys.gmInfo }
 

@@ -27,10 +27,10 @@ import (
 	"time"
 
 	"itdos/internal/cdr"
-	"itdos/internal/transport"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/pbft"
+	"itdos/internal/transport"
 )
 
 // Ack is the static PBFT-level reply acknowledging that a message was
@@ -38,20 +38,29 @@ import (
 // Castro-Liskov layer is a static reply that acts as an acknowledgement").
 var Ack = []byte("SRM-ACK")
 
-// queuedMsg is one totally-ordered message.
+// queuedMsg is one totally-ordered message. link is the queue's hash chain
+// through this message (see chainLink).
 type queuedMsg struct {
 	seq    uint64
 	sender string
 	data   []byte
+	link   [sha256.Size]byte
 }
 
 // Queue is the replicated state machine: an ordered window of delivered
 // messages. It implements pbft.App. All replicas execute the same
 // operations in the same order, so their queues — and therefore their
-// snapshots — are identical.
+// digests and snapshots — are identical.
+//
+// The digest is running: a hash chain is extended by one link per executed
+// message, base is the link just before the retained window and head the
+// link through its last message, and the digest is a hash over
+// (nextSeq, len(window), base, head) — constant work per checkpoint however
+// many messages are retained. A window slice, once captured, is never
+// written again: the live queue appends above it, reslices past it, or moves
+// to a new array, so a checkpoint holds state by reference (Capture).
 type Queue struct {
-	window  []queuedMsg
-	nextSeq uint64
+	queueState
 	// capacity bounds the retained window (the "contiguous block of
 	// memory" of the paper); older messages are garbage-collected.
 	capacity int
@@ -82,7 +91,7 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue{capacity: capacity, onAppend: onAppend, nextSeq: 1}
+	return &Queue{queueState: queueState{nextSeq: 1}, capacity: capacity, onAppend: onAppend}
 }
 
 // Execute implements pbft.App: append the message and return the static
@@ -90,13 +99,15 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 func (q *Queue) Execute(clientID string, op []byte) []byte {
 	seq := q.nextSeq
 	q.nextSeq++
-	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: append([]byte(nil), op...)})
+	q.head = chainLink(q.head, seq, clientID, op)
+	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: append([]byte(nil), op...), link: q.head})
 	if len(q.window) > q.capacity {
 		// Trim by reslicing, and compact only when the dead prefix has used
 		// up the backing array — into one with room for as many appends as
 		// it holds messages, so a full queue copies one message per append
-		// instead of the whole window.
-		q.window[0] = queuedMsg{} // let the collected payload go
+		// instead of the whole window. The trimmed slot is not zeroed (a
+		// capture may still read it); its payload goes with the array.
+		q.base = q.window[0].link
 		q.window = q.window[1:]
 		if cap(q.window) == len(q.window) {
 			q.window = append(make([]queuedMsg, 0, 2*len(q.window)), q.window...)
@@ -123,12 +134,49 @@ func (q *Queue) WindowStart() uint64 {
 // Len returns the number of retained messages.
 func (q *Queue) Len() int { return len(q.window) }
 
-// Snapshot implements pbft.App with a canonical encoding.
-func (q *Queue) Snapshot() []byte {
+// chainLink extends the queue's hash chain by one message:
+// H(prev ‖ seq ‖ len(sender) ‖ sender ‖ H(data)).
+func chainLink(prev [sha256.Size]byte, seq uint64, sender string, data []byte) [sha256.Size]byte {
+	body := sha256.Sum256(data)
+	b := make([]byte, 0, 128) // on the stack for any plausible sender id
+	b = append(b, prev[:]...)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(sender)))
+	b = append(b, sender...)
+	b = append(b, body[:]...)
+	return sha256.Sum256(b)
+}
+
+// queueState is a queue's replicated state: what a checkpoint certifies, a
+// snapshot serialises and a restore installs. A Queue embeds the live one; a
+// capture is a copy whose window shares the queue's array and is never
+// written.
+type queueState struct {
+	nextSeq    uint64
+	window     []queuedMsg
+	base, head [sha256.Size]byte
+}
+
+// Digest implements pbft.Captured in constant time. nextSeq and the window
+// length are inside the hash, so a digest certifies exactly one window: a
+// shorter suffix with its base shifted to match hashes differently.
+func (s *queueState) Digest() pbft.Digest {
+	b := make([]byte, 0, 128)
+	b = append(b, "itdos/srm-queue/2"...)
+	b = binary.BigEndian.AppendUint64(b, s.nextSeq)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(s.window)))
+	b = append(b, s.base[:]...)
+	b = append(b, s.head[:]...)
+	return sha256.Sum256(b)
+}
+
+// Bytes implements pbft.Captured with a canonical encoding.
+func (s *queueState) Bytes() []byte {
 	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULongLong(q.nextSeq)
-	e.WriteULong(uint32(len(q.window)))
-	for _, m := range q.window {
+	e.WriteULongLong(s.nextSeq)
+	e.WriteULong(uint32(len(s.window)))
+	e.WriteOctets(s.base[:])
+	for _, m := range s.window {
 		e.WriteULongLong(m.seq)
 		e.WriteString(m.sender)
 		e.WriteOctets(m.data)
@@ -136,38 +184,86 @@ func (q *Queue) Snapshot() []byte {
 	return e.Bytes()
 }
 
-// Restore implements pbft.App.
-func (q *Queue) Restore(snapshot []byte) error {
+// Capture implements pbft.App: the state as of now, by reference. The
+// three-index slice caps the view at its own length, so the queue's later
+// appends land outside it.
+func (q *Queue) Capture() pbft.Captured {
+	s := q.queueState
+	s.window = s.window[:len(s.window):len(s.window)]
+	return &s
+}
+
+// decodeSnapshot parses a snapshot and re-chains it from its base link.
+// Message payloads alias snapshot. The window must be the contiguous
+// sequence run ending just below nextSeq, within capacity, with nothing
+// after it.
+func decodeSnapshot(snapshot []byte, capacity int) (*queueState, error) {
 	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
-	nextSeq, err := d.ReadULongLong()
-	if err != nil {
-		return fmt.Errorf("srm: queue snapshot: %w", err)
+	s := &queueState{}
+	var err error
+	if s.nextSeq, err = d.ReadULongLong(); err != nil {
+		return nil, fmt.Errorf("srm: queue snapshot: %w", err)
 	}
 	n, err := d.ReadULong()
 	if err != nil {
-		return fmt.Errorf("srm: queue snapshot: %w", err)
+		return nil, fmt.Errorf("srm: queue snapshot: %w", err)
 	}
-	if int(n) > q.capacity {
-		return fmt.Errorf("srm: snapshot window %d exceeds capacity %d", n, q.capacity)
+	if int(n) > capacity || uint64(n) >= s.nextSeq {
+		return nil, fmt.Errorf("srm: snapshot window %d (next seq %d) exceeds capacity %d", n, s.nextSeq, capacity)
 	}
-	window := make([]queuedMsg, 0, n)
-	for i := 0; i < int(n); i++ {
-		seq, err := d.ReadULongLong()
-		if err != nil {
-			return err
-		}
-		sender, err := d.ReadString()
-		if err != nil {
-			return err
-		}
-		data, err := d.ReadOctets()
-		if err != nil {
-			return err
-		}
-		window = append(window, queuedMsg{seq: seq, sender: sender, data: append([]byte(nil), data...)})
+	base, err := d.ReadOctets()
+	if err != nil || len(base) != sha256.Size {
+		return nil, fmt.Errorf("srm: queue snapshot: bad base link")
 	}
-	q.nextSeq = nextSeq
-	q.window = window
+	copy(s.base[:], base)
+	s.head = s.base
+	s.window = make([]queuedMsg, 0, n)
+	for want := s.nextSeq - uint64(n); want < s.nextSeq; want++ {
+		m := queuedMsg{}
+		if m.seq, err = d.ReadULongLong(); err != nil {
+			return nil, fmt.Errorf("srm: queue snapshot: %w", err)
+		}
+		if m.seq != want {
+			return nil, fmt.Errorf("srm: snapshot holds seq %d where %d belongs", m.seq, want)
+		}
+		if m.sender, err = d.ReadString(); err != nil {
+			return nil, fmt.Errorf("srm: queue snapshot: %w", err)
+		}
+		if m.data, err = d.ReadOctets(); err != nil {
+			return nil, fmt.Errorf("srm: queue snapshot: %w", err)
+		}
+		s.head = chainLink(s.head, m.seq, m.sender, m.data)
+		m.link = s.head
+		s.window = append(s.window, m)
+	}
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("srm: queue snapshot: %d trailing bytes", d.Remaining())
+	}
+	return s, nil
+}
+
+// SnapshotDigest implements pbft.App: the digest a queue restored from
+// snapshot would report, computed without touching the queue.
+func (q *Queue) SnapshotDigest(snapshot []byte) (pbft.Digest, error) {
+	s, err := decodeSnapshot(snapshot, q.capacity)
+	if err != nil {
+		return pbft.Digest{}, err
+	}
+	return s.Digest(), nil
+}
+
+// Restore implements pbft.App. The chain links carry over, so the restored
+// queue's later digests agree with replicas that executed the whole history.
+// A snapshot that does not parse changes nothing.
+func (q *Queue) Restore(snapshot []byte) error {
+	s, err := decodeSnapshot(snapshot, q.capacity)
+	if err != nil {
+		return err
+	}
+	for i := range s.window {
+		s.window[i].data = append([]byte(nil), s.window[i].data...)
+	}
+	q.queueState = *s
 	q.gDepth.Set(float64(len(q.window)))
 	if q.onRestore != nil {
 		q.onRestore()
@@ -203,8 +299,7 @@ func (q *Queue) RestoreSpeculation(snapshot []byte) error {
 // post-recovery state transfer lands, and that Restore drives the usual
 // Resynchronise replay.
 func (q *Queue) Reset() {
-	q.window = nil
-	q.nextSeq = 1
+	q.queueState = queueState{nextSeq: 1}
 	q.gDepth.Set(0)
 }
 

@@ -21,16 +21,27 @@ type testDomain struct {
 
 func newTestDomain(t *testing.T, n, f, capacity int, seed int64) *testDomain {
 	t.Helper()
-	net := netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-	ring := pbft.NewKeyring()
-	td := &testDomain{net: net, ring: ring, deliv: make([][]string, n), desync: make([]bool, n)}
-	dom, err := NewDomain(net, DomainConfig{
-		Name: "dom", N: n, F: f,
+	return newTestDomainCfg(t, seed, DomainConfig{
+		N: n, F: f,
 		QueueCapacity:      capacity,
 		CheckpointInterval: 4,
-		ViewTimeout:        200 * time.Millisecond,
-		Ring:               ring,
+		Ring:               pbft.NewKeyring(),
 	})
+}
+
+// newTestDomainCfg builds domain "dom" from cfg on a fresh simulated network.
+func newTestDomainCfg(t testing.TB, seed int64, cfg DomainConfig) *testDomain {
+	t.Helper()
+	return newTestDomainOn(t, netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond)), cfg)
+}
+
+// newTestDomainOn builds domain "dom" from cfg on net.
+func newTestDomainOn(t testing.TB, net *netsim.Network, cfg DomainConfig) *testDomain {
+	t.Helper()
+	td := &testDomain{net: net, ring: cfg.Ring, deliv: make([][]string, cfg.N), desync: make([]bool, cfg.N)}
+	cfg.Name = "dom"
+	cfg.ViewTimeout = 200 * time.Millisecond
+	dom, err := NewDomain(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +56,7 @@ func newTestDomain(t *testing.T, n, f, capacity int, seed int64) *testDomain {
 	return td
 }
 
-func (td *testDomain) sender(t *testing.T, id string) (*Sender, *int) {
+func (td *testDomain) sender(t testing.TB, id string) (*Sender, *int) {
 	t.Helper()
 	acks := new(int)
 	s, err := NewSender(td.dom, id, "sender/"+id, td.ring, 100*time.Millisecond)
@@ -56,7 +67,7 @@ func (td *testDomain) sender(t *testing.T, id string) (*Sender, *int) {
 	return s, acks
 }
 
-func (td *testDomain) sendAndWait(t *testing.T, s *Sender, acks *int, data string) {
+func (td *testDomain) sendAndWait(t testing.TB, s *Sender, acks *int, data string) {
 	t.Helper()
 	want := *acks + 1
 	if _, err := s.Send([]byte(data)); err != nil {
@@ -195,12 +206,12 @@ func TestQueueSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Execute("c", []byte(fmt.Sprintf("m%d", i)))
 	}
-	snap := q.Snapshot()
+	snap := q.Capture().Bytes()
 	q2 := NewQueue(8, nil)
 	if err := q2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(q2.Snapshot(), snap) {
+	if !bytes.Equal(q2.Capture().Bytes(), snap) {
 		t.Fatal("snapshot round trip not canonical")
 	}
 	if q2.NextSeq() != q.NextSeq() || q2.Len() != q.Len() {
@@ -216,9 +227,9 @@ func TestQueueSnapshotsIdenticalAcrossElements(t *testing.T) {
 		td.sendAndWait(t, s, acks, fmt.Sprintf("m%d", i))
 	}
 	td.net.Run(1_000_000)
-	ref := td.dom.Elements[0].Queue().Snapshot()
+	ref := td.dom.Elements[0].Queue().Capture().Bytes()
 	for i := 1; i < 4; i++ {
-		if !bytes.Equal(td.dom.Elements[i].Queue().Snapshot(), ref) {
+		if !bytes.Equal(td.dom.Elements[i].Queue().Capture().Bytes(), ref) {
 			t.Fatalf("element %d queue snapshot differs", i)
 		}
 	}
@@ -238,7 +249,7 @@ func TestResynchroniseReplaysWithinWindow(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		donor.Execute("c", []byte{byte(i)})
 	}
-	if err := el.queue.Restore(donor.Snapshot()); err != nil {
+	if err := el.queue.Restore(donor.Capture().Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	el.Resynchronise()
@@ -263,7 +274,7 @@ func TestResynchroniseDetectsDesyncBeyondWindow(t *testing.T) {
 	for i := 0; i < 10; i++ { // window retains only 9,10
 		donor.Execute("c", []byte{byte(i)})
 	}
-	if err := el.queue.Restore(donor.Snapshot()); err != nil {
+	if err := el.queue.Restore(donor.Capture().Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	el.Resynchronise()

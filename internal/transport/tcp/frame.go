@@ -32,13 +32,18 @@ var (
 	errFrameTruncated = errors.New("tcp: truncated frame body")
 )
 
+// frameBodyLen is the length of the body AppendFrame would write.
+func frameBodyLen(from, to transport.NodeID, payload []byte) int {
+	return 1 + len(from) + 1 + len(to) + len(payload)
+}
+
 // AppendFrame appends one encoded frame to dst and returns the extended
 // slice. Identifiers longer than 255 bytes are an error.
 func AppendFrame(dst []byte, from, to transport.NodeID, payload []byte) ([]byte, error) {
 	if len(from) > 255 || len(to) > 255 {
 		return dst, fmt.Errorf("tcp: node id too long (from %d, to %d bytes)", len(from), len(to))
 	}
-	bodyLen := 1 + len(from) + 1 + len(to) + len(payload)
+	bodyLen := frameBodyLen(from, to, payload)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(bodyLen))
 	dst = append(dst, byte(len(from)))
 	dst = append(dst, from...)

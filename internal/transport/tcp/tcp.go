@@ -27,6 +27,7 @@ package tcp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -110,6 +111,8 @@ type Transport struct {
 	mBytesRecv  *obs.Counter
 	mFramesRecv *obs.Counter
 	mDropped    *obs.Counter // send-queue overflow
+	mOversizeTx *obs.Counter // frame above MaxFrame refused before it is queued
+	mOversizeRx *obs.Counter // inbound length prefix above MaxFrame (connection closed)
 	mUnroutable *obs.Counter // delivered frame with no local handler
 	mDecodeErr  *obs.Counter
 	mReconnects *obs.Counter
@@ -175,6 +178,8 @@ func New(cfg Config) (*Transport, error) {
 	t.mBytesRecv = r.Counter("tcp_bytes_recv_total")
 	t.mFramesRecv = r.Counter("tcp_frames_recv_total")
 	t.mDropped = r.Counter("tcp_frames_dropped_total")
+	t.mOversizeTx = r.Counter("tcp_frames_oversize_total", "dir=send")
+	t.mOversizeRx = r.Counter("tcp_frames_oversize_total", "dir=recv")
 	t.mUnroutable = r.Counter("tcp_frames_unroutable_total")
 	t.mDecodeErr = r.Counter("tcp_frame_decode_errors_total")
 	t.mReconnects = r.Counter("tcp_conn_retries_total")
@@ -348,6 +353,8 @@ func (t *Transport) GroupMembers(g transport.GroupID) []transport.NodeID {
 // are dropped (ghost suppression); local destinations are delivered
 // asynchronously on the loop; remote destinations are framed and enqueued
 // on the owning peer's bounded queue, dropping (and counting) on overflow.
+// A frame above MaxFrame is refused here, and counted: the receiver would
+// close the connection on it and lose everything queued behind it.
 func (t *Transport) Send(from, to transport.NodeID, payload []byte) {
 	if t.route(string(from)) != t.cfg.Process {
 		return
@@ -373,6 +380,10 @@ func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
 	p, ok := t.peers[proc]
 	if !ok {
 		t.mUnroutable.Inc()
+		return
+	}
+	if frameBodyLen(from, to, payload) > t.maxFrame {
+		t.mOversizeTx.Inc()
 		return
 	}
 	frame, err := AppendFrame(nil, from, to, payload)
@@ -518,6 +529,9 @@ func (t *Transport) runReader(conn net.Conn) {
 	for {
 		body, err := readFrame(br, t.maxFrame)
 		if err != nil {
+			if errors.Is(err, errFrameTooLarge) {
+				t.Post(func() { t.mOversizeRx.Inc() })
+			}
 			return
 		}
 		from, to, payload, err := DecodeFrame(body)

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"encoding/binary"
+	"net"
 	"testing"
 	"time"
 
@@ -202,5 +204,87 @@ func TestTCPConfigValidation(t *testing.T) {
 	}
 	if err := tr.Start(); err == nil {
 		t.Fatal("started with an unaddressed peer")
+	}
+}
+
+// counterOnLoop reads a counter on the transport's loop goroutine, where
+// every instrument is written.
+func counterOnLoop(tr *Transport, c *obs.Counter) uint64 {
+	var n uint64
+	done := make(chan struct{})
+	tr.Post(func() { n = c.Value(); close(done) })
+	<-done
+	return n
+}
+
+// TestTCPOversizeFrame: a frame above MaxFrame is refused where it is sent,
+// counted, and costs nothing else — the connection and the frames behind it
+// survive. A length prefix above MaxFrame arriving anyway (a peer that does
+// not play by the rule) is counted on the receiving side.
+func TestTCPOversizeFrame(t *testing.T) {
+	const maxFrame = 4096
+	hosts := map[string][]string{"pa": {"a"}, "pb": {"b"}}
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	ta, err := New(Config{Process: "pa", Listen: "127.0.0.1:0", Hosts: hosts, Metrics: regA, MaxFrame: maxFrame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := New(Config{Process: "pb", Listen: "127.0.0.1:0", Hosts: hosts, Metrics: regB, MaxFrame: maxFrame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := map[string]string{"pa": ta.Addr(), "pb": tb.Addr()}
+	ta.SetPeers(addrs)
+	tb.SetPeers(addrs)
+	for _, tr := range []*Transport{ta, tb} {
+		if err := tr.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+	}
+	got := make(chan int, 4)
+	tb.Post(func() {
+		tb.AddNode("b/inbox", transport.HandlerFunc(func(_ transport.NodeID, p []byte) { got <- len(p) }))
+	})
+	// The largest payload that still fits, an oversize one, then a small one
+	// queued behind it.
+	fits := maxFrame - frameBodyLen("a", "b/inbox", nil)
+	ta.Post(func() {
+		ta.Send("a", "b/inbox", make([]byte, fits))
+		ta.Send("a", "b/inbox", make([]byte, fits+1))
+		ta.Send("a", "b/inbox", []byte("after"))
+	})
+	for _, want := range []int{fits, len("after")} {
+		select {
+		case n := <-got:
+			if n != want {
+				t.Fatalf("delivered %d bytes, want %d", n, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for the %d-byte frame", want)
+		}
+	}
+	if n := counterOnLoop(ta, regA.Counter("tcp_frames_oversize_total", "dir=send")); n != 1 {
+		t.Fatalf("sender counted %d oversize frames, want 1", n)
+	}
+	if n := counterOnLoop(ta, regA.Counter("tcp_frames_sent_total")); n != 2 {
+		t.Fatalf("sender counted %d frames sent, want 2", n)
+	}
+
+	conn, err := net.Dial("tcp", tb.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, maxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
+	rx := regB.Counter("tcp_frames_oversize_total", "dir=recv")
+	deadline := time.Now().Add(5 * time.Second)
+	for counterOnLoop(tb, rx) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("receiver never counted the oversize length prefix")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
