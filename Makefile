@@ -58,10 +58,12 @@ race:
 
 # Authentication budget: signatures, verifications and MAC tags per ordered
 # request (whole group plus clients, counted on netsim where the counts
-# repeat exactly) may not rise above internal/pbft/testdata/auth_budget.json.
-# Regenerate with: go test ./internal/pbft -run TestAuthBudget -update-auth-budget
+# repeat exactly) may not rise above internal/pbft/testdata/auth_budget.json,
+# nor the data layer's own per call (payload signatures made, checked by
+# elements, checked by callers) above internal/replica/testdata/auth_budget.json.
+# Regenerate with: go test ./internal/pbft ./internal/replica -run TestAuthBudget -update-auth-budget
 auth-budget:
-	$(GO) test -run=TestAuthBudget -v ./internal/pbft
+	$(GO) test -run=TestAuthBudget -v ./internal/pbft ./internal/replica
 
 # benchmark/ is its own module (the root ./... patterns skip it) and calls
 # internal/smiop, vote, pbft and replica directly: compile, vet and test it
@@ -153,6 +155,13 @@ cluster-smoke:
 bench-w1:
 	mkdir -p bench-out
 	$(GO) run ./cmd/itdos-bench -exp W1 -json -out bench-out
+
+# The pairing rule for a performance claim (see scripts/bench-pairs.sh):
+# alternating parent/change runs of the repo benchmark, medians, quartiles
+# and wins per end-to-end metric. PARENT and CHANGE are two checkouts.
+.PHONY: bench-pairs
+bench-pairs:
+	bash scripts/bench-pairs.sh $(or $(WORKLOAD),add_small) $(or $(SEED),1) $(or $(PAIRS),10) $(PARENT) $(CHANGE)
 
 clean:
 	$(GO) clean ./...

@@ -95,6 +95,10 @@ func (el *Element) onDeliver(seq uint64, sender string, data []byte) {
 	case smiop.KindKeyShare:
 		el.onKeyShare(sender, env)
 	case smiop.KindData:
+		// Like a key share's, a data envelope's sender was authenticated by
+		// the ordering transport; the stream takes its word where it names
+		// the identity the envelope claims.
+		env.OrderedBy = sender
 		tent := el.srmEl.Queue().Tentative()
 		if el.holding {
 			el.held = append(el.held, heldEnv{env: env, tent: tent})

@@ -133,6 +133,7 @@ type endpoint struct {
 	mConnRetries *obs.Counter
 	mCallResends *obs.Counter // requests re-sent because their plain vote stayed undecided
 	mFragsOut    *obs.Counter
+	mSigns       *obs.Counter // data and digest signatures made
 
 	// Reply fast-path counters.
 	mDigestCalls    *obs.Counter
@@ -149,7 +150,13 @@ func (ep *endpoint) init(sys *System, identity string, local smiop.PeerInfo, mem
 	ep.profile = profile
 	ep.worker = newWorker()
 	priv := sys.privs[identity]
-	ep.sign = func(msg []byte) []byte { return sys.signWith(priv, msg) }
+	ep.sign = func(msg []byte) []byte {
+		sig := sys.signWith(priv, msg)
+		if sig != nil {
+			ep.mSigns.Inc()
+		}
+		return sig
+	}
 	ep.conns = make(map[uint64]*connState)
 	ep.connByPeer = make(map[string]uint64)
 	ep.collectors = make(map[string]*shareCollector)
@@ -160,6 +167,7 @@ func (ep *endpoint) init(sys *System, identity string, local smiop.PeerInfo, mem
 		ep.mConnRetries = r.Counter("smiop_conn_retries_total")
 		ep.mCallResends = r.Counter("smiop_call_resends_total")
 		ep.mFragsOut = r.Counter("smiop_fragments_total", "dir=out")
+		ep.mSigns = r.Counter("smiop_signatures_total")
 		ep.mDigestCalls = r.Counter("digest_replies_armed_total")
 		ep.mReadOnlyCalls = r.Counter("readonly_fastpath_total")
 		ep.mReadOnlyAborts = r.Counter("readonly_fastpath_aborts_total")
@@ -796,6 +804,7 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 		AutoAdvance: !initiator,
 		ByteVoting:  ep.sys.cfg.ByteVoting,
 		VerifySig:   ep.sys.verifyData(),
+		SignerOf:    ep.sys.dataSigner,
 		Metrics:     ep.sys.cfg.Metrics,
 		Tracer:      ep.sys.tracer,
 		Flight:      ep.sys.cfg.Flight,

@@ -395,17 +395,24 @@ func (sys *System) signWith(priv ed25519.PrivateKey, msg []byte) []byte {
 	return ed25519.Sign(priv, msg)
 }
 
+// dataSigner names the global identity that signs data messages as member
+// of domain: the element, or the singleton client itself. It is also the
+// identity that orders them (newSender builds the PBFT client from the same
+// identity and key as endpoint.sign).
+func (sys *System) dataSigner(domain string, member uint32) string {
+	if info, ok := sys.peerInfo(domain); ok && info.N > 1 {
+		return ElementIdentity(domain, int(member))
+	}
+	return domain
+}
+
 // verifyData returns the stream signature verifier for data messages.
 func (sys *System) verifyData() func(domain string, member uint32, msg, sig []byte) bool {
 	if sys.cfg.DisableMsgSig {
 		return nil
 	}
 	return func(domain string, member uint32, msg, sig []byte) bool {
-		identity := domain
-		if info, ok := sys.peerInfo(domain); ok && info.N > 1 {
-			identity = ElementIdentity(domain, int(member))
-		}
-		pub, ok := sys.globalRing.Lookup(identity)
+		pub, ok := sys.globalRing.Lookup(sys.dataSigner(domain, member))
 		return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
 	}
 }

@@ -101,6 +101,12 @@ type Envelope struct {
 	FragCount uint32
 	// Payload is sealed GIOP for KindData, control content otherwise.
 	Payload []byte
+
+	// OrderedBy is not on the wire. The element that takes an envelope off
+	// its totally-ordered queue sets it to the sender identity the ordering
+	// layer authenticated; DecodeEnvelope never sets it, so a copy from a
+	// direct channel carries none (see Stream.Deliver).
+	OrderedBy string
 }
 
 // Encode serialises the envelope canonically (big-endian CDR).

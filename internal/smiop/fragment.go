@@ -76,6 +76,9 @@ type fragmentBuffer struct {
 	count     uint32
 	parts     [][]byte
 	have      uint32
+	// unvouched is set by the first fragment whose sender the ordering
+	// layer did not authenticate as the identity the message claims.
+	unvouched bool
 }
 
 // reassembler collects fragments per sending member. State for a member is
@@ -91,13 +94,15 @@ func newReassembler() *reassembler {
 }
 
 // add stores one opened fragment and returns the reassembled plaintext
-// when it completes the message, or nil.
-func (r *reassembler) add(env *Envelope, plaintext []byte) ([]byte, error) {
+// when it completes the message, or nil. vouched says whether this
+// fragment's ordered sender is the identity env claims; the whole message is
+// reported vouched only if every one of its fragments was.
+func (r *reassembler) add(env *Envelope, plaintext []byte, vouched bool) ([]byte, bool, error) {
 	if env.FragCount < 2 {
-		return plaintext, nil
+		return plaintext, vouched, nil
 	}
 	if env.FragCount > maxFragments || env.FragIndex >= env.FragCount {
-		return nil, fmt.Errorf("smiop: invalid fragment %d/%d", env.FragIndex, env.FragCount)
+		return nil, false, fmt.Errorf("smiop: invalid fragment %d/%d", env.FragIndex, env.FragCount)
 	}
 	buf := r.byMember[env.SrcMember]
 	if buf == nil || buf.requestID != env.RequestID || buf.reply != env.Reply ||
@@ -113,12 +118,15 @@ func (r *reassembler) add(env *Envelope, plaintext []byte) ([]byte, error) {
 	if buf.parts[env.FragIndex] != nil {
 		// Duplicate fragment: the cipher layer already rejects replays, so
 		// this is a sender bug or attack; ignore.
-		return nil, nil
+		return nil, false, nil
 	}
 	buf.parts[env.FragIndex] = plaintext
 	buf.have++
+	if !vouched {
+		buf.unvouched = true
+	}
 	if buf.have < buf.count {
-		return nil, nil
+		return nil, false, nil
 	}
 	delete(r.byMember, env.SrcMember)
 	total := 0
@@ -129,7 +137,7 @@ func (r *reassembler) add(env *Envelope, plaintext []byte) ([]byte, error) {
 	for _, p := range buf.parts {
 		whole = append(whole, p...)
 	}
-	return whole, nil
+	return whole, !buf.unvouched, nil
 }
 
 // reset drops all reassembly state (called when the stream moves to a new

@@ -115,10 +115,10 @@ func TestFragmentBounds(t *testing.T) {
 
 func TestReassemblerRejectsBogusCounts(t *testing.T) {
 	r := newReassembler()
-	if _, err := r.add(&Envelope{FragIndex: 5, FragCount: 3, SrcMember: 0}, []byte("x")); err == nil {
+	if _, _, err := r.add(&Envelope{FragIndex: 5, FragCount: 3, SrcMember: 0}, []byte("x"), false); err == nil {
 		t.Fatal("index >= count accepted")
 	}
-	if _, err := r.add(&Envelope{FragIndex: 0, FragCount: maxFragments + 1, SrcMember: 0}, []byte("x")); err == nil {
+	if _, _, err := r.add(&Envelope{FragIndex: 0, FragCount: maxFragments + 1, SrcMember: 0}, []byte("x"), false); err == nil {
 		t.Fatal("huge count accepted")
 	}
 }
@@ -126,13 +126,13 @@ func TestReassemblerRejectsBogusCounts(t *testing.T) {
 func TestReassemblerDuplicateFragmentIgnored(t *testing.T) {
 	r := newReassembler()
 	env := &Envelope{FragIndex: 0, FragCount: 2, SrcMember: 1, RequestID: 9}
-	if out, err := r.add(env, []byte("a")); err != nil || out != nil {
+	if out, _, err := r.add(env, []byte("a"), false); err != nil || out != nil {
 		t.Fatalf("first fragment: %v, %v", out, err)
 	}
-	if out, err := r.add(env, []byte("A")); err != nil || out != nil {
+	if out, _, err := r.add(env, []byte("A"), false); err != nil || out != nil {
 		t.Fatalf("duplicate fragment: %v, %v", out, err)
 	}
-	out, err := r.add(&Envelope{FragIndex: 1, FragCount: 2, SrcMember: 1, RequestID: 9}, []byte("b"))
+	out, _, err := r.add(&Envelope{FragIndex: 1, FragCount: 2, SrcMember: 1, RequestID: 9}, []byte("b"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestReassemblerDuplicateFragmentIgnored(t *testing.T) {
 
 func TestReassemblerContextSwitchDropsStale(t *testing.T) {
 	r := newReassembler()
-	r.add(&Envelope{FragIndex: 0, FragCount: 2, SrcMember: 1, RequestID: 1}, []byte("old"))
+	r.add(&Envelope{FragIndex: 0, FragCount: 2, SrcMember: 1, RequestID: 1}, []byte("old"), false)
 	// New request id from the same member: stale fragment buffer replaced.
-	r.add(&Envelope{FragIndex: 0, FragCount: 2, SrcMember: 1, RequestID: 2}, []byte("n0"))
-	out, err := r.add(&Envelope{FragIndex: 1, FragCount: 2, SrcMember: 1, RequestID: 2}, []byte("n1"))
+	r.add(&Envelope{FragIndex: 0, FragCount: 2, SrcMember: 1, RequestID: 2}, []byte("n0"), false)
+	out, _, err := r.add(&Envelope{FragIndex: 1, FragCount: 2, SrcMember: 1, RequestID: 2}, []byte("n1"), false)
 	if err != nil || string(out) != "n0n1" {
 		t.Fatalf("got %q, %v", out, err)
 	}

@@ -86,7 +86,7 @@ func FuzzSMIOPReassemble(f *testing.F) {
 			live = append(live, pb)
 			data = data[n:]
 
-			whole, err := r.add(env, payload)
+			whole, _, err := r.add(env, payload, false)
 			if err != nil {
 				if env.FragCount >= 2 && env.FragIndex < env.FragCount {
 					t.Fatalf("rejected in-range fragment %d/%d: %v",

@@ -90,6 +90,11 @@ type StreamConfig struct {
 	// data context (see DataSigningBytes). Nil disables per-message
 	// signature verification (benchmark ablations only).
 	VerifySig VerifyFunc
+	// SignerOf names the identity VerifySig checks (srcDomain, member)
+	// against. An ordered copy whose every fragment the ordering layer
+	// authenticated as coming from that identity (Envelope.OrderedBy) is
+	// accepted on the strength of that check; nil vouches for nothing.
+	SignerOf func(srcDomain string, member uint32) string
 	// Metrics, if non-nil, receives per-stream delivery counters. Tracer,
 	// if non-nil, wraps Deliver in smiop.deliver / smiop.unmarshal /
 	// vote.submit / vote.decide spans (Fig. 2 middle layers). Both are
@@ -173,6 +178,14 @@ type Stream struct {
 	mReplyDigest     *obs.Counter
 	mDigestDecisions *obs.Counter
 	mFallbacks       *obs.Counter
+
+	// What became of each copy's signature check (smiop_sig_checks_total):
+	// run and passed, run and failed, owed to the ordering layer instead, or
+	// spared because a late reply copy equalled the decision.
+	mSigVerified  *obs.Counter
+	mSigRejected  *obs.Counter
+	mSigVouched   *obs.Counter
+	mSigLateEqual *obs.Counter
 }
 
 // NewStream builds the inbound pipeline for conn.
@@ -210,6 +223,27 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 		s.mReplyDigest = r.Counter("smiop_reply_digest_total", connLabel)
 		s.mDigestDecisions = r.Counter("smiop_digest_decisions_total", connLabel)
 		s.mFallbacks = r.Counter("smiop_reply_fallback_total", connLabel)
+		// An acceptor's stream votes request copies, an initiator's reply
+		// copies: the label keeps the two sides of a call apart.
+		side := "stream=initiator"
+		if cfg.AutoAdvance {
+			side = "stream=acceptor"
+		}
+		s.mSigVerified = r.Counter("smiop_sig_checks_total", "outcome=verified", side)
+		s.mSigRejected = r.Counter("smiop_sig_checks_total", "outcome=rejected", side)
+		s.mSigVouched = r.Counter("smiop_sig_checks_total", "outcome=vouched", side)
+		s.mSigLateEqual = r.Counter("smiop_sig_checks_total", "outcome=late_equal", side)
+	}
+	if verify := cfg.VerifySig; verify != nil {
+		s.cfg.VerifySig = func(srcDomain string, member uint32, signing, sig []byte) bool {
+			ok := verify(srcDomain, member, signing, sig)
+			if ok {
+				s.mSigVerified.Inc()
+			} else {
+				s.mSigRejected.Inc()
+			}
+			return ok
+		}
 	}
 	return s, nil
 }
@@ -292,6 +326,29 @@ func (s *Stream) discard() {
 	s.mDiscarded.Inc()
 }
 
+// vouched reports whether the ordering layer authenticated env's sender as
+// the very identity whose signature the payload carries. That identity
+// signed the ordered request around the sealed envelope with the same key,
+// and the signature was checked before the request was ordered, so checking
+// the inner one would authenticate the same bytes to the same key again. A
+// copy that came over a direct channel has no ordered sender and is never
+// vouched for.
+func (s *Stream) vouched(env *Envelope) bool {
+	return env.OrderedBy != "" && s.cfg.SignerOf != nil &&
+		env.OrderedBy == s.cfg.SignerOf(env.SrcDomain, env.SrcMember)
+}
+
+// authenticate is the one place a full copy is admitted: on the ordering
+// layer's word when every fragment had it, on the payload signature
+// otherwise.
+func (s *Stream) authenticate(env *Envelope, payload *SignedPayload, vouched bool) error {
+	if vouched {
+		s.mSigVouched.Inc()
+		return nil
+	}
+	return payload.Verify(env, s.cfg.VerifySig)
+}
+
 // Deliver processes one inbound data envelope through the full pipeline:
 // open, reassemble, authenticate, unmarshal, submit. Whatever policy armed
 // the vote, a copy takes this one path; a digest vote differs only in what
@@ -347,7 +404,8 @@ func (s *Stream) Deliver(env *Envelope) error {
 		}
 		// Fragmented messages reassemble before verification; incomplete
 		// messages simply wait for their remaining fragments.
-		if sub.Raw, err = s.frags.add(env, plaintext); err != nil {
+		var vouched bool
+		if sub.Raw, vouched, err = s.frags.add(env, plaintext, s.vouched(env)); err != nil {
 			return s.drop(err)
 		}
 		if sub.Raw == nil {
@@ -363,7 +421,7 @@ func (s *Stream) Deliver(env *Envelope) error {
 		// its signature check only if it is about to become evidence.
 		late := env.Reply && !digestVote && s.cv.Decided()
 		if !late {
-			if err := payload.Verify(env, s.cfg.VerifySig); err != nil {
+			if err := s.authenticate(env, payload, vouched); err != nil {
 				return s.drop(err)
 			}
 		}
@@ -387,10 +445,11 @@ func (s *Stream) Deliver(env *Envelope) error {
 		}
 		if late {
 			if eq, err := s.comparator().Equal(s.cv.Voter().Decision().Value, sub.Value); err == nil && eq {
+				s.mSigLateEqual.Inc()
 				s.discard()
 				return nil
 			}
-			if err := payload.Verify(env, s.cfg.VerifySig); err != nil {
+			if err := s.authenticate(env, payload, vouched); err != nil {
 				return s.drop(err)
 			}
 		}

@@ -112,7 +112,7 @@ func TestWireFramesOpenCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err = r.add(env, pt)
+		whole, _, err = r.add(env, pt, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,19 +20,23 @@
 // from inside a handler go through an internal local queue so the loop
 // never blocks on itself. Per-peer sender goroutines own the sockets:
 // frames are enqueued non-blockingly onto a bounded channel (overflow is
-// counted and dropped — the protocol's retransmit machinery recovers), and
-// a broken connection is redialled with capped exponential backoff,
-// counted like smiop_conn_retries_total.
+// counted and dropped — the protocol's retransmit machinery recovers), a
+// sender hands the kernel everything already queued for its peer in one
+// write, and a broken connection is redialled with capped exponential
+// backoff, counted like smiop_conn_retries_total. A reader likewise hands
+// the loop every complete frame it already holds in one Post.
 package tcp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"itdos/internal/obs"
@@ -71,10 +75,27 @@ type hostedPrefix struct {
 	process string
 }
 
+// gatherFrames and gatherBytes bound what one write hands the kernel and
+// what one Post hands the loop: enough to take a saturated peer's whole
+// queue in a few calls, small enough that a gather stays a bounded stall.
+const (
+	gatherFrames = 64
+	gatherBytes  = 256 << 10
+)
+
 type peer struct {
 	name string
 	addr string
 	ch   chan []byte
+
+	// Written by the sender goroutine, folded into the instruments below by
+	// the loop on its next send to this peer (the registry is loop-only, and
+	// a Post per write would cost the hand-off the gather saves).
+	found  atomic.Int64 // queue depth the last gather found, its own frames included
+	writes atomic.Uint64
+	resent atomic.Uint64
+
+	gDepth *obs.Gauge
 }
 
 // Transport carries transport.Transport traffic over TCP. Create with New,
@@ -116,7 +137,8 @@ type Transport struct {
 	mUnroutable *obs.Counter // delivered frame with no local handler
 	mDecodeErr  *obs.Counter
 	mReconnects *obs.Counter
-	mQueueDepth *obs.Gauge
+	mWrites     *obs.Counter // write calls that handed the kernel one or more frames
+	mResent     *obs.Counter // frames written again after a write failed before reaching them
 }
 
 var _ transport.Transport = (*Transport)(nil)
@@ -183,7 +205,8 @@ func New(cfg Config) (*Transport, error) {
 	t.mUnroutable = r.Counter("tcp_frames_unroutable_total")
 	t.mDecodeErr = r.Counter("tcp_frame_decode_errors_total")
 	t.mReconnects = r.Counter("tcp_conn_retries_total")
-	t.mQueueDepth = r.Gauge("tcp_send_queue_depth")
+	t.mWrites = r.Counter("tcp_writes_total")
+	t.mResent = r.Counter("tcp_frames_resent_total")
 
 	if cfg.Listen != "" {
 		ln, err := net.Listen("tcp", cfg.Listen)
@@ -196,7 +219,8 @@ func New(cfg Config) (*Transport, error) {
 		if proc == cfg.Process {
 			continue
 		}
-		t.peers[proc] = &peer{name: proc, addr: cfg.Peers[proc], ch: make(chan []byte, t.queueLen)}
+		t.peers[proc] = &peer{name: proc, addr: cfg.Peers[proc], ch: make(chan []byte, t.queueLen),
+			gDepth: r.Gauge("tcp_send_queue_depth", "peer="+proc)}
 	}
 	return t, nil
 }
@@ -269,20 +293,24 @@ func (t *Transport) Post(fn func()) {
 func (t *Transport) runLoop() {
 	defer t.wg.Done()
 	for {
-		// Drain loop-originated work first: a handler's sends run before
-		// the next external event, preserving the simulator's
-		// send-then-deliver causality without ever blocking the loop.
-		for len(t.localQ) > 0 {
-			fn := t.localQ[0]
-			t.localQ = t.localQ[1:]
-			fn()
-		}
+		t.drainLocal()
 		select {
 		case fn := <-t.loopCh:
 			fn()
 		case <-t.closed:
 			return
 		}
+	}
+}
+
+// drainLocal runs loop-originated work: a handler's sends run before the
+// next external event, preserving the simulator's send-then-deliver
+// causality without ever blocking the loop.
+func (t *Transport) drainLocal() {
+	for len(t.localQ) > 0 {
+		fn := t.localQ[0]
+		t.localQ = t.localQ[1:]
+		fn()
 	}
 }
 
@@ -395,7 +423,11 @@ func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
 	case p.ch <- frame:
 		t.mFramesSent.Inc()
 		t.mBytesSent.Add(uint64(len(frame)))
-		t.mQueueDepth.Set(float64(len(p.ch)))
+		// The deeper of the queue as this send leaves it and as the sender
+		// found it at its last gather since the previous send.
+		p.gDepth.Set(float64(max(int64(len(p.ch)), p.found.Swap(0))))
+		t.mWrites.Add(p.writes.Swap(0))
+		t.mResent.Add(p.resent.Swap(0))
 	default:
 		t.mDropped.Inc()
 	}
@@ -451,7 +483,10 @@ func (t *Transport) backoff(attempt int) time.Duration {
 
 // runSender owns the outbound socket to one peer: dial with capped
 // exponential backoff (counted like smiop_conn_retries_total), then write
-// frames off the bounded queue until the connection breaks.
+// frames off the bounded queue until the connection breaks. Each write takes
+// the frame it waited for plus whatever is already queued behind it, up to
+// the gather bounds, so a burst costs one system call; a lone frame is
+// written as before.
 func (t *Transport) runSender(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -461,6 +496,10 @@ func (t *Transport) runSender(p *peer) {
 			conn.Close()
 		}
 	}()
+	// pending holds frames taken off the queue and not yet handed to the
+	// kernel whole; iov is the scratch copy WriteTo consumes.
+	var pending [][]byte
+	iov := make(net.Buffers, 0, gatherFrames)
 	for {
 		if conn == nil {
 			select {
@@ -484,19 +523,64 @@ func (t *Transport) runSender(p *peer) {
 			conn = c
 			attempt = 0
 		}
-		select {
-		case frame := <-p.ch:
-			if _, err := conn.Write(frame); err != nil {
-				// The frame is lost with the connection; the protocol's
-				// retransmit machinery (SMIOP open_request retries, PBFT
-				// view timers) recovers once the redial succeeds.
-				conn.Close()
-				conn = nil
+		if len(pending) == 0 {
+			select {
+			case frame := <-p.ch:
+				pending = append(pending, frame)
+			case <-t.closed:
+				return
 			}
-		case <-t.closed:
-			return
+		}
+		pending = gather(pending, p.ch)
+		p.found.Store(int64(len(pending) + len(p.ch)))
+		iov = append(iov[:0], pending...)
+		w := iov
+		n, err := w.WriteTo(conn)
+		if err != nil {
+			// Frames the kernel took whole went with the connection; the
+			// protocol's retransmit machinery (SMIOP open_request retries,
+			// PBFT view timers) recovers those. The rest, a partly written
+			// one included, go out again in order once the redial succeeds:
+			// the receiver parses the new connection from its first byte.
+			conn.Close()
+			conn = nil
+			pending = unwritten(pending, n)
+			p.resent.Add(uint64(len(pending)))
+			continue
+		}
+		p.writes.Add(1)
+		clear(pending)
+		pending = pending[:0]
+	}
+}
+
+// gather extends pending, without waiting, with frames already on ch, up to
+// the gather bounds.
+func gather(pending [][]byte, ch <-chan []byte) [][]byte {
+	size := 0
+	for _, f := range pending {
+		size += len(f)
+	}
+	for len(pending) < gatherFrames && size < gatherBytes {
+		select {
+		case frame := <-ch:
+			pending = append(pending, frame)
+			size += len(frame)
+		default:
+			return pending
 		}
 	}
+	return pending
+}
+
+// unwritten returns the frames a failed write of n bytes did not hand to the
+// kernel whole, in order.
+func unwritten(frames [][]byte, n int64) [][]byte {
+	for len(frames) > 0 && n >= int64(len(frames[0])) {
+		n -= int64(len(frames[0]))
+		frames = frames[1:]
+	}
+	return frames
 }
 
 func (t *Transport) runAccept() {
@@ -514,9 +598,11 @@ func (t *Transport) runAccept() {
 	}
 }
 
-// runReader parses inbound frames and posts deliveries to the loop. The
-// blocking Post is deliberate: a saturated loop exerts TCP backpressure
-// on the sender instead of buffering without bound.
+// runReader parses inbound frames and posts deliveries to the loop, one
+// Post for the run of complete frames the buffer already holds: a frame is
+// never held back for bytes still on the wire. The blocking Post is
+// deliberate: a saturated loop exerts TCP backpressure on the sender
+// instead of buffering without bound.
 func (t *Transport) runReader(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -525,21 +611,55 @@ func (t *Transport) runReader(conn net.Conn) {
 		delete(t.conns, conn)
 		t.connMu.Unlock()
 	}()
+	type delivery struct {
+		from, to transport.NodeID
+		payload  []byte
+	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		body, err := readFrame(br, t.maxFrame)
-		if err != nil {
-			if errors.Is(err, errFrameTooLarge) {
-				t.Post(func() { t.mOversizeRx.Inc() })
+		var run []delivery
+		bad := 0
+		for {
+			body, err := readFrame(br, t.maxFrame)
+			if err != nil {
+				// Only the first read of a run can fail or block: the later
+				// ones were seen whole in the buffer.
+				if errors.Is(err, errFrameTooLarge) {
+					t.Post(func() { t.mOversizeRx.Inc() })
+				}
+				return
 			}
-			return
+			if from, to, payload, err := DecodeFrame(body); err != nil {
+				bad++
+			} else {
+				// payload aliases body, which is fresh per frame.
+				run = append(run, delivery{from, to, payload})
+			}
+			if len(run) >= gatherFrames || !frameBuffered(br, t.maxFrame) {
+				break
+			}
 		}
-		from, to, payload, err := DecodeFrame(body)
-		if err != nil {
-			t.Post(func() { t.mDecodeErr.Inc() })
-			continue
-		}
-		pl := payload // aliases body, which is fresh per frame
-		t.Post(func() { t.deliver(from, to, pl) })
+		t.Post(func() {
+			t.mDecodeErr.Add(uint64(bad))
+			for _, d := range run {
+				t.deliver(d.from, d.to, d.payload)
+				t.drainLocal()
+			}
+		})
 	}
+}
+
+// frameBuffered reports whether br already holds one whole frame of at most
+// maxFrame, so that reading it cannot block. An oversize prefix reports
+// false: the next blocking read rejects it after the run so far is posted.
+func frameBuffered(br *bufio.Reader, maxFrame int) bool {
+	if br.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return false
+	}
+	bodyLen := binary.BigEndian.Uint32(hdr)
+	return bodyLen <= uint32(maxFrame) && br.Buffered()-frameHeaderLen >= int(bodyLen)
 }
