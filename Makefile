@@ -81,9 +81,8 @@ bench-json:
 	$(GO) run ./cmd/itdos-demo -calls 2 -trace-json > bench-out/TRACE_sample.json
 
 # Allocation profile of the reply seal chain (the zero-copy tentpole's
-# hot path): -benchmem numbers for the legacy copying pipeline vs the
-# pooled wire path, written to bench-out/ for the CI artifact, plus the
-# budget gate — TestSealChainAllocBudget fails when allocs/op regresses
+# hot path): -benchmem numbers for the pooled wire path, written to
+# bench-out/ for the CI artifact, plus the budget gate — TestSealChainAllocBudget fails when allocs/op regresses
 # more than 10% over the committed baseline in
 # internal/smiop/testdata/alloc_budget.json. BenchmarkCheckpoint rides
 # along: one checkpoint on a queue retaining 64, 1024 or 4096 messages,
@@ -162,6 +161,13 @@ bench-w1:
 .PHONY: bench-pairs
 bench-pairs:
 	bash scripts/bench-pairs.sh $(or $(WORKLOAD),add_small) $(or $(SEED),1) $(or $(PAIRS),10) $(PARENT) $(CHANGE)
+
+# Net code size: non-test Go lines outside benchmark/ in this tree, at BASE
+# (default: the merge-base with main), and the delta per directory — what a
+# PR reports in CHANGES.md. Informational; not part of `check`.
+.PHONY: loc
+loc:
+	bash scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

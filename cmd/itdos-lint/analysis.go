@@ -336,7 +336,8 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
+// isPkgFunc reports whether fn is the package-level function pkgPath.name;
+// a module package is named by its module-relative path (pkgPathMatches).
 func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
@@ -344,7 +345,7 @@ func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		return false
 	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
+	return pkgPathMatches(fn.Pkg().Path(), pkgPath) && fn.Name() == name
 }
 
 // builtinName returns the name of the builtin a call invokes, or "".

@@ -122,20 +122,18 @@ func boundedDecodeFunc(p *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		switch builtinName(p.Info, call) {
-		case "make":
-			for _, sizeArg := range call.Args[1:] {
-				for _, obj := range taintedIdentsIn(p, sizeArg, tainted) {
-					if !guarded[obj] {
-						p.Reportf(sizeArg.Pos(), "make sized by wire-length field %s without a bound check: a hostile message can demand an arbitrary allocation; compare %s against a cap (or clamp with min) before allocating", obj.Name(), obj.Name())
-					}
+		// append needs no rule of its own: append(buf, make(...)...) growth
+		// is a make, and a counted append loop compares its bound in the for
+		// condition, which the guard rule already requires.
+		if builtinName(p.Info, call) != "make" {
+			return true
+		}
+		for _, sizeArg := range call.Args[1:] {
+			for _, obj := range taintedIdentsIn(p, sizeArg, tainted) {
+				if !guarded[obj] {
+					p.Reportf(sizeArg.Pos(), "make sized by wire-length field %s without a bound check: a hostile message can demand an arbitrary allocation; compare %s against a cap (or clamp with min) before allocating", obj.Name(), obj.Name())
 				}
 			}
-		case "append":
-			// append(buf, make(...)...)-style growth is caught by the make
-			// case; here catch `for i := 0; i < n; i++ { buf = append(...) }`
-			// only indirectly via the for-condition guard rule, so nothing
-			// extra to do. Kept as an explicit case for clarity.
 		}
 		return true
 	})

@@ -5,22 +5,27 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 )
 
 // checkCTMAC protects communication-key confidentiality (paper §2, §3.5):
-// a variable-time comparison of MAC or digest material leaks how many bytes
+// a variable-time comparison of a keyed authenticator leaks how many bytes
 // matched, which an adversary with a timing side channel can turn into a
-// forgery oracle. All authenticator comparisons in the key-handling layers
-// must go through hmac.Equal or subtle.ConstantTimeCompare.
+// forgery oracle. Every comparison of MAC tags in the packages that compute
+// them — the seckey seal, the SMIOP layers over it, the DPRF, and PBFT's
+// pairwise commit/acknowledgement authenticators — must go through
+// hmac.Equal or subtle.ConstantTimeCompare. Public digests (SHA-256 of a
+// message every replica holds) and signatures are not keyed material and
+// compare however they like.
 var checkCTMAC = &Check{
 	Name:  "ct-mac",
-	Doc:   "requires constant-time comparison (hmac.Equal / subtle.ConstantTimeCompare) for MAC/digest material",
-	Paths: []string{"internal/seckey", "internal/smiop", "internal/dprf"},
+	Doc:   "requires constant-time comparison (hmac.Equal / subtle.ConstantTimeCompare) for MAC tags",
+	Paths: []string{"internal/seckey", "internal/smiop", "internal/dprf", "internal/pbft"},
 	Run:   runCTMAC,
 }
 
-// secretNameRe matches identifiers that plausibly hold authenticator bytes.
-var secretNameRe = regexp.MustCompile(`(?i)(mac|tag|digest|sig|sum|hash|seal)`)
+// secretNameRe matches identifiers that plausibly hold a keyed tag.
+var secretNameRe = regexp.MustCompile(`(?i)(mac|tag)`)
 
 func runCTMAC(p *Pass) {
 	for _, f := range p.Files {
@@ -29,8 +34,8 @@ func runCTMAC(p *Pass) {
 			case *ast.CallExpr:
 				fn := calleeFunc(p.Info, n)
 				for _, bc := range byteCompareFuncs {
-					if isPkgFunc(fn, bc[0], bc[1]) && anyArgSuggestsSecret(n.Args) {
-						p.Reportf(n.Pos(), "%s.%s on MAC/digest material is not constant-time; use hmac.Equal or subtle.ConstantTimeCompare", bc[0], bc[1])
+					if isPkgFunc(fn, bc[0], bc[1]) && slices.ContainsFunc(n.Args, exprSuggestsSecret) {
+						p.Reportf(n.Pos(), "%s.%s on a MAC tag is not constant-time; use hmac.Equal or subtle.ConstantTimeCompare", bc[0], bc[1])
 						break
 					}
 				}
@@ -40,7 +45,7 @@ func runCTMAC(p *Pass) {
 				}
 				if isByteArray(p.Info.TypeOf(n.X)) && isByteArray(p.Info.TypeOf(n.Y)) &&
 					(exprSuggestsSecret(n.X) || exprSuggestsSecret(n.Y)) {
-					p.Reportf(n.Pos(), "array comparison of MAC/digest material is not constant-time; compare with subtle.ConstantTimeCompare over slices")
+					p.Reportf(n.Pos(), "array comparison of a MAC tag is not constant-time; compare with subtle.ConstantTimeCompare over slices")
 				}
 			}
 			return true
@@ -48,17 +53,7 @@ func runCTMAC(p *Pass) {
 	}
 }
 
-func anyArgSuggestsSecret(args []ast.Expr) bool {
-	for _, a := range args {
-		if exprSuggestsSecret(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// exprSuggestsSecret reports whether any identifier inside e names
-// authenticator-like material.
+// exprSuggestsSecret reports whether any identifier inside e names a tag.
 func exprSuggestsSecret(e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {

@@ -1,162 +1,45 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // checkLockHold flags a sync.Mutex/RWMutex locked without a matching
-// defer-unlock or an unlock dominating every later return. The analysis is
-// positional (source order approximates control flow), which is exactly
-// right for the straight-line lock sections this codebase uses; exotic
-// shapes can suppress with //itdos:nolint lock-hold and a justification.
+// defer-unlock or an unlock before every later return. A mutex has no
+// variable to follow, so the obligation is keyed by the receiver as written
+// (`r.mu`) and by mode: an RLock is closed only by an RUnlock.
 var checkLockHold = &Check{
 	Name: "lock-hold",
 	Doc:  "requires every mutex Lock to be released by defer or on every return path",
-	Run:  runLockHold,
+	Run:  lockObligation.run,
 }
 
-func runLockHold(p *Pass) {
-	for _, f := range p.Files {
-		// Each function literal is its own scope: a return inside a closure
-		// does not leave the enclosing function.
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				analyzeLockScope(p, fd.Body)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				analyzeLockScope(p, fl.Body)
-			}
-			return true
-		})
-	}
-}
+// lockKey names one mutex in one mode; r is "R" for the read side.
+type lockKey struct{ sel, r string }
 
-type lockEvent struct {
-	sel      string // rendered receiver expression, e.g. "r.mu"
-	read     bool   // RLock/RUnlock
-	pos      token.Pos
-	deferred bool
-}
-
-// analyzeLockScope checks one function body, ignoring nested FuncLits.
-func analyzeLockScope(p *Pass, body *ast.BlockStmt) {
-	var locks, unlocks []lockEvent
-	var returns []token.Pos
-
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // separate scope, analyzed on its own
-			case *ast.DeferStmt:
-				walk(n.Call, true)
-				return false
-			case *ast.ReturnStmt:
-				if !inDefer {
-					returns = append(returns, n.Pos())
-				}
-			case *ast.CallExpr:
-				sel, name := mutexMethod(p.Info, n)
-				if sel == "" {
-					return true
-				}
-				ev := lockEvent{sel: sel, pos: n.Pos(), deferred: inDefer}
-				switch name {
-				case "Lock", "RLock":
-					ev.read = name == "RLock"
-					if !inDefer {
-						locks = append(locks, ev)
-					}
-				case "Unlock", "RUnlock":
-					ev.read = name == "RUnlock"
-					unlocks = append(unlocks, ev)
-				}
-			}
-			return true
-		})
-	}
-	// Deferred closures release locks at function exit too: treat unlocks
-	// inside `defer func() { ... }()` as deferred.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if ds, ok := n.(*ast.DeferStmt); ok {
-			if fl, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-				walk(fl.Body, true)
-				return false
-			}
+var lockObligation = &obligation{
+	classify: func(info *types.Info, call *ast.CallExpr) (role, any) {
+		recv, pkg, typ, name := methodCall(info, call)
+		if pkg != "sync" || typ != "Mutex" && typ != "RWMutex" {
+			return none, nil
 		}
-		return true
-	})
-	walk(body, false)
-
-	for _, lk := range locks {
-		if lockCovered(lk, unlocks, returns, body.End()) {
-			continue
+		sel := types.ExprString(recv)
+		switch name {
+		case "Lock":
+			return acquires, lockKey{sel, ""}
+		case "RLock":
+			return acquires, lockKey{sel, "R"}
+		case "Unlock":
+			return releases, lockKey{sel, ""}
+		case "RUnlock":
+			return releases, lockKey{sel, "R"}
 		}
-		kind := "Lock"
-		if lk.read {
-			kind = "RLock"
-		}
-		p.Reportf(lk.pos, "%s.%s() without a dominating Unlock: add `defer %s.%sUnlock()` or release on every return path", lk.sel, kind, lk.sel, map[bool]string{true: "R", false: ""}[lk.read])
-	}
-}
-
-// lockCovered decides whether a lock is released on every exit path, by
-// source position: a matching deferred unlock covers everything; otherwise
-// each return after the lock, and the fall-off end of the function, needs a
-// matching unlock between the lock and it.
-func lockCovered(lk lockEvent, unlocks []lockEvent, returns []token.Pos, end token.Pos) bool {
-	match := func(u lockEvent) bool { return u.sel == lk.sel && u.read == lk.read }
-	for _, u := range unlocks {
-		if u.deferred && match(u) {
-			return true
-		}
-	}
-	released := func(at token.Pos) bool {
-		for _, u := range unlocks {
-			if !u.deferred && match(u) && u.pos > lk.pos && u.pos < at {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range returns {
-		if r > lk.pos && !released(r) {
-			return false
-		}
-	}
-	return released(end)
-}
-
-// mutexMethod resolves a call to a sync.Mutex / sync.RWMutex method,
-// returning the rendered receiver expression and the method name, or "".
-func mutexMethod(info *types.Info, call *ast.CallExpr) (sel, name string) {
-	se, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	fn, ok := info.Uses[se.Sel].(*types.Func)
-	if !ok {
-		return "", ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", ""
-	}
-	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
-		return "", ""
-	}
-	return types.ExprString(se.X), fn.Name()
+		return none, nil
+	},
+	leaked: func(key any) string {
+		k := key.(lockKey)
+		return fmt.Sprintf("%s.%sLock() without a dominating Unlock: add `defer %s.%sUnlock()` or release on every return path", k.sel, k.r, k.sel, k.r)
+	},
 }

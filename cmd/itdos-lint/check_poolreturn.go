@@ -2,9 +2,7 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkPoolReturn flags a pooled buffer obtained via pool.Get whose
@@ -15,254 +13,33 @@ import (
 // later double-Get of the same class surfaces as corrupt frames far from
 // the leak site.
 //
-// The taint walk mirrors span-leak: a `b := pool.Get(n)` definition is
-// tracked through its scope; Release and Detach are release sinks
-// (deferred ones cover the whole function), Retain and field access are
-// neutral receiver uses, and any other use — argument position, return
-// value, composite literal, store, closure capture — is an ownership
-// transfer that ends the obligation here (the pool package's documented
-// transfer idiom: whoever holds the reference releases it). A Get whose
-// result is discarded outright can never be released and is always
-// reported.
+// Release and Detach release; Retain and the B field are uses that leave
+// ownership where it is; any other use — argument position, return value,
+// composite literal, store, closure capture — is an ownership transfer that
+// ends the obligation here (the pool package's documented transfer idiom:
+// whoever holds the reference releases it). A Get whose result is
+// discarded outright can never be released and is always reported.
 var checkPoolReturn = &Check{
 	Name: "pool-return",
 	Doc:  "requires every pooled buffer obtained via pool.Get to be Released or Detached on every return path",
 	Paths: []string{
 		"internal/smiop", "internal/replica", "internal/srm", "internal/bench",
 	},
-	Run: runPoolReturn,
+	Run: poolObligation.run,
 }
 
-func runPoolReturn(p *Pass) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				analyzePoolScope(p, fd.Body)
-			}
+var poolObligation = &obligation{
+	classify: func(info *types.Info, call *ast.CallExpr) (role, any) {
+		if isPkgFunc(calleeFunc(info, call), "internal/pool", "Get") {
+			return acquires, nil
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				analyzePoolScope(p, fl.Body)
-			}
-			return true
-		})
-	}
-}
-
-// poolVar tracks one `b := pool.Get(...)` definition through its scope.
-type poolVar struct {
-	obj      types.Object
-	pos      token.Pos
-	escaped  bool
-	releases []poolRelease
-}
-
-type poolRelease struct {
-	pos      token.Pos
-	deferred bool
-}
-
-// analyzePoolScope checks one function body; nested FuncLits are separate
-// scopes except for deferred closures, which run at function exit.
-func analyzePoolScope(p *Pass, body *ast.BlockStmt) {
-	var vars []*poolVar
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && isPoolGet(p.Info, call) {
-				p.Reportf(call.Pos(), "pooled buffer obtained and discarded: its arena reference can never be released; assign it and Release (or defer Release)")
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isPoolGet(p.Info, call) {
-					continue
-				}
-				lhs, ok := n.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue // stored in a field/element: ownership escapes
-				}
-				if lhs.Name == "_" {
-					p.Reportf(call.Pos(), "pooled buffer obtained and discarded: its arena reference can never be released; assign it and Release (or defer Release)")
-					continue
-				}
-				if obj := p.Info.Defs[lhs]; obj != nil {
-					vars = append(vars, &poolVar{obj: obj, pos: call.Pos()})
-				}
-				// Plain reassignment (=) shows up as a use of the variable
-				// below and conservatively counts as ownership transfer.
-			}
+		recv, pkg, typ, name := methodCall(info, call)
+		if pkgPathMatches(pkg, "internal/pool") && typ == "Buffer" {
+			return releasesIf(name == "Release" || name == "Detach"), varKey(info, recv)
 		}
-		return true
-	})
-	if len(vars) == 0 {
-		return
-	}
-
-	for _, pv := range vars {
-		scanPoolUses(p.Info, body, pv, false, false)
-	}
-	var returns []*ast.ReturnStmt
-	collectPoolReturns(body, &returns)
-
-	for _, pv := range vars {
-		if pv.escaped || poolCovered(pv, returns, body.End()) {
-			continue
-		}
-		p.Reportf(pv.pos, "pooled buffer not released on every return path: add `defer %s.Release()` or Release/Detach it before each return", pv.obj.Name())
-	}
-}
-
-// scanPoolUses walks the scope classifying every use of the buffer
-// variable: Release/Detach calls (direct or deferred) are release sinks,
-// Retain and the B-field access are neutral receiver uses, anything else
-// transfers ownership and ends the local obligation.
-func scanPoolUses(info *types.Info, n ast.Node, pv *poolVar, inDefer, inClosure bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				scanPoolUses(info, fl.Body, pv, true, inClosure)
-			} else {
-				scanPoolUses(info, n.Call, pv, true, inClosure)
-			}
-			return false
-		case *ast.FuncLit:
-			scanPoolUses(info, n.Body, pv, inDefer, true)
-			return false
-		case *ast.CallExpr:
-			name, ok := poolMethodOn(info, n, pv.obj)
-			if !ok {
-				return true
-			}
-			switch name {
-			case "Release", "Detach":
-				if inClosure && !inDefer {
-					// Released by a closure that may or may not run: the
-					// reference effectively escapes the straight-line flow.
-					pv.escaped = true
-				} else {
-					pv.releases = append(pv.releases, poolRelease{pos: n.Pos(), deferred: inDefer})
-				}
-			case "Retain":
-				// A second reference for a second owner; neutral here.
-			}
-			for _, a := range n.Args {
-				scanPoolUses(info, a, pv, inDefer, inClosure)
-			}
-			return false
-		case *ast.SelectorExpr:
-			// b.B reads or rewrites the working slice — the encoder idiom
-			// (`b.B = e.Bytes()`), a neutral receiver use. Don't descend
-			// into the receiver ident.
-			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok &&
-				info.Uses[id] == pv.obj && n.Sel.Name == "B" {
-				return false
-			}
-		case *ast.Ident:
-			if info.Uses[n] == pv.obj {
-				pv.escaped = true
-			}
-		}
-		return true
-	})
-}
-
-func collectPoolReturns(body *ast.BlockStmt, returns *[]*ast.ReturnStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false
-		case *ast.ReturnStmt:
-			*returns = append(*returns, n)
-		}
-		return true
-	})
-}
-
-// poolCovered mirrors spanCovered: a deferred Release covers everything,
-// otherwise each return after the Get, and the fall-off end of the
-// function, needs a Release/Detach between the Get and it. The release
-// may sit inside the return statement itself (`return b.Detach()`), so
-// coverage is measured against the statement's End.
-func poolCovered(pv *poolVar, returns []*ast.ReturnStmt, end token.Pos) bool {
-	for _, r := range pv.releases {
-		if r.deferred {
-			return true
-		}
-	}
-	released := func(at token.Pos) bool {
-		for _, r := range pv.releases {
-			if r.pos > pv.pos && r.pos < at {
-				return true
-			}
-		}
-		return false
-	}
-	for _, ret := range returns {
-		if ret.Pos() > pv.pos && !released(ret.End()) {
-			return false
-		}
-	}
-	return released(end)
-}
-
-// isPoolGet reports whether the call is internal/pool.Get. The pool
-// package is matched by import-path suffix so the self-contained lint
-// fixture module can mirror it.
-func isPoolGet(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Name() != "Get" {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return isPoolPkgPath(fn.Pkg().Path())
-}
-
-// poolMethodOn reports whether the call is a pool.Buffer method invoked
-// directly on the tracked variable (`b.Release()`), returning the method
-// name.
-func poolMethodOn(info *types.Info, call *ast.CallExpr, obj types.Object) (name string, ok bool) {
-	se, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOK {
-		return "", false
-	}
-	fn, fnOK := info.Uses[se.Sel].(*types.Func)
-	if !fnOK {
-		return "", false
-	}
-	sig, sigOK := fn.Type().(*types.Signature)
-	if !sigOK || sig.Recv() == nil {
-		return "", false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, namedOK := t.(*types.Named)
-	if !namedOK || named.Obj().Pkg() == nil || named.Obj().Name() != "Buffer" {
-		return "", false
-	}
-	if !isPoolPkgPath(named.Obj().Pkg().Path()) {
-		return "", false
-	}
-	id, idOK := ast.Unparen(se.X).(*ast.Ident)
-	if !idOK || info.Uses[id] != obj {
-		return "", false
-	}
-	return fn.Name(), true
-}
-
-func isPoolPkgPath(path string) bool {
-	return path == "internal/pool" || strings.HasSuffix(path, "/internal/pool")
+		return none, nil
+	},
+	field:     "B", // the encoder idiom reads and rewrites it: b.B = e.Bytes()
+	discarded: "pooled buffer obtained and discarded: its arena reference can never be released; assign it and Release (or defer Release)",
+	leaked:    leakedVar("pooled buffer not released on every return path: add `defer %[1]s.Release()` or Release/Detach it before each return"),
 }

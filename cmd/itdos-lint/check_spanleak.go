@@ -2,18 +2,13 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkSpanLeak flags a trace span started (obs.Tracer.Start /
 // StartDetached) whose End is not guaranteed on every return path of the
 // starting function. A leaked span stays "open" in the dump and corrupts
-// the currency stack for everything traced after it. Like lock-hold, the
-// analysis is positional: a deferred End covers the whole function,
-// otherwise every later return (and the fall-off end) needs an End between
-// the start and it.
+// the currency stack for everything traced after it.
 //
 // Spans that escape the starting scope transfer ownership and are skipped:
 // passed as a call argument or return value, stored in a field or another
@@ -28,234 +23,21 @@ var checkSpanLeak = &Check{
 		"internal/replica", "internal/smiop", "internal/srm", "internal/pbft",
 		"internal/orb", "internal/vote", "internal/groupmgr",
 	},
-	Run: runSpanLeak,
+	Run: spanObligation.run,
 }
 
-func runSpanLeak(p *Pass) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				analyzeSpanScope(p, fd.Body)
-			}
+var spanObligation = &obligation{
+	classify: func(info *types.Info, call *ast.CallExpr) (role, any) {
+		recv, pkg, typ, name := methodCall(info, call)
+		switch {
+		case !pkgPathMatches(pkg, "internal/obs"):
+		case typ == "Tracer" && (name == "Start" || name == "StartDetached"):
+			return acquires, nil
+		case typ == "Span": // Annotate, Ended and the rest read the span
+			return releasesIf(name == "End"), varKey(info, recv)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				analyzeSpanScope(p, fl.Body)
-			}
-			return true
-		})
-	}
-}
-
-// spanVar tracks one `sp := tr.Start(...)` definition through its scope.
-type spanVar struct {
-	obj     types.Object
-	pos     token.Pos
-	escaped bool
-	ends    []spanEnd
-}
-
-type spanEnd struct {
-	pos      token.Pos
-	deferred bool
-}
-
-// analyzeSpanScope checks one function body; nested FuncLits are separate
-// scopes except for deferred closures, which run at function exit.
-func analyzeSpanScope(p *Pass, body *ast.BlockStmt) {
-	var vars []*spanVar
-
-	// Collect span starts in statement position, skipping nested closures.
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && isSpanStart(p.Info, call) {
-				p.Reportf(call.Pos(), "span started and discarded: it can never be ended; assign it and End it (or defer End)")
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isSpanStart(p.Info, call) {
-					continue
-				}
-				lhs, ok := n.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue // stored in a field/element: ownership escapes
-				}
-				if lhs.Name == "_" {
-					p.Reportf(call.Pos(), "span started and discarded: it can never be ended; assign it and End it (or defer End)")
-					continue
-				}
-				if obj := p.Info.Defs[lhs]; obj != nil {
-					vars = append(vars, &spanVar{obj: obj, pos: call.Pos()})
-				}
-				// Plain reassignment (=) shows up as a use of the variable
-				// below and conservatively counts as escape.
-			}
-		}
-		return true
-	})
-	if len(vars) == 0 {
-		return
-	}
-
-	for _, sv := range vars {
-		scanSpanUses(p.Info, body, sv, false, false)
-	}
-	var returns []token.Pos
-	collectReturns(body, &returns)
-
-	for _, sv := range vars {
-		if sv.escaped || spanCovered(sv, returns, body.End()) {
-			continue
-		}
-		p.Reportf(sv.pos, "span not ended on every return path: add `defer %s.End()` or End it before each return", sv.obj.Name())
-	}
-}
-
-// scanSpanUses walks the scope classifying every use of the span variable:
-// End calls (direct or deferred) are recorded, other Span-method receiver
-// uses are neutral, anything else marks the span escaped.
-func scanSpanUses(info *types.Info, n ast.Node, sv *spanVar, inDefer, inClosure bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				scanSpanUses(info, fl.Body, sv, true, inClosure)
-			} else {
-				scanSpanUses(info, n.Call, sv, true, inClosure)
-			}
-			return false
-		case *ast.FuncLit:
-			scanSpanUses(info, n.Body, sv, inDefer, true)
-			return false
-		case *ast.CallExpr:
-			recv, name, ok := spanMethodOn(info, n, sv.obj)
-			if !ok {
-				return true
-			}
-			if name == "End" {
-				if inClosure && !inDefer {
-					// Ended by a closure that may or may not run: the span's
-					// ownership effectively escapes the straight-line flow.
-					sv.escaped = true
-				} else {
-					sv.ends = append(sv.ends, spanEnd{pos: n.Pos(), deferred: inDefer})
-				}
-			}
-			// Other Span methods (Annotate, Ended) are neutral. Either way
-			// the receiver ident must not count as a generic use: traverse
-			// only the arguments.
-			_ = recv
-			for _, a := range n.Args {
-				scanSpanUses(info, a, sv, inDefer, inClosure)
-			}
-			return false
-		case *ast.Ident:
-			if info.Uses[n] == sv.obj {
-				sv.escaped = true
-			}
-		}
-		return true
-	})
-}
-
-func collectReturns(body *ast.BlockStmt, returns *[]token.Pos) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false
-		case *ast.ReturnStmt:
-			*returns = append(*returns, n.Pos())
-		}
-		return true
-	})
-}
-
-// spanCovered mirrors lockCovered: a deferred End covers everything,
-// otherwise each return after the start, and the fall-off end of the
-// function, needs an End between the start and it.
-func spanCovered(sv *spanVar, returns []token.Pos, end token.Pos) bool {
-	for _, e := range sv.ends {
-		if e.deferred {
-			return true
-		}
-	}
-	ended := func(at token.Pos) bool {
-		for _, e := range sv.ends {
-			if e.pos > sv.pos && e.pos < at {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range returns {
-		if r > sv.pos && !ended(r) {
-			return false
-		}
-	}
-	return ended(end)
-}
-
-// isSpanStart reports whether the call is obs.Tracer.Start or
-// StartDetached. The obs package is matched by import-path suffix so the
-// self-contained lint fixture module can mirror it.
-func isSpanStart(info *types.Info, call *ast.CallExpr) bool {
-	recv, name, ok := obsMethod(info, call)
-	return ok && recv == "Tracer" && (name == "Start" || name == "StartDetached")
-}
-
-// spanMethodOn reports whether the call is a Span method invoked directly
-// on the tracked variable (sv-receiver calls like `sp.End()`).
-func spanMethodOn(info *types.Info, call *ast.CallExpr, obj types.Object) (recv, name string, ok bool) {
-	recv, name, ok = obsMethod(info, call)
-	if !ok || recv != "Span" {
-		return "", "", false
-	}
-	se, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOK {
-		return "", "", false
-	}
-	id, idOK := ast.Unparen(se.X).(*ast.Ident)
-	if !idOK || info.Uses[id] != obj {
-		return "", "", false
-	}
-	return recv, name, true
-}
-
-// obsMethod resolves a call to a method on a named type from an
-// internal/obs package, returning the receiver type name and method name.
-func obsMethod(info *types.Info, call *ast.CallExpr) (recv, name string, ok bool) {
-	se, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOK {
-		return "", "", false
-	}
-	fn, fnOK := info.Uses[se.Sel].(*types.Func)
-	if !fnOK {
-		return "", "", false
-	}
-	sig, sigOK := fn.Type().(*types.Signature)
-	if !sigOK || sig.Recv() == nil {
-		return "", "", false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, namedOK := t.(*types.Named)
-	if !namedOK || named.Obj().Pkg() == nil {
-		return "", "", false
-	}
-	path := named.Obj().Pkg().Path()
-	if path != "internal/obs" && !strings.HasSuffix(path, "/internal/obs") {
-		return "", "", false
-	}
-	return named.Obj().Name(), fn.Name(), true
+		return none, nil
+	},
+	discarded: "span started and discarded: it can never be ended; assign it and End it (or defer End)",
+	leaked:    leakedVar("span not ended on every return path: add `defer %[1]s.End()` or End it before each return"),
 }

@@ -15,8 +15,8 @@ import (
 //     timer every iteration that stays live until it fires — with a long
 //     timeout and a hot loop that is an unbounded heap of pending timers;
 //   - time.Tick has no Stop at all, so its ticker is leaked by design;
-//   - time.NewTicker whose Stop is never called keeps a goroutine and a
-//     runtime timer alive for the life of the process.
+//   - time.NewTicker whose Stop is not reached on every return path keeps a
+//     goroutine and a runtime timer alive for the life of the process.
 //
 // The fix is to hoist a single NewTimer/NewTicker out of the loop and
 // Reset/Stop it, or (in simulation code) to take timers from the netsim
@@ -24,169 +24,56 @@ import (
 var checkTickerLeak = &Check{
 	Name: "ticker-leak",
 	Doc:  "forbids time.After/time.Tick in loops and time.NewTicker without a Stop",
-	Run:  runTickerLeak,
-}
-
-func runTickerLeak(p *Pass) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			tickerLeakFunc(p, fd.Body)
+	Run: func(p *Pass) {
+		tickerObligation.run(p)
+		for _, f := range p.Files {
+			timersInLoops(p, f, false)
 		}
-	}
+	},
 }
 
-func tickerLeakFunc(p *Pass, body *ast.BlockStmt) {
-	// Pass 1: find every ticker variable Stop() is called on (including
-	// deferred stops) and every ticker that escapes the function.
-	stopped := make(map[types.Object]bool)
-	escaped := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
+var tickerObligation = &obligation{
+	classify: func(info *types.Info, call *ast.CallExpr) (role, any) {
+		if isPkgFunc(calleeFunc(info, call), "time", "NewTicker") {
+			return acquires, nil
+		}
+		recv, pkg, typ, name := methodCall(info, call)
+		if pkg == "time" && typ == "Ticker" { // Reset re-arms it, still ours
+			return releasesIf(name == "Stop"), varKey(info, recv)
+		}
+		return none, nil
+	},
+	field:     "C",
+	discarded: "time.NewTicker result discarded: the ticker can never be stopped; assign it and defer Stop",
+	leaked:    leakedVar("time.NewTicker without a Stop on %[1]s leaks its goroutine and runtime timer; add defer %[1]s.Stop()"),
+}
+
+// timersInLoops flags per-iteration timer allocation, and time.Tick
+// anywhere. A closure runs on its own schedule and starts outside any loop.
+func timersInLoops(p *Pass, n ast.Node, inLoop bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.ForStmt:
+			timersInLoops(p, m.Body, true)
+			return false
+		case *ast.RangeStmt:
+			timersInLoops(p, m.Body, true)
+			return false
+		case *ast.FuncLit:
+			timersInLoops(p, m.Body, false)
+			return false
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && (sel.Sel.Name == "Stop" || sel.Sel.Name == "Reset") {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-					if obj := p.Info.Uses[id]; obj != nil {
-						stopped[obj] = true
-					}
-				}
-			}
-			// A ticker passed to another function transfers Stop
-			// responsibility; track args as escapes.
-			for _, a := range n.Args {
-				if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-					if obj := p.Info.Uses[id]; obj != nil {
-						escaped[obj] = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				ast.Inspect(r, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := p.Info.Uses[id]; obj != nil {
-							escaped[obj] = true
-						}
-					}
-					return true
-				})
-			}
-		case *ast.AssignStmt:
-			// Storing a ticker into a struct field or map keeps it reachable;
-			// its Stop lives elsewhere.
-			for i, lhs := range n.Lhs {
-				if _, ok := lhs.(*ast.Ident); ok {
-					continue
-				}
-				if i < len(n.Rhs) {
-					if id, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok {
-						if obj := p.Info.Uses[id]; obj != nil {
-							escaped[obj] = true
-						}
-					}
-				}
+			fn := calleeFunc(p.Info, m)
+			switch {
+			case isPkgFunc(fn, "time", "Tick"):
+				p.Reportf(m.Pos(), "time.Tick leaks its ticker by design; use time.NewTicker with defer Stop")
+			case !inLoop:
+			case isPkgFunc(fn, "time", "After"):
+				p.Reportf(m.Pos(), "time.After in a loop allocates an unstoppable timer per iteration; hoist one time.NewTimer out of the loop and Reset it")
+			case isPkgFunc(fn, "time", "NewTicker"):
+				p.Reportf(m.Pos(), "time.NewTicker in a loop allocates a ticker per iteration; hoist it out and reuse")
 			}
 		}
 		return true
 	})
-
-	// Pass 2: walk with loop depth, flagging per-iteration timer allocation
-	// and never-stopped tickers.
-	var walk func(n ast.Node, loopDepth int)
-	walk = func(n ast.Node, loopDepth int) {
-		switch n := n.(type) {
-		case nil:
-			return
-		case *ast.ForStmt:
-			walkStmts(p, n.Body.List, loopDepth+1, walk)
-			return
-		case *ast.RangeStmt:
-			walkStmts(p, n.Body.List, loopDepth+1, walk)
-			return
-		case *ast.FuncLit:
-			// A closure runs on its own schedule; analyze it as depth 0.
-			tickerLeakFunc(p, n.Body)
-			return
-		case *ast.CallExpr:
-			fn := calleeFunc(p.Info, n)
-			if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" {
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-					switch fn.Name() {
-					case "After":
-						if loopDepth > 0 {
-							p.Reportf(n.Pos(), "time.After in a loop allocates an unstoppable timer per iteration; hoist one time.NewTimer out of the loop and Reset it")
-						}
-					case "Tick":
-						p.Reportf(n.Pos(), "time.Tick leaks its ticker by design; use time.NewTicker with defer Stop")
-					case "NewTicker":
-						if loopDepth > 0 {
-							p.Reportf(n.Pos(), "time.NewTicker in a loop allocates a ticker per iteration; hoist it out and reuse")
-						} else if obj := tickerLeakTarget(p, n); obj != nil && !stopped[obj] && !escaped[obj] {
-							p.Reportf(n.Pos(), "time.NewTicker without a Stop on %s leaks its goroutine and runtime timer; add defer %s.Stop()", obj.Name(), obj.Name())
-						}
-					}
-				}
-			}
-		}
-		// Generic recursion over children, preserving loop depth.
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == n {
-				return true
-			}
-			switch m.(type) {
-			case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit, *ast.CallExpr:
-				walk(m, loopDepth)
-				return false
-			}
-			return true
-		})
-	}
-	walkStmts(p, body.List, 0, walk)
-}
-
-func walkStmts(p *Pass, stmts []ast.Stmt, depth int, walk func(ast.Node, int)) {
-	for _, s := range stmts {
-		walk(s, depth)
-	}
-}
-
-// tickerLeakTarget resolves the variable a `t := time.NewTicker(...)` call
-// is assigned to, or nil when the result is used some other way (in which
-// case ownership is out of scope for this check).
-func tickerLeakTarget(p *Pass, call *ast.CallExpr) types.Object {
-	// The parent assignment is not directly reachable from the call, so
-	// find it by matching Defs/Uses on the enclosing file would be heavy;
-	// instead pass 1 above collected stops/escapes and here we look up the
-	// assignment via the call's position in the AST path recorded during
-	// the walk. Simpler: scan the file once for `ident := time.NewTicker`.
-	for _, f := range p.Files {
-		var found types.Object
-		ast.Inspect(f, func(n ast.Node) bool {
-			if found != nil {
-				return false
-			}
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
-				return true
-			}
-			if ast.Unparen(as.Rhs[0]) != call {
-				return true
-			}
-			if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-				if obj := p.Info.Defs[id]; obj != nil {
-					found = obj
-				} else if obj := p.Info.Uses[id]; obj != nil {
-					found = obj
-				}
-			}
-			return false
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
 }

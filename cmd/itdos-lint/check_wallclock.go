@@ -92,11 +92,7 @@ func wallclockCall(p *Pass, call *ast.CallExpr) {
 // replays the same schedule. Pure aggregation (count/sum/append-then-sort)
 // and constant-result existence checks are left alone.
 func wallclockMapRange(p *Pass, rng *ast.RangeStmt, label string) {
-	t := p.Info.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
+	if t := p.Info.TypeOf(rng.X); t == nil || !isMapType(t) {
 		return
 	}
 	vars := make(map[types.Object]bool)

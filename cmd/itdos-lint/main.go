@@ -4,7 +4,7 @@
 //	no-wallclock    deterministic simulation paths take no wall-clock time,
 //	                no process-seeded randomness, no map-order dependence
 //	value-vote      the voter compares unmarshalled CDR values, never bytes
-//	ct-mac          MAC/digest comparisons are constant-time
+//	ct-mac          MAC tag comparisons are constant-time
 //	err-drop        decode/encode errors on the Byzantine surface propagate
 //	lock-hold       every mutex Lock has a dominating Unlock
 //	span-leak       every trace span started is ended on every path
@@ -15,10 +15,14 @@
 //	ticker-leak     no per-iteration timer allocation, no unstopped tickers
 //	bounded-decode  no make sized by an unvalidated wire-length field
 //	flight-nil      exported flight-recorder methods nil-guard their receiver
+//	pool-return     every pooled buffer is released on every path
+//
+// lock-hold, span-leak, pool-return and ticker-leak's unstopped-ticker rule
+// are specs over one acquire/release engine (obligation.go).
 //
 // Findings suppress with a justified comment:
 //
-//	//itdos:nolint ct-mac -- public digest, not an authenticator
+//	//itdos:nolint ct-mac -- published test vector, no key involved
 //	//itdos:nolint:det-map // iteration feeds a commutative counter
 //
 // trailing on the offending line or alone on the line above it. The tool

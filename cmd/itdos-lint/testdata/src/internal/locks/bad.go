@@ -33,3 +33,19 @@ func (c *counter) wrongMode() {
 	c.rw.RLock() // want:lock-hold
 	c.rw.Unlock()
 }
+
+// Two mutexes are two obligations: releasing one says nothing about the other.
+func transfer(from, to *counter) {
+	from.mu.Lock()
+	to.mu.Lock() // want:lock-hold
+	from.n--
+	to.n++
+	from.mu.Unlock()
+}
+
+// A closure may or may not run, and a mutex cannot be handed to it the way
+// a variable can: its Unlock does not close this function's Lock.
+func (c *counter) unlockInClosure() func() {
+	c.mu.Lock() // want:lock-hold
+	return func() { c.mu.Unlock() }
+}

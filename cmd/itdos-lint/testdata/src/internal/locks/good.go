@@ -57,3 +57,12 @@ func (g *gauge) closureScope() func() int {
 		return g.n
 	}
 }
+
+func move(from, to *gauge) {
+	from.mu.Lock()
+	to.mu.Lock()
+	from.n--
+	to.n++
+	to.mu.Unlock()
+	from.mu.Unlock()
+}

@@ -44,3 +44,17 @@ func (ep *endpoint) escapesByReturn() *obs.Span {
 	sp := ep.tr.Start("key.combine")
 	return sp
 }
+
+// endedByClosure: the closure that ends the span owns it from here on.
+func (ep *endpoint) endedByClosure() func() {
+	sp := ep.tr.StartDetached("srm.order")
+	return func() { sp.End() }
+}
+
+// reassigned: the variable is written again before the End, so which span
+// the End closes is no longer a positional question; treated as handed on.
+func (ep *endpoint) reassigned() {
+	sp := ep.tr.Start("vote.collect")
+	sp = ep.tr.Start("vote.decide")
+	sp.End()
+}

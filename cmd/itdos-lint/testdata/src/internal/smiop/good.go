@@ -65,3 +65,22 @@ func (c *conn) retainThenRelease(n int) {
 func (c *conn) enqueue(b *pool.Buffer) {
 	b.Release()
 }
+
+func (c *conn) deferredClosureReleases(n int) int {
+	b := pool.Get(n)
+	defer func() {
+		c.fragSize = len(b.B)
+		b.Release()
+	}()
+	if n > c.fragSize {
+		return 0
+	}
+	return n
+}
+
+func (c *conn) reassignedBeforeRelease(n int) {
+	b := pool.Get(n)
+	b = b.Retain() // written again: handed on, as any other use of the variable
+	b.Release()
+	b.Release()
+}

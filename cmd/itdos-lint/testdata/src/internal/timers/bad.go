@@ -54,3 +54,20 @@ func shutdownGrace(done <-chan int) {
 		}
 	}
 }
+
+// A Stop on one path only: the early return leaves the ticker running.
+func stopsOnOnePath(ch <-chan int) int {
+	t := time.NewTicker(time.Second) // want:ticker-leak
+	if v := <-ch; v < 0 {
+		return v
+	}
+	<-t.C
+	t.Stop()
+	return 0
+}
+
+// A ticker nobody holds can never be stopped.
+func discarded(d time.Duration) {
+	time.NewTicker(d)     // want:ticker-leak
+	_ = time.NewTicker(d) // want:ticker-leak
+}

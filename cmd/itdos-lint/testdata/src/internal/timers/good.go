@@ -38,3 +38,32 @@ func handOff(install func(*time.Ticker)) {
 	t := time.NewTicker(time.Second)
 	install(t)
 }
+
+type sampler struct{ tick *time.Ticker }
+
+// Stored into a field: whoever owns the struct stops it.
+func (s *sampler) start(d time.Duration) {
+	s.tick = time.NewTicker(d)
+}
+
+func stoppedByDeferredClosure(work func()) {
+	t := time.NewTicker(time.Second)
+	defer func() {
+		work()
+		t.Stop()
+	}()
+	<-t.C
+}
+
+// The returned closure owns the ticker.
+func stopFunc(d time.Duration) func() {
+	t := time.NewTicker(d)
+	return func() { t.Stop() }
+}
+
+// Written again before the Stop: handed on, as any other use.
+func rearmed(d time.Duration) {
+	t := time.NewTicker(d)
+	t = time.NewTicker(2 * d)
+	t.Stop()
+}

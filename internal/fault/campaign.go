@@ -28,9 +28,6 @@ func (s *Switch) Compromise(evil orb.Servant) { s.evil = evil }
 // Restore returns every wrapped servant to its clean behaviour.
 func (s *Switch) Restore() { s.evil = nil }
 
-// Compromised reports whether the handle currently injects faults.
-func (s *Switch) Compromised() bool { return s.evil != nil }
-
 // Wrap returns a servant that follows the switch: clean while restored,
 // the injected adversary while compromised.
 func (s *Switch) Wrap(clean orb.Servant) orb.Servant {

@@ -354,6 +354,3 @@ func (n *Network) RunUntil(cond func() bool, maxEvents int) error {
 	}
 	return fmt.Errorf("netsim: condition not satisfied within %d events", maxEvents)
 }
-
-// Pending returns the number of queued events.
-func (n *Network) Pending() int { return len(n.pq) }

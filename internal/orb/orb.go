@@ -11,7 +11,6 @@ package orb
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"itdos/internal/cdr"
 	"itdos/internal/giop"
@@ -116,16 +115,6 @@ func (a *Adapter) Register(objectKey, ifaceName string, s Servant) error {
 	}
 	a.objects[objectKey] = registration{servant: s, iface: iface}
 	return nil
-}
-
-// ObjectKeys returns the registered object keys, sorted.
-func (a *Adapter) ObjectKeys() []string {
-	keys := make([]string, 0, len(a.objects))
-	for k := range a.objects {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Registry returns the adapter's interface registry.

@@ -81,9 +81,6 @@ func NewClient(cfg ClientConfig, env ClientEnv) (*Client, error) {
 	return &Client{cfg: cfg, env: env}, nil
 }
 
-// Busy reports whether an invocation is outstanding.
-func (c *Client) Busy() bool { return c.pending != nil }
-
 // LastSeq returns the most recently assigned client sequence number.
 func (c *Client) LastSeq() uint64 { return c.seq }
 

@@ -54,15 +54,6 @@ type specEntry struct {
 	results []specResult
 }
 
-// SpeculativeExec returns the highest speculated-or-executed sequence
-// (equal to LastExecuted when nothing is speculated ahead).
-func (r *Replica) SpeculativeExec() uint64 {
-	if r.specExec < r.lastExec {
-		return r.lastExec
-	}
-	return r.specExec
-}
-
 // trySpeculate extends the speculative suffix: starting at specExec+1 it
 // executes every consecutive prepared entry, stopping at the first gap,
 // unprepared entry, or checkpoint boundary. No-op unless TentativeExecution

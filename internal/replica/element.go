@@ -287,8 +287,8 @@ func (el *Element) onDirectInbox(payload []byte) {
 	if err != nil {
 		return
 	}
-	sp, err := smiop.OpenSignedPayload(env, plaintext, el.sys.verifyData())
-	if err != nil {
+	sp, err := smiop.DecodeSignedPayload(plaintext)
+	if err != nil || sp.Verify(env, el.sys.verifyData()) != nil {
 		return
 	}
 	msg, err := giop.Decode(sp.GIOP)

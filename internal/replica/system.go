@@ -93,9 +93,6 @@ type SystemConfig struct {
 	Epsilon  float64
 	// ByteVoting switches streams to byte-by-byte voting (experiment C2).
 	ByteVoting bool
-	// DisableMsgSig turns off per-message Ed25519 signatures (ablation;
-	// change_request proofs become unverifiable).
-	DisableMsgSig bool
 
 	// QueueCapacity bounds each SRM queue; CheckpointInterval and
 	// ViewTimeout tune PBFT; SendTimeout is the PBFT client retransmission
@@ -386,10 +383,10 @@ func (sys *System) identitySeed(domain string) []byte {
 	return sys.deriveSecret("replica-keys/" + domain)
 }
 
-// signWith signs msg with a private key (nil disables signatures for the
-// ablation config).
+// signWith signs msg with a private key (a party that has none signs
+// nothing).
 func (sys *System) signWith(priv ed25519.PrivateKey, msg []byte) []byte {
-	if sys.cfg.DisableMsgSig || priv == nil {
+	if priv == nil {
 		return nil
 	}
 	return ed25519.Sign(priv, msg)
@@ -408,9 +405,6 @@ func (sys *System) dataSigner(domain string, member uint32) string {
 
 // verifyData returns the stream signature verifier for data messages.
 func (sys *System) verifyData() func(domain string, member uint32, msg, sig []byte) bool {
-	if sys.cfg.DisableMsgSig {
-		return nil
-	}
 	return func(domain string, member uint32, msg, sig []byte) bool {
 		pub, ok := sys.globalRing.Lookup(sys.dataSigner(domain, member))
 		return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
@@ -419,9 +413,6 @@ func (sys *System) verifyData() func(domain string, member uint32, msg, sig []by
 
 // verifyIdentity checks a signature by any global identity.
 func (sys *System) verifyIdentity(identity string, msg, sig []byte) bool {
-	if sys.cfg.DisableMsgSig {
-		return true
-	}
 	pub, ok := sys.globalRing.Lookup(identity)
 	return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
 }
@@ -755,9 +746,6 @@ func (sys *System) Tracer() *obs.Tracer { return sys.tracer }
 // GMDomain returns the Group Manager's ordering domain (diagnostics: its
 // replicas' view and execution point).
 func (sys *System) GMDomain() *srm.Domain { return sys.gmDomain }
-
-// GMInfo returns the Group Manager group description.
-func (sys *System) GMInfo() smiop.PeerInfo { return sys.gmInfo }
 
 // Transport returns the transport carrying this system's traffic.
 func (sys *System) Transport() transport.Transport { return sys.tr }

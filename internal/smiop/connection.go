@@ -139,23 +139,6 @@ func (c *Connection) NextRequestID() uint64 {
 // CurrentRequestID returns the most recently allocated request id.
 func (c *Connection) CurrentRequestID() uint64 { return c.nextReq }
 
-// SealData wraps GIOP bytes in a sealed data envelope.
-func (c *Connection) SealData(requestID uint64, reply bool, giopBytes []byte) (*Envelope, error) {
-	sealed, err := c.send.Seal(giopBytes)
-	if err != nil {
-		return nil, fmt.Errorf("smiop: seal conn %d: %w", c.ID, err)
-	}
-	return &Envelope{
-		Kind:      KindData,
-		ConnID:    c.ID,
-		SrcDomain: c.Local.Name,
-		SrcMember: uint32(c.LocalMember),
-		RequestID: requestID,
-		Reply:     reply,
-		Payload:   sealed,
-	}, nil
-}
-
 // OpenData authenticates and decrypts a peer data envelope, returning the
 // GIOP bytes. Envelopes from expelled members are rejected.
 func (c *Connection) OpenData(env *Envelope) ([]byte, error) {

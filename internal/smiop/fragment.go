@@ -1,8 +1,6 @@
 package smiop
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Large-message fragmentation — the paper's §4 future-work item
 // ("Transferring large objects poses another obstacle... we must find an
@@ -24,49 +22,6 @@ const DefaultFragmentSize = 16 << 10
 // maxFragments bounds reassembly so a Byzantine sender cannot claim an
 // enormous fragment count.
 const maxFragments = 1 << 14
-
-// SealSignedDataFragmented signs and seals giopBytes like SealSignedData
-// but splits payloads larger than fragSize into multiple envelopes. It
-// always returns at least one envelope; unfragmented messages come back as
-// a single envelope with FragCount 0.
-func (c *Connection) SealSignedDataFragmented(requestID uint64, reply bool, giopBytes []byte,
-	sign func(msg []byte) []byte, fragSize int) ([]*Envelope, error) {
-
-	if fragSize <= 0 {
-		fragSize = DefaultFragmentSize
-	}
-	payload := &SignedPayload{GIOP: giopBytes}
-	if sign != nil {
-		payload.Sig = sign(DataSigningBytes(c.ID, requestID, c.Local.Name,
-			uint32(c.LocalMember), reply, giopBytes))
-	}
-	whole := payload.Encode()
-	if len(whole) <= fragSize {
-		env, err := c.SealData(requestID, reply, whole)
-		if err != nil {
-			return nil, err
-		}
-		return []*Envelope{env}, nil
-	}
-	count := (len(whole) + fragSize - 1) / fragSize
-	if count > maxFragments {
-		return nil, fmt.Errorf("smiop: message of %d bytes needs %d fragments (max %d)",
-			len(whole), count, maxFragments)
-	}
-	envs := make([]*Envelope, 0, count)
-	for i := 0; i < count; i++ {
-		lo := i * fragSize
-		hi := min(lo+fragSize, len(whole))
-		env, err := c.SealData(requestID, reply, whole[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		env.FragIndex = uint32(i)
-		env.FragCount = uint32(count)
-		envs = append(envs, env)
-	}
-	return envs, nil
-}
 
 // fragmentBuffer reassembles one sender's fragmented message for the
 // current request id.

@@ -41,10 +41,7 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	const size = 200 << 10 // 200 KiB >> 16 KiB fragment size
 	for m := 0; m < 2; m++ {
 		giopBytes := bigReplyBytes(t, reqID, size)
-		envs, err := servers[m].SealSignedDataFragmented(reqID, true, giopBytes, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, nil, 0)
 		if len(envs) < 10 {
 			t.Fatalf("expected many fragments, got %d", len(envs))
 		}
@@ -76,10 +73,7 @@ func TestFragmentsOutOfOrder(t *testing.T) {
 	giopBytes := bigReplyBytes(t, reqID, 60<<10)
 	// Two members must agree (f=1); scramble delivery order per member.
 	for m := 0; m < 2; m++ {
-		envs, err := servers[m].SealSignedDataFragmented(reqID, true, giopBytes, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, nil, 0)
 		for i := len(envs) - 1; i >= 0; i-- { // reverse order
 			if err := stream.Deliver(envs[i]); err != nil {
 				t.Fatal(err)
@@ -94,10 +88,7 @@ func TestFragmentsOutOfOrder(t *testing.T) {
 func TestSmallMessagesNotFragmented(t *testing.T) {
 	key := testKey(7)
 	_, servers := serverEndpoints(t, key)
-	envs, err := servers[0].SealSignedDataFragmented(1, true, []byte("tiny"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envs := sealEnvs(t, servers[0], 1, true, []byte("tiny"), nil, 0)
 	if len(envs) != 1 || envs[0].FragCount != 0 {
 		t.Fatalf("small message fragmented: %d envs, count %d", len(envs), envs[0].FragCount)
 	}
@@ -107,7 +98,7 @@ func TestFragmentBounds(t *testing.T) {
 	key := testKey(7)
 	_, servers := serverEndpoints(t, key)
 	// A message that would need more than maxFragments chunks is refused.
-	if _, err := servers[0].SealSignedDataFragmented(1, true,
+	if _, err := servers[0].SealSignedDataWire(1, true,
 		make([]byte, (maxFragments+2)*16), nil, 16); err == nil {
 		t.Fatal("oversized fragmentation accepted")
 	}

@@ -113,11 +113,7 @@ func (h *policyHarness) send(m int, sum float64, forge bool) {
 		h.t.Fatal(err)
 	}
 	rep := giop.EncodeReply(cdr.BigEndian, &giop.Reply{RequestID: h.id, Body: body})
-	env, err := h.servers[m].SealSignedData(h.id, true, rep, sign)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	h.deliver(env)
+	h.deliver(sealEnvs(h.t, h.servers[m], h.id, true, rep, sign, 0)[0])
 }
 
 func (h *policyHarness) digestEnv(m int, id uint64, sum float64, sign func([]byte) []byte) *Envelope {

@@ -17,15 +17,8 @@ type SignedPayload struct {
 	Sig  []byte
 }
 
-// Encode serialises the payload canonically.
-func (p *SignedPayload) Encode() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctets(p.GIOP)
-	e.WriteOctets(p.Sig)
-	return e.Bytes()
-}
-
-// DecodeSignedPayload parses a payload.
+// DecodeSignedPayload parses a payload: WriteOctets(GIOP) then
+// WriteOctets(Sig), big-endian CDR, as SealGIOPWire stages it.
 func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	giopBytes, err := d.ReadOctets()
@@ -46,25 +39,9 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 // bytes of its data or digest context.
 type VerifyFunc func(srcDomain string, member uint32, signingBytes, sig []byte) bool
 
-// OpenSignedPayload parses the (reassembled) plaintext of env and checks the
-// sender's signature over its data context (SignedPayload.Verify) — the
-// authentication step of every full data copy, whichever vote or channel it
-// arrives on; only Stream.Deliver takes the two apart, for a reply copy it
-// compares first. A nil verify skips the signature check (benchmark
-// ablations only).
-func OpenSignedPayload(env *Envelope, plaintext []byte, verify VerifyFunc) (*SignedPayload, error) {
-	payload, err := DecodeSignedPayload(plaintext)
-	if err != nil {
-		return nil, err
-	}
-	if err := payload.Verify(env, verify); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // Verify checks the sender's signature over the payload in env's data
-// context. A nil verify accepts.
+// context — the authentication step of every full data copy, whichever vote
+// or channel it arrives on. A nil verify accepts.
 func (p *SignedPayload) Verify(env *Envelope, verify VerifyFunc) error {
 	if verify == nil {
 		return nil
@@ -86,26 +63,5 @@ func (p *SignedPayload) Verify(env *Envelope, verify VerifyFunc) error {
 func DataSigningBytes(connID, requestID uint64, srcDomain string, srcMember uint32,
 	reply bool, giopBytes []byte) []byte {
 
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteString("smiop-data")
-	e.WriteULongLong(connID)
-	e.WriteULongLong(requestID)
-	e.WriteString(srcDomain)
-	e.WriteULong(srcMember)
-	e.WriteBoolean(reply)
-	e.WriteOctets(giopBytes)
-	return e.Bytes()
-}
-
-// SealSignedData signs giopBytes in the connection's data context and
-// seals the signed payload into a data envelope.
-func (c *Connection) SealSignedData(requestID uint64, reply bool, giopBytes []byte,
-	sign func(msg []byte) []byte) (*Envelope, error) {
-
-	payload := &SignedPayload{GIOP: giopBytes}
-	if sign != nil {
-		payload.Sig = sign(DataSigningBytes(c.ID, requestID, c.Local.Name,
-			uint32(c.LocalMember), reply, giopBytes))
-	}
-	return c.SealData(requestID, reply, payload.Encode())
+	return AppendDataSigningBytes(nil, connID, requestID, srcDomain, srcMember, reply, giopBytes)
 }

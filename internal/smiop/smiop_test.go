@@ -52,6 +52,26 @@ func connPair(t *testing.T) (client, server *Connection) {
 	return client, server
 }
 
+// sealEnvs seals giopBytes on c the way every sender does
+// (SealSignedDataWire) and decodes the frames back into envelopes the way a
+// receiver's transport does.
+func sealEnvs(t testing.TB, c *Connection, id uint64, reply bool, giopBytes []byte,
+	sign func([]byte) []byte, fragSize int) []*Envelope {
+	t.Helper()
+	frames, err := c.SealSignedDataWire(id, reply, giopBytes, sign, fragSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseFrames(frames)
+	envs := make([]*Envelope, len(frames))
+	for i, f := range frames {
+		if envs[i], err = DecodeEnvelope(f.B); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return envs
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	env := &Envelope{
 		Kind: KindData, ConnID: 9, SrcDomain: "bank", SrcMember: 2,
@@ -81,10 +101,7 @@ func TestEnvelopeDecodeGarbageNeverPanics(t *testing.T) {
 func TestConnectionSealOpen(t *testing.T) {
 	client, server := connPair(t)
 	id := client.NextRequestID()
-	env, err := client.SealData(id, false, []byte("giop-bytes"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := sealEnvs(t, client, id, false, []byte("giop-bytes"), nil, 0)[0]
 	if bytes.Contains(env.Payload, []byte("giop-bytes")) {
 		t.Fatal("payload not encrypted")
 	}
@@ -92,14 +109,18 @@ func TestConnectionSealOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pt) != "giop-bytes" {
-		t.Fatalf("plaintext = %q", pt)
+	sp, err := DecodeSignedPayload(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sp.GIOP) != "giop-bytes" {
+		t.Fatalf("plaintext = %q", sp.GIOP)
 	}
 }
 
 func TestConnectionRejectsCrossConnection(t *testing.T) {
 	client, server := connPair(t)
-	env, _ := client.SealData(1, false, []byte("x"))
+	env := sealEnvs(t, client, 1, false, []byte("x"), nil, 0)[0]
 	env.ConnID = 8
 	if _, err := server.OpenData(env); err == nil {
 		t.Fatal("cross-connection envelope accepted")
@@ -108,7 +129,7 @@ func TestConnectionRejectsCrossConnection(t *testing.T) {
 
 func TestConnectionRejectsReplay(t *testing.T) {
 	client, server := connPair(t)
-	env, _ := client.SealData(1, false, []byte("x"))
+	env := sealEnvs(t, client, 1, false, []byte("x"), nil, 0)[0]
 	if _, err := server.OpenData(env); err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +148,7 @@ func TestRekeyExcludesExpelledMember(t *testing.T) {
 	// The expelled member (this very server endpoint is member 2) can
 	// still seal with the new key only if it got it — simulate a leaked
 	// key: even then, the client refuses envelopes from member 2.
-	env, err := server.SealData(1, true, []byte("from-expelled"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := sealEnvs(t, server, 1, true, []byte("from-expelled"), nil, 0)[0]
 	if _, err := client.OpenData(env); err == nil {
 		t.Fatal("envelope from expelled member accepted")
 	}
@@ -144,7 +162,7 @@ func TestRekeyExcludesExpelledMember(t *testing.T) {
 
 func TestOldKeyFailsAfterRekey(t *testing.T) {
 	client, server := connPair(t)
-	env, _ := client.SealData(1, false, []byte("old-era"))
+	env := sealEnvs(t, client, 1, false, []byte("old-era"), nil, 0)[0]
 	newKey := testKey(99)
 	server.Rekey(1, newKey, nil)
 	if _, err := server.OpenData(env); err == nil {
@@ -167,11 +185,7 @@ func buildReplyEnv(t *testing.T, servers []*Connection, m int, reqID uint64,
 		t.Fatal(err)
 	}
 	rep := giop.EncodeReply(order, &giop.Reply{RequestID: reqID, Body: body})
-	env, err := servers[m].SealSignedData(reqID, true, rep, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
+	return sealEnvs(t, servers[m], reqID, true, rep, nil, 0)[0]
 }
 
 // serverEndpoints builds the 4 server-side endpoints matching a client
@@ -356,11 +370,7 @@ func TestStreamAutoAdvanceForInboundRequests(t *testing.T) {
 			RequestID: id, ObjectKey: "calc", Interface: "IDL:Calc:1.0",
 			Operation: "add", ResponseExpected: true, Body: body,
 		})
-		env, err := clientConn.SealSignedData(id, false, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := stream.Deliver(env); err != nil {
+		if err := stream.Deliver(sealEnvs(t, clientConn, id, false, req, nil, 0)[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -100,20 +100,13 @@ func TestDeliverVouching(t *testing.T) {
 				if fragSize == 0 {
 					fragSize = 1 << 20
 				}
-				envs, err := servers[c.member].SealSignedDataFragmented(id, true, rep,
+				envs := sealEnvs(t, servers[c.member], id, true, rep,
 					func(msg []byte) []byte { return toySig(signAs, msg) }, fragSize)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if len(envs) != len(c.orderedBy) {
 					t.Fatalf("copy of member %d is %d envelopes, the case names %d senders", c.member, len(envs), len(c.orderedBy))
 				}
-				for i, env := range envs {
+				for i, got := range envs {
 					// Across the wire and back: only the receiver sets OrderedBy.
-					got, err := DecodeEnvelope(env.Encode())
-					if err != nil {
-						t.Fatal(err)
-					}
 					if got.OrderedBy != "" {
 						t.Fatalf("DecodeEnvelope set OrderedBy %q", got.OrderedBy)
 					}

@@ -8,12 +8,8 @@ import (
 	"itdos/internal/seckey"
 )
 
-// Zero-copy wire path: the marshal→sign→seal→fragment pipeline fused into
-// single passes over pooled buffers. The legacy path builds a GIOP buffer,
-// copies it into a SignedPayload encoding, seals that into a fresh
-// ciphertext buffer, wraps the ciphertext in an Envelope, and encodes the
-// envelope into yet another buffer — five allocations and three full copies
-// per message. Here the GIOP message encodes directly at its final offset
+// The seal chain: marshal→sign→seal→fragment fused into single passes over
+// pooled buffers. The GIOP message encodes directly at its final offset
 // inside the staged signed payload, fragments are sliced (not copied) out
 // of the staging buffer, and each fragment's envelope header, seal header,
 // ciphertext and MAC are produced in one pass into a pooled wire buffer:
@@ -21,6 +17,23 @@ import (
 // encrypting XOR itself. All fragments of a message seal over the
 // connection's cached key schedule (seckey.Channel) — one batch, no
 // per-fragment key setup.
+//
+// Wire layout of one data frame, big-endian CDR (what DecodeEnvelope
+// reads; pinned byte for byte by TestWireGolden):
+//
+//	octet      KindData
+//	ulonglong  connection id
+//	string     source domain
+//	ulong      source member
+//	ulonglong  request id
+//	boolean    reply
+//	ulong      fragment index
+//	ulong      fragment count (0: the message is this one frame)
+//	octets     seckey seal of this fragment's slice of the signed payload
+//
+// and the signed payload, before slicing, is octets(GIOP) ‖ octets(Sig)
+// with Sig over AppendDataSigningBytes (empty when the sender does not
+// sign).
 //
 // Ownership: every returned frame is a pool.Buffer holding exactly one
 // reference. The caller must Release each frame after handing its bytes to
@@ -37,8 +50,8 @@ const signingSlack = 96
 func envelopeSlack(c *Connection) int { return 64 + len(c.Local.Name) }
 
 // AppendDataSigningBytes is DataSigningBytes appending into dst — used with
-// a pooled scratch so the signing input costs no heap allocation. With a
-// nil or empty dst the output is byte-identical to DataSigningBytes.
+// a pooled scratch so the signing input costs no heap allocation. What it
+// appends does not depend on what dst already holds.
 func AppendDataSigningBytes(dst []byte, connID, requestID uint64, srcDomain string,
 	srcMember uint32, reply bool, giopBytes []byte) []byte {
 
@@ -58,7 +71,7 @@ func AppendDataSigningBytes(dst []byte, connID, requestID uint64, srcDomain stri
 // single pass. The sealed payload length is known before sealing
 // (seckey.SealedLen), so the envelope needs no patching: the seal region is
 // reserved and seckey fills it in place, encrypting plaintext straight into
-// the wire buffer. Byte-identical to Envelope.Encode over SealData's output.
+// the wire buffer.
 func (c *Connection) appendDataEnvelope(dst []byte, requestID uint64, reply bool,
 	fragIndex, fragCount uint32, plaintext []byte) []byte {
 
@@ -81,9 +94,10 @@ func (c *Connection) appendDataEnvelope(dst []byte, requestID uint64, reply bool
 // SealGIOPWire signs and seals a GIOP message into ready-to-send wire
 // frames. appendGIOP encodes the message directly into the staging buffer
 // (e.g. a giop.AppendRequest closure), so the GIOP bytes are produced once,
-// at their final payload offset, with no intermediate buffer. Fragmentation
-// follows SealSignedDataFragmented: one signature over the whole message,
-// payloads larger than fragSize split into sealed chunks.
+// at their final payload offset, with no intermediate buffer. One signature
+// covers the whole message; a signed payload larger than fragSize (0:
+// DefaultFragmentSize) is split into chunks sealed one by one, and a
+// smaller one comes back as a single frame with fragment count 0.
 //
 // Each returned frame holds one pool reference the caller must Release
 // (or Detach) — see the package ownership note above.

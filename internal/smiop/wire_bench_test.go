@@ -1,7 +1,6 @@
 package smiop
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -12,63 +11,18 @@ import (
 	"itdos/internal/giop"
 )
 
-// Benchmarks for the reply seal chain — the hot path the zero-copy
-// tentpole refactored. Legacy: EncodeReply materialises the GIOP message,
-// SealSignedDataFragmented copies it into a signed payload and per-fragment
-// seals, and Envelope.Encode re-serialises each wire image. ZeroCopy:
-// SealGIOPWire encodes the message once at its final payload offset inside
-// a pooled arena, seals in place, and slices fragments without copying.
-// `make bench-mem` records both under -benchmem and the budget test below
-// gates the zero-copy path's allocs/op against a committed baseline.
-
-func benchConn(b *testing.B) *Connection {
-	b.Helper()
-	local := PeerInfo{Name: "bank", N: 4, F: 1}
-	peer := PeerInfo{Name: "client", N: 1, F: 0}
-	conn, err := NewConnection(11, local, 2, peer, testKey(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return conn
-}
-
-func benchSign(msg []byte) []byte {
-	sum := sha256.Sum256(msg)
-	return sum[:]
-}
+// Benchmarks for the reply seal chain — the reply hot path. SealGIOPWire
+// encodes the message once at its final payload offset inside a pooled
+// arena, seals in place, and slices fragments without copying. `make
+// bench-mem` records it under -benchmem and the budget test below gates its
+// allocs/op against a committed baseline.
 
 var benchSizes = []int{512, 4 << 10, 64 << 10}
-
-func BenchmarkSealChainLegacy(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			conn := benchConn(b)
-			rep := &giop.Reply{RequestID: 7, Status: giop.StatusNoException,
-				Body: make([]byte, size)}
-			var sink int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gb := giop.EncodeReply(cdr.BigEndian, rep)
-				envs, err := conn.SealSignedDataFragmented(uint64(i+1), true, gb, benchSign, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, env := range envs {
-					sink += len(env.Encode())
-				}
-			}
-			if sink == 0 {
-				b.Fatal("sealed zero bytes")
-			}
-		})
-	}
-}
 
 func BenchmarkSealChainZeroCopy(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			conn := benchConn(b)
+			conn := wireConn(b)
 			rep := &giop.Reply{RequestID: 7, Status: giop.StatusNoException,
 				Body: make([]byte, size)}
 			var sink int
@@ -77,7 +31,7 @@ func BenchmarkSealChainZeroCopy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				frames, err := conn.SealGIOPWire(uint64(i+1), true, func(dst []byte) []byte {
 					return giop.AppendReply(dst, cdr.BigEndian, rep)
-				}, benchSign, 0)
+				}, testSign, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,11 +73,7 @@ func TestSealChainAllocBudget(t *testing.T) {
 	}
 	measured := make(map[string]float64, len(benchSizes))
 	for _, size := range benchSizes {
-		conn, err := NewConnection(11, PeerInfo{Name: "bank", N: 4, F: 1}, 2,
-			PeerInfo{Name: "client", N: 1, F: 0}, testKey(3))
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := wireConn(t)
 		rep := &giop.Reply{RequestID: 7, Status: giop.StatusNoException,
 			Body: make([]byte, size)}
 		var sink int
@@ -132,7 +82,7 @@ func TestSealChainAllocBudget(t *testing.T) {
 			id++
 			frames, err := conn.SealGIOPWire(id, true, func(dst []byte) []byte {
 				return giop.AppendReply(dst, cdr.BigEndian, rep)
-			}, benchSign, 0)
+			}, testSign, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,29 +3,27 @@ package smiop
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"reflect"
 	"testing"
 
 	"itdos/internal/seckey"
 )
 
-// wireConnPair builds two Connection instances with identical identity and
-// key: one drives the legacy seal path, the other the zero-copy wire path,
-// so their send sequence numbers stay aligned for byte comparison.
-func wireConnPair(t *testing.T) (legacy, wire *Connection) {
+// wireConn is the sender every golden vector was sealed on, and the one
+// the seal-chain benchmarks run on: fixed identity and key, so with
+// sequence-number nonces and testSign the frames repeat byte for byte.
+func wireConn(t testing.TB) *Connection {
 	t.Helper()
-	local := PeerInfo{Name: "bank", N: 4, F: 1}
-	peer := PeerInfo{Name: "client", N: 1, F: 0}
-	k := testKey(3)
-	var err error
-	legacy, err = NewConnection(11, local, 2, peer, k)
+	conn, err := NewConnection(11, PeerInfo{Name: "bank", N: 4, F: 1}, 2,
+		PeerInfo{Name: "client", N: 1, F: 0}, testKey(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err = NewConnection(11, local, 2, peer, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return legacy, wire
+	return conn
 }
 
 func testSign(msg []byte) []byte {
@@ -33,11 +31,26 @@ func testSign(msg []byte) []byte {
 	return sum[:]
 }
 
-// TestWireMatchesLegacySeal pins the tentpole's byte-identity guarantee:
-// the fused SealGIOPWire path produces exactly the bytes of
-// SealSignedDataFragmented + Envelope.Encode, for unfragmented and
-// fragmented messages, signed and unsigned.
-func TestWireMatchesLegacySeal(t *testing.T) {
+const wireGoldenPath = "testdata/wire_golden.json"
+
+var updateWireGolden = flag.Bool("update-wire-golden", false,
+	"rewrite testdata/wire_golden.json with the frames the wire path seals now")
+
+// goldenFrame is one sealed frame as the golden file keeps it.
+type goldenFrame struct {
+	Len    int    `json:"len"`
+	SHA256 string `json:"sha256"`
+}
+
+// TestWireGolden pins the wire format: SealSignedDataWire must produce,
+// byte for byte, the frames recorded in testdata/wire_golden.json — case
+// name → request ids 1–3 → frames — for unfragmented and fragmented
+// messages, signed and unsigned. The vectors were generated at 4aeb63d from
+// the copying chain the wire path replaced (SignedPayload.Encode, one seal
+// per fragment, Envelope.Encode), which is what makes them an independent
+// witness; regenerate with -update-wire-golden only for a deliberate format
+// change.
+func TestWireGolden(t *testing.T) {
 	cases := []struct {
 		name     string
 		size     int
@@ -50,30 +63,49 @@ func TestWireMatchesLegacySeal(t *testing.T) {
 		{"fragmented", 70 << 10, 0, testSign},
 		{"tiny-frags", 4 << 10, 512, testSign},
 	}
+	golden := make(map[string][][]goldenFrame)
+	if !*updateWireGolden {
+		raw, err := os.ReadFile(wireGoldenPath)
+		if err != nil {
+			t.Fatalf("no committed vectors (run with -update-wire-golden): %v", err)
+		}
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, wire := wireConnPair(t)
+			conn := wireConn(t)
 			giopBytes := bytes.Repeat([]byte{0x5A}, tc.size)
-			for reqID := uint64(1); reqID <= 3; reqID++ { // several seals: seq numbers advance in step
-				envs, err := legacy.SealSignedDataFragmented(reqID, true, giopBytes, tc.sign, tc.fragSize)
+			var got [][]goldenFrame
+			for reqID := uint64(1); reqID <= 3; reqID++ { // several seals: the sequence number is in the nonce
+				frames, err := conn.SealSignedDataWire(reqID, true, giopBytes, tc.sign, tc.fragSize)
 				if err != nil {
 					t.Fatal(err)
 				}
-				frames, err := wire.SealSignedDataWire(reqID, true, giopBytes, tc.sign, tc.fragSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(frames) != len(envs) {
-					t.Fatalf("req %d: %d frames vs %d envelopes", reqID, len(frames), len(envs))
-				}
-				for i, env := range envs {
-					if !bytes.Equal(frames[i].B, env.Encode()) {
-						t.Fatalf("req %d frame %d: wire bytes differ from legacy encode", reqID, i)
-					}
+				sealed := make([]goldenFrame, len(frames))
+				for i, f := range frames {
+					sum := sha256.Sum256(f.B)
+					sealed[i] = goldenFrame{len(f.B), hex.EncodeToString(sum[:])}
 				}
 				ReleaseFrames(frames)
+				got = append(got, sealed)
+			}
+			if *updateWireGolden {
+				golden[tc.name] = got
+			} else if !reflect.DeepEqual(got, golden[tc.name]) {
+				t.Fatalf("wire frames differ from the committed vectors:\n got %v\nwant %v", got, golden[tc.name])
 			}
 		})
+	}
+	if *updateWireGolden {
+		raw, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(wireGoldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -133,13 +165,28 @@ func TestWireFramesOpenCleanly(t *testing.T) {
 	}
 }
 
-// TestAppendDataSigningBytesMatches pins the pooled signing-scratch path.
+// TestAppendDataSigningBytesMatches pins the signing context itself: the
+// bytes a data signature covers are what a third party (the Group Manager,
+// handed a change_request's proof) rebuilds from cleartext, so the layout
+// is part of the protocol, and appending into a used scratch must not
+// change it.
 func TestAppendDataSigningBytesMatches(t *testing.T) {
 	giopBytes := []byte("giop-ish")
-	want := DataSigningBytes(7, 8, "dom", 3, false, giopBytes)
-	got := AppendDataSigningBytes(nil, 7, 8, "dom", 3, false, giopBytes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendDataSigningBytes differs:\n%x\n%x", got, want)
+	want, err := hex.DecodeString(
+		"0000000b" + "736d696f702d6461746100" + "00" + // "smiop-data", pad to 8
+			"0000000000000007" + "0000000000000008" + // connection, request id
+			"00000004" + "646f6d00" + // "dom"
+			"00000003" + "00" + "000000" + // member, reply=false, pad to 4
+			"00000008" + "67696f702d697368") // the GIOP bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DataSigningBytes(7, 8, "dom", 3, false, giopBytes); !bytes.Equal(got, want) {
+		t.Fatalf("DataSigningBytes layout changed:\n%x\n%x", got, want)
+	}
+	scratch := append(make([]byte, 0, 256), "xx"...)
+	if got := AppendDataSigningBytes(scratch[:0], 7, 8, "dom", 3, false, giopBytes); !bytes.Equal(got, want) {
+		t.Fatalf("AppendDataSigningBytes into a scratch differs:\n%x\n%x", got, want)
 	}
 }
 
@@ -147,7 +194,7 @@ func TestAppendDataSigningBytesMatches(t *testing.T) {
 // the fragment size is at default — no mid-encode buffer growth, which
 // would cost an extra allocation per frame on the hot path.
 func TestWireSealedLenBudget(t *testing.T) {
-	sender, _ := wireConnPair(t)
+	sender := wireConn(t)
 	giopBytes := bytes.Repeat([]byte{1}, 4<<10)
 	frames, err := sender.SealSignedDataWire(1, false, giopBytes, testSign, 0)
 	if err != nil {

@@ -148,9 +148,3 @@ func (q *SendQueue) Acked() {
 		q.cur = nil
 	}
 }
-
-// Depth returns the number of payloads waiting behind the in-flight one.
-func (q *SendQueue) Depth() int { return len(q.queue) }
-
-// Inflight reports whether a send awaits acknowledgement.
-func (q *SendQueue) Inflight() bool { return q.inflight }
