@@ -24,12 +24,16 @@ check-perf:
 # loop end to end — decisions correct, <= f expelled, liveness restored.
 # The second step re-runs the campaigns with the flight recorder and
 # writes their forensic dumps (FLIGHT_C9/C10/C11.json, schema
-# itdos-flight/1) into bench-out/ for the CI artifact upload.
+# itdos-flight/1) into bench-out/ for the CI artifact upload. The third
+# sweeps the seeded twin of the benchmark's primary_crash workload over 100
+# seeds (every */r0 identity crashed under closed-loop load) and fails on
+# any wedge.
 .PHONY: campaign
 campaign:
 	$(GO) run ./cmd/itdos-bench -check C9,C10,C11
 	mkdir -p bench-out
 	$(GO) run ./cmd/itdos-bench -exp C9,C10,C11 -json -flight -out bench-out
+	$(GO) test -run TestPrimaryCrashTwin ./internal/replica
 
 build:
 	$(GO) build ./...

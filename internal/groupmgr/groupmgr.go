@@ -14,19 +14,17 @@
 package groupmgr
 
 import (
-	stdfmt "fmt"
-
 	"fmt"
 	"sort"
 
 	"itdos/internal/cdr"
 	"itdos/internal/dprf"
-	"itdos/internal/giop"
 	"itdos/internal/idl"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/quorum"
 	"itdos/internal/smiop"
+	"itdos/internal/vote"
 )
 
 // Transport is how a Group Manager element reaches the rest of the system.
@@ -301,15 +299,6 @@ func (m *Manager) sendBundle(rec *connRecord, init, target, dst smiop.PeerInfo, 
 	}
 }
 
-// Debug enables validation tracing (tests only).
-var Debug bool
-
-func debugf(format string, args ...any) {
-	if Debug {
-		stdfmt.Printf("groupmgr: "+format+"\n", args...)
-	}
-}
-
 // GMDomainName is the reserved replication domain name of the Group
 // Manager.
 const GMDomainName = "gm"
@@ -399,157 +388,49 @@ func (m *Manager) onChangeRequest(sender string, env *smiop.Envelope) {
 }
 
 // validateProof checks a singleton accuser's signed-message proof: every
-// message must carry a valid element signature for the claimed context,
-// the values are unmarshalled with the registry (the marshalling engine)
-// and re-voted, and the accused's value must conflict with an f+1
-// majority.
+// message must come from a distinct member of the accused's domain and
+// carry a valid element signature for the claimed context. The values are
+// unmarshalled with the registry (the marshalling engine) and re-voted by
+// the rule the accuser's stream voted with; the proof stands iff that vote
+// decides and the accused's value does not match the decision.
 func (m *Manager) validateProof(cr *smiop.ChangeRequest, target smiop.PeerInfo) bool {
 	if len(cr.Proof) < target.F+2 { // accused + f+1 agreeing
-		debugf("proof too short: %d", len(cr.Proof))
 		return false
 	}
-	op, err := m.cfg.Registry.Lookup(cr.Interface, cr.Operation)
+	if _, err := m.cfg.Registry.Lookup(cr.Interface, cr.Operation); err != nil {
+		return false
+	}
+	cmp := smiop.MessageComparator(m.cfg.Epsilon)
+	v, err := vote.NewVoter(vote.Config{N: target.N, F: target.F, Comparator: cmp})
 	if err != nil {
-		debugf("lookup: %v", err)
 		return false
 	}
-	type entry struct {
-		member int
-		val    *provenValue
-	}
-	var entries []entry
-	seen := make(map[uint32]bool)
-	for _, item := range cr.Proof {
-		if int(item.Member) >= target.N || seen[item.Member] {
-			debugf("bad/dup member %d", item.Member)
-			return false
-		}
-		seen[item.Member] = true
+	var accused cdr.Value
+	for i, item := range cr.Proof {
 		signing := smiop.DataSigningBytes(cr.ConnID, cr.RequestID, cr.TargetDomain,
 			item.Member, cr.Reply, item.GIOP)
-		identity := memberIdentity(target, int(item.Member))
-		if !m.cfg.Verify(identity, signing, item.Sig) {
-			debugf("bad sig from %s", identity)
+		if !m.cfg.Verify(memberIdentity(target, int(item.Member)), signing, item.Sig) {
 			return false
 		}
-		val, err := m.unmarshalProof(op, cr.Reply, item.GIOP)
-		if err != nil {
-			debugf("unmarshal member %d: %v", item.Member, err)
+		val, err := smiop.UnmarshalMessage(m.cfg.Registry, cr.Interface, cr.Operation, item.GIOP)
+		if err != nil || val.IsReply != cr.Reply {
 			return false
 		}
-		entries = append(entries, entry{member: int(item.Member), val: val})
-	}
-	// Re-vote: cluster values, find a class with f+1 support.
-	var accusedVal *provenValue
-	classes := make([][]entry, 0, len(entries))
-	for _, e := range entries {
-		if e.member == int(cr.Accused) {
-			accusedVal = e.val
+		// Submit refuses a member outside the domain and ignores a repeated
+		// one, which a proof must not contain either.
+		if _, err := v.Submit(vote.Submission{Member: int(item.Member), Value: val}); err != nil || v.Received() != i+1 {
+			return false
 		}
-		placed := false
-		for ci := range classes {
-			eq, err := m.equalValues(op, cr.Reply, classes[ci][0].val, e.val)
-			if err != nil {
-				return false
-			}
-			if eq {
-				classes[ci] = append(classes[ci], e)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			classes = append(classes, []entry{e})
+		if item.Member == cr.Accused {
+			accused = val
 		}
 	}
-	if accusedVal == nil {
-		debugf("no accused value")
+	dec := v.Decision()
+	if dec == nil || accused == nil {
 		return false
 	}
-	for _, class := range classes {
-		hasAccused := false
-		distinct := make(map[int]bool)
-		for _, e := range class {
-			distinct[e.member] = true
-			if e.member == int(cr.Accused) {
-				hasAccused = true
-			}
-		}
-		if hasAccused {
-			continue
-		}
-		if len(distinct) >= quorum.Vote(target.F) {
-			// A correct majority disagrees with the accused: proof stands
-			// if the accused's value is not equal to this class.
-			eq, err := m.equalValues(op, cr.Reply, class[0].val, accusedVal)
-			if err != nil || eq {
-				return false
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// provenValue is one unmarshalled proof message.
-type provenValue struct {
-	status    giop.ReplyStatus
-	exception string
-	body      cdr.Value
-	tc        *cdr.TypeCode
-}
-
-func (m *Manager) unmarshalProof(op *idl.Operation, reply bool, giopBytes []byte) (*provenValue, error) {
-	msg, err := giop.Decode(giopBytes)
-	if err != nil {
-		return nil, err
-	}
-	if reply {
-		if msg.Reply == nil {
-			return nil, fmt.Errorf("groupmgr: proof message is not a reply")
-		}
-		pv := &provenValue{status: msg.Reply.Status, exception: msg.Reply.Exception, tc: cdr.Void}
-		if msg.Reply.Status == giop.StatusNoException {
-			body, err := cdr.Unmarshal(op.ResultsType(), msg.Reply.Body, msg.Order)
-			if err != nil {
-				return nil, err
-			}
-			pv.body = body
-			pv.tc = op.ResultsType()
-		}
-		return pv, nil
-	}
-	if msg.Request == nil {
-		return nil, fmt.Errorf("groupmgr: proof message is not a request")
-	}
-	body, err := cdr.Unmarshal(op.ParamsType(), msg.Request.Body, msg.Order)
-	if err != nil {
-		return nil, err
-	}
-	return &provenValue{body: body, tc: op.ParamsType()}, nil
-}
-
-func (m *Manager) equalValues(op *idl.Operation, reply bool, a, b *provenValue) (bool, error) {
-	if a.status != b.status || a.exception != b.exception {
-		return false, nil
-	}
-	if !a.tc.Equal(b.tc) {
-		return false, nil
-	}
-	feq := cdr.ExactFloatEq
-	if eps := m.cfg.Epsilon; eps > 0 {
-		feq = func(x, y float64) bool {
-			if x == y {
-				return true
-			}
-			d := x - y
-			if d < 0 {
-				d = -d
-			}
-			return d <= eps
-		}
-	}
-	return cdr.EqualValues(a.tc, a.body, b.body, feq)
+	eq, err := cmp.Equal(dec.Value, accused)
+	return err == nil && !eq
 }
 
 // expel removes a member from its domain by keying it out of every

@@ -225,30 +225,60 @@ func TestElementsAgreeOnConnIDsAndKeys(t *testing.T) {
 	}
 }
 
+// copyOf is what one bank member sent in a proof: the add() result (or its
+// arguments, in a request proof), or an exception.
+type copyOf struct {
+	member    uint32
+	val       float64
+	exception string
+	order     cdr.ByteOrder
+}
+
+// signedItems encodes and signs each copy for request reqID on connection
+// connID, as replies or as add(val, 1) requests.
+func (h *gmHarness) signedItems(t *testing.T, connID, reqID uint64, reply bool, copies ...copyOf) []smiop.ProofItem {
+	t.Helper()
+	op, err := calcRegistry().Lookup("IDL:Calc:1.0", "add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []smiop.ProofItem
+	for _, c := range copies {
+		var giopBytes []byte
+		switch {
+		case !reply:
+			body, err := cdr.Marshal(op.ParamsType(), []cdr.Value{c.val, 1.0}, c.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			giopBytes = giop.EncodeRequest(c.order, &giop.Request{RequestID: reqID, ObjectKey: "calc",
+				Interface: "IDL:Calc:1.0", Operation: "add", ResponseExpected: true, Body: body})
+		case c.exception != "":
+			giopBytes = giop.EncodeReply(c.order, &giop.Reply{RequestID: reqID,
+				Status: giop.StatusUserException, Exception: c.exception})
+		default:
+			body, err := cdr.Marshal(op.ResultsType(), []cdr.Value{c.val}, c.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			giopBytes = giop.EncodeReply(c.order, &giop.Reply{RequestID: reqID, Body: body})
+		}
+		signing := smiop.DataSigningBytes(connID, reqID, "bank", c.member, reply, giopBytes)
+		sig := ed25519.Sign(h.privs[fmt.Sprintf("bank/r%d", c.member)], signing)
+		items = append(items, smiop.ProofItem{Member: c.member, GIOP: giopBytes, Sig: sig})
+	}
+	return items
+}
+
 // buildProof creates a valid signed-message proof for a faulty reply.
 func (h *gmHarness) buildProof(t *testing.T, connID, reqID uint64, accused uint32,
 	goodVal, badVal float64) []smiop.ProofItem {
 	t.Helper()
-	reg := calcRegistry()
-	op, err := reg.Lookup("IDL:Calc:1.0", "add")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(member uint32, val float64, order cdr.ByteOrder) smiop.ProofItem {
-		body, err := cdr.Marshal(op.ResultsType(), []cdr.Value{val}, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		giopBytes := giop.EncodeReply(order, &giop.Reply{RequestID: reqID, Body: body})
-		signing := smiop.DataSigningBytes(connID, reqID, "bank", member, true, giopBytes)
-		sig := ed25519.Sign(h.privs[fmt.Sprintf("bank/r%d", member)], signing)
-		return smiop.ProofItem{Member: member, GIOP: giopBytes, Sig: sig}
-	}
-	return []smiop.ProofItem{
-		mk(accused, badVal, cdr.BigEndian),
-		mk((accused+1)%4, goodVal, cdr.BigEndian),
-		mk((accused+2)%4, goodVal, cdr.LittleEndian), // heterogeneous proof
-	}
+	return h.signedItems(t, connID, reqID, true,
+		copyOf{member: accused, val: badVal, order: cdr.BigEndian},
+		copyOf{member: (accused + 1) % 4, val: goodVal, order: cdr.BigEndian},
+		copyOf{member: (accused + 2) % 4, val: goodVal, order: cdr.LittleEndian}, // heterogeneous proof
+	)
 }
 
 func changeEnvelope(cr *smiop.ChangeRequest, srcDomain string, member uint32) []byte {
@@ -318,28 +348,31 @@ func TestProofRejections(t *testing.T) {
 			Proof: h.buildProof(t, 1, 9, 2, 42.0, 666.0),
 		}
 	}
+	// validated: the request reaches proof validation, so its rejection is
+	// counted; an unknown connection is turned away before that.
 	cases := []struct {
-		name   string
-		mutate func(*smiop.ChangeRequest)
+		name      string
+		validated bool
+		mutate    func(*smiop.ChangeRequest)
 	}{
-		{"no proof", func(cr *smiop.ChangeRequest) { cr.Proof = nil }},
-		{"too few items", func(cr *smiop.ChangeRequest) { cr.Proof = cr.Proof[:2] }},
-		{"tampered value", func(cr *smiop.ChangeRequest) {
+		{"no proof", true, func(cr *smiop.ChangeRequest) { cr.Proof = nil }},
+		{"too few items", true, func(cr *smiop.ChangeRequest) { cr.Proof = cr.Proof[:2] }},
+		{"tampered value", true, func(cr *smiop.ChangeRequest) {
 			cr.Proof[1].GIOP[len(cr.Proof[1].GIOP)-1] ^= 0xFF
 		}},
-		{"forged signature", func(cr *smiop.ChangeRequest) {
+		{"forged signature", true, func(cr *smiop.ChangeRequest) {
 			cr.Proof[0].Sig[0] ^= 0xFF
 		}},
-		{"accused actually agrees", func(cr *smiop.ChangeRequest) {
+		{"accused actually agrees", true, func(cr *smiop.ChangeRequest) {
 			cr.Proof = h.buildProof(t, 1, 9, 2, 42.0, 42.0)
 		}},
-		{"accused message missing", func(cr *smiop.ChangeRequest) {
+		{"accused message missing", true, func(cr *smiop.ChangeRequest) {
 			cr.Proof = cr.Proof[1:]
 		}},
-		{"wrong request id", func(cr *smiop.ChangeRequest) { cr.RequestID = 10 }},
-		{"unknown connection", func(cr *smiop.ChangeRequest) { cr.ConnID = 99 }},
-		{"unknown op", func(cr *smiop.ChangeRequest) { cr.Operation = "mul" }},
-		{"duplicate member", func(cr *smiop.ChangeRequest) {
+		{"wrong request id", true, func(cr *smiop.ChangeRequest) { cr.RequestID = 10 }},
+		{"unknown connection", false, func(cr *smiop.ChangeRequest) { cr.ConnID = 99 }},
+		{"unknown op", true, func(cr *smiop.ChangeRequest) { cr.Operation = "mul" }},
+		{"duplicate member", true, func(cr *smiop.ChangeRequest) {
 			cr.Proof[1] = cr.Proof[0]
 		}},
 	}
@@ -351,12 +384,95 @@ func TestProofRejections(t *testing.T) {
 		if mgr.IsExpelled("bank", 2) {
 			t.Fatalf("%s: expelled on invalid proof", c.name)
 		}
-		_ = before
+		want := before
+		if c.validated {
+			want++
+		}
+		if mgr.RejectedProofs != want {
+			t.Errorf("%s: RejectedProofs %d -> %d, want %d", c.name, before, mgr.RejectedProofs, want)
+		}
 	}
 	// The genuine proof still works afterwards.
 	mgr.HandleDelivery("alice", changeEnvelope(good(), "alice", 0))
 	if !mgr.IsExpelled("bank", 2) {
 		t.Fatal("valid proof rejected after invalid attempts")
+	}
+}
+
+// TestProofRevote: the Group Manager re-votes a proof by the rule the
+// accuser's stream votes with — the same unmarshaller, the same comparator at
+// the configured ε, f+1 matching copies decide — and expels only when the
+// accused's value does not match the decision.
+func TestProofRevote(t *testing.T) {
+	be, le := cdr.BigEndian, cdr.LittleEndian
+	cases := []struct {
+		name    string
+		epsilon float64
+		reply   bool
+		copies  []copyOf // the accused, member 2, first unless noted
+		expel   bool
+	}{
+		{"ε-tolerant majority, accused beyond ε", 1e-3, true, []copyOf{
+			{member: 2, val: 42.002, order: be}, {member: 0, val: 42.0004, order: le}, {member: 3, val: 41.9997, order: be},
+		}, true},
+		{"ε-tolerant majority, accused within ε", 1e-3, true, []copyOf{
+			{member: 2, val: 42.0009, order: be}, {member: 0, val: 42.0004, order: le}, {member: 3, val: 41.9997, order: be},
+		}, false},
+		{"exact vote, jittered majority scatters", 0, true, []copyOf{
+			{member: 2, val: 666, order: be}, {member: 0, val: 42.0004, order: le}, {member: 3, val: 41.9997, order: be},
+		}, false},
+		{"exception reply against values", 0, true, []copyOf{
+			{member: 2, exception: "IDL:Overflow:1.0", order: be}, {member: 0, val: 42, order: le}, {member: 3, val: 42, order: be},
+		}, true},
+		{"value against exception replies", 0, true, []copyOf{
+			{member: 2, val: 42, order: be}, {member: 0, exception: "IDL:Overflow:1.0", order: le},
+			{member: 3, exception: "IDL:Overflow:1.0", order: be},
+		}, true},
+		{"same exception everywhere", 0, true, []copyOf{
+			{member: 2, exception: "IDL:Overflow:1.0", order: be}, {member: 0, exception: "IDL:Overflow:1.0", order: le},
+			{member: 3, exception: "IDL:Overflow:1.0", order: be},
+		}, false},
+		{"request proof, accused's arguments differ", 0, false, []copyOf{
+			{member: 2, val: 7, order: be}, {member: 0, val: 6, order: le}, {member: 3, val: 6, order: be},
+		}, true},
+		{"request proof, arguments agree", 0, false, []copyOf{
+			{member: 2, val: 6, order: be}, {member: 0, val: 6, order: le}, {member: 3, val: 6, order: be},
+		}, false},
+		// Non-transitive ε: 42.000 ≈ 42.009 ≈ 42.018, but 42.000 !≈ 42.018.
+		// The class representative decides what matches.
+		{"ε chain, accused is the representative", 0.01, true, []copyOf{
+			{member: 2, val: 42.000, order: be}, {member: 0, val: 42.009, order: le}, {member: 3, val: 42.018, order: be},
+		}, false},
+		{"ε chain, accused beyond the representative", 0.01, true, []copyOf{
+			{member: 0, val: 42.000, order: le}, {member: 3, val: 42.009, order: be}, {member: 2, val: 42.018, order: be},
+		}, true},
+		// Two disjoint classes of f+1 signed copies (more than f liars, or ε
+		// non-transitivity): like the accuser's vote, the class that reaches
+		// f+1 first decides, and here that is the accused's.
+		{"two f+1 classes, the accused's first", 0, true, []copyOf{
+			{member: 2, val: 42, order: be}, {member: 0, val: 42, order: le},
+			{member: 1, val: 44, order: be}, {member: 3, val: 44, order: le},
+		}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newGMHarness(t)
+			mgr := h.mgrs[0]
+			mgr.cfg.Epsilon = c.epsilon
+			mgr.HandleDelivery("alice", openEnvelope("alice", "bank", "alice", 0))
+			cr := &smiop.ChangeRequest{
+				TargetDomain: "bank", Accused: 2, ConnID: 1, RequestID: 9, Reply: c.reply,
+				Interface: "IDL:Calc:1.0", Operation: "add",
+				Proof: h.signedItems(t, 1, 9, c.reply, c.copies...),
+			}
+			mgr.HandleDelivery("alice", changeEnvelope(cr, "alice", 0))
+			if got := mgr.IsExpelled("bank", 2); got != c.expel {
+				t.Fatalf("expelled = %v, want %v", got, c.expel)
+			}
+			if want := map[bool]int{true: 0, false: 1}[c.expel]; mgr.RejectedProofs != want {
+				t.Errorf("RejectedProofs = %d, want %d", mgr.RejectedProofs, want)
+			}
+		})
 	}
 }
 

@@ -129,3 +129,39 @@ func TestViewChangeWithPendingBatch(t *testing.T) {
 	}
 	h.auditOrder(t, true)
 }
+
+// TestViewChangeDropsOlderViewProposals: with MaxBatch equal to the sender
+// count a full batch goes out as the backups suspect the primary, so some
+// replicas hold a view-0 pre-prepare that no prepared certificate carries
+// into view 1. A log entry belongs to one view: the new primary's proposal
+// at that sequence must not look like equivocation and send a replica alone
+// into view 2.
+func TestViewChangeDropsOlderViewProposals(t *testing.T) {
+	for seed := int64(30); seed < 50; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			h := newBatchHarnessWait(t, 4, 1, seed, 8, 8, 20*time.Millisecond)
+			h.wave(t, "warm")
+			h.net.Run(1_000_000)
+			allAcked := h.invokeAll(t, "vc")
+			old := h.group.Replicas[0]
+			if err := h.net.RunUntil(func() bool { return len(old.pending) > 0 }, 1_000_000); err != nil {
+				t.Fatalf("primary never held a pending request: %v", err)
+			}
+			h.group.Replicas[1].HandleTimer()
+			h.group.Replicas[2].HandleTimer()
+			if err := h.net.RunUntil(allAcked, 10_000_000); err != nil {
+				t.Fatalf("wave did not complete across the view change: %v", err)
+			}
+			h.net.Run(1_000_000)
+			h.auditOrder(t, true)
+			for i, r := range h.group.Replicas {
+				if r.View() != 1 || r.InViewChange() {
+					t.Errorf("replica %d: view %d, in view change %v; want settled in view 1", i, r.View(), r.InViewChange())
+				}
+				if got := len(h.apps[i].ops); got != 16 {
+					t.Errorf("replica %d executed %d ops, want 16", i, got)
+				}
+			}
+		})
+	}
+}

@@ -20,6 +20,10 @@ type ClientEnv interface {
 	StopTimer()
 }
 
+// DefaultRetransmitTimeout is a client's base request retransmission
+// timeout when its configuration names none.
+const DefaultRetransmitTimeout = 150 * time.Millisecond
+
 // ClientConfig parameterises a PBFT client.
 type ClientConfig struct {
 	// ID is the client's authentication identity.
@@ -28,7 +32,8 @@ type ClientConfig struct {
 	ReplyAddr string
 	// N, F describe the target replica group.
 	N, F int
-	// RetransmitTimeout is the base request retransmission timeout.
+	// RetransmitTimeout is the base request retransmission timeout
+	// (default DefaultRetransmitTimeout).
 	RetransmitTimeout time.Duration
 	// Auth signs requests and checks the replicas' tags on replies.
 	Auth Authenticator
@@ -36,7 +41,7 @@ type ClientConfig struct {
 
 func (c *ClientConfig) fill() error {
 	if c.RetransmitTimeout == 0 {
-		c.RetransmitTimeout = 300 * time.Millisecond
+		c.RetransmitTimeout = DefaultRetransmitTimeout
 	}
 	if c.N < quorum.N(c.F) {
 		return fmt.Errorf("pbft: client config: n=%d < 3f+1 (f=%d)", c.N, c.F)

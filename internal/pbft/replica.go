@@ -103,8 +103,8 @@ type Config struct {
 	// WindowSize is L: the ordering window above the stable checkpoint.
 	// Must be at least 2*CheckpointInterval.
 	WindowSize uint64
-	// ViewTimeout is the base view-change timeout; it doubles on
-	// consecutive failed view changes and resets on progress.
+	// ViewTimeout is the base view-change timeout (default 400 ms); it
+	// doubles on consecutive failed view changes and resets on progress.
 	ViewTimeout time.Duration
 	// MaxBatch is the largest request batch one pre-prepare may carry.
 	// 0 or 1 is a batch of one: every request fills its batch on arrival
@@ -155,7 +155,7 @@ func (c *Config) fill() error {
 		c.WindowSize = 4 * c.CheckpointInterval
 	}
 	if c.ViewTimeout == 0 {
-		c.ViewTimeout = 500 * time.Millisecond
+		c.ViewTimeout = 400 * time.Millisecond
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 1
@@ -809,16 +809,16 @@ func (r *Replica) recordPrepare(p *Prepare) {
 	r.tryPrepared(p.Seq)
 }
 
-// preparedDigest returns the digest and true when entry has a prepared
-// certificate: a pre-prepare plus 2f matching prepares from non-primary
-// replicas.
+// preparedCount counts the prepares that match the entry's pre-prepare, in
+// its view: toward a prepared certificate, a pre-prepare plus 2f matching
+// prepares from non-primary replicas.
 func (r *Replica) preparedCount(en *entry) int {
 	if en.prePrepare == nil {
 		return 0
 	}
 	count := 0
 	for _, p := range en.prepares {
-		if p.Digest == en.prePrepare.Digest {
+		if p.View == en.prePrepare.View && p.Digest == en.prePrepare.Digest {
 			count++
 		}
 	}
@@ -892,7 +892,7 @@ func (r *Replica) isCommitted(en *entry) bool {
 	}
 	count := 0
 	for _, c := range en.commits {
-		if c.Digest == en.prePrepare.Digest {
+		if c.View == en.prePrepare.View && c.Digest == en.prePrepare.Digest {
 			count++
 		}
 	}

@@ -58,7 +58,7 @@ func (r *Replica) collectPrepared() []*PreparedProof {
 		}
 		prepares := make([]*Prepare, 0, r.quorum()-1)
 		for _, p := range en.prepares {
-			if p.Digest == en.prePrepare.Digest {
+			if p.View == en.prePrepare.View && p.Digest == en.prePrepare.Digest {
 				prepares = append(prepares, p)
 			}
 		}
@@ -263,6 +263,17 @@ func (r *Replica) installNewView(nv *NewView) {
 	isPrimary := r.isPrimary()
 	if isPrimary && r.seq < maxS {
 		r.seq = maxS
+	}
+	// A log entry belongs to one view, and everything an unexecuted entry
+	// holds is from an older one. A proposal the NEW-VIEW does not carry
+	// would make the new primary's proposal at its sequence look like
+	// equivocation, and an old phase message would stand in for its
+	// sender's new one; the requests stay in outstanding and are re-driven
+	// below.
+	for seq, en := range r.log {
+		if !en.executed {
+			delete(r.log, seq)
+		}
 	}
 	for _, pp := range nv.PrePrepares {
 		if pp.Seq <= r.lowWater || pp.Seq <= r.lastExec {

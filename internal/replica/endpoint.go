@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 
 	"itdos/internal/cdr"
@@ -36,13 +35,10 @@ type waitState struct {
 	span *obs.Span
 }
 
-// callFailure resumes a parked call with an error.
-type callFailure struct {
-	err error
-	// rekeyed marks a failure caused by a key change racing the call; the
-	// invocation path retries such calls once under the new key.
-	rekeyed bool
-}
+// rekeySignal resumes a parked call whose connection was rekeyed under it:
+// replies sealed under the dead key can no longer be voted, so the call
+// re-sends its request under the new one.
+type rekeySignal struct{}
 
 // fallbackSignal resumes a parked call whose vote stalled or timed out
 // under a policy with a fallback; the invocation falls back to the ordered
@@ -223,44 +219,11 @@ func (ep *endpoint) resume(v any) {
 // --- outbound path (ORB thread) ---
 
 // Invoke implements orb.Protocol: seal, send, park for the voted reply.
-// A call interrupted by a connection rekey (a membership change racing the
-// invocation) is retried once under the new key — the request was never
-// executed exactly-once-visibly, because replies under the dead key can no
-// longer be voted.
 func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, cdr.ByteOrder, error) {
-	retry := false
-	for attempt := 0; ; attempt++ {
-		reply, order, err := ep.invokeOnce(ref, req, retry)
-		var rekey *rekeyError
-		if errors.As(err, &rekey) && attempt < 2 {
-			// Retry under the new key with the SAME request id: acceptors
-			// that already executed the request answer from their reply
-			// cache, so the operation still executes at most once.
-			retry = true
-			continue
-		}
-		return reply, order, err
-	}
-}
-
-// rekeyError marks a call killed by a racing key change.
-type rekeyError struct{ msg string }
-
-func (e *rekeyError) Error() string { return e.msg }
-
-func (ep *endpoint) invokeOnce(ref orb.ObjectRef, req *giop.Request, retry bool) (*giop.Reply, cdr.ByteOrder, error) {
 	cs, err := ep.ensureConn(ref.Domain)
 	if err != nil {
 		return nil, 0, err
 	}
-	if retry {
-		req.RequestID = cs.conn.CurrentRequestID()
-		if err := ep.requestFull(cs, ref, req); err != nil {
-			return nil, 0, err
-		}
-		return ep.awaitReply(cs, ref, req, smiop.ReplyPolicy{})
-	}
-
 	reqID := cs.conn.NextRequestID()
 	req.RequestID = reqID
 	// The reply policy is chosen once, here. The Castro-Liskov reply
@@ -331,8 +294,8 @@ func (ep *endpoint) invokeOnce(ref orb.ObjectRef, req *giop.Request, retry bool)
 }
 
 // requestFull arms the plain policy for req.RequestID and multicasts req on
-// the ordered path: where the rekey retry and every fast-path fallback
-// land. Under the request's own id, elements that already executed it
+// the ordered path: where the rekey retry, every resend and every fast-path
+// fallback land. Under the request's own id, elements that already executed it
 // answer from their reply caches, so it still executes at most once.
 func (ep *endpoint) requestFull(cs *connState, ref orb.ObjectRef, req *giop.Request) error {
 	req.ReadOnly, req.DigestOK = false, false
@@ -373,6 +336,9 @@ func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.R
 // every element could open it (a rekey reaches the two sides of a connection
 // by different routes, so a request sealed under a key the elements do not
 // hold yet is dropped by all of them alike), nor that the replies arrive.
+// A rekey that lands during the call re-sends at once, under the new key.
+// Every re-send keeps the request's id: acceptors that already executed it
+// answer from their reply caches, so it still executes at most once.
 func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Request,
 	policy smiop.ReplyPolicy) (*giop.Reply, cdr.ByteOrder, error) {
 
@@ -424,11 +390,11 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 			if err := ep.requestFull(cs, ref, req); err != nil {
 				return nil, 0, err
 			}
-		case callFailure:
-			if res.rekeyed {
-				return nil, 0, &rekeyError{msg: res.err.Error()}
+		case rekeySignal:
+			resends, policy = 0, smiop.ReplyPolicy{}
+			if err := ep.requestFull(cs, ref, req); err != nil {
+				return nil, 0, err
 			}
-			return nil, 0, res.err
 		default:
 			return nil, 0, fmt.Errorf("replica: %s: unexpected resume %T", ep.identity, res)
 		}
@@ -484,8 +450,6 @@ func (ep *endpoint) ensureConn(peer string) (*connState, error) {
 	switch res := res.(type) {
 	case *connState:
 		return res, nil
-	case callFailure:
-		return nil, res.err
 	default:
 		return nil, fmt.Errorf("replica: %s: unexpected resume %T", ep.identity, res)
 	}
@@ -775,15 +739,11 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 	if cs, ok := ep.conns[b.ConnID]; ok {
 		// Rekey: fresh key era, expelled members locked out. An in-flight
 		// call on this connection can no longer complete (its reply may be
-		// sealed under the dead key): fail it so the application can retry.
+		// sealed under the dead key): it re-sends under the new one.
 		cs.conn.Rekey(b.Era, key, exp)
 		cs.conn.ExpelLocal(expLocal)
 		if w := ep.waiting; w != nil && w.kind == waitReply && w.connID == b.ConnID {
-			ep.resume(callFailure{
-				err: fmt.Errorf("replica: %s: connection %d rekeyed (era %d) during call",
-					ep.identity, b.ConnID, b.Era),
-				rekeyed: true,
-			})
+			ep.resume(rekeySignal{})
 		}
 		return
 	}

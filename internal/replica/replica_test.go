@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"itdos/internal/cdr"
+	"itdos/internal/giop"
 	"itdos/internal/idl"
 	"itdos/internal/netsim"
 	"itdos/internal/orb"
+	"itdos/internal/smiop"
 )
 
 const calcIface = "IDL:itdos/Calc:1.0"
@@ -95,6 +97,24 @@ func newCalcSystem(t *testing.T, seed int64, mutate func(*SystemConfig)) *testSy
 }
 
 var calcRef = orb.ObjectRef{Domain: "calc", ObjectKey: "calc", Interface: calcIface}
+
+// invokeOnce invokes req; with retry it instead re-sends req under the
+// connection's outstanding request id and the plain policy, as awaitReply
+// does when a rekey lands during a call.
+func (ep *endpoint) invokeOnce(ref orb.ObjectRef, req *giop.Request, retry bool) (*giop.Reply, cdr.ByteOrder, error) {
+	if !retry {
+		return ep.Invoke(ref, req)
+	}
+	cs, err := ep.ensureConn(ref.Domain)
+	if err != nil {
+		return nil, 0, err
+	}
+	req.RequestID = cs.conn.CurrentRequestID()
+	if err := ep.requestFull(cs, ref, req); err != nil {
+		return nil, 0, err
+	}
+	return ep.awaitReply(cs, ref, req, smiop.ReplyPolicy{})
+}
 
 func TestEndToEndInvocation(t *testing.T) {
 	ts := newCalcSystem(t, 1, nil)

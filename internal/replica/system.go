@@ -95,8 +95,9 @@ type SystemConfig struct {
 	ByteVoting bool
 
 	// QueueCapacity bounds each SRM queue; CheckpointInterval and
-	// ViewTimeout tune PBFT; SendTimeout is the PBFT client retransmission
-	// timeout.
+	// ViewTimeout tune PBFT (0 keeps pbft.Config's default); SendTimeout is
+	// the PBFT client retransmission timeout, which also paces a caller's
+	// own resends and fallbacks (0 selects pbft.DefaultRetransmitTimeout).
 	QueueCapacity      int
 	CheckpointInterval uint64
 	ViewTimeout        time.Duration
@@ -181,11 +182,8 @@ func (c *SystemConfig) fill() error {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 16
 	}
-	if c.ViewTimeout == 0 {
-		c.ViewTimeout = 400 * time.Millisecond
-	}
 	if c.SendTimeout == 0 {
-		c.SendTimeout = 150 * time.Millisecond
+		c.SendTimeout = pbft.DefaultRetransmitTimeout
 	}
 	names := map[string]bool{GMDomainName: true}
 	if c.ITC != nil {

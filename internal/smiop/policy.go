@@ -9,7 +9,7 @@ package smiop
 type ReplyPolicy struct {
 	Quorum ReplyQuorum
 	// Digest: only the designated Responder sends the full reply; every
-	// other member sends the canonical digest of its own (see DigestVoter).
+	// other member sends the canonical digest of its own (see vote.Config).
 	Digest    bool
 	Responder int
 	Fallback  ReplyFallback

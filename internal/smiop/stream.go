@@ -36,7 +36,10 @@ type msgComparator struct {
 	epsilon float64
 }
 
-var _ vote.Comparator = msgComparator{}
+// MessageComparator is the comparator a stream votes with at float
+// tolerance epsilon (exact when 0). The Group Manager re-votes proofs with
+// it, so a proof is judged by the rule that produced the vote.
+func MessageComparator(epsilon float64) vote.Comparator { return msgComparator{epsilon: epsilon} }
 
 // Equal implements vote.Comparator.
 func (c msgComparator) Equal(a, b cdr.Value) (bool, error) {
@@ -157,9 +160,9 @@ type Stream struct {
 	policy        ReplyPolicy
 	fallbackFired bool
 
-	// carried holds full replies captured from an abandoned digest vote,
-	// to be replayed into the reopened vote (see Expect).
-	carried []vote.Submission
+	// revoted counts the copies a reopened vote re-voted (see Expect) whose
+	// outcome has yet to surface.
+	revoted int
 
 	// Delivery counters (nil-safe; nil when unobserved).
 	mEnvelopes   *obs.Counter
@@ -255,25 +258,20 @@ func (s *Stream) comparator() vote.Comparator {
 	if s.cfg.ByteVoting {
 		return vote.ByteExact{}
 	}
-	return msgComparator{epsilon: s.cfg.Epsilon}
+	return MessageComparator(s.cfg.Epsilon)
 }
 
 // Expect arms the vote for requestID under policy p — the one way a
 // client-side vote opens. The operation identifies the result TypeCode.
 // Expecting the outstanding id again is the retry: after a rekey killed the
 // in-flight vote, or when a stalled fast path re-requests full replies
-// under the same id. Full replies an abandoned digest vote already accepted
-// (signature-verified signed payloads) carry over into the reopened vote: a
-// lying responder's reply then re-counts — and re-conflicts — without being
-// re-sent.
+// under the same id. Falling back from a digest vote re-votes the full
+// replies it already accepted (signature-verified signed payloads; see
+// vote.Policy.Reopen); what that re-vote decides or reports surfaces on the
+// next full copy's Deliver, never while the caller of Expect is still
+// arranging to wait for it.
 func (s *Stream) Expect(requestID uint64, iface, op string, p ReplyPolicy) error {
 	vp := vote.Policy{Digest: p.Digest, Responder: p.Responder, Reopen: requestID == s.cv.CurrentID()}
-	var carry []vote.Submission
-	if dv := s.cv.DigestVoter(); dv != nil && vp.Reopen && !s.cfg.ByteVoting {
-		for _, fs := range dv.FullSubmissions() {
-			carry = append(carry, vote.Submission{Member: fs.Member, Value: fs.Full, Raw: fs.Raw})
-		}
-	}
 	if p.Quorum == QuorumReadOnly {
 		vp.Threshold = quorum.ReadOnly(s.conn.Peer.F)
 	}
@@ -282,7 +280,7 @@ func (s *Stream) Expect(requestID uint64, iface, op string, p ReplyPolicy) error
 	}
 	s.expectedIface, s.expectedOp = iface, op
 	s.policy = p
-	s.carried = carry
+	s.revoted = s.cv.Voter().Received()
 	s.markVoteOpen()
 	s.faultsForwarded = 0
 	s.fallbackFired = false
@@ -387,20 +385,24 @@ func (s *Stream) Deliver(env *Envelope) error {
 	}
 	digestVote := s.policy.Digest
 	sub := vote.Submission{Member: int(env.SrcMember)}
-	var digest []byte
 	if env.Kind == KindDigest {
 		if !digestVote {
 			// Stale (post-fallback) or Byzantine.
 			s.discard()
 			return nil
 		}
-		if digest, err = openDigestPayload(env, plaintext, s.cfg.VerifySig); err != nil {
+		if sub.Digest, err = openDigestPayload(env, plaintext, s.cfg.VerifySig); err != nil {
 			return s.drop(err)
 		}
 		sub.Raw = plaintext
 	} else {
-		if err := s.injectCarried(env.RequestID); err != nil {
-			return err
+		if n := s.revoted; n > 0 {
+			// What the re-vote in Expect decided or reported surfaces now.
+			s.revoted = 0
+			s.mSubmissions.Add(uint64(n))
+			if err := s.settle(env.RequestID, s.cv.Voter().Decision(), nil); err != nil {
+				return err
+			}
 		}
 		// Fragmented messages reassemble before verification; incomplete
 		// messages simply wait for their remaining fragments.
@@ -425,18 +427,23 @@ func (s *Stream) Deliver(env *Envelope) error {
 				return s.drop(err)
 			}
 		}
-		if s.cfg.ByteVoting && !digestVote {
+		// Byte voting compares the GIOP bytes; a digest still needs the
+		// values it is the canonical digest of.
+		if s.cfg.ByteVoting {
 			sub.Value = payload.GIOP
-		} else {
+		}
+		if !s.cfg.ByteVoting || digestVote {
 			usp := s.cfg.Tracer.Start("smiop.unmarshal")
-			val, err := s.unmarshal(payload.GIOP)
+			val, err := UnmarshalMessage(s.cfg.Registry, s.expectedIface, s.expectedOp, payload.GIOP)
 			usp.End()
 			if err != nil {
 				return s.drop(err)
 			}
-			sub.Value = val
+			if sub.Value == nil {
+				sub.Value = val
+			}
 			if digestVote {
-				digest, err = CanonicalReplyDigest(val.Interface, val.Operation, val.Status,
+				sub.Digest, err = CanonicalReplyDigest(val.Interface, val.Operation, val.Status,
 					val.Exception, val.TC, val.Body)
 				if err != nil {
 					return s.drop(err)
@@ -457,13 +464,7 @@ func (s *Stream) Deliver(env *Envelope) error {
 	decidedBefore := s.cv.Decided()
 	s.mSubmissions.Inc()
 	vsp := s.cfg.Tracer.Start("vote.submit")
-	var dec *vote.Decision
-	if digestVote {
-		dec, err = s.cv.SubmitDigest(env.RequestID, vote.DigestSubmission{
-			Member: sub.Member, Digest: digest, Full: sub.Value, Raw: sub.Raw})
-	} else {
-		dec, err = s.cv.Submit(env.RequestID, sub)
-	}
+	dec, err := s.cv.Submit(env.RequestID, sub)
 	vsp.End()
 	if err := s.settle(env.RequestID, dec, err); err != nil {
 		return err
@@ -479,10 +480,7 @@ func (s *Stream) Deliver(env *Envelope) error {
 }
 
 // settle handles what one submission produced: new fault reports, then
-// the decision or — when no class can still decide — the fallback. Digest
-// votes file fault reports only for conflicting FULL replies — a bare
-// digest is not GM-verifiable evidence; the fallback's full vote
-// re-detects digest-only faults.
+// the decision or — when no class can still decide — the fallback.
 func (s *Stream) settle(requestID uint64, dec *vote.Decision, err error) error {
 	if err != nil {
 		return err
@@ -529,26 +527,6 @@ func (s *Stream) deliverDecision(dec *vote.Decision) error {
 	return nil
 }
 
-// injectCarried replays the full replies Expect carried over from an
-// abandoned digest vote into the reopened vote. Injection is deferred to
-// the next Deliver so a decision can never fire while the caller of Expect
-// is still arranging to wait for it.
-func (s *Stream) injectCarried(requestID uint64) error {
-	carry := s.carried
-	s.carried = nil
-	if s.cv.Voter() == nil {
-		return nil
-	}
-	for _, cs := range carry {
-		s.mSubmissions.Inc()
-		dec, err := s.cv.Submit(requestID, cs)
-		if err := s.settle(requestID, dec, err); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // maybeFallback fires OnFallback exactly once when the armed vote has
 // stalled (digest mismatch, lying responder, or a 2f+1 quorum out of
 // reach) and its policy has somewhere to fall back to.
@@ -581,7 +559,7 @@ func (s *Stream) recordFallback(cause string) {
 // still need the message identity and values).
 func (s *Stream) buildVal(giopBytes []byte) (*MessageVal, error) {
 	if s.cfg.Registry != nil {
-		return s.unmarshal(giopBytes)
+		return UnmarshalMessage(s.cfg.Registry, s.expectedIface, s.expectedOp, giopBytes)
 	}
 	msg, err := giop.Decode(giopBytes)
 	if err != nil {
@@ -617,19 +595,22 @@ func (s *Stream) reportFaults() {
 	}
 }
 
-func (s *Stream) unmarshal(giopBytes []byte) (*MessageVal, error) {
+// UnmarshalMessage decodes one GIOP message into the value a vote compares,
+// with reg as the marshalling engine. A request names its own operation; a
+// reply carries no operation, so it is read as the answer to iface.op.
+func UnmarshalMessage(reg *idl.Registry, iface, op string, giopBytes []byte) (*MessageVal, error) {
 	msg, err := giop.Decode(giopBytes)
 	if err != nil {
-		return nil, fmt.Errorf("smiop: conn %d: %w", s.conn.ID, err)
+		return nil, fmt.Errorf("smiop: %w", err)
 	}
 	switch msg.Type {
 	case giop.MsgRequest:
 		req := msg.Request
-		op, err := s.cfg.Registry.Lookup(req.Interface, req.Operation)
+		sig, err := reg.Lookup(req.Interface, req.Operation)
 		if err != nil {
 			return nil, err
 		}
-		tc := op.ParamsType()
+		tc := sig.ParamsType()
 		body, err := cdr.Unmarshal(tc, req.Body, msg.Order)
 		if err != nil {
 			return nil, fmt.Errorf("smiop: unmarshal %s.%s params: %w",
@@ -642,20 +623,19 @@ func (s *Stream) unmarshal(giopBytes []byte) (*MessageVal, error) {
 	case giop.MsgReply:
 		rep := msg.Reply
 		val := &MessageVal{
-			Interface: s.expectedIface, Operation: s.expectedOp,
+			Interface: iface, Operation: op,
 			IsReply: true, Status: rep.Status, Exception: rep.Exception,
 			TC: cdr.Void, Msg: msg,
 		}
 		if rep.Status == giop.StatusNoException {
-			op, err := s.cfg.Registry.Lookup(s.expectedIface, s.expectedOp)
+			sig, err := reg.Lookup(iface, op)
 			if err != nil {
 				return nil, err
 			}
-			tc := op.ResultsType()
+			tc := sig.ResultsType()
 			body, err := cdr.Unmarshal(tc, rep.Body, msg.Order)
 			if err != nil {
-				return nil, fmt.Errorf("smiop: unmarshal %s.%s results: %w",
-					s.expectedIface, s.expectedOp, err)
+				return nil, fmt.Errorf("smiop: unmarshal %s.%s results: %w", iface, op, err)
 			}
 			val.Body = body
 			val.TC = tc

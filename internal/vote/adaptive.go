@@ -17,16 +17,11 @@ import (
 // more likely to mask a subtly wrong value, so Adaptive records the ε that
 // finally decided.
 type Adaptive struct {
-	n, f int
-	mode Mode
-	tc   *cdr.TypeCode
+	tc *cdr.TypeCode
 	// epsilons is the widening schedule, strictly increasing.
 	epsilons []float64
-
-	subs     []Submission
 	level    int
 	voter    *Voter
-	decision *Decision
 
 	// Metrics, if set before submissions arrive, records the ε that finally
 	// decided each vote in a histogram bucketed by the widening schedule —
@@ -45,69 +40,40 @@ func NewAdaptive(n, f int, mode Mode, tc *cdr.TypeCode, epsilons []float64) (*Ad
 			return nil, fmt.Errorf("vote: widening schedule must increase: %v", epsilons)
 		}
 	}
-	a := &Adaptive{n: n, f: f, mode: mode, tc: tc, epsilons: epsilons}
-	if err := a.rebuild(); err != nil {
+	v, err := NewVoter(Config{N: n, F: f, Mode: mode, Comparator: Inexact{TC: tc, Epsilon: epsilons[0]}})
+	if err != nil {
 		return nil, err
 	}
-	return a, nil
-}
-
-func (a *Adaptive) rebuild() error {
-	v, err := NewVoter(Config{
-		N: a.n, F: a.f, Mode: a.mode,
-		Comparator: Inexact{TC: a.tc, Epsilon: a.epsilons[a.level]},
-	})
-	if err != nil {
-		return err
-	}
-	for _, s := range a.subs {
-		if d, err := v.Submit(s); err != nil {
-			return err
-		} else if d != nil {
-			a.decision = d
-		}
-	}
-	a.voter = v
-	return nil
+	return &Adaptive{tc: tc, epsilons: epsilons, voter: v}, nil
 }
 
 // Epsilon returns the tolerance currently in force.
 func (a *Adaptive) Epsilon() float64 { return a.epsilons[a.level] }
 
 // Decision returns the decision, or nil while the vote is open.
-func (a *Adaptive) Decision() *Decision { return a.decision }
+func (a *Adaptive) Decision() *Decision { return a.voter.Decision() }
 
 // Submit records one member's value, escalating the tolerance when the
-// vote stalls at the current precision.
+// vote stalls at the current precision. Once decided, further submissions
+// only feed fault detection.
 func (a *Adaptive) Submit(s Submission) (*Decision, error) {
-	if a.decision != nil {
-		// Feed late submissions to the underlying voter for fault
-		// detection only.
-		_, err := a.voter.Submit(s)
-		return nil, err
-	}
-	a.subs = append(a.subs, s)
 	d, err := a.voter.Submit(s)
+	// Escalate while stalled (never once decided) and a wider tolerance
+	// remains.
+	for err == nil && d == nil && a.voter.Stalled() && a.level+1 < len(a.epsilons) {
+		a.level++
+		cfg := a.voter.cfg
+		cfg.Comparator = Inexact{TC: a.tc, Epsilon: a.epsilons[a.level]}
+		err = a.voter.Revote(cfg)
+		d = a.voter.Decision()
+	}
 	if err != nil {
 		return nil, err
 	}
 	if d != nil {
-		a.decision = d
 		a.recordDecision()
-		return d, nil
 	}
-	// Escalate while stalled and a wider tolerance remains.
-	for a.voter.Stalled() && a.level+1 < len(a.epsilons) {
-		a.level++
-		if err := a.rebuild(); err != nil {
-			return nil, err
-		}
-		if a.decision != nil {
-			a.recordDecision()
-			return a.decision, nil
-		}
-	}
-	return nil, nil
+	return d, nil
 }
 
 // recordDecision observes the deciding ε in the schedule-bucketed

@@ -2,22 +2,20 @@ package vote
 
 import "testing"
 
-func dsub(member int, digest string, full Value) DigestSubmission {
-	s := DigestSubmission{Member: member, Digest: []byte(digest), Raw: []byte{byte(member)}}
-	if full != nil {
-		s.Full = full
-	}
-	return s
+// digestVoter arms a digest vote of n members around responder. Its copies
+// are classed by digest alone, so the comparator never runs.
+func digestVoter(n, f, responder int) (*Voter, error) {
+	return NewVoter(Config{N: n, F: f, Comparator: ByteExact{}, Digest: true, Responder: responder})
 }
 
-// Value aliases cdr.Value through the package's existing use; declare a
-// local alias so the helper reads cleanly.
-type Value = any
+func dsub(member int, digest string, full any) Submission {
+	return Submission{Member: member, Digest: []byte(digest), Value: full, Raw: []byte{byte(member)}}
+}
 
-func TestDigestVoterHappyPath(t *testing.T) {
+func TestDigestVoteHappyPath(t *testing.T) {
 	// n=4 f=1, responder 2. Two matching digests plus the responder's full
 	// reply decide; the decision carries the full value.
-	v, err := NewDigestVoter(4, 1, 2)
+	v, err := digestVoter(4, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +47,10 @@ func TestDigestVoterHappyPath(t *testing.T) {
 	}
 }
 
-func TestDigestVoterNeverDecidesOnDigestsAlone(t *testing.T) {
+func TestDigestVoteNeverDecidesOnDigestsAlone(t *testing.T) {
 	// f+1 (even n-1) matching digests without the full reply must not
 	// decide: the voter has no bytes to return.
-	v, _ := NewDigestVoter(4, 1, 3)
+	v, _ := digestVoter(4, 1, 3)
 	for m := 0; m < 3; m++ {
 		if dec, _ := v.Submit(dsub(m, "D", nil)); dec != nil {
 			t.Fatal("decided without any full reply")
@@ -68,10 +66,10 @@ func TestDigestVoterNeverDecidesOnDigestsAlone(t *testing.T) {
 	}
 }
 
-func TestDigestVoterLyingResponderStalls(t *testing.T) {
+func TestDigestVoteLyingResponderStalls(t *testing.T) {
 	// The responder's full reply lands in a minority class; the honest
 	// digest class can never get reply bytes → stalled, caller falls back.
-	v, _ := NewDigestVoter(4, 1, 1)
+	v, _ := digestVoter(4, 1, 1)
 	v.Submit(dsub(0, "HONEST", nil))
 	v.Submit(dsub(1, "EVIL", "wrong-value"))
 	v.Submit(dsub(2, "HONEST", nil))
@@ -87,9 +85,9 @@ func TestDigestVoterLyingResponderStalls(t *testing.T) {
 	}
 }
 
-func TestDigestVoterScatterStalls(t *testing.T) {
+func TestDigestVoteScatterStalls(t *testing.T) {
 	// Platform float divergence: every member in its own class.
-	v, _ := NewDigestVoter(4, 1, 0)
+	v, _ := digestVoter(4, 1, 0)
 	v.Submit(dsub(0, "A", "full-a"))
 	v.Submit(dsub(1, "B", nil))
 	v.Submit(dsub(2, "C", nil))
@@ -105,21 +103,21 @@ func TestDigestVoterScatterStalls(t *testing.T) {
 	}
 }
 
-func TestDigestVoterValidation(t *testing.T) {
-	if _, err := NewDigestVoter(0, 0, 0); err == nil {
+func TestDigestVoteValidation(t *testing.T) {
+	if _, err := digestVoter(0, 0, 0); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := NewDigestVoter(4, 4, 0); err == nil {
+	if _, err := digestVoter(4, 4, 0); err == nil {
 		t.Error("n<f+1 accepted")
 	}
-	if _, err := NewDigestVoter(4, 1, 4); err == nil {
+	if _, err := digestVoter(4, 1, 4); err == nil {
 		t.Error("responder out of range accepted")
 	}
-	v, _ := NewDigestVoter(4, 1, 0)
+	v, _ := digestVoter(4, 1, 0)
 	if _, err := v.Submit(dsub(4, "D", nil)); err == nil {
 		t.Error("member out of range accepted")
 	}
-	if _, err := v.Submit(DigestSubmission{Member: 0}); err == nil {
+	if _, err := v.Submit(Submission{Member: 0, Value: "full"}); err == nil {
 		t.Error("empty digest accepted")
 	}
 	// Duplicate member: ignored, not an error.

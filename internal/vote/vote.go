@@ -22,7 +22,7 @@ package vote
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"itdos/internal/cdr"
 	"itdos/internal/quorum"
@@ -144,14 +144,29 @@ type Config struct {
 	// matching an unordered read on 2f+1 replicas guarantees the value
 	// intersects every ordered quorum (Castro–Liskov §read-only).
 	Threshold int
+	// Digest arms the reply-digest vote of the Castro–Liskov digest-reply
+	// optimisation, re-derived for heterogeneous replicas: only the
+	// designated Responder sends its full reply, every other member the
+	// digest of the *canonical re-marshalling* of its reply values — a
+	// digest over raw bytes would disagree exactly where byte-by-byte voting
+	// fails (paper §3.6). Digests count as supporters, but a class decides
+	// only once it also holds a full reply to return; a lying responder or
+	// scattered digests therefore surface as a stall, and the caller re-votes
+	// the full replies it holds under the plain rule (Revote).
+	Digest    bool
+	Responder int
 }
 
 // Submission is one member's message content for the vote.
 type Submission struct {
 	// Member is the source replication domain element index.
 	Member int
-	// Value is the unmarshalled message value.
+	// Value is the unmarshalled message value; in a digest vote, nil marks
+	// a digest-only copy.
 	Value cdr.Value
+	// Digest is the copy's canonical digest, which a digest vote classes
+	// copies by; a plain vote classes them with the Comparator.
+	Digest []byte
 	// Raw is the original message bytes (retained as evidence/proof for
 	// the Group Manager, paper §3.6).
 	Raw []byte
@@ -183,9 +198,12 @@ type FaultReport struct {
 }
 
 type class struct {
-	rep     Submission
+	// digest is what a digest vote's class members carry.
+	digest string
+	// rep indexes the class's first full copy in Voter.subs, -1 while it
+	// holds digests only; members index every copy, in arrival order.
+	rep     int
 	members []int
-	raws    [][]byte
 }
 
 // Voter runs one vote over submissions from a replication domain. It is
@@ -193,9 +211,11 @@ type class struct {
 // single-threaded delivery path, which is what makes voters deterministic
 // across replicas (paper §3.6).
 type Voter struct {
-	cfg      Config
+	cfg Config
+	// subs holds every accepted submission in arrival order: the one record
+	// of who has been seen, and what a re-vote replays.
+	subs     []Submission
 	classes  []*class
-	seen     map[int]bool
 	decision *Decision
 	decided  *class
 	faults   []FaultReport
@@ -220,11 +240,37 @@ func NewVoter(cfg Config) (*Voter, error) {
 		return nil, fmt.Errorf("vote: n=%d can never reach threshold %d (f=%d)",
 			cfg.N, cfg.Threshold, cfg.F)
 	}
-	return &Voter{cfg: cfg, seen: make(map[int]bool)}, nil
+	if cfg.Digest && (cfg.Responder < 0 || cfg.Responder >= cfg.N) {
+		return nil, fmt.Errorf("vote: responder %d out of range [0,%d)", cfg.Responder, cfg.N)
+	}
+	return &Voter{cfg: cfg, subs: make([]Submission, 0, cfg.N)}, nil
+}
+
+// Revote restarts the vote under cfg over the full copies accepted so far,
+// replayed in arrival order; digest-only copies are dropped. Widening an
+// adaptive vote's tolerance and the fallback from a stalled digest vote to
+// the plain one both re-vote this way, so copies already verified count
+// again without being re-sent.
+func (v *Voter) Revote(cfg Config) error {
+	nv, err := NewVoter(cfg)
+	if err != nil {
+		return err
+	}
+	old := *v
+	*v = *nv
+	for i := range old.subs {
+		if !old.full(&old.subs[i]) {
+			continue
+		}
+		if _, err := v.Submit(old.subs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Received returns how many distinct members have submitted.
-func (v *Voter) Received() int { return len(v.seen) }
+func (v *Voter) Received() int { return len(v.subs) }
 
 // Decided reports whether the vote has completed.
 func (v *Voter) Decided() bool { return v.decision != nil }
@@ -236,6 +282,19 @@ func (v *Voter) Decision() *Decision { return v.decision }
 // observed after a decision). The slice is shared; callers must not modify.
 func (v *Voter) Faults() []FaultReport { return v.faults }
 
+// full reports whether s carries a value the vote could return: every copy
+// of a plain vote does, a digest vote's only with its Value.
+func (v *Voter) full(s *Submission) bool { return !v.cfg.Digest || s.Value != nil }
+
+func (v *Voter) seen(member int) bool {
+	for i := range v.subs {
+		if v.subs[i].Member == member {
+			return true
+		}
+	}
+	return false
+}
+
 // Submit records one member's message. It returns the decision when this
 // submission completes the vote, or nil. Duplicate submissions from the
 // same member are ignored (the transport delivers each copy once; a
@@ -244,15 +303,19 @@ func (v *Voter) Submit(s Submission) (*Decision, error) {
 	if s.Member < 0 || s.Member >= v.cfg.N {
 		return nil, fmt.Errorf("vote: member %d out of range [0,%d)", s.Member, v.cfg.N)
 	}
-	if v.seen[s.Member] {
+	if v.cfg.Digest && len(s.Digest) == 0 {
+		return nil, fmt.Errorf("vote: member %d submitted an empty digest", s.Member)
+	}
+	if v.seen(s.Member) {
 		return nil, nil
 	}
-	v.seen[s.Member] = true
+	idx := len(v.subs)
+	v.subs = append(v.subs, s)
 
 	// Cluster with the first matching class (first-match, non-transitive).
 	var home *class
 	for _, c := range v.classes {
-		eq, err := v.cfg.Comparator.Equal(c.rep.Value, s.Value)
+		eq, err := v.matches(c, &s)
 		if err != nil {
 			return nil, fmt.Errorf("vote: compare member %d: %w", s.Member, err)
 		}
@@ -262,25 +325,33 @@ func (v *Voter) Submit(s Submission) (*Decision, error) {
 		}
 	}
 	if home == nil {
-		home = &class{rep: s}
+		home = &class{digest: string(s.Digest), rep: -1}
 		v.classes = append(v.classes, home)
 	}
-	home.members = append(home.members, s.Member)
-	home.raws = append(home.raws, s.Raw)
+	home.members = append(home.members, idx)
+	if home.rep < 0 && v.full(&s) {
+		home.rep = idx
+	}
 
 	if v.decision != nil {
 		// Late message after the decision: if it conflicts with the decided
 		// value, record a fault report (detection, paper §3.6).
 		if home != v.decided {
-			v.reportFault(s)
+			v.reportFault(idx)
 		}
 		return nil, nil
 	}
 	v.tryDecide()
-	if v.decision != nil {
-		return v.decision, nil
+	return v.decision, nil
+}
+
+// matches reports whether s joins class c: by digest in a digest vote, by
+// the Comparator against the class representative otherwise.
+func (v *Voter) matches(c *class, s *Submission) (bool, error) {
+	if v.cfg.Digest {
+		return c.digest == string(s.Digest), nil
 	}
-	return nil, nil
+	return v.cfg.Comparator.Equal(v.subs[c.rep].Value, s.Value)
 }
 
 func (v *Voter) tryDecide() {
@@ -288,16 +359,18 @@ func (v *Voter) tryDecide() {
 	case EagerFPlus1:
 		// Decide the moment any class has f+1 supporters.
 	case AfterQuorum:
-		if len(v.seen) < quorum.ReadOnly(v.cfg.F) {
+		if len(v.subs) < quorum.ReadOnly(v.cfg.F) {
 			return
 		}
 	case WaitAll:
-		if len(v.seen) < v.cfg.N {
+		if len(v.subs) < v.cfg.N {
 			return
 		}
 	}
 	for _, c := range v.classes {
-		if len(c.members) >= v.cfg.Threshold {
+		// A class of digests alone has no bytes to return: it waits for a
+		// full copy however many supporters it has.
+		if c.rep >= 0 && len(c.members) >= v.cfg.Threshold {
 			v.decide(c)
 			return
 		}
@@ -305,41 +378,38 @@ func (v *Voter) tryDecide() {
 }
 
 func (v *Voter) decide(c *class) {
-	type pair struct {
-		member int
-		raw    []byte
+	byMember := slices.Clone(c.members)
+	slices.SortFunc(byMember, func(a, b int) int { return v.subs[a].Member - v.subs[b].Member })
+	d := &Decision{
+		Value:         v.subs[c.rep].Value,
+		Raw:           v.subs[c.rep].Raw,
+		Supporters:    make([]int, len(byMember)),
+		SupporterRaws: make([][]byte, len(byMember)),
+		Received:      len(v.subs),
 	}
-	pairs := make([]pair, len(c.members))
-	for i, m := range c.members {
-		pairs[i] = pair{member: m, raw: c.raws[i]}
+	for i, j := range byMember {
+		d.Supporters[i], d.SupporterRaws[i] = v.subs[j].Member, v.subs[j].Raw
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].member < pairs[j].member })
-	supporters := make([]int, len(pairs))
-	raws := make([][]byte, len(pairs))
-	for i, p := range pairs {
-		supporters[i] = p.member
-		raws[i] = p.raw
-	}
-	v.decided = c
-	v.decision = &Decision{
-		Value:         c.rep.Value,
-		Raw:           c.rep.Raw,
-		Supporters:    supporters,
-		SupporterRaws: raws,
-		Received:      len(v.seen),
-	}
+	v.decided, v.decision = c, d
 	// Everyone already clustered outside the decided class conflicts.
 	for _, other := range v.classes {
 		if other == c {
 			continue
 		}
-		for i, m := range other.members {
-			v.reportFault(Submission{Member: m, Value: other.rep.Value, Raw: other.raws[i]})
+		for _, j := range other.members {
+			v.reportFault(j)
 		}
 	}
 }
 
-func (v *Voter) reportFault(s Submission) {
+// reportFault files a conflicting copy. Only a full copy is reported: a bare
+// digest does not reveal the value it commits to, so it is no evidence the
+// Group Manager could re-vote — the fallback's full vote re-detects it.
+func (v *Voter) reportFault(idx int) {
+	s := &v.subs[idx]
+	if !v.full(s) {
+		return
+	}
 	v.faults = append(v.faults, FaultReport{
 		Member:      s.Member,
 		Evidence:    s.Raw,
@@ -350,20 +420,25 @@ func (v *Voter) reportFault(s Submission) {
 
 // Stalled reports whether the vote can no longer decide even if all
 // remaining members submit — possible when values scatter across classes
-// (e.g. exact voting over heterogeneous floats). Callers use this to fall
-// back or to widen tolerance (adaptive voting).
+// (e.g. exact voting over heterogeneous floats), or when no class that holds
+// a full copy can reach the threshold once the digest vote's responder has
+// answered. Callers use this to fall back or to widen tolerance (adaptive
+// voting).
 func (v *Voter) Stalled() bool {
 	if v.decision != nil {
 		return false
 	}
-	remaining := v.cfg.N - len(v.seen)
-	best := 0
+	remaining := v.cfg.N - len(v.subs)
+	// Whether a member that sends full copies has yet to answer.
+	fullPending := !v.cfg.Digest || !v.seen(v.cfg.Responder)
 	for _, c := range v.classes {
-		if len(c.members) > best {
-			best = len(c.members)
+		if (c.rep >= 0 || fullPending) && len(c.members)+remaining >= v.cfg.Threshold {
+			return false
 		}
 	}
-	return best+remaining < v.cfg.Threshold
+	// A member yet to answer could still open a fresh class with its full
+	// copy and the remaining members' support.
+	return !fullPending || remaining < v.cfg.Threshold
 }
 
 // Approval implements Parhami's third voting category [31]: instead of

@@ -271,18 +271,28 @@ func TestConnectionVoterRequestIDDiscipline(t *testing.T) {
 	}
 }
 
-// TestConnectionVoterReopen: a Reopen restarts the outstanding vote with
-// fresh state under the policy it is given, and never moves the id.
+// TestConnectionVoterReopen: a Reopen never moves the id. From a digest vote
+// to the plain rule it re-votes the full copies already accepted; a Reopen
+// that keeps the rule starts with fresh state.
 func TestConnectionVoterReopen(t *testing.T) {
 	cv, err := NewConnectionVoter(4, 1, EagerFPlus1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cv.Expect(5, nil, Policy{Digest: true, Responder: 1}); err != nil {
+	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{Digest: true, Responder: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if cv.DigestVoter() == nil || cv.Voter() != nil {
-		t.Fatal("digest policy did not arm a digest voter")
+	if _, err := cv.Submit(5, Submission{Member: 0, Value: dv(1.0)}); err == nil {
+		t.Fatal("digest policy did not arm a digest vote: a copy without a digest was accepted")
+	}
+	if _, err := cv.Submit(5, Submission{Member: 1, Value: dv(1.0), Digest: []byte("D")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cv.Submit(5, Submission{Member: 3, Digest: []byte("D")}); err != nil {
+		t.Fatal(err)
+	}
+	if !cv.Decided() {
+		t.Fatal("responder's full reply and a matching digest did not decide")
 	}
 	if err := cv.Expect(6, Exact{TC: doubleTC}, Policy{Reopen: true}); err == nil {
 		t.Fatal("reopen moved the request id")
@@ -290,8 +300,8 @@ func TestConnectionVoterReopen(t *testing.T) {
 	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{Reopen: true, Threshold: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if cv.DigestVoter() != nil || cv.Voter() == nil || cv.CurrentID() != 5 {
-		t.Fatal("reopen did not replace the digest vote with a full vote for id 5")
+	if cv.Decided() || cv.Voter().Received() != 1 || cv.CurrentID() != 5 {
+		t.Fatalf("reopen did not re-vote the one full copy for id 5 (received %d)", cv.Voter().Received())
 	}
 	for m := 0; m < 2; m++ {
 		if d, _ := cv.Submit(5, Submission{Member: m, Value: dv(1.0)}); d != nil {
@@ -300,6 +310,12 @@ func TestConnectionVoterReopen(t *testing.T) {
 	}
 	if d, _ := cv.Submit(5, Submission{Member: 2, Value: dv(1.0)}); d == nil || !cv.Decided() {
 		t.Fatal("threshold 3 vote did not decide on 3 matching copies")
+	}
+	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{Reopen: true}); err != nil {
+		t.Fatal(err)
+	}
+	if cv.Decided() || cv.Voter().Received() != 0 {
+		t.Fatal("a reopen under the plain rule kept the previous plain vote's copies")
 	}
 }
 
