@@ -3,6 +3,7 @@ package pbft
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -11,8 +12,23 @@ import (
 // input with an error — never a panic — and any pre-prepare it accepts must
 // survive an encode → decode round trip unchanged. The seeds pin the wire
 // compatibility story: a single-request batch encodes byte-identically to
-// the legacy boolean-octet form, so pre-batching corpora stay valid.
+// the legacy boolean-octet form, so pre-batching corpora stay valid. Every
+// message type's golden sample seeds the corpus too, and so does a count one
+// past maxProofEntries at each of the six list positions
+// (TestDecodeRefusesOverlongLists checks those are refused).
 func FuzzPrePrepareDecode(f *testing.F) {
+	seeds := overlongLists()
+	for name, m := range wireSamples(f) {
+		seeds[name] = Encode(m)
+	}
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(seeds[name])
+	}
 	single := &Request{ClientID: "client:0", ClientSeq: 1, Op: []byte("legacy-op")}
 	pair := []*Request{
 		{ClientID: "client:0", ClientSeq: 2, Op: []byte("batch-a")},
