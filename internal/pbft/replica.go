@@ -2,12 +2,10 @@ package pbft
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"time"
 
-	"itdos/internal/cdr"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/quorum"
@@ -44,31 +42,6 @@ type App interface {
 type Captured interface {
 	Digest() Digest
 	Bytes() []byte
-}
-
-// checkpointState is what this replica keeps of one of its own checkpoints.
-// digest is the StateDigest its Checkpoint message certifies:
-// H("itdos/pbft-state/2" ‖ app digest ‖ H(clients)).
-type checkpointState struct {
-	digest  Digest
-	app     Captured
-	clients []byte // client table, canonical (see clientTableBytes)
-	// wire is the encoded, signed StateData answering a FetchState, built
-	// when the first peer asks; servedAt is this replica's lastExec when it
-	// last answered each peer. Both go with the record in stabilise.
-	wire     []byte
-	servedAt map[ReplicaID]uint64
-}
-
-// stateDigest combines an application digest and a serialised client table
-// into the digest a checkpoint certifies.
-func stateDigest(app Digest, clients []byte) Digest {
-	table := sha256.Sum256(clients)
-	b := make([]byte, 0, 96)
-	b = append(b, "itdos/pbft-state/2"...)
-	b = append(b, app[:]...)
-	b = append(b, table[:]...)
-	return sha256.Sum256(b)
 }
 
 // Env is the world a replica talks to. Implementations exist for the
@@ -428,94 +401,6 @@ func (r *Replica) isPrimary() bool { return r.Primary(r.view) == r.cfg.ID }
 
 func (r *Replica) quorum() int { return quorum.Prepared(r.cfg.N, r.cfg.F) }
 
-// HandleMessage decodes, authenticates and dispatches one wire message.
-// Malformed or badly-authenticated messages are dropped (Byzantine senders
-// own this code path; it must never panic or corrupt state). A phase message
-// or checkpoint that would be dropped unread is dropped before it is
-// authenticated: once a round has its quorum, the stragglers are most of the
-// phase traffic.
-func (r *Replica) HandleMessage(data []byte) {
-	m, err := Decode(data)
-	if err != nil {
-		return
-	}
-	if r.stalePhase(m) || !r.verify(m) {
-		return
-	}
-	r.dispatch(m)
-}
-
-// verify authenticates m as received by this replica of its group.
-func (r *Replica) verify(m Message) bool {
-	return verifyIn(r.cfg.Auth, m, r.cfg.ID, r.cfg.N)
-}
-
-// stalePhase reports whether m is a prepare, commit or checkpoint that
-// cannot change state whatever its authenticator: a phase message not of the
-// current view in normal operation, outside the window, a prepare claiming
-// to be the primary's (the pre-prepare stands in for it), a second one from
-// the same replica, or for an entry already executed; a checkpoint at or
-// below the stable one, or a second one from the same replica. It reads
-// plain fields only and creates nothing.
-func (r *Replica) stalePhase(m Message) bool {
-	var view, seq uint64
-	var from ReplicaID
-	prepare := false
-	switch msg := m.(type) {
-	case *Prepare:
-		view, seq, from, prepare = msg.View, msg.Seq, msg.Replica, true
-	case *Commit:
-		view, seq, from = msg.View, msg.Seq, msg.Replica
-	case *Checkpoint:
-		_, dup := r.checkpoints[msg.Seq][msg.Replica]
-		return dup || msg.Seq <= r.lowWater
-	default:
-		return false
-	}
-	if r.inViewChange || view != r.view || !r.inWindow(seq) {
-		return true
-	}
-	if prepare && from == r.Primary(view) {
-		return true
-	}
-	en := r.log[seq]
-	if en == nil {
-		return false
-	}
-	dup := false
-	if prepare {
-		_, dup = en.prepares[from]
-	} else {
-		_, dup = en.commits[from]
-	}
-	return dup || en.executed
-}
-
-func (r *Replica) dispatch(m Message) {
-	switch msg := m.(type) {
-	case *Request:
-		r.onRequest(msg)
-	case *PrePrepare:
-		r.onPrePrepare(msg)
-	case *Prepare:
-		r.recordPrepare(msg)
-	case *Commit:
-		r.recordCommit(msg)
-	case *Checkpoint:
-		r.recordCheckpoint(msg)
-	case *ViewChange:
-		r.onViewChange(msg)
-	case *NewView:
-		r.onNewView(msg)
-	case *FetchState:
-		r.onFetchState(msg)
-	case *StateData:
-		r.onStateData(msg)
-	case *FetchEntry:
-		r.onFetchEntry(msg)
-	}
-}
-
 // sign authenticates m as sent by this replica to its group, or to the
 // client a reply names.
 func (r *Replica) sign(m Message) { signIn(r.cfg.Auth, m, r.cfg.N) }
@@ -764,32 +649,6 @@ func (r *Replica) onPrePrepare(pp *PrePrepare) {
 	r.armTimer()
 }
 
-// validBatch checks a pre-prepare's piggybacked batch against its digest:
-// the digest must cover the batch, every request must carry a valid client
-// signature, and a Byzantine primary may not stuff the same request into a
-// batch twice. An empty batch must carry the null digest (view-change gap
-// filler).
-func (r *Replica) validBatch(pp *PrePrepare) bool {
-	if len(pp.Requests) == 0 {
-		return pp.Digest.IsNull()
-	}
-	if BatchDigest(pp.Requests) != pp.Digest {
-		return false
-	}
-	seen := make(map[Digest]bool, len(pp.Requests))
-	for _, req := range pp.Requests {
-		d := req.Digest()
-		if seen[d] {
-			return false
-		}
-		seen[d] = true
-		if !r.verify(req) {
-			return false
-		}
-	}
-	return true
-}
-
 func (r *Replica) acceptPrePrepare(pp *PrePrepare) {
 	en := r.entryAt(pp.Seq)
 	en.prePrepare = pp
@@ -996,145 +855,6 @@ func (r *Replica) executeEntry(seq uint64, en *entry) {
 	}
 }
 
-// clientTableBytes canonically serialises the client table, which is part of
-// replicated state (at-most-once semantics must survive a state transfer, as
-// in Castro–Liskov): every record, sorted by client id. Deliberately the
-// simple form — tens of bytes per client, re-serialised per checkpoint.
-func (r *Replica) clientTableBytes() []byte {
-	ids := make([]string, 0, len(r.clientTable))
-	for id := range r.clientTable {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULong(uint32(len(ids)))
-	for _, id := range ids {
-		rec := r.clientTable[id]
-		e.WriteString(id)
-		e.WriteULongLong(rec.seq)
-		e.WriteBoolean(rec.hasReply)
-		e.WriteOctets(rec.result)
-	}
-	return e.Bytes()
-}
-
-// minClientRecordBytes is the least a client record occupies on the wire
-// (empty id and result): what bounds a received table's claimed count.
-const minClientRecordBytes = 4 + 1 + 8 + 1 + 4
-
-func decodeClientTable(buf []byte) (map[string]*clientRecord, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("pbft: state client table: %w", err)
-	}
-	if int(n) > d.Remaining()/minClientRecordBytes {
-		return nil, fmt.Errorf("pbft: client table of %d records in %d bytes", n, d.Remaining())
-	}
-	table := make(map[string]*clientRecord, n)
-	for i := 0; i < int(n); i++ {
-		id, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		rec := &clientRecord{}
-		if rec.seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if rec.hasReply, err = d.ReadBoolean(); err != nil {
-			return nil, err
-		}
-		if rec.result, err = readOctetsCopy(d); err != nil {
-			return nil, err
-		}
-		table[id] = rec
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("pbft: state client table: %d trailing bytes", d.Remaining())
-	}
-	return table, nil
-}
-
-// captureState records replica state as of now: the application by
-// reference, the client table by value.
-func (r *Replica) captureState() *checkpointState {
-	app := r.app.Capture()
-	clients := r.clientTableBytes()
-	r.mCkptSerialised.Add(uint64(len(clients)))
-	r.mCkptHashed.Add(uint64(len(clients)))
-	return &checkpointState{digest: stateDigest(app.Digest(), clients), app: app, clients: clients}
-}
-
-// splitState parses the state a StateData carries — the application
-// snapshot, then the client table — into its two byte strings.
-func splitState(buf []byte) (app, clients []byte, err error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	if app, err = d.ReadOctets(); err != nil {
-		return nil, nil, fmt.Errorf("pbft: state snapshot: %w", err)
-	}
-	if clients, err = d.ReadOctets(); err != nil {
-		return nil, nil, fmt.Errorf("pbft: state client table: %w", err)
-	}
-	if d.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("pbft: state: %d trailing bytes", d.Remaining())
-	}
-	return app, clients, nil
-}
-
-func (r *Replica) takeCheckpoint(seq uint64) {
-	cs := r.captureState()
-	r.snapshots[seq] = cs
-	c := &Checkpoint{Seq: seq, StateDigest: cs.digest, Replica: r.cfg.ID}
-	r.broadcast(c)
-	r.mCheckpoints.Inc()
-	r.recordCheckpoint(c)
-}
-
-func (r *Replica) recordCheckpoint(c *Checkpoint) {
-	byRep := r.checkpoints[c.Seq]
-	if byRep == nil {
-		byRep = make(map[ReplicaID]*Checkpoint)
-		r.checkpoints[c.Seq] = byRep
-	}
-	if _, dup := byRep[c.Replica]; dup {
-		return
-	}
-	byRep[c.Replica] = c
-	// Count matching digests. At most one digest can reach quorum
-	// (2·(2f+1) > 3f+1), but walk candidates in sorted order anyway so the
-	// control flow never depends on map iteration order.
-	counts := make(map[Digest][]*Checkpoint)
-	for _, cp := range byRep {
-		counts[cp.StateDigest] = append(counts[cp.StateDigest], cp)
-	}
-	digests := make([]Digest, 0, len(counts))
-	for d := range counts {
-		digests = append(digests, d)
-	}
-	sort.Slice(digests, func(i, j int) bool {
-		return bytes.Compare(digests[i][:], digests[j][:]) < 0
-	})
-	for _, digest := range digests {
-		cps := counts[digest]
-		if len(cps) < r.quorum() {
-			continue
-		}
-		sort.Slice(cps, func(i, j int) bool { return cps[i].Replica < cps[j].Replica })
-		proof := cps[:r.quorum()]
-		if c.Seq > r.lastExec {
-			// We are behind the group: transfer state.
-			r.requestState(c.Seq, proof)
-			return
-		}
-		// Only stabilise on our own digest; a mismatch means divergence
-		// (should be impossible for a correct replica).
-		if own, ok := r.snapshots[c.Seq]; ok && own.digest == digest {
-			r.stabilise(c.Seq, proof)
-		}
-		return
-	}
-}
-
 // pruneOutstanding drops forwarded requests that have since executed —
 // locally or, after state transfer, remotely (visible in the client
 // table). Without this a replica whose requests were satisfied by state
@@ -1149,221 +869,6 @@ func (r *Replica) pruneOutstanding() {
 	if len(r.outstanding) == 0 {
 		r.disarmTimer()
 	}
-}
-
-func (r *Replica) stabilise(seq uint64, proof []*Checkpoint) {
-	if seq <= r.lowWater {
-		return
-	}
-	r.lowWater = seq
-	r.stableProof = append([]*Checkpoint(nil), proof...)
-	for s := range r.log {
-		if s <= seq {
-			delete(r.log, s)
-		}
-	}
-	for s := range r.checkpoints {
-		if s <= seq {
-			delete(r.checkpoints, s)
-		}
-	}
-	for s := range r.snapshots {
-		if s < seq {
-			delete(r.snapshots, s)
-		}
-	}
-	r.reindexLog()
-	r.flushPending(nil)
-}
-
-// --- state transfer ---
-
-// Recover models a proactive restart from clean state (SecureSMART-style
-// periodic hygiene): every piece of soft ordering state — the message
-// log, collected checkpoints, snapshots, client table, and application
-// state — is discarded, and the replica rebuilds from a proven peer
-// checkpoint. Only the configuration and identity key survive, as they
-// would a real restart from read-only storage. The replica immediately
-// solicits state from its peers; if none has a stable checkpoint yet, the
-// next checkpoint quorum it observes triggers the normal lag-driven state
-// transfer instead. OnRecovered fires once the replica has both restored
-// a proven checkpoint and executed a normally committed entry beyond it;
-// until then the replica abstains from initiating view changes (it cannot
-// distinguish a faulty primary from its own missing history) and the
-// group's liveness rests on the non-recovering 2f+1. A recovery therefore
-// completes only while the group is ordering traffic.
-//
-// The caller (the intrusion-tolerance controller) is responsible for
-// rotation discipline: at most f replicas of a group recovering at once,
-// and not the active primary, so the remaining 2f+1 keep the watermark
-// window live while the recovering replica is out.
-func (r *Replica) Recover() {
-	r.mRecoveries.Inc()
-	r.record(flight.KindRecoveryStart, r.view, r.lastExec, "")
-	r.recovering = true
-	// r.view deliberately survives; peers' traffic re-teaches it anyway.
-	r.seq = 0
-	r.lastExec = 0
-	r.lowWater = 0
-	r.log = make(map[uint64]*entry)
-	r.checkpoints = make(map[uint64]map[ReplicaID]*Checkpoint)
-	r.stableProof = nil
-	r.clientTable = make(map[string]*clientRecord)
-	r.outstanding = make(map[Digest]*Request)
-	r.pending = nil
-	r.pendingSet = make(map[Digest]bool)
-	r.ppIndex = make(map[Digest]uint64)
-	r.viewChanges = make(map[uint64]map[ReplicaID]*ViewChange)
-	r.inViewChange = false
-	r.fetchSeq = 0
-	// Speculative state is soft state like the rest: the app reset below
-	// discards tentative executions along with everything else.
-	r.specExec = 0
-	r.clearSpecSession()
-	if ra, ok := r.app.(interface{ Reset() }); ok {
-		ra.Reset()
-	}
-	r.snapshots = map[uint64]*checkpointState{0: r.captureState()}
-	// Ask every peer for its stable checkpoint. fetchSeq stays 0 so a
-	// later checkpoint quorum can still drive requestState if nobody
-	// answers (e.g. no checkpoint has stabilised yet).
-	r.mStateTransfers.Inc()
-	r.broadcast(&FetchState{Seq: 1, Replica: r.cfg.ID})
-}
-
-// Recovering reports whether a Recover-initiated rebuild is still in
-// progress.
-func (r *Replica) Recovering() bool { return r.recovering }
-
-func (r *Replica) requestState(seq uint64, proof []*Checkpoint) {
-	if seq <= r.fetchSeq {
-		return
-	}
-	r.fetchSeq = seq
-	r.mStateTransfers.Inc()
-	fs := &FetchState{Seq: seq, Replica: r.cfg.ID}
-	r.sign(fs)
-	data := Encode(fs)
-	for _, cp := range proof {
-		if cp.Replica != r.cfg.ID {
-			r.env.SendReplica(cp.Replica, data)
-		}
-	}
-}
-
-// onFetchState answers with the stable checkpoint's state. The bytes are
-// serialised and signed once per stable checkpoint, when the first peer
-// asks, and a peer that asks again is answered again only after this
-// replica has executed something since: a repeated FetchState costs a
-// correct replica nothing, while a requester whose reply was lost is still
-// served once the group moves.
-func (r *Replica) onFetchState(fs *FetchState) {
-	if r.lowWater < fs.Seq || len(r.stableProof) == 0 {
-		return
-	}
-	cs, ok := r.snapshots[r.lowWater]
-	if !ok {
-		return
-	}
-	if at, asked := cs.servedAt[fs.Replica]; asked && at == r.lastExec {
-		return
-	}
-	if cs.wire == nil {
-		app := cs.app.Bytes()
-		r.mCkptSerialised.Add(uint64(len(app)))
-		e := cdr.NewEncoder(cdr.BigEndian)
-		e.WriteOctets(app)
-		e.WriteOctets(cs.clients)
-		sd := &StateData{
-			Seq: r.lowWater, Snapshot: e.Bytes(),
-			Proof: r.stableProof, Replica: r.cfg.ID,
-		}
-		r.sign(sd)
-		cs.wire = Encode(sd)
-		cs.servedAt = make(map[ReplicaID]uint64)
-	}
-	cs.servedAt[fs.Replica] = r.lastExec
-	r.env.SendReplica(fs.Replica, cs.wire)
-}
-
-// onStateData installs a peer's stable checkpoint. Nothing changes until the
-// received bytes have been parsed, digested (App.SnapshotDigest and the
-// client table's hash, no side effects) and matched against 2f+1 signed
-// checkpoints: Restore replaces the application wholesale and, for the SRM
-// queue, replays it to the consumer.
-func (r *Replica) onStateData(sd *StateData) {
-	if sd.Seq <= r.lastExec {
-		return
-	}
-	app, clients, err := splitState(sd.Snapshot)
-	if err != nil {
-		r.mRejectDecode.Inc()
-		return
-	}
-	appDigest, err := r.app.SnapshotDigest(app)
-	if err != nil {
-		r.mRejectDecode.Inc()
-		return
-	}
-	digest := stateDigest(appDigest, clients)
-	r.mCkptHashed.Add(uint64(len(app) + len(clients)))
-	for _, cp := range sd.Proof {
-		if cp.Seq == sd.Seq && cp.StateDigest != digest {
-			r.mRejectDigest.Inc() // not the state this certificate names
-			return
-		}
-	}
-	if !r.verifyCheckpointProof(sd.Seq, digest, sd.Proof) {
-		r.mRejectProof.Inc()
-		return
-	}
-	table, err := decodeClientTable(clients)
-	if err != nil {
-		r.mRejectDecode.Inc()
-		return
-	}
-	// The restore below replaces application state wholesale; any
-	// speculative suffix built on the old state is void.
-	r.dropSpeculation()
-	if err := r.app.Restore(app); err != nil {
-		r.mRejectDecode.Inc()
-		return
-	}
-	r.clientTable = table
-	r.lastExec = sd.Seq
-	r.snapshots[sd.Seq] = &checkpointState{digest: digest, app: r.app.Capture(), clients: clients}
-	r.stabilise(sd.Seq, sd.Proof)
-	if r.seq < sd.Seq {
-		r.seq = sd.Seq
-	}
-	// Anything we thought was outstanding may have executed remotely.
-	r.pruneOutstanding()
-	r.tryExecute()
-	// Note recovery is NOT declared complete here: a restored checkpoint
-	// proves nothing about requests ordered since it was taken, and a
-	// replica that resumed view-change duty while still gapped would
-	// start spurious view changes. executeEntry clears recovering on the
-	// first normally committed execution — definitive proof the replica
-	// is contiguous with the live ordering stream again.
-}
-
-// verifyCheckpointProof checks a 2f+1 matching, correctly signed
-// checkpoint certificate.
-func (r *Replica) verifyCheckpointProof(seq uint64, digest Digest, proof []*Checkpoint) bool {
-	seen := make(map[ReplicaID]bool)
-	for _, cp := range proof {
-		if cp.Seq != seq || cp.StateDigest != digest || seen[cp.Replica] {
-			return false
-		}
-		if cp.Replica < 0 || int(cp.Replica) >= r.cfg.N {
-			return false
-		}
-		if !r.verify(cp) {
-			return false
-		}
-		seen[cp.Replica] = true
-	}
-	return len(seen) >= r.quorum()
 }
 
 // --- timers ---
