@@ -38,16 +38,20 @@ func p1Measure(k, maxBatch int, m *obs.Registry) (p1Point, error) {
 	if err != nil {
 		return p1Point{}, err
 	}
-	pool, err := srm.NewSenderPool(dom, "bench-client", "bench/tx", k, ring, 200*time.Millisecond)
-	if err != nil {
-		return p1Point{}, err
-	}
 	acks := 0
 	measuring := false
 	var waveStart time.Duration
 	var latSum time.Duration
 	latN := 0
-	for _, s := range pool.Senders {
+	// k independent senders, each a PBFT client with one request in flight:
+	// concurrency is a pool of clients, as a multi-threaded ORB endpoint
+	// would look to the ordering layer.
+	senders := make([]*srm.Sender, k)
+	for i := range senders {
+		s, err := srm.NewSender(dom, fmt.Sprintf("bench-client-%d", i), fmt.Sprintf("bench/tx/%d", i), ring, 200*time.Millisecond)
+		if err != nil {
+			return p1Point{}, err
+		}
 		s.OnAck = func(uint64) {
 			acks++
 			if measuring {
@@ -55,12 +59,15 @@ func p1Measure(k, maxBatch int, m *obs.Registry) (p1Point, error) {
 				latN++
 			}
 		}
+		senders[i] = s
 	}
 	wave := func() error {
 		waveStart = net.Now()
 		want := acks + k
-		if started := pool.SendAll([]byte(p1Payload)); started != k {
-			return fmt.Errorf("p1: only %d of %d sends started", started, k)
+		for _, s := range senders {
+			if _, err := s.Send([]byte(p1Payload)); err != nil {
+				return err
+			}
 		}
 		return net.RunUntil(func() bool { return acks >= want }, 5_000_000)
 	}

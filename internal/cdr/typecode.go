@@ -208,20 +208,3 @@ func (tc *TypeCode) Equal(other *TypeCode) bool {
 		return true
 	}
 }
-
-// alignment returns the CDR alignment requirement for the kind's primitive
-// representation, in bytes.
-func (k Kind) alignment() int {
-	switch k {
-	case KindBoolean, KindOctet:
-		return 1
-	case KindShort, KindUShort:
-		return 2
-	case KindLong, KindULong, KindFloat, KindString, KindSequence, KindEnum:
-		return 4
-	case KindLongLong, KindULongLong, KindDouble:
-		return 8
-	default:
-		return 1
-	}
-}

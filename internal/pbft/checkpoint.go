@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -122,38 +121,28 @@ func (r *Replica) recordCheckpoint(c *Checkpoint) {
 		return
 	}
 	byRep[c.Replica] = c
-	// Count matching digests. At most one digest can reach quorum
-	// (2·(2f+1) > 3f+1), but walk candidates in sorted order anyway so the
-	// control flow never depends on map iteration order.
-	counts := make(map[Digest][]*Checkpoint)
+	// Only the arriving checkpoint's digest can have just reached quorum; at
+	// most one digest can reach it at all (2·(2f+1) > 3f+1).
+	var proof []*Checkpoint
 	for _, cp := range byRep {
-		counts[cp.StateDigest] = append(counts[cp.StateDigest], cp)
+		if cp.StateDigest == c.StateDigest {
+			proof = append(proof, cp)
+		}
 	}
-	digests := make([]Digest, 0, len(counts))
-	for d := range counts {
-		digests = append(digests, d)
-	}
-	sort.Slice(digests, func(i, j int) bool {
-		return bytes.Compare(digests[i][:], digests[j][:]) < 0
-	})
-	for _, digest := range digests {
-		cps := counts[digest]
-		if len(cps) < r.quorum() {
-			continue
-		}
-		sort.Slice(cps, func(i, j int) bool { return cps[i].Replica < cps[j].Replica })
-		proof := cps[:r.quorum()]
-		if c.Seq > r.lastExec {
-			// We are behind the group: transfer state.
-			r.requestState(c.Seq, proof)
-			return
-		}
-		// Only stabilise on our own digest; a mismatch means divergence
-		// (should be impossible for a correct replica).
-		if own, ok := r.snapshots[c.Seq]; ok && own.digest == digest {
-			r.stabilise(c.Seq, proof)
-		}
+	if len(proof) < r.quorum() {
 		return
+	}
+	sort.Slice(proof, func(i, j int) bool { return proof[i].Replica < proof[j].Replica })
+	proof = proof[:r.quorum()]
+	if c.Seq > r.lastExec {
+		// We are behind the group: transfer state.
+		r.requestState(c.Seq, proof)
+		return
+	}
+	// Only stabilise on our own digest; a mismatch means divergence (should
+	// be impossible for a correct replica).
+	if own, ok := r.snapshots[c.Seq]; ok && own.digest == c.StateDigest {
+		r.stabilise(c.Seq, proof)
 	}
 }
 

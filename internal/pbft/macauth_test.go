@@ -479,13 +479,13 @@ func TestSelectiveAuthenticatorGainsNothing(t *testing.T) {
 
 // countingClientEnv counts a client's retransmissions.
 type countingClientEnv struct {
-	*SimClientEnv
+	*SimReplicaEnv
 	broadcasts int
 }
 
 func (e *countingClientEnv) Broadcast(data []byte) {
 	e.broadcasts++
-	e.SimClientEnv.Broadcast(data)
+	e.SimReplicaEnv.Broadcast(data)
 }
 
 // TestLyingViewCannotSteerClient: replica 3 answers every request with a
@@ -498,7 +498,7 @@ func (e *countingClientEnv) Broadcast(data []byte) {
 func TestLyingViewCannotSteerClient(t *testing.T) {
 	h := newHarness(t, 4, 1, 19)
 	liar := h.group.Addrs[3]
-	env := &countingClientEnv{SimClientEnv: NewSimClientEnv(h.net, "client/hint", h.group.Addrs)}
+	env := &countingClientEnv{SimReplicaEnv: &SimReplicaEnv{net: h.net, self: "client/hint", addrs: h.group.Addrs, selfIdx: -1}}
 	priv, err := GenerateIdentity("client:hint", h.ring)
 	if err != nil {
 		t.Fatal(err)

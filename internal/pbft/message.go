@@ -180,8 +180,7 @@ func (m *PrePrepare) marshal(e *cdr.Encoder) {
 	for _, req := range m.Requests {
 		req.marshal(e)
 	}
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *PrePrepare) unmarshal(d *cdr.Decoder) error {
@@ -208,11 +207,7 @@ func (m *PrePrepare) unmarshal(d *cdr.Decoder) error {
 			}
 		}
 	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 // BatchDigest returns the digest a pre-prepare must carry for the given
@@ -257,7 +252,8 @@ func (m *Prepare) marshal(e *cdr.Encoder) { marshalPhase(e, m.View, m.Seq, m.Dig
 func (m *Prepare) unmarshal(d *cdr.Decoder) error {
 	return unmarshalPhase(d, &m.View, &m.Seq, &m.Digest, &m.Replica, &m.Sig)
 }
-func (m *Prepare) sigRef() *[]byte { return &m.Sig }
+func (m *Prepare) sigRef() *[]byte         { return &m.Sig }
+func (m *Prepare) phase() (uint64, Digest) { return m.View, m.Digest }
 
 // SenderKey implements Message.
 func (m *Prepare) SenderKey() string { return replicaKey(m.Replica) }
@@ -278,7 +274,8 @@ func (m *Commit) marshal(e *cdr.Encoder) { marshalPhase(e, m.View, m.Seq, m.Dige
 func (m *Commit) unmarshal(d *cdr.Decoder) error {
 	return unmarshalPhase(d, &m.View, &m.Seq, &m.Digest, &m.Replica, &m.Sig)
 }
-func (m *Commit) sigRef() *[]byte { return &m.Sig }
+func (m *Commit) sigRef() *[]byte         { return &m.Sig }
+func (m *Commit) phase() (uint64, Digest) { return m.View, m.Digest }
 
 // SenderKey implements Message.
 func (m *Commit) SenderKey() string { return replicaKey(m.Replica) }
@@ -347,8 +344,7 @@ func (*Checkpoint) Type() MsgType { return MTCheckpoint }
 func (m *Checkpoint) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.Seq)
 	e.WriteOctets(m.StateDigest[:])
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *Checkpoint) unmarshal(d *cdr.Decoder) error {
@@ -359,11 +355,7 @@ func (m *Checkpoint) unmarshal(d *cdr.Decoder) error {
 	if err = readDigest(d, &m.StateDigest); err != nil {
 		return err
 	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 func (m *Checkpoint) sigRef() *[]byte { return &m.Sig }
@@ -380,32 +372,16 @@ type PreparedProof struct {
 
 func (p *PreparedProof) marshal(e *cdr.Encoder) {
 	p.PrePrepare.marshal(e)
-	e.WriteULong(uint32(len(p.Prepares)))
-	for _, pr := range p.Prepares {
-		pr.marshal(e)
-	}
+	writeList(e, p.Prepares)
 }
 
 func (p *PreparedProof) unmarshal(d *cdr.Decoder) error {
 	p.PrePrepare = &PrePrepare{}
-	if err := p.PrePrepare.unmarshal(d); err != nil {
-		return err
+	err := p.PrePrepare.unmarshal(d)
+	if err == nil {
+		p.Prepares, err = readList[Prepare](d)
 	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return err
-	}
-	if n > maxProofEntries {
-		return fmt.Errorf("pbft: implausible prepare count %d", n)
-	}
-	p.Prepares = make([]*Prepare, n)
-	for i := range p.Prepares {
-		p.Prepares[i] = &Prepare{}
-		if err := p.Prepares[i].unmarshal(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // ViewChange asks to install NewView, carrying the sender's stable
@@ -425,16 +401,9 @@ func (*ViewChange) Type() MsgType { return MTViewChange }
 func (m *ViewChange) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.NewView)
 	e.WriteULongLong(m.LastStable)
-	e.WriteULong(uint32(len(m.CheckpointProof)))
-	for _, c := range m.CheckpointProof {
-		c.marshal(e)
-	}
-	e.WriteULong(uint32(len(m.Prepared)))
-	for _, p := range m.Prepared {
-		p.marshal(e)
-	}
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeList(e, m.CheckpointProof)
+	writeList(e, m.Prepared)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *ViewChange) unmarshal(d *cdr.Decoder) error {
@@ -445,39 +414,13 @@ func (m *ViewChange) unmarshal(d *cdr.Decoder) error {
 	if m.LastStable, err = d.ReadULongLong(); err != nil {
 		return err
 	}
-	nc, err := d.ReadULong()
-	if err != nil {
+	if m.CheckpointProof, err = readList[Checkpoint](d); err != nil {
 		return err
 	}
-	if nc > maxProofEntries {
-		return fmt.Errorf("pbft: implausible checkpoint count %d", nc)
-	}
-	m.CheckpointProof = make([]*Checkpoint, nc)
-	for i := range m.CheckpointProof {
-		m.CheckpointProof[i] = &Checkpoint{}
-		if err := m.CheckpointProof[i].unmarshal(d); err != nil {
-			return err
-		}
-	}
-	np, err := d.ReadULong()
-	if err != nil {
+	if m.Prepared, err = readList[PreparedProof](d); err != nil {
 		return err
 	}
-	if np > maxProofEntries {
-		return fmt.Errorf("pbft: implausible prepared-proof count %d", np)
-	}
-	m.Prepared = make([]*PreparedProof, np)
-	for i := range m.Prepared {
-		m.Prepared[i] = &PreparedProof{}
-		if err := m.Prepared[i].unmarshal(d); err != nil {
-			return err
-		}
-	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 func (m *ViewChange) sigRef() *[]byte { return &m.Sig }
@@ -500,16 +443,9 @@ func (*NewView) Type() MsgType { return MTNewView }
 
 func (m *NewView) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.View)
-	e.WriteULong(uint32(len(m.ViewChanges)))
-	for _, vc := range m.ViewChanges {
-		vc.marshal(e)
-	}
-	e.WriteULong(uint32(len(m.PrePrepares)))
-	for _, pp := range m.PrePrepares {
-		pp.marshal(e)
-	}
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeList(e, m.ViewChanges)
+	writeList(e, m.PrePrepares)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *NewView) unmarshal(d *cdr.Decoder) error {
@@ -517,39 +453,13 @@ func (m *NewView) unmarshal(d *cdr.Decoder) error {
 	if m.View, err = d.ReadULongLong(); err != nil {
 		return err
 	}
-	nv, err := d.ReadULong()
-	if err != nil {
+	if m.ViewChanges, err = readList[ViewChange](d); err != nil {
 		return err
 	}
-	if nv > maxProofEntries {
-		return fmt.Errorf("pbft: implausible view-change count %d", nv)
-	}
-	m.ViewChanges = make([]*ViewChange, nv)
-	for i := range m.ViewChanges {
-		m.ViewChanges[i] = &ViewChange{}
-		if err := m.ViewChanges[i].unmarshal(d); err != nil {
-			return err
-		}
-	}
-	np, err := d.ReadULong()
-	if err != nil {
+	if m.PrePrepares, err = readList[PrePrepare](d); err != nil {
 		return err
 	}
-	if np > maxProofEntries {
-		return fmt.Errorf("pbft: implausible pre-prepare count %d", np)
-	}
-	m.PrePrepares = make([]*PrePrepare, np)
-	for i := range m.PrePrepares {
-		m.PrePrepares[i] = &PrePrepare{}
-		if err := m.PrePrepares[i].unmarshal(d); err != nil {
-			return err
-		}
-	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 func (m *NewView) sigRef() *[]byte { return &m.Sig }
@@ -570,8 +480,7 @@ func (*FetchState) Type() MsgType { return MTFetchState }
 
 func (m *FetchState) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.Seq)
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *FetchState) unmarshal(d *cdr.Decoder) error {
@@ -579,11 +488,7 @@ func (m *FetchState) unmarshal(d *cdr.Decoder) error {
 	if m.Seq, err = d.ReadULongLong(); err != nil {
 		return err
 	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 func (m *FetchState) sigRef() *[]byte { return &m.Sig }
@@ -606,12 +511,8 @@ func (*StateData) Type() MsgType { return MTStateData }
 func (m *StateData) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.Seq)
 	e.WriteOctets(m.Snapshot)
-	e.WriteULong(uint32(len(m.Proof)))
-	for _, c := range m.Proof {
-		c.marshal(e)
-	}
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeList(e, m.Proof)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *StateData) unmarshal(d *cdr.Decoder) error {
@@ -622,25 +523,10 @@ func (m *StateData) unmarshal(d *cdr.Decoder) error {
 	if m.Snapshot, err = readOctetsCopy(d); err != nil {
 		return err
 	}
-	n, err := d.ReadULong()
-	if err != nil {
+	if m.Proof, err = readList[Checkpoint](d); err != nil {
 		return err
 	}
-	if n > maxProofEntries {
-		return fmt.Errorf("pbft: implausible proof count %d", n)
-	}
-	m.Proof = make([]*Checkpoint, n)
-	for i := range m.Proof {
-		m.Proof[i] = &Checkpoint{}
-		if err := m.Proof[i].unmarshal(d); err != nil {
-			return err
-		}
-	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 func (m *StateData) sigRef() *[]byte { return &m.Sig }
@@ -665,8 +551,7 @@ func (*FetchEntry) Type() MsgType { return MTFetchEntry }
 func (m *FetchEntry) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.View)
 	e.WriteULongLong(m.Seq)
-	e.WriteLong(int32(m.Replica))
-	e.WriteOctets(m.Sig)
+	writeTail(e, m.Replica, m.Sig)
 }
 
 func (m *FetchEntry) unmarshal(d *cdr.Decoder) error {
@@ -677,11 +562,7 @@ func (m *FetchEntry) unmarshal(d *cdr.Decoder) error {
 	if m.Seq, err = d.ReadULongLong(); err != nil {
 		return err
 	}
-	if err = readReplica(d, &m.Replica); err != nil {
-		return err
-	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	return readTail(d, &m.Replica, &m.Sig)
 }
 
 func (m *FetchEntry) sigRef() *[]byte { return &m.Sig }
@@ -692,6 +573,37 @@ func (m *FetchEntry) SenderKey() string { return replicaKey(m.Replica) }
 // maxProofEntries bounds repeated-element counts during decoding so a
 // Byzantine sender cannot trigger huge allocations.
 const maxProofEntries = 4096
+
+// writeList encodes a counted list: its length, then each item.
+func writeList[T interface{ marshal(*cdr.Encoder) }](e *cdr.Encoder, items []T) {
+	e.WriteULong(uint32(len(items)))
+	for _, it := range items {
+		it.marshal(e)
+	}
+}
+
+// readList decodes a counted list, refusing a count above maxProofEntries
+// before anything is allocated for it.
+func readList[T any, P interface {
+	*T
+	unmarshal(*cdr.Decoder) error
+}](d *cdr.Decoder) ([]*T, error) {
+	n, err := d.ReadULong()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxProofEntries {
+		return nil, fmt.Errorf("pbft: implausible list count %d", n)
+	}
+	items := make([]*T, n)
+	for i := range items {
+		items[i] = new(T)
+		if err := P(items[i]).unmarshal(d); err != nil {
+			return nil, err
+		}
+	}
+	return items, nil
+}
 
 // Encode serialises a message with its type tag in canonical (big-endian)
 // CDR. The encoding is deterministic: it is the input to signatures and
@@ -782,6 +694,46 @@ func readDigest(d *cdr.Decoder, out *Digest) error {
 	}
 	copy(out[:], b)
 	return nil
+}
+
+// marshalPhase encodes the common (view, seq, digest, replica, sig) shape
+// shared by Prepare and Commit.
+func marshalPhase(e *cdr.Encoder, view, seq uint64, digest Digest, replica ReplicaID, sig []byte) {
+	e.WriteULongLong(view)
+	e.WriteULongLong(seq)
+	e.WriteOctets(digest[:])
+	writeTail(e, replica, sig)
+}
+
+// unmarshalPhase decodes the common phase-message shape.
+func unmarshalPhase(d *cdr.Decoder, view, seq *uint64, digest *Digest, replica *ReplicaID, sig *[]byte) error {
+	var err error
+	if *view, err = d.ReadULongLong(); err != nil {
+		return err
+	}
+	if *seq, err = d.ReadULongLong(); err != nil {
+		return err
+	}
+	if err = readDigest(d, digest); err != nil {
+		return err
+	}
+	return readTail(d, replica, sig)
+}
+
+// writeTail encodes the sender and authenticator every replica message ends
+// with.
+func writeTail(e *cdr.Encoder, replica ReplicaID, sig []byte) {
+	e.WriteLong(int32(replica))
+	e.WriteOctets(sig)
+}
+
+// readTail decodes what writeTail encodes.
+func readTail(d *cdr.Decoder, replica *ReplicaID, sig *[]byte) (err error) {
+	if err = readReplica(d, replica); err != nil {
+		return err
+	}
+	*sig, err = readOctetsCopy(d)
+	return err
 }
 
 func readReplica(d *cdr.Decoder, out *ReplicaID) error {

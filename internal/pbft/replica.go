@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -668,26 +667,26 @@ func (r *Replica) recordPrepare(p *Prepare) {
 	r.tryPrepared(p.Seq)
 }
 
-// preparedCount counts the prepares that match the entry's pre-prepare, in
-// its view: toward a prepared certificate, a pre-prepare plus 2f matching
-// prepares from non-primary replicas.
-func (r *Replica) preparedCount(en *entry) int {
-	if en.prePrepare == nil {
-		return 0
-	}
+// agreeing counts the phase messages in msgs that match pp, in its view and
+// digest, handing each to keep when keep is non-nil.
+func agreeing[M interface{ phase() (uint64, Digest) }](pp *PrePrepare, msgs map[ReplicaID]M, keep func(M)) int {
 	count := 0
-	for _, p := range en.prepares {
-		if p.View == en.prePrepare.View && p.Digest == en.prePrepare.Digest {
+	for _, m := range msgs {
+		if view, digest := m.phase(); view == pp.View && digest == pp.Digest {
 			count++
+			if keep != nil {
+				keep(m)
+			}
 		}
 	}
 	return count
 }
 
+// isPrepared reports a prepared certificate: a pre-prepare plus 2f matching
+// prepares from non-primary replicas. The pre-prepare itself supplies the
+// primary's slot in the prepared quorum, so one fewer prepare is needed.
 func (r *Replica) isPrepared(en *entry) bool {
-	// The pre-prepare itself supplies the primary's slot in the prepared
-	// quorum, so one fewer prepare is needed.
-	return en.prePrepare != nil && r.preparedCount(en) >= r.quorum()-1
+	return en.prePrepare != nil && agreeing(en.prePrepare, en.prepares, nil) >= r.quorum()-1
 }
 
 func (r *Replica) tryPrepared(seq uint64) {
@@ -746,16 +745,7 @@ func (r *Replica) onFetchEntry(fe *FetchEntry) {
 }
 
 func (r *Replica) isCommitted(en *entry) bool {
-	if !r.isPrepared(en) {
-		return false
-	}
-	count := 0
-	for _, c := range en.commits {
-		if c.View == en.prePrepare.View && c.Digest == en.prePrepare.Digest {
-			count++
-		}
-	}
-	return count >= r.quorum()
+	return r.isPrepared(en) && agreeing(en.prePrepare, en.commits, nil) >= r.quorum()
 }
 
 // --- execution and checkpoints ---
@@ -920,9 +910,4 @@ func (r *Replica) HandleTimer() {
 		r.vcTimeout = maxViewTimeout
 	}
 	r.startViewChange(r.view + 1)
-}
-
-// equalBytes reports whether two encoded messages match.
-func equalBytes(a, b Message) bool {
-	return bytes.Equal(Encode(a), Encode(b))
 }

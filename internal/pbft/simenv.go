@@ -7,7 +7,9 @@ import (
 	"itdos/internal/transport"
 )
 
-// SimReplicaEnv adapts a transport.Transport to the replica Env interface.
+// SimReplicaEnv adapts a transport.Transport to the Env interface of a
+// replica, and to the ClientEnv of a client: a client's environment has no
+// index in the group (selfIdx -1), so its Broadcast reaches every replica.
 type SimReplicaEnv struct {
 	net          transport.Transport
 	self         transport.NodeID
@@ -19,13 +21,10 @@ type SimReplicaEnv struct {
 	onBatchTimer func()
 }
 
-var _ Env = (*SimReplicaEnv)(nil)
-
-// NewSimReplicaEnv creates an Env for replica selfIdx whose group members
-// live at addrs on net.
-func NewSimReplicaEnv(net transport.Transport, addrs []transport.NodeID, selfIdx ReplicaID) *SimReplicaEnv {
-	return &SimReplicaEnv{net: net, self: addrs[selfIdx], addrs: addrs, selfIdx: selfIdx}
-}
+var (
+	_ Env       = (*SimReplicaEnv)(nil)
+	_ ClientEnv = (*SimReplicaEnv)(nil)
+)
 
 // SendReplica implements Env.
 func (e *SimReplicaEnv) SendReplica(to ReplicaID, data []byte) {
@@ -73,58 +72,12 @@ func (e *SimReplicaEnv) SetBatchTimer(d time.Duration) {
 	})
 }
 
-// SimClientEnv adapts a transport.Transport to the ClientEnv interface.
-type SimClientEnv struct {
-	net     transport.Transport
-	self    transport.NodeID
-	addrs   []transport.NodeID
-	timer   transport.Timer
-	onTimer func()
-}
-
-var _ ClientEnv = (*SimClientEnv)(nil)
-
-// NewSimClientEnv creates a ClientEnv for a client at self addressing the
-// replica group at addrs.
-func NewSimClientEnv(net transport.Transport, self transport.NodeID, addrs []transport.NodeID) *SimClientEnv {
-	return &SimClientEnv{net: net, self: self, addrs: addrs}
-}
-
-// SendReplica implements ClientEnv.
-func (e *SimClientEnv) SendReplica(to ReplicaID, data []byte) {
-	if to < 0 || int(to) >= len(e.addrs) {
-		return
-	}
-	e.net.Send(e.self, e.addrs[to], data)
-}
-
-// Broadcast implements ClientEnv.
-func (e *SimClientEnv) Broadcast(data []byte) {
-	for _, addr := range e.addrs {
-		e.net.Send(e.self, addr, data)
-	}
-}
-
-// SetTimer implements ClientEnv.
-func (e *SimClientEnv) SetTimer(d time.Duration) {
-	e.timer.Stop()
-	e.timer = e.net.After(d, func() {
-		if e.onTimer != nil {
-			e.onTimer()
-		}
-	})
-}
-
-// StopTimer implements ClientEnv.
-func (e *SimClientEnv) StopTimer() { e.timer.Stop() }
-
 // SimGroup is a convenience harness: a full replica group wired onto a
 // transport, used by the SRM layer, tests and benchmarks.
 type SimGroup struct {
 	Name     string
 	Net      transport.Transport
 	Replicas []*Replica
-	Envs     []*SimReplicaEnv
 	Addrs    []transport.NodeID
 	Cfg      Config
 }
@@ -171,7 +124,7 @@ func NewSimGroup(net transport.Transport, name string, cfg Config, ring *Keyring
 		rcfg := cfg
 		rcfg.ID = ReplicaID(i)
 		rcfg.Auth = auths[i]
-		env := NewSimReplicaEnv(net, g.Addrs, rcfg.ID)
+		env := &SimReplicaEnv{net: net, self: g.Addrs[i], addrs: g.Addrs, selfIdx: rcfg.ID}
 		rep, err := NewReplica(rcfg, appFactory(i), env)
 		if err != nil {
 			return nil, fmt.Errorf("pbft: build %s replica %d: %w", name, i, err)
@@ -182,7 +135,6 @@ func NewSimGroup(net transport.Transport, name string, cfg Config, ring *Keyring
 			rep.HandleMessage(payload)
 		}))
 		g.Replicas = append(g.Replicas, rep)
-		g.Envs = append(g.Envs, env)
 	}
 	return g, nil
 }
@@ -208,7 +160,7 @@ func (g *SimGroup) NewSimClient(id, addr string, ring *Keyring, timeout time.Dur
 // whose public key the group's replicas can already verify (the caller is
 // responsible for having registered it in the group's keyring).
 func (g *SimGroup) NewSimClientWithAuth(id, addr string, auth Authenticator, timeout time.Duration) (*Client, error) {
-	env := NewSimClientEnv(g.Net, transport.NodeID(addr), g.Addrs)
+	env := &SimReplicaEnv{net: g.Net, self: transport.NodeID(addr), addrs: g.Addrs, selfIdx: -1}
 	cli, err := NewClient(ClientConfig{
 		ID: id, ReplyAddr: addr, N: g.Cfg.N, F: g.Cfg.F,
 		RetransmitTimeout: timeout, Auth: auth,

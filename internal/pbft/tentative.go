@@ -22,19 +22,15 @@ import (
 // exactly-committed application state. Speculation stalls one short of the
 // boundary and resumes after the boundary entry commits.
 
-// TentativeApp is an optional App extension: the replica brackets
-// speculative execution with SetTentative(true)/SetTentative(false) so the
+// SpeculativeApp is an optional App extension for speculative execution.
+// The replica brackets it with SetTentative(true)/SetTentative(false) so the
 // application can tag downstream effects (SRM tags deliveries, letting the
-// element mark its replies tentative).
-type TentativeApp interface {
-	SetTentative(bool)
-}
-
-// SpeculativeApp is an optional App extension: RestoreSpeculation replaces
+// element mark its replies tentative). RestoreSpeculation replaces
 // application state from a snapshot WITHOUT the side effects of a normal
 // post-state-transfer Restore (SRM suppresses its resynchronisation replay
 // — the rollback path re-executes the confirmed suffix itself).
 type SpeculativeApp interface {
+	SetTentative(bool)
 	RestoreSpeculation(snapshot []byte) error
 }
 
@@ -91,9 +87,9 @@ func (r *Replica) trySpeculate() {
 func (r *Replica) speculateEntry(seq uint64, en *entry) {
 	pp := en.prePrepare
 	se := &specEntry{digest: pp.Digest, results: make([]specResult, 0, len(pp.Requests))}
-	ta, _ := r.app.(TentativeApp)
-	if ta != nil {
-		ta.SetTentative(true)
+	sa, _ := r.app.(SpeculativeApp)
+	if sa != nil {
+		sa.SetTentative(true)
 	}
 	for _, req := range pp.Requests {
 		dup := false
@@ -114,8 +110,8 @@ func (r *Replica) speculateEntry(seq uint64, en *entry) {
 		}
 		se.results = append(se.results, sr)
 	}
-	if ta != nil {
-		ta.SetTentative(false)
+	if sa != nil {
+		sa.SetTentative(false)
 	}
 	r.specJournal[seq] = se
 	r.specExec = seq

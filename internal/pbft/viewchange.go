@@ -57,11 +57,7 @@ func (r *Replica) collectPrepared() []*PreparedProof {
 			continue
 		}
 		prepares := make([]*Prepare, 0, r.quorum()-1)
-		for _, p := range en.prepares {
-			if p.View == en.prePrepare.View && p.Digest == en.prePrepare.Digest {
-				prepares = append(prepares, p)
-			}
-		}
+		agreeing(en.prePrepare, en.prepares, func(p *Prepare) { prepares = append(prepares, p) })
 		sort.Slice(prepares, func(i, j int) bool { return prepares[i].Replica < prepares[j].Replica })
 		if len(prepares) > r.quorum()-1 {
 			prepares = prepares[:r.quorum()-1]

@@ -12,7 +12,6 @@ import (
 	"itdos/internal/pool"
 	"itdos/internal/seckey"
 	"itdos/internal/smiop"
-	"itdos/internal/transport"
 	"itdos/internal/vote"
 )
 
@@ -103,7 +102,6 @@ type endpoint struct {
 	conns      map[uint64]*connState
 	connByPeer map[string]uint64
 	collectors map[string]*shareCollector
-	senders    map[string]*transport.SendQueue
 
 	// ORB-thread scheduling: tasks (inbound upcalls or client application
 	// code) run one at a time; a task parked in a nested invocation blocks
@@ -156,7 +154,6 @@ func (ep *endpoint) init(sys *System, identity string, local smiop.PeerInfo, mem
 	ep.conns = make(map[uint64]*connState)
 	ep.connByPeer = make(map[string]uint64)
 	ep.collectors = make(map[string]*shareCollector)
-	ep.senders = make(map[string]*transport.SendQueue)
 	if r := sys.cfg.Metrics; r != nil {
 		ep.mConnHits = r.Counter("conn_cache_hits_total")
 		ep.mConnMisses = r.Counter("conn_cache_misses_total")
@@ -459,13 +456,8 @@ func (ep *endpoint) ensureConn(peer string) (*connState, error) {
 // either coroutine (they are mutually exclusive). The ordering round is
 // traced as a detached srm.order span ended by the PBFT acknowledgement.
 func (ep *endpoint) sendOrdered(target string, payload []byte) {
-	q, ok := ep.senders[target]
-	if !ok {
-		q = ep.sys.newSender(ep.identity, target)
-		ep.senders[target] = q
-	}
 	osp := ep.tracer().StartDetached("srm.order", "target="+target)
-	q.Send(payload, osp)
+	ep.sys.sendOrdered(ep.identity, target, payload, osp)
 }
 
 // --- inbound path (driver thread) ---

@@ -3,7 +3,6 @@ package replica
 import (
 	"itdos/internal/itc"
 	"itdos/internal/smiop"
-	"itdos/internal/transport"
 )
 
 // buildITC constructs the intrusion-tolerance controller over the
@@ -31,18 +30,14 @@ func (sys *System) ITC() *itc.Controller { return sys.itc }
 
 // itcActions implements itc.Actions against the running system.
 type itcActions struct {
-	sys    *System
-	sender *transport.SendQueue
+	sys *System
 }
 
 var _ itc.Actions = (*itcActions)(nil)
 
 func (a *itcActions) sendGM(kind smiop.Kind, payload []byte) {
-	if a.sender == nil {
-		a.sender = a.sys.newSender(itc.Identity, GMDomainName)
-	}
 	env := &smiop.Envelope{Kind: kind, SrcDomain: itc.Identity, Payload: payload}
-	a.sender.Send(env.Encode(), nil)
+	a.sys.sendOrdered(itc.Identity, GMDomainName, env.Encode(), nil)
 }
 
 // RequestRekey implements itc.Actions.

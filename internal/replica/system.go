@@ -246,6 +246,10 @@ type System struct {
 
 	// tracer is set by EnableTracing; nil otherwise (tracing off).
 	tracer *obs.Tracer
+
+	// senders holds one ordered sender per (identity, target group), built
+	// on first use; nil for a target no sender can reach.
+	senders map[[2]string]*srm.Sender
 }
 
 // NewSystem builds and wires the full deployment.
@@ -266,6 +270,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		domains:    make(map[string]*DomainRuntime),
 		clients:    make(map[string]*Client),
 		gmInfo:     smiop.PeerInfo{Name: GMDomainName, N: cfg.GM.N, F: cfg.GM.F},
+		senders:    make(map[[2]string]*srm.Sender),
 	}
 	// Keep the simulator handle when (and only when) the transport is the
 	// deterministic twin; sim-only drivers gate on it.
@@ -552,7 +557,7 @@ func (sys *System) buildGM() error {
 			Domains:    domainTable,
 			Registry:   sys.registry,
 			Epsilon:    sys.cfg.Epsilon,
-			Transport:  &gmTransport{sys: sys, gmIdentity: gmIdentity, senders: map[string]*transport.SendQueue{}},
+			Transport:  &gmTransport{sys: sys, gmIdentity: gmIdentity},
 			SealShare: func(recipient string, connID, era uint64, share []byte) ([]byte, error) {
 				return sys.sealShare(gmIdentity, recipient, connID, era, share)
 			},
@@ -578,19 +583,13 @@ func (sys *System) buildGM() error {
 type gmTransport struct {
 	sys        *System
 	gmIdentity string
-	senders    map[string]*transport.SendQueue
 }
 
 var _ groupmgr.Transport = (*gmTransport)(nil)
 
 // SendOrdered implements groupmgr.Transport.
 func (t *gmTransport) SendOrdered(domain string, payload []byte) {
-	q, ok := t.senders[domain]
-	if !ok {
-		q = t.sys.newSender(t.gmIdentity, domain)
-		t.senders[domain] = q
-	}
-	q.Send(payload, nil)
+	t.sys.sendOrdered(t.gmIdentity, domain, payload, nil)
 }
 
 // SendDirect implements groupmgr.Transport.
@@ -662,10 +661,30 @@ func (sys *System) buildClient(spec ClientSpec) error {
 	return nil
 }
 
-// newSender builds a queued ordered sender from an identity into a
-// domain's ordering group, registering the identity's public key in that
-// domain's PBFT keyring.
-func (sys *System) newSender(identity, target string) *transport.SendQueue {
+// sendOrdered multicasts payload into target's ordering group as identity,
+// behind that identity's unacknowledged sends there. The detached span sp
+// (nil-safe) ends at the payload's acknowledgement, or at once when the
+// target is unknown.
+func (sys *System) sendOrdered(identity, target string, payload []byte, sp *obs.Span) {
+	key := [2]string{identity, target}
+	s, ok := sys.senders[key]
+	if !ok {
+		s = sys.newSender(identity, target)
+		sys.senders[key] = s
+	}
+	if s == nil {
+		sp.End()
+		return
+	}
+	_, _ = s.SendTraced(payload, sp) // a refusal ends sp; the caller's own timeout covers the rest
+}
+
+// newSender builds an ordered sender from an identity into a domain's
+// ordering group, registering the identity's public key in that domain's
+// PBFT keyring. It returns nil for an unknown target: the caller's
+// higher-level call then fails by timeout at the application level, and
+// simulation code paths do not panic.
+func (sys *System) newSender(identity, target string) *srm.Sender {
 	var dom *srm.Domain
 	var ring *pbft.Keyring
 	switch target {
@@ -674,10 +693,7 @@ func (sys *System) newSender(identity, target string) *transport.SendQueue {
 	default:
 		dr, ok := sys.domains[target]
 		if !ok {
-			// Unknown target: a queue whose sends vanish. The caller's
-			// higher-level call will fail by timeout at the application
-			// level; simulation code paths should not panic.
-			return &transport.SendQueue{SendNow: func([]byte) error { return fmt.Errorf("unknown domain %s", target) }}
+			return nil
 		}
 		dom, ring = dr.Dom, dr.ring
 	}
@@ -686,18 +702,9 @@ func (sys *System) newSender(identity, target string) *transport.SendQueue {
 	}
 	auth := pbft.NewEd25519Auth(identity, sys.privs[identity], ring)
 	addr := fmt.Sprintf("%s/tx/%s", identity, target)
-	q := &transport.SendQueue{}
-	sender, err := srm.NewSenderWithAuth(dom, identity, addr, auth, sys.cfg.SendTimeout)
-	if err != nil {
-		q.SendNow = func([]byte) error { return err }
-		return q
-	}
-	sender.OnAck = func(uint64) { q.Acked() }
-	q.SendNow = func(data []byte) error {
-		_, err := sender.Send(data)
-		return err
-	}
-	return q
+	// On error s is nil, and the target is as unreachable as an unknown one.
+	s, _ := srm.NewSenderWithAuth(dom, identity, addr, auth, sys.cfg.SendTimeout)
+	return s
 }
 
 // --- accessors and drivers ---

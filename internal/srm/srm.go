@@ -82,7 +82,6 @@ type Queue struct {
 
 var (
 	_ pbft.App            = (*Queue)(nil)
-	_ pbft.TentativeApp   = (*Queue)(nil)
 	_ pbft.SpeculativeApp = (*Queue)(nil)
 )
 
@@ -271,7 +270,7 @@ func (q *Queue) Restore(snapshot []byte) error {
 	return nil
 }
 
-// SetTentative implements pbft.TentativeApp: the replica brackets
+// SetTentative implements pbft.SpeculativeApp: the replica brackets
 // speculative execution with it, so deliveries made inside the bracket can
 // be tagged provisional (Tentative reports the flag during delivery).
 func (q *Queue) SetTentative(on bool) { q.tentative = on }
@@ -565,97 +564,97 @@ func (el *Element) LastDelivered() uint64 { return el.lastDelivered }
 func (el *Element) Queue() *Queue { return el.queue }
 
 // Sender multicasts messages into a replication domain: it is a PBFT
-// client of that domain's ordering group. The PBFT-level result is the
-// static acknowledgement; OnAck fires when 1+f matching ACKs arrive,
-// confirming the message was durably ordered.
+// client of that domain's ordering group with a FIFO above it. The client
+// keeps one request in flight (paper §3.6: one outstanding request per
+// connection); later payloads wait in order for the previous one's static
+// acknowledgement, which arrives once 1+f matching ACKs confirm it was
+// durably ordered. Like every protocol structure it lives on the
+// transport's delivery thread.
 type Sender struct {
-	Client *pbft.Client
+	client *pbft.Client
 
 	// OnAck, if set, observes each acknowledged send.
 	OnAck func(clientSeq uint64)
+
+	busy    bool
+	current *obs.Span // the in-flight payload's span
+	queue   []queuedSend
+}
+
+// queuedSend is a payload waiting for the one in flight to be acknowledged.
+type queuedSend struct {
+	data []byte
+	span *obs.Span
 }
 
 // NewSender builds a sender with identity id at transport address addr,
 // targeting domain d. Ring must be the same keyring the domain uses (nil
 // for null auth).
 func NewSender(d *Domain, id, addr string, ring *pbft.Keyring, timeout time.Duration) (*Sender, error) {
-	s := &Sender{}
 	cli, err := d.Group.NewSimClient(id, addr, ring, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("srm: sender %s: %w", id, err)
 	}
-	s.wire(cli)
-	return s, nil
+	return newSender(cli), nil
 }
 
 // NewSenderWithAuth builds a sender using an existing authenticator whose
 // public key is already registered in the domain's keyring.
 func NewSenderWithAuth(d *Domain, id, addr string, auth pbft.Authenticator, timeout time.Duration) (*Sender, error) {
-	s := &Sender{}
 	cli, err := d.Group.NewSimClientWithAuth(id, addr, auth, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("srm: sender %s: %w", id, err)
 	}
-	s.wire(cli)
-	return s, nil
+	return newSender(cli), nil
 }
 
-func (s *Sender) wire(cli *pbft.Client) {
+func newSender(cli *pbft.Client) *Sender {
+	s := &Sender{client: cli}
 	cli.OnResult = func(seq uint64, result []byte) {
-		// The static ACK is the only valid PBFT-level reply.
+		// The static ACK is the only valid PBFT-level reply; anything else
+		// leaves the queue where it is.
 		if string(result) != string(Ack) {
 			return
+		}
+		s.busy = false
+		s.current.End()
+		for !s.busy && len(s.queue) > 0 {
+			next := s.queue[0]
+			s.queue = s.queue[1:]
+			_, _ = s.transmit(next.data, next.span) // a refusal ends its span; the next payload goes
 		}
 		if s.OnAck != nil {
 			s.OnAck(seq)
 		}
 	}
-	s.Client = cli
+	return s
 }
 
-// Send multicasts data into the domain, returning the send's local
-// sequence number.
-func (s *Sender) Send(data []byte) (uint64, error) {
-	return s.Client.Invoke(data)
-}
+// Send multicasts data into the domain, returning the client sequence
+// number it is ordered under.
+func (s *Sender) Send(data []byte) (uint64, error) { return s.SendTraced(data, nil) }
 
-// SenderPool is k independent senders into one domain, so an endpoint can
-// keep k invocations in flight concurrently (each pbft.Client allows one
-// outstanding request — concurrency is a pool of clients, exactly how a
-// multi-threaded ORB endpoint would look to the ordering layer). It exists
-// to generate genuine concurrent load: without it the primary never sees
-// more than one orderable request at a time and batching has nothing to
-// amortise.
-type SenderPool struct {
-	Senders []*Sender
-}
-
-// NewSenderPool builds k senders with identities id-0..id-(k-1) at
-// transport addresses addr/0..addr/(k-1).
-func NewSenderPool(d *Domain, id, addr string, k int, ring *pbft.Keyring, timeout time.Duration) (*SenderPool, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("srm: sender pool size %d", k)
+// SendTraced is Send for a payload traced by the detached span sp
+// (nil-safe), which ends when the payload is acknowledged or at once if the
+// send fails outright. A payload sent while another is in flight waits its
+// turn.
+func (s *Sender) SendTraced(data []byte, sp *obs.Span) (uint64, error) {
+	if s.busy {
+		s.queue = append(s.queue, queuedSend{data, sp})
+		return s.client.LastSeq() + uint64(len(s.queue)), nil
 	}
-	p := &SenderPool{Senders: make([]*Sender, k)}
-	for i := 0; i < k; i++ {
-		s, err := NewSender(d, fmt.Sprintf("%s-%d", id, i), fmt.Sprintf("%s/%d", addr, i), ring, timeout)
-		if err != nil {
-			return nil, err
-		}
-		p.Senders[i] = s
-	}
-	return p, nil
+	return s.transmit(data, sp)
 }
 
-// SendAll starts one invocation on every sender in pool order. Senders with
-// an invocation still in flight are skipped; the number of sends actually
-// started is returned.
-func (p *SenderPool) SendAll(data []byte) int {
-	started := 0
-	for _, s := range p.Senders {
-		if _, err := s.Send(data); err == nil {
-			started++
-		}
+// transmit hands data to the PBFT client, ending sp at once if the client
+// refuses it.
+func (s *Sender) transmit(data []byte, sp *obs.Span) (uint64, error) {
+	seq, err := s.client.Invoke(data)
+	if err != nil {
+		sp.End()
+		return 0, err
 	}
-	return started
+	s.busy = true
+	s.current = sp
+	return seq, nil
 }

@@ -311,7 +311,7 @@ func TestLaggingElementCatchesUpThroughQueueTransfer(t *testing.T) {
 }
 
 func TestBatchedDomainDeliversIdenticalOrder(t *testing.T) {
-	// A batching domain under a k=8 sender pool: every element must deliver
+	// A batching domain under k=8 senders: every element must deliver
 	// the same payload sequence even though the ordering layer now moves
 	// multi-request batches, and the queue-depth gauge must track the
 	// retained window.
@@ -337,25 +337,29 @@ func TestBatchedDomainDeliversIdenticalOrder(t *testing.T) {
 			deliv[i] = append(deliv[i], string(data))
 		}
 	}
-	pool, err := NewSenderPool(dom, "client:p", "pool", 8, ring, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	senders := make([]*Sender, 8)
 	acks := 0
-	for _, s := range pool.Senders {
+	for i := range senders {
+		s, err := NewSender(dom, fmt.Sprintf("client:p-%d", i), fmt.Sprintf("pool/%d", i), ring, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s.OnAck = func(uint64) { acks++ }
+		senders[i] = s
 	}
-	// Wave 0 goes through SendAll (identical payload, all 8 in flight at
-	// once); later waves send distinct payloads so order comparison bites.
-	if started := pool.SendAll([]byte("w0")); started != 8 {
-		t.Fatalf("SendAll started %d sends, want 8", started)
+	// Wave 0 sends an identical payload from all 8 at once; later waves send
+	// distinct payloads so order comparison bites.
+	for _, s := range senders {
+		if _, err := s.Send([]byte("w0")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := net.RunUntil(func() bool { return acks >= 8 }, 2_000_000); err != nil {
 		t.Fatalf("wave 0 not acknowledged: %v", err)
 	}
 	for w := 1; w < 3; w++ {
 		want := acks + 8
-		for i, s := range pool.Senders {
+		for i, s := range senders {
 			if _, err := s.Send([]byte(fmt.Sprintf("w%d-s%d", w, i))); err != nil {
 				t.Fatal(err)
 			}
@@ -387,13 +391,107 @@ func TestBatchedDomainDeliversIdenticalOrder(t *testing.T) {
 	}
 }
 
-func TestSenderSingleOutstanding(t *testing.T) {
-	td := newTestDomain(t, 4, 1, 64, 6)
-	s, _ := td.sender(t, "client:a")
-	if _, err := s.Send([]byte("one")); err != nil {
-		t.Fatal(err)
+// TestQueuedSender: a sender keeps one PBFT request in flight and a FIFO
+// above it. A burst is delivered in order at every element, the client never
+// has two requests outstanding, each payload's span ends at its own ACK (or
+// at once when the send fails outright), and only the static ACK moves the
+// queue.
+func TestQueuedSender(t *testing.T) {
+	const k = 6
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, td *testDomain, s *Sender, tr *obs.Tracer)
+	}{
+		{"burst-in-order-everywhere", func(t *testing.T, td *testDomain, s *Sender, _ *obs.Tracer) {
+			for i := 0; i < k; i++ {
+				if _, err := s.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			td.run(t, s, k)
+			want := fmt.Sprint([]string{"m0", "m1", "m2", "m3", "m4", "m5"})
+			for i, got := range td.deliv {
+				if fmt.Sprint(got) != want {
+					t.Errorf("element %d delivered %v, want %v", i, got, want)
+				}
+			}
+		}},
+		{"span-ends-at-its-ack", func(t *testing.T, td *testDomain, s *Sender, tr *obs.Tracer) {
+			spans := make([]*obs.Span, k)
+			for i := range spans {
+				spans[i] = tr.StartDetached("srm.order")
+				if seq, err := s.SendTraced([]byte(fmt.Sprintf("m%d", i)), spans[i]); err != nil || seq != uint64(i+1) {
+					t.Fatalf("send %d: seq %d, err %v", i, seq, err)
+				}
+			}
+			ackedAt := make([]time.Duration, k)
+			s.OnAck = func(seq uint64) {
+				ackedAt[seq-1] = td.net.Now()
+				for i, sp := range spans {
+					if sp.Ended() != (uint64(i) < seq) {
+						t.Errorf("at ACK %d: span %d ended = %v", seq, i+1, sp.Ended())
+					}
+				}
+			}
+			td.run(t, s, k)
+			for i, sp := range spans {
+				if !sp.Ended() || sp.Finish != ackedAt[i] {
+					t.Errorf("span %d ended %v at %v, ACK at %v", i+1, sp.Ended(), sp.Finish, ackedAt[i])
+				}
+			}
+			// An outright failure ends the span at once: here the client
+			// already holds a request the sender did not give it.
+			if _, err := s.client.Invoke([]byte("behind the sender's back")); err != nil {
+				t.Fatal(err)
+			}
+			failed := tr.StartDetached("srm.order")
+			if _, err := s.SendTraced([]byte("refused"), failed); err == nil || !failed.Ended() {
+				t.Fatalf("refused send: err %v, span ended %v", err, failed.Ended())
+			}
+		}},
+		{"non-ack-result-holds-the-queue", func(t *testing.T, td *testDomain, s *Sender, tr *obs.Tracer) {
+			first, second := tr.StartDetached("srm.order"), tr.StartDetached("srm.order")
+			s.SendTraced([]byte("first"), first)
+			s.SendTraced([]byte("second"), second)
+			acks := 0
+			s.OnAck = func(uint64) { acks++ }
+			s.client.OnResult(1, []byte("not-the-ack"))
+			if s.client.LastSeq() != 1 || acks != 0 || first.Ended() {
+				t.Fatalf("a non-ACK result moved the queue: last seq %d, %d ACKs, span ended %v",
+					s.client.LastSeq(), acks, first.Ended())
+			}
+			td.run(t, s, 2)
+			if !first.Ended() || !second.Ended() || fmt.Sprint(td.deliv[0]) != "[first second]" {
+				t.Fatalf("after the real ACKs: spans ended %v/%v, delivered %v", first.Ended(), second.Ended(), td.deliv[0])
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			td := newTestDomain(t, 4, 1, 64, 6)
+			s, _ := td.sender(t, "client:a")
+			tc.run(t, td, s, obs.NewTracer(td.net))
+		})
 	}
-	if _, err := s.Send([]byte("two")); err == nil {
-		t.Fatal("second outstanding send accepted")
+}
+
+// run steps the network until n sends of s are acknowledged, failing if s's
+// client ever has more than one request outstanding.
+func (td *testDomain) run(t *testing.T, s *Sender, n int) {
+	t.Helper()
+	acked := 0
+	inner := s.OnAck
+	s.OnAck = func(seq uint64) {
+		acked++
+		if inner != nil {
+			inner(seq)
+		}
+	}
+	if err := td.net.RunUntil(func() bool {
+		if out := int(s.client.LastSeq()) - acked; out > 1 {
+			t.Fatalf("%d requests outstanding", out)
+		}
+		return acked >= n
+	}, 2_000_000); err != nil {
+		t.Fatalf("%d of %d sends acknowledged: %v", acked, n, err)
 	}
 }

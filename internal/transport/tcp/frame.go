@@ -57,27 +57,23 @@ func AppendFrame(dst []byte, from, to transport.NodeID, payload []byte) ([]byte,
 // prefix). The returned payload aliases body; callers that retain it past
 // the buffer's lifetime must copy.
 func DecodeFrame(body []byte) (from, to transport.NodeID, payload []byte, err error) {
-	if len(body) < 1 {
+	from, body, ok := cutID(body)
+	if ok {
+		to, payload, ok = cutID(body)
+	}
+	if !ok {
 		return "", "", nil, errFrameTruncated
 	}
-	fromLen := int(body[0])
-	body = body[1:]
-	if fromLen > len(body) {
-		return "", "", nil, errFrameTruncated
-	}
-	from = transport.NodeID(body[:fromLen])
-	body = body[fromLen:]
-	if len(body) < 1 {
-		return "", "", nil, errFrameTruncated
-	}
-	toLen := int(body[0])
-	body = body[1:]
-	if toLen > len(body) {
-		return "", "", nil, errFrameTruncated
-	}
-	to = transport.NodeID(body[:toLen])
-	payload = body[toLen:]
 	return from, to, payload, nil
+}
+
+// cutID splits a u8-length-prefixed node identifier off the front of b.
+func cutID(b []byte) (id transport.NodeID, rest []byte, ok bool) {
+	if len(b) < 1 || int(b[0]) > len(b)-1 {
+		return "", nil, false
+	}
+	n := 1 + int(b[0])
+	return transport.NodeID(b[1:n]), b[n:], true
 }
 
 // readFrame reads one length-prefixed frame body from r into a fresh

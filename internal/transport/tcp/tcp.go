@@ -419,15 +419,19 @@ func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
 		t.mDecodeErr.Inc()
 		return
 	}
+	// Fold what the sender counted since the previous send before this frame
+	// is queued, so none of it can belong to this frame: its writes (each
+	// counted before it is issued) and the queue depth its gathers found.
+	found := p.found.Swap(0)
+	t.mWrites.Add(p.writes.Swap(0))
+	t.mResent.Add(p.resent.Swap(0))
 	select {
 	case p.ch <- frame:
 		t.mFramesSent.Inc()
 		t.mBytesSent.Add(uint64(len(frame)))
-		// The deeper of the queue as this send leaves it and as the sender
-		// found it at its last gather since the previous send.
-		p.gDepth.Set(float64(max(int64(len(p.ch)), p.found.Swap(0))))
-		t.mWrites.Add(p.writes.Swap(0))
-		t.mResent.Add(p.resent.Swap(0))
+		// The deeper of the queue as this send leaves it and as the sender's
+		// gathers found it since the previous send.
+		p.gDepth.Set(float64(max(int64(len(p.ch)), found)))
 	default:
 		t.mDropped.Inc()
 	}
@@ -535,6 +539,7 @@ func (t *Transport) runSender(p *peer) {
 		p.found.Store(int64(len(pending) + len(p.ch)))
 		iov = append(iov[:0], pending...)
 		w := iov
+		p.writes.Add(1) // a failed write(2) is a system call too
 		n, err := w.WriteTo(conn)
 		if err != nil {
 			// Frames the kernel took whole went with the connection; the
@@ -548,7 +553,6 @@ func (t *Transport) runSender(p *peer) {
 			p.resent.Add(uint64(len(pending)))
 			continue
 		}
-		p.writes.Add(1)
 		clear(pending)
 		pending = pending[:0]
 	}
@@ -593,6 +597,11 @@ func (t *Transport) runAccept() {
 		t.connMu.Lock()
 		t.conns[conn] = struct{}{}
 		t.connMu.Unlock()
+		select {
+		case <-t.closed: // Close may have shut the connections it knew before this one
+			conn.Close()
+		default:
+		}
 		t.wg.Add(1)
 		go t.runReader(conn)
 	}

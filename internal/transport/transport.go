@@ -11,11 +11,7 @@
 // decisions on both; the equivalence test in internal/cluster pins that.
 package transport
 
-import (
-	"time"
-
-	"itdos/internal/obs"
-)
+import "time"
 
 // NodeID identifies a process endpoint on the transport.
 type NodeID string
@@ -92,59 +88,4 @@ type Transport interface {
 	// Now returns the transport clock: virtual time on the simulator,
 	// monotonic time since start on a live backend.
 	Now() time.Duration
-}
-
-// SendQueue serialises sends through a one-outstanding-request channel
-// (the PBFT client of an ordering group allows a single in-flight
-// invocation): later payloads wait for the previous acknowledgement. Each
-// payload may carry a detached tracing span, ended when its ACK arrives
-// (or when the send fails outright).
-//
-// It is not safe for concurrent use: like every protocol structure it
-// lives on the transport's delivery thread.
-type SendQueue struct {
-	// SendNow performs one immediate send attempt. Required.
-	SendNow func(data []byte) error
-
-	queue    [][]byte
-	spans    []*obs.Span
-	inflight bool
-	cur      *obs.Span
-}
-
-// Send enqueues data, transmitting immediately when nothing is in flight.
-// sp may be nil (spans are nil-safe).
-func (q *SendQueue) Send(data []byte, sp *obs.Span) {
-	if q.inflight {
-		q.queue = append(q.queue, data)
-		q.spans = append(q.spans, sp)
-		return
-	}
-	q.inflight = true
-	q.cur = sp
-	if err := q.SendNow(data); err != nil {
-		q.inflight = false
-		q.cur.End()
-		q.cur = nil
-	}
-}
-
-// Acked advances the queue after the in-flight send was acknowledged,
-// transmitting the next queued payload if any.
-func (q *SendQueue) Acked() {
-	q.cur.End()
-	q.cur = nil
-	if len(q.queue) == 0 {
-		q.inflight = false
-		return
-	}
-	next := q.queue[0]
-	q.queue = q.queue[1:]
-	q.cur = q.spans[0]
-	q.spans = q.spans[1:]
-	if err := q.SendNow(next); err != nil {
-		q.inflight = false
-		q.cur.End()
-		q.cur = nil
-	}
 }
