@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-sarif test race auth-budget bench-build bench-json fuzz fuzz-smoke corpus clean
+.PHONY: check build fmt vet lint lint-sarif test race auth-budget bench-build bench-json fuzz fuzz-smoke corpus clean
 
-check: build vet lint race auth-budget bench-build
+check: build fmt vet lint race auth-budget bench-build
 
 # Perf regression guards: batched ordering keeps its msgs/request win (P1),
 # digest replies keep their bytes/call win (P2), the read-only fast path
@@ -37,6 +37,10 @@ campaign:
 
 build:
 	$(GO) build ./...
+
+# Fails on any file gofmt would rewrite (benchmark/ and lint fixtures included).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -151,13 +155,6 @@ cluster-down:
 .PHONY: cluster-smoke
 cluster-smoke:
 	bash scripts/cluster-smoke.sh
-
-# Wall-clock arrival-rate sweep over loopback TCP (experiment W1,
-# schema itdos-bench/2). CI uploads the JSON as an artifact.
-.PHONY: bench-w1
-bench-w1:
-	mkdir -p bench-out
-	$(GO) run ./cmd/itdos-bench -exp W1 -json -out bench-out
 
 # The pairing rule for a performance claim (see scripts/bench-pairs.sh):
 # alternating parent/change runs of the repo benchmark, medians, quartiles

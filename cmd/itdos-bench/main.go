@@ -70,14 +70,12 @@ func run(args []string) error {
 				"campaign: lying designated responder expelled under churn"},
 			"C11": {func() error { return bench.CheckCampaign("C11") },
 				"campaign: proactive recovery evicts sub-threshold foothold"},
-			"W1": {bench.CheckW1,
-				"loopback TCP sweep: >= 3 rates, all calls complete, no wrong decisions"},
 		}
 		for _, id := range strings.Split(*check, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			c, ok := checks[id]
 			if !ok {
-				return fmt.Errorf("unknown check %q (available: P1, P2, P3, P4, P5, C9, C10, C11, W1)", id)
+				return fmt.Errorf("unknown check %q (available: P1, P2, P3, P4, P5, C9, C10, C11)", id)
 			}
 			if err := c.run(); err != nil {
 				return err

@@ -23,7 +23,8 @@ import (
 //     marshalling),
 //   - Seal*/Sign*/MAC*/Send* methods of internal/smiop and internal/seckey
 //     (authenticated transport framing),
-//   - Send/Multicast/Broadcast on internal/netsim (transport send),
+//   - Send on internal/transport, its tcp backend and internal/netsim
+//     (transport send, through the interface or a concrete backend),
 //
 // plus, via an intra-package fixpoint, any package function that forwards
 // a parameter into one of those sinks. A sink call inside a map-range body
@@ -212,8 +213,9 @@ func isStreamSinkMethod(fn *types.Func) bool {
 	case pkgPathMatches(pkg, "internal/smiop"), pkgPathMatches(pkg, "internal/seckey"):
 		return strings.HasPrefix(name, "Seal") || strings.HasPrefix(name, "Sign") ||
 			strings.HasPrefix(name, "MAC") || strings.HasPrefix(name, "Send")
-	case pkgPathMatches(pkg, "internal/netsim"):
-		return name == "Send" || name == "Multicast" || name == "Broadcast"
+	case pkgPathMatches(pkg, "internal/transport"), pkgPathMatches(pkg, "internal/transport/tcp"),
+		pkgPathMatches(pkg, "internal/netsim"):
+		return name == "Send"
 	}
 	return false
 }

@@ -132,7 +132,6 @@ func All() []Experiment {
 		{"P3", "read-only fast path vs ordered invocation", P3},
 		{"P4", "seal-chain heap cost: pooled vs copying pipeline", P4},
 		{"P5", "tentative execution vs committed replies", P5},
-		{"W1", "open-loop load over loopback TCP (wall clock)", W1},
 	}
 }
 

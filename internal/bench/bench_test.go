@@ -246,7 +246,7 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("Z9"); ok {
 		t.Error("unknown id resolved")
 	}
-	if len(All()) != 24 {
+	if len(All()) != 23 {
 		t.Errorf("experiment count = %d", len(All()))
 	}
 }

@@ -54,9 +54,9 @@ func fuzzFloatEq(a, b float64) bool {
 // fixed point), and must preserve the value up to the normalisations it
 // exists to perform (NaN payloads, zero signs).
 func FuzzCanonicalCDR(f *testing.F) {
-	f.Add([]byte{9, 0x7F, 0xF8, 0, 0, 0, 0, 0, 1})    // Double NaN, odd payload
-	f.Add([]byte{9, 0x80, 0, 0, 0, 0, 0, 0, 0})       // Double -0
-	f.Add([]byte{16, 0, 0, 0, 7, 0, 0, 0, 9})         // struct Point
+	f.Add([]byte{9, 0x7F, 0xF8, 0, 0, 0, 0, 0, 1}) // Double NaN, odd payload
+	f.Add([]byte{9, 0x80, 0, 0, 0, 0, 0, 0, 0})    // Double -0
+	f.Add([]byte{16, 0, 0, 0, 7, 0, 0, 0, 9})      // struct Point
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

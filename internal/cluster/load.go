@@ -11,7 +11,7 @@ import (
 )
 
 // LatencyBounds are the wall-clock latency histogram bucket upper bounds,
-// in milliseconds, shared by cmd/itdos-load and experiment W1.
+// in milliseconds, of cmd/itdos-load's call-latency histogram.
 var LatencyBounds = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
 // LoadConfig parameterises one open-loop run against a client-hosting

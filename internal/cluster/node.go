@@ -160,7 +160,7 @@ func (n *Node) Call(client string, ref orb.ObjectRef, op string, args []cdr.Valu
 
 // InProcCluster is the loopback harness: every node of the spec built and
 // started inside one OS process, listening on kernel-assigned ports. Used
-// by the equivalence test and the W1 benchmark.
+// by the transport equivalence test.
 type InProcCluster struct {
 	Nodes map[string]*Node
 }

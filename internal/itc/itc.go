@@ -36,10 +36,10 @@ import (
 	"math"
 	"time"
 
-	"itdos/internal/transport"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/smiop"
+	"itdos/internal/transport"
 )
 
 // Identity is the controller's reserved authenticated identity.

@@ -15,7 +15,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"itdos/internal/transport"
@@ -27,8 +26,6 @@ import (
 type (
 	// NodeID identifies a simulated process endpoint.
 	NodeID = transport.NodeID
-	// GroupID identifies a multicast group.
-	GroupID = transport.GroupID
 	// Handler receives messages delivered to a node.
 	Handler = transport.Handler
 	// HandlerFunc adapts a function to the Handler interface.
@@ -94,7 +91,6 @@ type event struct {
 
 	// evTimer
 	fn        func()
-	timerID   uint64
 	cancelled *bool
 }
 
@@ -125,7 +121,6 @@ type Network struct {
 	seq      uint64
 	pq       eventHeap
 	nodes    map[NodeID]Handler
-	groups   map[GroupID][]NodeID
 	rng      *rand.Rand
 	latency  LatencyModel
 	dropRate float64
@@ -142,7 +137,6 @@ func NewNetwork(seed int64, latency LatencyModel) *Network {
 	}
 	return &Network{
 		nodes:   make(map[NodeID]Handler),
-		groups:  make(map[GroupID][]NodeID),
 		rng:     rand.New(rand.NewSource(seed)),
 		latency: latency,
 		cut:     make(map[NodeID]map[NodeID]bool),
@@ -173,36 +167,10 @@ func (n *Network) AddNode(id NodeID, h Handler) {
 }
 
 // RemoveNode unregisters a node; in-flight messages to it are dropped at
-// delivery time (simulating a crash).
+// delivery time (simulating a crash). A simulator control like Partition,
+// not part of transport.Transport.
 func (n *Network) RemoveNode(id NodeID) {
 	delete(n.nodes, id)
-}
-
-// JoinGroup adds a node to a multicast group.
-func (n *Network) JoinGroup(g GroupID, id NodeID) {
-	for _, m := range n.groups[g] {
-		if m == id {
-			return
-		}
-	}
-	n.groups[g] = append(n.groups[g], id)
-	sort.Slice(n.groups[g], func(i, j int) bool { return n.groups[g][i] < n.groups[g][j] })
-}
-
-// LeaveGroup removes a node from a multicast group.
-func (n *Network) LeaveGroup(g GroupID, id NodeID) {
-	members := n.groups[g]
-	for i, m := range members {
-		if m == id {
-			n.groups[g] = append(members[:i], members[i+1:]...)
-			return
-		}
-	}
-}
-
-// GroupMembers returns the members of a group in deterministic order.
-func (n *Network) GroupMembers(g GroupID) []NodeID {
-	return append([]NodeID(nil), n.groups[g]...)
 }
 
 // Partition cuts bidirectional connectivity between every pair in (a, b).
@@ -238,21 +206,12 @@ func (n *Network) Send(from, to NodeID, payload []byte) {
 	})
 }
 
-// Multicast queues a message to every member of the group (including the
-// sender if it is a member), mirroring IP multicast semantics.
-func (n *Network) Multicast(from NodeID, g GroupID, payload []byte) {
-	for _, m := range n.groups[g] {
-		n.Send(from, m, payload)
-	}
-}
-
 // After schedules fn to run at now + d. It returns a Timer for cancellation.
 func (n *Network) After(d time.Duration, fn func()) Timer {
 	cancelled := new(bool)
-	n.seq++
 	n.push(&event{
 		at: n.now + d, kind: evTimer,
-		fn: fn, timerID: n.seq, cancelled: cancelled,
+		fn: fn, cancelled: cancelled,
 	})
 	return transport.NewTimer(func() { *cancelled = true })
 }

@@ -32,24 +32,6 @@ func TestUnicastDelivery(t *testing.T) {
 	}
 }
 
-func TestMulticastReachesAllMembersIncludingSender(t *testing.T) {
-	net := NewNetwork(1, nil)
-	recs := map[NodeID]*recorder{}
-	for _, id := range []NodeID{"a", "b", "c"} {
-		r := &recorder{}
-		recs[id] = r
-		net.AddNode(id, r)
-		net.JoinGroup("g", id)
-	}
-	net.Multicast("a", "g", []byte("m"))
-	net.Run(100)
-	for id, r := range recs {
-		if len(r.msgs) != 1 {
-			t.Fatalf("node %s got %d messages", id, len(r.msgs))
-		}
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func(seed int64) []string {
 		net := NewNetwork(seed, UniformLatency(time.Millisecond, 10*time.Millisecond))
@@ -217,25 +199,5 @@ func TestRunFor(t *testing.T) {
 	}
 	if net.Now() != 7*time.Millisecond {
 		t.Fatalf("clock = %v, want 7ms", net.Now())
-	}
-}
-
-func TestGroupMembershipChanges(t *testing.T) {
-	net := NewNetwork(1, nil)
-	counts := map[NodeID]int{}
-	for _, id := range []NodeID{"a", "b"} {
-		id := id
-		net.AddNode(id, HandlerFunc(func(NodeID, []byte) { counts[id]++ }))
-		net.JoinGroup("g", id)
-	}
-	net.JoinGroup("g", "a") // duplicate join is a no-op
-	if len(net.GroupMembers("g")) != 2 {
-		t.Fatalf("members = %v", net.GroupMembers("g"))
-	}
-	net.LeaveGroup("g", "b")
-	net.Multicast("a", "g", []byte("m"))
-	net.Run(100)
-	if counts["a"] != 1 || counts["b"] != 0 {
-		t.Fatalf("counts = %v", counts)
 	}
 }

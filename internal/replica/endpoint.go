@@ -12,6 +12,7 @@ import (
 	"itdos/internal/pool"
 	"itdos/internal/seckey"
 	"itdos/internal/smiop"
+	"itdos/internal/transport"
 	"itdos/internal/vote"
 )
 
@@ -346,7 +347,7 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 		wait, signal := ep.sys.cfg.SendTimeout, any(fallbackSignal{})
 		plain := policy.Fallback == smiop.FallbackNone
 		if plain {
-			wait = smiop.RetryBackoff(resends, 2*ep.sys.cfg.SendTimeout, 16*ep.sys.cfg.SendTimeout)
+			wait = transport.Backoff(resends, 2*ep.sys.cfg.SendTimeout, 16*ep.sys.cfg.SendTimeout)
 			signal = resendSignal{}
 		}
 		id := req.RequestID
@@ -431,7 +432,7 @@ func (ep *endpoint) ensureConn(peer string) (*connState, error) {
 	var retryTimer netsim.Timer
 	var arm func(attempt int)
 	arm = func(attempt int) {
-		d := smiop.RetryBackoff(attempt, 2*ep.sys.cfg.SendTimeout, 16*ep.sys.cfg.SendTimeout)
+		d := transport.Backoff(attempt, 2*ep.sys.cfg.SendTimeout, 16*ep.sys.cfg.SendTimeout)
 		retryTimer = ep.sys.tr.After(d, func() {
 			if w := ep.waiting; w == nil || w.kind != waitConn || w.peer != peer {
 				return

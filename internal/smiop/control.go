@@ -2,7 +2,6 @@ package smiop
 
 import (
 	"fmt"
-	"time"
 
 	"itdos/internal/cdr"
 )
@@ -69,23 +68,6 @@ func DecodeRekeyRequest(buf []byte) (*RekeyRequest, error) {
 		return nil, fmt.Errorf("smiop: rekey request: %w", err)
 	}
 	return &r, nil
-}
-
-// RetryBackoff returns the delay before the attempt-th retransmission of
-// a connection-establishment request (attempt counts from 0): base
-// doubled per attempt and capped at cap. Establishment is a multicast
-// into the Group Manager's ordering group, so a lost or partitioned
-// open_request would otherwise park the caller forever — the paper's
-// live transport retransmits; the simulator must too.
-func RetryBackoff(attempt int, base, cap time.Duration) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		return cap
-	}
-	return d
 }
 
 func encodePeerInfo(e *cdr.Encoder, p PeerInfo) {

@@ -62,8 +62,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// MaxFrame bounds a frame body; 0 means DefaultMaxFrame.
 	MaxFrame int
-	// QueueLen bounds each per-peer send queue; 0 means 1024 frames.
-	QueueLen int
 	// RetryBase/RetryCap shape the reconnect backoff; zero values mean
 	// 50ms doubling up to 2s.
 	RetryBase time.Duration
@@ -78,9 +76,11 @@ type hostedPrefix struct {
 // gatherFrames and gatherBytes bound what one write hands the kernel and
 // what one Post hands the loop: enough to take a saturated peer's whole
 // queue in a few calls, small enough that a gather stays a bounded stall.
+// queueLen bounds each per-peer send queue.
 const (
 	gatherFrames = 64
 	gatherBytes  = 256 << 10
+	queueLen     = 1024
 )
 
 type peer struct {
@@ -104,7 +104,6 @@ type peer struct {
 type Transport struct {
 	cfg      Config
 	maxFrame int
-	queueLen int
 
 	ln    net.Listener
 	start time.Time
@@ -118,9 +117,8 @@ type Transport struct {
 	once   sync.Once
 	wg     sync.WaitGroup
 
-	nodes  map[transport.NodeID]transport.Handler
-	groups map[transport.GroupID][]transport.NodeID
-	peers  map[string]*peer
+	nodes map[transport.NodeID]transport.Handler
+	peers map[string]*peer
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -177,22 +175,23 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:        cfg,
 		maxFrame:   cfg.MaxFrame,
-		queueLen:   cfg.QueueLen,
 		start:      time.Now(),
 		prefixes:   prefixes,
 		routeCache: make(map[string]string),
 		loopCh:     make(chan func(), 256),
 		closed:     make(chan struct{}),
 		nodes:      make(map[transport.NodeID]transport.Handler),
-		groups:     make(map[transport.GroupID][]transport.NodeID),
 		peers:      make(map[string]*peer),
 		conns:      make(map[net.Conn]struct{}),
 	}
 	if t.maxFrame <= 0 {
 		t.maxFrame = DefaultMaxFrame
 	}
-	if t.queueLen <= 0 {
-		t.queueLen = 1024
+	if t.cfg.RetryBase <= 0 {
+		t.cfg.RetryBase = 50 * time.Millisecond
+	}
+	if t.cfg.RetryCap <= 0 {
+		t.cfg.RetryCap = 2 * time.Second
 	}
 	r := cfg.Metrics
 	t.mBytesSent = r.Counter("tcp_bytes_sent_total")
@@ -219,7 +218,7 @@ func New(cfg Config) (*Transport, error) {
 		if proc == cfg.Process {
 			continue
 		}
-		t.peers[proc] = &peer{name: proc, addr: cfg.Peers[proc], ch: make(chan []byte, t.queueLen),
+		t.peers[proc] = &peer{name: proc, addr: cfg.Peers[proc], ch: make(chan []byte, queueLen),
 			gDepth: r.Gauge("tcp_send_queue_depth", "peer="+proc)}
 	}
 	return t, nil
@@ -344,39 +343,6 @@ func (t *Transport) AddNode(id transport.NodeID, h transport.Handler) {
 	t.nodes[id] = h
 }
 
-// RemoveNode unregisters a node.
-func (t *Transport) RemoveNode(id transport.NodeID) {
-	delete(t.nodes, id)
-}
-
-// JoinGroup adds a node to a multicast group. Membership is tracked in
-// full (ghosts included) so Multicast fans out to every process.
-func (t *Transport) JoinGroup(g transport.GroupID, id transport.NodeID) {
-	for _, m := range t.groups[g] {
-		if m == id {
-			return
-		}
-	}
-	t.groups[g] = append(t.groups[g], id)
-	sort.Slice(t.groups[g], func(i, j int) bool { return t.groups[g][i] < t.groups[g][j] })
-}
-
-// LeaveGroup removes a node from a multicast group.
-func (t *Transport) LeaveGroup(g transport.GroupID, id transport.NodeID) {
-	members := t.groups[g]
-	for i, m := range members {
-		if m == id {
-			t.groups[g] = append(members[:i], members[i+1:]...)
-			return
-		}
-	}
-}
-
-// GroupMembers returns the members of a group in deterministic order.
-func (t *Transport) GroupMembers(g transport.GroupID) []transport.NodeID {
-	return append([]transport.NodeID(nil), t.groups[g]...)
-}
-
 // Send queues a unicast message. Sends from an identity hosted elsewhere
 // are dropped (ghost suppression); local destinations are delivered
 // asynchronously on the loop; remote destinations are framed and enqueued
@@ -393,14 +359,6 @@ func (t *Transport) Send(from, to transport.NodeID, payload []byte) {
 		return
 	}
 	t.sendRemote(from, to, payload)
-}
-
-// Multicast sends to every member of the group (including the sender if it
-// is a member), mirroring IP multicast semantics.
-func (t *Transport) Multicast(from transport.NodeID, g transport.GroupID, payload []byte) {
-	for _, m := range t.groups[g] {
-		t.Send(from, m, payload)
-	}
 }
 
 func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
@@ -467,24 +425,6 @@ func (t *Transport) After(d time.Duration, fn func()) transport.Timer {
 	})
 }
 
-func (t *Transport) backoff(attempt int) time.Duration {
-	base, cap := t.cfg.RetryBase, t.cfg.RetryCap
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	return d
-}
-
 // runSender owns the outbound socket to one peer: dial with capped
 // exponential backoff (counted like smiop_conn_retries_total), then write
 // frames off the bounded queue until the connection breaks. Each write takes
@@ -515,7 +455,7 @@ func (t *Transport) runSender(p *peer) {
 			if err != nil {
 				attempt++
 				t.Post(func() { t.mReconnects.Inc() })
-				tm := time.NewTimer(t.backoff(attempt))
+				tm := time.NewTimer(transport.Backoff(attempt, t.cfg.RetryBase, t.cfg.RetryCap))
 				select {
 				case <-tm.C:
 				case <-t.closed:

@@ -102,47 +102,6 @@ func TestTCPGhostSuppression(t *testing.T) {
 	}
 }
 
-func TestTCPMulticastAndGroups(t *testing.T) {
-	ta, tb := twoProcs(t)
-
-	got := make(chan string, 4)
-	tb.Post(func() {
-		tb.AddNode("b/r0", transport.HandlerFunc(func(_ transport.NodeID, p []byte) { got <- "b/r0:" + string(p) }))
-	})
-	ta.Post(func() {
-		ta.AddNode("a/r0", transport.HandlerFunc(func(_ transport.NodeID, p []byte) { got <- "a/r0:" + string(p) }))
-	})
-	// Both processes track full membership; multicast fans out from the
-	// sender's process to local and remote members alike.
-	join := func(tr *Transport) {
-		tr.Post(func() {
-			tr.JoinGroup("g", "a/r0")
-			tr.JoinGroup("g", "b/r0")
-		})
-	}
-	join(ta)
-	join(tb)
-	ta.Post(func() {
-		if members := ta.GroupMembers("g"); len(members) != 2 {
-			t.Errorf("group has %d members, want 2", len(members))
-		}
-		ta.Multicast("a", "g", []byte("m"))
-	})
-
-	seen := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		select {
-		case g := <-got:
-			seen[g] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out; saw %v", seen)
-		}
-	}
-	if !seen["a/r0:m"] || !seen["b/r0:m"] {
-		t.Fatalf("multicast incomplete: %v", seen)
-	}
-}
-
 func TestTCPAfterAndStop(t *testing.T) {
 	ta, _ := twoProcs(t)
 

@@ -1,6 +1,8 @@
 // Package transport defines the pluggable message-passing contract every
-// ITDOS protocol layer is written against: unicast and multicast sends,
-// node registration, group membership, and clock-driven timers.
+// ITDOS protocol layer is written against: unicast sends, node
+// registration, and clock-driven timers. Fan-out to a group is a loop over
+// Send in the protocol layer, so a new backend (or a wrapper over one)
+// implements four methods.
 //
 // Two backends implement it. internal/netsim is the deterministic twin — a
 // single-threaded discrete-event simulator with virtual time, used by every
@@ -16,14 +18,11 @@ import "time"
 // NodeID identifies a process endpoint on the transport.
 type NodeID string
 
-// GroupID identifies a multicast group.
-type GroupID string
-
 // Handler receives messages delivered to a node.
 type Handler interface {
 	// Receive is invoked by the transport's single delivery thread when a
 	// message arrives. Implementations may call back into the transport
-	// (Send, Multicast, After) but must not retain payload beyond the call.
+	// (Send, After) but must not retain payload beyond the call.
 	Receive(from NodeID, payload []byte)
 }
 
@@ -52,7 +51,7 @@ func (t Timer) Stop() {
 	}
 }
 
-// Transport is the send/multicast contract extracted from the protocol
+// Transport is the message-passing contract extracted from the protocol
 // stack. Both backends serialise all Handler upcalls and timer callbacks
 // onto one logical delivery thread (the simulator's event loop, or the TCP
 // backend's loop goroutine): protocol state needs no locking, exactly the
@@ -65,27 +64,25 @@ type Transport interface {
 	// Send queues a unicast message for asynchronous delivery. The payload
 	// is copied (or framed) before Send returns; callers may reuse it.
 	Send(from, to NodeID, payload []byte)
-	// Multicast sends to every member of the group (including the sender
-	// if it is a member), mirroring IP multicast semantics.
-	Multicast(from NodeID, g GroupID, payload []byte)
-
 	// AddNode registers a node's delivery handler. Re-registering an id
 	// replaces its handler.
 	AddNode(id NodeID, h Handler)
-	// RemoveNode unregisters a node; in-flight messages to it are dropped
-	// at delivery time.
-	RemoveNode(id NodeID)
-
-	// JoinGroup adds a node to a multicast group.
-	JoinGroup(g GroupID, id NodeID)
-	// LeaveGroup removes a node from a multicast group.
-	LeaveGroup(g GroupID, id NodeID)
-	// GroupMembers returns the members of a group in deterministic order.
-	GroupMembers(g GroupID) []NodeID
-
 	// After schedules fn on the delivery thread at now + d.
 	After(d time.Duration, fn func()) Timer
 	// Now returns the transport clock: virtual time on the simulator,
 	// monotonic time since start on a live backend.
 	Now() time.Duration
+}
+
+// Backoff returns the delay before the attempt-th retry (attempt counts from
+// 0): a positive base doubled per attempt and capped at cap, so the loop
+// ends once cap is reached whatever the attempt count. It is the one retry
+// schedule of the stack — the endpoint's request resends and open_request
+// retransmissions, and the TCP backend's redials.
+func Backoff(attempt int, base, cap time.Duration) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < cap; i++ {
+		d *= 2
+	}
+	return min(d, cap)
 }
