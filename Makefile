@@ -115,13 +115,16 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTCPFrameDecode -fuzztime=$(FUZZTIME) ./internal/transport/tcp
 	$(GO) test -run='^$$' -fuzz=FuzzQueueSnapshot -fuzztime=$(FUZZTIME) ./internal/srm
 
+# The packages with committed fuzz seed corpora.
+FUZZ_PKGS = ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp ./internal/srm
+
 # Replay the committed seed corpora without fuzzing (fast; part of CI).
 fuzz-smoke:
-	$(GO) test -run='Fuzz' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp ./internal/srm
+	$(GO) test -run='Fuzz' $(FUZZ_PKGS)
 
 # Regenerate the committed fuzz seed corpora from golden vectors.
 corpus:
-	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp ./internal/srm
+	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' $(FUZZ_PKGS)
 
 # --- real-socket cluster harness (cmd/itdos-cluster, cmd/itdos-load) ---
 

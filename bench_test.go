@@ -157,15 +157,14 @@ func BenchmarkC1OrderingGroupSize(b *testing.B) {
 	for _, nf := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}} {
 		b.Run(fmt.Sprintf("n%d_f%d", nf.n, nf.f), func(b *testing.B) {
 			net := netsim.NewNetwork(1, netsim.ConstantLatency(time.Millisecond))
-			ring := pbft.NewKeyring()
 			dom, err := srm.NewDomain(net, srm.DomainConfig{
 				Name: "grp", N: nf.n, F: nf.f,
-				ViewTimeout: time.Second, Ring: ring,
+				ViewTimeout: time.Second, Ring: pbft.NewKeyring(), KeySeed: []byte("bench"),
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			sender, err := srm.NewSender(dom, "c", "c/rx", ring, 300*time.Millisecond)
+			sender, err := srm.NewSender(dom, "c", "c/rx", 300*time.Millisecond)
 			if err != nil {
 				b.Fatal(err)
 			}

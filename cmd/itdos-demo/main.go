@@ -195,7 +195,7 @@ func run(args []string) error {
 	}
 	if *metrics && mreg != nil {
 		fmt.Println("metrics:")
-		if err := mreg.WriteText(os.Stdout); err != nil {
+		if err := mreg.WriteProm(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println("--------------------------------------------------------------------")

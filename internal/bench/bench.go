@@ -152,6 +152,9 @@ const calcIface = "IDL:bench/Calc:1.0"
 // calcRef is the object every calc-domain scenario invokes.
 var calcRef = orb.ObjectRef{Domain: "calc", ObjectKey: "calc", Interface: calcIface}
 
+// keySeed derives the keys of the bare ordering groups C1, C6 and P1 build.
+var keySeed = []byte("itdos-bench")
+
 func calcRegistry() *idl.Registry {
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(calcIface).

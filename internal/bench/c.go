@@ -30,14 +30,13 @@ func C1() (*Table, error) {
 	var base float64
 	for _, nf := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {13, 4}} {
 		net := netsim.NewNetwork(int64(nf.n), netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-		ring := pbft.NewKeyring()
 		dom, err := srm.NewDomain(net, srm.DomainConfig{
-			Name: "grp", N: nf.n, F: nf.f, ViewTimeout: 500 * time.Millisecond, Ring: ring,
+			Name: "grp", N: nf.n, F: nf.f, ViewTimeout: 500 * time.Millisecond, Ring: pbft.NewKeyring(), KeySeed: keySeed,
 		})
 		if err != nil {
 			return nil, err
 		}
-		sender, err := srm.NewSender(dom, "bench-client", "bench/tx", ring, 200*time.Millisecond)
+		sender, err := srm.NewSender(dom, "bench-client", "bench/tx", 200*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +336,6 @@ func C6() (*Table, error) {
 	}
 	runOnce := func(stateSize int, useQueue bool) (uint64, error) {
 		net := netsim.NewNetwork(60, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-		ring := pbft.NewKeyring()
 		apps := make([]pbft.App, 4)
 		var group *pbft.SimGroup
 		var err error
@@ -355,11 +353,11 @@ func C6() (*Table, error) {
 		}
 		group, err = pbft.NewSimGroup(net, "grp", pbft.Config{
 			N: 4, F: 1, CheckpointInterval: 4, ViewTimeout: 500 * time.Millisecond,
-		}, ring, mkApp)
+		}, pbft.NewKeyring(), keySeed, mkApp)
 		if err != nil {
 			return 0, err
 		}
-		cli, err := group.NewSimClient("c", "c/rx", ring, 200*time.Millisecond)
+		cli, err := group.NewSimClient("c", "c/rx", 200*time.Millisecond)
 		if err != nil {
 			return 0, err
 		}

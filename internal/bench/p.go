@@ -30,10 +30,9 @@ func p1Measure(k, maxBatch int, m *obs.Registry) (p1Point, error) {
 	// Same seed for both MaxBatch columns of a given k: identical arrival
 	// schedules, so the cost difference is purely the protocol's.
 	net := netsim.NewNetwork(int64(40+k), netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-	ring := pbft.NewKeyring()
 	dom, err := srm.NewDomain(net, srm.DomainConfig{
 		Name: "grp", N: 4, F: 1, ViewTimeout: 500 * time.Millisecond,
-		MaxBatch: maxBatch, Ring: ring, Metrics: m,
+		MaxBatch: maxBatch, Ring: pbft.NewKeyring(), KeySeed: keySeed, Metrics: m,
 	})
 	if err != nil {
 		return p1Point{}, err
@@ -48,7 +47,7 @@ func p1Measure(k, maxBatch int, m *obs.Registry) (p1Point, error) {
 	// would look to the ordering layer.
 	senders := make([]*srm.Sender, k)
 	for i := range senders {
-		s, err := srm.NewSender(dom, fmt.Sprintf("bench-client-%d", i), fmt.Sprintf("bench/tx/%d", i), ring, 200*time.Millisecond)
+		s, err := srm.NewSender(dom, fmt.Sprintf("bench-client-%d", i), fmt.Sprintf("bench/tx/%d", i), 200*time.Millisecond)
 		if err != nil {
 			return p1Point{}, err
 		}

@@ -11,21 +11,21 @@ import (
 )
 
 // buildDomain creates an SRM domain behind a firewall proxy.
-func buildDomain(t *testing.T, policy Policy) (*netsim.Network, *srm.Domain, *Proxy, *pbft.Keyring) {
+func buildDomain(t *testing.T, policy Policy) (*netsim.Network, *srm.Domain, *Proxy) {
 	t.Helper()
 	net := netsim.NewNetwork(1, netsim.ConstantLatency(time.Millisecond))
-	ring := pbft.NewKeyring()
 	dom, err := srm.NewDomain(net, srm.DomainConfig{
 		Name: "enclave", N: 4, F: 1,
 		ViewTimeout: 200 * time.Millisecond,
-		Ring:        ring,
+		Ring:        pbft.NewKeyring(),
+		KeySeed:     []byte("enclave"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := New(policy, dom.Addrs())
 	net.AddFilter(proxy.Filter())
-	return net, dom, proxy, ring
+	return net, dom, proxy
 }
 
 func dataEnvelope() []byte {
@@ -37,12 +37,12 @@ func dataEnvelope() []byte {
 }
 
 func TestProxyPassesLegitimateTraffic(t *testing.T) {
-	net, dom, proxy, ring := buildDomain(t, Policy{})
+	net, dom, proxy := buildDomain(t, Policy{})
 	delivered := 0
 	for _, el := range dom.Elements {
 		el.OnDeliver = func(uint64, string, []byte) { delivered++ }
 	}
-	sender, err := srm.NewSender(dom, "alice", "alice/tx", ring, 100*time.Millisecond)
+	sender, err := srm.NewSender(dom, "alice", "alice/tx", 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestProxyPassesLegitimateTraffic(t *testing.T) {
 }
 
 func TestProxyDropsGarbage(t *testing.T) {
-	net, dom, proxy, _ := buildDomain(t, Policy{})
+	net, dom, proxy := buildDomain(t, Policy{})
 	hit := 0
 	for i, el := range dom.Elements {
 		el.OnDeliver = func(uint64, string, []byte) { hit++ }
@@ -83,7 +83,7 @@ func TestProxyDropsGarbage(t *testing.T) {
 }
 
 func TestProxyDropsOversized(t *testing.T) {
-	net, dom, proxy, _ := buildDomain(t, Policy{MaxMessageSize: 64})
+	net, dom, proxy := buildDomain(t, Policy{MaxMessageSize: 64})
 	net.AddNode("attacker", netsim.HandlerFunc(func(netsim.NodeID, []byte) {}))
 	net.Send("attacker", dom.Addrs()[0], make([]byte, 1024))
 	net.Run(1_000_000)
@@ -95,14 +95,14 @@ func TestProxyDropsOversized(t *testing.T) {
 func TestProxyEnforcesKindPolicy(t *testing.T) {
 	// Only DATA envelopes allowed: an OPEN_REQUEST from outside is dropped
 	// at the boundary.
-	net, dom, proxy, ring := buildDomain(t, Policy{
+	net, dom, proxy := buildDomain(t, Policy{
 		AllowKinds: map[smiop.Kind]bool{smiop.KindData: true},
 	})
 	delivered := 0
 	for _, el := range dom.Elements {
 		el.OnDeliver = func(uint64, string, []byte) { delivered++ }
 	}
-	sender, err := srm.NewSender(dom, "alice", "alice/tx", ring, 50*time.Millisecond)
+	sender, err := srm.NewSender(dom, "alice", "alice/tx", 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestProxyEnforcesKindPolicy(t *testing.T) {
 }
 
 func TestProxyRateLimits(t *testing.T) {
-	net, dom, proxy, _ := buildDomain(t, Policy{RatePerSource: 5, RateWindow: 1 << 30})
+	net, dom, proxy := buildDomain(t, Policy{RatePerSource: 5, RateWindow: 1 << 30})
 	net.AddNode("flood", netsim.HandlerFunc(func(netsim.NodeID, []byte) {}))
 	// Syntactically valid PBFT traffic (a checkpoint) flooding the boundary.
 	cp := pbft.Encode(&pbft.Checkpoint{Seq: 1, Replica: 0})
@@ -138,8 +138,8 @@ func TestProxyRateLimits(t *testing.T) {
 func TestIntraEnclaveTrafficBypassesProxy(t *testing.T) {
 	// Replica-to-replica traffic does not consume boundary budget: with a
 	// harsh rate limit the group still makes progress internally.
-	net, dom, proxy, ring := buildDomain(t, Policy{RatePerSource: 3, RateWindow: 1 << 30})
-	sender, err := srm.NewSender(dom, "alice", "alice/tx", ring, 100*time.Millisecond)
+	net, dom, proxy := buildDomain(t, Policy{RatePerSource: 3, RateWindow: 1 << 30})
+	sender, err := srm.NewSender(dom, "alice", "alice/tx", 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

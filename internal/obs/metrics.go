@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -253,99 +250,12 @@ func (r *Registry) EachHistogram(fn func(key string, h *Histogram)) {
 	if r == nil {
 		return
 	}
-	_, _, hists := r.sortedKeys()
-	for _, k := range hists {
+	keys := make([]string, 0, len(r.hists))
+	for k := range r.hists {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
 		fn(k, r.hists[k])
 	}
-}
-
-// --- exposition ---
-
-func (r *Registry) sortedKeys() (counters, gauges, hists []string) {
-	for k := range r.counters {
-		counters = append(counters, k)
-	}
-	for k := range r.gauges {
-		gauges = append(gauges, k)
-	}
-	for k := range r.hists {
-		hists = append(hists, k)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(hists)
-	return
-}
-
-// WriteText renders every instrument, sorted by name, one per line.
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	counters, gauges, hists := r.sortedKeys()
-	for _, k := range counters {
-		if _, err := fmt.Fprintf(w, "counter   %s %d\n", k, r.counters[k].v); err != nil {
-			return err
-		}
-	}
-	for _, k := range gauges {
-		if _, err := fmt.Fprintf(w, "gauge     %s %g\n", k, r.gauges[k].v); err != nil {
-			return err
-		}
-	}
-	for _, k := range hists {
-		h := r.hists[k]
-		var b strings.Builder
-		fmt.Fprintf(&b, "histogram %s count=%d sum=%g", k, h.n, h.sum)
-		for i, bound := range h.bounds {
-			fmt.Fprintf(&b, " le%g=%d", bound, h.counts[i])
-		}
-		fmt.Fprintf(&b, " inf=%d", h.counts[len(h.bounds)])
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// histogramJSON is the JSON shape of one histogram.
-type histogramJSON struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  uint64    `json:"count"`
-}
-
-// registryJSON is the JSON shape of a registry dump. Maps serialise with
-// sorted keys, so the output is deterministic.
-type registryJSON struct {
-	Counters   map[string]uint64        `json:"counters"`
-	Gauges     map[string]float64       `json:"gauges"`
-	Histograms map[string]histogramJSON `json:"histograms"`
-}
-
-// WriteJSON renders the registry as a single deterministic JSON object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	out := registryJSON{
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]histogramJSON, len(r.hists)),
-	}
-	for k, c := range r.counters {
-		out.Counters[k] = c.v
-	}
-	for k, g := range r.gauges {
-		out.Gauges[k] = g.v
-	}
-	for k, h := range r.hists {
-		out.Histograms[k] = histogramJSON{
-			Bounds: h.bounds, Counts: h.counts, Sum: h.sum, Count: h.n,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

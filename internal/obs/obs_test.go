@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -72,74 +71,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 || r.Histogram("z", nil).Count() != 0 {
 		t.Fatal("nil registry instruments must read zero")
 	}
-	if err := r.WriteText(&bytes.Buffer{}); err != nil {
+	if err := r.WriteProm(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteTextDeterministic(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b_total").Add(2)
-	r.Counter("a_total", "k=v").Inc()
-	r.Gauge("g").Set(1.5)
-	r.Histogram("h", []float64{1, 2}).Observe(1.5)
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join([]string{
-		"counter   a_total{k=v} 1",
-		"counter   b_total 2",
-		"gauge     g 1.5",
-		"histogram h count=1 sum=1.5 le1=0 le2=1 inf=0",
-		"",
-	}, "\n")
-	if buf.String() != want {
-		t.Fatalf("WriteText:\n%s\nwant:\n%s", buf.String(), want)
-	}
-
-	var buf2 bytes.Buffer
-	if err := r.WriteText(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("WriteText must be deterministic across calls")
-	}
-}
-
-func TestWriteJSONShape(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total").Add(4)
-	r.Gauge("g").Set(2)
-	r.Histogram("h", []float64{10}).Observe(3)
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Counters   map[string]uint64 `json:"counters"`
-		Gauges     map[string]float64
-		Histograms map[string]struct {
-			Bounds []float64
-			Counts []uint64
-			Sum    float64
-			Count  uint64
-		}
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, buf.String())
-	}
-	if out.Counters["c_total"] != 4 {
-		t.Fatalf("counters = %v", out.Counters)
-	}
-	h := out.Histograms["h"]
-	if h.Count != 1 || h.Sum != 3 || len(h.Bounds) != 1 || len(h.Counts) != 2 || h.Counts[0] != 1 {
-		t.Fatalf("histogram JSON = %+v", h)
 	}
 }
 

@@ -125,9 +125,9 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 // TestRegistryJSONDeterministic is the regression test for instrument
-// iteration order in WriteJSON: dumps must be byte-identical across runs
-// and across registration orders, including instruments that differ only
-// by label.
+// iteration order in the one exposition format, WriteProm: dumps must be
+// byte-identical across runs and across registration orders, including
+// instruments that differ only by label.
 func TestRegistryJSONDeterministic(t *testing.T) {
 	render := func(order []string) string {
 		r := NewRegistry()
@@ -138,7 +138,7 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 		}
 		r.Counter("votes_total").Inc() // bare name vs labelled variants
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
+		if err := r.WriteProm(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -147,7 +147,7 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	reversed := []string{"gm/r0", "calc/r2", "calc/r1", "calc/r0"}
 	a := render(members)
 	if b := render(reversed); a != b {
-		t.Fatalf("registration order leaked into JSON dump:\n%s\nvs\n%s", a, b)
+		t.Fatalf("registration order leaked into the dump:\n%s\nvs\n%s", a, b)
 	}
 	// And repeated identical runs stay byte-identical.
 	for i := 0; i < 5; i++ {

@@ -19,7 +19,7 @@ func (r *Replica) HandleMessage(data []byte) {
 
 // verify authenticates m as received by this replica of its group.
 func (r *Replica) verify(m Message) bool {
-	return verifyIn(r.cfg.Auth, m, r.cfg.ID, r.cfg.N)
+	return verifyIn(r.cfg.Auth, m, r.cfg.ID, r.ids)
 }
 
 // stalePhase reports whether m is a prepare, commit or checkpoint that

@@ -48,24 +48,34 @@ type Authenticator interface {
 // the tag for its client, everything else a signature. A Commit carries one
 // tag per replica of its group, which only a replica can address
 // (Replica.sign); outside a group it gets none.
-func SignMessage(auth Authenticator, m Message) { signIn(auth, m, 0) }
+func SignMessage(auth Authenticator, m Message) { signIn(auth, m, nil) }
 
-// VerifyMessage checks m's signature, or a Reply's tag, against its
-// SenderKey. A Commit verifies only at a replica of its group
-// (Replica.verify).
-func VerifyMessage(auth Authenticator, m Message) bool { return verifyIn(auth, m, 0, 0) }
+// VerifyMessage checks a request's signature. Every other message names its
+// sender by index in a group, so it verifies only against that group's
+// identities (Replica.verify, Client.HandleMessage).
+func VerifyMessage(auth Authenticator, m Message) bool { return verifyIn(auth, m, -1, nil) }
 
-// signIn is SignMessage within a group of n replicas. A commit's Sig holds n
-// tags, slot i under the key shared with replica i; the sender's own slot,
-// and that of a peer it has no key with, stay zero.
-func signIn(auth Authenticator, m Message, n int) {
+// Identities returns the authentication identities of the n replicas of
+// group: replica i is "group/r<i>", which is also its transport address.
+func Identities(group string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s/r%d", group, i)
+	}
+	return ids
+}
+
+// signIn is SignMessage within a group whose replicas are ids. A commit's Sig
+// holds one tag per replica, slot i under the key shared with ids[i]; the
+// sender's own slot stays zero, as does that of a peer it has no key with.
+func signIn(auth Authenticator, m Message, ids []string) {
 	b := signingBytes(m)
 	switch msg := m.(type) {
 	case *Commit:
-		tags := make([]byte, n*MACSize)
-		for i := 0; i < n; i++ {
+		tags := make([]byte, len(ids)*MACSize)
+		for i, id := range ids {
 			if ReplicaID(i) != msg.Replica {
-				copy(tags[i*MACSize:(i+1)*MACSize], auth.MAC(replicaKey(ReplicaID(i)), b))
+				copy(tags[i*MACSize:(i+1)*MACSize], auth.MAC(id, b))
 			}
 		}
 		msg.Sig = tags
@@ -76,21 +86,31 @@ func signIn(auth Authenticator, m Message, n int) {
 	}
 }
 
-// verifyIn is VerifyMessage at replica self of a group of n: a commit counts
-// only if it has exactly n slots and the receiver's own holds the sender's
-// tag — the other slots are none of its business.
-func verifyIn(auth Authenticator, m Message, self ReplicaID, n int) bool {
+// verifyIn is VerifyMessage at replica self of the group whose replicas are
+// ids (self is -1 at a client). A sender index outside ids is refused before
+// any key is looked up. A commit counts only if it has one slot per replica
+// and the receiver's own holds the sender's tag — the other slots are none of
+// its business.
+func verifyIn(auth Authenticator, m Message, self ReplicaID, ids []string) bool {
+	from, signer := m.sender(), ""
+	if req, ok := m.(*Request); ok {
+		signer = req.ClientID
+	} else if from >= 0 && int(from) < len(ids) {
+		signer = ids[from]
+	} else {
+		return false
+	}
 	switch msg := m.(type) {
 	case *Commit:
-		if msg.Replica == self || int(msg.Replica) >= n || int(self) >= n || len(msg.Sig) != n*MACSize {
+		n := len(ids)
+		if from == self || self < 0 || int(self) >= n || len(msg.Sig) != n*MACSize {
 			return false
 		}
-		tag := msg.Sig[int(self)*MACSize : (int(self)+1)*MACSize]
-		return auth.VerifyMAC(m.SenderKey(), signingBytes(m), tag)
+		return auth.VerifyMAC(signer, signingBytes(m), msg.Sig[int(self)*MACSize:(int(self)+1)*MACSize])
 	case *Reply:
-		return auth.VerifyMAC(m.SenderKey(), signingBytes(m), msg.Sig)
+		return auth.VerifyMAC(signer, signingBytes(m), msg.Sig)
 	default:
-		return auth.Verify(m.SenderKey(), signingBytes(m), *m.sigRef())
+		return auth.Verify(signer, signingBytes(m), *m.sigRef())
 	}
 }
 
@@ -327,26 +347,15 @@ func montgomeryU(pub ed25519.PublicKey) ([]byte, error) {
 	return out, nil
 }
 
-// GenerateIdentity creates a fresh Ed25519 keypair for identity and
-// registers the public key in ring.
-func GenerateIdentity(identity string, ring *Keyring) (ed25519.PrivateKey, error) {
-	pub, priv, err := ed25519.GenerateKey(nil)
-	if err != nil {
-		return nil, fmt.Errorf("pbft: generate key for %s: %w", identity, err)
-	}
-	ring.Add(identity, pub)
-	return priv, nil
-}
-
 // DeriveIdentity derives identity's Ed25519 keypair deterministically from
 // a shared seed (HMAC-SHA256(seed, identity) is exactly the 32-byte
-// ed25519 key seed), registering the public key in the ring. Independently
-// built processes of a cluster use this to agree on all key material
-// without a key-distribution round; the seed must stay as secret as the
-// private keys it generates.
+// ed25519 key seed), registering the public key in the ring. It is the one
+// way a key is made: independently built processes of a cluster use it to
+// agree on all key material without a key-distribution round, and the
+// seed must stay as secret as the private keys it generates.
 func DeriveIdentity(identity string, seed []byte, ring *Keyring) (ed25519.PrivateKey, error) {
-	if len(seed) == 0 {
-		return nil, fmt.Errorf("pbft: derive key for %s: empty seed", identity)
+	if len(seed) == 0 || ring == nil {
+		return nil, fmt.Errorf("pbft: derive key for %s: needs a seed and a keyring", identity)
 	}
 	mac := hmac.New(sha256.New, seed)
 	mac.Write([]byte(identity))
@@ -354,37 +363,3 @@ func DeriveIdentity(identity string, seed []byte, ring *Keyring) (ed25519.Privat
 	ring.Add(identity, priv.Public().(ed25519.PublicKey))
 	return priv, nil
 }
-
-// NullAuth performs no cryptography: Sign and MAC return constant tags and
-// the checks accept exactly those. It exists for benchmark ablations
-// isolating authentication cost (the paper notes signing every message is a
-// deliberate performance sacrifice, §4).
-type NullAuth struct {
-	identity string
-}
-
-var _ Authenticator = (*NullAuth)(nil)
-
-// nullTag is NullAuth's MAC: the size of a real tag, so a commit's slots
-// line up whatever the authenticator.
-var nullTag = bytes.Repeat([]byte{0xA5}, MACSize)
-
-// NewNullAuth returns a no-op authenticator for identity.
-func NewNullAuth(identity string) *NullAuth { return &NullAuth{identity: identity} }
-
-// Sign implements Authenticator.
-func (a *NullAuth) Sign([]byte) []byte { return []byte{0xA5} }
-
-// Verify implements Authenticator.
-func (a *NullAuth) Verify(_ string, _, sig []byte) bool {
-	return len(sig) == 1 && sig[0] == 0xA5
-}
-
-// MAC implements Authenticator.
-func (a *NullAuth) MAC(string, []byte) []byte { return bytes.Clone(nullTag) }
-
-// VerifyMAC implements Authenticator.
-func (a *NullAuth) VerifyMAC(_ string, _, tag []byte) bool { return hmac.Equal(tag, nullTag) }
-
-// Identity implements Authenticator.
-func (a *NullAuth) Identity() string { return a.identity }

@@ -105,8 +105,7 @@ func benchAuthPair(b *testing.B) (*Ed25519Auth, *Ed25519Auth, []byte) {
 	b.Helper()
 	ring := NewKeyring()
 	auths := make([]*Ed25519Auth, 2)
-	for i := range auths {
-		id := replicaKey(ReplicaID(i))
+	for i, id := range Identities("grp", 2) {
 		priv, err := DeriveIdentity(id, []byte("bench"), ring)
 		if err != nil {
 			b.Fatal(err)

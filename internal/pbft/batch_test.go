@@ -32,7 +32,6 @@ func newBatchHarness(t *testing.T, n, f int, seed int64, maxBatch, k int) *batch
 func newBatchHarnessWait(t *testing.T, n, f int, seed int64, maxBatch, k int, wait time.Duration) *batchHarness {
 	t.Helper()
 	net := netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-	ring := NewKeyring()
 	apps := make([]*logApp, n)
 	metrics := obs.NewRegistry()
 	group, err := NewSimGroup(net, "grp", Config{
@@ -42,8 +41,7 @@ func newBatchHarnessWait(t *testing.T, n, f int, seed int64, maxBatch, k int, wa
 		MaxBatch:           maxBatch,
 		BatchWait:          wait,
 		Metrics:            metrics,
-		MetricsLabel:       "grp",
-	}, ring, func(i int) App {
+	}, NewKeyring(), testSeed, func(i int) App {
 		apps[i] = &logApp{}
 		return apps[i]
 	})
@@ -54,7 +52,7 @@ func newBatchHarnessWait(t *testing.T, n, f int, seed int64, maxBatch, k int, wa
 		acked: make([]int, k)}
 	for i := 0; i < k; i++ {
 		cli, err := group.NewSimClient(fmt.Sprintf("client:%d", i), fmt.Sprintf("client/%d", i),
-			ring, 100*time.Millisecond)
+			100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +370,7 @@ func TestPrimaryBacklogGauge(t *testing.T) {
 func BenchmarkDupDetect(b *testing.B) {
 	r, err := NewReplica(Config{
 		N: 4, F: 1, CheckpointInterval: 64, WindowSize: 128,
-		Auth: NewNullAuth("replica:0"),
+		Group: "grp", Auth: nullAuth{"grp/r0"},
 	}, &logApp{}, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -28,6 +28,9 @@ const DefaultRetransmitTimeout = 150 * time.Millisecond
 type ClientConfig struct {
 	// ID is the client's authentication identity.
 	ID string
+	// Group names the target replica group: its replicas sign as
+	// Identities(Group, N).
+	Group string
 	// ReplyAddr is the transport address replicas send replies to.
 	ReplyAddr string
 	// N, F describe the target replica group.
@@ -69,6 +72,7 @@ type pendingInvocation struct {
 // outstanding request can exist for a connection", §3.6).
 type Client struct {
 	cfg     ClientConfig
+	ids     []string // the replicas' identities
 	env     ClientEnv
 	seq     uint64
 	primary ReplicaID
@@ -83,7 +87,7 @@ func NewClient(cfg ClientConfig, env ClientEnv) (*Client, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Client{cfg: cfg, env: env}, nil
+	return &Client{cfg: cfg, ids: Identities(cfg.Group, cfg.N), env: env}, nil
 }
 
 // LastSeq returns the most recently assigned client sequence number.
@@ -133,10 +137,7 @@ func (c *Client) HandleMessage(data []byte) {
 	if p == nil || reply.ClientID != c.cfg.ID || reply.ClientSeq != p.seq {
 		return
 	}
-	if reply.Replica < 0 || int(reply.Replica) >= c.cfg.N {
-		return
-	}
-	if !VerifyMessage(c.cfg.Auth, reply) {
+	if !verifyIn(c.cfg.Auth, reply, -1, c.ids) {
 		return
 	}
 	c.onReply(p, reply)

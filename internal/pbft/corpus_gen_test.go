@@ -25,7 +25,7 @@ func TestGenMACCorpus(t *testing.T) {
 	}
 	_, _, all := fuzzAuths(t)
 	commit := &Commit{View: 2, Seq: 9, Digest: Digest{7}, Replica: 2}
-	signIn(all["replica:2"], commit, 4)
+	signIn(all["replica:2"], commit, fuzzIDs)
 	reply := &Reply{View: 2, ClientID: "client:x", ClientSeq: 5, Replica: 3, Result: []byte("ack")}
 	SignMessage(all["replica:3"], reply)
 	seeds := [][]byte{Encode(commit), Encode(reply)}

@@ -67,6 +67,10 @@ func FuzzPrePrepareDecode(f *testing.F) {
 	})
 }
 
+// fuzzIDs are the identities of the fuzzed group's replicas, named as when
+// the committed seeds were tagged.
+var fuzzIDs = []string{"replica:0", "replica:1", "replica:2", "replica:3"}
+
 // fuzzAuths returns replica 1's and client:x's authenticators in a group of
 // four whose keys derive from a fixed seed, and everybody's by identity: the
 // committed seeds carry tags that stay valid from run to run.
@@ -74,7 +78,7 @@ func fuzzAuths(tb testing.TB) (replica, client Authenticator, all map[string]Aut
 	tb.Helper()
 	ring := NewKeyring()
 	all = make(map[string]Authenticator)
-	for _, id := range []string{"replica:0", "replica:1", "replica:2", "replica:3", "client:x"} {
+	for _, id := range append(fuzzIDs[:4:4], "client:x") {
 		priv, err := DeriveIdentity(id, []byte("fuzz-corpus"), ring)
 		if err != nil {
 			tb.Fatal(err)
@@ -91,7 +95,7 @@ func fuzzAuths(tb testing.TB) (replica, client Authenticator, all map[string]Aut
 func FuzzMACAuthenticator(f *testing.F) {
 	replica, client, all := fuzzAuths(f)
 	commit := &Commit{View: 2, Seq: 9, Digest: Digest{7}, Replica: 2}
-	signIn(all["replica:2"], commit, 4)
+	signIn(all["replica:2"], commit, fuzzIDs)
 	f.Add(Encode(commit))
 	reply := &Reply{View: 2, ClientID: "client:x", ClientSeq: 5, Replica: 3, Result: []byte("ack")}
 	SignMessage(all["replica:3"], reply)
@@ -105,14 +109,14 @@ func FuzzMACAuthenticator(f *testing.F) {
 		var got, want []byte
 		switch msg := m.(type) {
 		case *Commit:
-			if ok = verifyIn(replica, msg, 1, 4); ok {
+			if ok = verifyIn(replica, msg, 1, fuzzIDs); ok {
 				got = msg.Sig[MACSize : 2*MACSize]
-				want = all[msg.SenderKey()].MAC("replica:1", signingBytes(msg))
+				want = all[fuzzIDs[msg.Replica]].MAC("replica:1", signingBytes(msg))
 			}
 		case *Reply:
-			if ok = VerifyMessage(client, msg); ok {
+			if ok = verifyIn(client, msg, -1, fuzzIDs); ok {
 				got = msg.Sig
-				want = all[msg.SenderKey()].MAC(msg.ClientID, signingBytes(msg))
+				want = all[fuzzIDs[msg.Replica]].MAC(msg.ClientID, signingBytes(msg))
 			}
 		}
 		if ok && (want == nil || !bytes.Equal(got, want)) {

@@ -42,11 +42,10 @@ func TestProgressUnderPacketLoss(t *testing.T) {
 // delivery: total order must hold regardless.
 func TestProgressUnderChurnedLatency(t *testing.T) {
 	net := netsim.NewNetwork(5, netsim.UniformLatency(100*time.Microsecond, 20*time.Millisecond))
-	ring := NewKeyring()
 	apps := make([]*logApp, 4)
 	group, err := NewSimGroup(net, "grp", Config{
 		N: 4, F: 1, CheckpointInterval: 4, ViewTimeout: 300 * time.Millisecond,
-	}, ring, func(i int) App {
+	}, NewKeyring(), testSeed, func(i int) App {
 		apps[i] = &logApp{}
 		return apps[i]
 	})
@@ -54,7 +53,7 @@ func TestProgressUnderChurnedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := map[uint64]bool{}
-	cli, err := group.NewSimClient("client:x", "client/x", ring, 150*time.Millisecond)
+	cli, err := group.NewSimClient("client:x", "client/x", 150*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 // slot returns receiver id's tag in a commit's authenticator.
 func slot(sig []byte, id int) []byte { return sig[id*MACSize : (id+1)*MACSize] }
 
-// authKinds runs a test over both authenticators. Rows that need real
-// cryptography to fail (a replayed or transplanted tag) skip NullAuth, whose
-// tags are all alike.
+// authKinds runs a test over Ed25519Auth and over nullAuth. Rows that need
+// real cryptography to fail (a replayed or transplanted tag) skip nullAuth,
+// whose tags are all alike.
 var authKinds = []struct {
 	name string
 	null bool
@@ -106,7 +106,7 @@ func TestCommitAuthenticatorTable(t *testing.T) {
 			}},
 			{"a sender beyond the group", false, func() *Commit {
 				c := &Commit{Seq: 1, Digest: fx.d, Replica: 4}
-				signIn(fx.auths["replica:2"], c, 4)
+				signIn(fx.auths[fx.ids[2]], c, fx.ids)
 				return c
 			}},
 			{"my own commit reflected", false, func() *Commit {
@@ -116,7 +116,7 @@ func TestCommitAuthenticatorTable(t *testing.T) {
 			}},
 			{"signed, not tagged", false, func() *Commit {
 				c := fresh()
-				c.Sig = fx.auths["replica:2"].Sign(signingBytes(c))
+				c.Sig = fx.auths[fx.ids[2]].Sign(signingBytes(c))
 				return c
 			}},
 		}
@@ -134,7 +134,7 @@ func TestCommitAuthenticatorTable(t *testing.T) {
 			}
 			t.Run(kind.name+"/"+row.name, func(t *testing.T) {
 				r, env, auth := fx.replica(t, "prepared")
-				if verifyIn(auth, row.make(), 1, 4) {
+				if verifyIn(auth, row.make(), 1, fx.ids) {
 					t.Fatal("authenticator verified")
 				}
 				state, sent := dumpReplica(r), len(env.out)
@@ -153,7 +153,7 @@ func TestReplyAuthenticatorTable(t *testing.T) {
 	for _, kind := range authKinds {
 		fx, _ := newPhaseFixtureAuth(t, kind.null)
 		tagged := func(rep *Reply) *Reply {
-			SignMessage(fx.auths[rep.SenderKey()], rep)
+			SignMessage(fx.authOf(rep), rep)
 			return rep
 		}
 		fresh := func() *Reply {
@@ -192,7 +192,7 @@ func TestReplyAuthenticatorTable(t *testing.T) {
 			{"signed, not tagged", false, func() *Reply {
 				rep := fresh()
 				rep.Sig = nil
-				rep.Sig = fx.auths["replica:2"].Sign(signingBytes(rep))
+				rep.Sig = fx.auths[fx.ids[2]].Sign(signingBytes(rep))
 				return rep
 			}},
 			{"replayed from another client", true, func() *Reply {
@@ -217,7 +217,7 @@ func TestReplyAuthenticatorTable(t *testing.T) {
 			}},
 			{"a sender beyond the group", false, func() *Reply {
 				rep := &Reply{ClientID: "client:x", ClientSeq: 1, Replica: 4, Result: []byte("ack")}
-				SignMessage(fx.auths["replica:2"], rep)
+				SignMessage(fx.auths[fx.ids[2]], rep)
 				return rep
 			}},
 		}
@@ -225,7 +225,7 @@ func TestReplyAuthenticatorTable(t *testing.T) {
 			t.Helper()
 			env := &recEnv{}
 			auth := &countingAuth{Authenticator: fx.auths["client:x"]}
-			cli, err := NewClient(ClientConfig{ID: "client:x", ReplyAddr: "client/x", N: 4, F: 1, Auth: auth}, env)
+			cli, err := NewClient(ClientConfig{ID: "client:x", Group: "grp", ReplyAddr: "client/x", N: 4, F: 1, Auth: auth}, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,16 +286,10 @@ func TestReplyAuthenticatorTable(t *testing.T) {
 // shared secret — gets none.
 func TestPairKey(t *testing.T) {
 	ring := NewKeyring()
-	ids := []string{"replica:0", "replica:1", "replica:2", "client:a"}
+	ids := append(Identities("grp", 3), "client:a")
 	auths := make(map[string]*Ed25519Auth)
-	for i, id := range ids {
-		var err error
-		var priv ed25519.PrivateKey
-		if i%2 == 0 {
-			priv, err = GenerateIdentity(id, ring)
-		} else {
-			priv, err = DeriveIdentity(id, []byte("seed"), ring)
-		}
+	for _, id := range ids {
+		priv, err := DeriveIdentity(id, []byte("seed"), ring)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +312,8 @@ func TestPairKey(t *testing.T) {
 			}
 		}
 	}
-	a := auths["replica:0"]
-	if a.pairKey("replica:9") != nil || a.MAC("replica:9", nil) != nil || a.VerifyMAC("replica:9", nil, make([]byte, MACSize)) {
+	a := auths["grp/r0"]
+	if a.pairKey("grp/r9") != nil || a.MAC("grp/r9", nil) != nil || a.VerifyMAC("grp/r9", nil, make([]byte, MACSize)) {
 		t.Error("unknown identity got a key")
 	}
 	// The Ed25519 encodings of the points of order 1, 2 and 4 (y = 1, −1, 0)
@@ -354,23 +348,23 @@ func TestPairKey(t *testing.T) {
 // changes, only tags under the new one count.
 func TestPairKeyFollowsKeyring(t *testing.T) {
 	fx, ring := newPhaseFixture(t)
-	self := fx.auths["replica:1"].(*Ed25519Auth)
+	self := fx.auths["grp/r1"].(*Ed25519Auth)
 	commit := func(seq uint64, from ReplicaID) []byte {
 		return fx.wire(&Commit{Seq: seq, Digest: fx.d, Replica: from}, false)
 	}
 
 	r, _, _ := fx.replica(t, "prepared") // verified replica 0's commit: key cached
-	if _, hit := self.pairs["replica:0"]; !hit {
+	if _, hit := self.pairs["grp/r0"]; !hit {
 		t.Fatal("fixture: no cached key for replica 0")
 	}
 	late := commit(2, 0)
-	ring.Remove("replica:0")
+	ring.Remove("grp/r0")
 	state := dumpReplica(r)
 	r.HandleMessage(late)
 	if dumpReplica(r) != state {
 		t.Error("expelled member's commit was recorded")
 	}
-	if _, hit := self.pairs["replica:0"]; hit {
+	if _, hit := self.pairs["grp/r0"]; hit {
 		t.Error("cache entry outlived Keyring.Remove")
 	}
 
@@ -381,15 +375,15 @@ func TestPairKeyFollowsKeyring(t *testing.T) {
 	}
 	probe := &Commit{Seq: 3, Digest: fx.d, Replica: 2}
 	fx.wire(probe, false)
-	if !verifyIn(self, probe, 1, 4) {
+	if !verifyIn(self, probe, 1, fx.ids) {
 		t.Fatal("fixture: replica 2's tag does not verify before the key change")
 	}
-	ring.Add("replica:2", pub)
+	ring.Add("grp/r2", pub)
 	r.HandleMessage(old)
 	if r.LastExecuted() != 0 {
 		t.Error("commit under the replaced key completed the quorum")
 	}
-	fx.auths["replica:2"] = NewEd25519Auth("replica:2", priv, ring)
+	fx.auths["grp/r2"] = NewEd25519Auth("grp/r2", priv, ring)
 	r.HandleMessage(commit(1, 2))
 	if r.LastExecuted() != 1 {
 		t.Error("commit under the new key was not counted")
@@ -419,27 +413,29 @@ func TestSelectiveAuthenticatorGainsNothing(t *testing.T) {
 	for _, kind := range authKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			net := netsim.NewNetwork(23, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-			var ring *Keyring
-			if !kind.null {
-				ring = NewKeyring()
-			}
 			apps := make([]*logApp, 4)
 			group, err := NewSimGroup(net, "grp", Config{N: 4, F: 1, CheckpointInterval: 4,
-				ViewTimeout: 200 * time.Millisecond}, ring, func(i int) App {
+				ViewTimeout: 200 * time.Millisecond}, NewKeyring(), []byte("selective"), func(i int) App {
 				apps[i] = &logApp{}
 				return apps[i]
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			evil := group.Replicas[3]
-			evil.cfg.Auth = &selectiveAuth{Authenticator: evil.cfg.Auth, victim: "replica:1"}
-			victim := &countingAuth{Authenticator: group.Replicas[1].cfg.Auth}
-			group.Replicas[1].cfg.Auth = victim
-			cli, err := group.NewSimClient("client:s", "client/s", ring, 100*time.Millisecond)
+			cli, err := group.NewSimClient("client:s", "client/s", 100*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if kind.null {
+				for _, r := range group.Replicas {
+					r.cfg.Auth = nullAuth{r.Identity()}
+				}
+				cli.cfg.Auth = nullAuth{"client:s"}
+			}
+			evil := group.Replicas[3]
+			evil.cfg.Auth = &selectiveAuth{Authenticator: evil.cfg.Auth, victim: "grp/r1"}
+			victim := &countingAuth{Authenticator: group.Replicas[1].cfg.Auth}
+			group.Replicas[1].cfg.Auth = victim
 			results := 0
 			cli.OnResult = func(uint64, []byte) { results++ }
 			const calls = 14 // the last two stay in the log past the checkpoint at 12
@@ -499,11 +495,11 @@ func TestLyingViewCannotSteerClient(t *testing.T) {
 	h := newHarness(t, 4, 1, 19)
 	liar := h.group.Addrs[3]
 	env := &countingClientEnv{SimReplicaEnv: &SimReplicaEnv{net: h.net, self: "client/hint", addrs: h.group.Addrs, selfIdx: -1}}
-	priv, err := GenerateIdentity("client:hint", h.ring)
+	priv, err := DeriveIdentity("client:hint", []byte("hint"), h.ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewClient(ClientConfig{ID: "client:hint", ReplyAddr: "client/hint", N: 4, F: 1,
+	cli, err := NewClient(ClientConfig{ID: "client:hint", Group: "grp", ReplyAddr: "client/hint", N: 4, F: 1,
 		RetransmitTimeout: 100 * time.Millisecond, Auth: NewEd25519Auth("client:hint", priv, h.ring)}, env)
 	if err != nil {
 		t.Fatal(err)
@@ -577,17 +573,17 @@ func TestMechanismPerMessageType(t *testing.T) {
 	fx, _ := newPhaseFixture(t)
 	tagged := map[MsgType]int{MTCommit: 3, MTReply: 1} // tags made at n = 4
 	for _, m := range []Message{
-		&Request{ClientID: "replica:2"}, &PrePrepare{Replica: 2}, &Prepare{Replica: 2}, &Commit{Replica: 2},
+		&Request{ClientID: "grp/r2"}, &PrePrepare{Replica: 2}, &Prepare{Replica: 2}, &Commit{Replica: 2},
 		&Reply{ClientID: "client:x", Replica: 2}, &Checkpoint{Replica: 2}, &ViewChange{Replica: 2},
 		&NewView{Replica: 2}, &FetchState{Replica: 2}, &StateData{Replica: 2}, &FetchEntry{Replica: 2},
 	} {
-		sender := &countingAuth{Authenticator: fx.auths["replica:2"]}
-		signIn(sender, m, 4)
-		receiver := &countingAuth{Authenticator: fx.auths["replica:1"]}
+		sender := &countingAuth{Authenticator: fx.auths["grp/r2"]}
+		signIn(sender, m, fx.ids)
+		receiver := &countingAuth{Authenticator: fx.auths["grp/r1"]}
 		if _, isReply := m.(*Reply); isReply {
 			receiver.Authenticator = fx.auths["client:x"]
 		}
-		if !verifyIn(receiver, m, 1, 4) {
+		if !verifyIn(receiver, m, 1, fx.ids) {
 			t.Errorf("%s: does not verify", m.Type())
 		}
 		if macs := tagged[m.Type()]; macs > 0 {
@@ -601,6 +597,62 @@ func TestMechanismPerMessageType(t *testing.T) {
 			len(*m.sigRef()) != ed25519.SignatureSize {
 			t.Errorf("%s: not Ed25519-signed: sender %d signatures %d tags, receiver %d verifications %d tag checks",
 				m.Type(), sender.signs, sender.macs, receiver.verifies, receiver.macChecks)
+		}
+	}
+}
+
+// TestSenderIndexOutsideGroup: a message of any type a replica sends that
+// names a sender the group does not have — index n, or the largest the
+// decoder admits — is refused before any identity is looked up, at a replica
+// and at a client: no authenticator call, no state change, nothing sent.
+func TestSenderIndexOutsideGroup(t *testing.T) {
+	fx, _ := newPhaseFixture(t)
+	kinds := map[string]func(from ReplicaID) Message{
+		"pre-prepare": func(from ReplicaID) Message {
+			return &PrePrepare{Seq: 2, Digest: fx.d, Requests: []*Request{fx.req}, Replica: from}
+		},
+		"prepare": func(from ReplicaID) Message { return &Prepare{Seq: 1, Digest: fx.d, Replica: from} },
+		"commit":  func(from ReplicaID) Message { return &Commit{Seq: 1, Digest: fx.d, Replica: from} },
+		"reply": func(from ReplicaID) Message {
+			return &Reply{ClientID: "client:x", ClientSeq: 1, Replica: from, Result: []byte("ack")}
+		},
+		"checkpoint":  func(from ReplicaID) Message { return &Checkpoint{Seq: 16, Replica: from} },
+		"view-change": func(from ReplicaID) Message { return &ViewChange{NewView: 1, Replica: from} },
+		"new-view":    func(from ReplicaID) Message { return &NewView{View: 1, Replica: from} },
+		"fetch-state": func(from ReplicaID) Message { return &FetchState{Seq: 1, Replica: from} },
+		"state-data":  func(from ReplicaID) Message { return &StateData{Seq: 16, Replica: from} },
+		"fetch-entry": func(from ReplicaID) Message { return &FetchEntry{Seq: 1, Replica: from} },
+	}
+	for name, build := range kinds {
+		for _, from := range []ReplicaID{4, 1 << 20} {
+			m := build(from)
+			signIn(fx.auths[fx.ids[2]], m, fx.ids) // replica 2's key under an invented index
+			wire := Encode(m)
+			if _, err := Decode(wire); err != nil {
+				t.Fatalf("%s from %d: the decoder refuses it (%v), so the check is never reached", name, from, err)
+			}
+			t.Run(fmt.Sprintf("%s from %d", name, from), func(t *testing.T) {
+				r, env, auth := fx.replica(t, "prepared")
+				state, sent, checked := dumpReplica(r), len(env.out), auth.checks()
+				r.HandleMessage(wire)
+				if auth.checks() != checked || dumpReplica(r) != state || len(env.out) != sent {
+					t.Errorf("replica: %d checks, state or sends changed", auth.checks()-checked)
+				}
+				cauth := &countingAuth{Authenticator: fx.auths["client:x"]}
+				cenv := &recEnv{}
+				cli, err := NewClient(ClientConfig{ID: "client:x", Group: "grp", ReplyAddr: "client/x", N: 4, F: 1, Auth: cauth}, cenv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cli.Invoke([]byte("op")); err != nil {
+					t.Fatal(err)
+				}
+				csent := len(cenv.out)
+				cli.HandleMessage(wire)
+				if cauth.checks() != 0 || len(cli.pending.replies) != 0 || len(cenv.out) != csent {
+					t.Errorf("client: %d checks, %d replies counted", cauth.checks(), len(cli.pending.replies))
+				}
+			})
 		}
 	}
 }

@@ -88,9 +88,9 @@ type Message interface {
 	// sigRef returns the signature field so generic sign/verify helpers can
 	// exclude it from the signed bytes.
 	sigRef() *[]byte
-	// SenderKey returns the authentication identity of the sender
-	// ("replica:3" or a client id).
-	SenderKey() string
+	// sender returns the index of the sending replica in its group, or -1 for
+	// a request, which its client signs (ClientID).
+	sender() ReplicaID
 }
 
 // Request is a client invocation to be totally ordered.
@@ -138,9 +138,7 @@ func (m *Request) unmarshal(d *cdr.Decoder) error {
 }
 
 func (m *Request) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *Request) SenderKey() string { return m.ClientID }
+func (*Request) sender() ReplicaID { return -1 }
 
 // Digest returns the request's canonical digest (over the full encoding,
 // signature included, so a forged signature changes the digest).
@@ -231,10 +229,8 @@ func BatchDigest(reqs []*Request) Digest {
 	return out
 }
 
-func (m *PrePrepare) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *PrePrepare) SenderKey() string { return replicaKey(m.Replica) }
+func (m *PrePrepare) sigRef() *[]byte   { return &m.Sig }
+func (m *PrePrepare) sender() ReplicaID { return m.Replica }
 
 // Prepare is a backup's agreement to order Digest at (View, Seq).
 type Prepare struct {
@@ -254,9 +250,7 @@ func (m *Prepare) unmarshal(d *cdr.Decoder) error {
 }
 func (m *Prepare) sigRef() *[]byte         { return &m.Sig }
 func (m *Prepare) phase() (uint64, Digest) { return m.View, m.Digest }
-
-// SenderKey implements Message.
-func (m *Prepare) SenderKey() string { return replicaKey(m.Replica) }
+func (m *Prepare) sender() ReplicaID       { return m.Replica }
 
 // Commit finalises ordering of Digest at (View, Seq).
 type Commit struct {
@@ -276,9 +270,7 @@ func (m *Commit) unmarshal(d *cdr.Decoder) error {
 }
 func (m *Commit) sigRef() *[]byte         { return &m.Sig }
 func (m *Commit) phase() (uint64, Digest) { return m.View, m.Digest }
-
-// SenderKey implements Message.
-func (m *Commit) SenderKey() string { return replicaKey(m.Replica) }
+func (m *Commit) sender() ReplicaID       { return m.Replica }
 
 // Reply carries a replica's execution result back to the client. The client
 // accepts a result supported by f+1 matching replies.
@@ -324,10 +316,8 @@ func (m *Reply) unmarshal(d *cdr.Decoder) error {
 	return err
 }
 
-func (m *Reply) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *Reply) SenderKey() string { return replicaKey(m.Replica) }
+func (m *Reply) sigRef() *[]byte   { return &m.Sig }
+func (m *Reply) sender() ReplicaID { return m.Replica }
 
 // Checkpoint attests that the sender's application state at Seq has
 // StateDigest. 2f+1 matching checkpoints make the checkpoint stable.
@@ -358,10 +348,8 @@ func (m *Checkpoint) unmarshal(d *cdr.Decoder) error {
 	return readTail(d, &m.Replica, &m.Sig)
 }
 
-func (m *Checkpoint) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *Checkpoint) SenderKey() string { return replicaKey(m.Replica) }
+func (m *Checkpoint) sigRef() *[]byte   { return &m.Sig }
+func (m *Checkpoint) sender() ReplicaID { return m.Replica }
 
 // PreparedProof is a prepared certificate: a pre-prepare plus 2f matching
 // prepares, carried inside view changes.
@@ -423,10 +411,8 @@ func (m *ViewChange) unmarshal(d *cdr.Decoder) error {
 	return readTail(d, &m.Replica, &m.Sig)
 }
 
-func (m *ViewChange) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *ViewChange) SenderKey() string { return replicaKey(m.Replica) }
+func (m *ViewChange) sigRef() *[]byte   { return &m.Sig }
+func (m *ViewChange) sender() ReplicaID { return m.Replica }
 
 // NewView installs View: it proves 2f+1 replicas requested the change and
 // re-proposes in-flight requests so no committed request is lost.
@@ -462,10 +448,8 @@ func (m *NewView) unmarshal(d *cdr.Decoder) error {
 	return readTail(d, &m.Replica, &m.Sig)
 }
 
-func (m *NewView) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *NewView) SenderKey() string { return replicaKey(m.Replica) }
+func (m *NewView) sigRef() *[]byte   { return &m.Sig }
+func (m *NewView) sender() ReplicaID { return m.Replica }
 
 // FetchState requests the snapshot at the sender's peer's stable checkpoint
 // at or above Seq (state transfer for lagging replicas).
@@ -491,10 +475,8 @@ func (m *FetchState) unmarshal(d *cdr.Decoder) error {
 	return readTail(d, &m.Replica, &m.Sig)
 }
 
-func (m *FetchState) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *FetchState) SenderKey() string { return replicaKey(m.Replica) }
+func (m *FetchState) sigRef() *[]byte   { return &m.Sig }
+func (m *FetchState) sender() ReplicaID { return m.Replica }
 
 // StateData carries a snapshot plus its stable-checkpoint proof.
 type StateData struct {
@@ -529,10 +511,8 @@ func (m *StateData) unmarshal(d *cdr.Decoder) error {
 	return readTail(d, &m.Replica, &m.Sig)
 }
 
-func (m *StateData) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *StateData) SenderKey() string { return replicaKey(m.Replica) }
+func (m *StateData) sigRef() *[]byte   { return &m.Sig }
+func (m *StateData) sender() ReplicaID { return m.Replica }
 
 // FetchEntry asks a peer to retransmit the pre-prepare it holds for
 // (View, Seq). It implements the message-retransmission mechanism of the
@@ -565,10 +545,8 @@ func (m *FetchEntry) unmarshal(d *cdr.Decoder) error {
 	return readTail(d, &m.Replica, &m.Sig)
 }
 
-func (m *FetchEntry) sigRef() *[]byte { return &m.Sig }
-
-// SenderKey implements Message.
-func (m *FetchEntry) SenderKey() string { return replicaKey(m.Replica) }
+func (m *FetchEntry) sigRef() *[]byte   { return &m.Sig }
+func (m *FetchEntry) sender() ReplicaID { return m.Replica }
 
 // maxProofEntries bounds repeated-element counts during decoding so a
 // Byzantine sender cannot trigger huge allocations.
@@ -666,23 +644,6 @@ func signingBytes(m Message) []byte {
 	*ref = saved
 	return b
 }
-
-// replicaKey returns the authentication identity for a replica id. Every
-// signature and tag names its sender this way, so the ids a group can
-// plausibly use are formatted once.
-func replicaKey(id ReplicaID) string {
-	if id >= 0 && int(id) < len(replicaKeys) {
-		return replicaKeys[id]
-	}
-	return fmt.Sprintf("replica:%d", id)
-}
-
-var replicaKeys = func() (keys [64]string) {
-	for i := range keys {
-		keys[i] = fmt.Sprintf("replica:%d", i)
-	}
-	return keys
-}()
 
 func readDigest(d *cdr.Decoder, out *Digest) error {
 	b, err := d.ReadOctets()

@@ -77,6 +77,9 @@ func (a *logApp) Restore(snapshot []byte) error {
 	return nil
 }
 
+// testSeed derives the keys of the simulated groups and clients.
+var testSeed = []byte("pbft-test")
+
 type harness struct {
 	net    *netsim.Network
 	group  *SimGroup
@@ -103,8 +106,7 @@ func newHarnessWith(t *testing.T, n, f int, seed int64, metrics *obs.Registry) *
 		CheckpointInterval: 4,
 		ViewTimeout:        200 * time.Millisecond,
 		Metrics:            metrics,
-		MetricsLabel:       "grp",
-	}, ring, func(i int) App {
+	}, ring, testSeed, func(i int) App {
 		apps[i] = &logApp{}
 		return apps[i]
 	})
@@ -113,7 +115,7 @@ func newHarnessWith(t *testing.T, n, f int, seed int64, metrics *obs.Registry) *
 	}
 	h := &harness{net: net, group: group, apps: apps, ring: ring,
 		results: make(map[uint64][]byte)}
-	cli, err := group.NewSimClient("client:test", "client/test", ring, 100*time.Millisecond)
+	cli, err := group.NewSimClient("client:test", "client/test", 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +199,14 @@ func TestLargerGroups(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	auth := NewNullAuth("replica:0")
+	auth := nullAuth{"grp/r0"}
 	cases := []Config{
-		{N: 3, F: 1, Auth: auth},        // n < 3f+1
-		{N: 4, F: 1, ID: 5, Auth: auth}, // id out of range
-		{N: 4, F: 1},                    // no auth
-		{N: 4, F: 1, CheckpointInterval: 16, WindowSize: 8, Auth: auth}, // window too small
+		{N: 3, F: 1, Group: "grp", Auth: auth},                                        // n < 3f+1
+		{N: 4, F: 1, ID: 5, Group: "grp", Auth: auth},                                 // id out of range
+		{N: 4, F: 1, Group: "grp"},                                                    // no auth
+		{N: 4, F: 1, CheckpointInterval: 16, WindowSize: 8, Group: "grp", Auth: auth}, // window too small
+		{N: 4, F: 1, ID: 1, Group: "grp", Auth: auth},                                 // authenticates as replica 0
+		{N: 4, F: 1, Group: "other", Auth: auth},                                      // ... of another group
 	}
 	for i, cfg := range cases {
 		if _, err := NewReplica(cfg, &logApp{}, nil); err == nil {
@@ -477,24 +481,27 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 }
 
 func TestSignAndVerify(t *testing.T) {
-	ring := NewKeyring()
-	priv, err := GenerateIdentity("replica:0", ring)
+	ring, ids := NewKeyring(), Identities("grp", 4)
+	priv, err := DeriveIdentity(ids[0], testSeed, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth := NewEd25519Auth("replica:0", priv, ring)
+	auth := NewEd25519Auth(ids[0], priv, ring)
 	m := &Prepare{View: 1, Seq: 2, Digest: Digest{3}, Replica: 0}
 	SignMessage(auth, m)
-	if !VerifyMessage(auth, m) {
+	if !verifyIn(auth, m, 1, ids) {
 		t.Fatal("signature did not verify")
 	}
-	m.Seq = 3
 	if VerifyMessage(auth, m) {
+		t.Fatal("a replica's message verified outside its group")
+	}
+	m.Seq = 3
+	if verifyIn(auth, m, 1, ids) {
 		t.Fatal("tampered message verified")
 	}
 	m.Seq = 2
 	m.Replica = 1 // claims another identity
-	if VerifyMessage(auth, m) {
+	if verifyIn(auth, m, 1, ids) {
 		t.Fatal("impersonated message verified")
 	}
 }

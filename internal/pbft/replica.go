@@ -101,21 +101,18 @@ type Config struct {
 	// snapshots always capture exactly-committed state. Off by default;
 	// the off path is byte-identical to the pre-speculation protocol.
 	TentativeExecution bool
-	// Auth authenticates every message sent and checks every one received.
+	// Group names the replica group: the metrics label, and the prefix of
+	// every replica's identity and flight ring (Identities).
+	Group string
+	// Auth authenticates every message sent and checks every one received,
+	// as this replica's identity in Group.
 	Auth Authenticator
-	// IdentitySeed, when non-nil, makes NewSimGroup derive replica and
-	// client keys deterministically from the seed (DeriveIdentity) instead
-	// of fresh randomness, so independently built cluster processes agree
-	// on key material. Ignored by NewReplica itself.
-	IdentitySeed []byte
-	// Metrics, if non-nil, receives protocol-phase counters. MetricsLabel
-	// groups them (e.g. the replication domain name); counters are shared
-	// across replicas of the same group so they count group-wide events.
-	Metrics      *obs.Registry
-	MetricsLabel string
+	// Metrics, if non-nil, receives protocol-phase counters, shared across
+	// the replicas of Group so they count group-wide events.
+	Metrics *obs.Registry
 	// Flight, if non-nil, receives typed protocol events on this replica's
-	// own ring (identity "MetricsLabel/rID"). Nil — the default — records
-	// nothing and leaves behaviour byte-identical.
+	// own ring, named by its identity. Nil — the default — records nothing
+	// and leaves behaviour byte-identical.
 	Flight *flight.Recorder
 }
 
@@ -291,8 +288,9 @@ type Replica struct {
 	hBatchSize      *obs.Histogram
 	gBacklog        *obs.Gauge
 
-	// flightID names this replica's flight-recorder ring.
-	flightID string
+	// ids are the identities of the group's replicas, this one's included:
+	// who signed what, and the name of this replica's flight ring.
+	ids []string
 }
 
 // NewReplica constructs a replica over app and env.
@@ -315,9 +313,13 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		vcTimeout:   cfg.ViewTimeout,
 		specJournal: make(map[uint64]*specEntry),
 		specClient:  make(map[string]uint64),
+		ids:         Identities(cfg.Group, cfg.N),
+	}
+	if id := cfg.Auth.Identity(); id != r.ids[cfg.ID] {
+		return nil, fmt.Errorf("pbft: replica %d of %s authenticates as %q, want %q", cfg.ID, cfg.Group, id, r.ids[cfg.ID])
 	}
 	if m := cfg.Metrics; m != nil {
-		label := "group=" + cfg.MetricsLabel
+		label := "group=" + cfg.Group
 		r.mPrePrepares = m.Counter("pbft_preprepares_total", label)
 		r.mPrepares = m.Counter("pbft_prepares_total", label)
 		r.mCommits = m.Counter("pbft_commits_total", label)
@@ -350,7 +352,6 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 			macs:          m.Counter("pbft_auth_ops_total", label, "op=mac"),
 		}
 	}
-	r.flightID = fmt.Sprintf("%s/r%d", cfg.MetricsLabel, cfg.ID)
 	// Seq 0 is the genesis stable checkpoint; its snapshot is the initial
 	// state so peers can bootstrap from it.
 	r.snapshots[0] = r.captureState()
@@ -360,11 +361,14 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 // record appends a flight-recorder event on this replica's ring (no-op
 // without a recorder).
 func (r *Replica) record(kind flight.Kind, view, seq uint64, attr string) {
-	r.cfg.Flight.Append(r.flightID, kind, view, seq, 0, attr)
+	r.cfg.Flight.Append(r.Identity(), kind, view, seq, 0, attr)
 }
 
 // ID returns the replica's index.
 func (r *Replica) ID() ReplicaID { return r.cfg.ID }
+
+// Identity returns the identity the replica signs as.
+func (r *Replica) Identity() string { return r.ids[r.cfg.ID] }
 
 // NoteReadOnlyBypass records that a read-only invocation was served
 // directly, without entering the three-phase ordering protocol
@@ -402,7 +406,7 @@ func (r *Replica) quorum() int { return quorum.Prepared(r.cfg.N, r.cfg.F) }
 
 // sign authenticates m as sent by this replica to its group, or to the
 // client a reply names.
-func (r *Replica) sign(m Message) { signIn(r.cfg.Auth, m, r.cfg.N) }
+func (r *Replica) sign(m Message) { signIn(r.cfg.Auth, m, r.ids) }
 
 // broadcast signs m, transmits it to all peers, and returns it for local
 // processing.

@@ -73,57 +73,40 @@ func (e *SimReplicaEnv) SetBatchTimer(d time.Duration) {
 }
 
 // SimGroup is a convenience harness: a full replica group wired onto a
-// transport, used by the SRM layer, tests and benchmarks.
+// transport, used by the SRM layer, tests and benchmarks. Every key of the
+// group and of its clients is derived from one seed into Ring.
 type SimGroup struct {
 	Name     string
 	Net      transport.Transport
 	Replicas []*Replica
 	Addrs    []transport.NodeID
 	Cfg      Config
+	Ring     *Keyring
+	seed     []byte
 }
 
-// GroupAddrs returns the node ids for a group of n replicas named name.
-func GroupAddrs(name string, n int) []transport.NodeID {
-	addrs := make([]transport.NodeID, n)
-	for i := range addrs {
-		addrs[i] = transport.NodeID(fmt.Sprintf("%s/r%d", name, i))
-	}
-	return addrs
-}
-
-// NewSimGroup builds n=cfg.N replicas of a group on net. The appFactory is
-// called once per replica to build its (independent) application instance.
-// The cfg.ID and cfg.Auth fields are filled per replica; cfg.Auth on input
-// may be nil, in which case fresh Ed25519 identities are generated into
-// ring (which must then be shared with clients).
-func NewSimGroup(net transport.Transport, name string, cfg Config, ring *Keyring,
+// NewSimGroup builds n=cfg.N replicas of the group name on net. The
+// appFactory is called once per replica to build its (independent)
+// application instance. Replica i listens at, and signs as, its identity
+// (Identities), its key derived from seed into ring; cfg.Group, cfg.ID and
+// cfg.Auth are filled per replica.
+func NewSimGroup(net transport.Transport, name string, cfg Config, ring *Keyring, seed []byte,
 	appFactory func(i int) App) (*SimGroup, error) {
 
-	g := &SimGroup{Name: name, Net: net, Cfg: cfg, Addrs: GroupAddrs(name, cfg.N)}
-	auths := make([]Authenticator, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		identity := replicaKey(ReplicaID(i))
-		switch {
-		case ring != nil && cfg.IdentitySeed != nil:
-			priv, err := DeriveIdentity(identity, cfg.IdentitySeed, ring)
-			if err != nil {
-				return nil, err
-			}
-			auths[i] = NewEd25519Auth(identity, priv, ring)
-		case ring != nil:
-			priv, err := GenerateIdentity(identity, ring)
-			if err != nil {
-				return nil, err
-			}
-			auths[i] = NewEd25519Auth(identity, priv, ring)
-		default:
-			auths[i] = NewNullAuth(identity)
-		}
+	cfg.Group = name
+	g := &SimGroup{Name: name, Net: net, Cfg: cfg, Ring: ring, seed: seed}
+	ids := Identities(name, cfg.N)
+	for _, id := range ids {
+		g.Addrs = append(g.Addrs, transport.NodeID(id))
 	}
-	for i := 0; i < cfg.N; i++ {
+	for i, id := range ids {
+		priv, err := DeriveIdentity(id, seed, ring)
+		if err != nil {
+			return nil, err
+		}
 		rcfg := cfg
 		rcfg.ID = ReplicaID(i)
-		rcfg.Auth = auths[i]
+		rcfg.Auth = NewEd25519Auth(id, priv, ring)
 		env := &SimReplicaEnv{net: net, self: g.Addrs[i], addrs: g.Addrs, selfIdx: rcfg.ID}
 		rep, err := NewReplica(rcfg, appFactory(i), env)
 		if err != nil {
@@ -139,31 +122,18 @@ func NewSimGroup(net transport.Transport, name string, cfg Config, ring *Keyring
 	return g, nil
 }
 
-// NewSimClient builds a client of the group registered at addr on the
-// group's network. The identity is registered in ring when ring is non-nil;
-// otherwise null authentication is used (must match the group).
-func (g *SimGroup) NewSimClient(id, addr string, ring *Keyring, timeout time.Duration) (*Client, error) {
-	var auth Authenticator
-	if ring != nil {
-		priv, err := GenerateIdentity(id, ring)
-		if err != nil {
-			return nil, err
-		}
-		auth = NewEd25519Auth(id, priv, ring)
-	} else {
-		auth = NewNullAuth(id)
+// NewSimClient builds a client of the group with identity id, registered at
+// addr on the group's network, its key derived from the group's seed into
+// the group's keyring.
+func (g *SimGroup) NewSimClient(id, addr string, timeout time.Duration) (*Client, error) {
+	priv, err := DeriveIdentity(id, g.seed, g.Ring)
+	if err != nil {
+		return nil, err
 	}
-	return g.NewSimClientWithAuth(id, addr, auth, timeout)
-}
-
-// NewSimClientWithAuth builds a client using an existing authenticator
-// whose public key the group's replicas can already verify (the caller is
-// responsible for having registered it in the group's keyring).
-func (g *SimGroup) NewSimClientWithAuth(id, addr string, auth Authenticator, timeout time.Duration) (*Client, error) {
 	env := &SimReplicaEnv{net: g.Net, self: transport.NodeID(addr), addrs: g.Addrs, selfIdx: -1}
 	cli, err := NewClient(ClientConfig{
-		ID: id, ReplyAddr: addr, N: g.Cfg.N, F: g.Cfg.F,
-		RetransmitTimeout: timeout, Auth: auth,
+		ID: id, Group: g.Name, ReplyAddr: addr, N: g.Cfg.N, F: g.Cfg.F,
+		RetransmitTimeout: timeout, Auth: NewEd25519Auth(id, priv, g.Ring),
 	}, env)
 	if err != nil {
 		return nil, err

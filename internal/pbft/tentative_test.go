@@ -20,7 +20,7 @@ func newTentativeHarness(t *testing.T, n, f int, seed int64) (*harness, *tentPro
 		CheckpointInterval: 4,
 		ViewTimeout:        200 * time.Millisecond,
 		TentativeExecution: true,
-	}, ring, func(i int) App {
+	}, ring, testSeed, func(i int) App {
 		apps[i] = &logApp{}
 		return apps[i]
 	})
@@ -38,7 +38,7 @@ func newTentativeHarness(t *testing.T, n, f int, seed int64) (*harness, *tentPro
 	}
 	h := &harness{net: net, group: group, apps: apps, ring: ring,
 		results: make(map[uint64][]byte)}
-	cli, err := group.NewSimClient("client:test", "client/test", ring, 100*time.Millisecond)
+	cli, err := group.NewSimClient("client:test", "client/test", 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

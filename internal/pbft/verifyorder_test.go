@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -40,6 +41,19 @@ func (a *countingAuth) VerifyMAC(peer string, msg, tag []byte) bool {
 // checks is every authenticator an incoming message cost, of either kind.
 func (a *countingAuth) checks() int { return a.verifies + a.macChecks }
 
+// nullAuth is an authenticator without cryptography: every signature and
+// every tag is the same constant, so only the structural checks around them
+// (sender index, tag-vector length, the receiver's slot) can refuse.
+type nullAuth struct{ id string }
+
+var nullSig, nullTag = []byte{0xA5}, bytes.Repeat([]byte{0xA5}, MACSize)
+
+func (nullAuth) Sign([]byte) []byte                   { return bytes.Clone(nullSig) }
+func (nullAuth) Verify(_ string, _, sig []byte) bool  { return bytes.Equal(sig, nullSig) }
+func (nullAuth) MAC(string, []byte) []byte            { return bytes.Clone(nullTag) }
+func (nullAuth) VerifyMAC(_ string, _, t []byte) bool { return bytes.Equal(t, nullTag) }
+func (a nullAuth) Identity() string                   { return a.id }
+
 // countedGroup is an n=4 Ed25519 group on netsim whose replicas' and
 // clients' authenticators count. One checkpoint interval covers a run: only
 // ordering is counted.
@@ -55,10 +69,9 @@ type countedGroup struct {
 func newCountedGroup(t *testing.T, clients, maxBatch int) *countedGroup {
 	t.Helper()
 	cg := &countedGroup{net: netsim.NewNetwork(41, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))}
-	ring := NewKeyring()
 	var err error
 	cg.group, err = NewSimGroup(cg.net, "grp", Config{N: 4, F: 1, CheckpointInterval: 1 << 20,
-		WindowSize: 1 << 21, MaxBatch: maxBatch}, ring, func(int) App { return &logApp{} })
+		WindowSize: 1 << 21, MaxBatch: maxBatch}, NewKeyring(), []byte("counted"), func(int) App { return &logApp{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +81,12 @@ func newCountedGroup(t *testing.T, clients, maxBatch int) *countedGroup {
 		cg.replicas = append(cg.replicas, ca)
 	}
 	for i := 0; i < clients; i++ {
-		id := fmt.Sprintf("client:count%d", i)
-		priv, err := GenerateIdentity(id, ring)
+		cli, err := cg.group.NewSimClient(fmt.Sprintf("client:count%d", i), fmt.Sprintf("client/count%d", i), 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca := &countingAuth{Authenticator: NewEd25519Auth(id, priv, ring)}
-		cli, err := cg.group.NewSimClientWithAuth(id, fmt.Sprintf("client/count%d", i), ca, 100*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ca := &countingAuth{Authenticator: cli.cfg.Auth}
+		cli.cfg.Auth = ca
 		cli.OnResult = func(uint64, []byte) { cg.results++ }
 		cg.clients = append(cg.clients, ca)
 		cg.cli = append(cg.cli, cli)
@@ -153,9 +162,10 @@ func (e *recEnv) SetTimer(d time.Duration)      { e.out = append(e.out, fmt.Spri
 func (e *recEnv) StopTimer()                    { e.out = append(e.out, "timer stop") }
 func (e *recEnv) SetBatchTimer(d time.Duration) { e.out = append(e.out, fmt.Sprint("batch timer ", d)) }
 
-// phaseFixture is backup 1 of an n=4 group driven by hand: the test signs
-// messages in the other replicas' and the client's names.
+// phaseFixture is backup 1 of the n=4 group "grp" driven by hand: the test
+// signs messages in the other replicas' and the client's names.
 type phaseFixture struct {
+	ids   []string // the replicas' identities
 	auths map[string]Authenticator
 	req   *Request
 	d     Digest
@@ -167,17 +177,17 @@ func newPhaseFixture(t *testing.T) (*phaseFixture, *Keyring) {
 }
 
 // newPhaseFixtureAuth builds the fixture over Ed25519 identities, or over
-// NullAuth (and no keyring) when null is set.
+// nullAuth (and no keyring) when null is set.
 func newPhaseFixtureAuth(t *testing.T, null bool) (*phaseFixture, *Keyring) {
 	t.Helper()
 	ring := NewKeyring()
-	fx := &phaseFixture{auths: make(map[string]Authenticator)}
-	for _, id := range []string{"replica:0", "replica:1", "replica:2", "replica:3", "client:x", "client:y"} {
+	fx := &phaseFixture{ids: Identities("grp", 4), auths: make(map[string]Authenticator)}
+	for _, id := range append(fx.ids, "client:x", "client:y") {
 		if null {
-			fx.auths[id] = NewNullAuth(id)
+			fx.auths[id] = nullAuth{id}
 			continue
 		}
-		priv, err := GenerateIdentity(id, ring)
+		priv, err := DeriveIdentity(id, []byte("phase-fixture"), ring)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +199,19 @@ func newPhaseFixtureAuth(t *testing.T, null bool) (*phaseFixture, *Keyring) {
 	return fx, ring
 }
 
+// authOf returns the authenticator of m's sender: its client for a request,
+// else the replica it names.
+func (fx *phaseFixture) authOf(m Message) Authenticator {
+	if req, ok := m.(*Request); ok {
+		return fx.auths[req.ClientID]
+	}
+	return fx.auths[fx.ids[m.sender()]]
+}
+
 // wire authenticates m in its sender's name within the group of four and
 // encodes it; forged flips one bit of the signature, or of every tag.
 func (fx *phaseFixture) wire(m Message, forged bool) []byte {
-	signIn(fx.auths[m.SenderKey()], m, 4)
+	signIn(fx.authOf(m), m, fx.ids)
 	if sig := *m.sigRef(); forged {
 		for i := 0; i < len(sig); i += MACSize {
 			sig[i] ^= 1
@@ -211,8 +230,8 @@ func (fx *phaseFixture) wire(m Message, forged bool) []byte {
 func (fx *phaseFixture) replica(t *testing.T, stage string) (*Replica, *recEnv, *countingAuth) {
 	t.Helper()
 	env := &recEnv{}
-	auth := &countingAuth{Authenticator: fx.auths["replica:1"]}
-	r, err := NewReplica(Config{N: 4, F: 1, ID: 1, Auth: auth}, &logApp{}, env)
+	auth := &countingAuth{Authenticator: fx.auths[fx.ids[1]]}
+	r, err := NewReplica(Config{N: 4, F: 1, ID: 1, Group: "grp", Auth: auth}, &logApp{}, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,11 @@ func wireSamples(tb testing.TB) map[string]Message {
 	tb.Helper()
 	_, _, all := fuzzAuths(tb)
 	signed := func(m Message) Message {
-		signIn(all[m.SenderKey()], m, 4)
+		if req, ok := m.(*Request); ok {
+			signIn(all[req.ClientID], m, fuzzIDs)
+		} else {
+			signIn(all[fuzzIDs[m.sender()]], m, fuzzIDs)
+		}
 		return m
 	}
 	req := func(seq uint64, op string) *Request {

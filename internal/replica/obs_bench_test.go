@@ -108,7 +108,7 @@ func TestQueueDepthGaugesRegistered(t *testing.T) {
 	ts.sys.Net.Run(1_000_000)
 
 	var text strings.Builder
-	if err := metrics.WriteText(&text); err != nil {
+	if err := metrics.WriteProm(&text); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{

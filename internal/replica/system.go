@@ -3,9 +3,9 @@ package replica
 import (
 	"crypto/ed25519"
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -213,7 +213,6 @@ type DomainRuntime struct {
 	Info     smiop.PeerInfo
 	Dom      *srm.Domain
 	Elements []*Element
-	ring     *pbft.Keyring
 }
 
 // System is a complete ITDOS deployment on a transport: the Group
@@ -230,14 +229,18 @@ type System struct {
 	cfg      SystemConfig
 	registry *idl.Registry
 
-	globalRing *pbft.Keyring
-	privs      map[string]ed25519.PrivateKey
+	// ring holds every identity's public key; keySeed derives every private
+	// key (pbft.DeriveIdentity). One element is one identity: it signs its
+	// SMIOP payloads, its requests and its ordering replica's messages with
+	// the same key.
+	ring    *pbft.Keyring
+	keySeed []byte
+	privs   map[string]ed25519.PrivateKey
 
 	domains map[string]*DomainRuntime
 	clients map[string]*Client
 
 	gmDomain   *srm.Domain
-	gmRing     *pbft.Keyring
 	gmInfo     smiop.PeerInfo
 	GMManagers []*groupmgr.Manager
 
@@ -262,15 +265,15 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		tr = netsim.NewNetwork(cfg.Seed, cfg.Latency)
 	}
 	sys := &System{
-		tr:         tr,
-		cfg:        cfg,
-		registry:   cfg.Registry,
-		globalRing: pbft.NewKeyring(),
-		privs:      make(map[string]ed25519.PrivateKey),
-		domains:    make(map[string]*DomainRuntime),
-		clients:    make(map[string]*Client),
-		gmInfo:     smiop.PeerInfo{Name: GMDomainName, N: cfg.GM.N, F: cfg.GM.F},
-		senders:    make(map[[2]string]*srm.Sender),
+		tr:       tr,
+		cfg:      cfg,
+		registry: cfg.Registry,
+		ring:     pbft.NewKeyring(),
+		privs:    make(map[string]ed25519.PrivateKey),
+		domains:  make(map[string]*DomainRuntime),
+		clients:  make(map[string]*Client),
+		gmInfo:   smiop.PeerInfo{Name: GMDomainName, N: cfg.GM.N, F: cfg.GM.F},
+		senders:  make(map[[2]string]*srm.Sender),
 	}
 	// Keep the simulator handle when (and only when) the transport is the
 	// deterministic twin; sim-only drivers gate on it.
@@ -283,6 +286,21 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		// controller and act on the shared Group Manager. Keep it a
 		// simulation feature until it has a distributed home.
 		return nil, fmt.Errorf("replica: ITC requires the netsim transport")
+	}
+	if sys.Net == nil && !cfg.DeterministicKeys {
+		// Every process would draw its own keys and silently reject every
+		// signature another process makes.
+		return nil, fmt.Errorf("replica: a live transport requires DeterministicKeys")
+	}
+	if cfg.DeterministicKeys {
+		sys.keySeed = sys.deriveSecret("identity-keys")
+	} else {
+		// One process: its keys need agree with no other's.
+		sys.keySeed = make([]byte, 32)
+		//itdos:nolint no-wallclock -- key material: it changes signature bytes, never their sizes or the schedule
+		if _, err := rand.Read(sys.keySeed); err != nil {
+			return nil, err
+		}
 	}
 	// An unbound flight recorder stamps events from this deployment's
 	// clock (first non-nil clock wins; nil recorder no-ops).
@@ -344,61 +362,15 @@ func GMElementIdentity(member int) string {
 }
 
 func (sys *System) addIdentity(identity string) error {
-	var priv ed25519.PrivateKey
-	var err error
-	if sys.cfg.DeterministicKeys {
-		priv, err = pbft.DeriveIdentity(identity, sys.deriveSecret("identity-keys"), sys.globalRing)
-	} else {
-		priv, err = pbft.GenerateIdentity(identity, sys.globalRing)
-	}
-	if err != nil {
-		return err
-	}
+	priv, err := pbft.DeriveIdentity(identity, sys.keySeed, sys.ring)
 	sys.privs[identity] = priv
-	return nil
-}
-
-// seedRing registers every global identity's public key in a domain's
-// ordering keyring. With a shared in-process ring the lazy registration in
-// newSender would suffice, but cluster processes build their systems
-// independently: a replica process never constructs the client's sender, so
-// it must learn the client's verification key at build time or reject every
-// request the client signs.
-func (sys *System) seedRing(ring *pbft.Keyring) {
-	ids := make([]string, 0, len(sys.privs))
-	for identity := range sys.privs {
-		ids = append(ids, identity)
-	}
-	sort.Strings(ids)
-	for _, identity := range ids {
-		if pub, ok := sys.globalRing.Lookup(identity); ok {
-			ring.Add(identity, pub)
-		}
-	}
-}
-
-// identitySeed returns the per-domain replica key seed under
-// DeterministicKeys (nil otherwise: fresh random keys).
-func (sys *System) identitySeed(domain string) []byte {
-	if !sys.cfg.DeterministicKeys {
-		return nil
-	}
-	return sys.deriveSecret("replica-keys/" + domain)
-}
-
-// signWith signs msg with a private key (a party that has none signs
-// nothing).
-func (sys *System) signWith(priv ed25519.PrivateKey, msg []byte) []byte {
-	if priv == nil {
-		return nil
-	}
-	return ed25519.Sign(priv, msg)
+	return err
 }
 
 // dataSigner names the global identity that signs data messages as member
 // of domain: the element, or the singleton client itself. It is also the
-// identity that orders them (newSender builds the PBFT client from the same
-// identity and key as endpoint.sign).
+// identity that orders them, and that its ordering replica signs as: one key
+// serves all three.
 func (sys *System) dataSigner(domain string, member uint32) string {
 	if info, ok := sys.peerInfo(domain); ok && info.N > 1 {
 		return ElementIdentity(domain, int(member))
@@ -409,14 +381,13 @@ func (sys *System) dataSigner(domain string, member uint32) string {
 // verifyData returns the stream signature verifier for data messages.
 func (sys *System) verifyData() func(domain string, member uint32, msg, sig []byte) bool {
 	return func(domain string, member uint32, msg, sig []byte) bool {
-		pub, ok := sys.globalRing.Lookup(sys.dataSigner(domain, member))
-		return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
+		return sys.verifyIdentity(sys.dataSigner(domain, member), msg, sig)
 	}
 }
 
 // verifyIdentity checks a signature by any global identity.
 func (sys *System) verifyIdentity(identity string, msg, sig []byte) bool {
-	pub, ok := sys.globalRing.Lookup(identity)
+	pub, ok := sys.ring.Lookup(identity)
 	return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
 }
 
@@ -499,8 +470,6 @@ func (sys *System) openShare(gmIdentity, recipient string, connID, era uint64, s
 // --- construction ---
 
 func (sys *System) buildGM() error {
-	ring := pbft.NewKeyring()
-	sys.seedRing(ring)
 	dom, err := srm.NewDomain(sys.tr, srm.DomainConfig{
 		Name: GMDomainName, N: sys.gmInfo.N, F: sys.gmInfo.F,
 		QueueCapacity:      sys.cfg.QueueCapacity,
@@ -508,8 +477,8 @@ func (sys *System) buildGM() error {
 		ViewTimeout:        sys.cfg.ViewTimeout,
 		MaxBatch:           sys.cfg.MaxBatch,
 		BatchWait:          sys.cfg.BatchWait,
-		Ring:               ring,
-		IdentitySeed:       sys.identitySeed(GMDomainName),
+		Ring:               sys.ring,
+		KeySeed:            sys.keySeed,
 		Metrics:            sys.cfg.Metrics,
 		Flight:             sys.cfg.Flight,
 	})
@@ -517,7 +486,6 @@ func (sys *System) buildGM() error {
 		return err
 	}
 	sys.gmDomain = dom
-	sys.gmRing = ring
 
 	parties, err := dprf.Setup(sys.gmParams(), sys.deriveSecret("dprf-master"))
 	if err != nil {
@@ -606,8 +574,6 @@ func elementInboxAddr(domain string, member int) string {
 }
 
 func (sys *System) buildDomain(spec DomainSpec) error {
-	ring := pbft.NewKeyring()
-	sys.seedRing(ring)
 	dom, err := srm.NewDomain(sys.tr, srm.DomainConfig{
 		Name: spec.Name, N: spec.N, F: spec.F,
 		QueueCapacity:      sys.cfg.QueueCapacity,
@@ -618,8 +584,8 @@ func (sys *System) buildDomain(spec DomainSpec) error {
 		// GM delivery handling is not rollback-safe, so speculation is a
 		// replication-domain option only (see buildGM).
 		TentativeExecution: sys.cfg.TentativeExecution,
-		Ring:               ring,
-		IdentitySeed:       sys.identitySeed(spec.Name),
+		Ring:               sys.ring,
+		KeySeed:            sys.keySeed,
 		Metrics:            sys.cfg.Metrics,
 		Flight:             sys.cfg.Flight,
 	})
@@ -630,7 +596,6 @@ func (sys *System) buildDomain(spec DomainSpec) error {
 		Spec: spec,
 		Info: smiop.PeerInfo{Name: spec.Name, N: spec.N, F: spec.F},
 		Dom:  dom,
-		ring: ring,
 	}
 	sys.domains[spec.Name] = dr
 	for i := 0; i < spec.N; i++ {
@@ -680,30 +645,20 @@ func (sys *System) sendOrdered(identity, target string, payload []byte, sp *obs.
 }
 
 // newSender builds an ordered sender from an identity into a domain's
-// ordering group, registering the identity's public key in that domain's
-// PBFT keyring. It returns nil for an unknown target: the caller's
+// ordering group. It returns nil for an unknown target: the caller's
 // higher-level call then fails by timeout at the application level, and
 // simulation code paths do not panic.
 func (sys *System) newSender(identity, target string) *srm.Sender {
-	var dom *srm.Domain
-	var ring *pbft.Keyring
-	switch target {
-	case GMDomainName:
-		dom, ring = sys.gmDomain, sys.gmRing
-	default:
+	dom := sys.gmDomain
+	if target != GMDomainName {
 		dr, ok := sys.domains[target]
 		if !ok {
 			return nil
 		}
-		dom, ring = dr.Dom, dr.ring
+		dom = dr.Dom
 	}
-	if pub, ok := sys.globalRing.Lookup(identity); ok {
-		ring.Add(identity, pub)
-	}
-	auth := pbft.NewEd25519Auth(identity, sys.privs[identity], ring)
-	addr := fmt.Sprintf("%s/tx/%s", identity, target)
 	// On error s is nil, and the target is as unreachable as an unknown one.
-	s, _ := srm.NewSenderWithAuth(dom, identity, addr, auth, sys.cfg.SendTimeout)
+	s, _ := srm.NewSender(dom, identity, fmt.Sprintf("%s/tx/%s", identity, target), sys.cfg.SendTimeout)
 	return s
 }
 

@@ -99,13 +99,11 @@ func openDigestPayload(env *Envelope, plaintext []byte, verify VerifyFunc) ([]by
 	if err != nil {
 		return nil, err
 	}
-	if verify != nil {
-		signing := DigestSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
-			env.SrcMember, payload.Digest)
-		if !verify(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
-			return nil, fmt.Errorf("smiop: conn %d member %d: bad digest signature",
-				env.ConnID, env.SrcMember)
-		}
+	signing := DigestSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
+		env.SrcMember, payload.Digest)
+	if !verify(env.SrcDomain, env.SrcMember, signing, payload.Sig) {
+		return nil, fmt.Errorf("smiop: conn %d member %d: bad digest signature",
+			env.ConnID, env.SrcMember)
 	}
 	return payload.Digest, nil
 }
@@ -132,11 +130,8 @@ func DigestSigningBytes(connID, requestID uint64, srcDomain string, srcMember ui
 func (c *Connection) SealSignedDigest(requestID uint64, digest []byte,
 	sign func(msg []byte) []byte) (*Envelope, error) {
 
-	payload := &DigestPayload{Digest: digest}
-	if sign != nil {
-		payload.Sig = sign(DigestSigningBytes(c.ID, requestID, c.Local.Name,
-			uint32(c.LocalMember), digest))
-	}
+	payload := &DigestPayload{Digest: digest, Sig: sign(DigestSigningBytes(c.ID, requestID,
+		c.Local.Name, uint32(c.LocalMember), digest))}
 	sealed, err := c.send.Seal(payload.Encode())
 	if err != nil {
 		return nil, fmt.Errorf("smiop: seal digest conn %d: %w", c.ID, err)

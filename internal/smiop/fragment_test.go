@@ -27,7 +27,7 @@ func bigReplyBytes(t *testing.T, reqID uint64, size int) []byte {
 func TestFragmentationRoundTrip(t *testing.T) {
 	key := testKey(7)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{Registry: testRegistry()})
+	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	const size = 200 << 10 // 200 KiB >> 16 KiB fragment size
 	for m := 0; m < 2; m++ {
 		giopBytes := bigReplyBytes(t, reqID, size)
-		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, nil, 0)
+		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, testSign, 0)
 		if len(envs) < 10 {
 			t.Fatalf("expected many fragments, got %d", len(envs))
 		}
@@ -62,7 +62,7 @@ func TestFragmentationRoundTrip(t *testing.T) {
 func TestFragmentsOutOfOrder(t *testing.T) {
 	key := testKey(7)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{Registry: testRegistry()})
+	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFragmentsOutOfOrder(t *testing.T) {
 	giopBytes := bigReplyBytes(t, reqID, 60<<10)
 	// Two members must agree (f=1); scramble delivery order per member.
 	for m := 0; m < 2; m++ {
-		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, nil, 0)
+		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, testSign, 0)
 		for i := len(envs) - 1; i >= 0; i-- { // reverse order
 			if err := stream.Deliver(envs[i]); err != nil {
 				t.Fatal(err)
@@ -88,7 +88,7 @@ func TestFragmentsOutOfOrder(t *testing.T) {
 func TestSmallMessagesNotFragmented(t *testing.T) {
 	key := testKey(7)
 	_, servers := serverEndpoints(t, key)
-	envs := sealEnvs(t, servers[0], 1, true, []byte("tiny"), nil, 0)
+	envs := sealEnvs(t, servers[0], 1, true, []byte("tiny"), testSign, 0)
 	if len(envs) != 1 || envs[0].FragCount != 0 {
 		t.Fatalf("small message fragmented: %d envs, count %d", len(envs), envs[0].FragCount)
 	}
@@ -99,7 +99,7 @@ func TestFragmentBounds(t *testing.T) {
 	_, servers := serverEndpoints(t, key)
 	// A message that would need more than maxFragments chunks is refused.
 	if _, err := servers[0].SealSignedDataWire(1, true,
-		make([]byte, (maxFragments+2)*16), nil, 16); err == nil {
+		make([]byte, (maxFragments+2)*16), testSign, 16); err == nil {
 		t.Fatal("oversized fragmentation accepted")
 	}
 }

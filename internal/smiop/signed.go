@@ -41,11 +41,8 @@ type VerifyFunc func(srcDomain string, member uint32, signingBytes, sig []byte) 
 
 // Verify checks the sender's signature over the payload in env's data
 // context — the authentication step of every full data copy, whichever vote
-// or channel it arrives on. A nil verify accepts.
+// or channel it arrives on.
 func (p *SignedPayload) Verify(env *Envelope, verify VerifyFunc) error {
-	if verify == nil {
-		return nil
-	}
 	signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
 		env.SrcMember, env.Reply, p.GIOP)
 	if !verify(env.SrcDomain, env.SrcMember, signing, p.Sig) {

@@ -101,7 +101,7 @@ func TestEnvelopeDecodeGarbageNeverPanics(t *testing.T) {
 func TestConnectionSealOpen(t *testing.T) {
 	client, server := connPair(t)
 	id := client.NextRequestID()
-	env := sealEnvs(t, client, id, false, []byte("giop-bytes"), nil, 0)[0]
+	env := sealEnvs(t, client, id, false, []byte("giop-bytes"), testSign, 0)[0]
 	if bytes.Contains(env.Payload, []byte("giop-bytes")) {
 		t.Fatal("payload not encrypted")
 	}
@@ -120,7 +120,7 @@ func TestConnectionSealOpen(t *testing.T) {
 
 func TestConnectionRejectsCrossConnection(t *testing.T) {
 	client, server := connPair(t)
-	env := sealEnvs(t, client, 1, false, []byte("x"), nil, 0)[0]
+	env := sealEnvs(t, client, 1, false, []byte("x"), testSign, 0)[0]
 	env.ConnID = 8
 	if _, err := server.OpenData(env); err == nil {
 		t.Fatal("cross-connection envelope accepted")
@@ -129,7 +129,7 @@ func TestConnectionRejectsCrossConnection(t *testing.T) {
 
 func TestConnectionRejectsReplay(t *testing.T) {
 	client, server := connPair(t)
-	env := sealEnvs(t, client, 1, false, []byte("x"), nil, 0)[0]
+	env := sealEnvs(t, client, 1, false, []byte("x"), testSign, 0)[0]
 	if _, err := server.OpenData(env); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRekeyExcludesExpelledMember(t *testing.T) {
 	// The expelled member (this very server endpoint is member 2) can
 	// still seal with the new key only if it got it — simulate a leaked
 	// key: even then, the client refuses envelopes from member 2.
-	env := sealEnvs(t, server, 1, true, []byte("from-expelled"), nil, 0)[0]
+	env := sealEnvs(t, server, 1, true, []byte("from-expelled"), testSign, 0)[0]
 	if _, err := client.OpenData(env); err == nil {
 		t.Fatal("envelope from expelled member accepted")
 	}
@@ -162,7 +162,7 @@ func TestRekeyExcludesExpelledMember(t *testing.T) {
 
 func TestOldKeyFailsAfterRekey(t *testing.T) {
 	client, server := connPair(t)
-	env := sealEnvs(t, client, 1, false, []byte("old-era"), nil, 0)[0]
+	env := sealEnvs(t, client, 1, false, []byte("old-era"), testSign, 0)[0]
 	newKey := testKey(99)
 	server.Rekey(1, newKey, nil)
 	if _, err := server.OpenData(env); err == nil {
@@ -185,7 +185,7 @@ func buildReplyEnv(t *testing.T, servers []*Connection, m int, reqID uint64,
 		t.Fatal(err)
 	}
 	rep := giop.EncodeReply(order, &giop.Reply{RequestID: reqID, Body: body})
-	return sealEnvs(t, servers[m], reqID, true, rep, nil, 0)[0]
+	return sealEnvs(t, servers[m], reqID, true, rep, testSign, 0)[0]
 }
 
 // serverEndpoints builds the 4 server-side endpoints matching a client
@@ -209,12 +209,21 @@ func serverEndpoints(t *testing.T, key seckey.Key) (client *Connection, servers 
 	return client, servers
 }
 
+// TestStreamNeedsVerifier: no stream accepts copies without checking their
+// signatures.
+func TestStreamNeedsVerifier(t *testing.T) {
+	client, _ := serverEndpoints(t, testKey(5))
+	if _, err := NewStream(client, StreamConfig{Registry: testRegistry()}); err == nil {
+		t.Fatal("stream without a signature verifier built")
+	}
+}
+
 func TestStreamVotesHeterogeneousReplies(t *testing.T) {
 	// Four server members reply with the same value marshalled in
 	// different byte orders: the stream must vote them equivalent.
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{Registry: testRegistry()})
+	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +255,7 @@ func TestStreamVotesHeterogeneousReplies(t *testing.T) {
 func TestStreamMasksAndReportsFaultyReply(t *testing.T) {
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{Registry: testRegistry()})
+	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +284,7 @@ func TestStreamMasksAndReportsFaultyReply(t *testing.T) {
 func TestStreamDiscardsMismatchedRequestID(t *testing.T) {
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, _ := NewStream(client, StreamConfig{Registry: testRegistry()})
+	stream, _ := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
 	got := 0
 	stream.OnMessage = func(*MessageVal, *vote.Decision) { got++ }
 	r1 := client.NextRequestID()
@@ -299,7 +308,7 @@ func TestStreamByteVotingFailsUnderHeterogeneity(t *testing.T) {
 	// first f+1, demonstrating the paper's C2 claim.
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{ByteVoting: true})
+	stream, err := NewStream(client, StreamConfig{ByteVoting: true, VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +331,7 @@ func TestStreamByteVotingFailsUnderHeterogeneity(t *testing.T) {
 func TestStreamInexactVoting(t *testing.T) {
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), Epsilon: 0.01})
+	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), Epsilon: 0.01, VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +361,7 @@ func TestStreamAutoAdvanceForInboundRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream, err := NewStream(serverConn, StreamConfig{
-		Registry: testRegistry(), AutoAdvance: true,
+		Registry: testRegistry(), AutoAdvance: true, VerifySig: testVerify,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +379,7 @@ func TestStreamAutoAdvanceForInboundRequests(t *testing.T) {
 			RequestID: id, ObjectKey: "calc", Interface: "IDL:Calc:1.0",
 			Operation: "add", ResponseExpected: true, Body: body,
 		})
-		if err := stream.Deliver(sealEnvs(t, clientConn, id, false, req, nil, 0)[0]); err != nil {
+		if err := stream.Deliver(sealEnvs(t, clientConn, id, false, req, testSign, 0)[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,7 +391,7 @@ func TestStreamAutoAdvanceForInboundRequests(t *testing.T) {
 func TestStreamRejectsUnknownOperation(t *testing.T) {
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, _ := NewStream(client, StreamConfig{Registry: testRegistry()})
+	stream, _ := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
 	reqID := client.NextRequestID()
 	stream.ExpectReply(reqID, "IDL:Calc:1.0", "no-such-op")
 	env := buildReplyEnv(t, servers, 0, reqID, cdr.BigEndian, 1.0)

@@ -90,8 +90,7 @@ type StreamConfig struct {
 	// heterogeneity (experiment C2).
 	ByteVoting bool
 	// VerifySig authenticates the sending element's signature over its
-	// data context (see DataSigningBytes). Nil disables per-message
-	// signature verification (benchmark ablations only).
+	// data context (see DataSigningBytes). Required.
 	VerifySig VerifyFunc
 	// SignerOf names the identity VerifySig checks (srcDomain, member)
 	// against. An ordered copy whose every fragment the ordering layer
@@ -196,6 +195,9 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 	if cfg.Registry == nil && !cfg.ByteVoting {
 		return nil, fmt.Errorf("smiop: stream needs an idl.Registry")
 	}
+	if cfg.VerifySig == nil {
+		return nil, fmt.Errorf("smiop: stream needs a signature verifier")
+	}
 	cv, err := vote.NewConnectionVoter(conn.Peer.N, conn.Peer.F, cfg.Mode)
 	if err != nil {
 		return nil, err
@@ -237,16 +239,14 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 		s.mSigVouched = r.Counter("smiop_sig_checks_total", "outcome=vouched", side)
 		s.mSigLateEqual = r.Counter("smiop_sig_checks_total", "outcome=late_equal", side)
 	}
-	if verify := cfg.VerifySig; verify != nil {
-		s.cfg.VerifySig = func(srcDomain string, member uint32, signing, sig []byte) bool {
-			ok := verify(srcDomain, member, signing, sig)
-			if ok {
-				s.mSigVerified.Inc()
-			} else {
-				s.mSigRejected.Inc()
-			}
-			return ok
+	s.cfg.VerifySig = func(srcDomain string, member uint32, signing, sig []byte) bool {
+		ok := cfg.VerifySig(srcDomain, member, signing, sig)
+		if ok {
+			s.mSigVerified.Inc()
+		} else {
+			s.mSigRejected.Inc()
 		}
+		return ok
 	}
 	return s, nil
 }

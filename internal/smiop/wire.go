@@ -118,15 +118,12 @@ func (c *Connection) SealGIOPWire(requestID uint64, reply bool,
 	pe.AppendVia(appendGIOP)
 	gend := pe.Len()
 	pe.PatchULong(glen, uint32(gend-gstart))
-	var sig []byte
-	if sign != nil {
-		giopBytes := pe.Stream()[gstart:gend]
-		sb := pool.Get(len(giopBytes) + signingSlack)
-		sb.B = AppendDataSigningBytes(sb.B, c.ID, requestID, c.Local.Name,
-			uint32(c.LocalMember), reply, giopBytes)
-		sig = sign(sb.B)
-		sb.Release()
-	}
+	giopBytes := pe.Stream()[gstart:gend]
+	sb := pool.Get(len(giopBytes) + signingSlack)
+	sb.B = AppendDataSigningBytes(sb.B, c.ID, requestID, c.Local.Name,
+		uint32(c.LocalMember), reply, giopBytes)
+	sig := sign(sb.B)
+	sb.Release()
 	pe.WriteOctets(sig)
 	scratch.B = pe.Bytes()
 	whole := scratch.B

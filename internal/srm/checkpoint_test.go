@@ -72,7 +72,7 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 			want := uint64(len(el.queue.Capture().Bytes()))
 			before := checkpointBytes(reg, "serialised")
 			fs := &pbft.FetchState{Seq: 1, Replica: 3}
-			pbft.SignMessage(pbft.NewNullAuth("replica:3"), fs)
+			pbft.SignMessage(td.replicaAuth(t, 3), fs)
 			el.Replica.HandleMessage(pbft.Encode(fs))
 			if got := checkpointBytes(reg, "serialised") - before; got != want {
 				t.Errorf("window %d payload %d: answering a FetchState serialised %d bytes, want the queue's %d",
@@ -98,7 +98,7 @@ func TestCheckpointCostFlatOverSoak(t *testing.T) {
 	acked := 0
 	var senders []*Sender
 	for i := 0; i < k; i++ {
-		s, err := NewSender(td.dom, fmt.Sprintf("client:%d", i), fmt.Sprintf("sender/%d", i), nil, 100*time.Millisecond)
+		s, err := NewSender(td.dom, fmt.Sprintf("client:%d", i), fmt.Sprintf("sender/%d", i), 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func (td *testDomain) isolate(i int, senderID string) {
 // (capacity 6, so every one of them has trimmed).
 func TestRestoredReplicaAgreesAtLaterCheckpoints(t *testing.T) {
 	td := newTestDomainCfg(t, 33, DomainConfig{
-		N: 4, F: 1, QueueCapacity: 6, CheckpointInterval: 4, Ring: pbft.NewKeyring(),
+		N: 4, F: 1, QueueCapacity: 6, CheckpointInterval: 4,
 	})
 	log := checkpointLog(td)
 	s, acks := td.sender(t, "client:a")

@@ -337,7 +337,8 @@ type Element struct {
 	mDelivered *obs.Counter
 	mDesyncs   *obs.Counter
 
-	// Flight ring for this element (nil recorder no-ops).
+	// Flight ring for this element, named by its replica's identity (nil
+	// recorder no-ops).
 	flight   *flight.Recorder
 	flightID string
 }
@@ -373,12 +374,11 @@ type DomainConfig struct {
 	// delivery upcall) and reconcile redeliveries after a rollback. Off by
 	// default — the off path is byte-identical to the committed protocol.
 	TentativeExecution bool
-	// Ring carries Ed25519 identities; nil selects null authentication.
-	Ring *pbft.Keyring
-	// IdentitySeed, when non-nil (and Ring is set), derives the replica
-	// keys deterministically so independently built cluster processes
-	// agree on key material (see pbft.DeriveIdentity).
-	IdentitySeed []byte
+	// Ring and KeySeed are required: every replica and sender key is
+	// derived from KeySeed into Ring (pbft.DeriveIdentity), replica i as
+	// "Name/rI".
+	Ring    *pbft.Keyring
+	KeySeed []byte
 	// Metrics, if non-nil, receives SRM delivery counters and the
 	// underlying PBFT group's phase counters, labelled with Name.
 	Metrics *obs.Registry
@@ -404,11 +404,9 @@ func NewDomain(net transport.Transport, cfg DomainConfig) (*Domain, error) {
 		MaxBatch:           cfg.MaxBatch,
 		BatchWait:          cfg.BatchWait,
 		TentativeExecution: cfg.TentativeExecution,
-		IdentitySeed:       cfg.IdentitySeed,
 		Metrics:            cfg.Metrics,
-		MetricsLabel:       cfg.Name,
 		Flight:             cfg.Flight,
-	}, cfg.Ring, func(i int) pbft.App {
+	}, cfg.Ring, cfg.KeySeed, func(i int) pbft.App {
 		el := elements[i]
 		el.queue = NewQueue(cfg.QueueCapacity, func(seq uint64, sender string, data []byte) {
 			el.deliver(seq, sender, data)
@@ -425,7 +423,7 @@ func NewDomain(net transport.Transport, cfg DomainConfig) (*Domain, error) {
 	for i, el := range elements {
 		el.Replica = group.Replicas[i]
 		el.flight = cfg.Flight
-		el.flightID = fmt.Sprintf("%s/r%d", cfg.Name, i)
+		el.flightID = el.Replica.Identity()
 		if cfg.Metrics != nil {
 			el.mDelivered = cfg.Metrics.Counter("srm_delivered_total", "group="+cfg.Name)
 			el.mDesyncs = cfg.Metrics.Counter("srm_desyncs_total", "group="+cfg.Name)
@@ -588,27 +586,12 @@ type queuedSend struct {
 }
 
 // NewSender builds a sender with identity id at transport address addr,
-// targeting domain d. Ring must be the same keyring the domain uses (nil
-// for null auth).
-func NewSender(d *Domain, id, addr string, ring *pbft.Keyring, timeout time.Duration) (*Sender, error) {
-	cli, err := d.Group.NewSimClient(id, addr, ring, timeout)
+// targeting domain d; its key is derived like the domain's replicas'.
+func NewSender(d *Domain, id, addr string, timeout time.Duration) (*Sender, error) {
+	cli, err := d.Group.NewSimClient(id, addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("srm: sender %s: %w", id, err)
 	}
-	return newSender(cli), nil
-}
-
-// NewSenderWithAuth builds a sender using an existing authenticator whose
-// public key is already registered in the domain's keyring.
-func NewSenderWithAuth(d *Domain, id, addr string, auth pbft.Authenticator, timeout time.Duration) (*Sender, error) {
-	cli, err := d.Group.NewSimClientWithAuth(id, addr, auth, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("srm: sender %s: %w", id, err)
-	}
-	return newSender(cli), nil
-}
-
-func newSender(cli *pbft.Client) *Sender {
 	s := &Sender{client: cli}
 	cli.OnResult = func(seq uint64, result []byte) {
 		// The static ACK is the only valid PBFT-level reply; anything else
@@ -627,7 +610,7 @@ func newSender(cli *pbft.Client) *Sender {
 			s.OnAck(seq)
 		}
 	}
-	return s
+	return s, nil
 }
 
 // Send multicasts data into the domain, returning the client sequence

@@ -14,7 +14,7 @@ import (
 type testDomain struct {
 	net    *netsim.Network
 	dom    *Domain
-	ring   *pbft.Keyring
+	seed   []byte     // what the domain's keys are derived from
 	deliv  [][]string // per element, delivered payloads in order
 	desync []bool
 }
@@ -25,7 +25,6 @@ func newTestDomain(t *testing.T, n, f, capacity int, seed int64) *testDomain {
 		N: n, F: f,
 		QueueCapacity:      capacity,
 		CheckpointInterval: 4,
-		Ring:               pbft.NewKeyring(),
 	})
 }
 
@@ -35,11 +34,22 @@ func newTestDomainCfg(t testing.TB, seed int64, cfg DomainConfig) *testDomain {
 	return newTestDomainOn(t, netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond)), cfg)
 }
 
-// newTestDomainOn builds domain "dom" from cfg on net.
+// testKeySeed derives the test domains' keys where a test names no seed.
+var testKeySeed = []byte("srm-test")
+
+// newTestDomainOn builds domain "dom" from cfg on net, with a fresh keyring
+// and testKeySeed unless cfg names its own.
 func newTestDomainOn(t testing.TB, net *netsim.Network, cfg DomainConfig) *testDomain {
 	t.Helper()
-	td := &testDomain{net: net, ring: cfg.Ring, deliv: make([][]string, cfg.N), desync: make([]bool, cfg.N)}
+	td := &testDomain{net: net, deliv: make([][]string, cfg.N), desync: make([]bool, cfg.N)}
 	cfg.Name = "dom"
+	if cfg.Ring == nil {
+		cfg.Ring = pbft.NewKeyring()
+	}
+	if cfg.KeySeed == nil {
+		cfg.KeySeed = testKeySeed
+	}
+	td.seed = cfg.KeySeed
 	cfg.ViewTimeout = 200 * time.Millisecond
 	dom, err := NewDomain(net, cfg)
 	if err != nil {
@@ -59,7 +69,7 @@ func newTestDomainOn(t testing.TB, net *netsim.Network, cfg DomainConfig) *testD
 func (td *testDomain) sender(t testing.TB, id string) (*Sender, *int) {
 	t.Helper()
 	acks := new(int)
-	s, err := NewSender(td.dom, id, "sender/"+id, td.ring, 100*time.Millisecond)
+	s, err := NewSender(td.dom, id, "sender/"+id, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +326,6 @@ func TestBatchedDomainDeliversIdenticalOrder(t *testing.T) {
 	// multi-request batches, and the queue-depth gauge must track the
 	// retained window.
 	net := netsim.NewNetwork(7, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-	ring := pbft.NewKeyring()
 	metrics := obs.NewRegistry()
 	deliv := make([][]string, 4)
 	dom, err := NewDomain(net, DomainConfig{
@@ -325,7 +334,8 @@ func TestBatchedDomainDeliversIdenticalOrder(t *testing.T) {
 		CheckpointInterval: 4,
 		ViewTimeout:        200 * time.Millisecond,
 		MaxBatch:           4,
-		Ring:               ring,
+		Ring:               pbft.NewKeyring(),
+		KeySeed:            testKeySeed,
 		Metrics:            metrics,
 	})
 	if err != nil {
@@ -340,7 +350,7 @@ func TestBatchedDomainDeliversIdenticalOrder(t *testing.T) {
 	senders := make([]*Sender, 8)
 	acks := 0
 	for i := range senders {
-		s, err := NewSender(dom, fmt.Sprintf("client:p-%d", i), fmt.Sprintf("pool/%d", i), ring, 100*time.Millisecond)
+		s, err := NewSender(dom, fmt.Sprintf("client:p-%d", i), fmt.Sprintf("pool/%d", i), 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,4 +504,16 @@ func (td *testDomain) run(t *testing.T, s *Sender, n int) {
 	}, 2_000_000); err != nil {
 		t.Fatalf("%d of %d sends acknowledged: %v", acked, n, err)
 	}
+}
+
+// replicaAuth returns an authenticator holding replica i's key, derived as
+// the domain derived it.
+func (td *testDomain) replicaAuth(t testing.TB, i int) pbft.Authenticator {
+	t.Helper()
+	id := td.dom.Group.Replicas[i].Identity()
+	priv, err := pbft.DeriveIdentity(id, td.seed, pbft.NewKeyring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pbft.NewEd25519Auth(id, priv, td.dom.Group.Ring)
 }

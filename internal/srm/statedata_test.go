@@ -46,14 +46,10 @@ func TestTamperedStateDataChangesNothing(t *testing.T) {
 	reg := obs.NewRegistry()
 	td := newTestDomainCfg(t, 35, DomainConfig{
 		N: 4, F: 1, QueueCapacity: capacity, CheckpointInterval: 4,
-		Ring: pbft.NewKeyring(), IdentitySeed: seed, Metrics: reg,
+		KeySeed: seed, Metrics: reg,
 	})
 	// Replica 0 is the liar: same derivation, so the test holds its key.
-	priv, err := pbft.DeriveIdentity("replica:0", seed, pbft.NewKeyring())
-	if err != nil {
-		t.Fatal(err)
-	}
-	liar := pbft.NewEd25519Auth("replica:0", priv, td.ring)
+	liar := td.replicaAuth(t, 0)
 
 	// Keep every checkpoint certificate seen, and the first honest StateData
 	// sent to element 3 — which never receives one until the test says so.

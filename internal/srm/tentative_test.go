@@ -14,15 +14,15 @@ import (
 func newTentativeDomain(t *testing.T, n, f, capacity int, seed int64) (*testDomain, []*int) {
 	t.Helper()
 	net := netsim.NewNetwork(seed, netsim.UniformLatency(time.Millisecond, 3*time.Millisecond))
-	ring := pbft.NewKeyring()
-	td := &testDomain{net: net, ring: ring, deliv: make([][]string, n), desync: make([]bool, n)}
+	td := &testDomain{net: net, deliv: make([][]string, n), desync: make([]bool, n)}
 	dom, err := NewDomain(net, DomainConfig{
 		Name: "dom", N: n, F: f,
 		QueueCapacity:      capacity,
 		CheckpointInterval: 4,
 		ViewTimeout:        200 * time.Millisecond,
 		TentativeExecution: true,
-		Ring:               ring,
+		Ring:               pbft.NewKeyring(),
+		KeySeed:            testKeySeed,
 	})
 	if err != nil {
 		t.Fatal(err)

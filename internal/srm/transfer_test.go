@@ -26,23 +26,18 @@ const (
 	lagSender   = "client:a"
 )
 
-func lagConfig(ring *pbft.Keyring, reg *obs.Registry, viewTimeout time.Duration) DomainConfig {
+func lagConfig(reg *obs.Registry, viewTimeout time.Duration) DomainConfig {
 	return DomainConfig{
 		Name: "dom", N: 4, F: 1, QueueCapacity: 64, CheckpointInterval: 4,
-		ViewTimeout: viewTimeout, Ring: ring, IdentitySeed: lagSeed, Metrics: reg,
+		ViewTimeout: viewTimeout, Ring: pbft.NewKeyring(), KeySeed: lagSeed, Metrics: reg,
 	}
 }
 
 // lagSenderFor builds the scenario's one sender on d, keyed from the seed so
 // every process of a TCP deployment knows its identity.
-func lagSenderFor(t *testing.T, d *Domain, ring *pbft.Keyring) *Sender {
+func lagSenderFor(t *testing.T, d *Domain) *Sender {
 	t.Helper()
-	priv, err := pbft.DeriveIdentity(lagSender, lagSeed, ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSenderWithAuth(d, lagSender, "sender/"+lagSender,
-		pbft.NewEd25519Auth(lagSender, priv, ring), 500*time.Millisecond)
+	s, err := NewSender(d, lagSender, "sender/"+lagSender, 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +46,8 @@ func lagSenderFor(t *testing.T, d *Domain, ring *pbft.Keyring) *Sender {
 
 func TestLaggingElementCatchesUpOnNetsim(t *testing.T) {
 	for _, payload := range []int{512, 4 << 10} {
-		ring := pbft.NewKeyring()
-		td := newTestDomainCfg(t, 36, lagConfig(ring, nil, 0))
-		s := lagSenderFor(t, td.dom, ring)
+		td := newTestDomainCfg(t, 36, lagConfig(nil, 0))
+		s := lagSenderFor(t, td.dom)
 		acks := new(int)
 		s.OnAck = func(uint64) { *acks++ }
 		td.isolate(3, lagSender)
@@ -140,13 +134,12 @@ func TestLaggingElementOverTCP(t *testing.T) {
 					lagging.Transport = tr
 					net = lagging
 				}
-				ring := pbft.NewKeyring()
 				// A view timeout no busy test machine reaches: the scenario
 				// has no faulty primary.
-				if p.dom, err = NewDomain(net, lagConfig(ring, p.reg, time.Minute)); err != nil {
+				if p.dom, err = NewDomain(net, lagConfig(p.reg, time.Minute)); err != nil {
 					t.Fatal(err)
 				}
-				s := lagSenderFor(t, p.dom, ring)
+				s := lagSenderFor(t, p.dom)
 				if name == "pc" {
 					sender = s
 					s.OnAck = func(uint64) { acked <- struct{}{} }

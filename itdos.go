@@ -200,7 +200,7 @@ const (
 
 // Metrics is the virtual-time metrics registry (counters, gauges,
 // fixed-bucket histograms). Pass one in Config.Metrics to observe a
-// deployment; read it back with WriteText/WriteJSON.
+// deployment; read it back with WriteProm (Prometheus text format).
 type Metrics = obs.Registry
 
 // Tracer records per-invocation spans over the simulator's virtual clock.
