@@ -10,6 +10,9 @@
 //	itdos-cluster -spec cluster.json -node node0
 //	itdos-cluster -spec cluster.json -node load -metrics 127.0.0.1:9090
 //
+// -metrics serves the node's registry at /metrics and the process's
+// net/http/pprof profiles under /debug/pprof/ on the same listener.
+//
 // -init writes a loopback spec with quorum.N(f) replica nodes plus a
 // "load" node hosting the client pool for cmd/itdos-load. A node process
 // runs until SIGINT/SIGTERM.
@@ -19,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -38,7 +42,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("itdos-cluster", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "cluster spec file (JSON)")
 	node := fs.String("node", "", "process name from the spec to run")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics on this address (optional)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics and pprof profiles on this address (optional)")
 	initSpec := fs.Bool("init", false, "write a fresh loopback spec to -spec and exit")
 	f := fs.Int("f", 1, "failure bound for -init (group size is 3f+1)")
 	basePort := fs.Int("base-port", 42000, "first listen port for -init")
@@ -75,17 +79,8 @@ func run(args []string) error {
 		*node, n.Tr.Addr(), spec.F, spec.Domain)
 
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			// The registry is mutated on the transport loop; read it there.
-			done := make(chan error, 1)
-			n.Tr.Post(func() { done <- n.Metrics.WriteProm(w) })
-			if err := <-done; err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
 		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
+			if err := http.ListenAndServe(*metricsAddr, debugMux(n)); err != nil {
 				fmt.Fprintln(os.Stderr, "itdos-cluster: metrics:", err)
 			}
 		}()
@@ -96,6 +91,27 @@ func run(args []string) error {
 	<-sig
 	fmt.Printf("itdos-cluster: %s shutting down\n", *node)
 	return nil
+}
+
+// debugMux serves what -metrics exposes of a started node: its registry in
+// Prometheus text format at /metrics, and the process's profiles under
+// /debug/pprof/ (net/http/pprof).
+func debugMux(n *cluster.Node) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		// The registry is mutated on the transport loop; read it there.
+		done := make(chan error, 1)
+		n.Tr.Post(func() { done <- n.Metrics.WriteProm(w) })
+		if err := <-done; err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // writeInitSpec renders a default loopback deployment: 3f+1 replica nodes

@@ -83,6 +83,9 @@ func signIn(auth Authenticator, m Message, ids []string) {
 		msg.Sig = auth.MAC(msg.ClientID, b)
 	default:
 		*m.sigRef() = auth.Sign(b)
+		if req, ok := m.(*Request); ok {
+			req.rehash()
+		}
 	}
 }
 
@@ -186,6 +189,9 @@ type Ed25519Auth struct {
 	identity string
 	priv     ed25519.PrivateKey
 	ring     *Keyring
+	// scalar is priv as an X25519 key, made once for every pair key to come;
+	// nil when priv is no private key, and then no pair key is agreed.
+	scalar *ecdh.PrivateKey
 
 	// pairs caches one key per peer next to the public key it was agreed
 	// with: an entry is good only while the keyring still holds that key.
@@ -205,21 +211,42 @@ var _ Authenticator = (*Ed25519Auth)(nil)
 // NewEd25519Auth returns an authenticator for identity holding priv,
 // verifying against ring.
 func NewEd25519Auth(identity string, priv ed25519.PrivateKey, ring *Keyring) *Ed25519Auth {
-	return &Ed25519Auth{identity: identity, priv: priv, ring: ring, pairs: make(map[string]pairKey)}
+	scalar, _ := x25519Scalar(priv)
+	return &Ed25519Auth{identity: identity, priv: priv, ring: ring, scalar: scalar, pairs: make(map[string]pairKey)}
 }
 
 // Sign implements Authenticator.
 func (a *Ed25519Auth) Sign(msg []byte) []byte {
-	return ed25519.Sign(a.priv, msg)
+	return SignSHA256(a.priv, msg)
 }
 
 // Verify implements Authenticator.
 func (a *Ed25519Auth) Verify(sender string, msg, sig []byte) bool {
 	pub, ok := a.ring.Lookup(sender)
-	if !ok || len(sig) != ed25519.SignatureSize {
+	return ok && VerifySHA256(pub, msg, sig)
+}
+
+// SignSHA256 signs msg as the holder of priv: Ed25519 over the SHA-256
+// digest of msg, not over msg. With VerifySHA256 it is the one place a
+// signature is made or checked, so PBFT messages, SMIOP payloads and the
+// Group Manager's proof items move together. Ed25519 runs SHA-512 over its
+// whole input twice to sign and once to verify; over a 32-byte commitment
+// the message's bytes are hashed once, at SHA-256's speed. A signature binds
+// msg only as far as SHA-256 resists collisions, which ordering already
+// assumes of every digest it certifies (DESIGN §4).
+func SignSHA256(priv ed25519.PrivateKey, msg []byte) []byte {
+	d := sha256.Sum256(msg)
+	return ed25519.Sign(priv, d[:])
+}
+
+// VerifySHA256 reports whether sig is SignSHA256's signature over msg by the
+// holder of pub.
+func VerifySHA256(pub ed25519.PublicKey, msg, sig []byte) bool {
+	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
 		return false
 	}
-	return ed25519.Verify(pub, msg, sig)
+	d := sha256.Sum256(msg)
+	return ed25519.Verify(pub, d[:], sig)
 }
 
 // MAC implements Authenticator.
@@ -263,7 +290,7 @@ func (a *Ed25519Auth) pairKey(peer string) []byte {
 	}
 	// A refusal is cached as a nil key; why matters to nobody on the message
 	// path, which drops the message either way.
-	key, _ := derivePairKey(a.identity, a.priv, peer, pub)
+	key, _ := derivePairKey(a.identity, a.scalar, peer, pub)
 	a.pairs[peer] = pairKey{pub: pub, key: key}
 	return key
 }
@@ -272,15 +299,14 @@ func (a *Ed25519Auth) pairKey(peer string) []byte {
 // X25519 shared secret.
 const pairKeyInfo = "itdos/pbft-mac/1"
 
-// derivePairKey agrees the MAC key between the holder of priv, named self,
+// derivePairKey agrees the MAC key between the holder of scalar, named self,
 // and the holder of the private half of pub, named peer. One identity
-// serves signing and key agreement: the X25519 scalar is the clamped
-// SHA-512(seed)[:32] Ed25519 itself multiplies by, and the peer's Montgomery
-// u = (1+y)/(1−y) is the birational image of its Edwards public point. The
-// key is HMAC-SHA256(shared secret, info ‖ lower id ‖ 0 ‖ higher id), the
-// same bytes on both sides.
-func derivePairKey(self string, priv ed25519.PrivateKey, peer string, pub ed25519.PublicKey) ([]byte, error) {
-	shared, err := sharedSecret(priv, pub)
+// serves signing and key agreement: scalar is x25519Scalar of self's Ed25519
+// key, and the peer's Montgomery u = (1+y)/(1−y) is the birational image of
+// its Edwards public point. The key is HMAC-SHA256(shared secret, info ‖
+// lower id ‖ 0 ‖ higher id), the same bytes on both sides.
+func derivePairKey(self string, scalar *ecdh.PrivateKey, peer string, pub ed25519.PublicKey) ([]byte, error) {
+	shared, err := sharedSecret(scalar, pub)
 	if err != nil {
 		return nil, fmt.Errorf("pbft: pair key %s–%s: %w", self, peer, err)
 	}
@@ -296,15 +322,20 @@ func derivePairKey(self string, priv ed25519.PrivateKey, peer string, pub ed2551
 	return mac.Sum(nil), nil
 }
 
-// sharedSecret is X25519 between the Ed25519 keys priv and pub.
-func sharedSecret(priv ed25519.PrivateKey, pub ed25519.PublicKey) ([]byte, error) {
+// x25519Scalar returns the X25519 private key an Ed25519 key multiplies by:
+// the clamped SHA-512(seed)[:32].
+func x25519Scalar(priv ed25519.PrivateKey) (*ecdh.PrivateKey, error) {
 	if len(priv) != ed25519.PrivateKeySize {
 		return nil, fmt.Errorf("no private key")
 	}
 	h := sha512.Sum512(priv.Seed())
-	scalar, err := ecdh.X25519().NewPrivateKey(h[:32])
-	if err != nil {
-		return nil, err
+	return ecdh.X25519().NewPrivateKey(h[:32])
+}
+
+// sharedSecret is X25519 between scalar and the Ed25519 public key pub.
+func sharedSecret(scalar *ecdh.PrivateKey, pub ed25519.PublicKey) ([]byte, error) {
+	if scalar == nil {
+		return nil, fmt.Errorf("no private key")
 	}
 	u, err := montgomeryU(pub)
 	if err != nil {

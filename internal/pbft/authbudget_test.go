@@ -117,22 +117,42 @@ func benchAuthPair(b *testing.B) (*Ed25519Auth, *Ed25519Auth, []byte) {
 
 var benchSink []byte
 
+// authSizes are the signed lengths the sign and verify benchmarks run at: an
+// add_small-sized message and an echo_16k payload.
+var authSizes = []struct {
+	name string
+	n    int
+}{{"128B", 128}, {"16KiB", 16 << 10}}
+
 func BenchmarkAuthSign(b *testing.B) {
-	a, _, msg := benchAuthPair(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = a.Sign(msg)
+	a, _, _ := benchAuthPair(b)
+	for _, size := range authSizes {
+		b.Run(size.name, func(b *testing.B) {
+			msg := make([]byte, size.n)
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = a.Sign(msg)
+			}
+		})
 	}
 }
 
 func BenchmarkAuthVerify(b *testing.B) {
-	a, peer, msg := benchAuthPair(b)
-	sig := a.Sign(msg)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !peer.Verify(a.Identity(), msg, sig) {
-			b.Fatal("signature rejected")
-		}
+	a, peer, _ := benchAuthPair(b)
+	for _, size := range authSizes {
+		b.Run(size.name, func(b *testing.B) {
+			msg := make([]byte, size.n)
+			sig := a.Sign(msg)
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !peer.Verify(a.Identity(), msg, sig) {
+					b.Fatal("signature rejected")
+				}
+			}
+		})
 	}
 }
 
@@ -151,7 +171,7 @@ func BenchmarkAuthPairKey(b *testing.B) {
 	pub := peer.priv.Public().(ed25519.PublicKey)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		key, err := derivePairKey(a.identity, a.priv, peer.identity, pub)
+		key, err := derivePairKey(a.identity, a.scalar, peer.identity, pub)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,0 +1,350 @@
+package pbft
+
+import (
+	"crypto/ed25519"
+	"crypto/sha256"
+	"testing"
+
+	"itdos/internal/smiop"
+)
+
+// sigPayloadSize is the payload the tamper table signs: an echo_16k call.
+const sigPayloadSize = 16 << 10
+
+// sigPayload returns a fresh sigPayloadSize-byte payload.
+func sigPayload() []byte {
+	p := make([]byte, sigPayloadSize)
+	for i := range p {
+		p[i] = byte('a' + i%26)
+	}
+	return p
+}
+
+// sigKeys returns a group of four and client:x under one seed: their
+// authenticators and private keys by identity.
+func sigKeys(t *testing.T) ([]string, map[string]*Ed25519Auth, map[string]ed25519.PrivateKey) {
+	t.Helper()
+	ring := NewKeyring()
+	ids := Identities("grp", 4)
+	auths := make(map[string]*Ed25519Auth)
+	privs := make(map[string]ed25519.PrivateKey)
+	for _, id := range append(ids[:4:4], "client:x") {
+		priv, err := DeriveIdentity(id, []byte("digest-signatures"), ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auths[id], privs[id] = NewEd25519Auth(id, priv, ring), priv
+	}
+	return ids, auths, privs
+}
+
+// sigCase is one row of the tamper table: a signed object, the checks its
+// receiver makes, and the ways to tamper with it. Every edit works on a fresh
+// copy of the signed original.
+type sigCase struct {
+	name string
+	// fresh returns a copy of the signed original, decoded anew for a PBFT
+	// message so no cached digest survives an edit.
+	fresh func() any
+	// verify is the receiver's check.
+	verify func(v any) bool
+	// payload returns the 16 KiB payload inside v, to flip bytes of.
+	payload func(v any) []byte
+	// context edits each signed field other than the payload.
+	context map[string]func(v any)
+	// sig returns v's signature, to flip octets of.
+	sig func(v any) []byte
+	// preimage is what signer's signature covers, and rawSign replaces v's
+	// signature with a raw Ed25519 signature over it (the old scheme).
+	signer   ed25519.PrivateKey
+	preimage func(v any) []byte
+	rawSign  func(v any, sig []byte)
+}
+
+// smiopData is a signed SMIOP data payload and its transport context.
+type smiopData struct {
+	conn, req uint64
+	domain    string
+	member    uint32
+	reply     bool
+	giop, sig []byte
+}
+
+func (d *smiopData) preimage() []byte {
+	return smiop.DataSigningBytes(d.conn, d.req, d.domain, d.member, d.reply, d.giop)
+}
+
+// sigTable builds the four rows: a request, a pre-prepare carrying it, a view
+// change whose prepared certificate carries it, and a SMIOP data payload
+// signed as grp/r2 signs it.
+func sigTable(t *testing.T) []sigCase {
+	ids, auths, privs := sigKeys(t)
+	sign := func(m Message) Message {
+		if req, ok := m.(*Request); ok {
+			signIn(auths[req.ClientID], m, ids)
+		} else {
+			signIn(auths[ids[m.sender()]], m, ids)
+		}
+		return m
+	}
+	req := sign(&Request{ClientID: "client:x", ClientSeq: 7, Op: sigPayload(), ReplyTo: "client/x"}).(*Request)
+	pp := sign(&PrePrepare{View: 0, Seq: 3, Digest: BatchDigest([]*Request{req}),
+		Requests: []*Request{req}, Replica: 0}).(*PrePrepare)
+	prepares := []*Prepare{
+		sign(&Prepare{View: 0, Seq: 3, Digest: pp.Digest, Replica: 1}).(*Prepare),
+		sign(&Prepare{View: 0, Seq: 3, Digest: pp.Digest, Replica: 2}).(*Prepare),
+	}
+	ckpt := sign(&Checkpoint{Seq: 2, StateDigest: Digest{0x5e}, Replica: 3}).(*Checkpoint)
+	vc := sign(&ViewChange{NewView: 1, LastStable: 2, CheckpointProof: []*Checkpoint{ckpt},
+		Prepared: []*PreparedProof{{PrePrepare: pp, Prepares: prepares}}, Replica: 2}).(*ViewChange)
+
+	pbftRow := func(name string, m Message, signer string, payload func(Message) []byte,
+		context map[string]func(Message)) sigCase {
+		wire := Encode(m)
+		edits := make(map[string]func(any))
+		for field, edit := range context {
+			edit := edit
+			edits[field] = func(v any) { edit(v.(Message)) }
+		}
+		return sigCase{
+			name: name,
+			fresh: func() any {
+				back, err := Decode(wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return back
+			},
+			verify: func(v any) bool {
+				// What a receiver sees: the edited message, encoded and decoded.
+				back, err := Decode(Encode(v.(Message)))
+				return err == nil && verifyIn(auths[ids[1]], back, 1, ids)
+			},
+			payload:  func(v any) []byte { return payload(v.(Message)) },
+			context:  edits,
+			sig:      func(v any) []byte { return *v.(Message).sigRef() },
+			signer:   privs[signer],
+			preimage: func(v any) []byte { return signingBytes(v.(Message)) },
+			rawSign:  func(v any, sig []byte) { *v.(Message).sigRef() = sig },
+		}
+	}
+	reqEdits := func(at func(Message) *Request) map[string]func(Message) {
+		return map[string]func(Message){
+			"client id":  func(m Message) { at(m).ClientID = "grp/r0" },
+			"client seq": func(m Message) { at(m).ClientSeq++ },
+			"reply to":   func(m Message) { at(m).ReplyTo = "client/y" },
+		}
+	}
+	with := func(a, b map[string]func(Message)) map[string]func(Message) {
+		for k, v := range b {
+			a[k] = v
+		}
+		return a
+	}
+	ppReq := func(m Message) *Request { return m.(*PrePrepare).Requests[0] }
+	vcPP := func(m Message) *PrePrepare { return m.(*ViewChange).Prepared[0].PrePrepare }
+
+	data := &smiopData{conn: 5, req: 11, domain: "grp", member: 2, reply: true, giop: sigPayload()}
+	data.sig = SignSHA256(privs[ids[2]], data.preimage())
+	pub2 := privs[ids[2]].Public().(ed25519.PublicKey)
+
+	return []sigCase{
+		pbftRow("request", req, "client:x", func(m Message) []byte { return m.(*Request).Op },
+			reqEdits(func(m Message) *Request { return m.(*Request) })),
+		pbftRow("pre-prepare", pp, ids[0], func(m Message) []byte { return ppReq(m).Op },
+			with(reqEdits(ppReq), map[string]func(Message){
+				"view":    func(m Message) { m.(*PrePrepare).View++ },
+				"seq":     func(m Message) { m.(*PrePrepare).Seq++ },
+				"digest":  func(m Message) { m.(*PrePrepare).Digest[0] ^= 1 },
+				"replica": func(m Message) { m.(*PrePrepare).Replica = 3 },
+			})),
+		pbftRow("view-change", vc, ids[2], func(m Message) []byte { return vcPP(m).Requests[0].Op },
+			with(reqEdits(func(m Message) *Request { return vcPP(m).Requests[0] }), map[string]func(Message){
+				"new view":          func(m Message) { m.(*ViewChange).NewView++ },
+				"last stable":       func(m Message) { m.(*ViewChange).LastStable++ },
+				"replica":           func(m Message) { m.(*ViewChange).Replica = 3 },
+				"checkpoint seq":    func(m Message) { m.(*ViewChange).CheckpointProof[0].Seq++ },
+				"checkpoint digest": func(m Message) { m.(*ViewChange).CheckpointProof[0].StateDigest[1] ^= 1 },
+				"prepared seq":      func(m Message) { vcPP(m).Seq++ },
+				"prepared digest":   func(m Message) { vcPP(m).Digest[0] ^= 1 },
+				"prepare sender":    func(m Message) { m.(*ViewChange).Prepared[0].Prepares[0].Replica = 3 },
+			})),
+		{
+			name: "smiop data",
+			fresh: func() any {
+				c := *data
+				c.giop = append([]byte(nil), data.giop...)
+				c.sig = append([]byte(nil), data.sig...)
+				return &c
+			},
+			verify: func(v any) bool {
+				d := v.(*smiopData)
+				return VerifySHA256(pub2, d.preimage(), d.sig)
+			},
+			payload: func(v any) []byte { return v.(*smiopData).giop },
+			context: map[string]func(any){
+				"conn id":    func(v any) { v.(*smiopData).conn++ },
+				"request id": func(v any) { v.(*smiopData).req++ },
+				"domain":     func(v any) { v.(*smiopData).domain = "grq" },
+				"member":     func(v any) { v.(*smiopData).member = 1 },
+				"direction":  func(v any) { v.(*smiopData).reply = false },
+			},
+			sig:      func(v any) []byte { return v.(*smiopData).sig },
+			signer:   privs[ids[2]],
+			preimage: func(v any) []byte { return v.(*smiopData).preimage() },
+			rawSign:  func(v any, sig []byte) { v.(*smiopData).sig = sig },
+		},
+	}
+}
+
+// TestDigestSignatureTamper: every signature covers the SHA-256 digest of
+// its preimage, and still binds all of it. On a 16 KiB payload, flipping its
+// first, middle or last byte, editing any other signed field, or flipping any
+// octet of the signature makes the receiver's check fail, and so does a raw
+// Ed25519 signature over the preimage itself.
+func TestDigestSignatureTamper(t *testing.T) {
+	for _, c := range sigTable(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.verify(c.fresh()) {
+				t.Fatal("untampered original refused")
+			}
+			for _, at := range []int{0, sigPayloadSize / 2, sigPayloadSize - 1} {
+				v := c.fresh()
+				if p := c.payload(v); len(p) != sigPayloadSize {
+					t.Fatalf("payload of %d bytes", len(p))
+				}
+				c.payload(v)[at] ^= 1
+				if c.verify(v) {
+					t.Errorf("payload byte %d flipped: accepted", at)
+				}
+			}
+			for field, edit := range c.context {
+				v := c.fresh()
+				edit(v)
+				if c.verify(v) {
+					t.Errorf("%s edited: accepted", field)
+				}
+			}
+			for i := 0; i < ed25519.SignatureSize; i++ {
+				v := c.fresh()
+				c.sig(v)[i] ^= 0x10
+				if c.verify(v) {
+					t.Errorf("signature octet %d flipped: accepted", i)
+				}
+			}
+			v := c.fresh()
+			c.rawSign(v, ed25519.Sign(c.signer, c.preimage(v)))
+			if c.verify(v) {
+				t.Error("raw Ed25519 signature over the preimage accepted")
+			}
+		})
+	}
+}
+
+// TestDigestSignatureDomains: under one key, a PBFT signature does not pass
+// as a SMIOP one over the same payload, nor the reverse, and neither preimage
+// decodes as the other protocol's: a PBFT preimage starts with its type octet
+// (1–11), a SMIOP one with the high octet of a CDR string length (0).
+func TestDigestSignatureDomains(t *testing.T) {
+	ids, auths, privs := sigKeys(t)
+	op := sigPayload()
+	req := &Request{ClientID: "client:x", ClientSeq: 1, Op: op, ReplyTo: "client/x"}
+	SignMessage(auths["client:x"], req)
+	pub := privs["client:x"].Public().(ed25519.PublicKey)
+	data := smiop.DataSigningBytes(1, 1, "client:x", 0, false, op)
+
+	if VerifySHA256(pub, data, req.Sig) {
+		t.Error("PBFT request signature verified as a SMIOP data signature")
+	}
+	smiopSig := SignSHA256(privs["client:x"], data)
+	forged := &Request{ClientID: "client:x", ClientSeq: 1, Op: op, ReplyTo: "client/x", Sig: smiopSig}
+	if verifyIn(auths[ids[1]], forged, 1, ids) {
+		t.Error("SMIOP data signature verified as a PBFT request signature")
+	}
+	if pre := signingBytes(req); pre[0] < byte(MTRequest) || pre[0] > byte(MTFetchEntry) {
+		t.Errorf("PBFT preimage starts with %d, not a type octet", pre[0])
+	}
+	if data[0] != 0 {
+		t.Errorf("SMIOP preimage starts with %d, not 0", data[0])
+	}
+	if _, err := Decode(data); err == nil {
+		t.Error("a SMIOP preimage decodes as a PBFT message")
+	}
+}
+
+// TestRequestDigestOnce: every request a sample message carries — on its
+// own, in a pre-prepare's batch, in a view change's certificates or a new
+// view — has, once decoded, the digest of its own standalone encoding, and
+// Digest returns it without encoding or hashing again. A request decoded
+// from tampered bytes has the tampered request's digest.
+func TestRequestDigestOnce(t *testing.T) {
+	var reqs func(m Message) []*Request
+	reqs = func(m Message) []*Request {
+		switch msg := m.(type) {
+		case *Request:
+			return []*Request{msg}
+		case *PrePrepare:
+			return msg.Requests
+		case *ViewChange:
+			var out []*Request
+			for _, p := range msg.Prepared {
+				out = append(out, reqs(p.PrePrepare)...)
+			}
+			return out
+		case *NewView:
+			var out []*Request
+			for _, vc := range msg.ViewChanges {
+				out = append(out, reqs(vc)...)
+			}
+			for _, pp := range msg.PrePrepares {
+				out = append(out, reqs(pp)...)
+			}
+			return out
+		}
+		return nil
+	}
+	seen := 0
+	for name, m := range wireSamples(t) {
+		back, err := Decode(Encode(m))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := reqs(back)
+		if name == "pre-prepare-batch" && len(got) != 3 {
+			t.Fatalf("%s: %d requests, want 3", name, len(got))
+		}
+		for i, req := range got {
+			seen++
+			if want := Digest(sha256.Sum256(Encode(req))); req.Digest() != want {
+				t.Errorf("%s request %d: digest %s, want %s", name, i, req.Digest(), want)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { _ = req.Digest() }); allocs != 0 {
+				t.Errorf("%s request %d: Digest allocates %.0f times: it encodes again", name, i, allocs)
+			}
+		}
+	}
+	if seen < 3 {
+		t.Fatalf("samples carry only %d requests", seen)
+	}
+
+	req := wireSamples(t)["request"].(*Request)
+	wire := Encode(req)
+	for i := range wire {
+		tampered := append([]byte(nil), wire...)
+		tampered[i] ^= 0x01
+		m, err := Decode(tampered)
+		if err != nil {
+			continue
+		}
+		back, ok := m.(*Request)
+		if !ok {
+			continue
+		}
+		if want := Digest(sha256.Sum256(Encode(back))); back.Digest() != want {
+			t.Fatalf("byte %d flipped: digest %s, want the tampered request's %s", i, back.Digest(), want)
+		}
+		if back.Digest() == req.Digest() && string(Encode(back)) != string(wire) {
+			t.Fatalf("byte %d flipped: tampered request kept the original digest", i)
+		}
+	}
+}

@@ -94,6 +94,9 @@ type Message interface {
 }
 
 // Request is a client invocation to be totally ordered.
+//
+// A request is not mutated once it is decoded or signed: its digest is
+// computed then, and every later Digest returns that value.
 type Request struct {
 	// ClientID is the authentication identity of the requester.
 	ClientID string
@@ -106,6 +109,10 @@ type Request struct {
 	ReplyTo string
 	// Sig is the client's signature.
 	Sig []byte
+
+	// digest caches Digest once hashed is set.
+	digest Digest
+	hashed bool
 }
 
 // Type implements Message.
@@ -133,17 +140,32 @@ func (m *Request) unmarshal(d *cdr.Decoder) error {
 	if m.ReplyTo, err = d.ReadString(); err != nil {
 		return err
 	}
-	m.Sig, err = readOctetsCopy(d)
-	return err
+	if m.Sig, err = readOctetsCopy(d); err != nil {
+		return err
+	}
+	m.rehash()
+	return nil
 }
 
 func (m *Request) sigRef() *[]byte { return &m.Sig }
 func (*Request) sender() ReplicaID { return -1 }
 
 // Digest returns the request's canonical digest (over the full encoding,
-// signature included, so a forged signature changes the digest).
+// signature included, so a forged signature changes the digest). It is
+// SHA-256 of the request's own encoding, never of the bytes it was decoded
+// from: CDR aligns relative to the start of a stream, so a request inside a
+// pre-prepare is laid out differently from one on its own.
 func (m *Request) Digest() Digest {
-	return sha256.Sum256(Encode(m))
+	if !m.hashed {
+		m.rehash()
+	}
+	return m.digest
+}
+
+// rehash computes the digest Digest returns from the request's fields now:
+// at decode, at signing, or on a first Digest.
+func (m *Request) rehash() {
+	m.digest, m.hashed = sha256.Sum256(Encode(m)), true
 }
 
 // PrePrepare is the primary's ordering proposal for an ordered batch of

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"crypto/ed25519"
 	"fmt"
 
 	"itdos/internal/cdr"
@@ -10,6 +9,7 @@ import (
 	"itdos/internal/netsim"
 	"itdos/internal/obs"
 	"itdos/internal/orb"
+	"itdos/internal/pbft"
 	"itdos/internal/pool"
 	"itdos/internal/seckey"
 	"itdos/internal/smiop"
@@ -148,7 +148,7 @@ func (ep *endpoint) init(sys *System, identity string, local smiop.PeerInfo, mem
 	priv := sys.privs[identity]
 	ep.sign = func(msg []byte) []byte {
 		ep.mSigns.Inc()
-		return ed25519.Sign(priv, msg)
+		return pbft.SignSHA256(priv, msg)
 	}
 	ep.conns = make(map[uint64]*connState)
 	ep.connByPeer = make(map[string]uint64)

@@ -74,7 +74,7 @@ func TestOneKeyPerElement(t *testing.T) {
 			}
 			signing, sig, from, _ := signedPBFT(m)
 			pub := ts.sys.privs[id].Public().(ed25519.PublicKey)
-			if from != pbft.ReplicaID(i) || !ed25519.Verify(pub, signing, sig) {
+			if from != pbft.ReplicaID(i) || !pbft.VerifySHA256(pub, signing, sig) {
 				t.Errorf("%s: its %s does not verify under the element's key", id, m.Type())
 			}
 		}

@@ -388,7 +388,7 @@ func (sys *System) verifyData() func(domain string, member uint32, msg, sig []by
 // verifyIdentity checks a signature by any global identity.
 func (sys *System) verifyIdentity(identity string, msg, sig []byte) bool {
 	pub, ok := sys.ring.Lookup(identity)
-	return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
+	return ok && pbft.VerifySHA256(pub, msg, sig)
 }
 
 // peerInfo resolves a domain or client pseudo-domain.
