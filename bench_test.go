@@ -576,10 +576,9 @@ func BenchmarkX1LargeObjectTransfer(b *testing.B) {
 			[]idl.Param{{Name: "size", Type: cdr.Long}},
 			[]idl.Param{{Name: "blob", Type: cdr.String}}))
 	sys, err := replica.NewSystem(replica.SystemConfig{
-		Seed:         1,
-		Latency:      netsim.ConstantLatency(time.Millisecond),
-		Registry:     reg,
-		FragmentSize: 16 << 10,
+		Seed:     1,
+		Latency:  netsim.ConstantLatency(time.Millisecond),
+		Registry: reg,
 		Domains: []replica.DomainSpec{{
 			Name: "blob", N: 4, F: 1,
 			Setup: func(member int, a *orb.Adapter) error {

@@ -3,12 +3,9 @@ package bench
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"itdos/internal/cdr"
 	"itdos/internal/netsim"
-	"itdos/internal/orb"
-	"itdos/internal/replica"
 	"itdos/internal/vote"
 )
 
@@ -172,7 +169,3 @@ func A3() (*Table, error) {
 		"the spread demands it."
 	return t, nil
 }
-
-var _ = replica.DefaultProfile // keep replica imported for scenario options
-var _ = orb.ObjectRef{}
-var _ = time.Millisecond

@@ -144,7 +144,6 @@ func C9() (*Table, error) {
 	feedback := &itc.Config{
 		HalfLife:          time.Second,
 		BaseRekeyInterval: 4 * time.Second,
-		Tick:              50 * time.Millisecond,
 	}
 	runPaced := func(opts calcOpts, calls int) (*replica.System, float64, error) {
 		sys, err := newCalcSystem(opts)
@@ -236,7 +235,7 @@ func C9() (*Table, error) {
 	// and the domain keeps serving on the remaining 5 = 2f+1.
 	sys, err = newCalcSystem(calcOpts{
 		n: 7, f: 2,
-		itc:    &itc.Config{HalfLife: 2 * time.Second, Tick: 50 * time.Millisecond},
+		itc:    &itc.Config{HalfLife: 2 * time.Second},
 		flight: flight.New(0),
 		servant: func(member int) orb.Servant {
 			if member == 1 || member == 3 {
@@ -331,7 +330,6 @@ func C10() (*Table, error) {
 		itc: &itc.Config{
 			HalfLife:          2 * time.Second,
 			BaseRekeyInterval: 1500 * time.Millisecond,
-			Tick:              50 * time.Millisecond,
 		},
 		servant: func(member int) orb.Servant {
 			if member == 2 {
@@ -442,7 +440,6 @@ func C11() (*Table, error) {
 		itc: &itc.Config{
 			HalfLife:         time.Second,
 			RecoveryInterval: 800 * time.Millisecond,
-			Tick:             50 * time.Millisecond,
 		},
 		// Recoveries complete via checkpoint-driven state transfer, so a
 		// short checkpoint interval keeps the rotation brisk relative to

@@ -10,7 +10,6 @@ import (
 	"itdos/internal/netsim"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
-	"itdos/internal/orb"
 	"itdos/internal/pbft"
 	"itdos/internal/smiop"
 )
@@ -208,5 +207,3 @@ func muteClientReplies(net *netsim.Network, domain string, member int, client st
 		netsim.NodeID(fmt.Sprintf("%s/r%d", domain, member)),
 		netsim.NodeID(client+"/inbox")))
 }
-
-var _ = orb.ObjectRef{} // keep orb imported for scenario refs

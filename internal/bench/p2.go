@@ -41,7 +41,6 @@ func p2Measure(size int, digest bool, m *obs.Registry) (p2Point, error) {
 		Latency:       netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
 		Registry:      reg,
 		Metrics:       m,
-		FragmentSize:  16 << 10,
 		DigestReplies: digest,
 		Domains: []replica.DomainSpec{{
 			Name: "blob", N: 4, F: 1,
@@ -154,19 +153,19 @@ const p3Iface = "IDL:bench/KV:1.0"
 // an n=4 domain and reports the per-get cost, with the read-only fast path
 // on or off.
 func p3Measure(fast bool, m *obs.Registry) (p1Point, error) {
+	// The IDL declaration is the switch: the "off" row declares get plain.
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(p3Iface).
 		Op("put",
 			[]idl.Param{{Name: "v", Type: cdr.String}}, nil).
-		OpReadOnly("get", nil,
-			[]idl.Param{{Name: "v", Type: cdr.String}}))
+		Define(&idl.Operation{Name: "get", ReadOnly: fast,
+			Results: []idl.Param{{Name: "v", Type: cdr.String}}}))
 	stores := make([]string, 4)
 	sys, err := replica.NewSystem(replica.SystemConfig{
-		Seed:             97,
-		Latency:          netsim.UniformLatency(time.Millisecond, 3*time.Millisecond),
-		Registry:         reg,
-		Metrics:          m,
-		ReadOnlyFastPath: fast,
+		Seed:     97,
+		Latency:  netsim.UniformLatency(time.Millisecond, 3*time.Millisecond),
+		Registry: reg,
+		Metrics:  m,
 		Domains: []replica.DomainSpec{{
 			Name: "kv", N: 4, F: 1,
 			Setup: func(member int, a *orb.Adapter) error {

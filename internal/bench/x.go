@@ -10,6 +10,7 @@ import (
 	"itdos/internal/netsim"
 	"itdos/internal/orb"
 	"itdos/internal/replica"
+	"itdos/internal/smiop"
 )
 
 // X1 measures the large-object extension (paper §4 future work): SMIOP
@@ -34,10 +35,9 @@ func X1() (*Table, error) {
 	}
 	for _, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20} {
 		sys, err := replica.NewSystem(replica.SystemConfig{
-			Seed:         int64(70 + size>>12),
-			Latency:      netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
-			Registry:     reg,
-			FragmentSize: 16 << 10,
+			Seed:     int64(70 + size>>12),
+			Latency:  netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
+			Registry: reg,
 			Domains: []replica.DomainSpec{{
 				Name: "blob", N: 4, F: 1,
 				Setup: func(member int, a *orb.Adapter) error {
@@ -67,7 +67,7 @@ func X1() (*Table, error) {
 		if len(res[0].(string)) != size {
 			return nil, fmt.Errorf("X1: size mismatch")
 		}
-		frags := (size + (16 << 10) - 1) / (16 << 10)
+		frags := (size + smiop.DefaultFragmentSize - 1) / smiop.DefaultFragmentSize
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d KiB", size>>10),
 			fmt.Sprintf("%d", frags),

@@ -15,7 +15,7 @@
 //  1. Feedback-scheduled rekey: every domain's key epoch shortens as the
 //     domain's aggregate suspicion rises (interval = base/(1+S), floored),
 //     so a suspected-but-unproven compromise ages out of its keys faster.
-//  2. Expulsion: when one member's suspicion crosses ExpelThreshold and
+//  2. Expulsion: when one member's suspicion crosses expelThreshold and
 //     the controller holds transferable evidence (a signed-message proof
 //     meeting the §3.6 bar), it files a change_request. Weak signals
 //     (fallback attributions, tampered shares) raise suspicion but can
@@ -48,6 +48,26 @@ const Identity = "itc"
 // gmDomainName mirrors groupmgr.GMDomainName without the dependency.
 const gmDomainName = "gm"
 
+// The controller's fixed policy.
+const (
+	// expelThreshold is the per-member suspicion score at which the
+	// controller files an accusation, provided it holds transferable
+	// evidence: one isolated strong fault of weight 1 decays away;
+	// repeated faults within the decay window cross it.
+	expelThreshold = 1.5
+	// faultWeight is the score added per voter fault report.
+	faultWeight = 1
+	// weakWeight is the score added per weak, unprovable signal — a
+	// fallback attributed to a designated responder, a tampered key
+	// share, a rejected proof.
+	weakWeight = 0.25
+	// maxConcurrentRecoveries caps in-flight recoveries (also capped at f
+	// per domain regardless).
+	maxConcurrentRecoveries = 1
+	// tickPeriod is the controller's evaluation period.
+	tickPeriod = 50 * time.Millisecond
+)
+
 // Config tunes the controller. The zero value of each field selects the
 // documented default; rekey scheduling and proactive recovery are opt-in
 // (zero interval disables them) so enabling the controller without them
@@ -56,17 +76,6 @@ type Config struct {
 	// HalfLife is the suspicion decay half-life (default 2s): an
 	// observation's weight halves every HalfLife of virtual time.
 	HalfLife time.Duration
-	// ExpelThreshold is the per-member suspicion score at which the
-	// controller files an accusation, provided it holds transferable
-	// evidence (default 1.5 — one isolated strong fault of weight 1
-	// decays away; repeated faults within the decay window cross it).
-	ExpelThreshold float64
-	// FaultWeight is the score added per voter fault report (default 1).
-	FaultWeight float64
-	// WeakWeight is the score added per weak, unprovable signal — a
-	// fallback attributed to a designated responder, a tampered key
-	// share, a rejected proof (default 0.25).
-	WeakWeight float64
 	// BaseRekeyInterval is the healthy-system key epoch. 0 disables
 	// feedback rekey. With suspicion S summed over a domain's members,
 	// the effective epoch is BaseRekeyInterval/(1+S), floored at
@@ -79,34 +88,14 @@ type Config struct {
 	// interval, the next replica in rotation restarts from clean state. 0
 	// disables proactive recovery.
 	RecoveryInterval time.Duration
-	// MaxConcurrentRecoveries caps in-flight recoveries (default 1; also
-	// capped at f per domain regardless).
-	MaxConcurrentRecoveries int
-	// Tick is the controller's evaluation period (default 50ms).
-	Tick time.Duration
 }
 
 func (c *Config) fill() {
 	if c.HalfLife <= 0 {
 		c.HalfLife = 2 * time.Second
 	}
-	if c.ExpelThreshold <= 0 {
-		c.ExpelThreshold = 1.5
-	}
-	if c.FaultWeight <= 0 {
-		c.FaultWeight = 1
-	}
-	if c.WeakWeight <= 0 {
-		c.WeakWeight = 0.25
-	}
 	if c.MinRekeyInterval <= 0 {
 		c.MinRekeyInterval = 250 * time.Millisecond
-	}
-	if c.MaxConcurrentRecoveries <= 0 {
-		c.MaxConcurrentRecoveries = 1
-	}
-	if c.Tick <= 0 {
-		c.Tick = 50 * time.Millisecond
 	}
 }
 
@@ -241,7 +230,7 @@ func (c *Controller) SetTracer(t *obs.Tracer) { c.tracer = t }
 
 // FlightDumps returns the flight-recorder snapshots taken so far, in
 // capture order (nil without a recorder). Each dump marks one threshold
-// crossing: a member's suspicion first reaching ExpelThreshold, or an
+// crossing: a member's suspicion first reaching expelThreshold, or an
 // accusation being filed.
 func (c *Controller) FlightDumps() []*flight.Dump { return c.dumps }
 
@@ -268,7 +257,7 @@ func (c *Controller) Start() {
 		c.lastRekey[d.Name] = now
 	}
 	c.nextRecoveryAt = now + c.cfg.RecoveryInterval
-	c.timer = c.net.After(c.cfg.Tick, c.tick)
+	c.timer = c.net.After(tickPeriod, c.tick)
 }
 
 // Stop cancels the evaluation tick.
@@ -311,7 +300,7 @@ func (c *Controller) bump(domain string, member int, weight float64) *suspicion 
 	// First crossing of the expulsion threshold: snapshot the flight
 	// recorder so the evidence timeline that raised the alarm is
 	// preserved before any response mutates the system.
-	if prev < c.cfg.ExpelThreshold && s.value >= c.cfg.ExpelThreshold && !c.snapshotted[k] {
+	if prev < expelThreshold && s.value >= expelThreshold && !c.snapshotted[k] {
 		c.snapshotted[k] = true
 		c.snapshot(fmt.Sprintf("suspicion threshold member=%s/r%d", k.domain, k.member))
 	}
@@ -338,11 +327,11 @@ func (c *Controller) Accused(domain string, member int) bool {
 // ObserveFault records a voter fault report against a member. acc, when
 // non-nil, is a ready-to-file accusation whose proof meets the
 // transferable-evidence bar; the controller retains it and files it once
-// suspicion crosses ExpelThreshold.
+// suspicion crosses expelThreshold.
 func (c *Controller) ObserveFault(domain string, member int, acc *smiop.ChangeRequest) {
 	c.record(flight.KindFaultReported,
 		fmt.Sprintf("member=%s/r%d evidence=%v", domain, member, acc != nil))
-	c.bump(domain, member, c.cfg.FaultWeight)
+	c.bump(domain, member, faultWeight)
 	if acc != nil {
 		c.evidence[memberKey{domain, member}] = acc
 	}
@@ -354,21 +343,21 @@ func (c *Controller) ObserveFault(domain string, member int, acc *smiop.ChangeRe
 // prove which member lied), so it only raises suspicion.
 func (c *Controller) ObserveFallback(domain string, member int) {
 	c.record(flight.KindDigestFallback, fmt.Sprintf("member=%s/r%d", domain, member))
-	c.bump(domain, member, c.cfg.WeakWeight)
+	c.bump(domain, member, weakWeight)
 }
 
 // ObserveShareTamper records a corrupt DPRF share attributed to a Group
 // Manager element during key combination.
 func (c *Controller) ObserveShareTamper(member int) {
 	c.record(flight.KindShareTamper, fmt.Sprintf("member=%s/r%d", gmDomainName, member))
-	c.bump(gmDomainName, member, c.cfg.WeakWeight)
+	c.bump(gmDomainName, member, weakWeight)
 }
 
 // ObserveRejectedProof records a change_request whose proof the Group
 // Manager rejected — evidence against the accuser, not the accused.
 func (c *Controller) ObserveRejectedProof(domain string, member int) {
 	c.record(flight.KindProofRejected, fmt.Sprintf("accuser=%s/r%d", domain, member))
-	c.bump(domain, member, c.cfg.WeakWeight)
+	c.bump(domain, member, weakWeight)
 }
 
 // --- responses ---
@@ -382,7 +371,7 @@ func (c *Controller) maybeExpel(k memberKey) {
 		return // no transferable evidence: suspicion alone never expels
 	}
 	now := c.net.Now()
-	if c.scores[k].decayed(now, c.cfg.HalfLife) < c.cfg.ExpelThreshold {
+	if c.scores[k].decayed(now, c.cfg.HalfLife) < expelThreshold {
 		return
 	}
 	if !c.act.FileAccusation(acc) {
@@ -430,17 +419,17 @@ func (c *Controller) tick() {
 		c.nextRecoveryAt = now + c.cfg.RecoveryInterval
 		c.rotateRecovery()
 	}
-	c.timer = c.net.After(c.cfg.Tick, c.tick)
+	c.timer = c.net.After(tickPeriod, c.tick)
 }
 
 // rotateRecovery starts the next eligible replica's proactive recovery.
 // Eligibility keeps the watermark window live: never more than
-// MaxConcurrentRecoveries in flight globally, at most f per domain, never
+// maxConcurrentRecoveries in flight globally, at most f per domain, never
 // an expelled member (it is keyed out anyway), and never the active
 // primary (wiping the primary's log would force a view change instead of
 // hygiene).
 func (c *Controller) rotateRecovery() {
-	if c.active >= c.cfg.MaxConcurrentRecoveries || len(c.rotation) == 0 {
+	if c.active >= maxConcurrentRecoveries || len(c.rotation) == 0 {
 		return
 	}
 	perDomain := make(map[string]int)

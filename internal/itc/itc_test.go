@@ -110,7 +110,7 @@ func TestWeakSignalsNeverExpel(t *testing.T) {
 
 func TestEvidenceGatedExpulsion(t *testing.T) {
 	act := newFakeActions()
-	ctrl, _ := newTestController(t, Config{HalfLife: time.Hour, ExpelThreshold: 1.5}, act)
+	ctrl, _ := newTestController(t, Config{HalfLife: time.Hour}, act)
 	acc := &smiop.ChangeRequest{TargetDomain: "calc", Accused: 2}
 	// One fault with evidence: below threshold, evidence retained, no filing.
 	ctrl.ObserveFault("calc", 2, acc)
@@ -141,7 +141,7 @@ func TestEvidenceGatedExpulsion(t *testing.T) {
 
 func TestFlightSnapshotsAtThresholds(t *testing.T) {
 	act := newFakeActions()
-	ctrl, _ := newTestController(t, Config{HalfLife: time.Hour, ExpelThreshold: 1.5}, act)
+	ctrl, _ := newTestController(t, Config{HalfLife: time.Hour}, act)
 	acc := &smiop.ChangeRequest{TargetDomain: "calc", Accused: 2}
 	// Below threshold nothing is snapshotted.
 	ctrl.ObserveFault("calc", 2, acc)
@@ -200,7 +200,6 @@ func TestFeedbackRekeyShortensEpochUnderSuspicion(t *testing.T) {
 		HalfLife:          time.Hour, // hold suspicion steady for the window
 		BaseRekeyInterval: time.Second,
 		MinRekeyInterval:  100 * time.Millisecond,
-		Tick:              10 * time.Millisecond,
 	}, act)
 	ctrl.Start()
 	defer ctrl.Stop()
@@ -240,11 +239,7 @@ func TestRecoveryRotationCapsAndSkips(t *testing.T) {
 	act := newFakeActions()
 	act.primary[memberKey{"calc", 0}] = true
 	act.expelled[memberKey{"calc", 3}] = true
-	ctrl, net := newTestController(t, Config{
-		RecoveryInterval:        100 * time.Millisecond,
-		MaxConcurrentRecoveries: 1,
-		Tick:                    10 * time.Millisecond,
-	}, act)
+	ctrl, net := newTestController(t, Config{RecoveryInterval: 100 * time.Millisecond}, act)
 	ctrl.Start()
 	defer ctrl.Stop()
 	// First rotation: member 0 is primary (skipped), member 1 starts.

@@ -270,7 +270,7 @@ func (el *Element) sendDigestReply(cs *connState, requestID uint64,
 // or not eligible is silently dropped: the client's fallback timer turns a
 // dropped direct request into an ordered retry, so dropping is always safe.
 func (el *Element) onDirectInbox(payload []byte) {
-	if !el.sys.cfg.ReadOnlyFastPath || el.Desynced {
+	if el.Desynced {
 		return
 	}
 	env, err := smiop.DecodeEnvelope(payload)
@@ -321,7 +321,7 @@ func (el *Element) serveReadOnly(cs *connState, req *giop.Request, order cdr.Byt
 	// the zero-copy seal pipeline with no standalone GIOP buffer.
 	frames, err := cs.conn.SealGIOPWire(req.RequestID, true,
 		func(dst []byte) []byte { return giop.AppendReply(dst, el.profile.Order, reply) },
-		el.sign, el.sys.cfg.FragmentSize)
+		el.sign, 0)
 	if err != nil {
 		return
 	}
@@ -341,8 +341,7 @@ func (el *Element) serveReadOnly(cs *connState, req *giop.Request, order cdr.Byt
 // payloads on Send); ordered sends detach an owned copy because the
 // ordered sender retains payloads for retransmission.
 func (el *Element) sendReply(cs *connState, requestID uint64, giopBytes []byte) {
-	frames, err := cs.conn.SealSignedDataWire(requestID, true, giopBytes, el.sign,
-		el.sys.cfg.FragmentSize)
+	frames, err := cs.conn.SealSignedDataWire(requestID, true, giopBytes, el.sign, 0)
 	if err != nil {
 		return
 	}

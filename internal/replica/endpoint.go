@@ -226,10 +226,12 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 	// optimisations apply only on the client edge — a singleton caller
 	// invoking a replicated domain, on the first attempt. The extension
 	// flags stay clear unless this invocation takes the matching path: with
-	// the features off every request keeps the legacy wire form.
+	// the features off every request keeps the legacy wire form. The ORB
+	// sets req.ReadOnly from the registry, so the IDL declaration alone
+	// sends an operation down the direct path.
 	cfg := &ep.sys.cfg
 	fast := ep.local.N == 1 && cs.peer.N > 1
-	req.ReadOnly = fast && cfg.ReadOnlyFastPath && req.ReadOnly
+	req.ReadOnly = fast && req.ReadOnly
 	req.DigestOK = false
 	var direct *pool.Buffer
 	if req.ReadOnly {
@@ -238,7 +240,7 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 		// envelope aborts to the ordered path before anything is sent.
 		frames, err := cs.conn.SealGIOPWire(reqID, false,
 			func(dst []byte) []byte { return giop.AppendRequest(dst, ep.profile.Order, req) },
-			ep.sign, cfg.FragmentSize)
+			ep.sign, 0)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -309,7 +311,7 @@ func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.R
 	ssp := ep.tracer().Start("smiop.seal", fmt.Sprintf("req=%d", req.RequestID))
 	frames, err := cs.conn.SealGIOPWire(req.RequestID, false,
 		func(dst []byte) []byte { return giop.AppendRequest(dst, ep.profile.Order, req) },
-		ep.sign, ep.sys.cfg.FragmentSize)
+		ep.sign, 0)
 	ssp.End()
 	if err != nil {
 		return err

@@ -17,22 +17,27 @@ import (
 
 const kvIface = "IDL:test/KV:1.0"
 
-// kvRegistry declares a mutating store, a read-only get, and a pure add —
-// the workload surface for both reply fast paths.
-func kvRegistry() *idl.Registry {
+// kvRegistry declares a mutating store, a get, and a pure add — the
+// workload surface for every reply fast path. readOnlyGet declares get
+// read-only, which alone sends a singleton caller's get down the direct
+// path.
+func kvRegistry(readOnlyGet bool) *idl.Registry {
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(kvIface).
 		Op("store",
 			[]idl.Param{{Name: "v", Type: cdr.String}},
 			[]idl.Param{{Name: "prev", Type: cdr.String}}).
-		OpReadOnly("get",
-			nil,
-			[]idl.Param{{Name: "v", Type: cdr.String}}).
+		Define(&idl.Operation{Name: "get", ReadOnly: readOnlyGet,
+			Results: []idl.Param{{Name: "v", Type: cdr.String}}}).
 		Op("add",
 			[]idl.Param{{Name: "a", Type: cdr.Double}, {Name: "b", Type: cdr.Double}},
 			[]idl.Param{{Name: "sum", Type: cdr.Double}}))
 	return reg
 }
+
+// declareGetReadOnly is the newKVSystem option for the registry that
+// declares get read-only; the default declares it plain.
+func declareGetReadOnly(cfg *SystemConfig) { cfg.Registry = kvRegistry(true) }
 
 type kvServant struct {
 	saved     string
@@ -73,7 +78,7 @@ func newKVSystem(t *testing.T, seed int64, mutate func(*SystemConfig)) *kvSys {
 	cfg := SystemConfig{
 		Seed:     seed,
 		Latency:  netsim.UniformLatency(time.Millisecond, 3*time.Millisecond),
-		Registry: kvRegistry(),
+		Registry: kvRegistry(false),
 		Metrics:  metrics,
 		Domains: []DomainSpec{{
 			Name: "kv", N: 4, F: 1,
@@ -276,7 +281,7 @@ func TestDigestFloatDivergenceFallsBack(t *testing.T) {
 }
 
 func TestReadOnlyFastPath(t *testing.T) {
-	ts := newKVSystem(t, 15, func(cfg *SystemConfig) { cfg.ReadOnlyFastPath = true })
+	ts := newKVSystem(t, 15, declareGetReadOnly)
 	alice := ts.sys.Client("alice")
 	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{"v1"}, 5_000_000); err != nil {
 		t.Fatal(err)
@@ -318,12 +323,73 @@ func TestReadOnlyFastPath(t *testing.T) {
 	}
 }
 
+// TestReadOnlyDeclarationIsTheSwitch: no setting enables the direct path.
+// With a default config, a get the registry declares read-only goes direct
+// and decides on 2f+1 replies, while an undeclared operation is ordered.
+func TestReadOnlyDeclarationIsTheSwitch(t *testing.T) {
+	ts := newKVSystem(t, 20, declareGetReadOnly)
+	alice := ts.sys.Client("alice")
+	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{"v3"}, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	// Element 3 never sees a direct request, so exactly 2f+1 elements reply.
+	direct := 0
+	ts.sys.Net.AddFilter(func(_, to netsim.NodeID, _ []byte) ([]byte, bool) {
+		if strings.HasPrefix(string(to), "kv/r") && strings.HasSuffix(string(to), "/inbox") {
+			direct++
+			return nil, string(to) == elementInboxAddr("kv", 3)
+		}
+		return nil, false
+	})
+	res, err := alice.CallAndRun(kvRef, "get", nil, 5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[0].(string); got != "v3" {
+		t.Fatalf("get = %q, want v3", got)
+	}
+	if got := ts.metrics.Counter("readonly_fastpath_total").Value(); got < 1 {
+		t.Errorf("fast-path calls = %d, want at least 1", got)
+	}
+	if got := ts.metrics.Counter("smiop_reply_fallback_total", ts.connLabel(t, "alice")).Value(); got != 0 {
+		t.Errorf("fallbacks = %d, want 0: 2f+1 direct replies decide", got)
+	}
+	for i, el := range ts.sys.Domain("kv").Elements {
+		want := uint64(1)
+		if i == 3 {
+			want = 0
+		}
+		if el.ReadOnlyUpcalls != want {
+			t.Errorf("element %d ReadOnlyUpcalls = %d, want %d", i, el.ReadOnlyUpcalls, want)
+		}
+	}
+	// The undeclared add is ordered: no direct send, an ordered execution
+	// on every replica.
+	direct = 0
+	res, err = alice.CallAndRun(kvRef, "add", []cdr.Value{1.0, 2.0}, 5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[0].(float64); got != 3.0 {
+		t.Fatalf("add = %v, want 3", got)
+	}
+	ts.sys.Net.Run(1_000_000)
+	if direct != 0 {
+		t.Errorf("%d direct element sends for an undeclared operation", direct)
+	}
+	for i, s := range ts.servants {
+		if s.mutations != 2 {
+			t.Errorf("replica %d: %d ordered executions, want 2 (store, add)", i, s.mutations)
+		}
+	}
+}
+
 // TestReadOnlyQuorumFailureFallsBack drops the direct requests to two of
 // the four elements: only two replies come back, short of the 2f+1 quorum,
 // so the fast path times out and the call is re-issued on the ordered path
 // under a new request id — and still returns the right value.
 func TestReadOnlyQuorumFailureFallsBack(t *testing.T) {
-	ts := newKVSystem(t, 16, func(cfg *SystemConfig) { cfg.ReadOnlyFastPath = true })
+	ts := newKVSystem(t, 16, declareGetReadOnly)
 	alice := ts.sys.Client("alice")
 	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{"v2"}, 5_000_000); err != nil {
 		t.Fatal(err)
@@ -366,11 +432,10 @@ func TestReadOnlyLargeRequestAborts(t *testing.T) {
 			[]idl.Param{{Name: "n", Type: cdr.Long}}))
 	metrics := obs.NewRegistry()
 	sys, err := NewSystem(SystemConfig{
-		Seed:         17,
-		Latency:      netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
-		Registry:     reg,
-		Metrics:      metrics,
-		FragmentSize: 4 << 10,
+		Seed:     17,
+		Latency:  netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
+		Registry: reg,
+		Metrics:  metrics,
 		Domains: []DomainSpec{{
 			Name: "kv", N: 4, F: 1,
 			Setup: func(member int, a *orb.Adapter) error {
@@ -380,14 +445,13 @@ func TestReadOnlyLargeRequestAborts(t *testing.T) {
 					}))
 			},
 		}},
-		Clients:          []ClientSpec{{Name: "alice"}},
-		ReadOnlyFastPath: true,
+		Clients: []ClientSpec{{Name: "alice"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	blob := strings.Repeat("z", 16<<10)
+	blob := strings.Repeat("z", 64<<10)
 	res, err := sys.Client("alice").CallAndRun(kvRef, "probe", []cdr.Value{blob}, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -401,11 +465,12 @@ func TestReadOnlyLargeRequestAborts(t *testing.T) {
 	if got := metrics.Counter("readonly_fastpath_total").Value(); got != 0 {
 		t.Errorf("fast-path calls = %d, want 0", got)
 	}
+	assertFragmented(t, metrics)
 }
 
-// TestFastPathsOffNothingChanges: with both features at their default
-// (off), no fast-path machinery engages — no digest envelopes, no direct
-// sends, no new counters — even for operations declared read-only.
+// TestFastPathsOffNothingChanges: with every feature at its default (off)
+// and no operation declared read-only, no fast-path machinery engages — no
+// digest envelopes, no direct sends, no new counters.
 func TestFastPathsOffNothingChanges(t *testing.T) {
 	ts := newKVSystem(t, 18, nil)
 	sawDigest, sawDirect := false, false
@@ -433,7 +498,7 @@ func TestFastPathsOffNothingChanges(t *testing.T) {
 		t.Error("digest envelope on the wire with DigestReplies off")
 	}
 	if sawDirect {
-		t.Error("direct element send with ReadOnlyFastPath off")
+		t.Error("direct element send with no operation declared read-only")
 	}
 	for _, name := range []string{"digest_replies_armed_total", "readonly_fastpath_total",
 		"readonly_fastpath_aborts_total"} {
@@ -446,15 +511,15 @@ func TestFastPathsOffNothingChanges(t *testing.T) {
 	}
 }
 
-// TestPlainVoteStallWithFlagsOn: with a fast-path flag on, a call the flag
-// does not cover arms the plain policy. When its f+1 vote scatters past
+// TestPlainVoteStallWithFlagsOn: with a fast path on, a call it does not
+// cover arms the plain policy. When its f+1 vote scatters past
 // deciding there is nothing to fall back to, so nothing may be counted or
 // flight-recorded as a fallback (the stream used to fire its fallback hook
 // for every stalled vote once any flag wired it).
 func TestPlainVoteStallWithFlagsOn(t *testing.T) {
 	rec := flight.New(64)
 	ts := newKVSystem(t, 19, func(cfg *SystemConfig) {
-		cfg.ReadOnlyFastPath = true
+		declareGetReadOnly(cfg)
 		cfg.Flight = rec
 	})
 	alice := ts.sys.Client("alice")
@@ -493,9 +558,10 @@ func TestPlainVoteStallWithFlagsOn(t *testing.T) {
 }
 
 // TestFastPathFlagMatrix runs one workload under every subset of the three
-// fast-path flags, with and without a lying replica. The flags choose a
-// reply policy per call and nothing else: every subset must decide the
-// same values, fall back at most once per call, and expel at most f.
+// fast paths — the two flags and get's read-only declaration (R) — with and
+// without a lying replica. They choose a reply policy per call and nothing
+// else: every subset must decide the same values, fall back at most once
+// per call, and expel at most f.
 func TestFastPathFlagMatrix(t *testing.T) {
 	type call struct {
 		op   string
@@ -524,7 +590,8 @@ func TestFastPathFlagMatrix(t *testing.T) {
 			name := fmt.Sprintf("D=%t,R=%t,T=%t,liar=%t", d, r, tent, lying)
 			t.Run(name, func(t *testing.T) {
 				ts := newKVSystem(t, int64(100+flags), func(cfg *SystemConfig) {
-					cfg.DigestReplies, cfg.ReadOnlyFastPath, cfg.TentativeExecution = d, r, tent
+					cfg.DigestReplies, cfg.TentativeExecution = d, tent
+					cfg.Registry = kvRegistry(r)
 				})
 				if lying {
 					if err := ts.sys.Domain("kv").Elements[liar].Adapter.Register("kv", kvIface, evil); err != nil {

@@ -8,10 +8,21 @@ import (
 	"itdos/internal/cdr"
 	"itdos/internal/idl"
 	"itdos/internal/netsim"
+	"itdos/internal/obs"
 	"itdos/internal/orb"
 )
 
 const blobIface = "IDL:test/Blob:1.0"
+
+// assertFragmented fails unless some sealed message was split: the
+// counter takes the frames of fragmented messages only, so at least 2
+// means at least one message travelled as 2 or more fragments.
+func assertFragmented(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	if got := reg.Counter("smiop_fragments_total", "dir=out").Value(); got < 2 {
+		t.Fatalf("%d fragments sent: no message was split", got)
+	}
+}
 
 // TestLargeObjectTransfer exercises SMIOP fragmentation end to end
 // (paper §4 future work): a reply far larger than the fragment size
@@ -19,6 +30,7 @@ const blobIface = "IDL:test/Blob:1.0"
 // identically at the client — with confidentiality, authentication and
 // integrity intact.
 func TestLargeObjectTransfer(t *testing.T) {
+	metrics := obs.NewRegistry()
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(blobIface).
 		Op("fetch",
@@ -28,10 +40,10 @@ func TestLargeObjectTransfer(t *testing.T) {
 			[]idl.Param{{Name: "blob", Type: cdr.String}},
 			[]idl.Param{{Name: "size", Type: cdr.Long}}))
 	sys, err := NewSystem(SystemConfig{
-		Seed:         17,
-		Latency:      netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
-		Registry:     reg,
-		FragmentSize: 8 << 10,
+		Seed:     17,
+		Latency:  netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
+		Registry: reg,
+		Metrics:  metrics,
 		Domains: []DomainSpec{{
 			Name: "blob", N: 4, F: 1,
 			Profiles: []Profile{SolarisLike, LinuxLike, SolarisLike, LinuxLike},
@@ -58,7 +70,7 @@ func TestLargeObjectTransfer(t *testing.T) {
 	ref := orb.ObjectRef{Domain: "blob", ObjectKey: "blob", Interface: blobIface}
 	alice := sys.Client("alice")
 
-	// Large reply: 300 KiB through 8 KiB fragments.
+	// Large reply: 300 KiB through 16 KiB fragments.
 	const size = 300 << 10
 	res, err := alice.CallAndRun(ref, "fetch", []cdr.Value{int32(size)}, 50_000_000)
 	if err != nil {
@@ -71,6 +83,7 @@ func TestLargeObjectTransfer(t *testing.T) {
 	if !strings.HasPrefix(blob, "payload-") {
 		t.Fatal("blob content corrupted")
 	}
+	assertFragmented(t, metrics)
 
 	// Large request: the client's request fragments too.
 	res, err = alice.CallAndRun(ref, "store", []cdr.Value{blob}, 50_000_000)
@@ -100,16 +113,17 @@ func TestLargeObjectTransfer(t *testing.T) {
 // TestLargeObjectWithByzantineReplica: a lying replica's fragmented reply
 // must still be outvoted.
 func TestLargeObjectWithByzantineReplica(t *testing.T) {
+	metrics := obs.NewRegistry()
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(blobIface).
 		Op("fetch",
 			[]idl.Param{{Name: "size", Type: cdr.Long}},
 			[]idl.Param{{Name: "blob", Type: cdr.String}}))
 	sys, err := NewSystem(SystemConfig{
-		Seed:         18,
-		Latency:      netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
-		Registry:     reg,
-		FragmentSize: 4 << 10,
+		Seed:     18,
+		Latency:  netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
+		Registry: reg,
+		Metrics:  metrics,
 		Domains: []DomainSpec{{
 			Name: "blob", N: 4, F: 1,
 			Setup: func(member int, a *orb.Adapter) error {
@@ -146,4 +160,5 @@ func TestLargeObjectWithByzantineReplica(t *testing.T) {
 	if strings.Contains(res[0].(string), "EVIL") {
 		t.Fatal("Byzantine large object accepted")
 	}
+	assertFragmented(t, metrics)
 }

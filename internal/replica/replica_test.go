@@ -387,6 +387,10 @@ func TestIdentityParsing(t *testing.T) {
 		{"alice", "alice", 0, true},
 		{"mallory", "", 0, false},
 		{"nope/r0", "", 0, false},
+		{"calc/r1x", "", 0, false},
+		{"calc/r+1", "", 0, false},
+		{"calc/r01", "", 0, false},
+		{"calc/r 1", "", 0, false},
 	}
 	for _, c := range cases {
 		d, m, ok := ts.sys.memberOf(c.id)

@@ -8,6 +8,7 @@ import (
 	"itdos/internal/giop"
 	"itdos/internal/idl"
 	"itdos/internal/netsim"
+	"itdos/internal/obs"
 	"itdos/internal/orb"
 
 	"time"
@@ -93,18 +94,19 @@ func TestAtMostOnceAcrossRekey(t *testing.T) {
 // re-executing the servant — and the client must reassemble and decide
 // even when one element's retransmitted fragments are lost.
 func TestCachedReplyRetransmissionFragmented(t *testing.T) {
-	const blobSize = 20 << 10 // X1-sized reply through 4 KiB fragments
+	const blobSize = 80 << 10 // five 16 KiB fragments a reply
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(ctrIface).
 		Op("fetch",
 			[]idl.Param{{Name: "size", Type: cdr.Long}},
 			[]idl.Param{{Name: "blob", Type: cdr.String}}))
 	executions := make([]int, 4)
+	metrics := obs.NewRegistry()
 	sys, err := NewSystem(SystemConfig{
-		Seed:         21,
-		Latency:      netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
-		Registry:     reg,
-		FragmentSize: 4 << 10,
+		Seed:     21,
+		Latency:  netsim.UniformLatency(time.Millisecond, 2*time.Millisecond),
+		Registry: reg,
+		Metrics:  metrics,
 		Domains: []DomainSpec{{
 			Name: "ctr", N: 4, F: 1,
 			Profiles: []Profile{SolarisLike, LinuxLike, SolarisLike, LinuxLike},
@@ -181,6 +183,7 @@ func TestCachedReplyRetransmissionFragmented(t *testing.T) {
 			t.Errorf("element %d executed %d times, want 1 (cache must answer retries)", m, n)
 		}
 	}
+	assertFragmented(t, metrics)
 }
 
 // TestCallSurvivesElementsRekeyingLate is the seeded twin of a wedge found on

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -28,6 +29,9 @@ import (
 
 // GMDomainName is the reserved name of the Group Manager domain.
 const GMDomainName = groupmgr.GMDomainName
+
+// queueCapacity bounds each SRM queue's retained message window.
+const queueCapacity = 4096
 
 // GroupSpec sizes a replication group.
 type GroupSpec struct {
@@ -94,11 +98,10 @@ type SystemConfig struct {
 	// ByteVoting switches streams to byte-by-byte voting (experiment C2).
 	ByteVoting bool
 
-	// QueueCapacity bounds each SRM queue; CheckpointInterval and
-	// ViewTimeout tune PBFT (0 keeps pbft.Config's default); SendTimeout is
-	// the PBFT client retransmission timeout, which also paces a caller's
-	// own resends and fallbacks (0 selects pbft.DefaultRetransmitTimeout).
-	QueueCapacity      int
+	// CheckpointInterval and ViewTimeout tune PBFT (0 keeps pbft.Config's
+	// default); SendTimeout is the PBFT client retransmission timeout, which
+	// also paces a caller's own resends and fallbacks (0 selects
+	// pbft.DefaultRetransmitTimeout).
 	CheckpointInterval uint64
 	ViewTimeout        time.Duration
 	SendTimeout        time.Duration
@@ -109,24 +112,12 @@ type SystemConfig struct {
 	MaxBatch  int
 	BatchWait time.Duration
 
-	// FragmentSize splits data messages larger than this into SMIOP
-	// fragments (paper §4 large-object support). 0 selects the default
-	// (16 KiB).
-	FragmentSize int
-
 	// DigestReplies enables the canonical-form reply-digest protocol
 	// (Castro-Liskov digest replies adapted to heterogeneous encodings):
 	// per request one designated element returns the full reply; the rest
 	// return a short digest over a canonical re-marshalling of the reply
 	// values. Off by default — the legacy wire streams stay byte-identical.
 	DigestReplies bool
-
-	// ReadOnlyFastPath enables the unordered read-only optimisation:
-	// clients multicast operations declared idl.Operation.ReadOnly
-	// directly to the elements, bypassing PBFT ordering, and accept on
-	// 2f+1 matching canonical values, falling back to the ordered path on
-	// quorum failure. Off by default.
-	ReadOnlyFastPath bool
 
 	// TentativeExecution enables Castro–Liskov speculative execution in
 	// the replication domains (not the Group Manager): elements execute
@@ -175,12 +166,6 @@ func (c *SystemConfig) fill() error {
 	}
 	if c.VoteMode == 0 {
 		c.VoteMode = vote.EagerFPlus1
-	}
-	if c.QueueCapacity == 0 {
-		c.QueueCapacity = 4096
-	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 16
 	}
 	if c.SendTimeout == 0 {
 		c.SendTimeout = pbft.DefaultRetransmitTimeout
@@ -420,8 +405,10 @@ func (sys *System) memberOf(identity string) (string, int, bool) {
 		return "", 0, false
 	}
 	domain := identity[:slash]
-	var member int
-	if _, err := fmt.Sscanf(identity[slash:], "/r%d", &member); err != nil {
+	// Only the canonical spelling resolves: Atoi alone takes a sign or a
+	// leading zero, so the round trip through ElementIdentity decides.
+	member, err := strconv.Atoi(identity[slash+2:])
+	if err != nil || ElementIdentity(domain, member) != identity {
 		return "", 0, false
 	}
 	if domain == GMDomainName {
@@ -472,7 +459,7 @@ func (sys *System) openShare(gmIdentity, recipient string, connID, era uint64, s
 func (sys *System) buildGM() error {
 	dom, err := srm.NewDomain(sys.tr, srm.DomainConfig{
 		Name: GMDomainName, N: sys.gmInfo.N, F: sys.gmInfo.F,
-		QueueCapacity:      sys.cfg.QueueCapacity,
+		QueueCapacity:      queueCapacity,
 		CheckpointInterval: sys.cfg.CheckpointInterval,
 		ViewTimeout:        sys.cfg.ViewTimeout,
 		MaxBatch:           sys.cfg.MaxBatch,
@@ -576,7 +563,7 @@ func elementInboxAddr(domain string, member int) string {
 func (sys *System) buildDomain(spec DomainSpec) error {
 	dom, err := srm.NewDomain(sys.tr, srm.DomainConfig{
 		Name: spec.Name, N: spec.N, F: spec.F,
-		QueueCapacity:      sys.cfg.QueueCapacity,
+		QueueCapacity:      queueCapacity,
 		CheckpointInterval: sys.cfg.CheckpointInterval,
 		ViewTimeout:        sys.cfg.ViewTimeout,
 		MaxBatch:           sys.cfg.MaxBatch,

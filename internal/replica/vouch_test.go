@@ -162,14 +162,16 @@ func TestVouchForgedSourceMemberIsChecked(t *testing.T) {
 // one fragment ordered by another identity the whole message takes the
 // payload check — and passes or fails on its signature alone.
 func TestVouchEveryFragmentOrNone(t *testing.T) {
-	ts := newKVSystem(t, 62, func(cfg *SystemConfig) { cfg.FragmentSize = 96 })
+	ts := newKVSystem(t, 62, nil)
 	alice, bob := ts.sys.Client("alice"), ts.sys.Client("bob")
-	big := strings.Repeat("x", 150)
+	const size = 20 << 10 // two 16 KiB fragments
+	big := strings.Repeat("x", size)
 	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{big}, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
 	ts.sys.Net.Run(2_000_000)
 	reg := ts.metrics
+	assertFragmented(t, reg)
 	if v, c := sigChecks(reg, "vouched", "acceptor"), sigChecks(reg, "verified", "acceptor"); v != 4 || c != 0 {
 		t.Fatalf("honest fragmented request: %d vouched, %d verified; want 4 and 0", v, c)
 	}
@@ -191,7 +193,7 @@ func TestVouchEveryFragmentOrNone(t *testing.T) {
 		req := &giop.Request{RequestID: reqID, ObjectKey: "kv", Interface: kvIface,
 			Operation: "store", ResponseExpected: true, Body: body}
 		frames, err := conn.SealGIOPWire(reqID, false,
-			func(dst []byte) []byte { return giop.AppendRequest(dst, cdr.BigEndian, req) }, sign, 96)
+			func(dst []byte) []byte { return giop.AppendRequest(dst, cdr.BigEndian, req) }, sign, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,21 +206,21 @@ func TestVouchEveryFragmentOrNone(t *testing.T) {
 		}
 		ts.sys.Net.Run(3_000_000)
 	}
-	split(strings.Repeat("y", 150), alice.sign)
+	split(strings.Repeat("y", size), alice.sign)
 	if v, c := sigChecks(reg, "vouched", "acceptor"), sigChecks(reg, "verified", "acceptor"); v != 4 || c != 4 {
 		t.Fatalf("one fragment ordered by bob: %d vouched, %d verified; want 4 (unchanged) and 4", v, c)
 	}
 	for i, s := range ts.servants {
-		if s.saved != strings.Repeat("y", 150) {
+		if s.saved != strings.Repeat("y", size) {
 			t.Errorf("replica %d did not execute the properly signed split message", i)
 		}
 	}
-	split(strings.Repeat("z", 150), garbageSig)
+	split(strings.Repeat("z", size), garbageSig)
 	if r := sigChecks(reg, "rejected", "acceptor"); r != 4 {
 		t.Fatalf("split message with an invented signature: %d rejected, want 4", r)
 	}
 	for i, s := range ts.servants {
-		if s.saved != strings.Repeat("y", 150) {
+		if s.saved != strings.Repeat("y", size) {
 			t.Errorf("replica %d executed a split message nobody signed", i)
 		}
 	}
@@ -340,7 +342,7 @@ func TestProofCarriesOnlyVerifiedSignatures(t *testing.T) {
 // with one at the element inbox, while the same request on the ordered path
 // is accepted.
 func TestDirectChannelAlwaysChecks(t *testing.T) {
-	ts := newKVSystem(t, 66, func(cfg *SystemConfig) { cfg.ReadOnlyFastPath = true })
+	ts := newKVSystem(t, 66, declareGetReadOnly)
 	alice := ts.sys.Client("alice")
 	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{"v"}, 5_000_000); err != nil {
 		t.Fatal(err)
