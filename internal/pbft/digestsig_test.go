@@ -244,7 +244,9 @@ func TestDigestSignatureTamper(t *testing.T) {
 // TestDigestSignatureDomains: under one key, a PBFT signature does not pass
 // as a SMIOP one over the same payload, nor the reverse, and neither preimage
 // decodes as the other protocol's: a PBFT preimage starts with its type octet
-// (1–11), a SMIOP one with the high octet of a CDR string length (0).
+// (1–11), a SMIOP one with the high octet of a CDR string length (0). A
+// batched reply's root signature covers a third form, starting with 'i', and
+// crosses with none of them.
 func TestDigestSignatureDomains(t *testing.T) {
 	ids, auths, privs := sigKeys(t)
 	op := sigPayload()
@@ -269,6 +271,41 @@ func TestDigestSignatureDomains(t *testing.T) {
 	}
 	if _, err := Decode(data); err == nil {
 		t.Error("a SMIOP preimage decodes as a PBFT message")
+	}
+
+	// Root signatures: a root built over the data preimage's own leaf.
+	priv := privs["client:x"]
+	digest := smiop.DigestSigningBytes(1, 1, "client:x", 0, op[:smiop.DigestSize])
+	sign := func(msg []byte) []byte { return SignSHA256(priv, msg) }
+	sigs, err := smiop.SignReplyBatch([][32]byte{smiop.ReplyLeaf(data), smiop.ReplyLeaf(digest)}, sign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := smiop.ParseBatchedSig(sigs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootPre := smiop.RootSigningBytes(b.Root(smiop.ReplyLeaf(data)))
+	if !VerifySHA256(pub, rootPre, b.Sig) {
+		t.Fatal("root signature refused over its own preimage")
+	}
+	if pre := rootPre[0]; pre == 0 || (pre >= byte(MTRequest) && pre <= byte(MTFetchEntry)) {
+		t.Errorf("root preimage starts with %d: a SMIOP length or a PBFT type octet", pre)
+	}
+	if _, err := Decode(rootPre); err == nil {
+		t.Error("a root preimage decodes as a PBFT message")
+	}
+	for name, pre := range map[string][]byte{"data": data, "digest": digest, "PBFT": signingBytes(req)} {
+		if VerifySHA256(pub, pre, b.Sig) {
+			t.Errorf("root signature verified as a %s signature", name)
+		}
+		if VerifySHA256(pub, rootPre, SignSHA256(priv, pre)) {
+			t.Errorf("%s signature verified as a root signature", name)
+		}
+	}
+	forgedReq := &Request{ClientID: "client:x", ClientSeq: 1, Op: op, ReplyTo: "client/x", Sig: b.Sig}
+	if verifyIn(auths[ids[1]], forgedReq, 1, ids) {
+		t.Error("root signature verified as a PBFT request signature")
 	}
 }
 

@@ -28,9 +28,12 @@ type smiopCounts struct {
 	// Signs is data and digest signatures made, callers and elements.
 	Signs int `json:"signs"`
 	// ElementVerifies is payload signatures checked on request copies,
-	// CallerVerifies on reply copies (passed or failed).
+	// CallerVerifies on reply copies (passed or failed); CallerMemo reply
+	// copies were admitted by the root memo, with no Ed25519 check of their
+	// own.
 	ElementVerifies int `json:"element_verifies"`
 	CallerVerifies  int `json:"caller_verifies"`
+	CallerMemo      int `json:"caller_memo"`
 	// Vouched copies were admitted on the ordering layer's authentication of
 	// their sender; LateEqual reply copies arrived after their vote decided
 	// and equalled the decision.
@@ -95,6 +98,7 @@ func measureSMIOPAuth(t *testing.T, clients, maxBatch, rounds int) smiopCounts {
 		Signs:           int(reg.Counter("smiop_signatures_total").Value()),
 		ElementVerifies: sigChecks(reg, "verified", "acceptor") + sigChecks(reg, "rejected", "acceptor"),
 		CallerVerifies:  sigChecks(reg, "verified", "initiator") + sigChecks(reg, "rejected", "initiator"),
+		CallerMemo:      sigChecks(reg, "memo", "initiator"),
 		Vouched:         sigChecks(reg, "vouched", "acceptor") + sigChecks(reg, "vouched", "initiator"),
 		LateEqual:       sigChecks(reg, "late_equal", "initiator"),
 	}
@@ -141,8 +145,9 @@ func TestAuthBudget(t *testing.T) {
 			continue
 		}
 		per := func(n int) float64 { return float64(n) / float64(got.Calls) }
-		t.Logf("%s: per call %.2f signatures, %.2f element and %.2f caller verifications, %.2f vouched, %.2f late-equal",
-			name, per(got.Signs), per(got.ElementVerifies), per(got.CallerVerifies), per(got.Vouched), per(got.LateEqual))
+		t.Logf("%s: per call %.2f signatures, %.2f element and %.2f caller verifications, %.2f memo hits, %.2f vouched, %.2f late-equal",
+			name, per(got.Signs), per(got.ElementVerifies), per(got.CallerVerifies), per(got.CallerMemo),
+			per(got.Vouched), per(got.LateEqual))
 		if got.Signs > want.Signs || got.ElementVerifies > want.ElementVerifies || got.CallerVerifies > want.CallerVerifies {
 			t.Errorf("%s: %+v exceeds the committed budget %+v", name, got, want)
 		}

@@ -5,6 +5,7 @@ import (
 	"itdos/internal/giop"
 	"itdos/internal/idl"
 	"itdos/internal/netsim"
+	"itdos/internal/obs"
 	"itdos/internal/orb"
 	"itdos/internal/smiop"
 	"itdos/internal/srm"
@@ -37,6 +38,14 @@ type Element struct {
 	// scheduled during such a delivery produce tentative replies.
 	tentDelivery bool
 
+	// inUpcall is true while a transport upcall to the element's ordering
+	// replica runs; the full replies it produces wait in pending until it
+	// returns, then share one signed Merkle root (flushReplies). A reply
+	// produced outside an upcall is signed at once.
+	inUpcall bool
+	pending  []pendingReply
+	hLeaves  *obs.Histogram // smiop_reply_leaves: replies per signature made
+
 	// Desynced is set when queue garbage collection outran this element
 	// (it must be expelled; paper §3.1).
 	Desynced bool
@@ -64,6 +73,7 @@ func newElement(sys *System, dr *DomainRuntime, member int, profile Profile) (*E
 	el.srmEl.OnDeliver = el.onDeliver
 	el.srmEl.OnDesync = func(gapStart, gapEnd uint64) { el.Desynced = true }
 	el.setHeldGauge() // register the series at zero, not on first stall
+	el.hLeaves = sys.cfg.Metrics.Histogram("smiop_reply_leaves", []float64{1, 2, 4, 8, 16})
 	// Direct (unordered) receive address for the read-only fast path. The
 	// node exists even with the feature off; the handler gates on config.
 	sys.tr.AddNode(netsim.NodeID(elementInboxAddr(dr.Spec.Name, member)),
@@ -129,6 +139,8 @@ func (el *Element) onKeyShare(sender string, env *smiop.Envelope) {
 	if err != nil || int(bundle.GMMember) != gmIdx {
 		return
 	}
+	// A reply is sealed under the key of the era that produced it.
+	el.flushReplies()
 	before := len(el.conns)
 	el.handleBundle(bundle, el.onInboundRequest)
 	if len(el.conns) != before || el.rekeyHappened(bundle) {
@@ -288,7 +300,7 @@ func (el *Element) onDirectInbox(payload []byte) {
 		return
 	}
 	sp, err := smiop.DecodeSignedPayload(plaintext)
-	if err != nil || sp.Verify(env, el.sys.verifyData()) != nil {
+	if err != nil || sp.Verify(env, el.sys.verifyData) != nil {
 		return
 	}
 	msg, err := giop.Decode(sp.GIOP)
@@ -335,13 +347,62 @@ func (el *Element) serveReadOnly(cs *connState, req *giop.Request, order cdr.Byt
 	smiop.ReleaseFrames(frames)
 }
 
-// sendReply seals a reply under the connection's current key (fragmenting
+// pendingReply is a full reply waiting for its upcall's root signature.
+type pendingReply struct {
+	cs        *connState
+	requestID uint64
+	giop      []byte
+}
+
+// sendReply sends a full reply: at the end of the running transport upcall,
+// under the root signature it shares with the upcall's other replies, or at
+// once, signed alone, outside one.
+func (el *Element) sendReply(cs *connState, requestID uint64, giopBytes []byte) {
+	el.pending = append(el.pending, pendingReply{cs: cs, requestID: requestID, giop: giopBytes})
+	if !el.inUpcall {
+		el.flushReplies()
+	}
+}
+
+// flushReplies signs and sends the pending replies, up to MaxReplyLeaves
+// under one root signature. A reply alone gets a plain signature: its bytes
+// are those of an unbatched reply.
+func (el *Element) flushReplies() {
+	pending := el.pending
+	for len(pending) > 0 {
+		batch := pending[:min(len(pending), smiop.MaxReplyLeaves)]
+		pending = pending[len(batch):]
+		el.hLeaves.Observe(float64(len(batch)))
+		if len(batch) == 1 {
+			el.sealReply(batch[0], el.sign)
+			continue
+		}
+		leaves := make([][32]byte, len(batch))
+		for i, r := range batch {
+			c := r.cs.conn
+			leaves[i] = smiop.ReplyLeaf(smiop.DataSigningBytes(c.ID, r.requestID,
+				c.Local.Name, uint32(c.LocalMember), true, r.giop))
+		}
+		sigs, err := smiop.SignReplyBatch(leaves, el.sign)
+		if err != nil {
+			continue
+		}
+		for i, r := range batch {
+			el.sealReply(r, func([]byte) []byte { return sigs[i] })
+		}
+	}
+	clear(el.pending)
+	el.pending = el.pending[:0]
+}
+
+// sealReply seals a reply under the connection's current key (fragmenting
 // large messages) and routes it back to the peer. Frames seal in pooled
 // buffers: direct sends release them immediately (the network copies
 // payloads on Send); ordered sends detach an owned copy because the
 // ordered sender retains payloads for retransmission.
-func (el *Element) sendReply(cs *connState, requestID uint64, giopBytes []byte) {
-	frames, err := cs.conn.SealSignedDataWire(requestID, true, giopBytes, el.sign, 0)
+func (el *Element) sealReply(r pendingReply, sign func([]byte) []byte) {
+	cs := r.cs
+	frames, err := cs.conn.SealSignedDataWire(r.requestID, true, r.giop, sign, 0)
 	if err != nil {
 		return
 	}

@@ -756,7 +756,7 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 		Mode:        ep.sys.cfg.VoteMode,
 		AutoAdvance: !initiator,
 		ByteVoting:  ep.sys.cfg.ByteVoting,
-		VerifySig:   ep.sys.verifyData(),
+		VerifySig:   ep.sys.verifyData,
 		SignerOf:    ep.sys.dataSigner,
 		Metrics:     ep.sys.cfg.Metrics,
 		Tracer:      ep.sys.tracer,
@@ -770,6 +770,7 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 	stream.OnMessage = func(val *smiop.MessageVal, dec *vote.Decision) {
 		ep.onVoted(cs, val, dec, onRequest)
 	}
+	stream.CheckSig = ep.sys.checkData
 	stream.OnFault = func(member int, report vote.FaultReport) {
 		ep.onFault(cs, report)
 	}

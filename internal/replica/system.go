@@ -235,6 +235,11 @@ type System struct {
 	// tracer is set by EnableTracing; nil otherwise (tracing off).
 	tracer *obs.Tracer
 
+	// memo holds up to memoSize root signatures that passed
+	// (checkIdentity). Only the delivery thread uses it, like every other
+	// piece of System state.
+	memo map[memoKey]bool
+
 	// senders holds one ordered sender per (identity, target group), built
 	// on first use; nil for a target no sender can reach.
 	senders map[[2]string]*srm.Sender
@@ -259,6 +264,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		clients:  make(map[string]*Client),
 		gmInfo:   smiop.PeerInfo{Name: GMDomainName, N: cfg.GM.N, F: cfg.GM.F},
 		senders:  make(map[[2]string]*srm.Sender),
+		memo:     make(map[memoKey]bool, memoSize),
 	}
 	// Keep the simulator handle when (and only when) the transport is the
 	// deterministic twin; sim-only drivers gate on it.
@@ -363,17 +369,68 @@ func (sys *System) dataSigner(domain string, member uint32) string {
 	return domain
 }
 
-// verifyData returns the stream signature verifier for data messages.
-func (sys *System) verifyData() func(domain string, member uint32, msg, sig []byte) bool {
-	return func(domain string, member uint32, msg, sig []byte) bool {
-		return sys.verifyIdentity(sys.dataSigner(domain, member), msg, sig)
-	}
+// checkData checks a data or digest message's signature by its signer.
+func (sys *System) checkData(domain string, member uint32, msg, sig []byte) smiop.SigOutcome {
+	return sys.checkIdentity(sys.dataSigner(domain, member), msg, sig)
 }
 
-// verifyIdentity checks a signature by any global identity.
+// verifyData checks a data or digest message's signature by its signer.
+func (sys *System) verifyData(domain string, member uint32, msg, sig []byte) bool {
+	return sys.checkData(domain, member, msg, sig) != smiop.SigRejected
+}
+
+// verifyIdentity checks a signature by any global identity, plain or
+// batched (smiop.ParseBatchedSig): the caller's streams and the Group
+// Manager's proof validation both check through it.
 func (sys *System) verifyIdentity(identity string, msg, sig []byte) bool {
+	return sys.checkIdentity(identity, msg, sig) != smiop.SigRejected
+}
+
+// checkIdentity is verifyIdentity saying whether the root memo answered. A
+// batched signature's root is recomputed from SHA-256(msg) and its path;
+// the root signature is then verified, unless the memo holds this signer,
+// root and signature from an earlier pass. Ed25519 verification is a pure
+// function, so a memo hit is exactly a re-verification.
+func (sys *System) checkIdentity(identity string, msg, sig []byte) smiop.SigOutcome {
 	pub, ok := sys.ring.Lookup(identity)
-	return ok && pbft.VerifySHA256(pub, msg, sig)
+	if !ok {
+		return smiop.SigRejected
+	}
+	if len(sig) == smiop.SignatureSize {
+		if pbft.VerifySHA256(pub, msg, sig) {
+			return smiop.SigVerified
+		}
+		return smiop.SigRejected
+	}
+	b, err := smiop.ParseBatchedSig(sig)
+	if err != nil {
+		return smiop.SigRejected
+	}
+	root := b.Root(smiop.ReplyLeaf(msg))
+	key := memoKey{signer: identity, root: root, sig: [smiop.SignatureSize]byte(b.Sig)}
+	if sys.memo[key] {
+		return smiop.SigRemembered
+	}
+	if !pbft.VerifySHA256(pub, smiop.RootSigningBytes(root), b.Sig) {
+		return smiop.SigRejected
+	}
+	if len(sys.memo) == memoSize {
+		clear(sys.memo) // recent roots refill it within a batch or two
+	}
+	sys.memo[key] = true
+	return smiop.SigVerified
+}
+
+// memoSize bounds the root memo: enough for every member's recent roots in
+// a process that hosts many callers.
+const memoSize = 256
+
+// memoKey is one root signature that passed: who signed which root, and
+// every octet of the signature.
+type memoKey struct {
+	signer string
+	root   [32]byte
+	sig    [smiop.SignatureSize]byte
 }
 
 // peerInfo resolves a domain or client pseudo-domain.
@@ -561,7 +618,11 @@ func elementInboxAddr(domain string, member int) string {
 }
 
 func (sys *System) buildDomain(spec DomainSpec) error {
-	dom, err := srm.NewDomain(sys.tr, srm.DomainConfig{
+	dr := &DomainRuntime{
+		Spec: spec,
+		Info: smiop.PeerInfo{Name: spec.Name, N: spec.N, F: spec.F},
+	}
+	dom, err := srm.NewDomain(upcallTransport{sys.tr, dr}, srm.DomainConfig{
 		Name: spec.Name, N: spec.N, F: spec.F,
 		QueueCapacity:      queueCapacity,
 		CheckpointInterval: sys.cfg.CheckpointInterval,
@@ -579,11 +640,7 @@ func (sys *System) buildDomain(spec DomainSpec) error {
 	if err != nil {
 		return err
 	}
-	dr := &DomainRuntime{
-		Spec: spec,
-		Info: smiop.PeerInfo{Name: spec.Name, N: spec.N, F: spec.F},
-		Dom:  dom,
-	}
+	dr.Dom = dom
 	sys.domains[spec.Name] = dr
 	for i := 0; i < spec.N; i++ {
 		profile := DefaultProfile
@@ -602,6 +659,34 @@ func (sys *System) buildDomain(spec DomainSpec) error {
 		dr.Elements = append(dr.Elements, el)
 	}
 	return nil
+}
+
+// upcallTransport is the transport a domain's ordering group is built on:
+// every delivery to replica i runs inside an upcall bracket of element i,
+// so the full replies the element produces while one delivery executes a
+// batch share one root signature (Element.flushReplies).
+type upcallTransport struct {
+	transport.Transport
+	dr *DomainRuntime
+}
+
+// AddNode implements transport.Transport.
+func (t upcallTransport) AddNode(id transport.NodeID, h transport.Handler) {
+	for i := 0; i < t.dr.Spec.N; i++ {
+		if string(id) != ElementIdentity(t.dr.Spec.Name, i) {
+			continue
+		}
+		inner := h
+		h = transport.HandlerFunc(func(from transport.NodeID, payload []byte) {
+			// Deliveries begin after NewSystem has built every element.
+			el := t.dr.Elements[i]
+			el.inUpcall = true
+			inner.Receive(from, payload)
+			el.inUpcall = false
+			el.flushReplies()
+		})
+	}
+	t.Transport.AddNode(id, h)
 }
 
 func (sys *System) buildClient(spec ClientSpec) error {

@@ -68,7 +68,8 @@ func (p *DigestPayload) Encode() []byte {
 }
 
 // DecodeDigestPayload parses a digest payload, rejecting malformed input
-// without panicking (Byzantine senders reach this path).
+// (trailing octets included) without panicking: Byzantine senders reach
+// this path.
 func DecodeDigestPayload(buf []byte) (*DigestPayload, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	digest, err := d.ReadOctets()
@@ -82,6 +83,9 @@ func DecodeDigestPayload(buf []byte) (*DigestPayload, error) {
 	sig, err := d.ReadOctets()
 	if err != nil {
 		return nil, fmt.Errorf("smiop: digest payload: %w", err)
+	}
+	if n := d.Remaining(); n != 0 {
+		return nil, fmt.Errorf("smiop: digest payload: %d trailing octets", n)
 	}
 	return &DigestPayload{
 		Digest: append([]byte(nil), digest...),

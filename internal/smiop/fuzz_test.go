@@ -4,8 +4,57 @@ import (
 	"bytes"
 	"testing"
 
+	"itdos/internal/cdr"
 	"itdos/internal/pool"
 )
+
+// signedPayloadBytes stages a signed payload as SealGIOPWire does:
+// octets(GIOP) then octets(Sig).
+func signedPayloadBytes(giopBytes, sig []byte) []byte {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteOctets(giopBytes)
+	e.WriteOctets(sig)
+	return e.Bytes()
+}
+
+// FuzzSignedPayloadDecode drives the signed-payload decoder, the batched
+// signature parser and the root recomputation with arbitrary bytes: an
+// element's payload is Byzantine-controlled once opened. None may panic; a
+// payload decodes only from its one encoding; a batched signature parses
+// only with 2..MaxReplyLeaves leaves, an index inside the tree and exactly
+// the siblings its shape needs, and a truncated path never parses. Seeds are
+// the payloads of the wire golden cases, the batched one included.
+func FuzzSignedPayloadDecode(f *testing.F) {
+	for _, tc := range wireGoldenCases {
+		giopBytes := bytes.Repeat([]byte{0x5A}, min(tc.size, 1<<10))
+		f.Add(signedPayloadBytes(giopBytes, tc.sign(DataSigningBytes(11, 1, "bank", 2, true, giopBytes))))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeSignedPayload(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(signedPayloadBytes(p.GIOP, p.Sig), data) {
+			t.Fatal("payload decoded from other than its one encoding")
+		}
+		b, err := ParseBatchedSig(p.Sig)
+		if err != nil {
+			return
+		}
+		if b.Count < 2 || b.Count > MaxReplyLeaves || b.Index >= b.Count {
+			t.Fatalf("parsed leaf %d of %d", b.Index, b.Count)
+		}
+		if len(b.Siblings) != pathLen(b.Index, b.Count) || len(p.Sig) != SignatureSize+2+32*len(b.Siblings) {
+			t.Fatalf("leaf %d of %d parsed with %d siblings from %d octets", b.Index, b.Count, len(b.Siblings), len(p.Sig))
+		}
+		if _, err := ParseBatchedSig(p.Sig[:len(p.Sig)-1]); err == nil {
+			t.Fatal("truncated path parsed")
+		}
+		if b.Root(ReplyLeaf(p.GIOP)) != b.Root(ReplyLeaf(p.GIOP)) {
+			t.Fatal("root recomputation is not a function of its input")
+		}
+	})
+}
 
 // FuzzReplyDigestDecode drives the digest-payload parser with arbitrary
 // bytes. Digest payloads arrive inside sealed envelopes but their contents

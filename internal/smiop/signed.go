@@ -18,7 +18,8 @@ type SignedPayload struct {
 }
 
 // DecodeSignedPayload parses a payload: WriteOctets(GIOP) then
-// WriteOctets(Sig), big-endian CDR, as SealGIOPWire stages it.
+// WriteOctets(Sig), big-endian CDR, as SealGIOPWire stages it, with zero
+// padding and nothing after, so each signed copy has exactly one encoding.
 func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	giopBytes, err := d.ReadOctets()
@@ -29,6 +30,16 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("smiop: signed payload: %w", err)
 	}
+	if n := d.Remaining(); n != 0 {
+		return nil, fmt.Errorf("smiop: signed payload: %d trailing octets", n)
+	}
+	// The decoder skips the alignment before Sig's length; zeros are its
+	// one encoding.
+	for _, b := range buf[4+len(giopBytes) : len(buf)-4-len(sig)] {
+		if b != 0 {
+			return nil, fmt.Errorf("smiop: signed payload: nonzero padding")
+		}
+	}
 	return &SignedPayload{
 		GIOP: append([]byte(nil), giopBytes...),
 		Sig:  append([]byte(nil), sig...),
@@ -38,6 +49,21 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 // VerifyFunc authenticates a sending element's signature over the signing
 // bytes of its data or digest context.
 type VerifyFunc func(srcDomain string, member uint32, signingBytes, sig []byte) bool
+
+// SigOutcome is how one signature check ended.
+type SigOutcome int
+
+const (
+	SigRejected SigOutcome = iota
+	// SigVerified: a signature verification ran and passed.
+	SigVerified
+	// SigRemembered: a memo of an earlier passing verification of the very
+	// same signature answered, so none ran.
+	SigRemembered
+)
+
+// CheckFunc is a VerifyFunc that also says whether a memo answered.
+type CheckFunc func(srcDomain string, member uint32, signingBytes, sig []byte) SigOutcome
 
 // Verify checks the sender's signature over the payload in env's data
 // context — the authentication step of every full data copy, whichever vote

@@ -140,6 +140,10 @@ type Stream struct {
 	// votes stall when the quorum is out of reach. The endpoint reacts by
 	// re-requesting what the policy names.
 	OnFallback func(requestID uint64)
+	// CheckSig, if set, checks signatures in place of StreamConfig.VerifySig
+	// and says when a memo of earlier verifications answered; those checks
+	// count as outcome=memo, apart from verified.
+	CheckSig CheckFunc
 
 	// Dropped counts envelopes rejected before voting (decryption failure,
 	// malformed GIOP, unknown operation).
@@ -182,10 +186,12 @@ type Stream struct {
 	mFallbacks       *obs.Counter
 
 	// What became of each copy's signature check (smiop_sig_checks_total):
-	// run and passed, run and failed, owed to the ordering layer instead, or
-	// spared because a late reply copy equalled the decision.
+	// run and passed, run and failed, answered by a memo of an earlier pass,
+	// owed to the ordering layer instead, or spared because a late reply copy
+	// equalled the decision.
 	mSigVerified  *obs.Counter
 	mSigRejected  *obs.Counter
+	mSigMemo      *obs.Counter
 	mSigVouched   *obs.Counter
 	mSigLateEqual *obs.Counter
 }
@@ -236,17 +242,26 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 		}
 		s.mSigVerified = r.Counter("smiop_sig_checks_total", "outcome=verified", side)
 		s.mSigRejected = r.Counter("smiop_sig_checks_total", "outcome=rejected", side)
+		s.mSigMemo = r.Counter("smiop_sig_checks_total", "outcome=memo", side)
 		s.mSigVouched = r.Counter("smiop_sig_checks_total", "outcome=vouched", side)
 		s.mSigLateEqual = r.Counter("smiop_sig_checks_total", "outcome=late_equal", side)
 	}
 	s.cfg.VerifySig = func(srcDomain string, member uint32, signing, sig []byte) bool {
-		ok := cfg.VerifySig(srcDomain, member, signing, sig)
-		if ok {
+		outcome := SigRejected
+		if s.CheckSig != nil {
+			outcome = s.CheckSig(srcDomain, member, signing, sig)
+		} else if cfg.VerifySig(srcDomain, member, signing, sig) {
+			outcome = SigVerified
+		}
+		switch outcome {
+		case SigVerified:
 			s.mSigVerified.Inc()
-		} else {
+		case SigRemembered:
+			s.mSigMemo.Inc()
+		default:
 			s.mSigRejected.Inc()
 		}
-		return ok
+		return outcome != SigRejected
 	}
 	return s, nil
 }

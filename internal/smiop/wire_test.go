@@ -45,27 +45,42 @@ type goldenFrame struct {
 	SHA256 string `json:"sha256"`
 }
 
+// wireGoldenCase is one message shape TestWireGolden seals.
+type wireGoldenCase struct {
+	name     string
+	size     int
+	fragSize int
+	sign     func([]byte) []byte
+}
+
+// wireGoldenCases are TestWireGolden's shapes, and FuzzSignedPayloadDecode's
+// seeds. small-batched signs its reply as leaf 0 of a batch of three.
+var wireGoldenCases = []wireGoldenCase{
+	{"small-unsigned", 100, 0, func([]byte) []byte { return nil }}, // an empty signature field
+	{"small-signed", 100, 0, testSign},
+	{"exact-boundary", DefaultFragmentSize - 200, 0, testSign},
+	{"fragmented", 70 << 10, 0, testSign},
+	{"tiny-frags", 4 << 10, 512, testSign},
+	{"small-batched", 100, 0, func(msg []byte) []byte {
+		sigs, err := SignReplyBatch([][32]byte{ReplyLeaf(msg),
+			ReplyLeaf([]byte("golden filler 1")), ReplyLeaf([]byte("golden filler 2"))}, batchSign)
+		if err != nil {
+			panic(err)
+		}
+		return sigs[0]
+	}},
+}
+
 // TestWireGolden pins the wire format: SealSignedDataWire must produce,
 // byte for byte, the frames recorded in testdata/wire_golden.json — case
 // name → request ids 1–3 → frames — for unfragmented and fragmented
 // messages, signed and unsigned. The vectors were generated at 4aeb63d from
 // the copying chain the wire path replaced (SignedPayload.Encode, one seal
 // per fragment, Envelope.Encode), which is what makes them an independent
-// witness; regenerate with -update-wire-golden only for a deliberate format
-// change.
+// witness; small-batched, the Merkle-batched reply form, was added later.
+// Regenerate with -update-wire-golden only for a deliberate format change.
 func TestWireGolden(t *testing.T) {
-	cases := []struct {
-		name     string
-		size     int
-		fragSize int
-		sign     func([]byte) []byte
-	}{
-		{"small-unsigned", 100, 0, func([]byte) []byte { return nil }}, // an empty signature field
-		{"small-signed", 100, 0, testSign},
-		{"exact-boundary", DefaultFragmentSize - 200, 0, testSign},
-		{"fragmented", 70 << 10, 0, testSign},
-		{"tiny-frags", 4 << 10, 512, testSign},
-	}
+	cases := wireGoldenCases
 	golden := make(map[string][][]goldenFrame)
 	if !*updateWireGolden {
 		raw, err := os.ReadFile(wireGoldenPath)
