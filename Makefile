@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build fmt vet lint lint-sarif test race auth-budget bench-build bench-json fuzz fuzz-smoke corpus clean
+.PHONY: check build fmt vet lint test race auth-budget bench-build bench-json fuzz fuzz-smoke corpus clean
 
 check: build fmt vet lint race auth-budget bench-build
 
@@ -47,13 +47,6 @@ vet:
 
 lint:
 	$(GO) run ./cmd/itdos-lint ./...
-
-# SARIF report for the code-scanning upload. Findings do not fail this
-# target — the plain `lint` target is the gate; this one always produces
-# the report so CI can upload triage data even on red runs.
-lint-sarif:
-	mkdir -p lint-out
-	-$(GO) run ./cmd/itdos-lint -sarif ./... > lint-out/itdos-lint.sarif
 
 test:
 	$(GO) test ./...

@@ -45,12 +45,8 @@ var allChecks = []*Check{
 	checkLockHold,
 	checkSpanLeak,
 	checkDetMap,
-	checkQuorumArith,
 	checkInsecureRand,
-	checkTickerLeak,
 	checkBoundedDecode,
-	checkFlightNil,
-	checkPoolReturn,
 }
 
 func lookupChecks(names string) ([]*Check, error) {

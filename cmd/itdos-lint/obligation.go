@@ -7,12 +7,12 @@ import (
 	"go/types"
 )
 
-// obligation is the one engine behind span-leak, pool-return, lock-hold and
-// ticker-leak's unstopped-ticker rule: what a function acquires it must
-// release by defer, or before every later return and the fall-off end. The
-// analysis is positional — source order approximates control flow, which is
-// exactly right for the straight-line sections this codebase writes; exotic
-// shapes suppress with //itdos:nolint and a justification.
+// obligation is the one engine behind span-leak and lock-hold: what a
+// function acquires it must release by defer, or before every later return
+// and the fall-off end. The analysis is positional — source order
+// approximates control flow, which is exactly right for the straight-line
+// sections this codebase writes; exotic shapes suppress with
+// //itdos:nolint and a justification.
 //
 // Every function body and every function literal is one scope; a deferred
 // closure runs at its function's exit and belongs to that function's scope.
@@ -26,9 +26,6 @@ type obligation struct {
 	// thing to release, and is followed through the variable it is
 	// assigned to.
 	classify func(info *types.Info, call *ast.CallExpr) (role, any)
-	// field is the one selector on a tracked variable that reads it without
-	// handing it on (b.B, t.C).
-	field string
 	// discarded reports an acquired value dropped on the spot.
 	discarded string
 	// leaked renders the finding for an obligation left open.
@@ -139,9 +136,9 @@ func (ob *obligation) scope(p *Pass, body *ast.BlockStmt) {
 	}
 
 	// Releases and uses. A tracked variable that appears anywhere but as
-	// the receiver of one of the spec's methods, or under the spec's
-	// field, has been handed on — argument, return value, store, composite
-	// literal — and whoever holds it now releases it.
+	// the receiver of one of the spec's methods has been handed on —
+	// argument, return value, store, composite literal — and whoever holds
+	// it now releases it.
 	var released []release
 	escaped := make(map[any]bool)
 	var walk func(n ast.Node, deferred, closure bool)
@@ -178,10 +175,6 @@ func (ob *obligation) scope(p *Pass, body *ast.BlockStmt) {
 					walk(a, deferred, closure)
 				}
 				return false
-			case *ast.SelectorExpr:
-				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && n.Sel.Name == ob.field && tracked[p.Info.Uses[id]] {
-					return false
-				}
 			case *ast.Ident:
 				if obj := p.Info.Uses[n]; obj != nil && tracked[obj] {
 					escaped[obj] = true

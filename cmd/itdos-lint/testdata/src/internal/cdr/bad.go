@@ -15,3 +15,18 @@ func dropAll(d *dec) uint32 {
 	go d.skip(1)          // want:err-drop
 	return v
 }
+
+func skipPadding(d *dec) {
+	_ = d.skip(3) //itdos:nolint:err-drop // padding: a short skip surfaces at the next read
+}
+
+// replyBody is the keep-test row: giop's decodeReply with the error of its
+// body read dropped, so a truncated reply decodes with an empty body.
+func replyBody(d *dec) (uint32, error) {
+	var err error
+	body, _ := d.readULong() // want:err-drop
+	if err != nil {
+		return 0, err
+	}
+	return body, nil
+}

@@ -44,3 +44,12 @@ func suppressedCommutative(m map[int]byte, h hash.Hash) {
 		h.Write([]byte{v}) //itdos:nolint:det-map // single-byte writes into an order-free test accumulator hash
 	}
 }
+
+// encodeShare is the keep-test row: dprf's Share.Encode ranging its map of
+// subset values instead of the sorted subset ids, which no test can tell
+// apart.
+func encodeShare(vals map[uint32][32]byte, h hash.Hash) {
+	for _, v := range vals {
+		h.Write(v[:]) // want:det-map
+	}
+}

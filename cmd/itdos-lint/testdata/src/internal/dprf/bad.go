@@ -3,6 +3,7 @@
 package dprf
 
 import (
+	"fmt"
 	"math/rand"
 )
 
@@ -24,4 +25,11 @@ func seededKey(seed int64, buf []byte) {
 // Suppressed: scheduling jitter in a test harness, never key material.
 func jitterMillis() int {
 	return rand.Intn(50) //itdos:nolint:insecure-rand // test-harness scheduling jitter; output never touches key material
+}
+
+// subKey is the keep-test row: dprf's deriveSubKey with its HMAC swapped
+// for a generator seeded by the subset id. Every party still agrees on the
+// key, so no test can tell it apart; anyone can compute it.
+func subKey(sid int) []byte {
+	return fmt.Appendf(nil, "%016x", rand.New(rand.NewSource(int64(sid))).Uint64()) // want:insecure-rand
 }

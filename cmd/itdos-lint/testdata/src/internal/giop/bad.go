@@ -37,3 +37,19 @@ func decodePrevalidated(d *Decoder) ([]byte, error) {
 	}
 	return make([]byte, n), nil //itdos:nolint:bounded-decode // n validated against the session cap by the framing layer before this call
 }
+
+// decodeU32s is the keep-test row: smiop's decodeU32s with its 1<<16
+// bound removed. No test sends it a hostile count.
+func decodeU32s(d *Decoder) ([]uint32, error) {
+	n, err := d.ReadULong()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, n) // want:bounded-decode
+	for i := range out {
+		if out[i], err = d.ReadULong(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}

@@ -49,3 +49,18 @@ func (c *counter) unlockInClosure() func() {
 	c.mu.Lock() // want:lock-hold
 	return func() { c.mu.Unlock() }
 }
+
+// tally is the keep-test row: cluster.RunLoad's per-call result closure
+// with its deferred Unlock dropped. The second call deadlocks, but only
+// itdos-load runs RunLoad; no test does.
+func tally(calls int) int {
+	var mu sync.Mutex
+	n := 0
+	for i := 0; i < calls; i++ {
+		func() {
+			mu.Lock() // want:lock-hold
+			n++
+		}()
+	}
+	return n
+}

@@ -50,3 +50,10 @@ func firstMatch(m map[string][]byte, out *[]byte) {
 		}
 	}
 }
+
+// dropped is the keep-test row: netsim's loss decision drawn from the
+// process-seeded global source instead of the network's seeded one. No
+// test replays a lossy run twice.
+func dropped(rate float64) bool {
+	return rate > 0 && rand.Float64() < rate // want:no-wallclock
+}

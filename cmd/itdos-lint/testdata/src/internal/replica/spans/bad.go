@@ -41,3 +41,21 @@ func (ep *endpoint) leakInClosure() func() {
 		sp.End()
 	}
 }
+
+func (ep *endpoint) suppressedHandOff() {
+	//itdos:nolint span-leak -- fixture: suppression must silence this finding
+	sp := ep.tr.StartDetached("srm.order")
+	sp.Annotate("target", "gm")
+}
+
+// unmarshal is the keep-test row: smiop's Stream.Deliver with the
+// smiop.unmarshal span ended after the error check instead of before it,
+// so a copy that fails to unmarshal leaves the span open.
+func (ep *endpoint) unmarshal() int {
+	usp := ep.tr.Start("smiop.unmarshal") // want:span-leak
+	if ep.busy {
+		return 1
+	}
+	usp.End()
+	return 0
+}

@@ -18,3 +18,11 @@ func verifyAgainst(tag, want []byte) bool {
 func tagMatch(aTag, bTag [16]byte) bool {
 	return aTag == bTag // want:ct-mac
 }
+
+type channel struct{ sum []byte }
+
+// open is the keep-test row: seckey.Channel.Open with its hmac.Equal tag
+// check swapped for bytes.Equal, which no test can tell apart.
+func (c *channel) open(wantMAC []byte) bool {
+	return !bytes.Equal(c.sum, wantMAC) // want:ct-mac
+}

@@ -257,3 +257,27 @@ func BenchmarkAppendEnabled(b *testing.B) {
 		r.Append("calc/r0", KindBatchCommitted, 0, uint64(i), 0, "")
 	}
 }
+
+// TestNilReceivers holds the package's contract that a nil *Recorder is the
+// disabled recorder and a nil *Dump is an empty one: every exported method
+// of either, called on nil with zero-valued arguments, must not panic.
+func TestNilReceivers(t *testing.T) {
+	for _, recv := range []any{(*Recorder)(nil), (*Dump)(nil)} {
+		v := reflect.ValueOf(recv)
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Type().Method(i)
+			args := make([]reflect.Value, m.Type.NumIn()-1)
+			for j := range args {
+				args[j] = reflect.Zero(m.Type.In(j + 1))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("nil %s.%s panics: %v", v.Type(), m.Name, p)
+					}
+				}()
+				v.Method(i).Call(args)
+			}()
+		}
+	}
+}

@@ -6,7 +6,8 @@
 // fragmentation without intermediate copies, and the buffer returns to
 // its pool when the last reference is released.
 //
-// Ownership rules (enforced by the itdos-lint pool-return check):
+// Ownership rules (held by smiop's TestSealReturnsEveryPoolBuffer, which
+// requires every Get of the seal chain to come back as a Put):
 //
 //   - Get returns a buffer with one reference owned by the caller.
 //   - Every reference is released exactly once (Release) or transferred

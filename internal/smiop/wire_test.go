@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"itdos/internal/pool"
 	"itdos/internal/seckey"
 )
 
@@ -225,5 +226,33 @@ func TestWireSealedLenBudget(t *testing.T) {
 		}
 		want := envelopeSlack(sender) + seckey.SealedLen(len(f.B))
 		_ = want // sizing hint only; the real assertion is alloc counts in the benchmarks
+	}
+}
+
+// TestSealReturnsEveryPoolBuffer checks the seal chain's pool ownership:
+// after the single-frame, fragmented and too-many-fragments paths, with
+// the caller releasing what it got back, every pool.Get has its Put. The
+// pool counters are process-wide, so this test must not run in parallel.
+func TestSealReturnsEveryPoolBuffer(t *testing.T) {
+	conn := wireConn(t)
+	before := pool.ReadStats()
+	for i, c := range []struct {
+		size, fragSize int
+		ok             bool
+	}{
+		{64, 0, true},                        // one frame
+		{3000, 1024, true},                   // fragmented
+		{(maxFragments + 2) * 16, 16, false}, // refused
+	} {
+		frames, err := conn.SealSignedDataWire(uint64(i+1), true, make([]byte, c.size), testSign, c.fragSize)
+		if (err == nil) != c.ok {
+			t.Fatalf("size %d: err = %v, want ok=%v", c.size, err, c.ok)
+		}
+		ReleaseFrames(frames)
+	}
+	after := pool.ReadStats()
+	gets, puts := after.Gets-before.Gets, after.Puts-before.Puts
+	if gets == 0 || gets != puts {
+		t.Fatalf("pool.Get %d times, returned %d buffers", gets, puts)
 	}
 }
