@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMACAuthenticator -fuzztime=$(FUZZTIME) ./internal/pbft
 	$(GO) test -run='^$$' -fuzz=FuzzTCPFrameDecode -fuzztime=$(FUZZTIME) ./internal/transport/tcp
 	$(GO) test -run='^$$' -fuzz=FuzzQueueSnapshot -fuzztime=$(FUZZTIME) ./internal/srm
+	$(GO) test -run='^$$' -fuzz=FuzzSRMPack -fuzztime=$(FUZZTIME) ./internal/srm
 
 # The packages with committed fuzz seed corpora.
 FUZZ_PKGS = ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp ./internal/srm

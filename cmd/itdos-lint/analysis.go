@@ -42,7 +42,6 @@ var allChecks = []*Check{
 	checkValueVote,
 	checkCTMAC,
 	checkErrDrop,
-	checkLockHold,
 	checkSpanLeak,
 	checkDetMap,
 	checkInsecureRand,

@@ -227,8 +227,8 @@ func TestRepoIsClean(t *testing.T) {
 // in-process and requires zero unsuppressed findings and a justification on
 // every suppression — the self-application acceptance criterion.
 func TestLintSelfClean(t *testing.T) {
-	if len(allChecks) != 9 {
-		t.Fatalf("registered checks = %d, want 9", len(allChecks))
+	if len(allChecks) != 8 {
+		t.Fatalf("registered checks = %d, want 8", len(allChecks))
 	}
 	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -7,7 +7,6 @@
 //	value-vote      the voter compares unmarshalled CDR values, never bytes
 //	ct-mac          MAC tag comparisons are constant-time
 //	err-drop        decode/encode errors on the Byzantine surface propagate
-//	lock-hold       every mutex Lock has a dominating Unlock
 //	span-leak       every trace span started is ended on every path
 //	det-map         no map-ordered writes reach canonical marshalling,
 //	                digests/MACs, or transport sends
@@ -16,8 +15,8 @@
 //
 // Each check keeps its place with a keep-test: a one-line defect in the
 // real tree that it reports and the test suite misses, committed as a
-// fixture row. lock-hold and span-leak are specs over one acquire/release
-// engine (obligation.go).
+// fixture row. span-leak is a spec over an acquire/release engine
+// (obligation.go).
 //
 // Findings suppress with a justified comment:
 //

@@ -7,7 +7,7 @@ import (
 	"go/types"
 )
 
-// obligation is the one engine behind span-leak and lock-hold: what a
+// obligation is the engine behind span-leak: what a
 // function acquires it must release by defer, or before every later return
 // and the fall-off end. The analysis is positional — source order
 // approximates control flow, which is exactly right for the straight-line
@@ -20,11 +20,9 @@ import (
 // message texts.
 type obligation struct {
 	// classify says what a call does and to which obligation. The key is
-	// the object of the variable a method is called on, or — for a
-	// discipline with no variable to follow, a mutex reached as `r.mu` —
-	// the spec's own comparable key. An acquire with a nil key returns the
-	// thing to release, and is followed through the variable it is
-	// assigned to.
+	// the object of the variable a method is called on (varKey). An
+	// acquire has a nil key: it returns the thing to release, which is
+	// followed through the variable it is assigned to.
 	classify func(info *types.Info, call *ast.CallExpr) (role, any)
 	// discarded reports an acquired value dropped on the spot.
 	discarded string
@@ -89,7 +87,7 @@ func (ob *obligation) scope(p *Pass, body *ast.BlockStmt) {
 	}
 	acquired := func(e ast.Expr) *ast.CallExpr {
 		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-			if r, key := ob.classify(p.Info, call); r == acquires && key == nil {
+			if r, _ := ob.classify(p.Info, call); r == acquires {
 				return call
 			}
 		}
@@ -123,10 +121,6 @@ func (ob *obligation) scope(p *Pass, body *ast.BlockStmt) {
 					// Plain reassignment (=) is a use of the variable below
 					// and conservatively counts as handing it on.
 				}
-			}
-		case *ast.CallExpr:
-			if r, key := ob.classify(p.Info, n); r == acquires && key != nil {
-				hold(key, n.Pos())
 			}
 		}
 		return true
@@ -164,9 +158,7 @@ func (ob *obligation) scope(p *Pass, body *ast.BlockStmt) {
 					if closure {
 						// A closure may or may not run. One that releases a
 						// variable it captured owns it: descend, and the
-						// identifier rule marks the escape. A receiver-keyed
-						// release in a closure pairs with that closure's own
-						// acquire and says nothing about this scope's.
+						// identifier rule marks the escape.
 						return true
 					}
 					released = append(released, release{held{key, n.Pos()}, deferred})

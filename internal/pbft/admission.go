@@ -5,10 +5,14 @@ package pbft
 // own this code path; it must never panic or corrupt state). A phase message
 // or checkpoint that would be dropped unread is dropped before it is
 // authenticated: once a round has its quorum, the stragglers are most of the
-// phase traffic.
+// phase traffic. So is a request over MaxRequestBytes, which no correct
+// replica orders: it is never forwarded and arms no timer.
 func (r *Replica) HandleMessage(data []byte) {
 	m, err := Decode(data)
 	if err != nil {
+		return
+	}
+	if req, ok := m.(*Request); ok && req.Size() > MaxRequestBytes {
 		return
 	}
 	if r.stalePhase(m) || !r.verify(m) {
@@ -26,7 +30,9 @@ func (r *Replica) verify(m Message) bool {
 // cannot change state whatever its authenticator: a phase message not of the
 // current view in normal operation, outside the window, a prepare claiming
 // to be the primary's (the pre-prepare stands in for it), a second one from
-// the same replica, or for an entry already executed; a checkpoint at or
+// the same replica, or for an entry already executed; a prepare for an entry
+// that already holds a prepared certificate in this view (2f prepares
+// suffice, and the commit went out with the certificate); a checkpoint at or
 // below the stable one, or a second one from the same replica. It reads
 // plain fields only and creates nothing.
 func (r *Replica) stalePhase(m Message) bool {
@@ -57,6 +63,7 @@ func (r *Replica) stalePhase(m Message) bool {
 	dup := false
 	if prepare {
 		_, dup = en.prepares[from]
+		dup = dup || en.prePrepare != nil && en.prePrepare.View == view && r.isPrepared(en)
 	} else {
 		_, dup = en.commits[from]
 	}
@@ -91,13 +98,24 @@ func (r *Replica) dispatch(m Message) {
 // validBatch checks a pre-prepare's piggybacked batch against its digest:
 // the digest must cover the batch, every request must carry a valid client
 // signature, and a Byzantine primary may not stuff the same request into a
-// batch twice. An empty batch must carry the null digest (view-change gap
-// filler).
+// batch twice, nor order a request over MaxRequestBytes or a batch over
+// MaxBatchBytes. An empty batch must carry the null digest (view-change gap
+// filler). The sizes are checked before any signature.
 func (r *Replica) validBatch(pp *PrePrepare) bool {
 	if len(pp.Requests) == 0 {
 		return pp.Digest.IsNull()
 	}
 	if BatchDigest(pp.Requests) != pp.Digest {
+		return false
+	}
+	size := 0
+	for _, req := range pp.Requests {
+		if req.Size() > MaxRequestBytes {
+			return false
+		}
+		size += req.Size()
+	}
+	if size > MaxBatchBytes {
 		return false
 	}
 	seen := make(map[Digest]bool, len(pp.Requests))

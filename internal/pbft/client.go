@@ -94,20 +94,25 @@ func NewClient(cfg ClientConfig, env ClientEnv) (*Client, error) {
 func (c *Client) LastSeq() uint64 { return c.seq }
 
 // Invoke submits op for total ordering. It returns the client sequence
-// number identifying the invocation; the result arrives via OnResult.
+// number identifying the invocation; the result arrives via OnResult. A
+// request over MaxRequestBytes, which no replica would order, is refused.
 func (c *Client) Invoke(op []byte) (uint64, error) {
 	if c.pending != nil {
 		return 0, fmt.Errorf("pbft: client %s already has request %d outstanding",
 			c.cfg.ID, c.pending.seq)
 	}
-	c.seq++
 	req := &Request{
 		ClientID:  c.cfg.ID,
-		ClientSeq: c.seq,
+		ClientSeq: c.seq + 1,
 		Op:        op,
 		ReplyTo:   c.cfg.ReplyAddr,
 	}
 	SignMessage(c.cfg.Auth, req)
+	if req.Size() > MaxRequestBytes {
+		return 0, fmt.Errorf("pbft: client %s: request of %d bytes exceeds %d",
+			c.cfg.ID, req.Size(), MaxRequestBytes)
+	}
+	c.seq++
 	data := Encode(req)
 	c.pending = &pendingInvocation{
 		seq:     c.seq,

@@ -110,8 +110,9 @@ type Request struct {
 	// Sig is the client's signature.
 	Sig []byte
 
-	// digest caches Digest once hashed is set.
+	// digest and size cache Digest and Size once hashed is set.
 	digest Digest
+	size   int
 	hashed bool
 }
 
@@ -162,10 +163,22 @@ func (m *Request) Digest() Digest {
 	return m.digest
 }
 
-// rehash computes the digest Digest returns from the request's fields now:
-// at decode, at signing, or on a first Digest.
+// Size returns the length of the request's own encoding, the quantity
+// MaxRequestBytes and MaxBatchBytes bound. Like Digest it is computed from
+// the fields, never from the bytes the request was decoded from, so every
+// replica measures a request alike.
+func (m *Request) Size() int {
+	if !m.hashed {
+		m.rehash()
+	}
+	return m.size
+}
+
+// rehash computes the digest and size Digest and Size return from the
+// request's fields now: at decode, at signing, or on a first Digest.
 func (m *Request) rehash() {
-	m.digest, m.hashed = sha256.Sum256(Encode(m)), true
+	enc := Encode(m)
+	m.digest, m.size, m.hashed = sha256.Sum256(enc), len(enc), true
 }
 
 // PrePrepare is the primary's ordering proposal for an ordered batch of
@@ -188,6 +201,24 @@ type PrePrepare struct {
 // MaxBatchWire is the largest batch a pre-prepare can carry: the count is a
 // single octet on the wire.
 const MaxBatchWire = 255
+
+// maxFrameBytes is the largest message one transport frame carries: the
+// TCP transport's default frame bound, tcp.DefaultMaxFrame
+// (TestLargestPrePrepareFitsFrame pins the two equal).
+const maxFrameBytes = 1 << 20
+
+// MaxRequestBytes bounds a client request's encoding (Request.Size). Every
+// replica drops a larger request wherever it meets one: on arrival, before it
+// is forwarded or a timer is armed, and inside a pre-prepare (validBatch). An
+// honest client never builds one (Client.Invoke refuses it).
+const MaxRequestBytes = maxFrameBytes / 16
+
+// MaxBatchBytes bounds the summed request sizes of one pre-prepare: a primary
+// closes a batch before it would pass it, and a backup refuses a pre-prepare
+// that does. What the frame holds beyond it — a whole request's worth — is
+// far more than the pre-prepare's own fields and alignment need, so the
+// largest pre-prepare a primary builds fits one frame whatever MaxBatch is.
+const MaxBatchBytes = maxFrameBytes - MaxRequestBytes
 
 // Type implements Message.
 func (*PrePrepare) Type() MsgType { return MTPrePrepare }

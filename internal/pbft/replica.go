@@ -527,10 +527,11 @@ func (r *Replica) HandleBatchTimer() {
 }
 
 // flushPending proposes the accumulated requests as batches of up to
-// MaxBatch, as far as the ordering window allows. Batches are pipelined:
-// when more than MaxBatch requests are pending, several pre-prepares go out
-// back to back and run their three-phase rounds concurrently within the
-// window. trigger counts the batches proposed (nil: uncounted).
+// MaxBatch requests and MaxBatchBytes, as far as the ordering window allows.
+// Batches are pipelined: when more is pending than one batch holds, several
+// pre-prepares go out back to back and run their three-phase rounds
+// concurrently within the window. trigger counts the batches proposed (nil:
+// uncounted).
 func (r *Replica) flushPending(trigger *obs.Counter) {
 	if !r.isPrimary() || r.inViewChange || len(r.pending) == 0 {
 		return
@@ -539,9 +540,12 @@ func (r *Replica) flushPending(trigger *obs.Counter) {
 		r.seq = r.lowWater
 	}
 	for len(r.pending) > 0 && r.seq+1 <= r.lowWater+r.cfg.WindowSize {
-		k := len(r.pending)
-		if k > r.cfg.MaxBatch {
-			k = r.cfg.MaxBatch
+		// A request fits an empty batch: MaxRequestBytes <= MaxBatchBytes.
+		k, size := 1, r.pending[0].Size()
+		for ; k < len(r.pending) && k < r.cfg.MaxBatch; k++ {
+			if size += r.pending[k].Size(); size > MaxBatchBytes {
+				break
+			}
 		}
 		batch := append([]*Request(nil), r.pending[:k]...)
 		r.pending = append(r.pending[:0], r.pending[k:]...)

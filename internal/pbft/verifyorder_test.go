@@ -222,7 +222,8 @@ func (fx *phaseFixture) wire(m Message, forged bool) []byte {
 
 // replica builds backup 1 and drives it to stage:
 //
-//	"prepared":   pre-prepare for seq 1, a prepare from 2, a commit from 0 —
+//	"preprepared": pre-prepare for seq 1 — its own prepare sent, not prepared
+//	"prepared":   then a prepare from 2 and a commit from 0 —
 //	              prepared, its own commit sent, one commit short of executing
 //	"executed":   then a commit from 2 — seq 1 executed
 //	"viewchange": "prepared", then its view timer fires
@@ -236,6 +237,9 @@ func (fx *phaseFixture) replica(t *testing.T, stage string) (*Replica, *recEnv, 
 		t.Fatal(err)
 	}
 	r.HandleMessage(fx.wire(&PrePrepare{Seq: 1, Digest: fx.d, Requests: []*Request{fx.req}}, false))
+	if stage == "preprepared" {
+		return r, env, auth
+	}
 	r.HandleMessage(fx.wire(&Prepare{Seq: 1, Digest: fx.d, Replica: 2}, false))
 	r.HandleMessage(fx.wire(&Commit{Seq: 1, Digest: fx.d, Replica: 0}, false))
 	switch stage {
@@ -310,6 +314,7 @@ func TestDiscardedPhaseMessagesAreNeverVerified(t *testing.T) {
 		{"duplicate prepare", "prepared", func() Message { return &Prepare{Seq: 1, Digest: d, Replica: 2} }},
 		{"duplicate commit", "prepared", func() Message { return &Commit{Seq: 1, Digest: d, Replica: 0} }},
 		{"duplicate prepare, other digest", "prepared", func() Message { return &Prepare{Seq: 1, Replica: 2} }},
+		{"surplus prepare", "prepared", func() Message { return &Prepare{Seq: 1, Digest: d, Replica: 3} }},
 		{"stale-view prepare", "prepared", func() Message { return &Prepare{View: 1, Seq: 1, Digest: d, Replica: 3} }},
 		{"stale-view commit", "prepared", func() Message { return &Commit{View: 1, Seq: 1, Digest: d, Replica: 3} }},
 		{"prepare above the window", "prepared", func() Message { return &Prepare{Seq: 65, Digest: d, Replica: 3} }},
@@ -348,13 +353,17 @@ func TestDiscardedPhaseMessagesAreNeverVerified(t *testing.T) {
 // changes nothing — not even the commit that would complete the quorum.
 func TestLivePhaseMessagesAreVerifiedFirst(t *testing.T) {
 	fx, _ := newPhaseFixture(t)
-	for _, msg := range []func() Message{
-		func() Message { return &Prepare{Seq: 1, Digest: fx.d, Replica: 3} },
-		func() Message { return &Commit{Seq: 1, Digest: fx.d, Replica: 2} },
-		func() Message { return &Commit{Seq: 2, Digest: fx.d, Replica: 2} }, // no entry yet
-		func() Message { return &Checkpoint{Seq: 16, Replica: 3} },
+	for _, tc := range []struct {
+		stage string
+		msg   func() Message
+	}{
+		{"preprepared", func() Message { return &Prepare{Seq: 1, Digest: fx.d, Replica: 3} }},
+		{"prepared", func() Message { return &Commit{Seq: 1, Digest: fx.d, Replica: 2} }},
+		{"prepared", func() Message { return &Commit{Seq: 2, Digest: fx.d, Replica: 2} }}, // no entry yet
+		{"prepared", func() Message { return &Checkpoint{Seq: 16, Replica: 3} }},
 	} {
-		r, env, auth := fx.replica(t, "prepared")
+		msg := tc.msg
+		r, env, auth := fx.replica(t, tc.stage)
 		state, sent, checked := dumpReplica(r), len(env.out), auth.checks()
 		r.HandleMessage(fx.wire(msg(), true))
 		if auth.checks() != checked+1 {

@@ -409,19 +409,23 @@ func (el *Element) sealReply(r pendingReply, sign func([]byte) []byte) {
 	if len(frames) > 1 {
 		el.mFragsOut.Add(uint64(len(frames)))
 	}
-	for _, frame := range frames {
-		if cs.peer.N == 1 {
-			// Singleton client: every element replies directly and the
-			// client votes on the copies (paper §3.2).
+	if cs.peer.N == 1 {
+		// Singleton client: every element replies directly and the client
+		// votes on the copies (paper §3.2).
+		for _, frame := range frames {
 			el.sys.tr.Send(netsim.NodeID(el.identity),
 				netsim.NodeID(clientInboxAddr(cs.peer.Name)), frame.B)
 			frame.Release()
-			continue
 		}
-		// Replicated peer: the reply is multicast into the peer's
-		// ordering, like every message to a replication domain.
-		el.sendOrdered(cs.peer.Name, frame.Detach())
+		return
 	}
+	// Replicated peer: the reply is multicast into the peer's ordering,
+	// like every message to a replication domain, its frames together.
+	payloads := make([][]byte, len(frames))
+	for i, frame := range frames {
+		payloads[i] = frame.Detach()
+	}
+	el.sendOrdered(cs.peer.Name, payloads...)
 }
 
 // onPostDecisionHook answers a retried request (same id, arriving after

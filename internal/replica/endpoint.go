@@ -304,9 +304,10 @@ func (ep *endpoint) requestFull(cs *connState, ref orb.ObjectRef, req *giop.Requ
 }
 
 // sendOrderedRequest encodes, seals, and multicasts req into the peer's
-// ordering group. The GIOP message marshals directly into the zero-copy
-// seal pipeline; the ordered sender retains payloads for retransmission, so
-// each pooled frame is detached (one owned copy) rather than released.
+// ordering group, all its frames handed over together. The GIOP message
+// marshals directly into the zero-copy seal pipeline; the ordered sender
+// retains payloads for retransmission, so each pooled frame is detached (one
+// owned copy) rather than released.
 func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.Request) error {
 	ssp := ep.tracer().Start("smiop.seal", fmt.Sprintf("req=%d", req.RequestID))
 	frames, err := cs.conn.SealGIOPWire(req.RequestID, false,
@@ -319,9 +320,11 @@ func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.R
 	if len(frames) > 1 {
 		ep.mFragsOut.Add(uint64(len(frames)))
 	}
-	for _, frame := range frames {
-		ep.sendOrdered(target, frame.Detach())
+	payloads := make([][]byte, len(frames))
+	for i, frame := range frames {
+		payloads[i] = frame.Detach()
 	}
+	ep.sendOrdered(target, payloads...)
 	return nil
 }
 
@@ -453,12 +456,13 @@ func (ep *endpoint) ensureConn(peer string) (*connState, error) {
 	}
 }
 
-// sendOrdered multicasts payload into target's ordering group. Safe from
-// either coroutine (they are mutually exclusive). The ordering round is
-// traced as a detached srm.order span ended by the PBFT acknowledgement.
-func (ep *endpoint) sendOrdered(target string, payload []byte) {
+// sendOrdered multicasts one message's payloads into target's ordering
+// group. Safe from either coroutine (they are mutually exclusive). The
+// ordering is traced as a detached srm.order span ended by the PBFT
+// acknowledgement of the last payload.
+func (ep *endpoint) sendOrdered(target string, payloads ...[]byte) {
 	osp := ep.tracer().StartDetached("srm.order", "target="+target)
-	ep.sys.sendOrdered(ep.identity, target, payload, osp)
+	ep.sys.sendOrdered(ep.identity, target, payloads, osp)
 }
 
 // --- inbound path (driver thread) ---

@@ -37,7 +37,7 @@ var _ itc.Actions = (*itcActions)(nil)
 
 func (a *itcActions) sendGM(kind smiop.Kind, payload []byte) {
 	env := &smiop.Envelope{Kind: kind, SrcDomain: itc.Identity, Payload: payload}
-	a.sys.sendOrdered(itc.Identity, GMDomainName, env.Encode(), nil)
+	a.sys.sendOrdered(itc.Identity, GMDomainName, [][]byte{env.Encode()}, nil)
 }
 
 // RequestRekey implements itc.Actions.

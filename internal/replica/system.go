@@ -601,7 +601,7 @@ var _ groupmgr.Transport = (*gmTransport)(nil)
 
 // SendOrdered implements groupmgr.Transport.
 func (t *gmTransport) SendOrdered(domain string, payload []byte) {
-	t.sys.sendOrdered(t.gmIdentity, domain, payload, nil)
+	t.sys.sendOrdered(t.gmIdentity, domain, [][]byte{payload}, nil)
 }
 
 // SendDirect implements groupmgr.Transport.
@@ -698,11 +698,12 @@ func (sys *System) buildClient(spec ClientSpec) error {
 	return nil
 }
 
-// sendOrdered multicasts payload into target's ordering group as identity,
+// sendOrdered multicasts payloads — one message's worth, ordered together
+// when they fit one request — into target's ordering group as identity,
 // behind that identity's unacknowledged sends there. The detached span sp
-// (nil-safe) ends at the payload's acknowledgement, or at once when the
+// (nil-safe) ends at the last payload's acknowledgement, or at once when the
 // target is unknown.
-func (sys *System) sendOrdered(identity, target string, payload []byte, sp *obs.Span) {
+func (sys *System) sendOrdered(identity, target string, payloads [][]byte, sp *obs.Span) {
 	key := [2]string{identity, target}
 	s, ok := sys.senders[key]
 	if !ok {
@@ -713,7 +714,7 @@ func (sys *System) sendOrdered(identity, target string, payload []byte, sp *obs.
 		sp.End()
 		return
 	}
-	_, _ = s.SendTraced(payload, sp) // a refusal ends sp; the caller's own timeout covers the rest
+	_, _ = s.SendAll(payloads, sp) // a refusal ends sp; the caller's own timeout covers the rest
 }
 
 // newSender builds an ordered sender from an identity into a domain's

@@ -76,8 +76,10 @@ type Queue struct {
 	// provisional and subject to rollback.
 	tentative bool
 
-	// gDepth publishes the retained window depth (nil-safe).
-	gDepth *obs.Gauge
+	// gDepth publishes the retained window depth, hPayloads the messages
+	// each executed request carried (both nil-safe).
+	gDepth    *obs.Gauge
+	hPayloads *obs.Histogram
 }
 
 var (
@@ -93,13 +95,29 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 	return &Queue{queueState: queueState{nextSeq: 1}, capacity: capacity, onAppend: onAppend}
 }
 
-// Execute implements pbft.App: append the message and return the static
-// acknowledgement.
+// Execute implements pbft.App: append the request's messages — the payloads
+// of a pack, else the op itself — and return the static acknowledgement. Each
+// message gets its own sequence number, chain link and delivery, in order,
+// all with the request's authenticated sender.
 func (q *Queue) Execute(clientID string, op []byte) []byte {
+	op = append([]byte(nil), op...)
+	payloads, ok := decodePack(op)
+	if !ok {
+		payloads = [][]byte{op}
+	}
+	q.hPayloads.Observe(float64(len(payloads)))
+	for _, data := range payloads {
+		q.append(clientID, data)
+	}
+	return Ack
+}
+
+// append orders one message: the queue owns data.
+func (q *Queue) append(clientID string, data []byte) {
 	seq := q.nextSeq
 	q.nextSeq++
-	q.head = chainLink(q.head, seq, clientID, op)
-	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: append([]byte(nil), op...), link: q.head})
+	q.head = chainLink(q.head, seq, clientID, data)
+	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: data, link: q.head})
 	if len(q.window) > q.capacity {
 		// Trim by reslicing, and compact only when the dead prefix has used
 		// up the backing array — into one with room for as many appends as
@@ -114,9 +132,8 @@ func (q *Queue) Execute(clientID string, op []byte) []byte {
 	}
 	q.gDepth.Set(float64(len(q.window)))
 	if q.onAppend != nil {
-		q.onAppend(seq, clientID, op)
+		q.onAppend(seq, clientID, data)
 	}
-	return Ack
 }
 
 // NextSeq returns the sequence number the next message will receive.
@@ -390,7 +407,7 @@ type DomainConfig struct {
 // NewDomain builds a replication domain on a transport.
 func NewDomain(net transport.Transport, cfg DomainConfig) (*Domain, error) {
 	if cfg.QueueCapacity == 0 {
-		cfg.QueueCapacity = 1024
+		cfg.QueueCapacity = defaultQueueCapacity
 	}
 	d := &Domain{Name: cfg.Name, N: cfg.N, F: cfg.F}
 	elements := make([]*Element, cfg.N)
@@ -414,6 +431,8 @@ func NewDomain(net transport.Transport, cfg DomainConfig) (*Domain, error) {
 		el.queue.onRestore = el.Resynchronise
 		if cfg.Metrics != nil {
 			el.queue.gDepth = cfg.Metrics.Gauge("srm_queue_depth", "group="+cfg.Name)
+			el.queue.hPayloads = cfg.Metrics.Histogram("srm_request_payloads",
+				[]float64{1, 2, 4, 8, 16, 32, 64}, "group="+cfg.Name)
 		}
 		return el.queue
 	})
@@ -564,23 +583,28 @@ func (el *Element) Queue() *Queue { return el.queue }
 // Sender multicasts messages into a replication domain: it is a PBFT
 // client of that domain's ordering group with a FIFO above it. The client
 // keeps one request in flight (paper §3.6: one outstanding request per
-// connection); later payloads wait in order for the previous one's static
-// acknowledgement, which arrives once 1+f matching ACKs confirm it was
-// durably ordered. Like every protocol structure it lives on the
-// transport's delivery thread.
+// connection), and the unit it orders is what the sender has ready: the
+// payloads handed over together (every fragment of a message), or all that
+// queued behind the request in flight, go as one pack (see pack.go) of at
+// most MaxPackBytes and MaxPackPayloads when its static acknowledgement
+// arrives — once 1+f matching ACKs confirm it was durably ordered. Like
+// every protocol structure it lives on the transport's delivery thread.
 type Sender struct {
 	client *pbft.Client
 
-	// OnAck, if set, observes each acknowledged send.
-	OnAck func(clientSeq uint64)
+	// OnAck, if set, observes each acknowledged payload, by the number Send
+	// returned for it, in order.
+	OnAck func(n uint64)
 
-	busy    bool
-	current *obs.Span // the in-flight payload's span
-	queue   []queuedSend
+	sent     uint64       // payloads handed over so far
+	inFlight []queuedSend // the payloads of the request in flight
+	queue    []queuedSend // payloads waiting for it to be acknowledged
 }
 
-// queuedSend is a payload waiting for the one in flight to be acknowledged.
+// queuedSend is one payload handed to the sender: its number in the
+// sender's stream, and the span that ends when it is acknowledged.
 type queuedSend struct {
+	n    uint64
 	data []byte
 	span *obs.Span
 }
@@ -593,51 +617,87 @@ func NewSender(d *Domain, id, addr string, timeout time.Duration) (*Sender, erro
 		return nil, fmt.Errorf("srm: sender %s: %w", id, err)
 	}
 	s := &Sender{client: cli}
-	cli.OnResult = func(seq uint64, result []byte) {
+	cli.OnResult = func(_ uint64, result []byte) {
 		// The static ACK is the only valid PBFT-level reply; anything else
 		// leaves the queue where it is.
 		if string(result) != string(Ack) {
 			return
 		}
-		s.busy = false
-		s.current.End()
-		for !s.busy && len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			_, _ = s.transmit(next.data, next.span) // a refusal ends its span; the next payload goes
-		}
-		if s.OnAck != nil {
-			s.OnAck(seq)
+		acked := s.inFlight
+		s.inFlight = nil
+		_ = s.flush() // a refused pack has its spans ended; nobody else waits on it
+		for _, p := range acked {
+			p.span.End()
+			if s.OnAck != nil {
+				s.OnAck(p.n)
+			}
 		}
 	}
 	return s, nil
 }
 
-// Send multicasts data into the domain, returning the client sequence
-// number it is ordered under.
+// Send multicasts data into the domain, returning its number in the
+// sender's stream: 1 for the first payload handed over, then 2, 3, ...
 func (s *Sender) Send(data []byte) (uint64, error) { return s.SendTraced(data, nil) }
 
-// SendTraced is Send for a payload traced by the detached span sp
-// (nil-safe), which ends when the payload is acknowledged or at once if the
-// send fails outright. A payload sent while another is in flight waits its
-// turn.
+// SendTraced is Send for a payload traced by the detached span sp (nil-safe).
 func (s *Sender) SendTraced(data []byte, sp *obs.Span) (uint64, error) {
-	if s.busy {
-		s.queue = append(s.queue, queuedSend{data, sp})
-		return s.client.LastSeq() + uint64(len(s.queue)), nil
-	}
-	return s.transmit(data, sp)
+	return s.SendAll([][]byte{data}, sp)
 }
 
-// transmit hands data to the PBFT client, ending sp at once if the client
-// refuses it.
-func (s *Sender) transmit(data []byte, sp *obs.Span) (uint64, error) {
-	seq, err := s.client.Invoke(data)
-	if err != nil {
+// SendAll multicasts payloads, in order, as one message's worth: they go in
+// one request if no request is in flight and they fit one pack, else with
+// whatever else is ready when the request in flight is acknowledged. It
+// returns the number of the last payload. The detached span sp (nil-safe)
+// ends when the last payload is acknowledged, or at once if the PBFT client
+// refuses the request that carries it — the error then returned.
+func (s *Sender) SendAll(payloads [][]byte, sp *obs.Span) (uint64, error) {
+	if len(payloads) == 0 {
 		sp.End()
-		return 0, err
+		return s.sent, nil
 	}
-	s.busy = true
-	s.current = sp
-	return seq, nil
+	for i, data := range payloads {
+		s.sent++
+		p := queuedSend{n: s.sent, data: data}
+		if i == len(payloads)-1 {
+			p.span = sp
+		}
+		s.queue = append(s.queue, p)
+	}
+	if s.inFlight != nil {
+		return s.sent, nil
+	}
+	return s.sent, s.flush()
+}
+
+// flush sends what is queued, one pack at a time, until a request is in
+// flight or nothing is left. A request the PBFT client refuses ends its
+// payloads' spans, and the next pack goes; the last refusal is returned.
+func (s *Sender) flush() error {
+	var err error
+	for s.inFlight == nil && len(s.queue) > 0 {
+		k, size := 1, len(packMarker)+packHeaderLen+packEntryLen+len(s.queue[0].data)
+		for ; k < len(s.queue) && k < MaxPackPayloads; k++ {
+			if size += packEntryLen + len(s.queue[k].data); size > MaxPackBytes {
+				break
+			}
+		}
+		batch := s.queue[:k:k]
+		s.queue = s.queue[k:]
+		payloads := make([][]byte, k)
+		for i, p := range batch {
+			payloads[i] = p.data
+		}
+		if _, err = s.client.Invoke(packOp(payloads)); err != nil {
+			for _, p := range batch {
+				p.span.End()
+			}
+			continue
+		}
+		s.inFlight = batch
+	}
+	if len(s.queue) == 0 {
+		s.queue = nil
+	}
+	return err
 }
