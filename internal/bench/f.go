@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"itdos/internal/cdr"
 	"itdos/internal/fault"
@@ -12,6 +14,7 @@ import (
 	"itdos/internal/obs/flight"
 	"itdos/internal/pbft"
 	"itdos/internal/smiop"
+	"itdos/internal/srm"
 )
 
 // F1 reproduces Figure 1 as a running scenario: a singleton client invokes
@@ -95,10 +98,18 @@ func classifyStack(payload []byte) string {
 	}
 	switch m := msg.(type) {
 	case *pbft.Request:
-		if env, err := smiop.DecodeEnvelope(m.Op); err == nil {
-			return "ordered:" + env.Kind.String()
+		// A pack is labelled by its envelopes' kinds, in order, once each.
+		var kinds []string
+		for _, op := range srm.Payloads(m.Op) {
+			env, err := smiop.DecodeEnvelope(op)
+			if err != nil {
+				return "pbft:REQUEST"
+			}
+			if k := env.Kind.String(); !slices.Contains(kinds, k) {
+				kinds = append(kinds, k)
+			}
 		}
-		return "pbft:REQUEST"
+		return "ordered:" + strings.Join(kinds, "+")
 	default:
 		return "pbft:" + msg.Type().String()
 	}

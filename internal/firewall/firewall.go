@@ -12,6 +12,7 @@ import (
 	"itdos/internal/netsim"
 	"itdos/internal/pbft"
 	"itdos/internal/smiop"
+	"itdos/internal/srm"
 )
 
 // Policy configures a proxy.
@@ -106,27 +107,30 @@ func (p *Proxy) Filter() netsim.Filter {
 }
 
 // admit checks that the frame parses as PBFT protocol traffic and, when it
-// carries an ordered application message, that the SMIOP envelope kind is
-// allowed.
+// carries ordered application messages, that each is an SMIOP envelope of an
+// allowed kind.
 func (p *Proxy) admit(payload []byte) bool {
 	msg, err := pbft.Decode(payload)
 	if err != nil {
 		p.stats.DroppedDecode++
 		return false
 	}
-	// Requests carry SMIOP envelopes into the enclave; inspect them.
+	// Requests carry SMIOP envelopes into the enclave — one, or a sender's
+	// pack of them — read as the domain's queue will read them.
 	req, ok := msg.(*pbft.Request)
 	if !ok {
 		return true // replica-to-replica protocol traffic
 	}
-	env, err := smiop.DecodeEnvelope(req.Op)
-	if err != nil {
-		p.stats.DroppedDecode++
-		return false
-	}
-	if p.policy.AllowKinds != nil && !p.policy.AllowKinds[env.Kind] {
-		p.stats.DroppedKind++
-		return false
+	for _, op := range srm.Payloads(req.Op) {
+		env, err := smiop.DecodeEnvelope(op)
+		if err != nil {
+			p.stats.DroppedDecode++
+			return false
+		}
+		if p.policy.AllowKinds != nil && !p.policy.AllowKinds[env.Kind] {
+			p.stats.DroppedKind++
+			return false
+		}
 	}
 	return true
 }

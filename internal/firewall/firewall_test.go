@@ -120,6 +120,69 @@ func TestProxyEnforcesKindPolicy(t *testing.T) {
 	}
 }
 
+// TestProxyReadsPacks: a sender orders what it has ready as one request — a
+// message's fragments handed over together, or a burst queued behind the
+// request in flight — so a request may carry a pack of envelopes. The proxy
+// passes a pack of allowed envelopes and drops one that carries a disallowed
+// kind, whatever else it carries.
+func TestProxyReadsPacks(t *testing.T) {
+	dataOnly := Policy{AllowKinds: map[smiop.Kind]bool{smiop.KindData: true}}
+	open := (&smiop.Envelope{Kind: smiop.KindOpenRequest, SrcDomain: "alice",
+		Payload: (&smiop.OpenRequest{Initiator: "alice", Target: "enclave"}).Encode()}).Encode()
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		send   func(s *srm.Sender) error
+		sent   int // payloads handed to the sender
+		passed bool
+	}{
+		{"two fragments", dataOnly, func(s *srm.Sender) error {
+			_, err := s.SendAll([][]byte{dataEnvelope(), dataEnvelope()}, nil)
+			return err
+		}, 2, true},
+		{"queued burst", dataOnly, func(s *srm.Sender) error {
+			for i := 0; i < 3; i++ {
+				if _, err := s.Send(dataEnvelope()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 3, true},
+		{"disallowed kind in a pack", dataOnly, func(s *srm.Sender) error {
+			_, err := s.SendAll([][]byte{dataEnvelope(), open}, nil)
+			return err
+		}, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, dom, proxy := buildDomain(t, tc.policy)
+			delivered := 0
+			for _, el := range dom.Elements {
+				el.OnDeliver = func(uint64, string, []byte) { delivered++ }
+			}
+			sender, err := srm.NewSender(dom, "alice", "alice/tx", 50*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acks := 0
+			sender.OnAck = func(uint64) { acks++ }
+			if err := tc.send(sender); err != nil {
+				t.Fatal(err)
+			}
+			net.RunFor(2 * time.Second) // many retransmission timeouts
+			st := proxy.Stats()
+			if !tc.passed {
+				if delivered != 0 || acks != 0 || st.DroppedKind == 0 {
+					t.Fatalf("pack with a disallowed kind: %d delivered, %d ACKs, stats %+v", delivered, acks, st)
+				}
+				return
+			}
+			if acks != tc.sent || delivered != 4*tc.sent || st.DroppedDecode+st.DroppedKind != 0 {
+				t.Fatalf("%d ACKs, %d delivered, want %d and %d (stats %+v)", acks, delivered, tc.sent, 4*tc.sent, st)
+			}
+		})
+	}
+}
+
 func TestProxyRateLimits(t *testing.T) {
 	net, dom, proxy := buildDomain(t, Policy{RatePerSource: 5, RateWindow: 1 << 30})
 	net.AddNode("flood", netsim.HandlerFunc(func(netsim.NodeID, []byte) {}))

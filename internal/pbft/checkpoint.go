@@ -20,6 +20,9 @@ type checkpointState struct {
 	// last answered each peer. Both go with the record in stabilise.
 	wire     []byte
 	servedAt map[ReplicaID]uint64
+	// waiting are the peers that asked for this checkpoint before it was
+	// stable here, in arrival order; stabilise answers them.
+	waiting []ReplicaID
 }
 
 // stateDigest combines an application digest and a serialised client table
@@ -168,5 +171,12 @@ func (r *Replica) stabilise(seq uint64, proof []*Checkpoint) {
 		}
 	}
 	r.reindexLog()
+	if cs, ok := r.snapshots[seq]; ok {
+		waiting := cs.waiting
+		cs.waiting = nil
+		for _, id := range waiting {
+			r.onFetchState(&FetchState{Seq: seq, Replica: id})
+		}
+	}
 	r.flushPending(nil)
 }

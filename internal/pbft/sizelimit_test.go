@@ -143,12 +143,14 @@ func (e *ppEnv) Broadcast(data []byte) {
 // few octets under the TCP frame bound. No replica orders it, so no
 // pre-prepare carrying it is ever refused by the transport, no backup waits
 // for it into a view change, and another client's requests keep being
-// ordered for several view timeouts.
+// ordered for several view timeouts. The timeout is far above what a
+// scheduling stall on a loaded machine lasts, so a view change here is the
+// defect, not noise.
 func TestOversizeRequestOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and wall-clock timers; skipped in -short")
 	}
-	const n, viewTimeout = 4, 100 * time.Millisecond
+	const n, viewTimeout = 4, 400 * time.Millisecond
 	seed, ring := []byte("oversize-tcp"), NewKeyring()
 	hosts := map[string][]string{"clients": {"client"}}
 	for i := 0; i < n; i++ {
@@ -197,7 +199,7 @@ func TestOversizeRequestOverTCP(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	for i := 1; time.Since(start) < 5*viewTimeout; i++ {
+	for i := 1; time.Since(start) < 3*viewTimeout; i++ {
 		trs["clients"].Post(func() {
 			if _, err := honest.Invoke([]byte(fmt.Sprintf("op-%d", i))); err != nil {
 				results <- err.Error()

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"slices"
 
 	"itdos/internal/cdr"
 	"itdos/internal/obs/flight"
@@ -88,6 +89,13 @@ func (r *Replica) requestState(seq uint64, proof []*Checkpoint) {
 // served once the group moves.
 func (r *Replica) onFetchState(fs *FetchState) {
 	if r.lowWater < fs.Seq || len(r.stableProof) == 0 {
+		// A lagging peer asks as soon as it holds a checkpoint's quorum,
+		// which can be before this replica holds it, and it does not ask
+		// for that checkpoint again: if this replica has taken it, answer
+		// when it is stable.
+		if cs, ok := r.snapshots[fs.Seq]; ok && !slices.Contains(cs.waiting, fs.Replica) {
+			cs.waiting = append(cs.waiting, fs.Replica)
+		}
 		return
 	}
 	cs, ok := r.snapshots[r.lowWater]

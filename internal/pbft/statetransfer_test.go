@@ -104,6 +104,53 @@ func TestRepeatedFetchStateIsAnsweredOnce(t *testing.T) {
 	}
 }
 
+// TestFetchBeforeStableIsAnsweredWhenStable: a lagging replica asks for a
+// checkpoint as soon as it holds the checkpoint's quorum, which can be before
+// the peer it asks holds it, and it does not ask for that checkpoint again.
+// The peer answers once the checkpoint is stable there, exactly once; a
+// checkpoint it has not taken is not remembered.
+func TestFetchBeforeStableIsAnsweredWhenStable(t *testing.T) {
+	h := newHarness(t, 4, 1, 23)
+	h.ops(t, 0, 3)
+	h.net.Run(1_000_000)
+	// Hold the others' checkpoints back from replica 0: it takes checkpoint
+	// 4 but cannot stabilise it.
+	var held [][]byte
+	h.net.AddFilter(func(from, dst netsim.NodeID, payload []byte) ([]byte, bool) {
+		if m, err := Decode(payload); err == nil && dst == h.group.Addrs[0] && m.Type() == MTCheckpoint {
+			held = append(held, payload)
+			return nil, true
+		}
+		return nil, false
+	})
+	w := watchStateData(h, 3, nil)
+	h.ops(t, 3, 4)
+	h.net.Run(1_000_000)
+	r0 := h.group.Replicas[0]
+	if r0.lastExec != 4 || r0.lowWater != 0 || len(held) != 3 {
+		t.Fatalf("fixture: replica 0 executed %d, stable at %d, %d checkpoints held", r0.lastExec, r0.lowWater, len(held))
+	}
+	for _, seq := range []uint64{4, 4, 8} {
+		fs := &FetchState{Seq: seq, Replica: 3}
+		h.group.Replicas[3].sign(fs)
+		r0.HandleMessage(Encode(fs))
+	}
+	h.net.Run(1_000_000)
+	if got := w.from[h.group.Addrs[0]]; got != 0 {
+		t.Fatalf("answered %d times before the checkpoint was stable", got)
+	}
+	for _, cp := range held {
+		r0.HandleMessage(cp)
+	}
+	h.net.Run(1_000_000)
+	if r0.lowWater != 4 {
+		t.Fatalf("replica 0 stable at %d, want 4", r0.lowWater)
+	}
+	if got := w.from[h.group.Addrs[0]]; got != 1 {
+		t.Fatalf("answered %d times once stable, want 1", got)
+	}
+}
+
 // TestRecoverAndLagEachGetOneAnswerPerPeer: the two legitimate requesters —
 // Recover's broadcast and a lagging replica's requestState — are each
 // answered exactly once by every peer asked.

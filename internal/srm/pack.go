@@ -28,11 +28,8 @@ var packMarker = []byte("\x00SRM-PACK\x00")
 
 // MaxPackBytes bounds a pack's encoding. Half a request's worth
 // (pbft.MaxRequestBytes) leaves the other half for the request's own fields,
-// so a full pack is a request every replica orders, and a batch of sixteen
-// full packs — the cluster's MaxBatch — stays within pbft.MaxBatchBytes, so
-// in one pre-prepare and one transport frame (TestPackBudget pins the
-// arithmetic). A lone payload is not a pack and is bounded only by
-// pbft.MaxRequestBytes.
+// so a full pack is a request every replica orders (TestPackBudget). A lone
+// payload is not a pack and is bounded only by pbft.MaxRequestBytes.
 const MaxPackBytes = pbft.MaxRequestBytes / 2
 
 // MaxPackPayloads bounds the payloads of one pack: one request can displace
@@ -97,6 +94,17 @@ func decodePack(op []byte) ([][]byte, bool) {
 		return nil, false
 	}
 	return payloads, true
+}
+
+// Payloads returns the messages an ordered op carries: the payloads of a
+// well-formed pack, which alias op, else op itself. It is the one reading of
+// an op that Execute, and anything inspecting ordered requests on the way to
+// a domain, applies.
+func Payloads(op []byte) [][]byte {
+	if payloads, ok := decodePack(op); ok {
+		return payloads
+	}
+	return [][]byte{op}
 }
 
 // packOp is what a sender hands the PBFT client for payloads sent together:

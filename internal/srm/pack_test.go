@@ -9,7 +9,6 @@ import (
 
 	"itdos/internal/obs"
 	"itdos/internal/pbft"
-	"itdos/internal/transport/tcp"
 )
 
 // packGolden is the pack encoding of ("a", "", "bc"): marker, count 3, then
@@ -30,45 +29,24 @@ func TestPackGolden(t *testing.T) {
 	}
 }
 
-// TestPackBudget pins the arithmetic behind MaxPackBytes: the request
-// carrying a full pack is one every replica orders, and sixteen of them —
-// the cluster's MaxBatch — fit pbft.MaxBatchBytes, whose pre-prepare fits
-// one TCP frame. The request names a client and a reply address longer than
-// any the system builds.
+// TestPackBudget: the request carrying a full pack is one every replica
+// orders. It names a client and a reply address longer than any the system
+// builds.
 func TestPackBudget(t *testing.T) {
-	const clusterMaxBatch = 16
 	ring := pbft.NewKeyring()
 	id := strings.Repeat("c", 100)
 	priv, err := pbft.DeriveIdentity(id, []byte("budget"), ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth := pbft.NewEd25519Auth(id, priv, ring)
 	full := encodePack([][]byte{make([]byte, MaxPackBytes-len(packMarker)-packHeaderLen-packEntryLen)})
 	if len(full) != MaxPackBytes {
 		t.Fatalf("full pack is %d bytes, want %d", len(full), MaxPackBytes)
 	}
-	batch := make([]*pbft.Request, clusterMaxBatch)
-	size := 0
-	for i := range batch {
-		batch[i] = &pbft.Request{ClientID: id, ClientSeq: uint64(i + 1), Op: full, ReplyTo: id + "/tx/" + id}
-		pbft.SignMessage(auth, batch[i])
-		size += batch[i].Size()
-	}
-	if batch[0].Size() > pbft.MaxRequestBytes {
-		t.Fatalf("a full pack's request is %d bytes, over pbft.MaxRequestBytes %d", batch[0].Size(), pbft.MaxRequestBytes)
-	}
-	if size > pbft.MaxBatchBytes {
-		t.Fatalf("%d full packs are %d bytes, over pbft.MaxBatchBytes %d", clusterMaxBatch, size, pbft.MaxBatchBytes)
-	}
-	pp := &pbft.PrePrepare{View: 1 << 40, Seq: 1 << 40, Digest: pbft.BatchDigest(batch), Requests: batch,
-		Sig: make([]byte, 64)}
-	frame, err := tcp.AppendFrame(nil, "dom/r0", "dom/r1", pbft.Encode(pp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := len(frame) - 4; body > tcp.DefaultMaxFrame {
-		t.Fatalf("pre-prepare of %d full packs is a %d-byte frame body, over %d", clusterMaxBatch, body, tcp.DefaultMaxFrame)
+	req := &pbft.Request{ClientID: id, ClientSeq: 1 << 40, Op: full, ReplyTo: id + "/tx/" + id}
+	pbft.SignMessage(pbft.NewEd25519Auth(id, priv, ring), req)
+	if req.Size() > pbft.MaxRequestBytes {
+		t.Fatalf("a full pack's request is %d bytes, over pbft.MaxRequestBytes %d", req.Size(), pbft.MaxRequestBytes)
 	}
 }
 

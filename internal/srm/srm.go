@@ -100,11 +100,7 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 // message gets its own sequence number, chain link and delivery, in order,
 // all with the request's authenticated sender.
 func (q *Queue) Execute(clientID string, op []byte) []byte {
-	op = append([]byte(nil), op...)
-	payloads, ok := decodePack(op)
-	if !ok {
-		payloads = [][]byte{op}
-	}
+	payloads := Payloads(append([]byte(nil), op...))
 	q.hPayloads.Observe(float64(len(payloads)))
 	for _, data := range payloads {
 		q.append(clientID, data)
@@ -638,12 +634,7 @@ func NewSender(d *Domain, id, addr string, timeout time.Duration) (*Sender, erro
 
 // Send multicasts data into the domain, returning its number in the
 // sender's stream: 1 for the first payload handed over, then 2, 3, ...
-func (s *Sender) Send(data []byte) (uint64, error) { return s.SendTraced(data, nil) }
-
-// SendTraced is Send for a payload traced by the detached span sp (nil-safe).
-func (s *Sender) SendTraced(data []byte, sp *obs.Span) (uint64, error) {
-	return s.SendAll([][]byte{data}, sp)
-}
+func (s *Sender) Send(data []byte) (uint64, error) { return s.SendAll([][]byte{data}, nil) }
 
 // SendAll multicasts payloads, in order, as one message's worth: they go in
 // one request if no request is in flight and they fit one pack, else with

@@ -17,6 +17,9 @@ type testDomain struct {
 	seed   []byte     // what the domain's keys are derived from
 	deliv  [][]string // per element, delivered payloads in order
 	desync []bool
+	// reqAcks counts, per sender built by sender, the requests its PBFT
+	// client has had statically acknowledged.
+	reqAcks map[*Sender]int
 }
 
 func newTestDomain(t *testing.T, n, f, capacity int, seed int64) *testDomain {
@@ -74,6 +77,16 @@ func (td *testDomain) sender(t testing.TB, id string) (*Sender, *int) {
 		t.Fatal(err)
 	}
 	s.OnAck = func(uint64) { *acks++ }
+	onResult := s.client.OnResult
+	s.client.OnResult = func(seq uint64, result []byte) {
+		if string(result) == string(Ack) {
+			if td.reqAcks == nil {
+				td.reqAcks = make(map[*Sender]int)
+			}
+			td.reqAcks[s]++
+		}
+		onResult(seq, result)
+	}
 	return s, acks
 }
 
@@ -430,7 +443,7 @@ func TestQueuedSender(t *testing.T) {
 			spans := make([]*obs.Span, k)
 			for i := range spans {
 				spans[i] = tr.StartDetached("srm.order")
-				if seq, err := s.SendTraced([]byte(fmt.Sprintf("m%d", i)), spans[i]); err != nil || seq != uint64(i+1) {
+				if seq, err := s.SendAll([][]byte{[]byte(fmt.Sprintf("m%d", i))}, spans[i]); err != nil || seq != uint64(i+1) {
 					t.Fatalf("send %d: seq %d, err %v", i, seq, err)
 				}
 			}
@@ -455,14 +468,14 @@ func TestQueuedSender(t *testing.T) {
 				t.Fatal(err)
 			}
 			failed := tr.StartDetached("srm.order")
-			if _, err := s.SendTraced([]byte("refused"), failed); err == nil || !failed.Ended() {
+			if _, err := s.SendAll([][]byte{[]byte("refused")}, failed); err == nil || !failed.Ended() {
 				t.Fatalf("refused send: err %v, span ended %v", err, failed.Ended())
 			}
 		}},
 		{"non-ack-result-holds-the-queue", func(t *testing.T, td *testDomain, s *Sender, tr *obs.Tracer) {
 			first, second := tr.StartDetached("srm.order"), tr.StartDetached("srm.order")
-			s.SendTraced([]byte("first"), first)
-			s.SendTraced([]byte("second"), second)
+			s.SendAll([][]byte{[]byte("first")}, first)
+			s.SendAll([][]byte{[]byte("second")}, second)
 			acks := 0
 			s.OnAck = func(uint64) { acks++ }
 			s.client.OnResult(1, []byte("not-the-ack"))
@@ -484,8 +497,11 @@ func TestQueuedSender(t *testing.T) {
 	}
 }
 
-// run steps the network until n sends of s are acknowledged, failing if s's
-// client ever has more than one request outstanding.
+// run steps the network until n payloads of s are acknowledged, failing if
+// s's client ever has more than one request outstanding: more issued than
+// statically acknowledged. A request carries one payload or a pack of them,
+// so requests are counted at the client, not at OnAck. s comes from
+// td.sender.
 func (td *testDomain) run(t *testing.T, s *Sender, n int) {
 	t.Helper()
 	acked := 0
@@ -497,7 +513,7 @@ func (td *testDomain) run(t *testing.T, s *Sender, n int) {
 		}
 	}
 	if err := td.net.RunUntil(func() bool {
-		if out := int(s.client.LastSeq()) - acked; out > 1 {
+		if out := int(s.client.LastSeq()) - td.reqAcks[s]; out > 1 {
 			t.Fatalf("%d requests outstanding", out)
 		}
 		return acked >= n
