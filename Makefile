@@ -97,14 +97,17 @@ bench-mem:
 
 # The profile that names a layer before an optimisation: BenchmarkInProcCall
 # (add and echo16k through five loopback nodes in one process, 32 callers)
-# at a fixed 3000 calls each, its flat CPU profile and who calls the
-# signature pair, in bench-out/INPROC_PROFILE.txt.
+# at a fixed 3000 calls each, its flat CPU profile, who signs and verifies,
+# and who feeds SHA-256 and the GCM seal and open — the hashing and sealing
+# passes per layer — in bench-out/INPROC_PROFILE.txt.
 .PHONY: bench-inproc
 bench-inproc:
 	mkdir -p bench-out
 	$(GO) test -run='^$$' -bench=InProcCall -benchtime=3000x -cpuprofile=bench-out/inproc.cpu -o bench-out/cluster.test ./internal/cluster | tee bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -top bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
-	$(GO) tool pprof -peek 'SignSHA256$$|VerifySHA256$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
+	$(GO) tool pprof -peek 'SignSHA256$$|VerifySHA256$$|signDigest$$|verifyDigest$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
+	$(GO) tool pprof -peek 'sha256\.\(\*Digest\)\.Write$$|crypto/sha256\.Sum256$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
+	$(GO) tool pprof -peek 'gcm\.\(\*GCM\)\.(Seal|Open)$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 
 # Continuous fuzzing of each decoder boundary, FUZZTIME per target.
 fuzz:

@@ -8,19 +8,19 @@ import (
 	"slices"
 )
 
-// checkCTMAC protects communication-key confidentiality (paper §2, §3.5):
-// a variable-time comparison of a keyed authenticator leaks how many bytes
-// matched, which an adversary with a timing side channel can turn into a
-// forgery oracle. Every comparison of MAC tags in the packages that compute
-// them — the seckey seal, the SMIOP layers over it, the DPRF, and PBFT's
-// pairwise commit/acknowledgement authenticators — must go through
-// hmac.Equal or subtle.ConstantTimeCompare. Public digests (SHA-256 of a
-// message every replica holds) and signatures are not keyed material and
-// compare however they like.
+// checkCTMAC protects message integrity under pairwise keys (paper §2,
+// §3.5): a variable-time comparison of a keyed authenticator leaks how many
+// bytes matched, which an adversary with a timing side channel can turn into
+// a forgery oracle. The one package that compares MAC tags is PBFT, whose
+// pairwise commit/acknowledgement authenticators must go through hmac.Equal
+// or subtle.ConstantTimeCompare; the seckey seal is AES-GCM, whose tag the
+// cipher checks itself. Public digests (SHA-256 of a message every replica
+// holds) and signatures are not keyed material and compare however they
+// like.
 var checkCTMAC = &Check{
 	Name:  "ct-mac",
 	Doc:   "requires constant-time comparison (hmac.Equal / subtle.ConstantTimeCompare) for MAC tags",
-	Paths: []string{"internal/seckey", "internal/smiop", "internal/dprf", "internal/pbft"},
+	Paths: []string{"internal/pbft"},
 	Run:   runCTMAC,
 }
 

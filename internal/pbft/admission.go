@@ -95,12 +95,15 @@ func (r *Replica) dispatch(m Message) {
 	}
 }
 
-// validBatch checks a pre-prepare's piggybacked batch against its digest:
-// the digest must cover the batch, every request must carry a valid client
-// signature, and a Byzantine primary may not stuff the same request into a
-// batch twice, nor order a request over MaxRequestBytes or a batch over
-// MaxBatchBytes. An empty batch must carry the null digest (view-change gap
-// filler). The sizes are checked before any signature.
+// validBatch checks a pre-prepare's piggybacked batch against its digest.
+// The primary's signature covers the header alone, so this is what binds
+// the requests to it, wherever a pre-prepare is admitted (onPrePrepare,
+// verifyViewChange, onNewView): the digest must cover the batch, every
+// request must carry a valid client signature, and a Byzantine primary may
+// not stuff the same request into a batch twice, nor order a request over
+// MaxRequestBytes or a batch over MaxBatchBytes. An empty batch must carry
+// the null digest (view-change gap filler). The sizes are checked before
+// any signature.
 func (r *Replica) validBatch(pp *PrePrepare) bool {
 	if len(pp.Requests) == 0 {
 		return pp.Digest.IsNull()

@@ -30,10 +30,11 @@ const MACSize = 16
 // Implementations must be safe for concurrent use: live environments verify
 // from multiple connection goroutines.
 type Authenticator interface {
-	// Sign returns a signature over msg for the local identity.
-	Sign(msg []byte) []byte
-	// Verify reports whether sig is a valid signature over msg by sender.
-	Verify(sender string, msg, sig []byte) bool
+	// Sign returns the local identity's signature over d, the SHA-256 digest
+	// of a message's signing bytes.
+	Sign(d Digest) []byte
+	// Verify reports whether sig is sender's signature over d.
+	Verify(sender string, d Digest, sig []byte) bool
 	// MAC returns the MACSize-byte tag over msg under the key the local
 	// identity shares with peer, or nil when there is no such key.
 	MAC(peer string, msg []byte) []byte
@@ -69,9 +70,9 @@ func Identities(group string, n int) []string {
 // holds one tag per replica, slot i under the key shared with ids[i]; the
 // sender's own slot stays zero, as does that of a peer it has no key with.
 func signIn(auth Authenticator, m Message, ids []string) {
-	b := signingBytes(m)
 	switch msg := m.(type) {
 	case *Commit:
+		b := signingBytes(m)
 		tags := make([]byte, len(ids)*MACSize)
 		for i, id := range ids {
 			if ReplicaID(i) != msg.Replica {
@@ -80,12 +81,11 @@ func signIn(auth Authenticator, m Message, ids []string) {
 		}
 		msg.Sig = tags
 	case *Reply:
-		msg.Sig = auth.MAC(msg.ClientID, b)
+		msg.Sig = auth.MAC(msg.ClientID, signingBytes(m))
+	case *Request:
+		msg.sign(auth)
 	default:
-		*m.sigRef() = auth.Sign(b)
-		if req, ok := m.(*Request); ok {
-			req.rehash()
-		}
+		*m.sigRef() = auth.Sign(signingDigest(m))
 	}
 }
 
@@ -113,7 +113,7 @@ func verifyIn(auth Authenticator, m Message, self ReplicaID, ids []string) bool 
 	case *Reply:
 		return auth.VerifyMAC(signer, signingBytes(m), msg.Sig)
 	default:
-		return auth.Verify(signer, signingBytes(m), *m.sigRef())
+		return auth.Verify(signer, signingDigest(m), *m.sigRef())
 	}
 }
 
@@ -125,14 +125,14 @@ type meteredAuth struct {
 	signs, verifies, macs *obs.Counter
 }
 
-func (a *meteredAuth) Sign(msg []byte) []byte {
+func (a *meteredAuth) Sign(d Digest) []byte {
 	a.signs.Inc()
-	return a.Authenticator.Sign(msg)
+	return a.Authenticator.Sign(d)
 }
 
-func (a *meteredAuth) Verify(sender string, msg, sig []byte) bool {
+func (a *meteredAuth) Verify(sender string, d Digest, sig []byte) bool {
 	a.verifies.Inc()
-	return a.Authenticator.Verify(sender, msg, sig)
+	return a.Authenticator.Verify(sender, d, sig)
 }
 
 func (a *meteredAuth) MAC(peer string, msg []byte) []byte {
@@ -216,36 +216,47 @@ func NewEd25519Auth(identity string, priv ed25519.PrivateKey, ring *Keyring) *Ed
 }
 
 // Sign implements Authenticator.
-func (a *Ed25519Auth) Sign(msg []byte) []byte {
-	return SignSHA256(a.priv, msg)
+func (a *Ed25519Auth) Sign(d Digest) []byte {
+	return signDigest(a.priv, d)
 }
 
 // Verify implements Authenticator.
-func (a *Ed25519Auth) Verify(sender string, msg, sig []byte) bool {
+func (a *Ed25519Auth) Verify(sender string, d Digest, sig []byte) bool {
 	pub, ok := a.ring.Lookup(sender)
-	return ok && VerifySHA256(pub, msg, sig)
+	return ok && verifyDigest(pub, d, sig)
 }
 
 // SignSHA256 signs msg as the holder of priv: Ed25519 over the SHA-256
-// digest of msg, not over msg. With VerifySHA256 it is the one place a
-// signature is made or checked, so PBFT messages, SMIOP payloads and the
-// Group Manager's proof items move together. Ed25519 runs SHA-512 over its
+// digest of msg, not over msg. Every signature in the system is signDigest
+// over a SHA-256 digest and is checked by verifyDigest: SMIOP payloads and
+// the Group Manager's proof items through SignSHA256 and VerifySHA256, PBFT
+// messages through Ed25519Auth with their digest in hand (a request caches
+// its own), so all of them move together. Ed25519 runs SHA-512 over its
 // whole input twice to sign and once to verify; over a 32-byte commitment
 // the message's bytes are hashed once, at SHA-256's speed. A signature binds
 // msg only as far as SHA-256 resists collisions, which ordering already
 // assumes of every digest it certifies (DESIGN §4).
 func SignSHA256(priv ed25519.PrivateKey, msg []byte) []byte {
-	d := sha256.Sum256(msg)
-	return ed25519.Sign(priv, d[:])
+	return signDigest(priv, sha256.Sum256(msg))
 }
 
 // VerifySHA256 reports whether sig is SignSHA256's signature over msg by the
 // holder of pub.
 func VerifySHA256(pub ed25519.PublicKey, msg, sig []byte) bool {
+	return verifyDigest(pub, sha256.Sum256(msg), sig)
+}
+
+// signDigest is Ed25519 over the 32-byte digest d.
+func signDigest(priv ed25519.PrivateKey, d Digest) []byte {
+	return ed25519.Sign(priv, d[:])
+}
+
+// verifyDigest reports whether sig is signDigest's signature over d by the
+// holder of pub.
+func verifyDigest(pub ed25519.PublicKey, d Digest, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
 		return false
 	}
-	d := sha256.Sum256(msg)
 	return ed25519.Verify(pub, d[:], sig)
 }
 

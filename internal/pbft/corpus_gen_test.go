@@ -41,7 +41,7 @@ func TestGenMACCorpus(t *testing.T) {
 		seeds = append(seeds, Encode(&r))
 	}
 	signed := *commit
-	signed.Sig = all["replica:2"].Sign(signingBytes(commit))
+	signed.Sig = all["replica:2"].Sign(signingDigest(commit))
 	seeds = append(seeds, Encode(&signed))
 	// The authenticator is the trailing ULong-counted octets: claim 2 GiB.
 	for _, good := range [][]byte{Encode(commit), Encode(reply)} {

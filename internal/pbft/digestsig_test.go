@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"testing"
@@ -148,16 +149,28 @@ func sigTable(t *testing.T) []sigCase {
 	data.sig = SignSHA256(privs[ids[2]], data.preimage())
 	pub2 := privs[ids[2]].Public().(ed25519.PublicKey)
 
+	// A pre-prepare's signature covers its header; a backup takes one only
+	// with its batch matching the digest (validBatch), so its row runs both.
+	ppRow := pbftRow("pre-prepare", pp, ids[0], func(m Message) []byte { return ppReq(m).Op },
+		with(reqEdits(ppReq), map[string]func(Message){
+			"view":    func(m Message) { m.(*PrePrepare).View++ },
+			"seq":     func(m Message) { m.(*PrePrepare).Seq++ },
+			"digest":  func(m Message) { m.(*PrePrepare).Digest[0] ^= 1 },
+			"replica": func(m Message) { m.(*PrePrepare).Replica = 3 },
+		}))
+	backup, err := NewReplica(Config{N: 4, F: 1, ID: 1, Group: "grp", Auth: auths[ids[1]]}, &logApp{}, &recEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppRow.verify = func(v any) bool {
+		back, err := Decode(Encode(v.(Message)))
+		return err == nil && backup.verify(back) && backup.validBatch(back.(*PrePrepare))
+	}
+
 	return []sigCase{
 		pbftRow("request", req, "client:x", func(m Message) []byte { return m.(*Request).Op },
 			reqEdits(func(m Message) *Request { return m.(*Request) })),
-		pbftRow("pre-prepare", pp, ids[0], func(m Message) []byte { return ppReq(m).Op },
-			with(reqEdits(ppReq), map[string]func(Message){
-				"view":    func(m Message) { m.(*PrePrepare).View++ },
-				"seq":     func(m Message) { m.(*PrePrepare).Seq++ },
-				"digest":  func(m Message) { m.(*PrePrepare).Digest[0] ^= 1 },
-				"replica": func(m Message) { m.(*PrePrepare).Replica = 3 },
-			})),
+		ppRow,
 		pbftRow("view-change", vc, ids[2], func(m Message) []byte { return vcPP(m).Requests[0].Op },
 			with(reqEdits(func(m Message) *Request { return vcPP(m).Requests[0] }), map[string]func(Message){
 				"new view":          func(m Message) { m.(*ViewChange).NewView++ },
@@ -198,10 +211,13 @@ func sigTable(t *testing.T) []sigCase {
 }
 
 // TestDigestSignatureTamper: every signature covers the SHA-256 digest of
-// its preimage, and still binds all of it. On a 16 KiB payload, flipping its
-// first, middle or last byte, editing any other signed field, or flipping any
-// octet of the signature makes the receiver's check fail, and so does a raw
-// Ed25519 signature over the preimage itself.
+// its preimage, and the receiver's check still binds all of the signed
+// object. On a 16 KiB payload, flipping its first, middle or last byte,
+// editing any other signed field, or flipping any octet of the signature
+// makes the receiver's check fail, and so does a raw Ed25519 signature over
+// the preimage itself. A pre-prepare's preimage is its header, so its
+// receiver's check is a backup's: the signature, then the batch against the
+// digest.
 func TestDigestSignatureTamper(t *testing.T) {
 	for _, c := range sigTable(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -311,8 +327,9 @@ func TestDigestSignatureDomains(t *testing.T) {
 
 // TestRequestDigestOnce: every request a sample message carries — on its
 // own, in a pre-prepare's batch, in a view change's certificates or a new
-// view — has, once decoded, the digest of its own standalone encoding, and
-// Digest returns it without encoding or hashing again. A request decoded
+// view — has, once decoded, the digest of its own standalone encoding and
+// the signing digest of its signing bytes, and returns both without encoding
+// or hashing again. A request decoded
 // from tampered bytes has the tampered request's digest.
 func TestRequestDigestOnce(t *testing.T) {
 	var reqs func(m Message) []*Request
@@ -355,8 +372,11 @@ func TestRequestDigestOnce(t *testing.T) {
 			if want := Digest(sha256.Sum256(Encode(req))); req.Digest() != want {
 				t.Errorf("%s request %d: digest %s, want %s", name, i, req.Digest(), want)
 			}
-			if allocs := testing.AllocsPerRun(10, func() { _ = req.Digest() }); allocs != 0 {
-				t.Errorf("%s request %d: Digest allocates %.0f times: it encodes again", name, i, allocs)
+			if want := Digest(sha256.Sum256(signingBytes(req))); signingDigest(req) != want {
+				t.Errorf("%s request %d: signing digest %s, want %s", name, i, signingDigest(req), want)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { _, _ = req.Digest(), signingDigest(req) }); allocs != 0 {
+				t.Errorf("%s request %d: Digest or signingDigest allocates %.0f times: it encodes again", name, i, allocs)
 			}
 		}
 	}
@@ -383,5 +403,97 @@ func TestRequestDigestOnce(t *testing.T) {
 		if back.Digest() == req.Digest() && string(Encode(back)) != string(wire) {
 			t.Fatalf("byte %d flipped: tampered request kept the original digest", i)
 		}
+	}
+}
+
+// TestPrePrepareBindsItsBatch: a pre-prepare's signature covers its header
+// alone, so the primary's signature stays good when a request under it is
+// edited, swapped, added or dropped. The batch digest refuses each of those
+// at all three places a pre-prepare is admitted — as a backup's proposal, in
+// a view change's prepared certificate, and among a new view's
+// re-proposals — and the untampered batch passes at each.
+func TestPrePrepareBindsItsBatch(t *testing.T) {
+	fx, _ := newPhaseFixture(t)
+	other := &Request{ClientID: "client:y", ClientSeq: 1, Op: []byte("op"), ReplyTo: "client/y"}
+	SignMessage(fx.auths["client:y"], other)
+	edited := func(edit func(*Request)) []*Request {
+		c := &Request{ClientID: fx.req.ClientID, ClientSeq: fx.req.ClientSeq, Op: bytes.Clone(fx.req.Op),
+			ReplyTo: fx.req.ReplyTo, Sig: bytes.Clone(fx.req.Sig)}
+		edit(c)
+		return []*Request{c}
+	}
+	batches := map[string][]*Request{
+		"op edited":             edited(func(r *Request) { r.Op[0] ^= 1 }),
+		"client seq edited":     edited(func(r *Request) { r.ClientSeq++ }),
+		"client signature bent": edited(func(r *Request) { r.Sig[0] ^= 1 }),
+		"swapped":               {other},
+		"added":                 {fx.req, other},
+		"dropped":               nil,
+	}
+	backup := func() *Replica {
+		r, err := NewReplica(Config{N: 4, F: 1, ID: 1, Group: "grp", Auth: fx.auths[fx.ids[1]]}, &logApp{}, &recEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// proposal is replica by's pre-prepare of fx.req's digest in view, over
+	// reqs; its signature is good whatever reqs holds.
+	proposal := func(view uint64, by ReplicaID, reqs []*Request) *PrePrepare {
+		pp := &PrePrepare{View: view, Seq: 1, Digest: fx.d, Requests: reqs, Replica: by}
+		signIn(fx.auths[fx.ids[by]], pp, fx.ids)
+		if !verifyIn(fx.auths[fx.ids[1]], pp, 1, fx.ids) {
+			t.Fatal("fixture: the primary's signature does not verify")
+		}
+		return pp
+	}
+	viewChange := func(by ReplicaID, reqs []*Request) *ViewChange {
+		proof := &PreparedProof{PrePrepare: proposal(0, 0, reqs)}
+		for _, id := range []ReplicaID{2, 3} {
+			p := &Prepare{Seq: 1, Digest: fx.d, Replica: id}
+			signIn(fx.auths[fx.ids[id]], p, fx.ids)
+			proof.Prepares = append(proof.Prepares, p)
+		}
+		vc := &ViewChange{NewView: 2, Prepared: []*PreparedProof{proof}, Replica: by}
+		signIn(fx.auths[fx.ids[by]], vc, fx.ids)
+		return vc
+	}
+	sites := []struct {
+		name string
+		// admit feeds reqs to a fresh backup at the site and reports whether
+		// it took them.
+		admit func(reqs []*Request) bool
+	}{
+		{"pre-prepare", func(reqs []*Request) bool {
+			r := backup()
+			r.HandleMessage(Encode(proposal(0, 0, reqs)))
+			return r.log[1] != nil && r.log[1].prePrepare != nil
+		}},
+		{"view change", func(reqs []*Request) bool {
+			r := backup()
+			r.HandleMessage(Encode(viewChange(2, reqs)))
+			return len(r.viewChanges[2]) == 1
+		}},
+		{"new view", func(reqs []*Request) bool {
+			r := backup()
+			vcs := []*ViewChange{viewChange(0, []*Request{fx.req}), viewChange(2, []*Request{fx.req}),
+				viewChange(3, []*Request{fx.req})}
+			nv := &NewView{View: 2, ViewChanges: vcs, PrePrepares: []*PrePrepare{proposal(2, 2, reqs)}, Replica: 2}
+			signIn(fx.auths[fx.ids[2]], nv, fx.ids)
+			r.HandleMessage(Encode(nv))
+			return r.view == 2
+		}},
+	}
+	for _, site := range sites {
+		t.Run(site.name, func(t *testing.T) {
+			if !site.admit([]*Request{fx.req}) {
+				t.Fatal("the untampered batch is refused")
+			}
+			for name, reqs := range batches {
+				if site.admit(reqs) {
+					t.Errorf("%s: accepted under the primary's signature", name)
+				}
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func TestCommitAuthenticatorTable(t *testing.T) {
 			}},
 			{"signed, not tagged", false, func() *Commit {
 				c := fresh()
-				c.Sig = fx.auths[fx.ids[2]].Sign(signingBytes(c))
+				c.Sig = fx.auths[fx.ids[2]].Sign(signingDigest(c))
 				return c
 			}},
 		}
@@ -192,7 +192,7 @@ func TestReplyAuthenticatorTable(t *testing.T) {
 			{"signed, not tagged", false, func() *Reply {
 				rep := fresh()
 				rep.Sig = nil
-				rep.Sig = fx.auths[fx.ids[2]].Sign(signingBytes(rep))
+				rep.Sig = fx.auths[fx.ids[2]].Sign(signingDigest(rep))
 				return rep
 			}},
 			{"replayed from another client", true, func() *Reply {

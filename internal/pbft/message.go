@@ -17,7 +17,10 @@ package pbft
 
 import (
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"itdos/internal/cdr"
 )
@@ -110,10 +113,12 @@ type Request struct {
 	// Sig is the client's signature.
 	Sig []byte
 
-	// digest and size cache Digest and Size once hashed is set.
-	digest Digest
-	size   int
-	hashed bool
+	// digest, signDigest and size cache Digest, signingDigest(m) and Size
+	// once hashed is set.
+	digest     Digest
+	signDigest Digest
+	size       int
+	hashed     bool
 }
 
 // Type implements Message.
@@ -174,16 +179,81 @@ func (m *Request) Size() int {
 	return m.size
 }
 
-// rehash computes the digest and size Digest and Size return from the
-// request's fields now: at decode, at signing, or on a first Digest.
+// rehash computes what Digest, signingDigest and Size return from the
+// request's fields now: at decode, or on a first Digest. One encoding serves
+// both digests, and SHA-256 reads it once: the signing bytes are the
+// encoding up to the signature's length field followed by a zero length, so
+// the hash of that shared prefix is finished twice.
 func (m *Request) rehash() {
 	enc := Encode(m)
-	m.digest, m.size, m.hashed = sha256.Sum256(enc), len(enc), true
+	at := len(enc) - len(m.Sig) - 4
+	p := newPrefixHash(enc[:at])
+	m.digest, m.signDigest = p.sum(enc[at:]), p.sum(zeroLength[:])
+	m.size, m.hashed = len(enc), true
+}
+
+// sign signs the request's fields as they stand as auth's identity and
+// caches what rehash would, from one encoding hashed once: the unsigned
+// request's encoding is its signing bytes, and the signed one differs only
+// in the trailing signature length and the signature after it.
+func (m *Request) sign(auth Authenticator) {
+	m.Sig = nil
+	enc := Encode(m)
+	p := newPrefixHash(enc[:len(enc)-4])
+	m.signDigest = p.sum(zeroLength[:])
+	m.Sig = auth.Sign(m.signDigest)
+	var sigLen [4]byte
+	binary.BigEndian.PutUint32(sigLen[:], uint32(len(m.Sig)))
+	m.digest = p.sum(sigLen[:], m.Sig)
+	m.size, m.hashed = len(enc)+len(m.Sig), true
+}
+
+// zeroLength is the signature length field of a request's signing bytes.
+var zeroLength [4]byte
+
+// prefixHash is the SHA-256 state after a prefix, kept so that hashes of the
+// prefix followed by different suffixes read the prefix once.
+type prefixHash struct {
+	h     hash.Hash
+	state []byte
+}
+
+func newPrefixHash(prefix []byte) prefixHash {
+	h := sha256.New()
+	h.Write(prefix)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("pbft: save SHA-256 state: %v", err))
+	}
+	return prefixHash{h: h, state: state}
+}
+
+// sum returns SHA-256 of the prefix followed by the suffix parts.
+func (p prefixHash) sum(suffix ...[]byte) Digest {
+	if err := p.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+		panic(fmt.Sprintf("pbft: restore SHA-256 state: %v", err))
+	}
+	for _, b := range suffix {
+		p.h.Write(b)
+	}
+	var d Digest
+	p.h.Sum(d[:0])
+	return d
+}
+
+// encodedBound is at least the length of the request's encoding wherever it
+// starts in a stream: its variable fields, their length prefixes, the type
+// octet, two string terminators, and the most alignment padding the fixed
+// fields can take.
+func (m *Request) encodedBound() int {
+	return len(m.ClientID) + len(m.Op) + len(m.ReplyTo) + len(m.Sig) + 48
 }
 
 // PrePrepare is the primary's ordering proposal for an ordered batch of
 // requests at (View, Seq). Digest covers the whole batch (BatchDigest); an
-// empty batch with a null digest is the view-change gap filler.
+// empty batch with a null digest is the view-change gap filler. Sig covers
+// the header only (signingBytes): the requests travel outside it, bound by
+// the digest, which a receiver checks (validBatch).
 //
 // Wire compatibility: the request count is one octet, so a single-request
 // pre-prepare encodes byte-identically to the legacy boolean-prefixed form
@@ -640,10 +710,30 @@ func readList[T any, P interface {
 // CDR. The encoding is deterministic: it is the input to signatures and
 // digests.
 func Encode(m Message) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
+	e := cdr.NewEncoderOver(cdr.BigEndian, make([]byte, 0, encodedBound(m)))
 	e.WriteOctet(byte(m.Type()))
 	m.marshal(e)
 	return e.Bytes()
+}
+
+// encodedBound sizes Encode's buffer so that a message carrying a payload is
+// written without regrowing it: at least the encoding's length for a request,
+// a pre-prepare or a reply, and room for a phase message or a checkpoint
+// otherwise (a view change or a new view grows from there).
+func encodedBound(m Message) int {
+	switch msg := m.(type) {
+	case *Request:
+		return msg.encodedBound()
+	case *PrePrepare:
+		n := 80 + len(msg.Sig)
+		for _, req := range msg.Requests {
+			n += req.encodedBound()
+		}
+		return n
+	case *Reply:
+		return 64 + len(msg.ClientID) + len(msg.Result) + len(msg.Sig)
+	}
+	return 256
 }
 
 // Decode parses a message from its canonical encoding. It never panics on
@@ -687,15 +777,37 @@ func Decode(buf []byte) (Message, error) {
 	return m, nil
 }
 
-// signingBytes returns the canonical encoding with the signature zeroed —
-// the byte string signatures cover.
+// signingBytes returns what m's authenticator covers: its canonical
+// encoding with the signature zeroed, except for a pre-prepare, whose
+// signature covers its header alone — type, view, seq, batch digest and
+// replica, laid out like a prepare — as Castro–Liskov's ⟨PRE-PREPARE, v, n,
+// d⟩σ does. The digest binds the requests that travel with it, which every
+// receiver checks (validBatch).
 func signingBytes(m Message) []byte {
+	if pp, ok := m.(*PrePrepare); ok {
+		e := cdr.NewEncoder(cdr.BigEndian)
+		e.WriteOctet(byte(MTPrePrepare))
+		marshalPhase(e, pp.View, pp.Seq, pp.Digest, pp.Replica, nil)
+		return e.Bytes()
+	}
 	ref := m.sigRef()
 	saved := *ref
 	*ref = nil
 	b := Encode(m)
 	*ref = saved
 	return b
+}
+
+// signingDigest returns SHA-256 of m's signing bytes, what its signature
+// covers; a request's comes from its cache.
+func signingDigest(m Message) Digest {
+	if req, ok := m.(*Request); ok {
+		if !req.hashed {
+			req.rehash()
+		}
+		return req.signDigest
+	}
+	return sha256.Sum256(signingBytes(m))
 }
 
 func readDigest(d *cdr.Decoder, out *Digest) error {

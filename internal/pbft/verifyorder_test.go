@@ -18,14 +18,14 @@ type countingAuth struct {
 	signs, verifies, macs, macChecks int
 }
 
-func (a *countingAuth) Sign(msg []byte) []byte {
+func (a *countingAuth) Sign(d Digest) []byte {
 	a.signs++
-	return a.Authenticator.Sign(msg)
+	return a.Authenticator.Sign(d)
 }
 
-func (a *countingAuth) Verify(sender string, msg, sig []byte) bool {
+func (a *countingAuth) Verify(sender string, d Digest, sig []byte) bool {
 	a.verifies++
-	return a.Authenticator.Verify(sender, msg, sig)
+	return a.Authenticator.Verify(sender, d, sig)
 }
 
 func (a *countingAuth) MAC(peer string, msg []byte) []byte {
@@ -48,11 +48,11 @@ type nullAuth struct{ id string }
 
 var nullSig, nullTag = []byte{0xA5}, bytes.Repeat([]byte{0xA5}, MACSize)
 
-func (nullAuth) Sign([]byte) []byte                   { return bytes.Clone(nullSig) }
-func (nullAuth) Verify(_ string, _, sig []byte) bool  { return bytes.Equal(sig, nullSig) }
-func (nullAuth) MAC(string, []byte) []byte            { return bytes.Clone(nullTag) }
-func (nullAuth) VerifyMAC(_ string, _, t []byte) bool { return bytes.Equal(t, nullTag) }
-func (a nullAuth) Identity() string                   { return a.id }
+func (nullAuth) Sign(Digest) []byte                         { return bytes.Clone(nullSig) }
+func (nullAuth) Verify(_ string, _ Digest, sig []byte) bool { return bytes.Equal(sig, nullSig) }
+func (nullAuth) MAC(string, []byte) []byte                  { return bytes.Clone(nullTag) }
+func (nullAuth) VerifyMAC(_ string, _, t []byte) bool       { return bytes.Equal(t, nullTag) }
+func (a nullAuth) Identity() string                         { return a.id }
 
 // countedGroup is an n=4 Ed25519 group on netsim whose replicas' and
 // clients' authenticators count. One checkpoint interval covers a run: only

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"strings"
 	"testing"
@@ -14,14 +15,16 @@ import (
 )
 
 // signedPBFT returns what a pre-prepare, prepare or checkpoint's signature
-// covers (its encoding with the signature empty), the signature, and the
-// index of the replica that sent it.
+// covers (a pre-prepare's header, otherwise the encoding with the signature
+// empty), the signature, and the index of the replica that sent it.
 func signedPBFT(m pbft.Message) (signing, sig []byte, from pbft.ReplicaID, ok bool) {
 	switch msg := m.(type) {
 	case *pbft.PrePrepare:
-		c := *msg
-		c.Sig = nil
-		return pbft.Encode(&c), msg.Sig, msg.Replica, true
+		// A pre-prepare's signature covers its header, laid out like a
+		// prepare's under its own type octet.
+		h := pbft.Encode(&pbft.Prepare{View: msg.View, Seq: msg.Seq, Digest: msg.Digest, Replica: msg.Replica})
+		h[0] = byte(pbft.MTPrePrepare)
+		return h, msg.Sig, msg.Replica, true
 	case *pbft.Prepare:
 		c := *msg
 		c.Sig = nil
@@ -112,5 +115,39 @@ func TestLiveTransportNeedsDeterministicKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestShareResealIsIdentical: a Group Manager element that seals a share
+// again — a duplicate open request, a late joiner — produces the same bytes,
+// so its one-shot pairwise channel never puts two plaintexts under one
+// sequence number and nonce. The seal opens at its recipient only, and
+// another recipient or era seals under another channel.
+func TestShareResealIsIdentical(t *testing.T) {
+	sys := newCalcSystem(t, 12, nil).sys
+	share := []byte("dprf share of connection 7")
+	first, err := sys.sealShare("gm/r0", "calc/r1", 7, 0, share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := sys.sealShare("gm/r0", "calc/r1", 7, 0, share)
+	if err != nil || !bytes.Equal(first, again) {
+		t.Fatalf("resealed share differs (err %v)", err)
+	}
+	if got, err := sys.openShare("gm/r0", "calc/r1", 7, 0, again); err != nil || !bytes.Equal(got, share) {
+		t.Fatalf("recipient cannot open the reseal: %v", err)
+	}
+	for name, open := range map[string]func() ([]byte, error){
+		"another recipient": func() ([]byte, error) { return sys.openShare("gm/r0", "calc/r2", 7, 0, first) },
+		"another era":       func() ([]byte, error) { return sys.openShare("gm/r0", "calc/r1", 7, 1, first) },
+		"another GM member": func() ([]byte, error) { return sys.openShare("gm/r1", "calc/r1", 7, 0, first) },
+	} {
+		if _, err := open(); err == nil {
+			t.Errorf("%s opens the share", name)
+		}
+	}
+	other, err := sys.sealShare("gm/r0", "calc/r1", 7, 1, share)
+	if err != nil || bytes.Equal(other, first) {
+		t.Fatalf("another era seals the same bytes (err %v)", err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // TestGenSeckeyCorpus writes the committed seed corpus for FuzzSealedOpen.
 // Because the fuzz input doubles as raw sealed bytes and as plaintext, the
 // seeds include genuine Seal output (deterministic: the nonce is derived
-// from key and sequence number) so the fuzzer starts past the MAC check
-// with small mutations. Regenerate with:
+// from key, context and sequence number) so the fuzzer starts past the tag
+// check with small mutations. Regenerate with:
 //
 //	go test -tags corpusgen -run TestGenSeckeyCorpus ./internal/seckey
 func TestGenSeckeyCorpus(t *testing.T) {
@@ -32,7 +32,7 @@ func TestGenSeckeyCorpus(t *testing.T) {
 	}
 	// Oversize length field: genuine sealed bytes whose plaintext-length
 	// header (u32 at offset 8) claims 4 GiB. Open must reject the
-	// length/buffer mismatch before allocating or MAC-ing.
+	// length/buffer mismatch before allocating or authenticating.
 	oversizeLen := append([]byte(nil), sealedShort...)
 	oversizeLen[8], oversizeLen[9], oversizeLen[10], oversizeLen[11] = 0xFF, 0xFF, 0xFF, 0xFF
 	seeds := [][]byte{
@@ -40,7 +40,7 @@ func TestGenSeckeyCorpus(t *testing.T) {
 		[]byte("increment(counter-1)"),
 		sealedShort,
 		sealedEmpty,
-		make([]byte, 60), // minimum sealed length, all zero
+		make([]byte, SealedLen(0)), // minimum sealed length, all zero
 		oversizeLen,
 	}
 	for i, seed := range seeds {

@@ -53,8 +53,8 @@ func FuzzSealedOpen(f *testing.F) {
 		}
 
 		// Any single-byte tamper must be rejected. The flip position is
-		// derived from the input so the fuzzer explores header, nonce,
-		// ciphertext and tag corruption.
+		// derived from the input so the fuzzer explores header, ciphertext
+		// and tag corruption.
 		pos := len(data) % len(sealed)
 		tampered := append([]byte(nil), sealed...)
 		tampered[pos] ^= 0x41

@@ -4,8 +4,8 @@
 //
 // The paper's prototype used 2002-era primitives (DES, MD5/RSA); this
 // implementation substitutes modern stdlib equivalents with the same
-// architectural role: AES-256-CTR with an HMAC-SHA256 tag
-// (encrypt-then-MAC) for confidentiality+integrity, and explicit sequence
+// architectural role: AES-256-GCM, which encrypts and authenticates in one
+// pass over the bytes, for confidentiality+integrity, and explicit sequence
 // numbers inside the authenticated header for replay protection ("each
 // message contains a sequence number to protect against replay", §3.6).
 package seckey
@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 )
 
 // KeySize is the communication key length in bytes.
@@ -46,20 +45,20 @@ func (k Key) derive(purpose string) []byte {
 }
 
 const (
-	macSize   = sha256.Size
-	nonceSize = aes.BlockSize
+	tagSize   = 16    // GCM tag
+	nonceSize = 12    // GCM nonce
 	headerLen = 8 + 4 // seqno + payload length
 )
 
 // Sealed-message framing constants for callers that reserve the seal
 // region in a shared buffer (zero-copy pipeline):
 //
-//	seq(8) | len(4) | nonce(16) | ciphertext | hmac(32)
+//	seq(8) | len(4) | ciphertext | tag(16)
 const (
 	// SealHeadLen is the fixed prefix before the ciphertext.
-	SealHeadLen = headerLen + nonceSize
-	// SealTailLen is the MAC appended after the ciphertext.
-	SealTailLen = macSize
+	SealHeadLen = headerLen
+	// SealTailLen is the GCM tag appended after the ciphertext.
+	SealTailLen = tagSize
 )
 
 // SealedLen returns the sealed size of an n-byte plaintext.
@@ -77,74 +76,61 @@ var ErrReplay = errors.New("seckey: replayed or stale sequence number")
 // is directional state for replay protection: use one per (sender,
 // receiver) flow. Not safe for concurrent use.
 //
-// The AES key schedule and both HMAC states are expanded once at NewChannel
-// and reused for every message — the shared key schedule that lets a batch
-// of envelopes (e.g. the fragments of one large message) seal in one pass
-// with no per-message key setup or allocation.
+// The AES-GCM key schedule is expanded once at NewChannel and reused for
+// every message, so a batch of envelopes (e.g. the fragments of one large
+// message) seals with no per-message key setup or allocation.
+//
+// The nonce of the message with sequence number seq is the channel's IV
+// XOR seq, as in TLS 1.3: unique per (key, context) as long as no two
+// plaintexts are sealed under one seq, which a channel guarantees by
+// counting — so a sender that restarts needs a fresh key or context, never
+// a fresh Channel over an old one (DESIGN §9). Nonces use no randomness:
+// sealing is reproducible, which the deterministic simulator relies on.
 type Channel struct {
-	encKey []byte
-	macKey []byte
-
-	block    cipher.Block // cached AES key schedule
-	tagMac   hash.Hash    // cached HMAC(macKey) state for tags
-	nonceMac hash.Hash    // cached HMAC(macKey) state for nonce derivation
-	sumBuf   [sha256.Size]byte
+	aead  cipher.AEAD
+	iv    [nonceSize]byte
+	nonce [nonceSize]byte // scratch for the current message's nonce
 
 	sendSeq uint64
 	window  replayWindow
 }
 
 // NewChannel builds a channel from a communication key. The context string
-// binds the derived keys to a connection identity (e.g. "connA→B") so the
-// same communication key never keys two flows identically.
+// binds the derived key and IV to a connection identity (e.g. "connA→B") so
+// the same communication key never keys two flows identically.
 func NewChannel(k Key, context string) *Channel {
-	c := &Channel{
-		encKey: k.derive("enc:" + context),
-		macKey: k.derive("mac:" + context),
-	}
-	block, err := aes.NewCipher(c.encKey)
+	block, err := aes.NewCipher(k.derive("enc:" + context))
 	if err != nil {
 		// derive always yields a 32-byte key; aes.NewCipher cannot fail on it.
 		panic(fmt.Sprintf("seckey: cipher: %v", err))
 	}
-	c.block = block
-	c.tagMac = hmac.New(sha256.New, c.macKey)
-	c.nonceMac = hmac.New(sha256.New, c.macKey)
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(fmt.Sprintf("seckey: gcm: %v", err))
+	}
+	c := &Channel{aead: aead}
+	copy(c.iv[:], k.derive("iv:"+context))
 	return c
 }
 
-// sealRegion fills the sealed-message region buf[start:start+SealedLen(n)]
-// for the plaintext, which either aliases the region's ciphertext span
-// exactly (in-place encryption) or is a separate slice (encrypt-copy in
-// one pass). The caller has already reserved the region.
-func (c *Channel) sealRegion(buf []byte, start int, plaintext []byte) {
-	c.sendSeq++
-	out := buf[start : start+SealedLen(len(plaintext))]
-	binary.BigEndian.PutUint64(out[0:8], c.sendSeq)
-	binary.BigEndian.PutUint32(out[8:12], uint32(len(plaintext)))
-	nonce := out[headerLen : headerLen+nonceSize]
-	// Deterministic nonce derived from (macKey, seq): unique per key+seq,
-	// and reproducible without an entropy source in the hot path.
-	c.nonceMac.Reset()
-	c.nonceMac.Write([]byte("nonce"))
-	c.nonceMac.Write(out[0:8])
-	copy(nonce, c.nonceMac.Sum(c.sumBuf[:0])[:nonceSize])
-
-	ct := out[headerLen+nonceSize : headerLen+nonceSize+len(plaintext)]
-	cipher.NewCTR(c.block, nonce).XORKeyStream(ct, plaintext)
-
-	c.tagMac.Reset()
-	c.tagMac.Write(out[:headerLen+nonceSize+len(plaintext)])
-	copy(out[headerLen+nonceSize+len(plaintext):], c.tagMac.Sum(c.sumBuf[:0]))
+// nonceFor returns the nonce of sequence number seq, in the channel's
+// scratch.
+func (c *Channel) nonceFor(seq uint64) []byte {
+	c.nonce = c.iv
+	tail := c.nonce[nonceSize-8:]
+	binary.BigEndian.PutUint64(tail, binary.BigEndian.Uint64(tail)^seq)
+	return c.nonce[:]
 }
 
 // Seal encrypts and authenticates plaintext, assigning the next send
 // sequence number. Output layout:
 //
-//	seq(8) | len(4) | nonce(16) | ciphertext | hmac(32)
+//	seq(8) | len(4) | ciphertext | tag(16)
+//
+// The header is the associated data: authenticated, not encrypted.
 func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	out := make([]byte, SealedLen(len(plaintext)))
-	c.sealRegion(out, 0, plaintext)
+	c.SealTo(out, 0, plaintext)
 	return out, nil
 }
 
@@ -155,25 +141,26 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 // live elsewhere (one-pass encrypt-copy) — either way no intermediate
 // sealed buffer is allocated. Output bytes are identical to Seal's.
 func (c *Channel) SealTo(buf []byte, start int, plaintext []byte) {
-	c.sealRegion(buf, start, plaintext)
+	c.sendSeq++
+	out := buf[start : start+SealedLen(len(plaintext))]
+	binary.BigEndian.PutUint64(out[0:8], c.sendSeq)
+	binary.BigEndian.PutUint32(out[8:12], uint32(len(plaintext)))
+	c.aead.Seal(out[headerLen:headerLen:len(out)], c.nonceFor(c.sendSeq), plaintext, out[:headerLen])
 }
 
 // Open verifies and decrypts a sealed message, enforcing replay
 // protection. The returned slice is freshly allocated.
 func (c *Channel) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < headerLen+nonceSize+macSize {
+	if len(sealed) < headerLen+tagSize {
 		return nil, fmt.Errorf("seckey: sealed message too short: %d bytes", len(sealed))
 	}
 	seq := binary.BigEndian.Uint64(sealed[0:8])
 	plen := int(binary.BigEndian.Uint32(sealed[8:12]))
-	if plen != len(sealed)-headerLen-nonceSize-macSize {
+	if plen != len(sealed)-headerLen-tagSize {
 		return nil, fmt.Errorf("seckey: length field %d does not match body", plen)
 	}
-	body := sealed[:len(sealed)-macSize]
-	wantMAC := sealed[len(sealed)-macSize:]
-	c.tagMac.Reset()
-	c.tagMac.Write(body)
-	if !hmac.Equal(c.tagMac.Sum(c.sumBuf[:0]), wantMAC) {
+	pt, err := c.aead.Open(make([]byte, 0, plen), c.nonceFor(seq), sealed[headerLen:], sealed[:headerLen])
+	if err != nil {
 		return nil, ErrAuthentication
 	}
 	// Replay check only after authentication: forged sequence numbers must
@@ -181,9 +168,6 @@ func (c *Channel) Open(sealed []byte) ([]byte, error) {
 	if !c.window.accept(seq) {
 		return nil, ErrReplay
 	}
-	nonce := sealed[headerLen : headerLen+nonceSize]
-	pt := make([]byte, plen)
-	cipher.NewCTR(c.block, nonce).XORKeyStream(pt, sealed[headerLen+nonceSize:headerLen+nonceSize+plen])
 	return pt, nil
 }
 

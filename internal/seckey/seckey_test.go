@@ -258,7 +258,125 @@ func TestSealedLenConstants(t *testing.T) {
 	if len(sealed) != SealedLen(100) {
 		t.Fatalf("SealedLen(100) = %d, wire = %d", SealedLen(100), len(sealed))
 	}
-	if SealHeadLen != headerLen+nonceSize || SealTailLen != macSize {
+	if SealHeadLen != headerLen || SealTailLen != tagSize {
 		t.Fatal("framing constants drifted from the wire layout")
 	}
+}
+
+// TestOpenAdversarial is the refusal table of Open: a frame edited in any
+// region, cut short or extended, a replayed or stale sequence number, and a
+// genuine frame offered to the channel of another member, key era or
+// direction of the same connection, under the same key. A frame refused for
+// its bytes leaves the replay window as it was: the genuine frame still
+// opens afterwards.
+func TestOpenAdversarial(t *testing.T) {
+	const ctx = "conn7|era0|bank|m1"
+	k := testKey(7)
+	msg := bytes.Repeat([]byte("payload-"), 8)
+	// frames returns a fresh receiver and the first n frames one sender
+	// seals on ctx.
+	frames := func(n int) (*Channel, [][]byte) {
+		tx := NewChannel(k, ctx)
+		out := make([][]byte, n)
+		for i := range out {
+			out[i], _ = tx.Seal(msg)
+		}
+		return NewChannel(k, ctx), out
+	}
+	flip := func(at int) func([]byte) []byte {
+		return func(b []byte) []byte {
+			b = bytes.Clone(b)
+			b[at] ^= 0x20
+			return b
+		}
+	}
+	end := SealedLen(len(msg))
+	cases := []struct {
+		name string
+		want error // nil: any error
+		edit func([]byte) []byte
+		on   string // another context to open on; "" for ctx
+	}{
+		{"seq byte flipped", ErrAuthentication, flip(7), ""},
+		{"length byte flipped", nil, flip(11), ""},
+		{"first ciphertext byte flipped", ErrAuthentication, flip(SealHeadLen), ""},
+		{"last ciphertext byte flipped", ErrAuthentication, flip(end - SealTailLen - 1), ""},
+		{"first tag byte flipped", ErrAuthentication, flip(end - SealTailLen), ""},
+		{"last tag byte flipped", ErrAuthentication, flip(end - 1), ""},
+		{"tag cut off", nil, func(b []byte) []byte { return b[:end-SealTailLen] }, ""},
+		{"one byte short", nil, func(b []byte) []byte { return b[:end-1] }, ""},
+		{"one byte extra", nil, func(b []byte) []byte { return append(bytes.Clone(b), 0) }, ""},
+		{"length and body extended", nil, func(b []byte) []byte {
+			b = append(bytes.Clone(b), 0)
+			b[11]++
+			return b
+		}, ""},
+		{"header only", nil, func(b []byte) []byte { return b[:SealHeadLen] }, ""},
+		{"another member's channel", ErrAuthentication, nil, "conn7|era0|bank|m2"},
+		{"another era's channel", ErrAuthentication, nil, "conn7|era1|bank|m1"},
+		{"the other direction's channel", ErrAuthentication, nil, "conn7|era0|client|m0"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rx, fs := frames(1)
+			if c.on != "" {
+				rx = NewChannel(k, c.on)
+			}
+			frame := fs[0]
+			if c.edit != nil {
+				frame = c.edit(frame)
+			}
+			_, err := rx.Open(frame)
+			if err == nil || c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("Open: %v, want %v", err, c.want)
+			}
+			if c.on == "" {
+				if got, err := rx.Open(fs[0]); err != nil || !bytes.Equal(got, msg) {
+					t.Fatalf("genuine frame after the refusal: %v", err)
+				}
+			}
+		})
+	}
+
+	t.Run("replayed seq", func(t *testing.T) {
+		rx, fs := frames(3)
+		for _, i := range []int{0, 2, 1} {
+			if _, err := rx.Open(fs[i]); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		for i := range fs {
+			if _, err := rx.Open(fs[i]); !errors.Is(err, ErrReplay) {
+				t.Fatalf("frame %d replayed: %v", i, err)
+			}
+		}
+	})
+	t.Run("stale seq", func(t *testing.T) {
+		rx, fs := frames(66)
+		if _, err := rx.Open(fs[65]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rx.Open(fs[1]); !errors.Is(err, ErrReplay) {
+			t.Fatalf("frame 64 behind the newest: %v", err)
+		}
+		if _, err := rx.Open(fs[2]); err != nil {
+			t.Fatalf("frame 63 behind the newest: %v", err)
+		}
+	})
+	t.Run("seq rewritten to a fresh one", func(t *testing.T) {
+		rx, fs := frames(2)
+		if _, err := rx.Open(fs[0]); err != nil {
+			t.Fatal(err)
+		}
+		// The replayed first frame relabelled as seq 2: the seq is the
+		// nonce and part of the associated data, so the tag refuses it.
+		forged := bytes.Clone(fs[0])
+		forged[7] = 2
+		if _, err := rx.Open(forged); !errors.Is(err, ErrAuthentication) {
+			t.Fatalf("relabelled replay: %v", err)
+		}
+		if _, err := rx.Open(fs[1]); err != nil {
+			t.Fatalf("genuine seq 2 after the forgery: %v", err)
+		}
+	})
 }

@@ -2,6 +2,8 @@ package smiop
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -417,6 +419,66 @@ func TestPeerInfoValidate(t *testing.T) {
 	for i, c := range cases {
 		if err := c.p.Validate(); (err == nil) != c.ok {
 			t.Errorf("case %d: %+v: err=%v", i, c.p, err)
+		}
+	}
+}
+
+// channelIV reads a seckey channel's IV, which seckey keeps unexported:
+// nothing outside it needs the value but this test.
+func channelIV(ch *seckey.Channel) string {
+	v := reflect.ValueOf(ch).Elem().FieldByName("iv")
+	iv := make([]byte, v.Len())
+	for i := range iv {
+		iv[i] = byte(v.Index(i).Uint())
+	}
+	return string(iv)
+}
+
+// TestConnectionChannelsNeverShareIV: every sending flow of a connection —
+// each member of either domain, in each key era — seals under its own IV,
+// even where the communication key is the same, and each receiving channel
+// has the IV of the one flow it opens. A shared IV under one key would repeat
+// GCM nonces between flows.
+func TestConnectionChannelsNeverShareIV(t *testing.T) {
+	cInfo := PeerInfo{Name: "client", N: 1}
+	sInfo := PeerInfo{Name: "bank", N: 4, F: 1}
+	k := testKey(9)
+	conns := make(map[string]*Connection) // by domain and member
+	for m := 0; m < sInfo.N; m++ {
+		c, err := NewConnection(7, sInfo, m, cInfo, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[fmt.Sprintf("bank/%d", m)] = c
+	}
+	client, err := NewConnection(7, cInfo, 0, sInfo, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns["client/0"] = client
+
+	owner := make(map[string]string) // IV → the flow that seals under it
+	for era := uint64(0); era < 3; era++ {
+		if era > 0 {
+			for _, c := range conns {
+				c.Rekey(era, k, nil) // same key: only the context differs
+			}
+		}
+		for name, c := range conns {
+			flow := fmt.Sprintf("%s era %d", name, era)
+			iv := channelIV(c.send)
+			if prev, dup := owner[iv]; dup {
+				t.Fatalf("%s seals under the IV of %s", flow, prev)
+			}
+			owner[iv] = flow
+		}
+		for name, c := range conns {
+			for m, ch := range c.recv {
+				want := fmt.Sprintf("%s/%d era %d", c.Peer.Name, m, era)
+				if got := owner[channelIV(ch)]; got != want {
+					t.Errorf("%s era %d: receiver for %s has the IV of %q", name, era, want, got)
+				}
+			}
 		}
 	}
 }

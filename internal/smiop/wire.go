@@ -12,11 +12,11 @@ import (
 // pooled buffers. The GIOP message encodes directly at its final offset
 // inside the staged signed payload, fragments are sliced (not copied) out
 // of the staging buffer, and each fragment's envelope header, seal header,
-// ciphertext and MAC are produced in one pass into a pooled wire buffer:
-// the only traversals of the payload bytes are the signature and the
-// encrypting XOR itself. All fragments of a message seal over the
-// connection's cached key schedule (seckey.Channel) — one batch, no
-// per-fragment key setup.
+// ciphertext and tag are produced in one pass into a pooled wire buffer:
+// the only traversals of the payload bytes are the signature and the one
+// AES-GCM pass that encrypts and authenticates them. All fragments of a
+// message seal over the connection's cached key schedule (seckey.Channel) —
+// one batch, no per-fragment key setup.
 //
 // Wire layout of one data frame, big-endian CDR (what DecodeEnvelope
 // reads; pinned byte for byte by TestWireGolden):
@@ -67,7 +67,7 @@ func AppendDataSigningBytes(dst []byte, connID, requestID uint64, srcDomain stri
 }
 
 // appendDataEnvelope encodes one complete sealed data envelope — cleartext
-// header, payload length, seal header, ciphertext, MAC — into dst in a
+// header, payload length, seal header, ciphertext, tag — into dst in a
 // single pass. The sealed payload length is known before sealing
 // (seckey.SealedLen), so the envelope needs no patching: the seal region is
 // reserved and seckey fills it in place, encrypting plaintext straight into

@@ -50,7 +50,7 @@ func BenchmarkSealChainZeroCopy(b *testing.B) {
 // allocBudget is the committed allocation baseline for the zero-copy seal
 // chain, keyed by payload size. Regenerate with:
 //
-//	go test -run TestSealChainAllocBudget -update-alloc-budget ./internal/smiop
+//	go test ./internal/smiop -run TestSealChainAllocBudget -update-alloc-budget
 type allocBudget struct {
 	// AllocsPerOp maps "<size>B" to the measured allocations per sealed
 	// reply at the time the baseline was committed.
