@@ -82,32 +82,37 @@ bench-json:
 	$(GO) run ./cmd/itdos-demo -calls 2 -trace-json > bench-out/TRACE_sample.json
 
 # Allocation profile of the reply seal chain (the zero-copy tentpole's
-# hot path): -benchmem numbers for the pooled wire path, written to
-# bench-out/ for the CI artifact, plus the budget gate — TestSealChainAllocBudget fails when allocs/op regresses
-# more than 10% over the committed baseline in
+# hot path) and of its receive side (one sealed 16 KiB reply through
+# DecodeEnvelope, OpenData, DecodeSignedPayload and giop.Decode):
+# -benchmem numbers written to bench-out/ for the CI artifact, plus the
+# budget gates — TestSealChainAllocBudget fails when the seal chain's
+# allocs/op, TestOpenChainAllocBudget when the open chain's allocs/op or
+# B/op, regress more than 10% over the committed baseline in
 # internal/smiop/testdata/alloc_budget.json. BenchmarkCheckpoint rides
 # along: one checkpoint on a queue retaining 64, 1024 or 4096 messages,
 # whose ns/op and B/op should not depend on that number.
 .PHONY: bench-mem
 bench-mem:
 	mkdir -p bench-out
-	$(GO) test -run='^$$' -bench='BenchmarkSealChain' -benchmem ./internal/smiop | tee bench-out/BENCHMEM.txt
+	$(GO) test -run='^$$' -bench='BenchmarkSealChain|BenchmarkOpenChain' -benchmem ./internal/smiop | tee bench-out/BENCHMEM.txt
 	$(GO) test -run='^$$' -bench='BenchmarkCheckpoint' -benchmem ./internal/srm | tee -a bench-out/BENCHMEM.txt
-	$(GO) test -run=TestSealChainAllocBudget -v ./internal/smiop
+	$(GO) test -run='TestSealChainAllocBudget|TestOpenChainAllocBudget' -v ./internal/smiop
 
 # The profile that names a layer before an optimisation: BenchmarkInProcCall
 # (add and echo16k through five loopback nodes in one process, 32 callers)
-# at a fixed 3000 calls each, its flat CPU profile, who signs and verifies,
-# and who feeds SHA-256 and the GCM seal and open — the hashing and sealing
-# passes per layer — in bench-out/INPROC_PROFILE.txt.
+# at a fixed 3000 calls each with B/op and allocs/op, its flat CPU profile,
+# who signs and verifies, who feeds SHA-256 and the GCM seal and open — the
+# hashing and sealing passes per layer — and who allocates the most bytes,
+# in bench-out/INPROC_PROFILE.txt.
 .PHONY: bench-inproc
 bench-inproc:
 	mkdir -p bench-out
-	$(GO) test -run='^$$' -bench=InProcCall -benchtime=3000x -cpuprofile=bench-out/inproc.cpu -o bench-out/cluster.test ./internal/cluster | tee bench-out/INPROC_PROFILE.txt
+	$(GO) test -run='^$$' -bench=InProcCall -benchtime=3000x -benchmem -cpuprofile=bench-out/inproc.cpu -memprofile=bench-out/inproc.mem -o bench-out/cluster.test ./internal/cluster | tee bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -top bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -peek 'SignSHA256$$|VerifySHA256$$|signDigest$$|verifyDigest$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -peek 'sha256\.\(\*Digest\)\.Write$$|crypto/sha256\.Sum256$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -peek 'gcm\.\(\*GCM\)\.(Seal|Open)$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
+	$(GO) tool pprof -sample_index=alloc_space -top bench-out/cluster.test bench-out/inproc.mem >> bench-out/INPROC_PROFILE.txt
 
 # Continuous fuzzing of each decoder boundary, FUZZTIME per target.
 fuzz:
@@ -115,6 +120,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalCDR -fuzztime=$(FUZZTIME) ./internal/cdr
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPParse -fuzztime=$(FUZZTIME) ./internal/giop
 	$(GO) test -run='^$$' -fuzz=FuzzSMIOPReassemble -fuzztime=$(FUZZTIME) ./internal/smiop
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeDecode -fuzztime=$(FUZZTIME) ./internal/smiop
 	$(GO) test -run='^$$' -fuzz=FuzzReplyDigestDecode -fuzztime=$(FUZZTIME) ./internal/smiop
 	$(GO) test -run='^$$' -fuzz=FuzzSignedPayloadDecode -fuzztime=$(FUZZTIME) ./internal/smiop
 	$(GO) test -run='^$$' -fuzz=FuzzSealedOpen -fuzztime=$(FUZZTIME) ./internal/seckey

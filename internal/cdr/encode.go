@@ -340,7 +340,8 @@ func (d *Decoder) ReadString() (string, error) {
 }
 
 // ReadOctets reads a CDR sequence<octet>. The returned slice aliases the
-// decoder's buffer.
+// decoder's buffer, its capacity cut to its length so that appending to it
+// never writes the bytes after it; an empty sequence reads as nil.
 func (d *Decoder) ReadOctets() ([]byte, error) {
 	n, err := d.ReadULong()
 	if err != nil {
@@ -349,5 +350,10 @@ func (d *Decoder) ReadOctets() ([]byte, error) {
 	if int(n) > d.Remaining() {
 		return nil, d.errTruncated("octet sequence", int(n))
 	}
-	return d.take("octet sequence", int(n))
+	if n == 0 {
+		return nil, nil
+	}
+	b := d.buf[d.pos : d.pos+int(n) : d.pos+int(n)]
+	d.pos += int(n)
+	return b, nil
 }

@@ -1,6 +1,7 @@
 package giop
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -16,7 +17,11 @@ func FuzzGIOPParse(f *testing.F) {
 	f.Add(EncodeCloseConnection(cdr.BigEndian))
 	f.Add(EncodeCancelRequest(cdr.LittleEndian, 7))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
 		msg, err := Decode(data)
+		if !bytes.Equal(data, in) {
+			t.Fatal("Decode wrote its input, which a decoded Body aliases")
+		}
 		if err != nil {
 			return
 		}

@@ -293,7 +293,8 @@ func EncodeCloseConnection(order cdr.ByteOrder) []byte {
 
 // Decode parses one GIOP message from buf. It rejects malformed input with
 // a descriptive error; Byzantine senders reach this code path, so nothing
-// here may panic.
+// here may panic. A request's or reply's Body aliases buf, which the caller
+// owns and never writes again.
 func Decode(buf []byte) (*Message, error) {
 	if len(buf) < headerLen {
 		return nil, fmt.Errorf("giop: message too short: %d bytes", len(buf))
@@ -366,12 +367,9 @@ func decodeRequest(d *cdr.Decoder) (*Request, error) {
 		return nil, err
 	}
 	r.setFlags(flags)
-	body, err := d.ReadOctets()
-	if err != nil {
+	if r.Body, err = d.ReadOctets(); err != nil {
 		return nil, err
 	}
-	// Copy: the decoder's buffer belongs to the transport.
-	r.Body = append([]byte(nil), body...)
 	return &r, nil
 }
 
@@ -393,10 +391,8 @@ func decodeReply(d *cdr.Decoder) (*Reply, error) {
 	if r.Exception, err = d.ReadString(); err != nil {
 		return nil, err
 	}
-	body, err := d.ReadOctets()
-	if err != nil {
+	if r.Body, err = d.ReadOctets(); err != nil {
 		return nil, err
 	}
-	r.Body = append([]byte(nil), body...)
 	return &r, nil
 }

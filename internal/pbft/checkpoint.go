@@ -84,7 +84,7 @@ func decodeClientTable(buf []byte) (map[string]*clientRecord, error) {
 		if rec.hasReply, err = d.ReadBoolean(); err != nil {
 			return nil, err
 		}
-		if rec.result, err = readOctetsCopy(d); err != nil {
+		if rec.result, err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
 		table[id] = rec

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
+	"strings"
 	"testing"
 
 	"itdos/internal/smiop"
@@ -382,6 +383,23 @@ func TestRequestDigestOnce(t *testing.T) {
 	}
 	if seen < 3 {
 		t.Fatalf("samples carry only %d requests", seen)
+	}
+
+	// The digests hash the encoding as it streams, Op where it lies: every
+	// alignment the fields after Op can take must give Encode's hashes and
+	// length, signed or not.
+	for idLen := 0; idLen < 8; idLen++ {
+		for opLen := 0; opLen < 17; opLen++ {
+			for _, sig := range [][]byte{nil, bytes.Repeat([]byte{0x5A}, 64)} {
+				req := &Request{ClientID: strings.Repeat("c", idLen), ClientSeq: 7,
+					Op: bytes.Repeat([]byte{0xC3}, opLen), ReplyTo: strings.Repeat("r", opLen%5), Sig: sig}
+				enc := Encode(req)
+				if req.Digest() != Digest(sha256.Sum256(enc)) || req.Size() != len(enc) ||
+					signingDigest(req) != Digest(sha256.Sum256(signingBytes(req))) {
+					t.Fatalf("id %d, op %d, sig %d octets: digests or size differ from the encoding's", idLen, opLen, len(sig))
+				}
+			}
+		}
 	}
 
 	req := wireSamples(t)["request"].(*Request)

@@ -52,7 +52,11 @@ func FuzzPrePrepareDecode(f *testing.F) {
 	f.Add(full[:len(full)-7])
 	f.Add([]byte{0xff, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
 		msg, err := Decode(data)
+		if !bytes.Equal(data, in) {
+			t.Fatal("Decode wrote its input, which decoded octet fields alias")
+		}
 		if err != nil {
 			return
 		}

@@ -99,7 +99,10 @@ type Message interface {
 // Request is a client invocation to be totally ordered.
 //
 // A request is not mutated once it is decoded or signed: its digest is
-// computed then, and every later Digest returns that value.
+// computed then, and every later Digest returns that value. A decoded
+// request's Op and Sig alias the buffer Decode read, as every octet field
+// Decode returns does: the transport handed that buffer up, and no one
+// writes it afterwards.
 type Request struct {
 	// ClientID is the authentication identity of the requester.
 	ClientID string
@@ -140,13 +143,13 @@ func (m *Request) unmarshal(d *cdr.Decoder) error {
 	if m.ClientSeq, err = d.ReadULongLong(); err != nil {
 		return err
 	}
-	if m.Op, err = readOctetsCopy(d); err != nil {
+	if m.Op, err = d.ReadOctets(); err != nil {
 		return err
 	}
 	if m.ReplyTo, err = d.ReadString(); err != nil {
 		return err
 	}
-	if m.Sig, err = readOctetsCopy(d); err != nil {
+	if m.Sig, err = d.ReadOctets(); err != nil {
 		return err
 	}
 	m.rehash()
@@ -180,32 +183,56 @@ func (m *Request) Size() int {
 }
 
 // rehash computes what Digest, signingDigest and Size return from the
-// request's fields now: at decode, or on a first Digest. One encoding serves
-// both digests, and SHA-256 reads it once: the signing bytes are the
-// encoding up to the signature's length field followed by a zero length, so
-// the hash of that shared prefix is finished twice.
+// request's fields now: at decode, or on a first Digest. SHA-256 reads the
+// encoding once, as it streams: the signing bytes are the encoding up to the
+// signature's length field followed by a zero length, so the hash of that
+// shared prefix is finished twice.
 func (m *Request) rehash() {
-	enc := Encode(m)
-	at := len(enc) - len(m.Sig) - 4
-	p := newPrefixHash(enc[:at])
-	m.digest, m.signDigest = p.sum(enc[at:]), p.sum(zeroLength[:])
-	m.size, m.hashed = len(enc), true
+	p, n := m.prefixHash()
+	m.digest, m.signDigest = m.finish(p), p.sum(zeroLength[:])
+	m.size, m.hashed = n+4+len(m.Sig), true
 }
 
 // sign signs the request's fields as they stand as auth's identity and
-// caches what rehash would, from one encoding hashed once: the unsigned
-// request's encoding is its signing bytes, and the signed one differs only
-// in the trailing signature length and the signature after it.
+// caches what rehash would: the encoding before the signature's length
+// field does not depend on the signature, so it is hashed once for both.
 func (m *Request) sign(auth Authenticator) {
-	m.Sig = nil
-	enc := Encode(m)
-	p := newPrefixHash(enc[:len(enc)-4])
+	p, n := m.prefixHash()
 	m.signDigest = p.sum(zeroLength[:])
 	m.Sig = auth.Sign(m.signDigest)
+	m.digest = m.finish(p)
+	m.size, m.hashed = n+4+len(m.Sig), true
+}
+
+// prefixHash hashes the request's encoding up to its signature's length
+// field, and returns that prefix's length. The header encodes into a small
+// scratch, Op is hashed where it lies, and the tail after Op encodes with the
+// alignment Op's length leaves it: Encode's bytes, without the copy of Op.
+func (m *Request) prefixHash() (prefixHash, int) {
+	var scratch [128]byte
+	e := cdr.NewEncoderOver(cdr.BigEndian, scratch[:0])
+	e.WriteOctet(byte(MTRequest))
+	e.WriteString(m.ClientID)
+	e.WriteULongLong(m.ClientSeq)
+	e.WriteULong(uint32(len(m.Op)))
+	head := e.Bytes()
+	// The tail's stream starts at Op's end: leading filler bytes give its
+	// encoder the same offset modulo the widest alignment, 8.
+	at := len(head) + len(m.Op)
+	t := cdr.NewEncoderOver(cdr.BigEndian, head[len(head):len(head)])
+	t.ReserveRaw(at % 8)
+	t.WriteString(m.ReplyTo)
+	t.WriteULong(0) // aligns the signature length field
+	tail := t.Stream()[at%8 : t.Len()-4]
+	return newPrefixHash(head, m.Op, tail), at + len(tail)
+}
+
+// finish completes the request's digest from its prefix hash: the
+// signature's length field and the signature.
+func (m *Request) finish(p prefixHash) Digest {
 	var sigLen [4]byte
 	binary.BigEndian.PutUint32(sigLen[:], uint32(len(m.Sig)))
-	m.digest = p.sum(sigLen[:], m.Sig)
-	m.size, m.hashed = len(enc)+len(m.Sig), true
+	return p.sum(sigLen[:], m.Sig)
 }
 
 // zeroLength is the signature length field of a request's signing bytes.
@@ -218,9 +245,11 @@ type prefixHash struct {
 	state []byte
 }
 
-func newPrefixHash(prefix []byte) prefixHash {
+func newPrefixHash(prefix ...[]byte) prefixHash {
 	h := sha256.New()
-	h.Write(prefix)
+	for _, b := range prefix {
+		h.Write(b)
+	}
 	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("pbft: save SHA-256 state: %v", err))
@@ -432,10 +461,10 @@ func (m *Reply) unmarshal(d *cdr.Decoder) error {
 	if err = readReplica(d, &m.Replica); err != nil {
 		return err
 	}
-	if m.Result, err = readOctetsCopy(d); err != nil {
+	if m.Result, err = d.ReadOctets(); err != nil {
 		return err
 	}
-	m.Sig, err = readOctetsCopy(d)
+	m.Sig, err = d.ReadOctets()
 	return err
 }
 
@@ -625,7 +654,7 @@ func (m *StateData) unmarshal(d *cdr.Decoder) error {
 	if m.Seq, err = d.ReadULongLong(); err != nil {
 		return err
 	}
-	if m.Snapshot, err = readOctetsCopy(d); err != nil {
+	if m.Snapshot, err = d.ReadOctets(); err != nil {
 		return err
 	}
 	if m.Proof, err = readList[Checkpoint](d); err != nil {
@@ -737,7 +766,9 @@ func encodedBound(m Message) int {
 }
 
 // Decode parses a message from its canonical encoding. It never panics on
-// malformed input.
+// malformed input and never writes buf; the octet fields it returns (a
+// request's Op and Sig, a reply's Result, a snapshot, every signature) alias
+// buf, so the caller must own it.
 func Decode(buf []byte) (Message, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	tag, err := d.ReadOctet()
@@ -858,7 +889,7 @@ func readTail(d *cdr.Decoder, replica *ReplicaID, sig *[]byte) (err error) {
 	if err = readReplica(d, replica); err != nil {
 		return err
 	}
-	*sig, err = readOctetsCopy(d)
+	*sig, err = d.ReadOctets()
 	return err
 }
 
@@ -872,15 +903,4 @@ func readReplica(d *cdr.Decoder, out *ReplicaID) error {
 	}
 	*out = ReplicaID(v)
 	return nil
-}
-
-func readOctetsCopy(d *cdr.Decoder) ([]byte, error) {
-	b, err := d.ReadOctets()
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		return nil, nil
-	}
-	return append([]byte(nil), b...), nil
 }

@@ -380,8 +380,8 @@ func (el *Element) flushReplies() {
 		leaves := make([][32]byte, len(batch))
 		for i, r := range batch {
 			c := r.cs.conn
-			leaves[i] = smiop.ReplyLeaf(smiop.DataSigningBytes(c.ID, r.requestID,
-				c.Local.Name, uint32(c.LocalMember), true, r.giop))
+			leaves[i] = smiop.DataSigningDigest(c.ID, r.requestID,
+				c.Local.Name, uint32(c.LocalMember), true, r.giop)
 		}
 		sigs, err := smiop.SignReplyBatch(leaves, el.sign)
 		if err != nil {

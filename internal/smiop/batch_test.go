@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +47,24 @@ func mth(leaves [][32]byte) [32]byte {
 // TestReplyBatchRoundTrip: for every batch size 2..16 and every leaf, the
 // batched Sig parses, carries at most four siblings, recomputes the RFC 6962
 // root, and its root signature verifies over RootSigningBytes.
+// TestDataSigningDigest: the streamed leaf is SHA-256 of the preimage the
+// signature checks build, whatever the domain name's alignment and length
+// (past the scratch the context encodes into included) and the GIOP length.
+func TestDataSigningDigest(t *testing.T) {
+	for _, domain := range []string{"", "a", "bank", "bank-x", strings.Repeat("d", 200)} {
+		for _, n := range []int{0, 1, 3, 7, 16 << 10} {
+			giopBytes := bytes.Repeat([]byte{0xA5}, n)
+			for _, reply := range []bool{false, true} {
+				want := ReplyLeaf(DataSigningBytes(11, 42, domain, 3, reply, giopBytes))
+				if got := DataSigningDigest(11, 42, domain, 3, reply, giopBytes); got != want {
+					t.Fatalf("domain %d octets, GIOP %d, reply %v: streamed digest differs from the preimage's",
+						len(domain), n, reply)
+				}
+			}
+		}
+	}
+}
+
 func TestReplyBatchRoundTrip(t *testing.T) {
 	for n := 2; n <= MaxReplyLeaves; n++ {
 		leaves := testLeaves(n)

@@ -168,7 +168,7 @@ func (b *ShareBundle) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeShareBundle parses a bundle payload.
+// DecodeShareBundle parses a bundle payload. The shares alias buf.
 func DecodeShareBundle(buf []byte) (*ShareBundle, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	var b ShareBundle
@@ -203,11 +203,9 @@ func DecodeShareBundle(buf []byte) (*ShareBundle, error) {
 	}
 	b.Shares = make([][]byte, n)
 	for i := range b.Shares {
-		s, err := d.ReadOctets()
-		if err != nil {
+		if b.Shares[i], err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
-		b.Shares[i] = append([]byte(nil), s...)
 	}
 	return &b, nil
 }
@@ -265,7 +263,8 @@ func (c *ChangeRequest) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeChangeRequest parses a change request payload.
+// DecodeChangeRequest parses a change request payload. The proof items'
+// GIOP and Sig alias buf.
 func DecodeChangeRequest(buf []byte) (*ChangeRequest, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	var c ChangeRequest
@@ -303,16 +302,12 @@ func DecodeChangeRequest(buf []byte) (*ChangeRequest, error) {
 		if c.Proof[i].Member, err = d.ReadULong(); err != nil {
 			return nil, err
 		}
-		g, err := d.ReadOctets()
-		if err != nil {
+		if c.Proof[i].GIOP, err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
-		c.Proof[i].GIOP = append([]byte(nil), g...)
-		s, err := d.ReadOctets()
-		if err != nil {
+		if c.Proof[i].Sig, err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
-		c.Proof[i].Sig = append([]byte(nil), s...)
 	}
 	return &c, nil
 }

@@ -69,7 +69,7 @@ func (p *DigestPayload) Encode() []byte {
 
 // DecodeDigestPayload parses a digest payload, rejecting malformed input
 // (trailing octets included) without panicking: Byzantine senders reach
-// this path.
+// this path. Digest and Sig alias buf, like DecodeSignedPayload's fields.
 func DecodeDigestPayload(buf []byte) (*DigestPayload, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	digest, err := d.ReadOctets()
@@ -87,10 +87,7 @@ func DecodeDigestPayload(buf []byte) (*DigestPayload, error) {
 	if n := d.Remaining(); n != 0 {
 		return nil, fmt.Errorf("smiop: digest payload: %d trailing octets", n)
 	}
-	return &DigestPayload{
-		Digest: append([]byte(nil), digest...),
-		Sig:    append([]byte(nil), sig...),
-	}, nil
+	return &DigestPayload{Digest: digest, Sig: sig}, nil
 }
 
 // openDigestPayload authenticates the plaintext of a digest envelope and

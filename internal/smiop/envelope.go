@@ -125,7 +125,9 @@ func (env *Envelope) Encode() []byte {
 }
 
 // DecodeEnvelope parses an envelope, rejecting malformed input without
-// panicking (Byzantine senders reach this path).
+// panicking (Byzantine senders reach this path). Payload aliases buf, which
+// the caller must therefore own and never write again: a buffer a transport
+// handed up is (see the package note in wire.go).
 func DecodeEnvelope(buf []byte) (*Envelope, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	kind, err := d.ReadOctet()
@@ -157,10 +159,8 @@ func DecodeEnvelope(buf []byte) (*Envelope, error) {
 	if env.FragCount, err = d.ReadULong(); err != nil {
 		return nil, fmt.Errorf("smiop: envelope: %w", err)
 	}
-	payload, err := d.ReadOctets()
-	if err != nil {
+	if env.Payload, err = d.ReadOctets(); err != nil {
 		return nil, fmt.Errorf("smiop: envelope: %w", err)
 	}
-	env.Payload = append([]byte(nil), payload...)
 	return env, nil
 }

@@ -2,6 +2,7 @@ package smiop
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"itdos/internal/cdr"
@@ -30,7 +31,11 @@ func FuzzSignedPayloadDecode(f *testing.F) {
 		f.Add(signedPayloadBytes(giopBytes, tc.sign(DataSigningBytes(11, 1, "bank", 2, true, giopBytes))))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
 		p, err := DecodeSignedPayload(data)
+		if !bytes.Equal(data, in) {
+			t.Fatal("DecodeSignedPayload wrote its input, which GIOP and Sig alias")
+		}
 		if err != nil {
 			return
 		}
@@ -56,6 +61,40 @@ func FuzzSignedPayloadDecode(f *testing.F) {
 	})
 }
 
+// FuzzEnvelopeDecode drives the envelope decoder, the first parser every
+// SMIOP byte meets, with arbitrary bytes. It must never panic and never
+// write its input, which a decoded Payload aliases, and an envelope it
+// accepts must survive an encode → decode round trip. Seeds are one
+// envelope of every kind and the sealed frames of a fragmented message.
+func FuzzEnvelopeDecode(f *testing.F) {
+	for k := KindData; k <= KindRekeyRequest; k++ {
+		f.Add((&Envelope{Kind: k, ConnID: 9, SrcDomain: "bank", SrcMember: 2,
+			RequestID: 41, Reply: true, Payload: []byte("payload")}).Encode())
+	}
+	frames, err := wireConn(f).SealSignedDataWire(1, true, bytes.Repeat([]byte{0x5A}, 3000), testSign, 1024)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, fr := range frames {
+		f.Add(bytes.Clone(fr.B))
+	}
+	ReleaseFrames(frames)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
+		env, err := DecodeEnvelope(data)
+		if !bytes.Equal(data, in) {
+			t.Fatal("DecodeEnvelope wrote its input, which Payload aliases")
+		}
+		if err != nil {
+			return
+		}
+		back, err := DecodeEnvelope(env.Encode())
+		if err != nil || !reflect.DeepEqual(back, env) {
+			t.Fatalf("accepted envelope does not round-trip (%v): %+v vs %+v", err, back, env)
+		}
+	})
+}
+
 // FuzzReplyDigestDecode drives the digest-payload parser with arbitrary
 // bytes. Digest payloads arrive inside sealed envelopes but their contents
 // are Byzantine-controlled plaintext after opening, so the parser must
@@ -65,7 +104,11 @@ func FuzzReplyDigestDecode(f *testing.F) {
 	f.Add((&DigestPayload{Digest: make([]byte, DigestSize), Sig: []byte("sig")}).Encode())
 	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
 		p, err := DecodeDigestPayload(data)
+		if !bytes.Equal(data, in) {
+			t.Fatal("DecodeDigestPayload wrote its input, which Digest and Sig alias")
+		}
 		if err != nil {
 			return
 		}

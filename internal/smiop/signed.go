@@ -1,9 +1,11 @@
 package smiop
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"itdos/internal/cdr"
+	"itdos/internal/pool"
 )
 
 // SignedPayload is the plaintext inside a sealed data envelope: the GIOP
@@ -20,6 +22,8 @@ type SignedPayload struct {
 // DecodeSignedPayload parses a payload: WriteOctets(GIOP) then
 // WriteOctets(Sig), big-endian CDR, as SealGIOPWire stages it, with zero
 // padding and nothing after, so each signed copy has exactly one encoding.
+// GIOP and Sig alias buf, which the caller owns and never writes again (an
+// opened seal or a reassembled message is a fresh buffer).
 func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	giopBytes, err := d.ReadOctets()
@@ -40,14 +44,12 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 			return nil, fmt.Errorf("smiop: signed payload: nonzero padding")
 		}
 	}
-	return &SignedPayload{
-		GIOP: append([]byte(nil), giopBytes...),
-		Sig:  append([]byte(nil), sig...),
-	}, nil
+	return &SignedPayload{GIOP: giopBytes, Sig: sig}, nil
 }
 
 // VerifyFunc authenticates a sending element's signature over the signing
-// bytes of its data or digest context.
+// bytes of its data or digest context. The signing bytes may live in a pooled
+// buffer reused once the call returns: a VerifyFunc must not retain them.
 type VerifyFunc func(srcDomain string, member uint32, signingBytes, sig []byte) bool
 
 // SigOutcome is how one signature check ended.
@@ -69,9 +71,12 @@ type CheckFunc func(srcDomain string, member uint32, signingBytes, sig []byte) S
 // context — the authentication step of every full data copy, whichever vote
 // or channel it arrives on.
 func (p *SignedPayload) Verify(env *Envelope, verify VerifyFunc) error {
-	signing := DataSigningBytes(env.ConnID, env.RequestID, env.SrcDomain,
+	sb := pool.Get(len(p.GIOP) + signingSlack)
+	sb.B = AppendDataSigningBytes(sb.B, env.ConnID, env.RequestID, env.SrcDomain,
 		env.SrcMember, env.Reply, p.GIOP)
-	if !verify(env.SrcDomain, env.SrcMember, signing, p.Sig) {
+	ok := verify(env.SrcDomain, env.SrcMember, sb.B, p.Sig)
+	sb.Release()
+	if !ok {
 		return fmt.Errorf("smiop: conn %d member %d: bad message signature",
 			env.ConnID, env.SrcMember)
 	}
@@ -87,4 +92,25 @@ func DataSigningBytes(connID, requestID uint64, srcDomain string, srcMember uint
 	reply bool, giopBytes []byte) []byte {
 
 	return AppendDataSigningBytes(nil, connID, requestID, srcDomain, srcMember, reply, giopBytes)
+}
+
+// DataSigningDigest is SHA-256 of DataSigningBytes, hashed as it streams:
+// the context fields encode into a small scratch and the GIOP bytes are
+// hashed where they lie. It is the leaf a reply enters a batch tree as
+// (ReplyLeaf of its preimage), without building the preimage.
+func DataSigningDigest(connID, requestID uint64, srcDomain string, srcMember uint32,
+	reply bool, giopBytes []byte) [32]byte {
+
+	var scratch [signingSlack]byte
+	head := appendDataSigningHead(scratch[:0], connID, requestID, srcDomain, srcMember,
+		reply, len(giopBytes))
+	h := sha256.New()
+	for _, b := range [][]byte{head, giopBytes} {
+		if _, err := h.Write(b); err != nil {
+			panic("smiop: SHA-256 write: " + err.Error()) // hash.Hash's Write never fails
+		}
+	}
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }

@@ -67,7 +67,9 @@ func sealEnvs(t testing.TB, c *Connection, id uint64, reply bool, giopBytes []by
 	defer ReleaseFrames(frames)
 	envs := make([]*Envelope, len(frames))
 	for i, f := range frames {
-		if envs[i], err = DecodeEnvelope(f.B); err != nil {
+		// Decode what a transport hands up, a copy: the envelopes alias it
+		// and outlive the pooled frames.
+		if envs[i], err = DecodeEnvelope(bytes.Clone(f.B)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,8 +37,14 @@ import (
 //
 // Ownership: every returned frame is a pool.Buffer holding exactly one
 // reference. The caller must Release each frame after handing its bytes to
-// the transport (netsim copies payloads on Send), or Detach it when the
+// the transport (both backends copy payloads on Send), or Detach it when the
 // bytes must outlive the send (ordered-path retransmission queues).
+//
+// On the receive side no decoder copies: DecodeEnvelope, DecodeSignedPayload
+// and DecodeDigestPayload return slices of the buffer they are given. That
+// buffer is a transport delivery, an opened seal or a reassembled message —
+// each a fresh allocation its receiver owns and no one writes afterwards —
+// never a pooled frame, which is recycled on release.
 
 // signingSlack covers the signing-context fields around the GIOP bytes in
 // AppendDataSigningBytes when sizing a pooled scratch.
@@ -55,6 +61,15 @@ func envelopeSlack(c *Connection) int { return 64 + len(c.Local.Name) }
 func AppendDataSigningBytes(dst []byte, connID, requestID uint64, srcDomain string,
 	srcMember uint32, reply bool, giopBytes []byte) []byte {
 
+	dst = appendDataSigningHead(dst, connID, requestID, srcDomain, srcMember, reply, len(giopBytes))
+	return append(dst, giopBytes...)
+}
+
+// appendDataSigningHead appends the data signing context up to the GIOP
+// bytes: every field, then the GIOP length prefix.
+func appendDataSigningHead(dst []byte, connID, requestID uint64, srcDomain string,
+	srcMember uint32, reply bool, giopLen int) []byte {
+
 	e := cdr.NewEncoderOver(cdr.BigEndian, dst)
 	e.WriteString("smiop-data")
 	e.WriteULongLong(connID)
@@ -62,7 +77,7 @@ func AppendDataSigningBytes(dst []byte, connID, requestID uint64, srcDomain stri
 	e.WriteString(srcDomain)
 	e.WriteULong(srcMember)
 	e.WriteBoolean(reply)
-	e.WriteOctets(giopBytes)
+	e.WriteULong(uint32(giopLen))
 	return e.Bytes()
 }
 

@@ -97,9 +97,9 @@ func decodePack(op []byte) ([][]byte, bool) {
 }
 
 // Payloads returns the messages an ordered op carries: the payloads of a
-// well-formed pack, which alias op, else op itself. It is the one reading of
-// an op that Execute, and anything inspecting ordered requests on the way to
-// a domain, applies.
+// well-formed pack, which alias op, else op itself. It never writes op. It is
+// the one reading of an op that Execute, and anything inspecting ordered
+// requests on the way to a domain, applies.
 func Payloads(op []byte) [][]byte {
 	if payloads, ok := decodePack(op); ok {
 		return payloads

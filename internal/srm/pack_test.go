@@ -236,6 +236,11 @@ func FuzzSRMPack(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, op []byte) {
+		in := bytes.Clone(op)
+		Payloads(op)
+		if !bytes.Equal(op, in) {
+			t.Fatal("Payloads wrote its input, which its payloads alias")
+		}
 		payloads, ok := decodePack(op)
 		if ok {
 			if len(payloads) < 1 || len(payloads) > MaxPackPayloads {

@@ -98,9 +98,11 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 // Execute implements pbft.App: append the request's messages — the payloads
 // of a pack, else the op itself — and return the static acknowledgement. Each
 // message gets its own sequence number, chain link and delivery, in order,
-// all with the request's authenticated sender.
+// all with the request's authenticated sender. The messages alias op, which
+// no one writes once it is ordered: the request decoded it from a buffer the
+// transport handed up.
 func (q *Queue) Execute(clientID string, op []byte) []byte {
-	payloads := Payloads(append([]byte(nil), op...))
+	payloads := Payloads(op)
 	q.hPayloads.Observe(float64(len(payloads)))
 	for _, data := range payloads {
 		q.append(clientID, data)

@@ -54,8 +54,9 @@ func AppendFrame(dst []byte, from, to transport.NodeID, payload []byte) ([]byte,
 }
 
 // DecodeFrame parses one frame body (the bytes after the u32 length
-// prefix). The returned payload aliases body; callers that retain it past
-// the buffer's lifetime must copy.
+// prefix). It never writes body, and the returned payload aliases it: the
+// reader hands a payload up without copying, because readFrame allocates
+// each body afresh and the receiver owns it from then on.
 func DecodeFrame(body []byte) (from, to transport.NodeID, payload []byte, err error) {
 	from, body, ok := cutID(body)
 	if ok {

@@ -30,6 +30,9 @@ func FuzzTCPFrameDecode(f *testing.F) {
 		pb.B = append(pb.B, data...)
 
 		from, to, payload, err := DecodeFrame(pb.B)
+		if !bytes.Equal(pb.B, data) {
+			t.Fatal("DecodeFrame wrote its input, which the payload aliases")
+		}
 		if err != nil {
 			pb.Release()
 			return

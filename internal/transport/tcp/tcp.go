@@ -368,11 +368,14 @@ func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
 		t.mUnroutable.Inc()
 		return
 	}
-	if frameBodyLen(from, to, payload) > t.maxFrame {
+	bodyLen := frameBodyLen(from, to, payload)
+	if bodyLen > t.maxFrame {
 		t.mOversizeTx.Inc()
 		return
 	}
-	frame, err := AppendFrame(nil, from, to, payload)
+	// The copy Send's contract requires, sized exactly: the peer's writer
+	// owns the frame from here.
+	frame, err := AppendFrame(make([]byte, 0, frameHeaderLen+bodyLen), from, to, payload)
 	if err != nil {
 		t.mDecodeErr.Inc()
 		return
@@ -581,7 +584,8 @@ func (t *Transport) runReader(conn net.Conn) {
 			if from, to, payload, err := DecodeFrame(body); err != nil {
 				bad++
 			} else {
-				// payload aliases body, which is fresh per frame.
+				// payload aliases body, which is fresh per frame: the
+				// receiver owns it.
 				run = append(run, delivery{from, to, payload})
 			}
 			if len(run) >= gatherFrames || !frameBuffered(br, t.maxFrame) {

@@ -22,7 +22,9 @@ type NodeID string
 type Handler interface {
 	// Receive is invoked by the transport's single delivery thread when a
 	// message arrives. Implementations may call back into the transport
-	// (Send, After) but must not retain payload beyond the call.
+	// (Send, After). The payload is the receiver's to keep: the transport
+	// never touches it again, so decoders above it return slices of it
+	// instead of copies, and nothing writes it afterwards.
 	Receive(from NodeID, payload []byte)
 }
 
