@@ -103,7 +103,11 @@ bench-mem:
 # at a fixed 3000 calls each with B/op and allocs/op, its flat CPU profile,
 # who signs and verifies, who feeds SHA-256 and the GCM seal and open — the
 # hashing and sealing passes per layer — and who allocates the most bytes,
-# in bench-out/INPROC_PROFILE.txt.
+# in bench-out/INPROC_PROFILE.txt. Then the committed form of the same
+# budget: cmd/itdos-inproc runs each workload five times more and adds this
+# checkout's row — medians of ns/op, B/op and allocs/op, and the CPU share of
+# every layer — to BENCH_INPROC.json, and writes it alone to
+# bench-out/INPROC_ROW.json. A perf claim cites its parent's row and its own.
 .PHONY: bench-inproc
 bench-inproc:
 	mkdir -p bench-out
@@ -113,6 +117,7 @@ bench-inproc:
 	$(GO) tool pprof -peek 'sha256\.\(\*Digest\)\.Write$$|crypto/sha256\.Sum256$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -peek 'gcm\.\(\*GCM\)\.(Seal|Open)$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -sample_index=alloc_space -top bench-out/cluster.test bench-out/inproc.mem >> bench-out/INPROC_PROFILE.txt
+	$(GO) run ./cmd/itdos-inproc
 
 # Continuous fuzzing of each decoder boundary, FUZZTIME per target.
 fuzz:

@@ -21,9 +21,43 @@ func (r *Replica) HandleMessage(data []byte) {
 	r.dispatch(m)
 }
 
-// verify authenticates m as received by this replica of its group.
+// verify authenticates m as received by this replica of its group. A
+// request that arrives on its own — from its client, or relayed by a peer —
+// is checked on its signature: it may start an ordering round here or arm
+// this replica's view-change timer, and a tag alone would let a faulty
+// client make backups wait for a request the primary refuses.
 func (r *Replica) verify(m Message) bool {
+	if req, ok := m.(*Request); ok {
+		return r.checkSignature(req)
+	}
 	return verifyIn(r.cfg.Auth, m, r.cfg.ID, r.ids)
+}
+
+// checkSignature verifies req's client signature once: a request checked
+// before passes on its mark (sigChecked).
+func (r *Replica) checkSignature(req *Request) bool {
+	if req.sigChecked {
+		return true
+	}
+	if !verifyIn(r.cfg.Auth, req, r.cfg.ID, r.ids) {
+		return false
+	}
+	req.sigChecked = true
+	r.mAdmitSig.Inc()
+	return true
+}
+
+// admitRequest is how a backup admits a request a primary proposes: on its
+// own slot of the tag vector, and on the signature when that slot is wrong
+// or the vector is not one slot per replica. The primary checked the
+// signature on arrival, so an honest primary proposes nothing a backup
+// cannot fall back on.
+func (r *Replica) admitRequest(req *Request) bool {
+	if requestTagValid(r.cfg.Auth, req, r.cfg.ID, r.cfg.N) {
+		r.mAdmitTag.Inc()
+		return true
+	}
+	return r.checkSignature(req)
 }
 
 // stalePhase reports whether m is a prepare, commit or checkpoint that
@@ -97,14 +131,21 @@ func (r *Replica) dispatch(m Message) {
 
 // validBatch checks a pre-prepare's piggybacked batch against its digest.
 // The primary's signature covers the header alone, so this is what binds
-// the requests to it, wherever a pre-prepare is admitted (onPrePrepare,
-// verifyViewChange, onNewView): the digest must cover the batch, every
-// request must carry a valid client signature, and a Byzantine primary may
-// not stuff the same request into a batch twice, nor order a request over
-// MaxRequestBytes or a batch over MaxBatchBytes. An empty batch must carry
-// the null digest (view-change gap filler). The sizes are checked before
-// any signature.
-func (r *Replica) validBatch(pp *PrePrepare) bool {
+// the requests to it, wherever a pre-prepare is admitted: the digest must
+// cover the batch, and a Byzantine primary may not stuff the same request
+// into a batch twice, nor order a request over MaxRequestBytes or a batch
+// over MaxBatchBytes. An empty batch must carry the null digest (view-change
+// gap filler). The sizes are checked before any authenticator.
+//
+// Each request must then be authentic, which certified settles. A proposal
+// a backup meets in normal operation (onPrePrepare) is not: each request is
+// admitted on its tag or signature (admitRequest). A batch inside a prepared
+// certificate (verifyViewChange), or bound by its digest to one (a new
+// view's re-proposals, onNewView), is: 2f+1 replicas prepared it, so at
+// least f+1 correct ones admitted every request in it, and a replica whose
+// own tag is bad must not refuse what the group prepared — Castro–Liskov's
+// argument for MAC-authenticated requests.
+func (r *Replica) validBatch(pp *PrePrepare, certified bool) bool {
 	if len(pp.Requests) == 0 {
 		return pp.Digest.IsNull()
 	}
@@ -128,7 +169,13 @@ func (r *Replica) validBatch(pp *PrePrepare) bool {
 			return false
 		}
 		seen[d] = true
-		if !r.verify(req) {
+	}
+	if certified {
+		r.mAdmitCert.Add(uint64(len(pp.Requests)))
+		return true
+	}
+	for _, req := range pp.Requests {
+		if !r.admitRequest(req) {
 			return false
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"crypto/sha512"
 	"fmt"
+	"hash"
 	"math/big"
 	"sync"
 
@@ -25,7 +26,10 @@ const MACSize = 16
 // to the Group Manager as proof of Byzantine behaviour. MAC tags under a
 // pairwise key convince only the one receiver they are addressed to, and
 // cost a fiftieth; they protect the messages that never become proof.
-// SignMessage and VerifyMessage choose between the two by message type.
+// SignMessage and VerifyMessage choose between the two by message type. A
+// request, which can become proof, carries both: its signature is checked
+// where it arrives on its own, and a backup admits it inside a proposal on
+// its tag (Replica.validBatch).
 //
 // Implementations must be safe for concurrent use: live environments verify
 // from multiple connection goroutines.
@@ -47,8 +51,9 @@ type Authenticator interface {
 
 // SignMessage authenticates m in place as auth's identity: a Reply carries
 // the tag for its client, everything else a signature. A Commit carries one
-// tag per replica of its group, which only a replica can address
-// (Replica.sign); outside a group it gets none.
+// tag per replica of its group, and so does a Request beside its signature;
+// only a party that knows the group can address them (Replica.sign,
+// Client.Invoke), and outside a group they get none.
 func SignMessage(auth Authenticator, m Message) { signIn(auth, m, nil) }
 
 // VerifyMessage checks a request's signature. Every other message names its
@@ -68,7 +73,8 @@ func Identities(group string, n int) []string {
 
 // signIn is SignMessage within a group whose replicas are ids. A commit's Sig
 // holds one tag per replica, slot i under the key shared with ids[i]; the
-// sender's own slot stays zero, as does that of a peer it has no key with.
+// sender's own slot stays zero, as does that of a peer it has no key with. A
+// request's Tags are laid out alike, one slot for every replica.
 func signIn(auth Authenticator, m Message, ids []string) {
 	switch msg := m.(type) {
 	case *Commit:
@@ -83,10 +89,48 @@ func signIn(auth Authenticator, m Message, ids []string) {
 	case *Reply:
 		msg.Sig = auth.MAC(msg.ClientID, signingBytes(m))
 	case *Request:
-		msg.sign(auth)
+		msg.sign(auth, ids)
 	default:
 		*m.sigRef() = auth.Sign(signingDigest(m))
 	}
+}
+
+// requestTagInfo opens every request tag's preimage. No other tagged
+// preimage starts with it — a commit's and a reply's open with their type
+// octet — so a request tag never stands for another message's under the
+// same pair key.
+const requestTagInfo = "itdos/pbft-request-tag/1"
+
+// requestTagBytes is what a request's tags cover: requestTagInfo and its
+// 32-byte signing digest, which binds every field the signature binds.
+func requestTagBytes(d Digest) []byte {
+	b := make([]byte, 0, len(requestTagInfo)+len(d))
+	return append(append(b, requestTagInfo...), d[:]...)
+}
+
+// requestTags returns a request's tag vector for the replicas ids over its
+// signing digest d, or nil for no replicas.
+func requestTags(auth Authenticator, d Digest, ids []string) []byte {
+	if len(ids) == 0 {
+		return nil
+	}
+	msg := requestTagBytes(d)
+	tags := make([]byte, len(ids)*MACSize)
+	for i, id := range ids {
+		copy(tags[i*MACSize:(i+1)*MACSize], auth.MAC(id, msg))
+	}
+	return tags
+}
+
+// requestTagValid reports whether slot self of req's tag vector, for a group
+// of n replicas, holds the tag req's client computes for that replica. A
+// vector of another length is no vector: its slots cannot be told apart.
+func requestTagValid(auth Authenticator, req *Request, self ReplicaID, n int) bool {
+	if self < 0 || int(self) >= n || len(req.Tags) != n*MACSize {
+		return false
+	}
+	return auth.VerifyMAC(req.ClientID, requestTagBytes(signingDigest(req)),
+		req.Tags[int(self)*MACSize:(int(self)+1)*MACSize])
 }
 
 // verifyIn is VerifyMessage at replica self of the group whose replicas are
@@ -199,11 +243,39 @@ type Ed25519Auth struct {
 	pairs map[string]pairKey
 }
 
-// pairKey is a cached pairwise MAC key; key is nil when agreement with pub
-// was refused.
+// pairKey is a cached pairwise MAC key and an HMAC keyed with it; key and mac
+// are nil when agreement with pub was refused.
 type pairKey struct {
 	pub ed25519.PublicKey
 	key []byte
+	mac *keyedMAC
+}
+
+// keyedMAC is one HMAC-SHA256 keyed once and reused: Reset restores the
+// padded key states it saved on first use, so a tag costs the two compression
+// passes over its message and no allocation. The lock makes it safe for the
+// concurrent callers an Authenticator has.
+type keyedMAC struct {
+	mu  sync.Mutex
+	h   hash.Hash
+	buf [sha256.Size]byte
+}
+
+func newKeyedMAC(key []byte) *keyedMAC {
+	if key == nil {
+		return nil
+	}
+	return &keyedMAC{h: hmac.New(sha256.New, key)}
+}
+
+// tag returns the MACSize-byte tag over msg.
+func (k *keyedMAC) tag(msg []byte) (tag [MACSize]byte) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.h.Reset()
+	k.h.Write(msg)
+	copy(tag[:], k.h.Sum(k.buf[:0]))
+	return tag
 }
 
 var _ Authenticator = (*Ed25519Auth)(nil)
@@ -262,48 +334,48 @@ func verifyDigest(pub ed25519.PublicKey, d Digest, sig []byte) bool {
 
 // MAC implements Authenticator.
 func (a *Ed25519Auth) MAC(peer string, msg []byte) []byte {
-	key := a.pairKey(peer)
-	if key == nil {
+	mac := a.pair(peer).mac
+	if mac == nil {
 		return nil
 	}
-	return tagOf(key, msg)
+	tag := mac.tag(msg)
+	return tag[:]
 }
 
 // VerifyMAC implements Authenticator.
 func (a *Ed25519Auth) VerifyMAC(peer string, msg, tag []byte) bool {
-	key := a.pairKey(peer)
-	return key != nil && hmac.Equal(tag, tagOf(key, msg))
-}
-
-func tagOf(key, msg []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(msg)
-	return mac.Sum(nil)[:MACSize]
+	mac := a.pair(peer).mac
+	if mac == nil {
+		return false
+	}
+	want := mac.tag(msg)
+	return hmac.Equal(tag, want[:])
 }
 
 // Identity implements Authenticator.
 func (a *Ed25519Auth) Identity() string { return a.identity }
 
-// pairKey returns the MAC key shared with peer, deriving it on first use
-// from the public key the keyring holds now. An identity the keyring no
-// longer knows, or knows under another key, loses its cached key here: an
-// expelled member's tags stop verifying with its signatures.
-func (a *Ed25519Auth) pairKey(peer string) []byte {
+// pair returns the MAC key shared with peer and its keyed HMAC, deriving
+// them on first use from the public key the keyring holds now. An identity
+// the keyring no longer knows, or knows under another key, loses its cached
+// key here: an expelled member's tags stop verifying with its signatures.
+func (a *Ed25519Auth) pair(peer string) pairKey {
 	pub, ok := a.ring.Lookup(peer)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !ok {
 		delete(a.pairs, peer)
-		return nil
+		return pairKey{}
 	}
 	if pk, hit := a.pairs[peer]; hit && bytes.Equal(pk.pub, pub) {
-		return pk.key
+		return pk
 	}
 	// A refusal is cached as a nil key; why matters to nobody on the message
 	// path, which drops the message either way.
 	key, _ := derivePairKey(a.identity, a.scalar, peer, pub)
-	a.pairs[peer] = pairKey{pub: pub, key: key}
-	return key
+	pk := pairKey{pub: pub, key: key, mac: newKeyedMAC(key)}
+	a.pairs[peer] = pk
+	return pk
 }
 
 // pairKeyInfo domain-separates the pair key from every other use of the

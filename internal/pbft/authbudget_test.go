@@ -168,6 +168,18 @@ func BenchmarkAuthMAC(b *testing.B) {
 	}
 }
 
+func BenchmarkAuthVerifyMAC(b *testing.B) {
+	a, peer, msg := benchAuthPair(b)
+	tag := a.MAC(peer.Identity(), msg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !peer.VerifyMAC(a.Identity(), msg, tag) {
+			b.Fatal("tag rejected")
+		}
+	}
+}
+
 func BenchmarkAuthPairKey(b *testing.B) {
 	a, peer, _ := benchAuthPair(b)
 	pub := peer.priv.Public().(ed25519.PublicKey)

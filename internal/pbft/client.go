@@ -38,7 +38,8 @@ type ClientConfig struct {
 	// RetransmitTimeout is the base request retransmission timeout
 	// (default DefaultRetransmitTimeout).
 	RetransmitTimeout time.Duration
-	// Auth signs requests and checks the replicas' tags on replies.
+	// Auth signs and tags requests and checks the replicas' tags on
+	// replies.
 	Auth Authenticator
 }
 
@@ -107,7 +108,7 @@ func (c *Client) Invoke(op []byte) (uint64, error) {
 		Op:        op,
 		ReplyTo:   c.cfg.ReplyAddr,
 	}
-	SignMessage(c.cfg.Auth, req)
+	signIn(c.cfg.Auth, req, c.ids)
 	if req.Size() > MaxRequestBytes {
 		return 0, fmt.Errorf("pbft: client %s: request of %d bytes exceeds %d",
 			c.cfg.ID, req.Size(), MaxRequestBytes)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"itdos/internal/cdr"
 	"itdos/internal/smiop"
 )
 
@@ -165,7 +166,7 @@ func sigTable(t *testing.T) []sigCase {
 	}
 	ppRow.verify = func(v any) bool {
 		back, err := Decode(Encode(v.(Message)))
-		return err == nil && backup.verify(back) && backup.validBatch(back.(*PrePrepare))
+		return err == nil && backup.verify(back) && backup.validBatch(back.(*PrePrepare), false)
 	}
 
 	return []sigCase{
@@ -328,10 +329,10 @@ func TestDigestSignatureDomains(t *testing.T) {
 
 // TestRequestDigestOnce: every request a sample message carries — on its
 // own, in a pre-prepare's batch, in a view change's certificates or a new
-// view — has, once decoded, the digest of its own standalone encoding and
-// the signing digest of its signing bytes, and returns both without encoding
-// or hashing again. A request decoded
-// from tampered bytes has the tampered request's digest.
+// view — has, once decoded, the digest of its own standalone encoding up to
+// its tag vector and the signing digest of its signing bytes, and returns
+// both without encoding or hashing again. A request decoded from tampered
+// bytes has the tampered request's digest.
 func TestRequestDigestOnce(t *testing.T) {
 	var reqs func(m Message) []*Request
 	reqs = func(m Message) []*Request {
@@ -370,7 +371,10 @@ func TestRequestDigestOnce(t *testing.T) {
 		}
 		for i, req := range got {
 			seen++
-			if want := Digest(sha256.Sum256(Encode(req))); req.Digest() != want {
+			if len(req.Tags) != 4*MACSize {
+				t.Fatalf("%s request %d: %d tag octets, want a vector of four", name, i, len(req.Tags))
+			}
+			if want := Digest(sha256.Sum256(untagged(req))); req.Digest() != want {
 				t.Errorf("%s request %d: digest %s, want %s", name, i, req.Digest(), want)
 			}
 			if want := Digest(sha256.Sum256(signingBytes(req))); signingDigest(req) != want {
@@ -386,17 +390,20 @@ func TestRequestDigestOnce(t *testing.T) {
 	}
 
 	// The digests hash the encoding as it streams, Op where it lies: every
-	// alignment the fields after Op can take must give Encode's hashes and
-	// length, signed or not.
+	// alignment the fields after Op can take must give the hashes of the
+	// encoding up to the tag vector and Encode's length, signed or not,
+	// tagged or not.
 	for idLen := 0; idLen < 8; idLen++ {
 		for opLen := 0; opLen < 17; opLen++ {
-			for _, sig := range [][]byte{nil, bytes.Repeat([]byte{0x5A}, 64)} {
-				req := &Request{ClientID: strings.Repeat("c", idLen), ClientSeq: 7,
-					Op: bytes.Repeat([]byte{0xC3}, opLen), ReplyTo: strings.Repeat("r", opLen%5), Sig: sig}
-				enc := Encode(req)
-				if req.Digest() != Digest(sha256.Sum256(enc)) || req.Size() != len(enc) ||
-					signingDigest(req) != Digest(sha256.Sum256(signingBytes(req))) {
-					t.Fatalf("id %d, op %d, sig %d octets: digests or size differ from the encoding's", idLen, opLen, len(sig))
+			for _, sig := range [][]byte{nil, bytes.Repeat([]byte{0x5A}, 64), {0x5A, 0x5B, 0x5C}} {
+				for _, tags := range [][]byte{nil, bytes.Repeat([]byte{0x7E}, 4*MACSize)} {
+					req := &Request{ClientID: strings.Repeat("c", idLen), ClientSeq: 7,
+						Op: bytes.Repeat([]byte{0xC3}, opLen), ReplyTo: strings.Repeat("r", opLen%5), Sig: sig, Tags: tags}
+					if req.Digest() != Digest(sha256.Sum256(untagged(req))) || req.Size() != len(Encode(req)) ||
+						signingDigest(req) != Digest(sha256.Sum256(signingBytes(req))) {
+						t.Fatalf("id %d, op %d, sig %d octets, tags %d octets: digests or size differ from the encoding's",
+							idLen, opLen, len(sig), len(tags))
+					}
 				}
 			}
 		}
@@ -415,13 +422,22 @@ func TestRequestDigestOnce(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if want := Digest(sha256.Sum256(Encode(back))); back.Digest() != want {
+		if want := Digest(sha256.Sum256(untagged(back))); back.Digest() != want {
 			t.Fatalf("byte %d flipped: digest %s, want the tampered request's %s", i, back.Digest(), want)
 		}
-		if back.Digest() == req.Digest() && string(Encode(back)) != string(wire) {
+		if back.Digest() == req.Digest() && string(untagged(back)) != string(untagged(req)) {
 			t.Fatalf("byte %d flipped: tampered request kept the original digest", i)
 		}
 	}
+}
+
+// untagged is the request's standalone encoding up to its tag vector: what
+// its digest hashes.
+func untagged(req *Request) []byte {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteOctet(byte(MTRequest))
+	req.marshalUntagged(e)
+	return e.Bytes()
 }
 
 // TestPrePrepareBindsItsBatch: a pre-prepare's signature covers its header

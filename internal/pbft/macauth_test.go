@@ -3,7 +3,10 @@ package pbft
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/hmac"
+	"crypto/sha256"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -298,7 +301,7 @@ func TestPairKey(t *testing.T) {
 	seen := make(map[string]string)
 	for i, a := range ids {
 		for _, b := range ids[i+1:] {
-			ab, ba := auths[a].pairKey(b), auths[b].pairKey(a)
+			ab, ba := auths[a].pair(b).key, auths[b].pair(a).key
 			if len(ab) != 32 || !bytes.Equal(ab, ba) {
 				t.Fatalf("%s–%s: sides disagree: %x vs %x", a, b, ab, ba)
 			}
@@ -313,7 +316,7 @@ func TestPairKey(t *testing.T) {
 		}
 	}
 	a := auths["grp/r0"]
-	if a.pairKey("grp/r9") != nil || a.MAC("grp/r9", nil) != nil || a.VerifyMAC("grp/r9", nil, make([]byte, MACSize)) {
+	if a.pair("grp/r9").key != nil || a.MAC("grp/r9", nil) != nil || a.VerifyMAC("grp/r9", nil, make([]byte, MACSize)) {
 		t.Error("unknown identity got a key")
 	}
 	// The Ed25519 encodings of the points of order 1, 2 and 4 (y = 1, −1, 0)
@@ -329,7 +332,7 @@ func TestPairKey(t *testing.T) {
 	}
 	for name, pub := range lowOrder {
 		ring.Add("evil", ed25519.PublicKey(pub))
-		if key := a.pairKey("evil"); key != nil {
+		if key := a.pair("evil").key; key != nil {
 			t.Errorf("%s peer point: key %x agreed", name, key)
 		}
 		if a.VerifyMAC("evil", []byte("m"), make([]byte, MACSize)) {
@@ -337,8 +340,57 @@ func TestPairKey(t *testing.T) {
 		}
 	}
 	ring.Add("short", ed25519.PublicKey{1, 2, 3})
-	if a.pairKey("short") != nil {
+	if a.pair("short").key != nil {
 		t.Error("truncated public key: key agreed")
+	}
+}
+
+// TestKeyedMACConcurrent: one authenticator tags and checks for one peer
+// from several goroutines at once, as a live environment's connection
+// goroutines do, and every tag is the one a fresh HMAC under the pair key
+// computes. Run under -race it also proves the reused HMAC is guarded; a
+// check costs no allocation.
+func TestKeyedMACConcurrent(t *testing.T) {
+	ring := NewKeyring()
+	auths := make(map[string]*Ed25519Auth)
+	for _, id := range []string{"grp/r0", "client:a"} {
+		priv, err := DeriveIdentity(id, []byte("seed"), ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auths[id] = NewEd25519Auth(id, priv, ring)
+	}
+	a, peer := auths["grp/r0"], auths["client:a"]
+	key := a.pair("client:a").key
+	want := func(msg []byte) []byte {
+		h := hmac.New(sha256.New, key)
+		h.Write(msg)
+		return h.Sum(nil)[:MACSize]
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				msg := []byte(fmt.Sprintf("msg-%d-%d", g, i))
+				tag := a.MAC("client:a", msg)
+				if !bytes.Equal(tag, want(msg)) || !peer.VerifyMAC("grp/r0", msg, tag) || a.VerifyMAC("client:a", msg[1:], tag) {
+					errs <- fmt.Sprintf("goroutine %d, message %d: tag %x", g, i, tag)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	msg, tag := []byte("m"), a.MAC("client:a", []byte("m"))
+	if allocs := testing.AllocsPerRun(20, func() { peer.VerifyMAC("grp/r0", msg, tag) }); allocs != 0 {
+		t.Errorf("a tag check allocates %.0f times", allocs)
 	}
 }
 
@@ -568,12 +620,28 @@ func TestLyingViewCannotSteerClient(t *testing.T) {
 // TestMechanismPerMessageType pins DESIGN §3's table: a commit and a reply —
 // the two messages no certificate, proof, view change, state transfer or
 // change_request ever carries — are tagged, and every other message, each of
-// which can travel on as evidence, is signed.
+// which can travel on as evidence, is signed. A request is both: signed for
+// where it arrives on its own, and tagged for every replica, each of which
+// checks its own slot when a proposal carries it.
 func TestMechanismPerMessageType(t *testing.T) {
 	fx, _ := newPhaseFixture(t)
 	tagged := map[MsgType]int{MTCommit: 3, MTReply: 1} // tags made at n = 4
+	t.Run("request", func(t *testing.T) {
+		req := &Request{ClientID: "client:x"}
+		sender := &countingAuth{Authenticator: fx.auths["client:x"]}
+		signIn(sender, req, fx.ids)
+		receiver := &countingAuth{Authenticator: fx.auths["grp/r1"]}
+		if !verifyIn(receiver, req, 1, fx.ids) || !requestTagValid(receiver, req, 1, 4) {
+			t.Fatal("signature or tag does not verify")
+		}
+		if sender.signs != 1 || sender.macs != 4 || len(req.Sig) != ed25519.SignatureSize || len(req.Tags) != 4*MACSize ||
+			receiver.verifies != 1 || receiver.macChecks != 1 {
+			t.Errorf("sender %d signatures %d tags, receiver %d verifications %d tag checks; want 1 4 1 1",
+				sender.signs, sender.macs, receiver.verifies, receiver.macChecks)
+		}
+	})
 	for _, m := range []Message{
-		&Request{ClientID: "grp/r2"}, &PrePrepare{Replica: 2}, &Prepare{Replica: 2}, &Commit{Replica: 2},
+		&PrePrepare{Replica: 2}, &Prepare{Replica: 2}, &Commit{Replica: 2},
 		&Reply{ClientID: "client:x", Replica: 2}, &Checkpoint{Replica: 2}, &ViewChange{Replica: 2},
 		&NewView{Replica: 2}, &FetchState{Replica: 2}, &StateData{Replica: 2}, &FetchEntry{Replica: 2},
 	} {

@@ -99,10 +99,17 @@ type Message interface {
 // Request is a client invocation to be totally ordered.
 //
 // A request is not mutated once it is decoded or signed: its digest is
-// computed then, and every later Digest returns that value. A decoded
-// request's Op and Sig alias the buffer Decode read, as every octet field
-// Decode returns does: the transport handed that buffer up, and no one
+// computed then, and every later Digest returns that value. Only the mark of
+// a replica's own signature check (sigChecked) is set later. A decoded
+// request's Op, Sig and Tags alias the buffer Decode read, as every octet
+// field Decode returns does: the transport handed that buffer up, and no one
 // writes it afterwards.
+//
+// A request carries two authenticators over the same signing digest. The
+// signature is for a third party: a replica checks it where a request
+// arrives on its own, and before it orders one it has not checked. The tags
+// convince one replica each: a backup admits a request inside a pre-prepare
+// on its own tag (Replica.validBatch).
 type Request struct {
 	// ClientID is the authentication identity of the requester.
 	ClientID string
@@ -115,6 +122,11 @@ type Request struct {
 	ReplyTo string
 	// Sig is the client's signature.
 	Sig []byte
+	// Tags is the client's tag vector, laid out like a commit's: one
+	// MACSize-byte tag per replica of the group, slot i under the key the
+	// client shares with replica i, over requestTagBytes of the signing
+	// digest. Neither the signature nor Digest covers it.
+	Tags []byte
 
 	// digest, signDigest and size cache Digest, signingDigest(m) and Size
 	// once hashed is set.
@@ -122,12 +134,23 @@ type Request struct {
 	signDigest Digest
 	size       int
 	hashed     bool
+	// sigChecked marks a request whose signature the replica holding it has
+	// checked. A request reaches a replica only as bytes it decodes itself,
+	// so the mark is that replica's own.
+	sigChecked bool
 }
 
 // Type implements Message.
 func (*Request) Type() MsgType { return MTRequest }
 
 func (m *Request) marshal(e *cdr.Encoder) {
+	m.marshalUntagged(e)
+	e.WriteOctets(m.Tags)
+}
+
+// marshalUntagged encodes the request up to its tag vector: what Digest
+// hashes.
+func (m *Request) marshalUntagged(e *cdr.Encoder) {
 	e.WriteString(m.ClientID)
 	e.WriteULongLong(m.ClientSeq)
 	e.WriteOctets(m.Op)
@@ -152,6 +175,9 @@ func (m *Request) unmarshal(d *cdr.Decoder) error {
 	if m.Sig, err = d.ReadOctets(); err != nil {
 		return err
 	}
+	if m.Tags, err = d.ReadOctets(); err != nil {
+		return err
+	}
 	m.rehash()
 	return nil
 }
@@ -159,11 +185,14 @@ func (m *Request) unmarshal(d *cdr.Decoder) error {
 func (m *Request) sigRef() *[]byte { return &m.Sig }
 func (*Request) sender() ReplicaID { return -1 }
 
-// Digest returns the request's canonical digest (over the full encoding,
-// signature included, so a forged signature changes the digest). It is
-// SHA-256 of the request's own encoding, never of the bytes it was decoded
-// from: CDR aligns relative to the start of a stream, so a request inside a
-// pre-prepare is laid out differently from one on its own.
+// Digest returns the request's canonical digest: SHA-256 of the request's
+// own encoding up to its tag vector, signature included, so a forged
+// signature changes the digest and a tag vector does not. It is never a hash
+// of the bytes the request was decoded from: CDR aligns relative to the
+// start of a stream, so a request inside a pre-prepare is laid out
+// differently from one on its own. The tags stay outside it because each
+// replica can check only its own slot: a batch digest over them would bind
+// bytes no receiver can vouch for.
 func (m *Request) Digest() Digest {
 	if !m.hashed {
 		m.rehash()
@@ -171,10 +200,10 @@ func (m *Request) Digest() Digest {
 	return m.digest
 }
 
-// Size returns the length of the request's own encoding, the quantity
-// MaxRequestBytes and MaxBatchBytes bound. Like Digest it is computed from
-// the fields, never from the bytes the request was decoded from, so every
-// replica measures a request alike.
+// Size returns the length of the request's own encoding, tag vector
+// included, the quantity MaxRequestBytes and MaxBatchBytes bound. Like
+// Digest it is computed from the fields, never from the bytes the request
+// was decoded from, so every replica measures a request alike.
 func (m *Request) Size() int {
 	if !m.hashed {
 		m.rehash()
@@ -190,18 +219,28 @@ func (m *Request) Size() int {
 func (m *Request) rehash() {
 	p, n := m.prefixHash()
 	m.digest, m.signDigest = m.finish(p), p.sum(zeroLength[:])
-	m.size, m.hashed = n+4+len(m.Sig), true
+	m.size, m.hashed = m.sizeAfter(n), true
 }
 
-// sign signs the request's fields as they stand as auth's identity and
-// caches what rehash would: the encoding before the signature's length
-// field does not depend on the signature, so it is hashed once for both.
-func (m *Request) sign(auth Authenticator) {
+// sign signs the request's fields as they stand as auth's identity, tags
+// them for each of the replicas ids (none when ids is nil), and caches what
+// rehash would: the encoding before the signature's length field does not
+// depend on the signature, so it is hashed once for both digests.
+func (m *Request) sign(auth Authenticator, ids []string) {
 	p, n := m.prefixHash()
 	m.signDigest = p.sum(zeroLength[:])
 	m.Sig = auth.Sign(m.signDigest)
+	m.Tags = requestTags(auth, m.signDigest, ids)
 	m.digest = m.finish(p)
-	m.size, m.hashed = n+4+len(m.Sig), true
+	m.size, m.hashed = m.sizeAfter(n), true
+}
+
+// sizeAfter returns the length of the request's encoding from that of its
+// prefix up to the signature's length field: the signature and its length,
+// the padding that aligns the tag vector's length, the length and the tags.
+func (m *Request) sizeAfter(prefix int) int {
+	n := prefix + 4 + len(m.Sig)
+	return n + (4-n%4)%4 + 4 + len(m.Tags)
 }
 
 // prefixHash hashes the request's encoding up to its signature's length
@@ -275,7 +314,7 @@ func (p prefixHash) sum(suffix ...[]byte) Digest {
 // octet, two string terminators, and the most alignment padding the fixed
 // fields can take.
 func (m *Request) encodedBound() int {
-	return len(m.ClientID) + len(m.Op) + len(m.ReplyTo) + len(m.Sig) + 48
+	return len(m.ClientID) + len(m.Op) + len(m.ReplyTo) + len(m.Sig) + len(m.Tags) + 56
 }
 
 // PrePrepare is the primary's ordering proposal for an ordered batch of
@@ -767,8 +806,8 @@ func encodedBound(m Message) int {
 
 // Decode parses a message from its canonical encoding. It never panics on
 // malformed input and never writes buf; the octet fields it returns (a
-// request's Op and Sig, a reply's Result, a snapshot, every signature) alias
-// buf, so the caller must own it.
+// request's Op, Sig and Tags, a reply's Result, a snapshot, every signature)
+// alias buf, so the caller must own it.
 func Decode(buf []byte) (Message, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	tag, err := d.ReadOctet()
@@ -812,13 +851,21 @@ func Decode(buf []byte) (Message, error) {
 // encoding with the signature zeroed, except for a pre-prepare, whose
 // signature covers its header alone — type, view, seq, batch digest and
 // replica, laid out like a prepare — as Castro–Liskov's ⟨PRE-PREPARE, v, n,
-// d⟩σ does. The digest binds the requests that travel with it, which every
-// receiver checks (validBatch).
+// d⟩σ does, and a request, whose signature and tags both cover its encoding
+// up to the tag vector with the signature zeroed. A pre-prepare's digest
+// binds the requests that travel with it, which every receiver checks
+// (validBatch).
 func signingBytes(m Message) []byte {
-	if pp, ok := m.(*PrePrepare); ok {
-		e := cdr.NewEncoder(cdr.BigEndian)
+	e := cdr.NewEncoder(cdr.BigEndian)
+	switch msg := m.(type) {
+	case *PrePrepare:
 		e.WriteOctet(byte(MTPrePrepare))
-		marshalPhase(e, pp.View, pp.Seq, pp.Digest, pp.Replica, nil)
+		marshalPhase(e, msg.View, msg.Seq, msg.Digest, msg.Replica, nil)
+		return e.Bytes()
+	case *Request:
+		unsigned := Request{ClientID: msg.ClientID, ClientSeq: msg.ClientSeq, Op: msg.Op, ReplyTo: msg.ReplyTo}
+		e.WriteOctet(byte(MTRequest))
+		unsigned.marshalUntagged(e)
 		return e.Bytes()
 	}
 	ref := m.sigRef()

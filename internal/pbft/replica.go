@@ -21,7 +21,8 @@ import (
 type App interface {
 	// Execute applies one totally-ordered operation and returns its
 	// result. clientID is the authenticated identity of the requester
-	// (verified by the client-signature check on the request).
+	// (the request's signature, its tag, or its prepared certificate
+	// vouched for it; see Replica.validBatch).
 	Execute(clientID string, op []byte) []byte
 	// Capture returns the application state as of now. It is called at
 	// every checkpoint, so it should cost what changed since the last one,
@@ -285,6 +286,9 @@ type Replica struct {
 	mRejectDigest   *obs.Counter
 	mRejectProof    *obs.Counter
 	mRejectDecode   *obs.Counter
+	mAdmitSig       *obs.Counter
+	mAdmitTag       *obs.Counter
+	mAdmitCert      *obs.Counter
 	hBatchSize      *obs.Histogram
 	gBacklog        *obs.Gauge
 
@@ -342,6 +346,9 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		r.mRejectDigest = m.Counter("pbft_state_rejected_total", label, "reason=digest")
 		r.mRejectProof = m.Counter("pbft_state_rejected_total", label, "reason=proof")
 		r.mRejectDecode = m.Counter("pbft_state_rejected_total", label, "reason=decode")
+		r.mAdmitSig = m.Counter("pbft_request_admissions_total", label, "by=signature")
+		r.mAdmitTag = m.Counter("pbft_request_admissions_total", label, "by=tag")
+		r.mAdmitCert = m.Counter("pbft_request_admissions_total", label, "by=certificate")
 		r.hBatchSize = m.Histogram("pbft_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}, label)
 		r.gBacklog = m.Gauge("pbft_primary_backlog", label)
@@ -626,7 +633,7 @@ func (r *Replica) onPrePrepare(pp *PrePrepare) {
 	if !r.inWindow(pp.Seq) {
 		return
 	}
-	if !r.validBatch(pp) {
+	if !r.validBatch(pp, false) {
 		return
 	}
 	en := r.entryAt(pp.Seq)

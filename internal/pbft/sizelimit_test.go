@@ -82,7 +82,8 @@ func TestOversizeRequestRefused(t *testing.T) {
 }
 
 // TestLargestPrePrepareFitsFrame: whatever a primary has pending — requests
-// at the size limit or a full MaxBatchWire of them — every pre-prepare it
+// at the size limit, their tag vectors counted, or a full MaxBatchWire of
+// them — every pre-prepare it
 // proposes fits one TCP frame between the longest replica identities of the
 // group, because flushPending closes each batch at MaxBatchBytes.
 func TestLargestPrePrepareFitsFrame(t *testing.T) {
@@ -106,7 +107,8 @@ func TestLargestPrePrepareFitsFrame(t *testing.T) {
 		}
 		r.batchTimerArmed = true // hold every arrival until the flush below
 		for i := 0; i <= MaxBatchWire; i++ {
-			req := &Request{ClientID: fmt.Sprintf("%s%d", client, i), ClientSeq: 1, ReplyTo: client, Sig: make([]byte, 64)}
+			req := &Request{ClientID: fmt.Sprintf("%s%d", client, i), ClientSeq: 1, ReplyTo: client,
+				Sig: make([]byte, 64), Tags: make([]byte, 4*MACSize)}
 			req.Op = make([]byte, size-req.Size())
 			req.rehash()
 			r.onRequest(req)

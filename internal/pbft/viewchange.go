@@ -227,7 +227,9 @@ func (r *Replica) onNewView(nv *NewView) {
 		if pp.Replica != r.Primary(nv.View) || !r.verify(pp) {
 			return
 		}
-		if !r.validBatch(pp) {
+		// The digest matches a prepared certificate's, which the view
+		// changes above carry and verifyViewChange checked.
+		if !r.validBatch(pp, true) {
 			return
 		}
 	}
@@ -318,7 +320,18 @@ func (r *Replica) installNewView(nv *NewView) {
 		}
 		return pending[i].ClientSeq < pending[j].ClientSeq
 	})
+	// A request admitted on a tag or a certificate alone has its signature
+	// checked first, and is forgotten if it fails: the new primary would
+	// otherwise propose a request that a backup whose tag is bad cannot
+	// fall back on, and a backup would relay one that the primary refuses
+	// and then hold its view-change timer for it. A request another replica
+	// committed is in a prepared certificate, re-proposed above, and never
+	// meets this check.
 	for _, req := range pending {
+		if !r.checkSignature(req) {
+			delete(r.outstanding, req.Digest())
+			continue
+		}
 		if isPrimary {
 			r.assignOrder(req)
 		} else {
@@ -361,7 +374,9 @@ func (r *Replica) verifyViewChange(vc *ViewChange) bool {
 		if pp.Replica != r.Primary(pp.View) || !r.verify(pp) {
 			return false
 		}
-		if !r.validBatch(pp) {
+		// Certified by the 2f prepares checked below: the view change is
+		// refused whole unless they hold.
+		if !r.validBatch(pp, true) {
 			return false
 		}
 		seenRep := make(map[ReplicaID]bool)
