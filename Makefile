@@ -86,8 +86,9 @@ bench-json:
 # DecodeEnvelope, OpenData, DecodeSignedPayload and giop.Decode):
 # -benchmem numbers written to bench-out/ for the CI artifact, plus the
 # budget gates — TestSealChainAllocBudget fails when the seal chain's
-# allocs/op, TestOpenChainAllocBudget when the open chain's allocs/op or
-# B/op, regress more than 10% over the committed baseline in
+# allocs/op, TestOpenChainAllocBudget and TestSendChainAllocBudget when the
+# open chain's or the send chain's (one sealed 16 KiB reply handed to a TCP
+# transport) allocs/op or B/op, regress more than 10% over the committed baseline in
 # internal/smiop/testdata/alloc_budget.json. BenchmarkCheckpoint rides
 # along: one checkpoint on a queue retaining 64, 1024 or 4096 messages,
 # whose ns/op and B/op should not depend on that number.
@@ -96,7 +97,7 @@ bench-mem:
 	mkdir -p bench-out
 	$(GO) test -run='^$$' -bench='BenchmarkSealChain|BenchmarkOpenChain' -benchmem ./internal/smiop | tee bench-out/BENCHMEM.txt
 	$(GO) test -run='^$$' -bench='BenchmarkCheckpoint' -benchmem ./internal/srm | tee -a bench-out/BENCHMEM.txt
-	$(GO) test -run='TestSealChainAllocBudget|TestOpenChainAllocBudget' -v ./internal/smiop
+	$(GO) test -run='TestSealChainAllocBudget|TestOpenChainAllocBudget|TestSendChainAllocBudget' -v ./internal/smiop
 
 # The profile that names a layer before an optimisation: BenchmarkInProcCall
 # (add and echo16k through five loopback nodes in one process, 32 callers)

@@ -384,3 +384,30 @@ func TestQuickCrossEndianEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloneValue: a clone equals its original and shares no slice with it,
+// so changing one at any depth leaves the other as it was.
+func TestCloneValue(t *testing.T) {
+	tc := StructOf("S",
+		Member{Name: "n", Type: Long},
+		Member{Name: "s", Type: String},
+		Member{Name: "seq", Type: SequenceOf(SequenceOf(Octet))},
+		Member{Name: "empty", Type: SequenceOf(Long)})
+	orig := []Value{int32(7), "x", []Value{[]Value{byte(1), byte(2)}, []Value{}}, []Value(nil)}
+	clone := CloneValue(orig)
+	if eq, err := EqualValues(tc, orig, clone, ExactFloatEq); err != nil || !eq {
+		t.Fatalf("clone differs from its original: %v, %v", eq, err)
+	}
+	c := clone.([]Value)
+	if c[3].([]Value) != nil {
+		t.Fatal("a nil sequence cloned as an empty one")
+	}
+	c[0] = int32(8)
+	c[2].([]Value)[0].([]Value)[1] = byte(9)
+	if orig[0] != int32(7) || orig[2].([]Value)[0].([]Value)[1] != byte(2) {
+		t.Fatalf("changing the clone changed the original: %v", orig)
+	}
+	if v := CloneValue("s"); v != "s" {
+		t.Fatalf("a leaf cloned as %v", v)
+	}
+}

@@ -352,6 +352,21 @@ func compareTypeErr(tc *TypeCode, a, b Value) error {
 	return fmt.Errorf("cdr: compare %s: incompatible Go values %T, %T", tc, a, b)
 }
 
+// CloneValue returns a copy of v that shares nothing its holder can change:
+// every []Value in it is copied, and the leaves — numbers, strings — are
+// immutable and shared. It costs one slice per sequence, array or struct.
+func CloneValue(v Value) Value {
+	elems, ok := v.([]Value)
+	if !ok || elems == nil {
+		return v
+	}
+	out := make([]Value, len(elems))
+	for i, el := range elems {
+		out[i] = CloneValue(el)
+	}
+	return out
+}
+
 // Marshal is a convenience wrapper encoding one value with the given order.
 func Marshal(tc *TypeCode, v Value, order ByteOrder) ([]byte, error) {
 	e := NewEncoder(order)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"itdos/internal/cdr"
+	"itdos/internal/obs"
 	"itdos/internal/pool"
 	"itdos/internal/srm"
 )
@@ -15,9 +16,14 @@ import (
 // TestPoisonedCluster drives small and fragmented calls through a five-node
 // loopback cluster with arena poisoning on, so every released pool buffer
 // is overwritten at once. Decoders above the transport alias the buffers
-// they are handed: one that aliased a pooled buffer, or a layer that wrote a
-// buffer another layer still holds, shows up here as a wrong decided value
-// or as a replica whose queue chain no longer matches its retained window.
+// they are handed, receivers open direct-path frames in place, and a
+// transport writes what it is handed without copying it: the primary's one
+// encoded pre-prepare sits in three peers' send queues at once, and every
+// pooled frame is released by the transport after its write. A layer that
+// aliased a pooled buffer past its release, or wrote a buffer another layer
+// still holds, shows up here as a wrong decided value, as a dropped copy or
+// a view change, or as a replica whose queue chain no longer matches its
+// retained window.
 func TestPoisonedCluster(t *testing.T) {
 	pool.SetPoison(true)
 	t.Cleanup(func() { pool.SetPoison(false) })
@@ -27,7 +33,13 @@ func TestPoisonedCluster(t *testing.T) {
 		Nodes: []NodeSpec{{Name: "node0"}, {Name: "node1"}, {Name: "node2"}, {Name: "node3"},
 			{Name: "load", Pool: 4}},
 	}
-	cl, err := StartInProc(spec, nil)
+	regs := map[string]*obs.Registry{}
+	for _, nd := range spec.Nodes {
+		regs[nd.Name] = obs.NewRegistry()
+	}
+	cl, err := StartInProc(spec, func(process string) NodeOptions {
+		return NodeOptions{Metrics: regs[process]}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,5 +113,25 @@ func TestPoisonedCluster(t *testing.T) {
 	}
 	if busy < spec.N() {
 		t.Errorf("%d replica queues of %s hold messages, want %d", busy, spec.Domain, spec.N())
+	}
+
+	// Every copy opened, in place or into its reassembly buffer, and every
+	// pre-prepare verified where it arrived: nothing was dropped, and the
+	// primary never lost its view.
+	var fragsIn, dropped, viewChanges uint64
+	for name, node := range cl.Nodes {
+		done := make(chan struct{})
+		node.Tr.Post(func() {
+			defer close(done)
+			r := regs[name]
+			fragsIn += r.Counter("smiop_fragments_total", "dir=in").Value()
+			dropped += r.Counter("smiop_dropped_total").Value() + r.Counter("tcp_frames_dropped_total").Value()
+			viewChanges += r.Counter("pbft_view_changes_total", "group="+spec.Domain).Value()
+		})
+		<-done
+	}
+	if fragsIn == 0 || dropped != 0 || viewChanges != 0 {
+		t.Errorf("%d fragments in, %d copies or frames dropped, %d view changes; want fragments, no drops, no view change",
+			fragsIn, dropped, viewChanges)
 	}
 }

@@ -63,3 +63,36 @@ func TestTentativeFlagRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyResultsEncodeInPlace: a reply whose results are values encodes
+// exactly the bytes of the same reply with the results marshalled first
+// into Body, in both byte orders and behind a dirty prefix; results that do
+// not conform to their TypeCode encode as the MARSHAL system exception the
+// adapter used to answer with, tentative flag kept.
+func TestReplyResultsEncodeInPlace(t *testing.T) {
+	tc := cdr.StructOf("results",
+		cdr.Member{Name: "s", Type: cdr.String}, cdr.Member{Name: "d", Type: cdr.Double})
+	vals := []cdr.Value{"echo", 2.5}
+	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+		body, err := cdr.Marshal(tc, vals, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := EncodeReply(order, &Reply{RequestID: 9, Tentative: true, Body: body})
+		prefix := []byte{0xAA, 0xBB}
+		got := AppendReply(bytes.Clone(prefix), order,
+			&Reply{RequestID: 9, Tentative: true, Results: vals, ResultsType: tc})
+		if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+			t.Fatalf("order %v: results encoded in place differ from a marshalled body", order)
+		}
+
+		_, cause := cdr.Marshal(tc, []cdr.Value{"echo"}, order)
+		want = EncodeReply(order, &Reply{RequestID: 9, Tentative: true,
+			Status: StatusSystemException, Exception: "MARSHAL: " + cause.Error()})
+		got = AppendReply(bytes.Clone(prefix), order,
+			&Reply{RequestID: 9, Tentative: true, Results: []cdr.Value{"echo"}, ResultsType: tc})
+		if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+			t.Fatalf("order %v: non-conforming results did not become the MARSHAL exception", order)
+		}
+	}
+}

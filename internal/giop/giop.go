@@ -171,8 +171,17 @@ type Reply struct {
 	// a committed reply to the same request carry the same result.
 	Tentative bool
 
-	// Body is the CDR-encoded result list (empty on exception).
+	// Body is the CDR-encoded result list (empty on exception). A decoded
+	// reply's Body aliases the decoded message.
 	Body []byte
+
+	// Results, when ResultsType is set, is the result list itself, in place
+	// of Body: AppendReply marshals it once, at its final offset in the
+	// message. A caller's protocol sets it on the reply it voted, so the
+	// ORB takes the values the vote decoded, as a copy the caller may change
+	// (cdr.CloneValue): the vote still compares late copies with its own.
+	Results     cdr.Value
+	ResultsType *cdr.TypeCode
 }
 
 // Message is a decoded GIOP message: exactly one of Request/Reply is
@@ -255,18 +264,38 @@ func AppendRequest(dst []byte, order cdr.ByteOrder, r *Request) []byte {
 }
 
 // AppendReply appends the encoded Reply message to dst and returns the
-// extended slice; see AppendRequest.
+// extended slice; see AppendRequest. A reply with ResultsType set marshals
+// Results straight into the message, where Body's octets would go; results
+// that do not conform to ResultsType make it the SYSTEM_EXCEPTION reply
+// "MARSHAL: <cause>" instead, as CORBA answers a reply it cannot marshal.
 func AppendReply(dst []byte, order cdr.ByteOrder, r *Reply) []byte {
 	var flags byte
 	if r.Tentative {
 		flags |= hdrFlagTentative
 	}
-	return appendMessage(dst, order, flags, MsgReply, func(e *cdr.Encoder) {
+	var err error
+	out := appendMessage(dst, order, flags, MsgReply, func(e *cdr.Encoder) {
 		e.WriteULongLong(r.RequestID)
 		e.WriteULong(uint32(r.Status))
 		e.WriteString(r.Exception)
-		e.WriteOctets(r.Body)
+		if r.ResultsType == nil {
+			e.WriteOctets(r.Body)
+			return
+		}
+		n := e.ReserveULong()
+		start := e.Len()
+		e.AppendVia(func(b []byte) []byte {
+			body := cdr.NewEncoderOver(order, b)
+			err = cdr.EncodeValue(body, r.ResultsType, r.Results)
+			return body.Bytes()
+		})
+		e.PatchULong(n, uint32(e.Len()-start))
 	})
+	if err != nil {
+		return AppendReply(out[:len(dst)], order, &Reply{RequestID: r.RequestID,
+			Status: StatusSystemException, Exception: "MARSHAL: " + err.Error(), Tentative: r.Tentative})
+	}
+	return out
 }
 
 // EncodeRequest marshals a Request message in the given byte order.

@@ -194,8 +194,9 @@ func (n *Network) cutPair(x, y NodeID) {
 func (n *Network) Heal() { n.cut = make(map[NodeID]map[NodeID]bool) }
 
 // Send queues a unicast message. Delivery time is now + latency, subject to
-// drops, partitions and filters at delivery time.
-func (n *Network) Send(from, to NodeID, payload []byte) {
+// drops, partitions and filters at delivery time. The receiver gets a copy
+// of its own, made here, so the owner is released at once.
+func (n *Network) Send(from, to NodeID, payload []byte, owner ...transport.Releaser) {
 	n.stats.MessagesSent++
 	n.stats.BytesSent += uint64(len(payload))
 	delay := n.latency(from, to, n.rng)
@@ -204,6 +205,9 @@ func (n *Network) Send(from, to NodeID, payload []byte) {
 		from: from, to: to,
 		payload: append([]byte(nil), payload...),
 	})
+	for _, o := range owner {
+		o.Release()
+	}
 }
 
 // After schedules fn to run at now + d. It returns a Timer for cancellation.

@@ -121,11 +121,12 @@ func (a *Adapter) Register(objectKey, ifaceName string, s Servant) error {
 func (a *Adapter) Registry() *idl.Registry { return a.registry }
 
 // DispatchValues invokes the servant for objectKey with already
-// unmarshalled arguments and returns the marshalled GIOP reply in
-// replyOrder (the element's native byte order — heterogeneous replicas
-// reply in different orders, which is the point).
+// unmarshalled arguments and returns the GIOP reply. Its results stay
+// values (Reply.Results): giop.AppendReply marshals them once, in the byte
+// order the reply is encoded in (the element's native order —
+// heterogeneous replicas reply in different orders, which is the point).
 func (a *Adapter) DispatchValues(objectKey, ifaceName, op string, requestID uint64,
-	args []cdr.Value, caller Caller, replyOrder cdr.ByteOrder) *giop.Reply {
+	args []cdr.Value, caller Caller) *giop.Reply {
 
 	reg, ok := a.objects[objectKey]
 	if !ok {
@@ -168,17 +169,15 @@ func (a *Adapter) DispatchValues(objectKey, ifaceName, op string, requestID uint
 	if a.ResultTransform != nil {
 		results = a.ResultTransform(opDef, results)
 	}
-	body, err := cdr.Marshal(opDef.ResultsType(), results, replyOrder)
-	if err != nil {
-		return systemException(requestID, fmt.Sprintf("MARSHAL: %v", err))
-	}
-	return &giop.Reply{RequestID: requestID, Status: giop.StatusNoException, Body: body}
+	return &giop.Reply{RequestID: requestID, Status: giop.StatusNoException,
+		Results: results, ResultsType: opDef.ResultsType()}
 }
 
 // Dispatch unmarshals a raw GIOP request (in its sender's byte order) and
-// dispatches it.
+// dispatches it. The last argument names the byte order the reply will be
+// encoded in; the encoder takes it (see DispatchValues).
 func (a *Adapter) Dispatch(req *giop.Request, reqOrder cdr.ByteOrder,
-	caller Caller, replyOrder cdr.ByteOrder) *giop.Reply {
+	caller Caller, _ cdr.ByteOrder) *giop.Reply {
 
 	opDef, err := a.registry.Lookup(req.Interface, req.Operation)
 	if err != nil {
@@ -193,7 +192,7 @@ func (a *Adapter) Dispatch(req *giop.Request, reqOrder cdr.ByteOrder,
 		return systemException(req.RequestID, "MARSHAL: parameter list is not a struct")
 	}
 	return a.DispatchValues(req.ObjectKey, req.Interface, req.Operation,
-		req.RequestID, argList, caller, replyOrder)
+		req.RequestID, argList, caller)
 }
 
 func systemException(requestID uint64, msg string) *giop.Reply {
@@ -234,7 +233,7 @@ func NewClient(registry *idl.Registry, protocol Protocol, order cdr.ByteOrder) *
 }
 
 // Call invokes op on the referenced object and returns the unmarshalled
-// results. GIOP exceptions surface as errors: *UserException for declared
+// results, which are the caller's to keep and change. GIOP exceptions surface as errors: *UserException for declared
 // exceptions, generic errors for system exceptions.
 func (c *Client) Call(ref ObjectRef, op string, args []cdr.Value) (results []cdr.Value, err error) {
 	sp := c.Tracer.Start("invoke", "op="+ref.Interface+"."+op, "domain="+ref.Domain)
@@ -281,11 +280,16 @@ func (c *Client) Call(ref ObjectRef, op string, args []cdr.Value) (results []cdr
 	case giop.StatusSystemException:
 		return nil, fmt.Errorf("orb: system exception: %s", reply.Exception)
 	}
-	usp := c.Tracer.Start("orb.unmarshal")
-	decoded, err := cdr.Unmarshal(opDef.ResultsType(), reply.Body, order)
-	usp.End()
-	if err != nil {
-		return nil, fmt.Errorf("orb: unmarshal %s.%s results: %w", ref.Interface, op, err)
+	// A protocol that voted on decoded values hands them over: they are
+	// not decoded again.
+	decoded := reply.Results
+	if reply.ResultsType == nil {
+		usp := c.Tracer.Start("orb.unmarshal")
+		decoded, err = cdr.Unmarshal(opDef.ResultsType(), reply.Body, order)
+		usp.End()
+		if err != nil {
+			return nil, fmt.Errorf("orb: unmarshal %s.%s results: %w", ref.Interface, op, err)
+		}
 	}
 	list, ok := decoded.([]cdr.Value)
 	if !ok {

@@ -49,14 +49,25 @@ func newCalcAdapter(t *testing.T) *Adapter {
 	return a
 }
 
+// encodedBody is the result list of rep as it travels: encoded in order,
+// then decoded.
+func encodedBody(t *testing.T, rep *giop.Reply, order cdr.ByteOrder) []byte {
+	t.Helper()
+	msg, err := giop.Decode(giop.EncodeReply(order, rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg.Reply.Body
+}
+
 func TestDispatchValues(t *testing.T) {
 	a := newCalcAdapter(t)
 	rep := a.DispatchValues("calc-1", "IDL:Calc:1.0", "add", 5,
-		[]cdr.Value{2.0, 3.0}, nil, cdr.LittleEndian)
+		[]cdr.Value{2.0, 3.0}, nil)
 	if rep.Status != giop.StatusNoException {
 		t.Fatalf("status = %v (%s)", rep.Status, rep.Exception)
 	}
-	res, err := cdr.Unmarshal(mustOp(t, "add").ResultsType(), rep.Body, cdr.LittleEndian)
+	res, err := cdr.Unmarshal(mustOp(t, "add").ResultsType(), encodedBody(t, rep, cdr.LittleEndian), cdr.LittleEndian)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func mustOp(t *testing.T, name string) *idl.Operation {
 func TestUserExceptionMapsToUserStatus(t *testing.T) {
 	a := newCalcAdapter(t)
 	rep := a.DispatchValues("calc-1", "IDL:Calc:1.0", "div", 1,
-		[]cdr.Value{1.0, 0.0}, nil, cdr.BigEndian)
+		[]cdr.Value{1.0, 0.0}, nil)
 	if rep.Status != giop.StatusUserException {
 		t.Fatalf("status = %v", rep.Status)
 	}
@@ -105,7 +116,7 @@ func TestDispatchErrors(t *testing.T) {
 		{"wrong arity", "calc-1", "IDL:Calc:1.0", "add", []cdr.Value{1.0}, "BAD_PARAM"},
 	}
 	for _, c := range cases {
-		rep := a.DispatchValues(c.key, c.iface, c.op, 1, c.args, nil, cdr.BigEndian)
+		rep := a.DispatchValues(c.key, c.iface, c.op, 1, c.args, nil)
 		if rep.Status != giop.StatusSystemException || !strings.Contains(rep.Exception, c.wantSub) {
 			t.Errorf("%s: status=%v exception=%q", c.name, rep.Status, rep.Exception)
 		}
@@ -127,7 +138,7 @@ func TestDispatchRawRequestCrossEndian(t *testing.T) {
 	if rep.Status != giop.StatusNoException {
 		t.Fatalf("status=%v exception=%q", rep.Status, rep.Exception)
 	}
-	res, err := cdr.Unmarshal(op.ResultsType(), rep.Body, cdr.BigEndian)
+	res, err := cdr.Unmarshal(op.ResultsType(), encodedBody(t, rep, cdr.BigEndian), cdr.BigEndian)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +195,13 @@ func TestServantDeterminismAcrossAdapters(t *testing.T) {
 	op := mustOp(t, "add")
 	for i := 0; i < 10; i++ {
 		args := []cdr.Value{float64(i), float64(i * 2)}
-		r1 := a1.DispatchValues("calc-1", "IDL:Calc:1.0", "add", uint64(i), args, nil, cdr.BigEndian)
-		r2 := a2.DispatchValues("calc-1", "IDL:Calc:1.0", "add", uint64(i), args, nil, cdr.LittleEndian)
-		v1, err := cdr.Unmarshal(op.ResultsType(), r1.Body, cdr.BigEndian)
+		r1 := a1.DispatchValues("calc-1", "IDL:Calc:1.0", "add", uint64(i), args, nil)
+		r2 := a2.DispatchValues("calc-1", "IDL:Calc:1.0", "add", uint64(i), args, nil)
+		v1, err := cdr.Unmarshal(op.ResultsType(), encodedBody(t, r1, cdr.BigEndian), cdr.BigEndian)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := cdr.Unmarshal(op.ResultsType(), r2.Body, cdr.LittleEndian)
+		v2, err := cdr.Unmarshal(op.ResultsType(), encodedBody(t, r2, cdr.LittleEndian), cdr.LittleEndian)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,6 +112,9 @@ func (c *Client) onInbox(payload []byte) {
 	if err != nil {
 		return
 	}
+	// The delivery is this inbox's alone: a reply opens in place, or
+	// straight into its reassembly buffer.
+	env.Owned = true
 	switch env.Kind {
 	case smiop.KindData, smiop.KindDigest:
 		// Digest envelopes take the same delivery path as data replies; the

@@ -216,13 +216,14 @@ func (el *Element) serve(cs *connState, val *smiop.MessageVal, tentative bool) {
 		args = nil
 	}
 	reply := el.Adapter.DispatchValues(req.ObjectKey, val.Interface, val.Operation,
-		req.RequestID, args, el.caller, el.profile.Order)
+		req.RequestID, args, el.caller)
 	if !req.ResponseExpected {
 		return
 	}
 	// A reply produced during a speculative delivery is flagged tentative
 	// on the wire; the client needs 2f+1 matching copies to accept it.
 	reply.Tentative = tentative
+	// The results marshal once, into the message the cache keeps.
 	giopBytes := giop.EncodeReply(el.profile.Order, reply)
 	// Always cache the FULL reply: retries and digest fallbacks are
 	// answered with full replies regardless of how this copy went out.
@@ -232,7 +233,7 @@ func (el *Element) serve(cs *connState, val *smiop.MessageVal, tentative bool) {
 	cs.cachedReplyGIOP = giopBytes
 	if el.sys.cfg.DigestReplies && req.DigestOK && cs.peer.N == 1 {
 		responder := smiop.DesignatedResponder(req.RequestID, el.local.N, cs.conn.LocalExpelled)
-		if el.member != responder && el.sendDigestReply(cs, req.RequestID, val, reply) {
+		if el.member != responder && el.sendDigestReply(cs, req.RequestID, val, giopBytes) {
 			return
 		}
 		// Designated responder — or digest computation failed: send full.
@@ -240,15 +241,21 @@ func (el *Element) serve(cs *connState, val *smiop.MessageVal, tentative bool) {
 	el.sendReply(cs, req.RequestID, giopBytes)
 }
 
-// sendDigestReply sends the canonical digest of reply directly to the
-// singleton client instead of the full GIOP bytes. Returns false when the
-// digest could not be built (the caller falls back to a full reply).
+// sendDigestReply sends the canonical digest of the reply giopBytes encodes
+// directly to the singleton client instead of the full GIOP bytes. Returns
+// false when the digest could not be built (the caller falls back to a full
+// reply).
 func (el *Element) sendDigestReply(cs *connState, requestID uint64,
-	val *smiop.MessageVal, reply *giop.Reply) bool {
+	val *smiop.MessageVal, giopBytes []byte) bool {
 
 	// Digest the same (status, exception, values) tuple the client-side
-	// voter compares: results are unmarshalled for non-exception replies,
-	// void otherwise.
+	// voter compares: the reply as sent, its results unmarshalled for
+	// non-exception replies, void otherwise.
+	msg, err := giop.Decode(giopBytes)
+	if err != nil || msg.Reply == nil {
+		return false
+	}
+	reply := msg.Reply
 	tc := cdr.Void
 	var body cdr.Value
 	if reply.Status == giop.StatusNoException {
@@ -289,6 +296,8 @@ func (el *Element) onDirectInbox(payload []byte) {
 	if err != nil || env.Kind != smiop.KindData || env.Reply || env.FragCount > 1 {
 		return
 	}
+	// The delivery is this inbox's alone: it opens in place.
+	env.Owned = true
 	cs, ok := el.conns[env.ConnID]
 	if !ok || cs.peer.N != 1 {
 		// The direct request outran the ordered key-share delivery, or the
@@ -342,9 +351,8 @@ func (el *Element) serveReadOnly(cs *connState, req *giop.Request, order cdr.Byt
 	}
 	for _, frame := range frames {
 		el.sys.tr.Send(netsim.NodeID(el.identity),
-			netsim.NodeID(clientInboxAddr(cs.peer.Name)), frame.B)
+			netsim.NodeID(clientInboxAddr(cs.peer.Name)), frame.B, frame)
 	}
-	smiop.ReleaseFrames(frames)
 }
 
 // pendingReply is a full reply waiting for its upcall's root signature.
@@ -397,9 +405,7 @@ func (el *Element) flushReplies() {
 
 // sealReply seals a reply under the connection's current key (fragmenting
 // large messages) and routes it back to the peer. Frames seal in pooled
-// buffers: direct sends release them immediately (the network copies
-// payloads on Send); ordered sends detach an owned copy because the
-// ordered sender retains payloads for retransmission.
+// buffers, which the transport (direct) or the ordered sender takes over.
 func (el *Element) sealReply(r pendingReply, sign func([]byte) []byte) {
 	cs := r.cs
 	frames, err := cs.conn.SealSignedDataWire(r.requestID, true, r.giop, sign, 0)
@@ -414,18 +420,13 @@ func (el *Element) sealReply(r pendingReply, sign func([]byte) []byte) {
 		// votes on the copies (paper §3.2).
 		for _, frame := range frames {
 			el.sys.tr.Send(netsim.NodeID(el.identity),
-				netsim.NodeID(clientInboxAddr(cs.peer.Name)), frame.B)
-			frame.Release()
+				netsim.NodeID(clientInboxAddr(cs.peer.Name)), frame.B, frame)
 		}
 		return
 	}
 	// Replicated peer: the reply is multicast into the peer's ordering,
 	// like every message to a replication domain, its frames together.
-	payloads := make([][]byte, len(frames))
-	for i, frame := range frames {
-		payloads[i] = frame.Detach()
-	}
-	el.sendOrdered(cs.peer.Name, payloads...)
+	el.sendOrderedFrames(cs.peer.Name, frames)
 }
 
 // onPostDecisionHook answers a retried request (same id, arriving after

@@ -277,13 +277,15 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 	armed.Inc()
 	if direct != nil {
 		rsp := ep.tracer().Start("smiop.direct", fmt.Sprintf("req=%d", reqID))
-		for m := 0; m < cs.peer.N; m++ {
-			// The network copies the payload on Send, so one pooled frame
-			// serves every destination and is released right after.
-			ep.sys.tr.Send(netsim.NodeID(ep.identity),
-				netsim.NodeID(elementInboxAddr(cs.peer.Name, m)), direct.B)
+		// One pooled frame serves every destination: each Send takes a
+		// reference, which the transport releases once it is done.
+		for m := 1; m < cs.peer.N; m++ {
+			direct.Retain()
 		}
-		direct.Release()
+		for m := 0; m < cs.peer.N; m++ {
+			ep.sys.tr.Send(netsim.NodeID(ep.identity),
+				netsim.NodeID(elementInboxAddr(cs.peer.Name, m)), direct.B, direct)
+		}
 		rsp.End()
 	} else if err := ep.sendOrderedRequest(cs, ref.Domain, req); err != nil {
 		return nil, 0, err
@@ -305,9 +307,8 @@ func (ep *endpoint) requestFull(cs *connState, ref orb.ObjectRef, req *giop.Requ
 
 // sendOrderedRequest encodes, seals, and multicasts req into the peer's
 // ordering group, all its frames handed over together. The GIOP message
-// marshals directly into the zero-copy seal pipeline; the ordered sender
-// retains payloads for retransmission, so each pooled frame is detached (one
-// owned copy) rather than released.
+// marshals directly into the zero-copy seal pipeline, and the ordered sender
+// takes the pooled frames over.
 func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.Request) error {
 	ssp := ep.tracer().Start("smiop.seal", fmt.Sprintf("req=%d", req.RequestID))
 	frames, err := cs.conn.SealGIOPWire(req.RequestID, false,
@@ -320,11 +321,7 @@ func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.R
 	if len(frames) > 1 {
 		ep.mFragsOut.Add(uint64(len(frames)))
 	}
-	payloads := make([][]byte, len(frames))
-	for i, frame := range frames {
-		payloads[i] = frame.Detach()
-	}
-	ep.sendOrdered(target, payloads...)
+	ep.sendOrderedFrames(target, frames)
 	return nil
 }
 
@@ -368,7 +365,14 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 		timer.Stop()
 		switch res := res.(type) {
 		case *smiop.MessageVal:
-			return res.Msg.Reply, res.Msg.Order, nil
+			// The voted results go up as the values the vote decoded, in a
+			// copy the caller may change: copies arriving after the
+			// decision are still compared with the vote's own.
+			rep := res.Msg.Reply
+			if rep.Status == giop.StatusNoException && res.TC != nil {
+				rep.Results, rep.ResultsType = cdr.CloneValue(res.Body), res.TC
+			}
+			return rep, res.Msg.Order, nil
 		case resendSignal:
 			// Under the request's own id: elements that executed it answer
 			// from their reply caches, the others vote on this copy.
@@ -463,6 +467,12 @@ func (ep *endpoint) ensureConn(peer string) (*connState, error) {
 func (ep *endpoint) sendOrdered(target string, payloads ...[]byte) {
 	osp := ep.tracer().StartDetached("srm.order", "target="+target)
 	ep.sys.sendOrdered(ep.identity, target, payloads, osp)
+}
+
+// sendOrderedFrames is sendOrdered over pooled frames, which it takes over.
+func (ep *endpoint) sendOrderedFrames(target string, frames []*pool.Buffer) {
+	osp := ep.tracer().StartDetached("srm.order", "target="+target)
+	ep.sys.sendOrderedFrames(ep.identity, target, frames, osp)
 }
 
 // --- inbound path (driver thread) ---

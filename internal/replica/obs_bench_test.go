@@ -50,7 +50,6 @@ func TestTraceSpanSequence(t *testing.T) {
 		"vote.submit",
 		"vote.decide",
 		"reply",
-		"orb.unmarshal",
 	}
 	i := 0
 	for _, n := range names {
@@ -63,8 +62,10 @@ func TestTraceSpanSequence(t *testing.T) {
 	}
 
 	// Structural spot-checks: establishment steps live under conn.establish,
-	// and orb.unmarshal is the invoke's last direct child (post-resume work
-	// re-attached under the invocation, not under the driver's spans).
+	// and the delivery that decided the vote is the invoke's last direct
+	// child, holding the decision and the reply that resumed the call
+	// (driver-side work re-attached under the invocation). The ORB takes the
+	// values the vote decoded, so no unmarshalling follows the resume.
 	var establish *obs.Span
 	for _, c := range root.Children {
 		if c.Name == "conn.establish" {
@@ -82,8 +83,11 @@ func TestTraceSpanSequence(t *testing.T) {
 	if sub["gm.share"] < 2 {
 		t.Errorf("conn.establish saw %d gm.share spans, want >= f+1 = 2", sub["gm.share"])
 	}
-	if last := root.Children[len(root.Children)-1]; last.Name != "orb.unmarshal" {
-		t.Errorf("invoke's last child = %s, want orb.unmarshal", last.Name)
+	last := root.Children[len(root.Children)-1]
+	decided := map[string]int{}
+	last.Walk(func(s *obs.Span, depth int) { decided[s.Name]++ })
+	if last.Name != "smiop.deliver" || decided["vote.decide"] != 1 || decided["reply"] != 1 {
+		t.Errorf("invoke's last child = %s holding %v, want the smiop.deliver that decided", last.Name, decided)
 	}
 }
 

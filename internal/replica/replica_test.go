@@ -223,6 +223,30 @@ func TestHeterogeneousRepliesVote(t *testing.T) {
 	}
 }
 
+// TestCallResultsAreTheCallers: the values Call returns are the caller's to
+// change. Changing them leaves what the vote decided as it was, so the
+// copies that reach the caller after the decision — among them copies in
+// the other byte order, decoded apart and compared by value — still agree
+// with it, and no fault is filed against an honest replica.
+func TestCallResultsAreTheCallers(t *testing.T) {
+	ts := newCalcSystem(t, 4, nil)
+	alice := ts.sys.Client("alice")
+	for i := 0; i < 6; i++ {
+		res, err := alice.CallAndRun(calcRef, "add", []cdr.Value{1.0, float64(i)}, 5_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res[0].(float64); got != 1+float64(i) {
+			t.Fatalf("call %d: sum = %v", i, got)
+		}
+		res[0] = 666.0
+		ts.sys.Net.Run(1_000_000) // the copies behind the decision arrive
+	}
+	if len(alice.FaultEvents) != 0 {
+		t.Fatalf("faults filed after the caller changed its results: %+v", alice.FaultEvents)
+	}
+}
+
 func TestByzantineReplicaMaskedAndExpelled(t *testing.T) {
 	ts := newCalcSystem(t, 5, nil)
 	alice := ts.sys.Client("alice")

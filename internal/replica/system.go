@@ -19,6 +19,7 @@ import (
 	"itdos/internal/obs/flight"
 	"itdos/internal/orb"
 	"itdos/internal/pbft"
+	"itdos/internal/pool"
 	"itdos/internal/quorum"
 	"itdos/internal/seckey"
 	"itdos/internal/smiop"
@@ -704,17 +705,34 @@ func (sys *System) buildClient(spec ClientSpec) error {
 // (nil-safe) ends at the last payload's acknowledgement, or at once when the
 // target is unknown.
 func (sys *System) sendOrdered(identity, target string, payloads [][]byte, sp *obs.Span) {
+	if s := sys.sender(identity, target); s != nil {
+		_, _ = s.SendAll(payloads, sp) // a refusal ends sp; the caller's own timeout covers the rest
+		return
+	}
+	sp.End()
+}
+
+// sendOrderedFrames is sendOrdered over pooled frames, which it takes over
+// (see srm.Sender.SendFrames).
+func (sys *System) sendOrderedFrames(identity, target string, frames []*pool.Buffer, sp *obs.Span) {
+	if s := sys.sender(identity, target); s != nil {
+		_, _ = s.SendFrames(frames, sp)
+		return
+	}
+	smiop.ReleaseFrames(frames)
+	sp.End()
+}
+
+// sender returns identity's ordered sender into target, built on first use,
+// or nil for an unknown target.
+func (sys *System) sender(identity, target string) *srm.Sender {
 	key := [2]string{identity, target}
 	s, ok := sys.senders[key]
 	if !ok {
 		s = sys.newSender(identity, target)
 		sys.senders[key] = s
 	}
-	if s == nil {
-		sp.End()
-		return
-	}
-	_, _ = s.SendAll(payloads, sp) // a refusal ends sp; the caller's own timeout covers the rest
+	return s
 }
 
 // newSender builds an ordered sender from an identity into a domain's

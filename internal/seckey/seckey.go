@@ -148,9 +148,20 @@ func (c *Channel) SealTo(buf []byte, start int, plaintext []byte) {
 	c.aead.Seal(out[headerLen:headerLen:len(out)], c.nonceFor(c.sendSeq), plaintext, out[:headerLen])
 }
 
-// Open verifies and decrypts a sealed message, enforcing replay
-// protection. The returned slice is freshly allocated.
+// Open verifies and decrypts a sealed message into a fresh buffer,
+// enforcing replay protection: OpenTo with a destination of its own.
 func (c *Channel) Open(sealed []byte) ([]byte, error) {
+	return c.OpenTo(make([]byte, max(OpenedLen(sealed), 0)), sealed)
+}
+
+// OpenTo verifies and decrypts a sealed message into dst, which its caller
+// owns, and returns the plaintext: dst's first OpenedLen(sealed) bytes. dst
+// either lies apart from sealed or is sealed's ciphertext span itself
+// (sealed[SealHeadLen:]), which decrypts the message in place. A sequence
+// number the replay window refuses is refused before anything is written;
+// a message that fails authentication leaves dst zeroed, as AES-GCM does,
+// so a refused in-place open has destroyed the frame it was given.
+func (c *Channel) OpenTo(dst, sealed []byte) ([]byte, error) {
 	if len(sealed) < headerLen+tagSize {
 		return nil, fmt.Errorf("seckey: sealed message too short: %d bytes", len(sealed))
 	}
@@ -159,22 +170,49 @@ func (c *Channel) Open(sealed []byte) ([]byte, error) {
 	if plen != len(sealed)-headerLen-tagSize {
 		return nil, fmt.Errorf("seckey: length field %d does not match body", plen)
 	}
-	pt, err := c.aead.Open(make([]byte, 0, plen), c.nonceFor(seq), sealed[headerLen:], sealed[:headerLen])
+	if len(dst) < plen {
+		return nil, fmt.Errorf("seckey: destination of %d bytes for a %d-byte plaintext", len(dst), plen)
+	}
+	if !c.window.fresh(seq) {
+		return nil, ErrReplay
+	}
+	pt, err := c.aead.Open(dst[:0], c.nonceFor(seq), sealed[headerLen:], sealed[:headerLen])
 	if err != nil {
 		return nil, ErrAuthentication
 	}
-	// Replay check only after authentication: forged sequence numbers must
-	// not poison the window.
-	if !c.window.accept(seq) {
-		return nil, ErrReplay
-	}
+	// The window moves only after authentication: forged sequence numbers
+	// must not poison it.
+	c.window.accept(seq)
 	return pt, nil
+}
+
+// OpenedLen is the plaintext length of a sealed message of well-formed
+// length, or -1 for one too short to hold a seal.
+func OpenedLen(sealed []byte) int {
+	if len(sealed) < headerLen+tagSize {
+		return -1
+	}
+	return len(sealed) - headerLen - tagSize
 }
 
 // replayWindow is a sliding 64-entry anti-replay bitmap, as in IPsec.
 type replayWindow struct {
 	top  uint64
 	bits uint64
+}
+
+// fresh reports whether accept would take seq, without moving the window.
+func (w *replayWindow) fresh(seq uint64) bool {
+	switch {
+	case seq == 0:
+		return false
+	case seq > w.top:
+		return true
+	case w.top-seq >= 64:
+		return false
+	default:
+		return w.bits&(uint64(1)<<(w.top-seq)) == 0
+	}
 }
 
 func (w *replayWindow) accept(seq uint64) bool {

@@ -380,3 +380,63 @@ func TestOpenAdversarial(t *testing.T) {
 		}
 	})
 }
+
+// TestOpenToInPlace pins what an in-place open does to the frame it is
+// given. A genuine frame decrypts over its own ciphertext. A replayed or
+// stale sequence number is refused before anything is written, so that
+// frame is left as it arrived. A frame that fails authentication — edited,
+// or sealed under another key era — may have its ciphertext destroyed (AES-
+// GCM clears the destination), so every receiver drops such a frame for
+// good; it leaves the replay window as it was, and the genuine frame still
+// opens afterwards.
+func TestOpenToInPlace(t *testing.T) {
+	const ctx = "conn7|era0|bank|m1"
+	k := testKey(7)
+	msg := bytes.Repeat([]byte("payload-"), 8)
+	tx := NewChannel(k, ctx)
+	first, _ := tx.Seal(msg)
+	var later [][]byte
+	for i := 0; i < 70; i++ {
+		f, _ := tx.Seal(msg)
+		later = append(later, f)
+	}
+	rx := NewChannel(k, ctx)
+	inPlace := func(frame []byte) ([]byte, error) { return rx.OpenTo(frame[SealHeadLen:], frame) }
+
+	frame := bytes.Clone(first)
+	pt, err := inPlace(frame)
+	if err != nil || !bytes.Equal(pt, msg) || &pt[0] != &frame[SealHeadLen] {
+		t.Fatalf("genuine frame: %q, %v, want %q decrypted over its ciphertext", pt, err, msg)
+	}
+
+	for name, sealed := range map[string][]byte{"replayed": first, "stale": later[2]} {
+		if name == "stale" {
+			for _, f := range later[3:] {
+				if _, err := inPlace(bytes.Clone(f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		frame := bytes.Clone(sealed)
+		if _, err := inPlace(frame); !errors.Is(err, ErrReplay) {
+			t.Fatalf("%s frame: err = %v, want ErrReplay", name, err)
+		}
+		if !bytes.Equal(frame, sealed) {
+			t.Fatalf("%s frame was written by the refused open", name)
+		}
+	}
+
+	rx = NewChannel(k, ctx)
+	edited := bytes.Clone(first)
+	edited[len(edited)-1] ^= 1
+	if _, err := inPlace(edited); !errors.Is(err, ErrAuthentication) {
+		t.Fatalf("edited frame: err = %v, want ErrAuthentication", err)
+	}
+	otherEra, _ := NewChannel(k, "conn7|era1|bank|m1").Seal(msg)
+	if _, err := inPlace(otherEra); !errors.Is(err, ErrAuthentication) {
+		t.Fatalf("frame of another era: err = %v, want ErrAuthentication", err)
+	}
+	if pt, err := inPlace(bytes.Clone(first)); err != nil || !bytes.Equal(pt, msg) {
+		t.Fatalf("genuine frame after refusals: %q, %v", pt, err)
+	}
+}

@@ -36,6 +36,10 @@ const SignatureSize = 64
 // at most four siblings.
 const MaxReplyLeaves = 16
 
+// maxSigSize is the longest Sig a data payload carries: a batched signature
+// with a full path.
+const maxSigSize = SignatureSize + 2 + 4*32
+
 // rootContext prefixes the 32-byte root in what a root signature covers.
 const rootContext = "itdos-reply-root"
 

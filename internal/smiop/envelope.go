@@ -107,6 +107,13 @@ type Envelope struct {
 	// layer authenticated; DecodeEnvelope never sets it, so a copy from a
 	// direct channel carries none (see Stream.Deliver).
 	OrderedBy string
+
+	// Owned is not on the wire either. The receiver sets it when the buffer
+	// the envelope was decoded from is its alone to write, as a direct-path
+	// delivery is, so OpenData decrypts the payload in place. An envelope
+	// taken off the ordered queue is never owned: the queue's window still
+	// holds its bytes, and its hash chain covers them.
+	Owned bool
 }
 
 // Encode serialises the envelope canonically (big-endian CDR).

@@ -128,17 +128,19 @@ func FuzzReplyDigestDecode(f *testing.F) {
 // FuzzSMIOPReassemble drives the fragment reassembler with an arbitrary
 // stream of fragments decoded from the fuzz input. Fragment headers come
 // from envelope cleartext, so a Byzantine sender controls every field the
-// loop below derives; the reassembler must never panic, never deliver a
-// message longer than its declared fragments, and always reject fragment
-// coordinates that lie outside the declared count.
+// loop below derives; the reassembler must never panic, must reject fragment
+// coordinates that lie outside the declared count, and a message it
+// completes must be exactly its accepted fragments in index order — every
+// one but the last of one length, and the whole within MaxMessageBytes. A
+// plain per-member model of the accepted fragments is the reference.
 //
 // Every fragment payload is staged in a pooled arena buffer with
-// release-time poisoning on, mirroring the zero-copy receive path where
-// opened plaintext aliases pooled backing arrays. A completed message must
-// be a fresh copy: releasing (and poisoning) every contributing fragment
-// buffer after completion must not alter the reassembled bytes. Run under
-// -race; any retained alias shows up as poisoned output here and as a
-// read-after-recycle race there.
+// release-time poisoning on and copied into the place the reassembler
+// gives it, as the decryption writes it on the receive path. A completed
+// message must be the reassembler's own buffer: releasing (and poisoning)
+// every contributing fragment buffer after completion must not alter it.
+// Run under -race; any retained alias shows up as poisoned output here and
+// as a read-after-recycle race there.
 //
 // Input format, repeated until exhausted:
 //
@@ -146,10 +148,18 @@ func FuzzReplyDigestDecode(f *testing.F) {
 func FuzzSMIOPReassemble(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 0, 1, 'a', 0, 1, 2, 0, 1, 'b'})
 	f.Add([]byte{1, 5, 3, 0, 0})
+	f.Add([]byte{0, 2, 3, 0, 1, 'c', 0, 0, 3, 0, 2, 'a', 'a', 0, 1, 3, 0, 2, 'b', 'b'})
 	pool.SetPoison(true)
 	f.Cleanup(func() { pool.SetPoison(false) })
+	type model struct {
+		requestID uint64
+		reply     bool
+		count     uint32
+		parts     map[uint32][]byte
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newReassembler()
+		want := map[uint32]*model{}
 		var live []*pool.Buffer // fragment buffers the reassembler may still alias
 		releaseAll := func() {
 			for _, pb := range live {
@@ -178,40 +188,56 @@ func FuzzSMIOPReassemble(f *testing.F) {
 			live = append(live, pb)
 			data = data[n:]
 
-			whole, _, err := r.add(env, payload, false)
-			if err != nil {
-				if env.FragCount >= 2 && env.FragIndex < env.FragCount {
-					t.Fatalf("rejected in-range fragment %d/%d: %v",
-						env.FragIndex, env.FragCount, err)
+			whole, _, err := addFragment(r, env, payload, false)
+			if env.FragCount < 2 || env.FragIndex >= env.FragCount {
+				if err == nil {
+					t.Fatalf("accepted fragment %d/%d", env.FragIndex, env.FragCount)
 				}
 				continue
 			}
-			switch {
-			case env.FragCount < 2:
-				// Unfragmented messages pass straight through, aliasing the
-				// caller-owned input by contract; compare before releasing.
-				if !bytes.Equal(whole, payload) {
-					t.Fatalf("unfragmented payload altered: %q != %q", whole, payload)
+			m := want[env.SrcMember]
+			if m == nil || m.requestID != env.RequestID || m.reply != env.Reply || m.count != env.FragCount {
+				m = &model{requestID: env.RequestID, reply: env.Reply, count: env.FragCount,
+					parts: map[uint32][]byte{}}
+				want[env.SrcMember] = m
+			}
+			if err != nil {
+				continue
+			}
+			m.parts[env.FragIndex] = bytes.Clone(payload)
+			if whole == nil {
+				if uint32(len(m.parts)) == m.count {
+					t.Fatalf("all %d fragments in and no message", m.count)
 				}
-			case whole != nil:
-				// Completed reassembly: bounded by count × max chunk size, and
-				// the per-member buffer must have been released.
-				if len(whole) > int(env.FragCount)*255 {
-					t.Fatalf("reassembled %d bytes from %d fragments of ≤255",
-						len(whole), env.FragCount)
+				continue
+			}
+			var expect []byte
+			for i := uint32(0); i < m.count; i++ {
+				p, ok := m.parts[i]
+				if !ok {
+					t.Fatalf("message completed without fragment %d/%d", i, m.count)
 				}
-				if r.byMember[env.SrcMember] != nil {
-					t.Fatal("completed buffer not released")
+				if i < m.count-1 && len(p) != len(m.parts[0]) || i == m.count-1 && len(p) > len(m.parts[0]) {
+					t.Fatalf("fragment %d/%d of %d bytes accepted beside a first of %d",
+						i, m.count, len(p), len(m.parts[0]))
 				}
-				// The reassembled message must not alias any pooled fragment:
-				// poison every buffer fed in so far and require the bytes to
-				// survive unchanged.
-				snap := append([]byte(nil), whole...)
-				releaseAll()
-				if !bytes.Equal(whole, snap) {
-					t.Fatalf("reassembled message aliases a released pooled fragment:\n%q !=\n%q",
-						whole, snap)
-				}
+				expect = append(expect, p...)
+			}
+			if !bytes.Equal(whole, expect) || len(whole) > MaxMessageBytes {
+				t.Fatalf("reassembled %q, fragments were %q", whole, expect)
+			}
+			delete(want, env.SrcMember)
+			if r.byMember[env.SrcMember] != nil {
+				t.Fatal("completed buffer not released")
+			}
+			// The reassembled message must not alias any pooled fragment:
+			// poison every buffer fed in so far and require the bytes to
+			// survive unchanged.
+			snap := append([]byte(nil), whole...)
+			releaseAll()
+			if !bytes.Equal(whole, snap) {
+				t.Fatalf("reassembled message aliases a released pooled fragment:\n%q !=\n%q",
+					whole, snap)
 			}
 		}
 		r.reset()

@@ -224,7 +224,8 @@ func TestStreamNeedsVerifier(t *testing.T) {
 
 func TestStreamVotesHeterogeneousReplies(t *testing.T) {
 	// Four server members reply with the same value marshalled in
-	// different byte orders: the stream must vote them equivalent.
+	// different byte orders: the stream must vote them equivalent, and
+	// decode each distinct encoding once.
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
 	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), VerifySig: testVerify})
@@ -253,6 +254,10 @@ func TestStreamVotesHeterogeneousReplies(t *testing.T) {
 	}
 	if !got.IsReply || got.Body.([]cdr.Value)[0].(float64) != 42.5 {
 		t.Fatalf("decided value = %+v", got)
+	}
+	// Copies with equal bytes share one decode: one per byte order.
+	if len(stream.decoded) != 2 {
+		t.Fatalf("%d decodes for copies in 2 distinct encodings", len(stream.decoded))
 	}
 }
 

@@ -1,6 +1,8 @@
 package smiop
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 
@@ -9,7 +11,9 @@ import (
 	"itdos/internal/idl"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
+	"itdos/internal/pool"
 	"itdos/internal/quorum"
+	"itdos/internal/seckey"
 	"itdos/internal/vote"
 )
 
@@ -28,6 +32,9 @@ type MessageVal struct {
 	TC *cdr.TypeCode
 	// Msg is the decoded GIOP message this value came from.
 	Msg *giop.Message
+
+	// giop is the message's encoding, which Msg aliases.
+	giop []byte
 }
 
 // msgComparator compares MessageVals: identity fields exactly, value trees
@@ -167,11 +174,16 @@ type Stream struct {
 	// outcome has yet to surface.
 	revoted int
 
+	// decoded holds the distinct messages the current vote has decoded, so
+	// that a copy with the same bytes is not decoded again.
+	decoded []*MessageVal
+
 	// Delivery counters (nil-safe; nil when unobserved).
 	mEnvelopes   *obs.Counter
 	mDiscarded   *obs.Counter
 	mDropped     *obs.Counter
 	mFragments   *obs.Counter
+	mOversize    *obs.Counter
 	mSubmissions *obs.Counter
 	mDecisions   *obs.Counter
 	mFaults      *obs.Counter
@@ -218,6 +230,7 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 		s.mDiscarded = r.Counter("smiop_discarded_total")
 		s.mDropped = r.Counter("smiop_dropped_total")
 		s.mFragments = r.Counter("smiop_fragments_total", "dir=in")
+		s.mOversize = r.Counter("smiop_oversize_total")
 		s.mSubmissions = r.Counter("vote_submissions_total")
 		s.mDecisions = r.Counter("vote_decisions_total", "mode="+mode.String())
 		s.mFaults = r.Counter("vote_fault_reports_total")
@@ -300,6 +313,8 @@ func (s *Stream) Expect(requestID uint64, iface, op string, p ReplyPolicy) error
 	s.faultsForwarded = 0
 	s.fallbackFired = false
 	s.frags.reset()
+	clear(s.decoded)
+	s.decoded = s.decoded[:0]
 	return nil
 }
 
@@ -387,7 +402,19 @@ func (s *Stream) Deliver(env *Envelope) error {
 		s.discard()
 		return nil
 	}
-	plaintext, err := s.conn.OpenData(env)
+	// A fragment opens straight into its place in the reassembly buffer;
+	// anything else on its own, in place when the receiver owns it.
+	fragment := env.Kind == KindData && env.FragCount > 1
+	var plaintext []byte
+	var err error
+	if fragment {
+		plaintext, err = s.openFragment(env)
+	} else {
+		plaintext, err = s.conn.OpenData(env)
+	}
+	if errors.Is(err, errDuplicateFragment) {
+		return nil
+	}
 	if err != nil {
 		return s.drop(err)
 	}
@@ -421,12 +448,12 @@ func (s *Stream) Deliver(env *Envelope) error {
 		}
 		// Fragmented messages reassemble before verification; incomplete
 		// messages simply wait for their remaining fragments.
-		var vouched bool
-		if sub.Raw, vouched, err = s.frags.add(env, plaintext, s.vouched(env)); err != nil {
-			return s.drop(err)
-		}
-		if sub.Raw == nil {
-			return nil
+		sub.Raw = plaintext
+		vouched := s.vouched(env)
+		if fragment {
+			if sub.Raw, vouched = s.frags.commit(env, len(plaintext), vouched); sub.Raw == nil {
+				return nil
+			}
 		}
 		// Raw is the evidence: signed payload (GIOP + signature).
 		payload, err := DecodeSignedPayload(sub.Raw)
@@ -448,9 +475,7 @@ func (s *Stream) Deliver(env *Envelope) error {
 			sub.Value = payload.GIOP
 		}
 		if !s.cfg.ByteVoting || digestVote {
-			usp := s.cfg.Tracer.Start("smiop.unmarshal")
-			val, err := UnmarshalMessage(s.cfg.Registry, s.expectedIface, s.expectedOp, payload.GIOP)
-			usp.End()
+			val, err := s.unmarshal(payload.GIOP)
 			if err != nil {
 				return s.drop(err)
 			}
@@ -492,6 +517,43 @@ func (s *Stream) Deliver(env *Envelope) error {
 		s.OnPostDecision(env, pv)
 	}
 	return nil
+}
+
+// openFragment opens fragment env straight into its place in its member's
+// reassembly buffer. Nothing the fragment claims is acted on before it
+// authenticates: an envelope no peer member could have sealed is refused
+// first, and a fragment that has no place yet (the first of its message, or
+// of a message that replaces another) opens apart, in place when the
+// receiver owns it and else in a pooled scratch, and only then sets up the
+// buffer it is copied into. A message over MaxMessageBytes is refused and
+// counted.
+func (s *Stream) openFragment(env *Envelope) ([]byte, error) {
+	if _, err := s.conn.peerChannel(env); err != nil {
+		return nil, err
+	}
+	n := seckey.OpenedLen(env.Payload)
+	dst, err := s.frags.slot(env, n)
+	if err != nil {
+		return nil, err
+	}
+	if dst != nil {
+		return s.conn.openTo(dst, env)
+	}
+	if env.Owned {
+		dst = env.Payload[seckey.SealHeadLen:]
+	} else {
+		scratch := pool.Get(n)
+		defer scratch.Release()
+		dst = scratch.B[:n]
+	}
+	pt, err := s.conn.openTo(dst, env)
+	if err != nil {
+		return nil, err
+	}
+	if pt, err = s.frags.take(env, pt); errors.Is(err, errOversize) {
+		s.mOversize.Inc()
+	}
+	return pt, err
 }
 
 // settle handles what one submission produced: new fault reports, then
@@ -569,6 +631,26 @@ func (s *Stream) recordFallback(cause string) {
 	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindDigestFallback, 0, 0, s.cv.CurrentID(), cause)
 }
 
+// unmarshal decodes one copy's GIOP message for the vote. A copy whose bytes
+// equal those of a copy this vote already decoded takes that copy's value:
+// equal bytes decode to equal values. Copies whose bytes differ, as
+// heterogeneous replicas' do, are decoded and compared by value.
+func (s *Stream) unmarshal(giopBytes []byte) (*MessageVal, error) {
+	for _, v := range s.decoded {
+		if bytes.Equal(v.giop, giopBytes) {
+			return v, nil
+		}
+	}
+	usp := s.cfg.Tracer.Start("smiop.unmarshal")
+	val, err := UnmarshalMessage(s.cfg.Registry, s.expectedIface, s.expectedOp, giopBytes)
+	usp.End()
+	if err != nil {
+		return nil, err
+	}
+	s.decoded = append(s.decoded, val)
+	return val, nil
+}
+
 // buildVal decodes a GIOP message into a MessageVal (used by the
 // byte-voting path, whose comparisons never unmarshal but whose consumers
 // still need the message identity and values).
@@ -633,14 +715,14 @@ func UnmarshalMessage(reg *idl.Registry, iface, op string, giopBytes []byte) (*M
 		}
 		return &MessageVal{
 			Interface: req.Interface, Operation: req.Operation,
-			Body: body, TC: tc, Msg: msg,
+			Body: body, TC: tc, Msg: msg, giop: giopBytes,
 		}, nil
 	case giop.MsgReply:
 		rep := msg.Reply
 		val := &MessageVal{
 			Interface: iface, Operation: op,
 			IsReply: true, Status: rep.Status, Exception: rep.Exception,
-			TC: cdr.Void, Msg: msg,
+			TC: cdr.Void, Msg: msg, giop: giopBytes,
 		}
 		if rep.Status == giop.StatusNoException {
 			sig, err := reg.Lookup(iface, op)

@@ -36,15 +36,16 @@ import (
 // sign).
 //
 // Ownership: every returned frame is a pool.Buffer holding exactly one
-// reference. The caller must Release each frame after handing its bytes to
-// the transport (both backends copy payloads on Send), or Detach it when the
-// bytes must outlive the send (ordered-path retransmission queues).
+// reference, which the caller hands on: to transport.Send as the payload's
+// owner (the transport releases it once written), to an ordered sender
+// (srm.Sender.SendFrames), or back with Release on an abort path.
 //
 // On the receive side no decoder copies: DecodeEnvelope, DecodeSignedPayload
 // and DecodeDigestPayload return slices of the buffer they are given. That
-// buffer is a transport delivery, an opened seal or a reassembled message —
-// each a fresh allocation its receiver owns and no one writes afterwards —
-// never a pooled frame, which is recycled on release.
+// buffer is a transport delivery, opened in place when the receiver owns it
+// (Envelope.Owned), an opened seal or a reassembled message — each memory
+// its receiver owns and no one else writes — never a pooled frame, which is
+// recycled on release.
 
 // signingSlack covers the signing-context fields around the GIOP bytes in
 // AppendDataSigningBytes when sizing a pooled scratch.
@@ -112,7 +113,8 @@ func (c *Connection) appendDataEnvelope(dst []byte, requestID uint64, reply bool
 // at their final payload offset, with no intermediate buffer. One signature
 // covers the whole message; a signed payload larger than fragSize (0:
 // DefaultFragmentSize) is split into chunks sealed one by one, and a
-// smaller one comes back as a single frame with fragment count 0.
+// smaller one comes back as a single frame with fragment count 0. A signed
+// payload over MaxMessageBytes is refused.
 //
 // Each returned frame holds one pool reference the caller must Release
 // (or Detach) — see the package ownership note above.
@@ -142,6 +144,9 @@ func (c *Connection) SealGIOPWire(requestID uint64, reply bool,
 	pe.WriteOctets(sig)
 	scratch.B = pe.Bytes()
 	whole := scratch.B
+	if len(whole) > MaxMessageBytes {
+		return nil, fmt.Errorf("smiop: message of %d bytes exceeds %d", len(whole), MaxMessageBytes)
+	}
 
 	if len(whole) <= fragSize {
 		wb := pool.Get(envelopeSlack(c) + seckey.SealedLen(len(whole)))

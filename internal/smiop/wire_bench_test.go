@@ -11,6 +11,7 @@ import (
 
 	"itdos/internal/cdr"
 	"itdos/internal/giop"
+	"itdos/internal/pool"
 )
 
 // Benchmarks for the reply seal chain — the reply hot path. SealGIOPWire
@@ -82,12 +83,14 @@ func openChainFrames(t testing.TB, n int) (*Connection, [][]byte) {
 }
 
 // openOne takes one sealed reply frame through the receive chain: envelope,
-// seal, signed payload, GIOP message.
+// seal, signed payload, GIOP message. The frame is a direct-path delivery,
+// the receiver's own, so it opens in place.
 func openOne(recv *Connection, wire []byte) error {
 	env, err := DecodeEnvelope(wire)
 	if err != nil {
 		return err
 	}
+	env.Owned = true
 	plain, err := recv.OpenData(env)
 	if err != nil {
 		return err
@@ -107,8 +110,8 @@ func openOne(recv *Connection, wire []byte) error {
 }
 
 // BenchmarkOpenChain is the receive side of the seal chain: one sealed
-// 16 KiB reply frame through DecodeEnvelope, OpenData, DecodeSignedPayload
-// and giop.Decode. Frames are sealed ahead, 256 to a receiver, outside the
+// 16 KiB reply frame through DecodeEnvelope, OpenData (in place),
+// DecodeSignedPayload and giop.Decode. Frames are sealed ahead, 256 to a receiver, outside the
 // timer.
 func BenchmarkOpenChain(b *testing.B) {
 	b.SetBytes(openChainSize)
@@ -138,6 +141,9 @@ type allocBudget struct {
 	// OpenChain is what opening one sealed 16 KiB reply frame cost when
 	// the baseline was committed (TestOpenChainAllocBudget).
 	OpenChain *opCost `json:"open_chain_16384B,omitempty"`
+	// SendChain is what sealing one 16 KiB reply and handing its frames to
+	// a TCP transport's Send cost (TestSendChainAllocBudget).
+	SendChain *opCost `json:"send_chain_16384B,omitempty"`
 }
 
 // opCost is the heap cost of one operation.
@@ -281,5 +287,67 @@ func TestSealChainAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.1f allocs/op exceeds committed baseline %.1f by more than 10%%",
 				key, got, want)
 		}
+	}
+}
+
+// sendChainSize is the reply body the send chain is measured with: sealed
+// with the default fragment size, it is two frames.
+const sendChainSize = 16 << 10
+
+// TestSendChainAllocBudget gates the send side end to end: sealing one
+// 16 KiB reply and handing its frames to a TCP transport, which writes them
+// to a socket and releases them to the arena. Beyond what sealing alone
+// costs, Send may allocate one frame header per frame and nothing else —
+// no copy of a payload — and the whole may not exceed the committed
+// baseline by more than 10%. Like the other gates it runs on plain builds
+// only.
+func TestSendChainAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are only stable on plain builds")
+	}
+	const runs = 200
+	conn := wireConn(t)
+	tr := sinkTransport(t)
+	rep := &giop.Reply{RequestID: 7, Status: giop.StatusNoException, Body: make([]byte, sendChainSize)}
+	var id uint64
+	nframes := 0
+	seal := func() []*pool.Buffer {
+		id++
+		frames, err := conn.SealGIOPWire(id, true, func(dst []byte) []byte {
+			return giop.AppendReply(dst, cdr.BigEndian, rep)
+		}, testSign, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nframes = len(frames)
+		return frames
+	}
+	sealOnly := perRun(runs, func() { ReleaseFrames(seal()) })
+	sent := perRun(runs, func() {
+		before := pool.ReadStats()
+		sendFrames(tr, seal())
+		awaitPuts(t, before)
+	})
+	t.Logf("send chain, 16 KiB reply in %d frames: %.1f allocs/op, %.0f B/op (sealing alone %.1f, %.0f)",
+		nframes, sent.AllocsPerOp, sent.BytesPerOp, sealOnly.AllocsPerOp, sealOnly.BytesPerOp)
+	if extra := sent.AllocsPerOp - sealOnly.AllocsPerOp; extra > float64(nframes)+0.5 {
+		t.Errorf("Send allocated %.1f times per reply of %d frames, want at most one header each", extra, nframes)
+	}
+	if extra := sent.BytesPerOp - sealOnly.BytesPerOp; extra > float64(nframes*64) {
+		t.Errorf("Send allocated %.0f bytes per reply of %d frames: a payload was copied", extra, nframes)
+	}
+	if *updateAllocBudget {
+		budget := readAllocBudget(t)
+		budget.SendChain = &sent
+		writeAllocBudget(t, budget)
+		return
+	}
+	want := readAllocBudget(t).SendChain
+	if want == nil {
+		t.Fatal("no committed send-chain budget (run with -update-alloc-budget)")
+	}
+	if sent.AllocsPerOp > want.AllocsPerOp*1.10 || sent.BytesPerOp > want.BytesPerOp*1.10 {
+		t.Errorf("send chain: %.1f allocs/op and %.0f B/op exceed the committed %.1f and %.0f by more than 10%%",
+			sent.AllocsPerOp, sent.BytesPerOp, want.AllocsPerOp, want.BytesPerOp)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"itdos/internal/obs"
 	"itdos/internal/pbft"
+	"itdos/internal/pool"
 )
 
 // packGolden is the pack encoding of ("a", "", "bc"): marker, count 3, then
@@ -132,7 +133,9 @@ func TestPackAdversarial(t *testing.T) {
 
 // TestPackEquivalence: payloads sent as one pack leave the same queue digest
 // and the same deliveries as the same payloads sent one request each with
-// nothing interleaved — and the pack really was one request.
+// nothing interleaved — and the pack really was one request. Pooled frames
+// handed over with SendFrames do too, with poisoning on, and every one goes
+// back to the arena.
 func TestPackEquivalence(t *testing.T) {
 	frag := bytes.Repeat([]byte{0xAB}, 16<<10)
 	for _, tc := range []struct {
@@ -147,33 +150,59 @@ func TestPackEquivalence(t *testing.T) {
 		{"over one pack", [][]byte{frag[:12<<10], frag[:12<<10], frag[:12<<10]}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(together bool) (*testDomain, *obs.Registry) {
+			// how is "alone" (one request each), "together" (SendAll) or
+			// "frames" (SendFrames over pooled copies, poisoned on release).
+			run := func(how string) (*testDomain, *obs.Registry) {
 				metrics := obs.NewRegistry()
 				td := newTestDomainCfg(t, 5, DomainConfig{N: 4, F: 1, QueueCapacity: 64, CheckpointInterval: 4, Metrics: metrics})
 				s, acks := td.sender(t, "client:eq")
-				if !together {
+				var n uint64
+				var err error
+				switch how {
+				case "alone":
 					for _, p := range tc.payloads {
 						td.sendAndWait(t, s, acks, string(p))
 					}
 					return td, metrics
+				case "together":
+					n, err = s.SendAll(tc.payloads, nil)
+				case "frames":
+					pool.SetPoison(true)
+					defer pool.SetPoison(false)
+					before := pool.ReadStats()
+					defer func() {
+						if after := pool.ReadStats(); after.Puts-before.Puts != after.Gets-before.Gets {
+							t.Errorf("SendFrames returned %d of %d pooled frames", after.Puts-before.Puts, after.Gets-before.Gets)
+						}
+					}()
+					frames := make([]*pool.Buffer, len(tc.payloads))
+					for i, p := range tc.payloads {
+						frames[i] = pool.Get(len(p))
+						frames[i].B = append(frames[i].B, p...)
+					}
+					n, err = s.SendFrames(frames, nil)
 				}
-				if n, err := s.SendAll(tc.payloads, nil); err != nil || n != uint64(len(tc.payloads)) {
-					t.Fatalf("SendAll: %d, %v", n, err)
+				if err != nil || n != uint64(len(tc.payloads)) {
+					t.Fatalf("%s: %d, %v", how, n, err)
 				}
 				td.run(t, s, len(tc.payloads))
 				return td, metrics
 			}
-			alone, _ := run(false)
-			packed, metrics := run(true)
+			alone, _ := run("alone")
+			packed, metrics := run("together")
+			framed, _ := run("frames")
 			alone.net.Run(1_000_000)
 			packed.net.Run(1_000_000)
+			framed.net.Run(1_000_000)
 			for i := range packed.dom.Elements {
-				a, p := alone.dom.Elements[i].Queue(), packed.dom.Elements[i].Queue()
-				if a.Capture().Digest() != p.Capture().Digest() {
-					t.Errorf("element %d: queue digest differs", i)
-				}
-				if fmt.Sprintf("%q", alone.deliv[i]) != fmt.Sprintf("%q", packed.deliv[i]) {
-					t.Errorf("element %d: deliveries differ", i)
+				a := alone.dom.Elements[i].Queue()
+				for how, td := range map[string]*testDomain{"together": packed, "frames": framed} {
+					if a.Capture().Digest() != td.dom.Elements[i].Queue().Capture().Digest() {
+						t.Errorf("element %d, %s: queue digest differs", i, how)
+					}
+					if fmt.Sprintf("%q", alone.deliv[i]) != fmt.Sprintf("%q", td.deliv[i]) {
+						t.Errorf("element %d, %s: deliveries differ", i, how)
+					}
 				}
 			}
 			if got := metrics.Counter("pbft_batched_requests_total", "group=dom").Value() / 4; float64(got) != tc.requests {

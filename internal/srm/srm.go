@@ -30,6 +30,7 @@ import (
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/pbft"
+	"itdos/internal/pool"
 	"itdos/internal/transport"
 )
 
@@ -600,11 +601,13 @@ type Sender struct {
 }
 
 // queuedSend is one payload handed to the sender: its number in the
-// sender's stream, and the span that ends when it is acknowledged.
+// sender's stream, the pooled frame holding it if it came as one, and the
+// span that ends when it is acknowledged.
 type queuedSend struct {
-	n    uint64
-	data []byte
-	span *obs.Span
+	n     uint64
+	data  []byte
+	owner *pool.Buffer
+	span  *obs.Span
 }
 
 // NewSender builds a sender with identity id at transport address addr,
@@ -645,18 +648,33 @@ func (s *Sender) Send(data []byte) (uint64, error) { return s.SendAll([][]byte{d
 // ends when the last payload is acknowledged, or at once if the PBFT client
 // refuses the request that carries it — the error then returned.
 func (s *Sender) SendAll(payloads [][]byte, sp *obs.Span) (uint64, error) {
-	if len(payloads) == 0 {
+	for _, data := range payloads {
+		s.sent++
+		s.queue = append(s.queue, queuedSend{n: s.sent, data: data})
+	}
+	return s.enqueued(len(payloads), sp)
+}
+
+// SendFrames is SendAll over pooled frames (smiop.SealGIOPWire's), which
+// the sender takes over: a frame packed with others is copied into the pack
+// and released, one that goes alone is detached, since the ordering client
+// keeps the request it sends.
+func (s *Sender) SendFrames(frames []*pool.Buffer, sp *obs.Span) (uint64, error) {
+	for _, f := range frames {
+		s.sent++
+		s.queue = append(s.queue, queuedSend{n: s.sent, data: f.B, owner: f})
+	}
+	return s.enqueued(len(frames), sp)
+}
+
+// enqueued hands sp to the last of the n payloads just queued, and flushes
+// unless a request is in flight.
+func (s *Sender) enqueued(n int, sp *obs.Span) (uint64, error) {
+	if n == 0 {
 		sp.End()
 		return s.sent, nil
 	}
-	for i, data := range payloads {
-		s.sent++
-		p := queuedSend{n: s.sent, data: data}
-		if i == len(payloads)-1 {
-			p.span = sp
-		}
-		s.queue = append(s.queue, p)
-	}
+	s.queue[len(s.queue)-1].span = sp
 	if s.inFlight != nil {
 		return s.sent, nil
 	}
@@ -681,7 +699,18 @@ func (s *Sender) flush() error {
 		for i, p := range batch {
 			payloads[i] = p.data
 		}
-		if _, err = s.client.Invoke(packOp(payloads)); err != nil {
+		if k == 1 && batch[0].owner != nil {
+			// A lone payload is the op itself, which the client keeps.
+			payloads[0], batch[0].owner = batch[0].owner.Detach(), nil
+		}
+		op := packOp(payloads)
+		for i := range batch {
+			if o := batch[i].owner; o != nil {
+				o.Release()
+			}
+			batch[i].data, batch[i].owner = nil, nil
+		}
+		if _, err = s.client.Invoke(op); err != nil {
 			for _, p := range batch {
 				p.span.End()
 			}

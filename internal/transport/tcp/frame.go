@@ -40,16 +40,29 @@ func frameBodyLen(from, to transport.NodeID, payload []byte) int {
 // AppendFrame appends one encoded frame to dst and returns the extended
 // slice. Identifiers longer than 255 bytes are an error.
 func AppendFrame(dst []byte, from, to transport.NodeID, payload []byte) ([]byte, error) {
+	dst, err := appendFrameHeader(dst, from, to, len(payload))
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, payload...), nil
+}
+
+// appendFrameHeader appends what precedes a frame's payload of n bytes: the
+// length prefix and both identifiers. The sender writes the payload after
+// it as a buffer of its own.
+func appendFrameHeader(dst []byte, from, to transport.NodeID, n int) ([]byte, error) {
 	if len(from) > 255 || len(to) > 255 {
 		return dst, fmt.Errorf("tcp: node id too long (from %d, to %d bytes)", len(from), len(to))
 	}
-	bodyLen := frameBodyLen(from, to, payload)
+	bodyLen := 1 + len(from) + 1 + len(to) + n
+	if dst == nil {
+		dst = make([]byte, 0, frameHeaderLen+bodyLen-n)
+	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(bodyLen))
 	dst = append(dst, byte(len(from)))
 	dst = append(dst, from...)
 	dst = append(dst, byte(len(to)))
 	dst = append(dst, to...)
-	dst = append(dst, payload...)
 	return dst, nil
 }
 

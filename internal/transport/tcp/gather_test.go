@@ -205,7 +205,11 @@ func TestTCPReaderDoesNotHoldBackParsedFrame(t *testing.T) {
 // TestUnwritten: a failed write of n bytes owes every frame the kernel did
 // not take whole, the partly written one included.
 func TestUnwritten(t *testing.T) {
-	frames := [][]byte{make([]byte, 5), make([]byte, 1), make([]byte, 7)}
+	frames := []outFrame{
+		{hdr: make([]byte, 4), payload: make([]byte, 1)},
+		{hdr: make([]byte, 1)},
+		{hdr: make([]byte, 4), payload: make([]byte, 3)},
+	}
 	for _, tc := range []struct {
 		n    int64
 		want int // frames still owed
@@ -214,7 +218,7 @@ func TestUnwritten(t *testing.T) {
 		if len(rest) != tc.want {
 			t.Errorf("unwritten(%d bytes) owes %d frames, want %d", tc.n, len(rest), tc.want)
 		}
-		if len(rest) > 0 && &rest[len(rest)-1][0] != &frames[2][0] {
+		if len(rest) > 0 && &rest[len(rest)-1].hdr[0] != &frames[2].hdr[0] {
 			t.Errorf("unwritten(%d bytes) does not end with the last frame", tc.n)
 		}
 	}

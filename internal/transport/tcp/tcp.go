@@ -86,7 +86,7 @@ const (
 type peer struct {
 	name string
 	addr string
-	ch   chan []byte
+	ch   chan outFrame
 
 	// Written by the sender goroutine, folded into the instruments below by
 	// the loop on its next send to this peer (the registry is loop-only, and
@@ -218,7 +218,7 @@ func New(cfg Config) (*Transport, error) {
 		if proc == cfg.Process {
 			continue
 		}
-		t.peers[proc] = &peer{name: proc, addr: cfg.Peers[proc], ch: make(chan []byte, queueLen),
+		t.peers[proc] = &peer{name: proc, addr: cfg.Peers[proc], ch: make(chan outFrame, queueLen),
 			gDepth: r.Gauge("tcp_send_queue_depth", "peer="+proc)}
 	}
 	return t, nil
@@ -343,40 +343,66 @@ func (t *Transport) AddNode(id transport.NodeID, h transport.Handler) {
 	t.nodes[id] = h
 }
 
-// Send queues a unicast message. Sends from an identity hosted elsewhere
-// are dropped (ghost suppression); local destinations are delivered
-// asynchronously on the loop; remote destinations are framed and enqueued
-// on the owning peer's bounded queue, dropping (and counting) on overflow.
-// A frame above MaxFrame is refused here, and counted: the receiver would
-// close the connection on it and lose everything queued behind it.
-func (t *Transport) Send(from, to transport.NodeID, payload []byte) {
+// Send queues a unicast message and takes payload over (see
+// transport.Transport.Send). Sends from an identity hosted elsewhere are
+// dropped (ghost suppression); local destinations get a copy of their own,
+// delivered asynchronously on the loop; remote destinations are enqueued on
+// the owning peer's bounded queue, dropping (and counting) on overflow, and
+// their writer sends the frame header and the payload as they are. A frame
+// above MaxFrame is refused here, and counted: the receiver would close the
+// connection on it and lose everything queued behind it. The owner, if
+// given, is released once the payload is copied, written, refused or
+// dropped.
+func (t *Transport) Send(from, to transport.NodeID, payload []byte, owner ...transport.Releaser) {
+	f := outFrame{payload: payload}
+	if len(owner) > 0 {
+		f.owner = owner[0]
+	}
 	if t.route(string(from)) != t.cfg.Process {
+		f.release()
 		return
 	}
 	if t.route(string(to)) == t.cfg.Process {
 		copied := append([]byte(nil), payload...)
+		f.release()
 		t.localQ = append(t.localQ, func() { t.deliver(from, to, copied) })
 		return
 	}
-	t.sendRemote(from, to, payload)
+	t.sendRemote(from, to, f)
 }
 
-func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
+// outFrame is one frame on its way to a peer: its header, the payload as
+// Send got it, and the payload's owner, released once the frame is written
+// or given up.
+type outFrame struct {
+	hdr, payload []byte
+	owner        transport.Releaser
+}
+
+func (f outFrame) len() int { return len(f.hdr) + len(f.payload) }
+
+func (f outFrame) release() {
+	if f.owner != nil {
+		f.owner.Release()
+	}
+}
+
+func (t *Transport) sendRemote(from, to transport.NodeID, f outFrame) {
 	proc := t.route(string(to))
 	p, ok := t.peers[proc]
 	if !ok {
+		f.release()
 		t.mUnroutable.Inc()
 		return
 	}
-	bodyLen := frameBodyLen(from, to, payload)
-	if bodyLen > t.maxFrame {
+	if frameBodyLen(from, to, f.payload) > t.maxFrame {
+		f.release()
 		t.mOversizeTx.Inc()
 		return
 	}
-	// The copy Send's contract requires, sized exactly: the peer's writer
-	// owns the frame from here.
-	frame, err := AppendFrame(make([]byte, 0, frameHeaderLen+bodyLen), from, to, payload)
-	if err != nil {
+	var err error
+	if f.hdr, err = appendFrameHeader(nil, from, to, len(f.payload)); err != nil {
+		f.release()
 		t.mDecodeErr.Inc()
 		return
 	}
@@ -387,13 +413,14 @@ func (t *Transport) sendRemote(from, to transport.NodeID, payload []byte) {
 	t.mWrites.Add(p.writes.Swap(0))
 	t.mResent.Add(p.resent.Swap(0))
 	select {
-	case p.ch <- frame:
+	case p.ch <- f:
 		t.mFramesSent.Inc()
-		t.mBytesSent.Add(uint64(len(frame)))
+		t.mBytesSent.Add(uint64(f.len()))
 		// The deeper of the queue as this send leaves it and as the sender's
 		// gathers found it since the previous send.
 		p.gDepth.Set(float64(max(int64(len(p.ch)), found)))
 	default:
+		f.release()
 		t.mDropped.Inc()
 	}
 }
@@ -433,20 +460,33 @@ func (t *Transport) After(d time.Duration, fn func()) transport.Timer {
 // frames off the bounded queue until the connection breaks. Each write takes
 // the frame it waited for plus whatever is already queued behind it, up to
 // the gather bounds, so a burst costs one system call; a lone frame is
-// written as before.
+// written as before. Each frame goes out as two buffers, its header and its
+// payload, and its owner is released once the kernel has taken it whole, or
+// when the transport closes with the frame still here.
 func (t *Transport) runSender(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
 	attempt := 0
+	// pending holds frames taken off the queue and not yet handed to the
+	// kernel whole; iov is the scratch copy WriteTo consumes, through w,
+	// which lives across writes because WriteTo takes its address.
+	var pending []outFrame
+	iov := make(net.Buffers, 0, 2*gatherFrames)
+	var w net.Buffers
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
+		releaseAll(pending)
+		for {
+			select {
+			case f := <-p.ch:
+				f.release()
+			default:
+				return
+			}
+		}
 	}()
-	// pending holds frames taken off the queue and not yet handed to the
-	// kernel whole; iov is the scratch copy WriteTo consumes.
-	var pending [][]byte
-	iov := make(net.Buffers, 0, gatherFrames)
 	for {
 		if conn == nil {
 			select {
@@ -472,16 +512,19 @@ func (t *Transport) runSender(p *peer) {
 		}
 		if len(pending) == 0 {
 			select {
-			case frame := <-p.ch:
-				pending = append(pending, frame)
+			case f := <-p.ch:
+				pending = append(pending, f)
 			case <-t.closed:
 				return
 			}
 		}
 		pending = gather(pending, p.ch)
 		p.found.Store(int64(len(pending) + len(p.ch)))
-		iov = append(iov[:0], pending...)
-		w := iov
+		iov = iov[:0]
+		for _, f := range pending {
+			iov = append(iov, f.hdr, f.payload)
+		}
+		w = iov
 		p.writes.Add(1) // a failed write(2) is a system call too
 		n, err := w.WriteTo(conn)
 		if err != nil {
@@ -492,27 +535,37 @@ func (t *Transport) runSender(p *peer) {
 			// the receiver parses the new connection from its first byte.
 			conn.Close()
 			conn = nil
-			pending = unwritten(pending, n)
+			rest := unwritten(pending, n)
+			releaseAll(pending[:len(pending)-len(rest)])
+			pending = append(pending[:0], rest...)
 			p.resent.Add(uint64(len(pending)))
 			continue
 		}
+		releaseAll(pending)
 		clear(pending)
 		pending = pending[:0]
 	}
 }
 
+// releaseAll releases the owners of frames.
+func releaseAll(frames []outFrame) {
+	for _, f := range frames {
+		f.release()
+	}
+}
+
 // gather extends pending, without waiting, with frames already on ch, up to
 // the gather bounds.
-func gather(pending [][]byte, ch <-chan []byte) [][]byte {
+func gather(pending []outFrame, ch <-chan outFrame) []outFrame {
 	size := 0
 	for _, f := range pending {
-		size += len(f)
+		size += f.len()
 	}
 	for len(pending) < gatherFrames && size < gatherBytes {
 		select {
-		case frame := <-ch:
-			pending = append(pending, frame)
-			size += len(frame)
+		case f := <-ch:
+			pending = append(pending, f)
+			size += f.len()
 		default:
 			return pending
 		}
@@ -522,9 +575,9 @@ func gather(pending [][]byte, ch <-chan []byte) [][]byte {
 
 // unwritten returns the frames a failed write of n bytes did not hand to the
 // kernel whole, in order.
-func unwritten(frames [][]byte, n int64) [][]byte {
-	for len(frames) > 0 && n >= int64(len(frames[0])) {
-		n -= int64(len(frames[0]))
+func unwritten(frames []outFrame, n int64) []outFrame {
+	for len(frames) > 0 && n >= int64(frames[0].len()) {
+		n -= int64(frames[0].len())
 		frames = frames[1:]
 	}
 	return frames

@@ -18,13 +18,17 @@ import "time"
 // NodeID identifies a process endpoint on the transport.
 type NodeID string
 
+// Releaser owns pooled storage (a *pool.Buffer): Release gives it back.
+type Releaser interface{ Release() }
+
 // Handler receives messages delivered to a node.
 type Handler interface {
 	// Receive is invoked by the transport's single delivery thread when a
 	// message arrives. Implementations may call back into the transport
-	// (Send, After). The payload is the receiver's to keep: the transport
-	// never touches it again, so decoders above it return slices of it
-	// instead of copies, and nothing writes it afterwards.
+	// (Send, After). The payload is the receiver's alone, to keep and to
+	// write: no other receiver and no sender holds it, and the transport
+	// never touches it again. So decoders above it return slices of it
+	// instead of copies, and a receiver may decrypt it in place.
 	Receive(from NodeID, payload []byte)
 }
 
@@ -63,9 +67,19 @@ func (t Timer) Stop() {
 // stamp events from whichever clock — virtual or monotonic wall — the
 // deployment runs on.
 type Transport interface {
-	// Send queues a unicast message for asynchronous delivery. The payload
-	// is copied (or framed) before Send returns; callers may reuse it.
-	Send(from, to NodeID, payload []byte)
+	// Send queues a unicast message for asynchronous delivery and takes
+	// payload over: the transport may hold it until it is written, so the
+	// caller must not write it afterwards, nor recycle its storage. Nothing
+	// writes it, so the caller may hand the same bytes to more Sends (one
+	// encoded message to every destination) or keep them to send again. A
+	// receiver gets a buffer of its own (see Handler.Receive): a remote one
+	// the bytes its socket read, a same-process one a copy of payload. The
+	// owner, at most one and given when payload lies in pooled storage, is
+	// released exactly once, when the transport is done with payload: after
+	// the write or the copy, or when the message is refused, dropped or
+	// still queued at close. A caller that hands one pooled payload to
+	// several Sends gives each its own reference.
+	Send(from, to NodeID, payload []byte, owner ...Releaser)
 	// AddNode registers a node's delivery handler. Re-registering an id
 	// replaces its handler.
 	AddNode(id NodeID, h Handler)
