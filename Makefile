@@ -114,7 +114,7 @@ bench-inproc:
 	mkdir -p bench-out
 	$(GO) test -run='^$$' -bench=InProcCall -benchtime=3000x -benchmem -cpuprofile=bench-out/inproc.cpu -memprofile=bench-out/inproc.mem -o bench-out/cluster.test ./internal/cluster | tee bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -top bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
-	$(GO) tool pprof -peek 'SignSHA256$$|VerifySHA256$$|signDigest$$|verifyDigest$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
+	$(GO) tool pprof -peek 'SignDigest$$|VerifyDigest$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -peek 'sha256\.\(\*Digest\)\.Write$$|crypto/sha256\.Sum256$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -peek 'gcm\.\(\*GCM\)\.(Seal|Open)$$' bench-out/cluster.test bench-out/inproc.cpu >> bench-out/INPROC_PROFILE.txt
 	$(GO) tool pprof -sample_index=alloc_space -top bench-out/cluster.test bench-out/inproc.mem >> bench-out/INPROC_PROFILE.txt

@@ -27,7 +27,7 @@ Duration: 613.25ms, Total samples = 480ms (78.27%)
       30ms   crypto/internal/fips140/edwards25519/field.feMul
              crypto/internal/fips140/ed25519.verify
              crypto/ed25519.Verify
-             itdos/internal/pbft.verifyDigest
+             itdos/internal/pbft.VerifyDigest
              itdos/internal/pbft.(*Replica).HandleMessage
 -----------+-------------------------------------------------------
      1.25s   runtime.memmove
@@ -47,7 +47,7 @@ func TestParseTraces(t *testing.T) {
 		{10 * time.Millisecond, []string{"runtime.unlock2", "runtime.unlockWithRank", "runtime.mcall"}},
 		{30 * time.Millisecond, []string{"crypto/internal/fips140/edwards25519/field.feMul",
 			"crypto/internal/fips140/ed25519.verify", "crypto/ed25519.Verify",
-			"itdos/internal/pbft.verifyDigest", "itdos/internal/pbft.(*Replica).HandleMessage"}},
+			"itdos/internal/pbft.VerifyDigest", "itdos/internal/pbft.(*Replica).HandleMessage"}},
 		{1250 * time.Millisecond, []string{"runtime.memmove", "itdos/internal/transport/tcp.(*Transport).deliver"}},
 		{10 * time.Millisecond, []string{"crypto/internal/fips140/hmac.New[go.shape.interface { Reset; Size int }]",
 			"itdos/internal/pbft.derivePairKey"}},
@@ -70,7 +70,7 @@ func TestBucket(t *testing.T) {
 		stack []string
 		want  string
 	}{
-		{[]string{"crypto/internal/fips140/edwards25519.feMul", "crypto/ed25519.Verify", "itdos/internal/pbft.verifyDigest"}, "ed25519.verify"},
+		{[]string{"crypto/internal/fips140/edwards25519.feMul", "crypto/ed25519.Verify", "itdos/internal/pbft.VerifyDigest"}, "ed25519.verify"},
 		{[]string{"crypto/internal/fips140/ed25519.sign", "crypto/ed25519.Sign", "itdos/internal/smiop.sign"}, "ed25519.sign"},
 		{[]string{"crypto/internal/fips140/sha256.block", "crypto/internal/fips140/hmac.(*HMAC).Sum", "itdos/internal/pbft.tag"}, "hmac"},
 		{[]string{"crypto/internal/fips140/sha256.block", "itdos/internal/srm.chainLink"}, "sha256"},

@@ -10,6 +10,7 @@ import (
 	"itdos/internal/dprf"
 	"itdos/internal/giop"
 	"itdos/internal/idl"
+	"itdos/internal/pbft"
 	"itdos/internal/smiop"
 )
 
@@ -85,9 +86,9 @@ func newGMHarness(t *testing.T) *gmHarness {
 			SealShare: func(recipient string, connID, era uint64, share []byte) ([]byte, error) {
 				return append([]byte(recipient+"|"), share...), nil
 			},
-			Verify: func(identity string, msg, sig []byte) bool {
+			Verify: func(identity string, digest, sig []byte) bool {
 				pub, ok := h.pubs[identity]
-				return ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
+				return ok && len(digest) == len(pbft.Digest{}) && pbft.VerifyDigest(pub, pbft.Digest(digest), sig)
 			},
 			Controller: "itc",
 			MemberOf: func(identity string) (string, int, bool) {
@@ -263,8 +264,8 @@ func (h *gmHarness) signedItems(t *testing.T, connID, reqID uint64, reply bool, 
 			}
 			giopBytes = giop.EncodeReply(c.order, &giop.Reply{RequestID: reqID, Body: body})
 		}
-		signing := smiop.DataSigningBytes(connID, reqID, "bank", c.member, reply, giopBytes)
-		sig := ed25519.Sign(h.privs[fmt.Sprintf("bank/r%d", c.member)], signing)
+		d := smiop.DataSigningDigest(connID, reqID, "bank", c.member, reply, giopBytes)
+		sig := pbft.SignDigest(h.privs[fmt.Sprintf("bank/r%d", c.member)], d)
 		items = append(items, smiop.ProofItem{Member: c.member, GIOP: giopBytes, Sig: sig})
 	}
 	return items

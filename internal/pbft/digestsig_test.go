@@ -77,6 +77,12 @@ func (d *smiopData) preimage() []byte {
 	return smiop.DataSigningBytes(d.conn, d.req, d.domain, d.member, d.reply, d.giop)
 }
 
+// digest is what d's signature covers: its preimage's digest, hashed as it
+// streams.
+func (d *smiopData) digest() Digest {
+	return smiop.DataSigningDigest(d.conn, d.req, d.domain, d.member, d.reply, d.giop)
+}
+
 // sigTable builds the four rows: a request, a pre-prepare carrying it, a view
 // change whose prepared certificate carries it, and a SMIOP data payload
 // signed as grp/r2 signs it.
@@ -148,7 +154,7 @@ func sigTable(t *testing.T) []sigCase {
 	vcPP := func(m Message) *PrePrepare { return m.(*ViewChange).Prepared[0].PrePrepare }
 
 	data := &smiopData{conn: 5, req: 11, domain: "grp", member: 2, reply: true, giop: sigPayload()}
-	data.sig = SignSHA256(privs[ids[2]], data.preimage())
+	data.sig = SignDigest(privs[ids[2]], data.digest())
 	pub2 := privs[ids[2]].Public().(ed25519.PublicKey)
 
 	// A pre-prepare's signature covers its header; a backup takes one only
@@ -194,7 +200,7 @@ func sigTable(t *testing.T) []sigCase {
 			},
 			verify: func(v any) bool {
 				d := v.(*smiopData)
-				return VerifySHA256(pub2, d.preimage(), d.sig)
+				return VerifyDigest(pub2, d.digest(), d.sig)
 			},
 			payload: func(v any) []byte { return v.(*smiopData).giop },
 			context: map[string]func(any){
@@ -272,11 +278,12 @@ func TestDigestSignatureDomains(t *testing.T) {
 	SignMessage(auths["client:x"], req)
 	pub := privs["client:x"].Public().(ed25519.PublicKey)
 	data := smiop.DataSigningBytes(1, 1, "client:x", 0, false, op)
+	dataDigest := smiop.DataSigningDigest(1, 1, "client:x", 0, false, op)
 
-	if VerifySHA256(pub, data, req.Sig) {
+	if VerifyDigest(pub, dataDigest, req.Sig) {
 		t.Error("PBFT request signature verified as a SMIOP data signature")
 	}
-	smiopSig := SignSHA256(privs["client:x"], data)
+	smiopSig := SignDigest(privs["client:x"], dataDigest)
 	forged := &Request{ClientID: "client:x", ClientSeq: 1, Op: op, ReplyTo: "client/x", Sig: smiopSig}
 	if verifyIn(auths[ids[1]], forged, 1, ids) {
 		t.Error("SMIOP data signature verified as a PBFT request signature")
@@ -293,9 +300,9 @@ func TestDigestSignatureDomains(t *testing.T) {
 
 	// Root signatures: a root built over the data preimage's own leaf.
 	priv := privs["client:x"]
-	digest := smiop.DigestSigningBytes(1, 1, "client:x", 0, op[:smiop.DigestSize])
-	sign := func(msg []byte) []byte { return SignSHA256(priv, msg) }
-	sigs, err := smiop.SignReplyBatch([][32]byte{smiop.ReplyLeaf(data), smiop.ReplyLeaf(digest)}, sign)
+	digestDigest := smiop.DigestSigningDigest(1, 1, "client:x", 0, op[:smiop.DigestSize])
+	sign := func(d []byte) []byte { return SignDigest(priv, Digest(d)) }
+	sigs, err := smiop.SignReplyBatch([][32]byte{dataDigest, digestDigest}, sign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +310,10 @@ func TestDigestSignatureDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootPre := smiop.RootSigningBytes(b.Root(smiop.ReplyLeaf(data)))
-	if !VerifySHA256(pub, rootPre, b.Sig) {
-		t.Fatal("root signature refused over its own preimage")
+	root := b.Root(dataDigest)
+	rootPre := append([]byte("itdos-reply-root"), root[:]...)
+	if smiop.RootDigest(root) != sha256.Sum256(rootPre) || !VerifyDigest(pub, sha256.Sum256(rootPre), b.Sig) {
+		t.Fatal("root signature refused over its own preimage's digest")
 	}
 	if pre := rootPre[0]; pre == 0 || (pre >= byte(MTRequest) && pre <= byte(MTFetchEntry)) {
 		t.Errorf("root preimage starts with %d: a SMIOP length or a PBFT type octet", pre)
@@ -313,11 +321,12 @@ func TestDigestSignatureDomains(t *testing.T) {
 	if _, err := Decode(rootPre); err == nil {
 		t.Error("a root preimage decodes as a PBFT message")
 	}
-	for name, pre := range map[string][]byte{"data": data, "digest": digest, "PBFT": signingBytes(req)} {
-		if VerifySHA256(pub, pre, b.Sig) {
+	for name, d := range map[string]Digest{"data": dataDigest, "digest": digestDigest,
+		"PBFT": sha256.Sum256(signingBytes(req))} {
+		if VerifyDigest(pub, d, b.Sig) {
 			t.Errorf("root signature verified as a %s signature", name)
 		}
-		if VerifySHA256(pub, rootPre, SignSHA256(priv, pre)) {
+		if VerifyDigest(pub, smiop.RootDigest(root), SignDigest(priv, d)) {
 			t.Errorf("%s signature verified as a root signature", name)
 		}
 	}

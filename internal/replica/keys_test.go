@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/sha256"
 	"strings"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func TestOneKeyPerElement(t *testing.T) {
 			}
 			signing, sig, from, _ := signedPBFT(m)
 			pub := ts.sys.privs[id].Public().(ed25519.PublicKey)
-			if from != pbft.ReplicaID(i) || !pbft.VerifySHA256(pub, signing, sig) {
+			if from != pbft.ReplicaID(i) || !pbft.VerifyDigest(pub, sha256.Sum256(signing), sig) {
 				t.Errorf("%s: its %s does not verify under the element's key", id, m.Type())
 			}
 		}

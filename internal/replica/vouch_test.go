@@ -38,9 +38,9 @@ func auditChangeRequests(sys *System) *gmAudit {
 				a.requests++
 				for _, item := range cr.Proof {
 					a.items++
-					signing := smiop.DataSigningBytes(cr.ConnID, cr.RequestID, cr.TargetDomain,
+					d := smiop.DataSigningDigest(cr.ConnID, cr.RequestID, cr.TargetDomain,
 						item.Member, cr.Reply, item.GIOP)
-					if !sys.verifyIdentity(sys.dataSigner(cr.TargetDomain, item.Member), signing, item.Sig) {
+					if !sys.verifyIdentity(sys.dataSigner(cr.TargetDomain, item.Member), d[:], item.Sig) {
 						a.unverified++
 					}
 				}

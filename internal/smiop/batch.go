@@ -8,24 +8,25 @@ import (
 // Merkle-batched reply signatures.
 //
 // An element that produces several full replies in one pass signs one
-// Merkle root over them instead of each reply. Leaf i is SHA-256 of reply
-// i's DataSigningBytes preimage, the same 32-byte digest a plain signature
-// covers (pbft.SignSHA256), so every reply stays a self-contained statement
-// by its element: the reply, its path and the root signature convince a
-// caller and the Group Manager alike.
+// Merkle root over them instead of each reply. Leaf i is reply i's
+// DataSigningDigest, the same 32-byte digest a plain signature covers
+// (pbft.SignDigest), so every reply stays a self-contained statement by its
+// element: the reply, its path and the root signature convince a caller and
+// the Group Manager alike.
 //
 // The tree is RFC 6962's: a leaf enters as SHA-256(0x00 ‖ leaf), an inner
 // node is SHA-256(0x01 ‖ left ‖ right), and a tree of n > 1 leaves splits at
-// the largest power of two below n. The root signature covers
-// RootSigningBytes, whose first octet ('i') begins no PBFT preimage (a type
-// octet, 1–11) and no data or digest preimage (a CDR string length, 0).
+// the largest power of two below n. The root signature covers RootDigest,
+// SHA-256 of rootContext ‖ root, whose first octet ('i') begins no PBFT
+// preimage (a type octet, 1–11) and no data or digest preimage (a CDR string
+// length, 0).
 //
 // A batched reply carries its path in the signed payload's Sig octets:
 //
 //	sig(64) ‖ index(1) ‖ count(1) ‖ siblings(32 each, leaf level first)
 //
 // A Sig of exactly SignatureSize octets is a plain signature over the
-// preimage: a reply signed alone keeps its bytes, and a batch of one does
+// leaf itself: a reply signed alone keeps its bytes, and a batch of one does
 // not exist (count is at least 2).
 
 // SignatureSize is the length of a plain signature, and of the root
@@ -43,14 +44,11 @@ const maxSigSize = SignatureSize + 2 + 4*32
 // rootContext prefixes the 32-byte root in what a root signature covers.
 const rootContext = "itdos-reply-root"
 
-// RootSigningBytes builds the byte string a root signature covers.
-func RootSigningBytes(root [32]byte) []byte {
-	return append([]byte(rootContext), root[:]...)
+// RootDigest is what a root signature covers: SHA-256 of rootContext ‖
+// root, hashed as it streams.
+func RootDigest(root [32]byte) [32]byte {
+	return contextDigest([]byte(rootContext), root[:])
 }
-
-// ReplyLeaf is the leaf a reply enters a tree as: SHA-256 of its
-// DataSigningBytes preimage.
-func ReplyLeaf(preimage []byte) [32]byte { return sha256.Sum256(preimage) }
 
 func leafHash(leaf [32]byte) [32]byte {
 	var b [1 + 32]byte
@@ -141,8 +139,8 @@ func rootOf(h [32]byte, index, count int, path [][32]byte) [32]byte {
 }
 
 // SignReplyBatch signs 2..MaxReplyLeaves leaves with one root signature,
-// sign(RootSigningBytes(root)), and returns each leaf's batched Sig octets.
-func SignReplyBatch(leaves [][32]byte, sign func(msg []byte) []byte) ([][]byte, error) {
+// sign(RootDigest(root)), and returns each leaf's batched Sig octets.
+func SignReplyBatch(leaves [][32]byte, sign func(digest []byte) []byte) ([][]byte, error) {
 	if len(leaves) < 2 || len(leaves) > MaxReplyLeaves {
 		return nil, fmt.Errorf("smiop: batch of %d replies", len(leaves))
 	}
@@ -152,7 +150,8 @@ func SignReplyBatch(leaves [][32]byte, sign func(msg []byte) []byte) ([][]byte, 
 	}
 	paths := make([][][32]byte, len(leaves))
 	root := buildTree(hashes, paths)
-	sig := sign(RootSigningBytes(root))
+	d := RootDigest(root)
+	sig := sign(d[:])
 	if len(sig) != SignatureSize {
 		return nil, fmt.Errorf("smiop: root signature of %d octets", len(sig))
 	}

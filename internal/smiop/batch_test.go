@@ -9,23 +9,20 @@ import (
 	"testing"
 )
 
-// batchKey signs like pbft.SignSHA256: Ed25519 over SHA-256 of the message.
+// batchKey signs like pbft.SignDigest: Ed25519 over the digest handed in.
 var batchKey = ed25519.NewKeyFromSeed(bytes.Repeat([]byte{7}, ed25519.SeedSize))
 
-func batchSign(msg []byte) []byte {
-	d := sha256.Sum256(msg)
-	return ed25519.Sign(batchKey, d[:])
-}
+func batchSign(digest []byte) []byte { return ed25519.Sign(batchKey, digest) }
 
 func batchVerifies(root [32]byte, sig []byte) bool {
-	d := sha256.Sum256(RootSigningBytes(root))
+	d := sha256.Sum256(append([]byte(rootContext), root[:]...))
 	return ed25519.Verify(batchKey.Public().(ed25519.PublicKey), d[:], sig)
 }
 
 func testLeaves(n int) [][32]byte {
 	leaves := make([][32]byte, n)
 	for i := range leaves {
-		leaves[i] = ReplyLeaf([]byte(fmt.Sprintf("preimage %d", i)))
+		leaves[i] = sha256.Sum256([]byte(fmt.Sprintf("preimage %d", i)))
 	}
 	return leaves
 }
@@ -44,27 +41,42 @@ func mth(leaves [][32]byte) [32]byte {
 	return sha256.Sum256(append(append([]byte{1}, l[:]...), r[:]...))
 }
 
-// TestReplyBatchRoundTrip: for every batch size 2..16 and every leaf, the
-// batched Sig parses, carries at most four siblings, recomputes the RFC 6962
-// root, and its root signature verifies over RootSigningBytes.
-// TestDataSigningDigest: the streamed leaf is SHA-256 of the preimage the
-// signature checks build, whatever the domain name's alignment and length
-// (past the scratch the context encodes into included) and the GIOP length.
-func TestDataSigningDigest(t *testing.T) {
+// TestSigningDigests: each digest a signature covers, hashed as it streams,
+// is SHA-256 of its context's from-definition layout — data (the leaf a
+// reply enters a batch as), digest and reply root — whatever the domain
+// name's alignment and length (past the scratch the context encodes into
+// included) and the payload's length.
+func TestSigningDigests(t *testing.T) {
 	for _, domain := range []string{"", "a", "bank", "bank-x", strings.Repeat("d", 200)} {
-		for _, n := range []int{0, 1, 3, 7, 16 << 10} {
-			giopBytes := bytes.Repeat([]byte{0xA5}, n)
-			for _, reply := range []bool{false, true} {
-				want := ReplyLeaf(DataSigningBytes(11, 42, domain, 3, reply, giopBytes))
-				if got := DataSigningDigest(11, 42, domain, 3, reply, giopBytes); got != want {
-					t.Fatalf("domain %d octets, GIOP %d, reply %v: streamed digest differs from the preimage's",
-						len(domain), n, reply)
+		for _, n := range []int{0, 1, 3, 7, 32, 16 << 10} {
+			body := bytes.Repeat([]byte{0xA5}, n)
+			var root [32]byte
+			copy(root[:], body)
+			for _, c := range []struct {
+				name      string
+				streamed  [32]byte
+				reference []byte
+			}{
+				{"data request", DataSigningDigest(11, 42, domain, 3, false, body),
+					DataSigningBytes(11, 42, domain, 3, false, body)},
+				{"data reply", DataSigningDigest(11, 42, domain, 3, true, body),
+					DataSigningBytes(11, 42, domain, 3, true, body)},
+				{"digest", DigestSigningDigest(11, 42, domain, 3, body),
+					DigestSigningBytes(11, 42, domain, 3, body)},
+				{"root", RootDigest(root), append([]byte(rootContext), root[:]...)},
+			} {
+				if c.streamed != sha256.Sum256(c.reference) {
+					t.Errorf("%s, domain %d octets, payload %d: streamed digest differs from its layout's",
+						c.name, len(domain), n)
 				}
 			}
 		}
 	}
 }
 
+// TestReplyBatchRoundTrip: for every batch size 2..16 and every leaf, the
+// batched Sig parses, carries at most four siblings, recomputes the RFC 6962
+// root, and its root signature verifies over rootContext ‖ root.
 func TestReplyBatchRoundTrip(t *testing.T) {
 	for n := 2; n <= MaxReplyLeaves; n++ {
 		leaves := testLeaves(n)
@@ -133,7 +145,7 @@ func TestParseBatchedSigRefuses(t *testing.T) {
 // signed payload's nonzero padding.
 func TestPayloadDecodersRefuseTrailingOctets(t *testing.T) {
 	conn := wireConn(t)
-	frames, err := conn.SealSignedDataWire(1, true, []byte("giop"), testSign, 0)
+	frames, err := sealSigned(conn, 1, true, []byte("giop"), testSign, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

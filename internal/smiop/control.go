@@ -212,7 +212,7 @@ func DecodeShareBundle(buf []byte) (*ShareBundle, error) {
 
 // ProofItem is one signed message presented as evidence in a
 // change_request: the cleartext GIOP bytes a member sent plus its
-// signature over the data context (see DataSigningBytes).
+// signature over the digest of its data context (see DataSigningDigest).
 type ProofItem struct {
 	Member uint32
 	GIOP   []byte

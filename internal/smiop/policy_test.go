@@ -124,7 +124,9 @@ func (h *policyHarness) digestEnv(m int, id uint64, sum float64, sign func([]byt
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	env, err := h.servers[m].SealSignedDigest(id, digest, sign)
+	frame := h.servers[m].SealSignedDigest(id, digest, sign)
+	defer frame.Release()
+	env, err := DecodeEnvelope(bytes.Clone(frame.B))
 	if err != nil {
 		h.t.Fatal(err)
 	}

@@ -54,13 +54,13 @@ func connPair(t *testing.T) (client, server *Connection) {
 	return client, server
 }
 
-// sealEnvs seals giopBytes on c the way every sender does
-// (SealSignedDataWire) and decodes the frames back into envelopes the way a
+// sealEnvs seals giopBytes on c the way every sender does (SealGIOPWire)
+// and decodes the frames back into envelopes the way a
 // receiver's transport does.
 func sealEnvs(t testing.TB, c *Connection, id uint64, reply bool, giopBytes []byte,
 	sign func([]byte) []byte, fragSize int) []*Envelope {
 	t.Helper()
-	frames, err := c.SealSignedDataWire(id, reply, giopBytes, sign, fragSize)
+	frames, err := sealSigned(c, id, reply, giopBytes, sign, fragSize)
 	if err != nil {
 		t.Fatal(err)
 	}

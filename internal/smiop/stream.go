@@ -96,8 +96,8 @@ type StreamConfig struct {
 	// the Immune/Rampart behaviour the paper shows breaks under
 	// heterogeneity (experiment C2).
 	ByteVoting bool
-	// VerifySig authenticates the sending element's signature over its
-	// data context (see DataSigningBytes). Required.
+	// VerifySig authenticates the sending element's signature over the
+	// digest of its data or digest context (see VerifyFunc). Required.
 	VerifySig VerifyFunc
 	// SignerOf names the identity VerifySig checks (srcDomain, member)
 	// against. An ordered copy whose every fragment the ordering layer
@@ -259,11 +259,11 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 		s.mSigVouched = r.Counter("smiop_sig_checks_total", "outcome=vouched", side)
 		s.mSigLateEqual = r.Counter("smiop_sig_checks_total", "outcome=late_equal", side)
 	}
-	s.cfg.VerifySig = func(srcDomain string, member uint32, signing, sig []byte) bool {
+	s.cfg.VerifySig = func(srcDomain string, member uint32, digest, sig []byte) bool {
 		outcome := SigRejected
 		if s.CheckSig != nil {
-			outcome = s.CheckSig(srcDomain, member, signing, sig)
-		} else if cfg.VerifySig(srcDomain, member, signing, sig) {
+			outcome = s.CheckSig(srcDomain, member, digest, sig)
+		} else if cfg.VerifySig(srcDomain, member, digest, sig) {
 			outcome = SigVerified
 		}
 		switch outcome {
