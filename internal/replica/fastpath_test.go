@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -634,5 +635,51 @@ func TestFastPathFlagMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPoisonedDirectFramesCounted: a direct-path frame that does not decode
+// is counted in smiop_dropped_total, on an element's inbox and on a
+// caller's. Each direct frame is overwritten as a pooled buffer released
+// before its write would be (pool.SetPoison's 0xDB). With the read-only
+// get's requests to the elements poisoned, the get still decides on its
+// ordered retry; with every element's reply to the caller poisoned, nothing
+// decides. Either way the drops are counted.
+func TestPoisonedDirectFramesCounted(t *testing.T) {
+	ts := newKVSystem(t, 21, declareGetReadOnly)
+	alice := ts.sys.Client("alice")
+	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{"v1"}, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	dropped := ts.metrics.Counter("smiop_dropped_total")
+	for _, c := range []struct {
+		name    string
+		poison  func(from, to string) bool
+		decides bool
+	}{
+		{"element inbox", func(_, to string) bool {
+			return strings.HasPrefix(to, "kv/r") && strings.HasSuffix(to, "/inbox")
+		}, true},
+		{"caller inbox", func(from, to string) bool {
+			return to == clientInboxAddr("alice") && strings.HasPrefix(from, "kv/")
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := dropped.Value()
+			ts.sys.Net.ClearFilters()
+			ts.sys.Net.AddFilter(func(from, to netsim.NodeID, payload []byte) ([]byte, bool) {
+				if c.poison(string(from), string(to)) {
+					return bytes.Repeat([]byte{0xDB}, len(payload)), false
+				}
+				return nil, false
+			})
+			_, err := alice.CallAndRun(kvRef, "get", nil, 20_000)
+			if decided := err == nil; decided != c.decides {
+				t.Errorf("get decided %v (err %v), want %v", decided, err, c.decides)
+			}
+			if got := dropped.Value() - before; got == 0 {
+				t.Error("poisoned direct frames dropped uncounted")
+			}
+		})
 	}
 }
