@@ -25,7 +25,7 @@ func openBothWays(t *testing.T, key Key, sealed []byte) ([]byte, error) {
 	var inPlace []byte
 	errInPlace := errors.New("too short to open in place")
 	if len(frame) >= SealHeadLen {
-		inPlace, errInPlace = NewChannel(key, "fuzz").OpenTo(frame[SealHeadLen:], frame)
+		inPlace, errInPlace = NewChannel(key, "fuzz").OpenTo(frame[SealHeadLen:], frame, nil)
 	}
 	if (errCopy == nil) != (errInPlace == nil) || !bytes.Equal(copied, inPlace) {
 		t.Fatalf("copying open gave %q, %v; in-place open %q, %v", copied, errCopy, inPlace, errInPlace)

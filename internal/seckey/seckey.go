@@ -90,6 +90,7 @@ type Channel struct {
 	aead  cipher.AEAD
 	iv    [nonceSize]byte
 	nonce [nonceSize]byte // scratch for the current message's nonce
+	ad    []byte          // scratch for the current message's associated data: ad ‖ seq ‖ len
 
 	sendSeq uint64
 	window  replayWindow
@@ -130,7 +131,7 @@ func (c *Channel) nonceFor(seq uint64) []byte {
 // The header is the associated data: authenticated, not encrypted.
 func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	out := make([]byte, SealedLen(len(plaintext)))
-	c.SealTo(out, 0, plaintext)
+	c.SealTo(out, 0, plaintext, nil)
 	return out, nil
 }
 
@@ -139,19 +140,22 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 // plaintext may alias the region's ciphertext span exactly (the caller
 // staged it at start+SealHeadLen and the encryption happens in place) or
 // live elsewhere (one-pass encrypt-copy) — either way no intermediate
-// sealed buffer is allocated. Output bytes are identical to Seal's.
-func (c *Channel) SealTo(buf []byte, start int, plaintext []byte) {
+// sealed buffer is allocated. ad is cleartext sent beside the seal (an
+// envelope header), authenticated ahead of the seal header; with none the
+// bytes are Seal's.
+func (c *Channel) SealTo(buf []byte, start int, plaintext, ad []byte) {
 	c.sendSeq++
 	out := buf[start : start+SealedLen(len(plaintext))]
 	binary.BigEndian.PutUint64(out[0:8], c.sendSeq)
 	binary.BigEndian.PutUint32(out[8:12], uint32(len(plaintext)))
-	c.aead.Seal(out[headerLen:headerLen:len(out)], c.nonceFor(c.sendSeq), plaintext, out[:headerLen])
+	c.ad = append(append(c.ad[:0], ad...), out[:headerLen]...)
+	c.aead.Seal(out[headerLen:headerLen:len(out)], c.nonceFor(c.sendSeq), plaintext, c.ad)
 }
 
 // Open verifies and decrypts a sealed message into a fresh buffer,
 // enforcing replay protection: OpenTo with a destination of its own.
 func (c *Channel) Open(sealed []byte) ([]byte, error) {
-	return c.OpenTo(make([]byte, max(OpenedLen(sealed), 0)), sealed)
+	return c.OpenTo(make([]byte, max(OpenedLen(sealed), 0)), sealed, nil)
 }
 
 // OpenTo verifies and decrypts a sealed message into dst, which its caller
@@ -160,8 +164,9 @@ func (c *Channel) Open(sealed []byte) ([]byte, error) {
 // (sealed[SealHeadLen:]), which decrypts the message in place. A sequence
 // number the replay window refuses is refused before anything is written;
 // a message that fails authentication leaves dst zeroed, as AES-GCM does,
-// so a refused in-place open has destroyed the frame it was given.
-func (c *Channel) OpenTo(dst, sealed []byte) ([]byte, error) {
+// so a refused in-place open has destroyed the frame it was given. ad is
+// the associated data SealTo was given; any other fails authentication.
+func (c *Channel) OpenTo(dst, sealed, ad []byte) ([]byte, error) {
 	if len(sealed) < headerLen+tagSize {
 		return nil, fmt.Errorf("seckey: sealed message too short: %d bytes", len(sealed))
 	}
@@ -176,7 +181,8 @@ func (c *Channel) OpenTo(dst, sealed []byte) ([]byte, error) {
 	if !c.window.fresh(seq) {
 		return nil, ErrReplay
 	}
-	pt, err := c.aead.Open(dst[:0], c.nonceFor(seq), sealed[headerLen:], sealed[:headerLen])
+	c.ad = append(append(c.ad[:0], ad...), sealed[:headerLen]...)
+	pt, err := c.aead.Open(dst[:0], c.nonceFor(seq), sealed[headerLen:], c.ad)
 	if err != nil {
 		return nil, ErrAuthentication
 	}

@@ -224,7 +224,7 @@ func TestSealToMatchesSeal(t *testing.T) {
 	buf := append([]byte(nil), []byte("prefix")...)
 	start := len(buf)
 	buf = append(buf, make([]byte, SealedLen(len(pt)))...)
-	c1.SealTo(buf, start, pt)
+	c1.SealTo(buf, start, pt, nil)
 	if !bytes.Equal(buf[start:], want) {
 		t.Fatal("SealTo (copy mode) differs from Seal")
 	}
@@ -233,7 +233,7 @@ func TestSealToMatchesSeal(t *testing.T) {
 	c2 := NewChannel(k, "ctx")
 	buf2 := make([]byte, SealedLen(len(pt)))
 	copy(buf2[SealHeadLen:], pt)
-	c2.SealTo(buf2, 0, buf2[SealHeadLen:SealHeadLen+len(pt)])
+	c2.SealTo(buf2, 0, buf2[SealHeadLen:SealHeadLen+len(pt)], nil)
 	if !bytes.Equal(buf2, want) {
 		t.Fatal("SealTo (in-place mode) differs from Seal")
 	}
@@ -243,6 +243,34 @@ func TestSealToMatchesSeal(t *testing.T) {
 	got, err := r.Open(buf[start:])
 	if err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("Open after SealTo: %v", err)
+	}
+}
+
+// TestAssociatedData: a seal made with associated data opens only with the
+// very same associated data — the one in front of the seal in the buffer
+// included — and a refusal leaves the replay window where it was, so the
+// message still opens with the right associated data afterwards.
+func TestAssociatedData(t *testing.T) {
+	var k Key
+	copy(k[:], "0123456789abcdef0123456789abcdef")
+	pt := []byte("fragment 1 of 3")
+	ad := []byte("envelope header")
+	buf := append(bytes.Clone(ad), make([]byte, SealedLen(len(pt)))...)
+	NewChannel(k, "ctx").SealTo(buf, len(ad), pt, buf[:len(ad)])
+	sealed := buf[len(ad):]
+	rx := NewChannel(k, "ctx")
+	for name, other := range map[string][]byte{
+		"none":   nil,
+		"edited": []byte("envelope headeR"),
+		"longer": []byte("envelope header "),
+	} {
+		if _, err := rx.OpenTo(make([]byte, len(pt)), sealed, other); !errors.Is(err, ErrAuthentication) {
+			t.Errorf("associated data %s: open = %v, want ErrAuthentication", name, err)
+		}
+	}
+	got, err := rx.OpenTo(make([]byte, len(pt)), sealed, ad)
+	if err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("open with the sealed associated data: %q, %v", got, err)
 	}
 }
 
@@ -401,7 +429,7 @@ func TestOpenToInPlace(t *testing.T) {
 		later = append(later, f)
 	}
 	rx := NewChannel(k, ctx)
-	inPlace := func(frame []byte) ([]byte, error) { return rx.OpenTo(frame[SealHeadLen:], frame) }
+	inPlace := func(frame []byte) ([]byte, error) { return rx.OpenTo(frame[SealHeadLen:], frame, nil) }
 
 	frame := bytes.Clone(first)
 	pt, err := inPlace(frame)

@@ -3,6 +3,8 @@ package smiop
 import (
 	"fmt"
 
+	"itdos/internal/cdr"
+	"itdos/internal/pool"
 	"itdos/internal/quorum"
 	"itdos/internal/seckey"
 )
@@ -178,13 +180,17 @@ func (c *Connection) peerChannel(env *Envelope) (*seckey.Channel, error) {
 
 // openTo authenticates and decrypts a peer data envelope into dst, the
 // destination its caller owns (see seckey.Channel.OpenTo), and returns the
-// plaintext.
+// plaintext. The seal authenticates the envelope's header too.
 func (c *Connection) openTo(dst []byte, env *Envelope) ([]byte, error) {
 	ch, err := c.peerChannel(env)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := ch.OpenTo(dst, env.Payload)
+	hdr := pool.Get(headSlack(env.SrcDomain))
+	defer hdr.Release()
+	e := cdr.NewEncoderOver(cdr.BigEndian, hdr.B)
+	env.writeHeader(e)
+	pt, err := ch.OpenTo(dst, env.Payload, e.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("smiop: conn %d member %d: %w", c.ID, env.SrcMember, err)
 	}

@@ -8,8 +8,9 @@
 // SMIOP envelopes: the envelope header (connection id, source member,
 // request id) is cleartext so the receiving stack can route and collate,
 // while the GIOP payload is encrypted under the connection's communication
-// key. Each connection has a per-direction, per-sender cipher channel so
-// replay windows stay consistent and nonces never collide.
+// key, whose seal also authenticates the header. Each connection has a
+// per-direction, per-sender cipher channel so replay windows stay
+// consistent and nonces never collide.
 package smiop
 
 import (
@@ -119,6 +120,14 @@ type Envelope struct {
 // Encode serialises the envelope canonically (big-endian CDR).
 func (env *Envelope) Encode() []byte {
 	e := cdr.NewEncoder(cdr.BigEndian)
+	env.writeHeader(e)
+	e.WriteOctets(env.Payload)
+	return e.Bytes()
+}
+
+// writeHeader writes every field before the payload: what a sealed
+// envelope's seal authenticates as associated data.
+func (env *Envelope) writeHeader(e *cdr.Encoder) {
 	e.WriteOctet(byte(env.Kind))
 	e.WriteULongLong(env.ConnID)
 	e.WriteString(env.SrcDomain)
@@ -127,8 +136,6 @@ func (env *Envelope) Encode() []byte {
 	e.WriteBoolean(env.Reply)
 	e.WriteULong(env.FragIndex)
 	e.WriteULong(env.FragCount)
-	e.WriteOctets(env.Payload)
-	return e.Bytes()
 }
 
 // DecodeEnvelope parses an envelope, rejecting malformed input without
