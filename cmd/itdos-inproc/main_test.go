@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,8 +13,8 @@ import (
 )
 
 // tracesSample is `go tool pprof -traces` output, trimmed: a header and
-// four stacks, one with an inlined frame and one whose innermost frame is a
-// generic function named with spaces.
+// four stacks, one with an inlined frame, one whose innermost frame is a
+// generic function named with spaces, and two labelled.
 const tracesSample = `File: cluster.test
 Build ID: 83457be2956eca468509e57523cdc92103271536
 Type: cpu
@@ -24,6 +25,7 @@ Duration: 613.25ms, Total samples = 480ms (78.27%)
              runtime.unlockWithRank (inline)
              runtime.mcall
 -----------+-------------------------------------------------------
+      node:  node2
       30ms   crypto/internal/fips140/edwards25519/field.feMul
              crypto/internal/fips140/ed25519.verify
              crypto/ed25519.Verify
@@ -33,6 +35,8 @@ Duration: 613.25ms, Total samples = 480ms (78.27%)
      1.25s   runtime.memmove
              itdos/internal/transport/tcp.(*Transport).deliver
 -----------+-------------------------------------------------------
+      node:  load
+      peer:  node1
       10ms   crypto/internal/fips140/hmac.New[go.shape.interface { Reset; Size int }]
              itdos/internal/pbft.derivePairKey
 -----------+-------------------------------------------------------
@@ -44,19 +48,21 @@ func TestParseTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Sample{
-		{10 * time.Millisecond, []string{"runtime.unlock2", "runtime.unlockWithRank", "runtime.mcall"}},
+		{10 * time.Millisecond, []string{"runtime.unlock2", "runtime.unlockWithRank", "runtime.mcall"}, nil},
 		{30 * time.Millisecond, []string{"crypto/internal/fips140/edwards25519/field.feMul",
 			"crypto/internal/fips140/ed25519.verify", "crypto/ed25519.Verify",
-			"itdos/internal/pbft.VerifyDigest", "itdos/internal/pbft.(*Replica).HandleMessage"}},
-		{1250 * time.Millisecond, []string{"runtime.memmove", "itdos/internal/transport/tcp.(*Transport).deliver"}},
+			"itdos/internal/pbft.VerifyDigest", "itdos/internal/pbft.(*Replica).HandleMessage"},
+			map[string]string{"node": "node2"}},
+		{1250 * time.Millisecond, []string{"runtime.memmove", "itdos/internal/transport/tcp.(*Transport).deliver"}, nil},
 		{10 * time.Millisecond, []string{"crypto/internal/fips140/hmac.New[go.shape.interface { Reset; Size int }]",
-			"itdos/internal/pbft.derivePairKey"}},
+			"itdos/internal/pbft.derivePairKey"}, map[string]string{"node": "load", "peer": "node1"}},
 	}
 	if len(samples) != len(want) {
 		t.Fatalf("%d samples, want %d: %+v", len(samples), len(want), samples)
 	}
 	for i := range want {
-		if samples[i].Value != want[i].Value || strings.Join(samples[i].Stack, "|") != strings.Join(want[i].Stack, "|") {
+		if samples[i].Value != want[i].Value || strings.Join(samples[i].Stack, "|") != strings.Join(want[i].Stack, "|") ||
+			!maps.Equal(samples[i].Labels, want[i].Labels) {
 			t.Errorf("sample %d: %+v, want %+v", i, samples[i], want[i])
 		}
 	}
@@ -103,8 +109,11 @@ func TestParseBench(t *testing.T) {
 // TestBenchInprocShape pins the committed BENCH_INPROC.json: its schema,
 // rows of at least five runs for both workloads, medians that are the
 // medians of the recorded runs, shares that sum to one over known buckets,
-// and buckets other than Other covering at least 90% of the samples. The
-// file is in the form the tool writes, so a hand edit shows as a diff.
+// and buckets other than Other covering at least 90% of the samples. Every
+// row from the first with node shares on has them — the latest two at
+// least — summing to one over the bench cluster's nodes and Other, with at
+// least 90% of the samples labelled. The file is in the form the tool
+// writes, so a hand edit shows as a diff.
 func TestBenchInprocShape(t *testing.T) {
 	path := filepath.Join("..", "..", "BENCH_INPROC.json")
 	raw, err := os.ReadFile(path)
@@ -131,7 +140,18 @@ func TestBenchInprocShape(t *testing.T) {
 	for _, b := range cryptoBuckets {
 		known[b.name] = true
 	}
-	for _, row := range f.Rows {
+	knownNode := map[string]bool{"node0": true, "node1": true, "node2": true, "node3": true, "load": true, Other: true}
+	firstNodes := len(f.Rows)
+	for i, row := range f.Rows {
+		if row.Workloads[workloads[0]].NodeShare != nil {
+			firstNodes = i
+			break
+		}
+	}
+	if firstNodes > len(f.Rows)-2 {
+		t.Errorf("node shares from row %d of %d, want them in a parent row and a change row", firstNodes, len(f.Rows))
+	}
+	for i, row := range f.Rows {
 		if row.Commit == "" || row.CPU == "" || row.GOMAXPROCS < 1 || row.Go == "" || row.Runs < 5 || row.Calls < 1 {
 			t.Errorf("row %s: incomplete header %+v", row.Commit, row)
 		}
@@ -163,6 +183,19 @@ func TestBenchInprocShape(t *testing.T) {
 			}
 			if math.Abs(sum-1) > 0.01 || w.Covered < 0.9 || math.Abs(w.Covered-(1-w.CPUShare[Other])) > 1e-9 {
 				t.Errorf("row %s %s: shares sum to %.4f, %.4f covered", row.Commit, name, sum, w.Covered)
+			}
+			if i < firstNodes {
+				continue
+			}
+			sum = 0
+			for node, share := range w.NodeShare {
+				if !knownNode[node] {
+					t.Errorf("row %s %s: unknown node %s", row.Commit, name, node)
+				}
+				sum += share
+			}
+			if math.Abs(sum-1) > 0.01 || 1-w.NodeShare[Other] < 0.9 {
+				t.Errorf("row %s %s: node shares sum to %.4f, %.4f labelled", row.Commit, name, sum, 1-w.NodeShare[Other])
 			}
 		}
 	}

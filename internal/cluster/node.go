@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"itdos/internal/cdr"
@@ -167,7 +169,10 @@ type InProcCluster struct {
 
 // StartInProc builds and starts all nodes of spec over loopback. optsFor
 // may be nil; otherwise it supplies per-process options (Listen is always
-// overridden to 127.0.0.1:0).
+// overridden to 127.0.0.1:0). Each node is built and started under the
+// pprof label node=<process>, which every goroutine it starts inherits — its
+// transport loop, socket readers and writers, ORB threads — so a CPU profile
+// of the one process splits by node.
 func StartInProc(spec *Spec, optsFor func(process string) NodeOptions) (*InProcCluster, error) {
 	cl := &InProcCluster{Nodes: make(map[string]*Node, len(spec.Nodes))}
 	addrs := make(map[string]string, len(spec.Nodes))
@@ -179,7 +184,9 @@ func StartInProc(spec *Spec, optsFor func(process string) NodeOptions) (*InProcC
 			opts = optsFor(nd.Name)
 		}
 		opts.Listen = "127.0.0.1:0"
-		node, err := NewNode(spec, nd.Name, opts)
+		var node *Node
+		var err error
+		asNode(nd.Name, func() { node, err = NewNode(spec, nd.Name, opts) })
 		if err != nil {
 			cl.Close()
 			return nil, err
@@ -190,13 +197,20 @@ func StartInProc(spec *Spec, optsFor func(process string) NodeOptions) (*InProcC
 	for _, node := range cl.Nodes {
 		node.Tr.SetPeers(addrs)
 	}
-	for _, node := range cl.Nodes {
-		if err := node.Start(); err != nil {
+	for name, node := range cl.Nodes {
+		var err error
+		asNode(name, func() { err = node.Start() })
+		if err != nil {
 			cl.Close()
 			return nil, err
 		}
 	}
 	return cl, nil
+}
+
+// asNode runs fn under the pprof label node=name.
+func asNode(name string, fn func()) {
+	pprof.Do(context.Background(), pprof.Labels("node", name), func(context.Context) { fn() })
 }
 
 // Close shuts every node down.

@@ -285,7 +285,8 @@ func (el *Element) sendDigestReply(cs *connState, requestID uint64,
 // direct (unordered) channel — driver thread. Anything malformed, unkeyed,
 // or not eligible is dropped: the client's fallback timer turns a dropped
 // direct request into an ordered retry, so dropping is always safe. A frame
-// that fails to decode, open or verify is counted (smiop_dropped_total).
+// that fails to decode, open or verify is counted (smiop_dropped_total), and
+// its signature check is counted as a voted copy's (smiop_sig_checks_total).
 func (el *Element) onDirectInbox(payload []byte) {
 	if el.Desynced {
 		return
@@ -312,7 +313,7 @@ func (el *Element) onDirectInbox(payload []byte) {
 		return
 	}
 	sp, err := smiop.DecodeSignedPayload(plaintext)
-	if err != nil || sp.Verify(env, el.sys.verifyData) != nil {
+	if err != nil || cs.stream.Verify(env, sp) != nil {
 		el.mDropped.Inc()
 		return
 	}

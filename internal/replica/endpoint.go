@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 
 	"itdos/internal/cdr"
@@ -49,6 +50,12 @@ type fallbackSignal struct{}
 // resendSignal resumes a parked call whose plain vote has stayed undecided
 // for a retransmission period.
 type resendSignal struct{}
+
+// closedSignal resumes a parked call when its system closes: the call fails.
+type closedSignal struct{}
+
+// errClosed is what a call parked at, or made after, System.Close returns.
+var errClosed = errors.New("replica: system closed")
 
 // connState is one endpoint's view of a live connection plus its inbound
 // voting stream.
@@ -111,6 +118,7 @@ type endpoint struct {
 	taskQueue []func()
 	busy      bool
 	waiting   *waitState
+	closed    bool // System.Close ran: nothing parks, nothing new runs
 
 	// FaultEvents records every change_request filed (observability).
 	FaultEvents []FaultEvent
@@ -177,8 +185,12 @@ func (ep *endpoint) tracer() *obs.Tracer { return ep.sys.tracer }
 
 // parkWait parks the ORB thread on w. The tracer's current span is saved
 // into w and detached so unrelated driver-side work does not nest under a
-// parked invocation; it is re-attached when the thread resumes.
+// parked invocation; it is re-attached when the thread resumes. Once the
+// endpoint is closed nothing parks: the wait ends at once in closedSignal.
 func (ep *endpoint) parkWait(w *waitState) any {
+	if ep.closed {
+		return closedSignal{}
+	}
 	tr := ep.tracer()
 	w.span = tr.Current()
 	tr.SetCurrent(nil)
@@ -190,8 +202,12 @@ func (ep *endpoint) parkWait(w *waitState) any {
 
 // --- task scheduling (driver thread) ---
 
-// schedule queues a task for the ORB thread and runs it if idle.
+// schedule queues a task for the ORB thread and runs it if idle; a closed
+// endpoint runs nothing.
 func (ep *endpoint) schedule(task func()) {
+	if ep.closed {
+		return
+	}
 	ep.taskQueue = append(ep.taskQueue, task)
 	ep.pump()
 }
@@ -215,6 +231,17 @@ func (ep *endpoint) resume(v any) {
 		ep.busy = false
 		ep.pump()
 	}
+}
+
+// close fails the parked call, if any, drops the tasks queued behind it and
+// joins the ORB goroutine. Driver thread.
+func (ep *endpoint) close() error {
+	ep.closed = true
+	ep.taskQueue = nil
+	if ep.waiting != nil {
+		ep.resume(closedSignal{})
+	}
+	return ep.worker.close()
 }
 
 // --- outbound path (ORB thread) ---
@@ -313,12 +340,21 @@ func (ep *endpoint) requestFull(cs *connState, ref orb.ObjectRef, req *giop.Requ
 // sendOrderedRequest encodes, seals, and multicasts req into the peer's
 // ordering group, all its frames handed over together. The GIOP message
 // marshals directly into the zero-copy seal pipeline, and the ordered sender
-// takes the pooled frames over.
+// takes the pooled frames over. A singleton caller leaves the payload
+// unsigned: its copy is voted alone and can never be proof, and the PBFT
+// Request that carries it is signed by the same key, which every element
+// takes as the copy's authentication (smiop.Stream's vouched). A member of a
+// replicated caller signs, since its copy is voted against its peers' and may
+// become a proof item.
 func (ep *endpoint) sendOrderedRequest(cs *connState, target string, req *giop.Request) error {
+	sign := ep.sign
+	if ep.local.N == 1 {
+		sign = nil
+	}
 	ssp := ep.tracer().Start("smiop.seal", fmt.Sprintf("req=%d", req.RequestID))
 	frames, err := cs.conn.SealGIOPWire(req.RequestID, false,
 		func(dst []byte) []byte { return giop.AppendRequest(dst, ep.profile.Order, req) },
-		ep.sign, 0)
+		sign, 0)
 	ssp.End()
 	if err != nil {
 		return err
@@ -405,6 +441,8 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 			if err := ep.requestFull(cs, ref, req); err != nil {
 				return nil, 0, err
 			}
+		case closedSignal:
+			return nil, 0, fmt.Errorf("%w: %s call %d", errClosed, ep.identity, req.RequestID)
 		default:
 			return nil, 0, fmt.Errorf("replica: %s: unexpected resume %T", ep.identity, res)
 		}
@@ -460,6 +498,8 @@ func (ep *endpoint) ensureConn(peer string) (*connState, error) {
 	switch res := res.(type) {
 	case *connState:
 		return res, nil
+	case closedSignal:
+		return nil, fmt.Errorf("%w: %s connecting to %s", errClosed, ep.identity, peer)
 	default:
 		return nil, fmt.Errorf("replica: %s: unexpected resume %T", ep.identity, res)
 	}

@@ -53,15 +53,16 @@ func auditChangeRequests(sys *System) *gmAudit {
 
 // nestedVouchSystem is newNestedSystem with a metrics registry and, for
 // member liar of the front domain (when >= 0), a servant that forwards a
-// different value to the back domain than its peers do.
-func nestedVouchSystem(t *testing.T, seed int64, liar int) (*System, []*backServant, *obs.Registry) {
+// different value to the back domain than its peers do; opts edit the
+// configuration last.
+func nestedVouchSystem(t *testing.T, seed int64, liar int, opts ...func(*SystemConfig)) (*System, []*backServant, *obs.Registry) {
 	t.Helper()
 	backs := make([]*backServant, 4)
 	for i := range backs {
 		backs[i] = &backServant{}
 	}
 	reg := obs.NewRegistry()
-	sys, err := NewSystem(SystemConfig{
+	cfg := SystemConfig{
 		Seed:     seed,
 		Latency:  netsim.UniformLatency(time.Millisecond, 3*time.Millisecond),
 		Registry: nestedRegistry(),
@@ -84,7 +85,11 @@ func nestedVouchSystem(t *testing.T, seed int64, liar int) (*System, []*backServ
 			}},
 		},
 		Clients: []ClientSpec{{Name: "alice"}},
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"itdos/internal/cdr"
+	"itdos/internal/giop"
 )
 
 // TestGenDigestCorpus writes the committed seed corpus for
@@ -116,5 +119,25 @@ func TestGenSMIOPCorpus(t *testing.T) {
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestGenSignedPayloadCorpus writes the committed seed corpus for
+// FuzzSignedPayloadDecode beside its in-code seeds: a singleton caller's
+// ordered request as it is staged, a GIOP request and an empty signature.
+// Regenerate with:
+//
+//	go test -tags corpusgen -run TestGenSignedPayloadCorpus ./internal/smiop
+func TestGenSignedPayloadCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzSignedPayloadDecode")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	req := giop.AppendRequest(nil, cdr.BigEndian, &giop.Request{RequestID: 7, ObjectKey: "calc",
+		Interface: "IDL:itdos/Calc:1.0", Operation: "add", ResponseExpected: true,
+		Body: []byte{0, 0, 0, 2, 0, 0, 0, 3}})
+	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", signedPayloadBytes(req, nil))
+	if err := os.WriteFile(filepath.Join(dir, "ordered-unsigned"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

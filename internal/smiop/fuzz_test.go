@@ -29,8 +29,8 @@ func signedPayloadBytes(giopBytes, sig []byte) []byte {
 func FuzzSignedPayloadDecode(f *testing.F) {
 	for _, tc := range wireGoldenCases {
 		giopBytes := bytes.Repeat([]byte{0x5A}, min(tc.size, 1<<10))
-		d := DataSigningDigest(11, 1, "bank", 2, true, giopBytes)
-		f.Add(signedPayloadBytes(giopBytes, tc.sign(d[:])))
+		d := DataSigningDigest(11, 1, "bank", 2, !tc.request, giopBytes)
+		f.Add(signedPayloadBytes(giopBytes, tc.sig(d)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.Clone(data)

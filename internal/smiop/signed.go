@@ -13,7 +13,9 @@ import (
 // what makes fault evidence transferable: a client that detects a faulty
 // value can hand the signed messages to the Group Manager as proof
 // (paper §3.6 — "The proof is the set of signed messages through which the
-// faulty value was detected").
+// faulty value was detected"). A singleton caller's ordered request carries
+// an empty Sig: its PBFT Request signature, by the same key, is its one
+// signature, and Verify refuses it wherever that signature does not vouch.
 type SignedPayload struct {
 	GIOP []byte
 	Sig  []byte

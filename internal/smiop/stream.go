@@ -374,6 +374,13 @@ func (s *Stream) authenticate(env *Envelope, payload *SignedPayload, vouched boo
 		s.mSigVouched.Inc()
 		return nil
 	}
+	return s.Verify(env, payload)
+}
+
+// Verify checks payload's signature in env's data context and counts the
+// outcome in smiop_sig_checks_total: the check of every copy that is not
+// vouched for, the stream's own and a direct read-only request alike.
+func (s *Stream) Verify(env *Envelope, payload *SignedPayload) error {
 	return payload.Verify(env, s.cfg.VerifySig)
 }
 

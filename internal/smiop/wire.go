@@ -33,7 +33,8 @@ import (
 //	           authenticating every field above
 //
 // and the signed payload, before slicing, is octets(GIOP) ‖ octets(Sig)
-// with Sig over DataSigningDigest (empty when the sender does not sign). A
+// with Sig over DataSigningDigest (empty when the sender does not sign: a
+// singleton caller's ordered request, vouched for by its PBFT Request). A
 // digest envelope is the same layout with kind KindDigest, fragment index
 // and count 0, and an encoded DigestPayload sealed.
 //
@@ -80,7 +81,10 @@ func (c *Connection) sealEnvelope(kind Kind, requestID uint64, reply bool,
 // (e.g. a giop.AppendRequest closure), so the GIOP bytes are produced once,
 // at their final payload offset. sign gets the message's 32-byte
 // DataSigningDigest, hashed where the GIOP bytes lie, and returns the
-// signature over it (pbft.SignDigest). A signed payload larger than fragSize
+// signature over it (pbft.SignDigest). A nil sign stages an empty Sig and
+// hashes nothing: the payload is then admitted only on the ordering layer's
+// authentication of its sender (Stream.vouched), which is how a singleton
+// caller's ordered request travels. A signed payload larger than fragSize
 // (0: DefaultFragmentSize) is split into chunks sealed one by one, a smaller
 // one is a single frame with fragment count 0, and one over MaxMessageBytes
 // is refused.
@@ -91,10 +95,14 @@ func (c *Connection) SealGIOPWire(requestID uint64, reply bool,
 	appendGIOP func(dst []byte) []byte,
 	sign func(digest []byte) []byte, fragSize int) ([]*pool.Buffer, error) {
 
-	return c.sealData(requestID, reply, appendGIOP, func(giopBytes []byte) []byte {
-		d := DataSigningDigest(c.ID, requestID, c.Local.Name, uint32(c.LocalMember), reply, giopBytes)
-		return sign(d[:])
-	}, fragSize)
+	sig := func([]byte) []byte { return nil }
+	if sign != nil {
+		sig = func(giopBytes []byte) []byte {
+			d := DataSigningDigest(c.ID, requestID, c.Local.Name, uint32(c.LocalMember), reply, giopBytes)
+			return sign(d[:])
+		}
+	}
+	return c.sealData(requestID, reply, appendGIOP, sig, fragSize)
 }
 
 // SealSignedDataWire is SealGIOPWire over already-encoded GIOP bytes and

@@ -61,17 +61,27 @@ type wireGoldenCase struct {
 	name     string
 	size     int
 	fragSize int
-	sign     func([]byte) []byte
+	sign     func([]byte) []byte // nil: SealGIOPWire neither hashes nor signs
+	request  bool                // sealed as a request; the others are replies
+}
+
+// sig is the case's signature over digest d.
+func (tc wireGoldenCase) sig(d [32]byte) []byte {
+	if tc.sign == nil {
+		return nil
+	}
+	return tc.sign(d[:])
 }
 
 // wireGoldenCases are TestWireGolden's shapes, and FuzzSignedPayloadDecode's
-// seeds. small-batched signs its reply as leaf 0 of a batch of three.
+// seeds. small-batched signs its reply as leaf 0 of a batch of three;
+// ordered-unsigned is a singleton caller's ordered request.
 var wireGoldenCases = []wireGoldenCase{
-	{"small-unsigned", 100, 0, func([]byte) []byte { return nil }}, // an empty signature field
-	{"small-signed", 100, 0, testSign},
-	{"exact-boundary", DefaultFragmentSize - 200, 0, testSign},
-	{"fragmented", 70 << 10, 0, testSign},
-	{"tiny-frags", 4 << 10, 512, testSign},
+	{"small-unsigned", 100, 0, func([]byte) []byte { return nil }, false}, // an empty signature field
+	{"small-signed", 100, 0, testSign, false},
+	{"exact-boundary", DefaultFragmentSize - 200, 0, testSign, false},
+	{"fragmented", 70 << 10, 0, testSign, false},
+	{"tiny-frags", 4 << 10, 512, testSign, false},
 	{"small-batched", 100, 0, func(leaf []byte) []byte {
 		sigs, err := SignReplyBatch([][32]byte{[32]byte(leaf),
 			sha256.Sum256([]byte("golden filler 1")), sha256.Sum256([]byte("golden filler 2"))}, batchSign)
@@ -79,7 +89,8 @@ var wireGoldenCases = []wireGoldenCase{
 			panic(err)
 		}
 		return sigs[0]
-	}},
+	}, false},
+	{"ordered-unsigned", 100, 0, nil, true},
 }
 
 // TestWireGolden pins the wire format: SealSignedDataWire, handed a
@@ -91,7 +102,8 @@ var wireGoldenCases = []wireGoldenCase{
 // the wire path replaced (SignedPayload.Encode, one seal per fragment,
 // Envelope.Encode), which is what makes them an independent witness;
 // small-batched, the Merkle-batched reply form, was added later, and the
-// tags moved when the envelope header became the seal's associated data.
+// tags moved when the envelope header became the seal's associated data;
+// ordered-unsigned, sealed with a nil signer, was added after that.
 // Regenerate with -update-wire-golden only for a deliberate format change.
 func TestWireGolden(t *testing.T) {
 	cases := wireGoldenCases
@@ -111,12 +123,13 @@ func TestWireGolden(t *testing.T) {
 			giopBytes := bytes.Repeat([]byte{0x5A}, tc.size)
 			var got [][]goldenFrame
 			for reqID := uint64(1); reqID <= 3; reqID++ { // several seals: the sequence number is in the nonce
-				d := DataSigningDigest(conn.ID, reqID, conn.Local.Name, uint32(conn.LocalMember), true, giopBytes)
-				frames, err := conn.SealSignedDataWire(reqID, true, giopBytes, tc.sign(d[:]), tc.fragSize)
+				reply := !tc.request
+				d := DataSigningDigest(conn.ID, reqID, conn.Local.Name, uint32(conn.LocalMember), reply, giopBytes)
+				frames, err := conn.SealSignedDataWire(reqID, reply, giopBytes, tc.sig(d), tc.fragSize)
 				if err != nil {
 					t.Fatal(err)
 				}
-				again, err := sealSigned(whole, reqID, true, giopBytes, tc.sign, tc.fragSize)
+				again, err := sealSigned(whole, reqID, reply, giopBytes, tc.sign, tc.fragSize)
 				if err != nil {
 					t.Fatal(err)
 				}
