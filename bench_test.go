@@ -5,6 +5,7 @@
 package itdos_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -399,7 +400,8 @@ func BenchmarkC6StateSyncScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("queue_objstate_%dKiB", size>>10), func(b *testing.B) {
 			q := srm.NewQueue(64, nil)
 			for i := 0; i < 64; i++ {
-				q.Execute("c", make([]byte, 64))
+				op := make([]byte, 64)
+				q.Execute("c", op, sha256.Sum256(op))
 			}
 			b.ResetTimer()
 			var n int

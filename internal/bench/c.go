@@ -277,7 +277,7 @@ type blobApp struct {
 	ops   int
 }
 
-func (a *blobApp) Execute(_ string, op []byte) []byte {
+func (a *blobApp) Execute(_ string, op []byte, _ pbft.Digest) []byte {
 	a.ops++
 	// Touch a few bytes so the state is live.
 	for i := 0; i < len(op) && i < len(a.state); i++ {

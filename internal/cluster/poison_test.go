@@ -10,6 +10,7 @@ import (
 	"itdos/internal/cdr"
 	"itdos/internal/obs"
 	"itdos/internal/pool"
+	"itdos/internal/smiop"
 	"itdos/internal/srm"
 )
 
@@ -47,9 +48,9 @@ func TestPoisonedCluster(t *testing.T) {
 	load := cl.Nodes["load"]
 	ref := CalcRef(spec.Domain)
 
-	// Echo strings above smiop.DefaultFragmentSize travel as several
-	// fragments each way.
-	const calls, echoLen = 6, 20 << 10
+	// Echo strings above smiop.DefaultFragmentSize travel as two fragments
+	// each way.
+	const calls, echoLen = 6, smiop.DefaultFragmentSize + 4<<10
 	var wg sync.WaitGroup
 	errs := make(chan error, len(load.LocalClients()))
 	for c, client := range load.LocalClients() {

@@ -440,12 +440,52 @@ func TestRequestDigestOnce(t *testing.T) {
 	}
 }
 
-// untagged is the request's standalone encoding up to its tag vector: what
-// its digest hashes.
+// TestOpDigest: a request hashes its Op once, and both of its digests cover
+// that hash. Signed or decoded, OpDigest is SHA-256 of the Op the request
+// holds; flipping the first, a middle or the last byte of Op on the wire
+// changes OpDigest, Digest and the signing digest of the request decoded
+// from it, and the signature no longer verifies.
+func TestOpDigest(t *testing.T) {
+	ids, auths, _ := sigKeys(t)
+	req := &Request{ClientID: "client:x", ClientSeq: 7, Op: sigPayload(), ReplyTo: "client/x"}
+	SignMessage(auths["client:x"], req)
+	if req.OpDigest() != Digest(sha256.Sum256(req.Op)) {
+		t.Fatal("a signed request's op digest is not SHA-256 of its Op")
+	}
+	wire := Encode(req)
+	at := bytes.Index(wire, req.Op)
+	if at < 0 {
+		t.Fatal("Op is not in the encoding")
+	}
+	for _, i := range []int{0, sigPayloadSize / 2, sigPayloadSize - 1} {
+		tampered := bytes.Clone(wire)
+		tampered[at+i] ^= 1
+		m, err := Decode(tampered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := m.(*Request)
+		if back.OpDigest() != Digest(sha256.Sum256(back.Op)) {
+			t.Errorf("Op byte %d flipped: op digest is not SHA-256 of the decoded Op", i)
+		}
+		if back.OpDigest() == req.OpDigest() || back.Digest() == req.Digest() || signingDigest(back) == signingDigest(req) {
+			t.Errorf("Op byte %d flipped: op digest, digest or signing digest unchanged", i)
+		}
+		if verifyIn(auths[ids[1]], back, 1, ids) {
+			t.Errorf("Op byte %d flipped: signature still verifies", i)
+		}
+	}
+}
+
+// untagged is the request's digest form: its standalone encoding up to its
+// tag vector with Op replaced by SHA-256 of Op, hashed here afresh. It is
+// what its digest hashes.
 func untagged(req *Request) []byte {
+	op := sha256.Sum256(req.Op)
+	form := Request{ClientID: req.ClientID, ClientSeq: req.ClientSeq, Op: op[:], ReplyTo: req.ReplyTo, Sig: req.Sig}
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteOctet(byte(MTRequest))
-	req.marshalUntagged(e)
+	form.marshalUntagged(e)
 	return e.Bytes()
 }
 

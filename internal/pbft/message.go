@@ -17,10 +17,7 @@ package pbft
 
 import (
 	"crypto/sha256"
-	"encoding"
-	"encoding/binary"
 	"fmt"
-	"hash"
 
 	"itdos/internal/cdr"
 )
@@ -128,8 +125,9 @@ type Request struct {
 	// digest. Neither the signature nor Digest covers it.
 	Tags []byte
 
-	// digest, signDigest and size cache Digest, signingDigest(m) and Size
-	// once hashed is set.
+	// opDigest, digest, signDigest and size cache OpDigest, Digest,
+	// signingDigest(m) and Size once hashed is set.
+	opDigest   Digest
 	digest     Digest
 	signDigest Digest
 	size       int
@@ -186,13 +184,12 @@ func (m *Request) sigRef() *[]byte { return &m.Sig }
 func (*Request) sender() ReplicaID { return -1 }
 
 // Digest returns the request's canonical digest: SHA-256 of the request's
-// own encoding up to its tag vector, signature included, so a forged
-// signature changes the digest and a tag vector does not. It is never a hash
-// of the bytes the request was decoded from: CDR aligns relative to the
-// start of a stream, so a request inside a pre-prepare is laid out
-// differently from one on its own. The tags stay outside it because each
-// replica can check only its own slot: a batch digest over them would bind
-// bytes no receiver can vouch for.
+// digest form (formDigest) with its signature, so a forged signature changes
+// the digest and a tag vector does not. It is never a hash of the bytes the
+// request was decoded from: CDR aligns relative to the start of a stream, so
+// a request inside a pre-prepare is laid out differently from one on its
+// own. The tags stay outside it because each replica can check only its own
+// slot: a batch digest over them would bind bytes no receiver can vouch for.
 func (m *Request) Digest() Digest {
 	if !m.hashed {
 		m.rehash()
@@ -200,10 +197,21 @@ func (m *Request) Digest() Digest {
 	return m.digest
 }
 
-// Size returns the length of the request's own encoding, tag vector
-// included, the quantity MaxRequestBytes and MaxBatchBytes bound. Like
-// Digest it is computed from the fields, never from the bytes the request
-// was decoded from, so every replica measures a request alike.
+// OpDigest returns SHA-256 of Op, which both of the request's digests cover
+// in Op's place and the application receives with Op (App.Execute). Like
+// them it is computed from the Op the request holds, never read from the
+// wire.
+func (m *Request) OpDigest() Digest {
+	if !m.hashed {
+		m.rehash()
+	}
+	return m.opDigest
+}
+
+// Size returns the length of the request's encoding, tag vector included,
+// the quantity MaxRequestBytes and MaxBatchBytes bound. Like Digest it is
+// computed from the fields, never from the bytes the request was decoded
+// from, so every replica measures a request alike.
 func (m *Request) Size() int {
 	if !m.hashed {
 		m.rehash()
@@ -211,102 +219,52 @@ func (m *Request) Size() int {
 	return m.size
 }
 
-// rehash computes what Digest, signingDigest and Size return from the
-// request's fields now: at decode, or on a first Digest. SHA-256 reads the
-// encoding once, as it streams: the signing bytes are the encoding up to the
-// signature's length field followed by a zero length, so the hash of that
-// shared prefix is finished twice.
+// rehash computes what OpDigest, Digest, signingDigest and Size return from
+// the request's fields now: at decode, or on a first use. Op is read once,
+// by its own hash; the two digests each hash the few dozen octets of the
+// digest form.
 func (m *Request) rehash() {
-	p, n := m.prefixHash()
-	m.digest, m.signDigest = m.finish(p), p.sum(zeroLength[:])
-	m.size, m.hashed = m.sizeAfter(n), true
+	m.opDigest = sha256.Sum256(m.Op)
+	m.digest, m.signDigest = m.formDigest(m.Sig), m.formDigest(nil)
+	m.size, m.hashed = m.encodedSize(), true
 }
 
 // sign signs the request's fields as they stand as auth's identity, tags
 // them for each of the replicas ids (none when ids is nil), and caches what
-// rehash would: the encoding before the signature's length field does not
-// depend on the signature, so it is hashed once for both digests.
+// rehash would.
 func (m *Request) sign(auth Authenticator, ids []string) {
-	p, n := m.prefixHash()
-	m.signDigest = p.sum(zeroLength[:])
+	m.opDigest = sha256.Sum256(m.Op)
+	m.signDigest = m.formDigest(nil)
 	m.Sig = auth.Sign(m.signDigest)
 	m.Tags = requestTags(auth, m.signDigest, ids)
-	m.digest = m.finish(p)
-	m.size, m.hashed = m.sizeAfter(n), true
+	m.digest = m.formDigest(m.Sig)
+	m.size, m.hashed = m.encodedSize(), true
 }
 
-// sizeAfter returns the length of the request's encoding from that of its
-// prefix up to the signature's length field: the signature and its length,
-// the padding that aligns the tag vector's length, the length and the tags.
-func (m *Request) sizeAfter(prefix int) int {
-	n := prefix + 4 + len(m.Sig)
-	return n + (4-n%4)%4 + 4 + len(m.Tags)
-}
-
-// prefixHash hashes the request's encoding up to its signature's length
-// field, and returns that prefix's length. The header encodes into a small
-// scratch, Op is hashed where it lies, and the tail after Op encodes with the
-// alignment Op's length leaves it: Encode's bytes, without the copy of Op.
-func (m *Request) prefixHash() (prefixHash, int) {
-	var scratch [128]byte
+// formDigest returns SHA-256 of the request's digest form with signature
+// sig: its standalone encoding up to the tag vector with Op replaced by the
+// op digest. With the signature it is Digest; with none (a zero length
+// field) it is the signing digest, what the signature and the tags cover.
+func (m *Request) formDigest(sig []byte) Digest {
+	form := Request{ClientID: m.ClientID, ClientSeq: m.ClientSeq, Op: m.opDigest[:], ReplyTo: m.ReplyTo, Sig: sig}
+	var scratch [192]byte
 	e := cdr.NewEncoderOver(cdr.BigEndian, scratch[:0])
 	e.WriteOctet(byte(MTRequest))
-	e.WriteString(m.ClientID)
-	e.WriteULongLong(m.ClientSeq)
-	e.WriteULong(uint32(len(m.Op)))
-	head := e.Bytes()
-	// The tail's stream starts at Op's end: leading filler bytes give its
-	// encoder the same offset modulo the widest alignment, 8.
-	at := len(head) + len(m.Op)
-	t := cdr.NewEncoderOver(cdr.BigEndian, head[len(head):len(head)])
-	t.ReserveRaw(at % 8)
-	t.WriteString(m.ReplyTo)
-	t.WriteULong(0) // aligns the signature length field
-	tail := t.Stream()[at%8 : t.Len()-4]
-	return newPrefixHash(head, m.Op, tail), at + len(tail)
+	form.marshalUntagged(e)
+	return sha256.Sum256(e.Bytes())
 }
 
-// finish completes the request's digest from its prefix hash: the
-// signature's length field and the signature.
-func (m *Request) finish(p prefixHash) Digest {
-	var sigLen [4]byte
-	binary.BigEndian.PutUint32(sigLen[:], uint32(len(m.Sig)))
-	return p.sum(sigLen[:], m.Sig)
-}
-
-// zeroLength is the signature length field of a request's signing bytes.
-var zeroLength [4]byte
-
-// prefixHash is the SHA-256 state after a prefix, kept so that hashes of the
-// prefix followed by different suffixes read the prefix once.
-type prefixHash struct {
-	h     hash.Hash
-	state []byte
-}
-
-func newPrefixHash(prefix ...[]byte) prefixHash {
-	h := sha256.New()
-	for _, b := range prefix {
-		h.Write(b)
-	}
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("pbft: save SHA-256 state: %v", err))
-	}
-	return prefixHash{h: h, state: state}
-}
-
-// sum returns SHA-256 of the prefix followed by the suffix parts.
-func (p prefixHash) sum(suffix ...[]byte) Digest {
-	if err := p.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
-		panic(fmt.Sprintf("pbft: restore SHA-256 state: %v", err))
-	}
-	for _, b := range suffix {
-		p.h.Write(b)
-	}
-	var d Digest
-	p.h.Sum(d[:0])
-	return d
+// encodedSize returns the length of the request's encoding, counted from its
+// fields: the type octet, each length field aligned to 4 and ClientSeq to 8,
+// a string's terminator included.
+func (m *Request) encodedSize() int {
+	align := func(n, to int) int { return (n + to - 1) &^ (to - 1) }
+	n := align(1, 4) + 4 + len(m.ClientID) + 1
+	n = align(n, 8) + 8
+	n = align(n, 4) + 4 + len(m.Op)
+	n = align(n, 4) + 4 + len(m.ReplyTo) + 1
+	n = align(n, 4) + 4 + len(m.Sig)
+	return align(n, 4) + 4 + len(m.Tags)
 }
 
 // encodedBound is at least the length of the request's encoding wherever it
@@ -851,8 +809,9 @@ func Decode(buf []byte) (Message, error) {
 // encoding with the signature zeroed, except for a pre-prepare, whose
 // signature covers its header alone — type, view, seq, batch digest and
 // replica, laid out like a prepare — as Castro–Liskov's ⟨PRE-PREPARE, v, n,
-// d⟩σ does, and a request, whose signature and tags both cover its encoding
-// up to the tag vector with the signature zeroed. A pre-prepare's digest
+// d⟩σ does, and a request, whose signature and tags both cover its digest
+// form with the signature zeroed: its encoding up to the tag vector with Op
+// replaced by SHA-256 of Op (Request.formDigest). A pre-prepare's digest
 // binds the requests that travel with it, which every receiver checks
 // (validBatch).
 func signingBytes(m Message) []byte {
@@ -863,7 +822,8 @@ func signingBytes(m Message) []byte {
 		marshalPhase(e, msg.View, msg.Seq, msg.Digest, msg.Replica, nil)
 		return e.Bytes()
 	case *Request:
-		unsigned := Request{ClientID: msg.ClientID, ClientSeq: msg.ClientSeq, Op: msg.Op, ReplyTo: msg.ReplyTo}
+		op := sha256.Sum256(msg.Op)
+		unsigned := Request{ClientID: msg.ClientID, ClientSeq: msg.ClientSeq, Op: op[:], ReplyTo: msg.ReplyTo}
 		e.WriteOctet(byte(MTRequest))
 		unsigned.marshalUntagged(e)
 		return e.Bytes()

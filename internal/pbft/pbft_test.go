@@ -18,7 +18,7 @@ type logApp struct {
 	ops [][]byte
 }
 
-func (a *logApp) Execute(_ string, op []byte) []byte {
+func (a *logApp) Execute(_ string, op []byte, _ Digest) []byte {
 	a.ops = append(a.ops, append([]byte(nil), op...))
 	sum := sha256.New()
 	for _, o := range a.ops {

@@ -22,8 +22,11 @@ type App interface {
 	// Execute applies one totally-ordered operation and returns its
 	// result. clientID is the authenticated identity of the requester
 	// (the request's signature, its tag, or its prepared certificate
-	// vouched for it; see Replica.validBatch).
-	Execute(clientID string, op []byte) []byte
+	// vouched for it; see Replica.validBatch). opDigest is SHA-256 of op,
+	// which the replica computed from op when it decoded or signed the
+	// request (Request.OpDigest), so an application that hashes op can
+	// take it instead.
+	Execute(clientID string, op []byte, opDigest Digest) []byte
 	// Capture returns the application state as of now. It is called at
 	// every checkpoint, so it should cost what changed since the last one,
 	// not what the state holds; later Executes must not show through it.
@@ -808,7 +811,7 @@ func (r *Replica) executeEntry(seq uint64, en *entry) {
 				// executed and journaled.
 				result = se.results[i].result
 			} else {
-				result = r.app.Execute(req.ClientID, req.Op)
+				result = r.app.Execute(req.ClientID, req.Op, req.OpDigest())
 			}
 			r.clientTable[req.ClientID] = &clientRecord{
 				seq: req.ClientSeq, result: result, hasReply: true,

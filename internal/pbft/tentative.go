@@ -102,7 +102,7 @@ func (r *Replica) speculateEntry(seq uint64, en *entry) {
 		sr := specResult{req: req}
 		if !dup {
 			sr.executed = true
-			sr.result = r.app.Execute(req.ClientID, req.Op)
+			sr.result = r.app.Execute(req.ClientID, req.Op, req.OpDigest())
 			r.specClient[req.ClientID] = req.ClientSeq
 			if r.OnTentativeExecute != nil {
 				r.OnTentativeExecute(seq, req, sr.result)
@@ -161,7 +161,7 @@ func (r *Replica) rollbackSpeculation() {
 		for i := range se.results {
 			if se.results[i].executed {
 				req := se.results[i].req
-				r.app.Execute(req.ClientID, req.Op)
+				r.app.Execute(req.ClientID, req.Op, req.OpDigest())
 			}
 		}
 	}

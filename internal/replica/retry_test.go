@@ -10,6 +10,7 @@ import (
 	"itdos/internal/netsim"
 	"itdos/internal/obs"
 	"itdos/internal/orb"
+	"itdos/internal/smiop"
 
 	"time"
 )
@@ -94,7 +95,7 @@ func TestAtMostOnceAcrossRekey(t *testing.T) {
 // re-executing the servant — and the client must reassemble and decide
 // even when one element's retransmitted fragments are lost.
 func TestCachedReplyRetransmissionFragmented(t *testing.T) {
-	const blobSize = 80 << 10 // five 16 KiB fragments a reply
+	const blobSize = 5 * smiop.DefaultFragmentSize // six fragments a reply
 	reg := idl.NewRegistry()
 	reg.Register(idl.NewInterface(ctrIface).
 		Op("fetch",

@@ -169,7 +169,7 @@ func TestVouchForgedSourceMemberIsChecked(t *testing.T) {
 func TestVouchEveryFragmentOrNone(t *testing.T) {
 	ts := newKVSystem(t, 62, nil)
 	alice, bob := ts.sys.Client("alice"), ts.sys.Client("bob")
-	const size = 20 << 10 // two 16 KiB fragments
+	const size = smiop.DefaultFragmentSize + 4<<10 // two fragments
 	big := strings.Repeat("x", size)
 	if _, err := alice.CallAndRun(kvRef, "store", []cdr.Value{big}, 10_000_000); err != nil {
 		t.Fatal(err)

@@ -21,8 +21,19 @@ import (
 // reassembles in order and runs the ordinary verify→unmarshal→vote
 // pipeline on the whole message.
 
-// DefaultFragmentSize is the chunk size used when a caller passes 0.
-const DefaultFragmentSize = 16 << 10
+// DefaultFragmentSize is the chunk size used when a caller passes 0: the
+// largest fragment one ordered request carries as the lone payload it is, or
+// as a pack of one. It is srm.MaxPackBytes (32 KiB) less 164 octets: the
+// pack's marker, count and entry length (16), the envelope's cleartext
+// header and sealed length for a source domain name of up to 64 octets
+// (120), and the seal's sequence number, length and tag (28). A message cut
+// only there crosses the ordering layer in as few requests as it can, and
+// one a little over 16 KiB, an echo_16k call or reply, is not cut at all. A
+// longer domain name costs a full fragment only the room to share a pack: a
+// lone payload is bounded by pbft.MaxRequestBytes, twice as much.
+// srm's TestFragmentFitsPack pins the arithmetic: smiop cannot name srm's
+// constants, since srm imports pbft, whose tests import smiop.
+const DefaultFragmentSize = 32<<10 - 164
 
 // maxFragments bounds reassembly so a Byzantine sender cannot claim an
 // enormous fragment count.

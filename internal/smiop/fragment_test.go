@@ -43,7 +43,7 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	if err := stream.ExpectReply(reqID, "IDL:Calc:1.0", "greet"); err != nil {
 		t.Fatal(err)
 	}
-	const size = 200 << 10 // 200 KiB >> 16 KiB fragment size
+	const size = 25 * DefaultFragmentSize / 2 // twelve and a half fragments
 	for m := 0; m < 2; m++ {
 		giopBytes := bigReplyBytes(t, reqID, size)
 		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, testSign, 0)
@@ -75,7 +75,7 @@ func TestFragmentsOutOfOrder(t *testing.T) {
 	stream.OnMessage = func(*MessageVal, *vote.Decision) { decided = true }
 	reqID := client.NextRequestID()
 	stream.ExpectReply(reqID, "IDL:Calc:1.0", "greet")
-	giopBytes := bigReplyBytes(t, reqID, 60<<10)
+	giopBytes := bigReplyBytes(t, reqID, 15*DefaultFragmentSize/4)
 	// Two members must agree (f=1); scramble delivery order per member.
 	for m := 0; m < 2; m++ {
 		envs := sealEnvs(t, servers[m], reqID, true, giopBytes, testSign, 0)
@@ -232,8 +232,8 @@ func TestReassemblyByteBound(t *testing.T) {
 	} {
 		env := byzantineFragment(t, evil, reqID, c.index, c.count, c.plaintext)
 		if c.name == "fragment off the layout" {
-			// The first fragment sets 16 KiB fragments; a middle one of 100
-			// bytes does not fit.
+			// The first fragment sets fragments of DefaultFragmentSize; a
+			// middle one of 100 bytes does not fit.
 			first := byzantineFragment(t, evil, reqID, 0, 3, chunk)
 			if err := stream.Deliver(first); err != nil {
 				t.Fatalf("%s: first fragment: %v", c.name, err)
@@ -257,7 +257,7 @@ func TestReassemblyByteBound(t *testing.T) {
 	if n := reg.Counter("smiop_oversize_total").Value(); n != 4 {
 		t.Errorf("smiop_oversize_total = %d, want 4", n)
 	}
-	giopBytes := bigReplyBytes(t, reqID, 40<<10)
+	giopBytes := bigReplyBytes(t, reqID, 5*DefaultFragmentSize/2)
 	for m := 0; m < 2; m++ {
 		for _, env := range sealEnvs(t, servers[m], reqID, true, giopBytes, testSign, 0) {
 			env.Owned = true
@@ -288,7 +288,7 @@ func TestRefusedInPlaceOpenDropsTheFrame(t *testing.T) {
 	if err := stream.ExpectReply(reqID, "IDL:Calc:1.0", "greet"); err != nil {
 		t.Fatal(err)
 	}
-	giopBytes := bigReplyBytes(t, reqID, 40<<10)
+	giopBytes := bigReplyBytes(t, reqID, 5*DefaultFragmentSize/2)
 	owned := func(member int) []*Envelope {
 		envs := sealEnvs(t, servers[member], reqID, true, giopBytes, testSign, 0)
 		for _, env := range envs {
@@ -360,7 +360,7 @@ func TestForgedFragmentsChangeNothing(t *testing.T) {
 	if err := stream.ExpectReply(reqID, "IDL:Calc:1.0", "greet"); err != nil {
 		t.Fatal(err)
 	}
-	giopBytes := bigReplyBytes(t, reqID, 40<<10)
+	giopBytes := bigReplyBytes(t, reqID, 5*DefaultFragmentSize/2)
 	owned := func(member int) []*Envelope {
 		envs := sealEnvs(t, servers[member], reqID, true, giopBytes, testSign, 0)
 		for _, env := range envs {
@@ -442,8 +442,8 @@ func TestSealBindsEnvelopeHeader(t *testing.T) {
 	if err := stream.ExpectReply(reqID, "IDL:Calc:1.0", "greet"); err != nil {
 		t.Fatal(err)
 	}
-	giopBytes := bigReplyBytes(t, reqID, 40<<10)
-	other := sealEnvs(t, servers[0], reqID+1, true, bigReplyBytes(t, reqID+1, 40<<10), testSign, 0)
+	giopBytes := bigReplyBytes(t, reqID, 5*DefaultFragmentSize/2)
+	other := sealEnvs(t, servers[0], reqID+1, true, bigReplyBytes(t, reqID+1, 5*DefaultFragmentSize/2), testSign, 0)
 	honest0 := sealEnvs(t, servers[0], reqID, true, giopBytes, testSign, 0)
 	honest1 := sealEnvs(t, servers[1], reqID, true, giopBytes, testSign, 0)
 	if len(honest0) < 3 {

@@ -290,8 +290,8 @@ func TestSealChainAllocBudget(t *testing.T) {
 	}
 }
 
-// sendChainSize is the reply body the send chain is measured with: sealed
-// with the default fragment size, it is two frames.
+// sendChainSize is the reply body the send chain is measured with: an
+// echo_16k reply, which the default fragment size seals as one frame.
 const sendChainSize = 16 << 10
 
 // TestSendChainAllocBudget gates the send side end to end: sealing one

@@ -79,8 +79,9 @@ func (tc wireGoldenCase) sig(d [32]byte) []byte {
 var wireGoldenCases = []wireGoldenCase{
 	{"small-unsigned", 100, 0, func([]byte) []byte { return nil }, false}, // an empty signature field
 	{"small-signed", 100, 0, testSign, false},
-	{"exact-boundary", DefaultFragmentSize - 200, 0, testSign, false},
-	{"fragmented", 70 << 10, 0, testSign, false},
+	{"exact-boundary", 16<<10 - 200, 16 << 10, testSign, false},
+	{"fragmented", 70 << 10, 16 << 10, testSign, false},
+	{"default-fragmented", 70 << 10, DefaultFragmentSize, testSign, false},
 	{"tiny-frags", 4 << 10, 512, testSign, false},
 	{"small-batched", 100, 0, func(leaf []byte) []byte {
 		sigs, err := SignReplyBatch([][32]byte{[32]byte(leaf),
@@ -103,7 +104,10 @@ var wireGoldenCases = []wireGoldenCase{
 // Envelope.Encode), which is what makes them an independent witness;
 // small-batched, the Merkle-batched reply form, was added later, and the
 // tags moved when the envelope header became the seal's associated data;
-// ordered-unsigned, sealed with a nil signer, was added after that.
+// ordered-unsigned, sealed with a nil signer, was added after that. Each
+// case names the fragment size it seals at: exact-boundary and fragmented
+// keep the 16 KiB of their vectors, and default-fragmented, added when
+// DefaultFragmentSize became the ordering layer's bound, cuts at that.
 // Regenerate with -update-wire-golden only for a deliberate format change.
 func TestWireGolden(t *testing.T) {
 	cases := wireGoldenCases
@@ -180,7 +184,7 @@ func TestWireFramesOpenCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	giopBytes := bytes.Repeat([]byte{0xC3}, 40<<10)
+	giopBytes := bytes.Repeat([]byte{0xC3}, 5*DefaultFragmentSize/2)
 	frames, err := sender.SealGIOPWire(9, true,
 		func(dst []byte) []byte { return append(dst, giopBytes...) }, testSign, 0)
 	if err != nil {

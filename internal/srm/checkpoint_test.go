@@ -2,6 +2,7 @@ package srm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func (td *testDomain) prefill(n, payload int) {
 		deliver := el.OnDeliver
 		el.OnDeliver = nil
 		for i := 0; i < n; i++ {
-			el.queue.Execute("client:fill", data)
+			execute(el.queue, "client:fill", data)
 		}
 		el.OnDeliver = deliver
 	}
@@ -163,7 +164,7 @@ func TestCaptureIsImmutable(t *testing.T) {
 			full := q.Len() == capacity
 			data := make([]byte, rng.Intn(40))
 			rng.Read(data)
-			q.Execute(fmt.Sprintf("client:%d", rng.Intn(3)), data)
+			execute(q, fmt.Sprintf("client:%d", rng.Intn(3)), data)
 			if full {
 				trims++
 				if cap(q.window) == 2*q.Len() { // only a compaction leaves exactly this much room
@@ -180,7 +181,7 @@ func TestCaptureIsImmutable(t *testing.T) {
 			t.Fatalf("seed %d: %d compactions, %d trims: the schedule did not exercise the queue", seed, compactions, trims)
 		}
 		q.Reset()
-		q.Execute("client:0", []byte("after reset"))
+		execute(q, "client:0", []byte("after reset"))
 		for i, h := range captures {
 			if !bytes.Equal(h.c.Bytes(), h.eager) {
 				t.Fatalf("seed %d: capture %d of %d changed under the queue's later writes", seed, i, len(captures))
@@ -203,7 +204,7 @@ func TestDigestIsPathIndependent(t *testing.T) {
 	const capacity = 8
 	executed := NewQueue(capacity, nil)
 	for i := 0; i < 5; i++ {
-		executed.Execute("c", []byte{byte(i)})
+		execute(executed, "c", []byte{byte(i)})
 	}
 	restored := NewQueue(capacity, nil)
 	if err := restored.Restore(executed.Capture().Bytes()); err != nil {
@@ -219,7 +220,7 @@ func TestDigestIsPathIndependent(t *testing.T) {
 			queues["restored twice"] = again
 		}
 		for _, q := range queues {
-			q.Execute("c", []byte{byte(i)})
+			execute(q, "c", []byte{byte(i)})
 		}
 		want := executed.Capture()
 		for name, q := range queues {
@@ -227,6 +228,46 @@ func TestDigestIsPathIndependent(t *testing.T) {
 				t.Fatalf("after %d messages the %s queue's digest differs from the executed one's", i+1, name)
 			}
 		}
+	}
+}
+
+// TestOpDigestChains: a lone op's chain link takes the op digest its
+// request carries, a pack's links hash each payload, and the queue that
+// executed both agrees, digest for digest, with the one decodeSnapshot
+// re-chains from its bytes by hashing every retained message. An op digest
+// that is not the op's hash (a replica that hashed something else) is
+// caught the same way.
+func TestOpDigestChains(t *testing.T) {
+	const capacity = 16
+	q := NewQueue(capacity, nil)
+	// exec runs op as a replica does: with its decoded request's op digest.
+	exec := func(op []byte) {
+		req := &pbft.Request{ClientID: "client:d", ClientSeq: 1, Op: op}
+		q.Execute(req.ClientID, op, req.OpDigest())
+	}
+	for i := 0; i < 3*capacity; i++ {
+		switch i % 3 {
+		case 0:
+			exec(bytes.Repeat([]byte{byte(i)}, 16<<10+i))
+		case 1:
+			exec(encodePack([][]byte{[]byte(fmt.Sprint(i)), {}, bytes.Repeat([]byte{byte(i)}, i)}))
+		default:
+			exec([]byte(fmt.Sprint(i)))
+		}
+		c := q.Capture()
+		rechained, err := decodeSnapshot(c.Bytes(), capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rechained.Digest() != c.Digest() {
+			t.Fatalf("after op %d: the executed queue's digest differs from its re-chained snapshot's", i)
+		}
+	}
+	wrong := NewQueue(capacity, nil)
+	op := []byte("lone op")
+	wrong.Execute("client:d", op, sha256.Sum256([]byte("another op")))
+	if d, err := wrong.SnapshotDigest(wrong.Capture().Bytes()); err != nil || d == wrong.Capture().Digest() {
+		t.Fatalf("a link over a wrong op digest re-chains to the same digest (err %v)", err)
 	}
 }
 

@@ -14,7 +14,7 @@ func snapshotSeeds() [][]byte {
 	q := NewQueue(fuzzCapacity, nil)
 	seeds := [][]byte{q.Capture().Bytes()}
 	for i := 0; i < 3*fuzzCapacity; i++ {
-		q.Execute("client:a", bytes.Repeat([]byte{byte(i)}, i%5))
+		execute(q, "client:a", bytes.Repeat([]byte{byte(i)}, i%5))
 		if i == 2 || i == fuzzCapacity-1 || i == 3*fuzzCapacity-1 {
 			seeds = append(seeds, q.Capture().Bytes())
 		}
@@ -34,7 +34,7 @@ func FuzzQueueSnapshot(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := NewQueue(fuzzCapacity, nil)
-		q.Execute("client:z", []byte("prior state"))
+		execute(q, "client:z", []byte("prior state"))
 		prior := q.Capture()
 		digest, err := q.SnapshotDigest(data)
 		if got := q.Capture(); got.Digest() != prior.Digest() {

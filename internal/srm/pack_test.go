@@ -7,9 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"itdos/internal/netsim"
 	"itdos/internal/obs"
 	"itdos/internal/pbft"
 	"itdos/internal/pool"
+	"itdos/internal/seckey"
+	"itdos/internal/smiop"
 )
 
 // packGolden is the pack encoding of ("a", "", "bc"): marker, count 3, then
@@ -27,6 +30,40 @@ func TestPackGolden(t *testing.T) {
 	back, ok := decodePack(got)
 	if !ok || fmt.Sprintf("%q", back) != fmt.Sprintf("%q", payloads) {
 		t.Fatalf("decode: %q, %v", back, ok)
+	}
+}
+
+// TestFragmentFitsPack: smiop.DefaultFragmentSize is the largest fragment
+// whose sealed envelope, from a source domain named with 64 octets, fits
+// MaxPackBytes with a pack's marker, count and entry length: one octet more
+// does not. A shorter name fits with room to spare.
+func TestFragmentFitsPack(t *testing.T) {
+	long := strings.Repeat("d", 64)
+	for _, c := range []struct {
+		domain string
+		extra  int // octets past DefaultFragmentSize
+		fits   bool
+	}{{long, 0, true}, {long, 1, false}, {"client-1", 0, true}} {
+		conn, err := smiop.NewConnection(7, smiop.PeerInfo{Name: c.domain, N: 1}, 0,
+			smiop.PeerInfo{Name: "calc", N: 4, F: 1}, seckey.Key{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := smiop.DefaultFragmentSize + c.extra
+		frames, err := conn.SealSignedDataWire(1, false, make([]byte, 2*size), nil, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := smiop.DecodeEnvelope(frames[0].B)
+		if err != nil || env.FragCount < 2 || len(env.Payload) != seckey.SealedLen(size) {
+			t.Fatalf("first frame is no fragment of %d bytes: %v", size, err)
+		}
+		pack := len(encodePack([][]byte{frames[0].B}))
+		smiop.ReleaseFrames(frames)
+		if fits := pack <= MaxPackBytes; fits != c.fits {
+			t.Errorf("%d-octet domain, fragment of %d: a pack of it is %d bytes, bound %d",
+				len(c.domain), size, pack, MaxPackBytes)
+		}
 	}
 }
 
@@ -216,6 +253,54 @@ func TestPackEquivalence(t *testing.T) {
 	}
 }
 
+// TestLoneFrameReleasedAtInvoke: a lone pooled frame is the op of the
+// request that carries it, read in place, and SendFrames gives it back to
+// the arena as soon as the PBFT client has encoded that request. Overwriting
+// the released bytes, as poisoning and the arena's next user do, changes
+// nothing that is ordered, even when the client's first send is lost and
+// its retransmission to the whole group is what gets the request ordered:
+// every element delivers the payload as it was handed over.
+func TestLoneFrameReleasedAtInvoke(t *testing.T) {
+	pool.SetPoison(true)
+	defer pool.SetPoison(false)
+	td := newTestDomainCfg(t, 9, DomainConfig{N: 4, F: 1, QueueCapacity: 64, CheckpointInterval: 4})
+	s, acks := td.sender(t, "client:lone")
+	lost := false
+	td.net.AddFilter(func(from, _ netsim.NodeID, _ []byte) ([]byte, bool) {
+		if from == "sender/client:lone" && !lost {
+			lost = true
+			return nil, true
+		}
+		return nil, false
+	})
+	want := bytes.Repeat([]byte{0x5C}, 16<<10)
+	before := pool.ReadStats()
+	frame := pool.Get(len(want))
+	frame.B = append(frame.B, want...)
+	held := frame.B[:cap(frame.B)]
+	if _, err := s.SendFrames([]*pool.Buffer{frame}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := pool.ReadStats(); after.Puts-before.Puts != after.Gets-before.Gets {
+		t.Fatalf("SendFrames kept %d pooled frames past Invoke", (after.Gets-before.Gets)-(after.Puts-before.Puts))
+	}
+	for i := range held {
+		held[i] = 0xEE
+	}
+	if err := td.net.RunUntil(func() bool { return *acks == 1 }, 5_000_000); err != nil {
+		t.Fatalf("lone frame not acknowledged: %v", err)
+	}
+	td.net.Run(1_000_000)
+	if !lost {
+		t.Fatal("the first send was never dropped")
+	}
+	for i, deliv := range td.deliv {
+		if len(deliv) != 1 || deliv[0] != string(want) {
+			t.Errorf("element %d delivered %d payloads, not the one handed over", i, len(deliv))
+		}
+	}
+}
+
 // TestSenderPacksWhatQueued: what queues behind the request in flight goes
 // as packs when it is acknowledged, each within MaxPackBytes and
 // MaxPackPayloads, one request in flight throughout, OnAck once per payload
@@ -288,7 +373,7 @@ func FuzzSRMPack(f *testing.F) {
 			t.Fatal("a lone payload's op is neither the payload nor a pack of it")
 		}
 		q := NewQueue(2*MaxPackPayloads, nil)
-		q.Execute("client:f", op)
+		execute(q, "client:f", op)
 		want := uint64(1)
 		if ok {
 			want = uint64(len(payloads))

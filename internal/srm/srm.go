@@ -99,23 +99,30 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 // Execute implements pbft.App: append the request's messages — the payloads
 // of a pack, else the op itself — and return the static acknowledgement. Each
 // message gets its own sequence number, chain link and delivery, in order,
-// all with the request's authenticated sender. The messages alias op, which
-// no one writes once it is ordered: the request decoded it from a buffer the
-// transport handed up.
-func (q *Queue) Execute(clientID string, op []byte) []byte {
-	payloads := Payloads(op)
+// all with the request's authenticated sender. A lone op's chain link takes
+// opDigest, the hash the replica made of op for the request's own digests,
+// as H(data); a pack's payloads are hashed one by one. The messages alias
+// op, which no one writes once it is ordered: the request decoded it from a
+// buffer the transport handed up.
+func (q *Queue) Execute(clientID string, op []byte, opDigest pbft.Digest) []byte {
+	payloads, ok := decodePack(op)
+	if !ok {
+		q.hPayloads.Observe(1)
+		q.append(clientID, op, opDigest)
+		return Ack
+	}
 	q.hPayloads.Observe(float64(len(payloads)))
 	for _, data := range payloads {
-		q.append(clientID, data)
+		q.append(clientID, data, sha256.Sum256(data))
 	}
 	return Ack
 }
 
-// append orders one message: the queue owns data.
-func (q *Queue) append(clientID string, data []byte) {
+// append orders one message whose hash is body: the queue owns data.
+func (q *Queue) append(clientID string, data []byte, body [sha256.Size]byte) {
 	seq := q.nextSeq
 	q.nextSeq++
-	q.head = chainLink(q.head, seq, clientID, data)
+	q.head = chainLink(q.head, seq, clientID, body)
 	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: data, link: q.head})
 	if len(q.window) > q.capacity {
 		// Trim by reslicing, and compact only when the dead prefix has used
@@ -149,10 +156,9 @@ func (q *Queue) WindowStart() uint64 {
 // Len returns the number of retained messages.
 func (q *Queue) Len() int { return len(q.window) }
 
-// chainLink extends the queue's hash chain by one message:
-// H(prev ‖ seq ‖ len(sender) ‖ sender ‖ H(data)).
-func chainLink(prev [sha256.Size]byte, seq uint64, sender string, data []byte) [sha256.Size]byte {
-	body := sha256.Sum256(data)
+// chainLink extends the queue's hash chain by one message whose data hashes
+// to body: H(prev ‖ seq ‖ len(sender) ‖ sender ‖ body), body being H(data).
+func chainLink(prev [sha256.Size]byte, seq uint64, sender string, body [sha256.Size]byte) [sha256.Size]byte {
 	b := make([]byte, 0, 128) // on the stack for any plausible sender id
 	b = append(b, prev[:]...)
 	b = binary.BigEndian.AppendUint64(b, seq)
@@ -247,7 +253,7 @@ func decodeSnapshot(snapshot []byte, capacity int) (*queueState, error) {
 		if m.data, err = d.ReadOctets(); err != nil {
 			return nil, fmt.Errorf("srm: queue snapshot: %w", err)
 		}
-		s.head = chainLink(s.head, m.seq, m.sender, m.data)
+		s.head = chainLink(s.head, m.seq, m.sender, sha256.Sum256(m.data))
 		m.link = s.head
 		s.window = append(s.window, m)
 	}
@@ -656,9 +662,9 @@ func (s *Sender) SendAll(payloads [][]byte, sp *obs.Span) (uint64, error) {
 }
 
 // SendFrames is SendAll over pooled frames (smiop.SealGIOPWire's), which
-// the sender takes over: a frame packed with others is copied into the pack
-// and released, one that goes alone is detached, since the ordering client
-// keeps the request it sends.
+// the sender takes over and releases once the PBFT client has encoded the
+// request that carries them: a frame packed with others is copied into the
+// pack, and one that goes alone is the request's op, read in place.
 func (s *Sender) SendFrames(frames []*pool.Buffer, sp *obs.Span) (uint64, error) {
 	for _, f := range frames {
 		s.sent++
@@ -699,18 +705,17 @@ func (s *Sender) flush() error {
 		for i, p := range batch {
 			payloads[i] = p.data
 		}
-		if k == 1 && batch[0].owner != nil {
-			// A lone payload is the op itself, which the client keeps.
-			payloads[0], batch[0].owner = batch[0].owner.Detach(), nil
-		}
-		op := packOp(payloads)
+		// A lone payload is the op itself, read in place: the client keeps
+		// the request's encoding, not op, so the frames go back once Invoke
+		// returns, whether it took the request or not.
+		_, err = s.client.Invoke(packOp(payloads))
 		for i := range batch {
 			if o := batch[i].owner; o != nil {
 				o.Release()
 			}
 			batch[i].data, batch[i].owner = nil, nil
 		}
-		if _, err = s.client.Invoke(op); err != nil {
+		if err != nil {
 			for _, p := range batch {
 				p.span.End()
 			}

@@ -2,6 +2,7 @@ package srm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -167,10 +168,16 @@ func TestStaticAckIsDistinctFromDelivery(t *testing.T) {
 	}
 }
 
+// execute executes op on q as a replica does: with the op digest its request
+// carries (pbft.Request.OpDigest).
+func execute(q *Queue, clientID string, op []byte) []byte {
+	return q.Execute(clientID, op, sha256.Sum256(op))
+}
+
 func TestQueueGarbageCollection(t *testing.T) {
 	q := NewQueue(4, nil)
 	for i := 0; i < 10; i++ {
-		res := q.Execute("c", []byte{byte(i)})
+		res := execute(q, "c", []byte{byte(i)})
 		if !bytes.Equal(res, Ack) {
 			t.Fatal("Execute must return the static ACK")
 		}
@@ -200,7 +207,7 @@ func TestQueueFullAppendAmortised(t *testing.T) {
 		if q.Len() == capacity {
 			second = &q.window[1]
 		}
-		q.Execute("c", []byte{byte(i)})
+		execute(q, "c", []byte{byte(i)})
 		if second != nil && &q.window[0] != second {
 			compactions++
 		}
@@ -227,7 +234,7 @@ func TestQueueFullAppendAmortised(t *testing.T) {
 func TestQueueSnapshotRoundTrip(t *testing.T) {
 	q := NewQueue(8, nil)
 	for i := 0; i < 5; i++ {
-		q.Execute("c", []byte(fmt.Sprintf("m%d", i)))
+		execute(q, "c", []byte(fmt.Sprintf("m%d", i)))
 	}
 	snap := q.Capture().Bytes()
 	q2 := NewQueue(8, nil)
@@ -266,11 +273,11 @@ func TestResynchroniseReplaysWithinWindow(t *testing.T) {
 	el.queue = NewQueue(16, func(seq uint64, sender string, data []byte) { el.deliver(seq, sender, data) })
 	el.OnDeliver = func(seq uint64, sender string, data []byte) { delivered = append(delivered, seq) }
 	for i := 0; i < 2; i++ {
-		el.queue.Execute("c", []byte{byte(i)})
+		execute(el.queue, "c", []byte{byte(i)})
 	}
 	donor := NewQueue(16, nil)
 	for i := 0; i < 5; i++ {
-		donor.Execute("c", []byte{byte(i)})
+		execute(donor, "c", []byte{byte(i)})
 	}
 	if err := el.queue.Restore(donor.Capture().Bytes()); err != nil {
 		t.Fatal(err)
@@ -292,10 +299,10 @@ func TestResynchroniseDetectsDesyncBeyondWindow(t *testing.T) {
 	el.queue = NewQueue(2, func(seq uint64, sender string, data []byte) { el.deliver(seq, sender, data) })
 	el.OnDeliver = func(uint64, string, []byte) {}
 	el.OnDesync = func(a, b uint64) { desync = true }
-	el.queue.Execute("c", []byte{0}) // delivered 1
+	execute(el.queue, "c", []byte{0}) // delivered 1
 	donor := NewQueue(2, nil)
 	for i := 0; i < 10; i++ { // window retains only 9,10
-		donor.Execute("c", []byte{byte(i)})
+		execute(donor, "c", []byte{byte(i)})
 	}
 	if err := el.queue.Restore(donor.Capture().Bytes()); err != nil {
 		t.Fatal(err)
