@@ -267,13 +267,13 @@ func (m *Request) encodedSize() int {
 	return align(n, 4) + 4 + len(m.Tags)
 }
 
-// encodedBound is at least the length of the request's encoding wherever it
-// starts in a stream: its variable fields, their length prefixes, the type
-// octet, two string terminators, and the most alignment padding the fixed
-// fields can take.
-func (m *Request) encodedBound() int {
-	return len(m.ClientID) + len(m.Op) + len(m.ReplyTo) + len(m.Sig) + len(m.Tags) + 56
-}
+// embeddedSlack is the most a request inside a pre-prepare can encode to
+// beyond encodedSize, wherever in the stream it starts. On its own a request
+// takes 4 octets (the type octet and padding) before its fields, which start
+// at 4 mod 8. Embedded it takes at most 3 octets of padding, and its fields
+// start at 0 or 4 mod 8; at 0, only ClientSeq, the one 8-aligned field,
+// can take 4 octets more padding, and everything after it lies as before.
+const embeddedSlack = 3
 
 // PrePrepare is the primary's ordering proposal for an ordered batch of
 // requests at (View, Seq). Digest covers the whole batch (BatchDigest); an
@@ -743,17 +743,17 @@ func Encode(m Message) []byte {
 }
 
 // encodedBound sizes Encode's buffer so that a message carrying a payload is
-// written without regrowing it: at least the encoding's length for a request,
-// a pre-prepare or a reply, and room for a phase message or a checkpoint
-// otherwise (a view change or a new view grows from there).
+// written without regrowing it: the encoding's length for a request, at least
+// that for a pre-prepare or a reply, and room for a phase message or a
+// checkpoint otherwise (a view change or a new view grows from there).
 func encodedBound(m Message) int {
 	switch msg := m.(type) {
 	case *Request:
-		return msg.encodedBound()
+		return msg.encodedSize()
 	case *PrePrepare:
 		n := 80 + len(msg.Sig)
 		for _, req := range msg.Requests {
-			n += req.encodedBound()
+			n += req.encodedSize() + embeddedSlack
 		}
 		return n
 	case *Reply:

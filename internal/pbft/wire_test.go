@@ -203,3 +203,63 @@ func TestDecodeRefusesOverlongLists(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeAllocatesOnce: Encode sizes its buffer from the message's fields
+// (encodedBound), so a lone request and a pre-prepare of sixteen requests are
+// written without regrowing it, whatever their field lengths and wherever
+// each embedded request starts against the 8-octet alignment: Encode makes
+// as many allocations for them as for a prepare, which its fixed room holds
+// (the buffer, and the encoder the marshal call lets escape).
+func TestEncodeAllocatesOnce(t *testing.T) {
+	req := func(shift, i int) *Request {
+		return &Request{
+			ClientID:  strings.Repeat("c", 1+(shift+i)%8),
+			ClientSeq: uint64(i),
+			Op:        make([]byte, 100+shift+3*i),
+			ReplyTo:   strings.Repeat("r", (shift+2*i)%8),
+			Sig:       make([]byte, 64),
+			Tags:      make([]byte, 16*((shift+i)%4)+(shift+3*i)%8),
+		}
+	}
+	prepare := &Prepare{View: 1, Seq: 1, Replica: 1, Sig: make([]byte, 64)}
+	want := testing.AllocsPerRun(5, func() { Encode(prepare) })
+	starts := map[int]bool{}
+	for shift := 0; shift < 8; shift++ {
+		pp := &PrePrepare{View: 1, Seq: uint64(shift), Replica: 1, Sig: make([]byte, 64)}
+		for i := 0; i < 16; i++ {
+			pp.Requests = append(pp.Requests, req(shift, i))
+		}
+		// Where each embedded request starts: after the type octet, view,
+		// sequence number, digest and count, then after each request before
+		// it.
+		e := cdr.NewEncoder(cdr.BigEndian)
+		e.WriteOctet(byte(MTPrePrepare))
+		e.WriteULongLong(pp.View)
+		e.WriteULongLong(pp.Seq)
+		e.WriteOctets(pp.Digest[:])
+		e.WriteOctet(byte(len(pp.Requests)))
+		for _, r := range pp.Requests {
+			starts[e.Len()%8] = true
+			r.marshal(e)
+			// The same request from each start: never over its bound.
+			for o := 0; o < 8; o++ {
+				e := cdr.NewEncoder(cdr.BigEndian)
+				for e.Len() < o {
+					e.WriteOctet(0)
+				}
+				r.marshal(e)
+				if n := e.Len() - o; n > r.encodedSize()+embeddedSlack {
+					t.Errorf("a request of %d octets on its own took %d from offset %d", r.encodedSize(), n, o)
+				}
+			}
+		}
+		for _, m := range []Message{req(shift, 0), pp} {
+			if allocs := testing.AllocsPerRun(5, func() { Encode(m) }); allocs != want {
+				t.Errorf("shift %d: Encode(%T) made %v allocations, a prepare's %v", shift, m, allocs, want)
+			}
+		}
+	}
+	if len(starts) != 8 {
+		t.Fatalf("embedded requests started at %d of the 8 alignments", len(starts))
+	}
+}

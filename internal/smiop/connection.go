@@ -143,24 +143,10 @@ func (c *Connection) CurrentRequestID() uint64 { return c.nextReq }
 
 // OpenData authenticates and decrypts a peer data envelope, returning the
 // GIOP bytes. An owned envelope (Envelope.Owned) is decrypted in place, over
-// its own ciphertext; any other into a fresh buffer. Envelopes from expelled
-// members are rejected.
+// its own ciphertext; any other into a fresh buffer. The seal authenticates
+// the envelope's header too. An envelope of another kind or connection, or
+// from a member that is unknown or expelled, is refused unopened.
 func (c *Connection) OpenData(env *Envelope) ([]byte, error) {
-	n := seckey.OpenedLen(env.Payload)
-	if n < 0 {
-		return nil, fmt.Errorf("smiop: conn %d member %d: sealed payload of %d bytes",
-			c.ID, env.SrcMember, len(env.Payload))
-	}
-	if env.Owned {
-		return c.openTo(env.Payload[seckey.SealHeadLen:], env)
-	}
-	return c.openTo(make([]byte, n), env)
-}
-
-// peerChannel returns the channel a peer data envelope opens under. An
-// envelope of another kind or connection, or from a member that is unknown
-// or expelled, is refused: nothing it claims is acted on.
-func (c *Connection) peerChannel(env *Envelope) (*seckey.Channel, error) {
 	if env.Kind != KindData && env.Kind != KindDigest {
 		return nil, fmt.Errorf("smiop: conn %d: not a data envelope: %s", c.ID, env.Kind)
 	}
@@ -175,16 +161,14 @@ func (c *Connection) peerChannel(env *Envelope) (*seckey.Channel, error) {
 	if !ok {
 		return nil, fmt.Errorf("smiop: conn %d: unknown peer member %d", c.ID, env.SrcMember)
 	}
-	return ch, nil
-}
-
-// openTo authenticates and decrypts a peer data envelope into dst, the
-// destination its caller owns (see seckey.Channel.OpenTo), and returns the
-// plaintext. The seal authenticates the envelope's header too.
-func (c *Connection) openTo(dst []byte, env *Envelope) ([]byte, error) {
-	ch, err := c.peerChannel(env)
-	if err != nil {
-		return nil, err
+	n := seckey.OpenedLen(env.Payload)
+	if n < 0 {
+		return nil, fmt.Errorf("smiop: conn %d member %d: sealed payload of %d bytes",
+			c.ID, env.SrcMember, len(env.Payload))
+	}
+	dst := env.Payload[seckey.SealHeadLen:]
+	if !env.Owned {
+		dst = make([]byte, n)
 	}
 	hdr := pool.Get(headSlack(env.SrcDomain))
 	defer hdr.Release()

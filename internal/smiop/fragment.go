@@ -2,7 +2,6 @@ package smiop
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -41,9 +40,8 @@ const maxFragments = 1 << 14
 
 // MaxMessageBytes bounds one message's signed payload, fragmented or not:
 // a sender refuses to seal more, and a receiver refuses, and counts, a
-// fragmented message that claims more. A receiver sizes a message's
-// reassembly buffer from its first fragment, so the bound is also the most
-// one member can make it hold for one request id.
+// fragmented message that claims more, so the bound is also the most one
+// member can make it hold for one request id.
 const MaxMessageBytes = 4 << 20
 
 // errDuplicateFragment reports a fragment whose place is already filled:
@@ -51,38 +49,34 @@ const MaxMessageBytes = 4 << 20
 // the fragment is ignored.
 var errDuplicateFragment = errors.New("smiop: duplicate fragment")
 
-// errOversize reports a fragmented message that claims more than
-// MaxMessageBytes.
-var errOversize = errors.New("smiop: message exceeds MaxMessageBytes")
+// errOversize reports a fragment outside the bounds reassembly keeps: a
+// count above maxFragments, an index outside the count, or a message that
+// claims more than MaxMessageBytes.
+var errOversize = errors.New("smiop: fragment outside maxFragments or MaxMessageBytes")
 
 // fragmentBuffer reassembles one sender's fragmented message for the
-// current request id. Every fragment but the last carries chunk bytes, as
-// the sender cuts them, so fragment i opens straight into buf at i*chunk.
+// current request id.
 type fragmentBuffer struct {
 	requestID uint64
 	reply     bool
-	count     uint32
-	// chunk is the plaintext length of every fragment but the last, known
-	// from the first of them to arrive; buf exists from then on. A last
-	// fragment that comes first waits in tail.
+	// parts holds each opened fragment in its index's place, nil until it
+	// arrives. A fragment of an owned delivery is a slice of its frame.
+	parts [][]byte
+	have  uint32
+	// chunk is the length of every fragment but the last, set by the first
+	// of them to arrive.
 	chunk int
-	buf   []byte
-	tail  []byte
-	// msgLen is the message length, known once the last fragment is in.
-	msgLen int
-	got    []bool
-	have   uint32
 	// unvouched is set by the first fragment whose sender the ordering
 	// layer did not authenticate as the identity the message claims.
 	unvouched bool
 }
 
 // reassembler collects fragments per sending member. State for a member is
-// replaced whenever an authenticated fragment for a different (requestID,
-// reply, count) context arrives, and dropped entirely on Reset — the same
-// garbage-collection discipline as the voter (paper §3.6). Nothing a
-// fragment claims changes that state before the fragment authenticates:
-// slot only reads it, and take and commit run after the open.
+// replaced whenever a fragment for a different (requestID, reply, count)
+// context is added, and dropped entirely on reset — the same
+// garbage-collection discipline as the voter (paper §3.6). Only opened,
+// authenticated fragments are added; filled, which only reads, may run
+// before the open.
 type reassembler struct {
 	byMember map[uint32]*fragmentBuffer
 }
@@ -93,145 +87,60 @@ func newReassembler() *reassembler {
 
 // holds reports whether env belongs to the message fb reassembles.
 func (fb *fragmentBuffer) holds(env *Envelope) bool {
-	return fb.requestID == env.RequestID && fb.reply == env.Reply && fb.count == env.FragCount
+	return fb.requestID == env.RequestID && fb.reply == env.Reply && len(fb.parts) == int(env.FragCount)
 }
 
-// slot returns where fragment env's n plaintext bytes open to: its place in
-// the layout the member's buffer for env's message has set. It returns nil
-// and no error when there is no such place yet — no buffer, a buffer of
-// another message, or no layout — and the caller opens the fragment apart
-// and hands the plaintext to take. A fragment whose length does not fit the
-// layout, a count out of range and a place already filled
-// (errDuplicateFragment) are refused. slot changes nothing: a place it
-// returns is empty, so an open that fails there (and clears it) loses
-// nothing.
-func (r *reassembler) slot(env *Envelope, n int) ([]byte, error) {
-	if env.FragCount < 2 || env.FragCount > maxFragments || env.FragIndex >= env.FragCount {
-		return nil, fmt.Errorf("smiop: invalid fragment %d/%d", env.FragIndex, env.FragCount)
-	}
-	if n < 1 || n > MaxMessageBytes {
-		return nil, fmt.Errorf("smiop: fragment %d/%d of %d bytes", env.FragIndex, env.FragCount, n)
+// filled reports whether fragment env's place in its member's message is
+// already taken, so that a replay is ignored without being opened.
+func (r *reassembler) filled(env *Envelope) bool {
+	fb := r.byMember[env.SrcMember]
+	return fb != nil && fb.holds(env) && env.FragIndex < env.FragCount && fb.parts[env.FragIndex] != nil
+}
+
+// add stores fragment env's plaintext pt, opened and authenticated, and
+// returns the whole message when pt completes it, or nil. vouched says
+// whether this fragment's ordered sender is the identity env claims; the
+// whole message is reported vouched only if every one of its fragments was.
+// A fragment outside the bounds (errOversize) is refused before anything is
+// allocated for it, and one off its message's layout is refused too; neither
+// changes anything.
+func (r *reassembler) add(env *Envelope, pt []byte, vouched bool) ([]byte, bool, error) {
+	i, count, n := env.FragIndex, env.FragCount, len(pt)
+	if count > maxFragments || i >= count || uint64(count)*uint64(n) > MaxMessageBytes {
+		return nil, false, fmt.Errorf("%w: fragment %d/%d of %d bytes", errOversize, i, count, n)
 	}
 	fb := r.byMember[env.SrcMember]
 	if fb == nil || !fb.holds(env) {
-		return nil, nil
+		fb = &fragmentBuffer{requestID: env.RequestID, reply: env.Reply, parts: make([][]byte, count)}
 	}
-	if fb.got[env.FragIndex] {
-		return nil, errDuplicateFragment
+	// Every fragment but the last has one length, and the last is no longer.
+	last := count - 1
+	switch {
+	case fb.parts[i] != nil:
+		return nil, false, errDuplicateFragment
+	case n == 0 || i < last && (fb.chunk != 0 && n != fb.chunk || n < len(fb.parts[last])) ||
+		i == last && fb.chunk != 0 && n > fb.chunk:
+		return nil, false, fmt.Errorf("smiop: fragment %d/%d of %d bytes in a message of %d-byte fragments",
+			i, count, n, fb.chunk)
 	}
-	if fb.buf == nil {
-		return nil, nil
+	r.byMember[env.SrcMember] = fb
+	if i < last {
+		fb.chunk = n
 	}
-	return fb.place(env.FragIndex, n)
-}
-
-// take moves fragment env's plaintext pt, opened apart and authenticated,
-// into the member's buffer for env's message, starting that buffer (and
-// dropping one of another message) if need be, and returns its place
-// there. The first fragment in sets the layout: fragment 0 sizes the buffer
-// from its leading GIOP length, since the signed payload holds no more than
-// the GIOP octets, their padding and a Sig of at most maxSigSize octets;
-// another sizes it as count fragments of its own length; a last fragment
-// waits apart until one of the others comes. A message over
-// MaxMessageBytes (errOversize) or a fragment off the layout is refused
-// before anything is allocated for it.
-func (r *reassembler) take(env *Envelope, pt []byte) ([]byte, error) {
-	fb := r.byMember[env.SrcMember]
-	if fb == nil || !fb.holds(env) {
-		fb = &fragmentBuffer{
-			requestID: env.RequestID,
-			reply:     env.Reply,
-			count:     env.FragCount,
-			got:       make([]bool, env.FragCount),
-		}
-		r.byMember[env.SrcMember] = fb
-	}
-	i, n := env.FragIndex, len(pt)
-	if fb.got[i] {
-		return nil, errDuplicateFragment
-	}
-	if fb.buf == nil {
-		total := uint64(fb.count) * uint64(n)
-		switch {
-		case i == fb.count-1:
-			fb.tail = bytes.Clone(pt)
-			return fb.tail, nil
-		case i == 0 && n >= 4:
-			glen := uint64(binary.BigEndian.Uint32(pt))
-			total = min(total, (4+glen+3)&^3+4+maxSigSize)
-		}
-		if err := fb.alloc(n, total); err != nil {
-			return nil, err
-		}
-	}
-	dst, err := fb.place(i, n)
-	if err != nil {
-		return nil, err
-	}
-	copy(dst, pt)
-	return dst, nil
-}
-
-// alloc sizes the buffer at total bytes for fragments of chunk bytes, and
-// moves a last fragment that came first into place.
-func (fb *fragmentBuffer) alloc(chunk int, total uint64) error {
-	if total > MaxMessageBytes {
-		return fmt.Errorf("%w: %d fragments of %d bytes", errOversize, fb.count, chunk)
-	}
-	lastOff := int(fb.count-1) * chunk
-	if int(total) <= lastOff {
-		return fmt.Errorf("smiop: message of %d bytes in %d fragments of %d", total, fb.count, chunk)
-	}
-	lastIn := fb.got[fb.count-1]
-	if lastIn && (len(fb.tail) > chunk || lastOff+len(fb.tail) > int(total)) {
-		return fmt.Errorf("smiop: last fragment of %d bytes after fragments of %d", len(fb.tail), chunk)
-	}
-	fb.chunk = chunk
-	fb.buf = make([]byte, total)
-	if lastIn {
-		fb.msgLen = lastOff + copy(fb.buf[lastOff:], fb.tail)
-		fb.tail = nil
-	}
-	return nil
-}
-
-// place returns fragment i's place for its n bytes in the buffer.
-func (fb *fragmentBuffer) place(i uint32, n int) ([]byte, error) {
-	off := int(i) * fb.chunk
-	if i < fb.count-1 && n != fb.chunk || i == fb.count-1 && (n > fb.chunk || off+n > len(fb.buf)) {
-		return nil, fmt.Errorf("smiop: fragment %d/%d of %d bytes in a message of %d-byte fragments",
-			i, fb.count, n, fb.chunk)
-	}
-	return fb.buf[off : off+n], nil
-}
-
-// commit records that fragment env opened into the place slot or take gave
-// it, and returns the whole message when env completes it, or nil. vouched
-// says whether this fragment's ordered sender is the identity env claims;
-// the whole message is reported vouched only if every one of its fragments
-// was.
-func (r *reassembler) commit(env *Envelope, n int, vouched bool) ([]byte, bool) {
-	fb := r.byMember[env.SrcMember]
-	if fb == nil || fb.requestID != env.RequestID || fb.reply != env.Reply {
-		return nil, false // reset while the fragment opened
-	}
-	fb.got[env.FragIndex] = true
+	fb.parts[i] = pt
 	fb.have++
-	if env.FragIndex == env.FragCount-1 && fb.buf != nil {
-		fb.msgLen = int(env.FragCount-1)*fb.chunk + n
-	}
 	if !vouched {
 		fb.unvouched = true
 	}
-	if fb.have < fb.count {
-		return nil, false
+	if fb.have < count {
+		return nil, false, nil
 	}
 	delete(r.byMember, env.SrcMember)
-	return fb.buf[:fb.msgLen:fb.msgLen], !fb.unvouched
+	return bytes.Join(fb.parts, nil), !fb.unvouched, nil
 }
 
 // reset drops all reassembly state (called when the stream moves to a new
 // request id).
 func (r *reassembler) reset() {
-	r.byMember = make(map[uint32]*fragmentBuffer)
+	clear(r.byMember)
 }

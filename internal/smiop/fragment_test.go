@@ -123,22 +123,13 @@ func TestFragmentBounds(t *testing.T) {
 }
 
 // addFragment takes fragment env with plaintext pt through the reassembler
-// as Stream.Deliver does, with a copy standing in for the decryption into
-// the fragment's place.
+// as Stream.Deliver does around the open: a fragment whose place is filled
+// is ignored before it opens, and pt, the opened plaintext, is added.
 func addFragment(r *reassembler, env *Envelope, pt []byte, vouched bool) ([]byte, bool, error) {
-	dst, err := r.slot(env, len(pt))
-	switch {
-	case err != nil:
-		return nil, false, err
-	case dst == nil: // opened apart
-		if _, err := r.take(env, pt); err != nil {
-			return nil, false, err
-		}
-	default:
-		copy(dst, pt)
+	if r.filled(env) {
+		return nil, false, errDuplicateFragment
 	}
-	whole, vouched := r.commit(env, len(pt), vouched)
-	return whole, vouched, nil
+	return r.add(env, pt, vouched)
 }
 
 func TestReassemblerRejectsBogusCounts(t *testing.T) {
@@ -375,7 +366,7 @@ func TestForgedFragmentsChangeNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := stream.frags.byMember[0]
-	if fb == nil || fb.buf == nil {
+	if fb == nil || fb.chunk == 0 {
 		t.Fatal("member 0's first fragment set no layout")
 	}
 	set := *fb
@@ -409,9 +400,9 @@ func TestForgedFragmentsChangeNothing(t *testing.T) {
 	if len(stream.frags.byMember) != 1 || stream.frags.byMember[0] != fb {
 		t.Fatalf("forged fragments changed who has a buffer: %v", stream.frags.byMember)
 	}
-	if fb.count != set.count || fb.chunk != set.chunk || len(fb.buf) != len(set.buf) || fb.have != set.have {
-		t.Fatalf("forged fragments changed member 0's buffer: count %d chunk %d len %d have %d, was %d %d %d %d",
-			fb.count, fb.chunk, len(fb.buf), fb.have, set.count, set.chunk, len(set.buf), set.have)
+	if len(fb.parts) != len(set.parts) || fb.chunk != set.chunk || fb.have != set.have {
+		t.Fatalf("forged fragments changed member 0's buffer: count %d chunk %d have %d, was %d %d %d",
+			len(fb.parts), fb.chunk, fb.have, len(set.parts), set.chunk, set.have)
 	}
 	for _, env := range append(honest0[1:], honest1...) {
 		if err := stream.Deliver(env); err != nil {

@@ -134,15 +134,18 @@ func FuzzReplyDigestDecode(f *testing.F) {
 // coordinates that lie outside the declared count, and a message it
 // completes must be exactly its accepted fragments in index order — every
 // one but the last of one length, and the whole within MaxMessageBytes. A
-// plain per-member model of the accepted fragments is the reference.
+// plain per-member model of the accepted fragments is the reference. A
+// record with a count below 2 is skipped: Stream.Deliver takes such an
+// envelope as a whole message.
 //
 // Every fragment payload is staged in a pooled arena buffer with
-// release-time poisoning on and copied into the place the reassembler
-// gives it, as the decryption writes it on the receive path. A completed
-// message must be the reassembler's own buffer: releasing (and poisoning)
-// every contributing fragment buffer after completion must not alter it.
-// Run under -race; any retained alias shows up as poisoned output here and
-// as a read-after-recycle race there.
+// release-time poisoning on and handed over as it stands, as an owned
+// delivery's in-place open hands over a slice of its frame, which the
+// reassembler then holds. A completed message must be a buffer of its own:
+// releasing (and poisoning) every frame its member sent must not alter it,
+// while other members' half-done messages keep holding theirs. Run under
+// -race; any retained alias shows up as poisoned output here and as a
+// read-after-recycle race there.
 //
 // Input format, repeated until exhausted:
 //
@@ -162,14 +165,18 @@ func FuzzSMIOPReassemble(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newReassembler()
 		want := map[uint32]*model{}
-		var live []*pool.Buffer // fragment buffers the reassembler may still alias
-		releaseAll := func() {
-			for _, pb := range live {
+		frames := map[uint32][]*pool.Buffer{} // per member: frames the reassembler may hold
+		release := func(member uint32) {
+			for _, pb := range frames[member] {
 				pb.Release()
 			}
-			live = live[:0]
+			delete(frames, member)
 		}
-		defer releaseAll()
+		defer func() {
+			for member := range frames {
+				release(member)
+			}
+		}()
 		for len(data) >= 5 {
 			env := &Envelope{
 				Kind:      KindData,
@@ -187,14 +194,20 @@ func FuzzSMIOPReassemble(f *testing.F) {
 			pb := pool.Get(n)
 			pb.B = append(pb.B, data[:n]...)
 			payload := pb.B
-			live = append(live, pb)
+			frames[env.SrcMember] = append(frames[env.SrcMember], pb)
 			data = data[n:]
+			if env.FragCount < 2 {
+				continue
+			}
 
 			whole, _, err := addFragment(r, env, payload, false)
-			if env.FragCount < 2 || env.FragIndex >= env.FragCount {
+			if env.FragIndex >= env.FragCount {
 				if err == nil {
 					t.Fatalf("accepted fragment %d/%d", env.FragIndex, env.FragCount)
 				}
+				continue
+			}
+			if err != nil {
 				continue
 			}
 			m := want[env.SrcMember]
@@ -202,9 +215,6 @@ func FuzzSMIOPReassemble(f *testing.F) {
 				m = &model{requestID: env.RequestID, reply: env.Reply, count: env.FragCount,
 					parts: map[uint32][]byte{}}
 				want[env.SrcMember] = m
-			}
-			if err != nil {
-				continue
 			}
 			m.parts[env.FragIndex] = bytes.Clone(payload)
 			if whole == nil {
@@ -232,14 +242,13 @@ func FuzzSMIOPReassemble(f *testing.F) {
 			if r.byMember[env.SrcMember] != nil {
 				t.Fatal("completed buffer not released")
 			}
-			// The reassembled message must not alias any pooled fragment:
-			// poison every buffer fed in so far and require the bytes to
-			// survive unchanged.
-			snap := append([]byte(nil), whole...)
-			releaseAll()
+			// The reassembled message must not alias its member's frames:
+			// poison every one of them and require the bytes to survive
+			// unchanged.
+			snap := bytes.Clone(whole)
+			release(env.SrcMember)
 			if !bytes.Equal(whole, snap) {
-				t.Fatalf("reassembled message aliases a released pooled fragment:\n%q !=\n%q",
-					whole, snap)
+				t.Fatalf("reassembled message aliases a released frame:\n%q !=\n%q", whole, snap)
 			}
 		}
 		r.reset()

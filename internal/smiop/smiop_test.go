@@ -317,7 +317,7 @@ func TestStreamByteVotingFailsUnderHeterogeneity(t *testing.T) {
 	// first f+1, demonstrating the paper's C2 claim.
 	key := testKey(5)
 	client, servers := serverEndpoints(t, key)
-	stream, err := NewStream(client, StreamConfig{ByteVoting: true, VerifySig: testVerify})
+	stream, err := NewStream(client, StreamConfig{Registry: testRegistry(), ByteVoting: true, VerifySig: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}

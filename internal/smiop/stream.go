@@ -11,9 +11,7 @@ import (
 	"itdos/internal/idl"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
-	"itdos/internal/pool"
 	"itdos/internal/quorum"
-	"itdos/internal/seckey"
 	"itdos/internal/vote"
 )
 
@@ -80,7 +78,9 @@ func (c msgComparator) Describe() string {
 
 // StreamConfig parameterises an inbound Stream.
 type StreamConfig struct {
-	// Registry resolves operation signatures for unmarshalling.
+	// Registry resolves operation signatures for unmarshalling. Required,
+	// under byte voting too: the voted message is unmarshalled for its
+	// consumer.
 	Registry *idl.Registry
 	// Epsilon enables inexact float voting when > 0.
 	Epsilon float64
@@ -210,7 +210,7 @@ type Stream struct {
 
 // NewStream builds the inbound pipeline for conn.
 func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
-	if cfg.Registry == nil && !cfg.ByteVoting {
+	if cfg.Registry == nil {
 		return nil, fmt.Errorf("smiop: stream needs an idl.Registry")
 	}
 	if cfg.VerifySig == nil {
@@ -409,19 +409,12 @@ func (s *Stream) Deliver(env *Envelope) error {
 		s.discard()
 		return nil
 	}
-	// A fragment opens straight into its place in the reassembly buffer;
-	// anything else on its own, in place when the receiver owns it.
+	// A fragment whose place is taken is a replay: it is ignored unopened.
 	fragment := env.Kind == KindData && env.FragCount > 1
-	var plaintext []byte
-	var err error
-	if fragment {
-		plaintext, err = s.openFragment(env)
-	} else {
-		plaintext, err = s.conn.OpenData(env)
-	}
-	if errors.Is(err, errDuplicateFragment) {
+	if fragment && s.frags.filled(env) {
 		return nil
 	}
+	plaintext, err := s.conn.OpenData(env)
 	if err != nil {
 		return s.drop(err)
 	}
@@ -458,7 +451,14 @@ func (s *Stream) Deliver(env *Envelope) error {
 		sub.Raw = plaintext
 		vouched := s.vouched(env)
 		if fragment {
-			if sub.Raw, vouched = s.frags.commit(env, len(plaintext), vouched); sub.Raw == nil {
+			sub.Raw, vouched, err = s.frags.add(env, plaintext, vouched)
+			if errors.Is(err, errOversize) {
+				s.mOversize.Inc()
+			}
+			if err != nil {
+				return s.drop(err)
+			}
+			if sub.Raw == nil {
 				return nil
 			}
 		}
@@ -526,43 +526,6 @@ func (s *Stream) Deliver(env *Envelope) error {
 	return nil
 }
 
-// openFragment opens fragment env straight into its place in its member's
-// reassembly buffer. Nothing the fragment claims is acted on before it
-// authenticates: an envelope no peer member could have sealed is refused
-// first, and a fragment that has no place yet (the first of its message, or
-// of a message that replaces another) opens apart, in place when the
-// receiver owns it and else in a pooled scratch, and only then sets up the
-// buffer it is copied into. A message over MaxMessageBytes is refused and
-// counted.
-func (s *Stream) openFragment(env *Envelope) ([]byte, error) {
-	if _, err := s.conn.peerChannel(env); err != nil {
-		return nil, err
-	}
-	n := seckey.OpenedLen(env.Payload)
-	dst, err := s.frags.slot(env, n)
-	if err != nil {
-		return nil, err
-	}
-	if dst != nil {
-		return s.conn.openTo(dst, env)
-	}
-	if env.Owned {
-		dst = env.Payload[seckey.SealHeadLen:]
-	} else {
-		scratch := pool.Get(n)
-		defer scratch.Release()
-		dst = scratch.B[:n]
-	}
-	pt, err := s.conn.openTo(dst, env)
-	if err != nil {
-		return nil, err
-	}
-	if pt, err = s.frags.take(env, pt); errors.Is(err, errOversize) {
-		s.mOversize.Inc()
-	}
-	return pt, err
-}
-
 // settle handles what one submission produced: new fault reports, then
 // the decision or — when no class can still decide — the fallback.
 func (s *Stream) settle(requestID uint64, dec *vote.Decision, err error) error {
@@ -599,7 +562,7 @@ func (s *Stream) deliverDecision(dec *vote.Decision) error {
 		if err != nil {
 			return err
 		}
-		if val, err = s.buildVal(rawPayload.GIOP); err != nil {
+		if val, err = s.unmarshal(rawPayload.GIOP); err != nil {
 			return err
 		}
 	}
@@ -655,31 +618,6 @@ func (s *Stream) unmarshal(giopBytes []byte) (*MessageVal, error) {
 		return nil, err
 	}
 	s.decoded = append(s.decoded, val)
-	return val, nil
-}
-
-// buildVal decodes a GIOP message into a MessageVal (used by the
-// byte-voting path, whose comparisons never unmarshal but whose consumers
-// still need the message identity and values).
-func (s *Stream) buildVal(giopBytes []byte) (*MessageVal, error) {
-	if s.cfg.Registry != nil {
-		return UnmarshalMessage(s.cfg.Registry, s.expectedIface, s.expectedOp, giopBytes)
-	}
-	msg, err := giop.Decode(giopBytes)
-	if err != nil {
-		return nil, err
-	}
-	val := &MessageVal{Msg: msg}
-	if msg.Type == giop.MsgReply {
-		val.IsReply = true
-		val.Interface = s.expectedIface
-		val.Operation = s.expectedOp
-		val.Status = msg.Reply.Status
-		val.Exception = msg.Reply.Exception
-	} else if msg.Request != nil {
-		val.Interface = msg.Request.Interface
-		val.Operation = msg.Request.Operation
-	}
 	return val, nil
 }
 

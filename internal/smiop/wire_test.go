@@ -201,24 +201,13 @@ func TestWireFramesOpenCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst, err := r.slot(env, seckey.OpenedLen(env.Payload))
+		pt, err := receiver.OpenData(env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		apart := dst == nil // fragment 0: opens apart, then moves in
-		if apart {
-			dst = make([]byte, seckey.OpenedLen(env.Payload))
-		}
-		pt, err := receiver.openTo(dst, env)
-		if err != nil {
+		if whole, _, err = r.add(env, pt, false); err != nil {
 			t.Fatal(err)
 		}
-		if apart {
-			if pt, err = r.take(env, pt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		whole, _ = r.commit(env, len(pt), false)
 	}
 	if whole == nil {
 		t.Fatal("fragments never reassembled")
