@@ -56,8 +56,6 @@ func run(args []string) error {
 		}{
 			"P1": {func() error { return bench.CheckP1(3.0) },
 				"batched k=16 msgs/request >= 3.0x below unbatched, k=1 latency <= unbatched"},
-			"P2": {func() error { return bench.CheckP2(3.0) },
-				"digest replies cut bytes/call >= 3.0x at 256 KiB"},
 			"P3": {func() error { return bench.CheckP3(2.0) },
 				"read-only fast path >= 2.0x fewer msgs/get and lower latency"},
 			"P4": {func() error { return bench.CheckP4(2.0) },
@@ -67,7 +65,7 @@ func run(args []string) error {
 			"C9": {func() error { return bench.CheckCampaign("C9") },
 				"campaign: slow compromise stays, collusion expelled <= f"},
 			"C10": {func() error { return bench.CheckCampaign("C10") },
-				"campaign: lying designated responder expelled under churn"},
+				"campaign: lying replica expelled under key churn"},
 			"C11": {func() error { return bench.CheckCampaign("C11") },
 				"campaign: proactive recovery evicts sub-threshold foothold"},
 		}
@@ -75,7 +73,7 @@ func run(args []string) error {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			c, ok := checks[id]
 			if !ok {
-				return fmt.Errorf("unknown check %q (available: P1, P2, P3, P4, P5, C9, C10, C11)", id)
+				return fmt.Errorf("unknown check %q (available: P1, P3, P4, P5, C9, C10, C11)", id)
 			}
 			if err := c.run(); err != nil {
 				return err

@@ -121,14 +121,13 @@ func All() []Experiment {
 		{"C7", "threshold keying exposure", C7},
 		{"C8", "fault detection and expulsion", C8},
 		{"C9", "campaign: slow compromise vs overt collusion", C9},
-		{"C10", "campaign: lying designated responder under churn", C10},
+		{"C10", "campaign: lying replica under key churn", C10},
 		{"C11", "campaign: compromised-then-recovered replica", C11},
 		{"A1", "two-thread model under nesting", A1},
 		{"A2", "Group Manager replication", A2},
 		{"A3", "adaptive voting", A3},
 		{"X1", "large-object transfer (extension)", X1},
 		{"P1", "offered load vs amortised ordering cost", P1},
-		{"P2", "digest replies on the large-object workload", P2},
 		{"P3", "read-only fast path vs ordered invocation", P3},
 		{"P4", "seal-chain heap cost: pooled vs copying pipeline", P4},
 		{"P5", "tentative execution vs committed replies", P5},
@@ -185,7 +184,6 @@ type calcOpts struct {
 	profiles   []replica.Profile
 	epsilon    float64
 	byteVoting bool
-	digest     bool
 	itc        *itc.Config
 	checkpoint uint64
 	servant    func(member int) orb.Servant
@@ -239,7 +237,6 @@ func newCalcSystem(opts calcOpts) (*replica.System, error) {
 		GM:                 replica.GroupSpec{N: opts.gmN, F: opts.gmF},
 		Epsilon:            opts.epsilon,
 		ByteVoting:         opts.byteVoting,
-		DigestReplies:      opts.digest,
 		ITC:                opts.itc,
 		CheckpointInterval: opts.checkpoint,
 		Domains: []replica.DomainSpec{{

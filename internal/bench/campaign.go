@@ -311,21 +311,25 @@ func C9() (*Table, error) {
 	return t, nil
 }
 
-// C10 compromises the designated responder of the digest-reply protocol
-// under key churn: the lying responder only surfaces through fallback
-// rounds (weak signals) until the redone full vote yields transferable
-// evidence, at which point the controller expels it; the responder
-// rotation then skips the expelled member and the fallbacks stop.
+// c10Period spaces C10's lies: r2 lies on every c10Period-th call, so the
+// suspicion its first lie raises shortens the key epoch and a feedback rekey
+// lands before the second lie carries the score over the expulsion bar.
+const c10Period = 4
+
+// C10 compromises one replica under key churn: every lie loses the f+1
+// vote and its signed reply is transferable evidence, the suspicion it
+// raises shortens the key epoch so feedback rekeys churn eras, and the
+// controller expels the liar once a repeated lie carries its decayed score
+// over the bar.
 func C10() (*Table, error) {
 	t := &Table{
 		ID:    "C10",
-		Title: "Campaign: lying designated responder under key churn",
-		Source: "tentpole + satellite (digest-path fault reports feed the " +
+		Title: "Campaign: lying replica under key churn",
+		Source: "tentpole + satellite (voter fault reports feed the " +
 			"controller; feedback rekey keeps churning eras meanwhile)",
 		Headers: []string{"phase", "calls", "decisions correct", "expelled", "key era"},
 	}
 	sys, err := newCalcSystem(calcOpts{
-		digest: true,
 		flight: flight.New(0),
 		itc: &itc.Config{
 			HalfLife:          2 * time.Second,
@@ -333,7 +337,7 @@ func C10() (*Table, error) {
 		},
 		servant: func(member int) orb.Servant {
 			if member == 2 {
-				return fault.LyingServant(cdr.Value(666.0))
+				return fault.IntermittentLyingServant(calcServant(), c10Period, cdr.Value(666.0))
 			}
 			return calcServant()
 		},
@@ -355,7 +359,7 @@ func C10() (*Table, error) {
 		sys.Net.RunFor(250 * time.Millisecond)
 	}
 	if err := sys.RunUntil(out, 50_000_000); err != nil {
-		return nil, fmt.Errorf("C10: lying responder never expelled: %w", err)
+		return nil, fmt.Errorf("C10: lying replica never expelled: %w", err)
 	}
 	exp, err := expelledSet(sys, "calc", 4)
 	if err != nil {
@@ -369,9 +373,9 @@ func C10() (*Table, error) {
 		return nil, fmt.Errorf("C10: era %d at expulsion, want >= 2 (feedback churn + expulsion rekey)", eraAtExpulsion)
 	}
 	// Forensics: the expulsion dump's controller timeline must carry the
-	// full evidence chain in virtual-time order — the lying responder's
-	// fault report, then a feedback rekey churning the era, then the
-	// expulsion filing the retained evidence justified.
+	// full evidence chain in virtual-time order — the liar's fault report,
+	// then a feedback rekey churning the era, then the expulsion filing the
+	// retained evidence justified.
 	dumps := sys.ITC().FlightDumps()
 	if len(dumps) == 0 {
 		return nil, fmt.Errorf("C10: controller took no flight dumps")
@@ -385,15 +389,15 @@ func C10() (*Table, error) {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, []string{
-		"responder compromised",
+		fmt.Sprintf("r2 lies every %dth call", c10Period),
 		fmt.Sprintf("%d", pre),
-		fmt.Sprintf("%d/%d (fallback masks the liar)", pre, pre),
+		fmt.Sprintf("%d/%d (the f+1 vote masks the liar)", pre, pre),
 		"r2 after evidence",
 		fmt.Sprintf("%d", eraAtExpulsion),
 	})
 
-	// Liveness restored: two full responder-rotation cycles with r2
-	// skipped — every reply decides on the happy path again.
+	// Liveness restored: with r2 keyed out, every call decides on the
+	// three remaining members' replies.
 	const post = 8
 	for i := 0; i < post; i++ {
 		if err := campaignCall(sys); err != nil {
@@ -401,7 +405,7 @@ func C10() (*Table, error) {
 		}
 	}
 	t.Rows = append(t.Rows, []string{
-		"after expulsion (rotation skips r2)",
+		"after expulsion",
 		fmt.Sprintf("%d", post),
 		fmt.Sprintf("%d/%d", post, post),
 		"r2 only (<= f)",
@@ -410,12 +414,12 @@ func C10() (*Table, error) {
 	if err := traceArtifact(t, "TRACE_C10.json", tr); err != nil {
 		return nil, err
 	}
-	t.Note = "a lying designated responder stalls the digest vote (weak fallback " +
-		"signal, +0.25 suspicion) and the redone full vote carries its lying full " +
-		"reply, producing a signed-message proof (+1.0, evidence retained); the " +
-		"controller files once the decayed score crosses 1.5, while " +
-		"feedback-scheduled rekeys churn key eras underneath. Decisions are correct " +
-		"throughout — fallback re-votes mask every lie at one extra round-trip."
+	t.Note = "each lie loses the f+1 vote and its signed full reply is a " +
+		"signed-message proof (+1.0 suspicion, evidence retained); the suspicion " +
+		"shortens the key epoch, so a feedback-scheduled rekey churns the era " +
+		"before the next lie, and the controller files once the decayed score " +
+		"crosses 1.5. Decisions are correct throughout — the vote masks every lie " +
+		"at no extra round-trip."
 	return t, nil
 }
 

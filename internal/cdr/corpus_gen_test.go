@@ -4,54 +4,10 @@ package cdr
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-// TestGenCanonicalCorpus writes the committed seed corpus for
-// FuzzCanonicalCDR: the float shapes whose normalisation the canonical form
-// exists for (NaN payload variants, signed zeros, subnormals) plus nested
-// shapes that recurse into them, in FuzzCDRDecode's selector+bytes format.
-// Regenerate with:
-//
-//	go test -tags corpusgen -run TestGenCanonicalCorpus ./internal/cdr
-func TestGenCanonicalCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzCanonicalCDR")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Selector indices into fuzzTypeCodes: 8=Float, 9=Double,
-	// 14=double[3], 17=struct Sample (see fuzz_test.go).
-	cases := []struct {
-		sel byte
-		val Value
-	}{
-		{9, math.Float64frombits(0x7FF8000000000001)}, // NaN, payload bits set
-		{9, math.Float64frombits(0xFFF8DEADBEEF0001)}, // negative NaN
-		{9, math.Copysign(0, -1)},                     // -0
-		{9, math.Float64frombits(1)},                  // smallest subnormal
-		{8, float32(math.Float32frombits(0xFFC00123))},
-		{14, []Value{math.NaN(), math.Copysign(0, -1), 1.5}},
-		{17, []Value{uint64(7), "sensor", []Value{[]Value{int64(100), math.NaN()}}, true}},
-	}
-	for i, c := range cases {
-		tc := fuzzTypeCodes[c.sel]
-		for _, order := range []ByteOrder{BigEndian, LittleEndian} {
-			buf, err := Marshal(tc, c.val, order)
-			if err != nil {
-				t.Fatalf("case %d: %v", i, err)
-			}
-			seed := append([]byte{c.sel}, buf...)
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d-%s", i, order))
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
 
 // TestGenCDRCorpus writes the committed seed corpus for FuzzCDRDecode from
 // golden values marshalled by our own encoder: one seed per TypeCode shape,

@@ -47,56 +47,6 @@ func fuzzFloatEq(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// FuzzCanonicalCDR feeds arbitrary bytes to the value decoder and pushes
-// whatever decodes through the canonical re-marshalling the reply-digest
-// protocol hashes. Canonicalisation must never panic, must accept every
-// value the decoder produces, must be idempotent (the canonical form is a
-// fixed point), and must preserve the value up to the normalisations it
-// exists to perform (NaN payloads, zero signs).
-func FuzzCanonicalCDR(f *testing.F) {
-	f.Add([]byte{9, 0x7F, 0xF8, 0, 0, 0, 0, 0, 1}) // Double NaN, odd payload
-	f.Add([]byte{9, 0x80, 0, 0, 0, 0, 0, 0, 0})    // Double -0
-	f.Add([]byte{16, 0, 0, 0, 7, 0, 0, 0, 9})      // struct Point
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		tc := fuzzTypeCodes[int(data[0])%len(fuzzTypeCodes)]
-		for _, order := range []ByteOrder{BigEndian, LittleEndian} {
-			v, err := Unmarshal(tc, data[1:], order)
-			if err != nil {
-				continue
-			}
-			canon, err := CanonicalMarshal(tc, v)
-			if err != nil {
-				t.Fatalf("%s: decoded value has no canonical form: %v", tc, err)
-			}
-			// Idempotence: re-decoding the canonical bytes and canonicalising
-			// again must reproduce them exactly.
-			v2, err := Unmarshal(tc, canon, CanonicalOrder)
-			if err != nil {
-				t.Fatalf("%s: canonical bytes do not decode: %v", tc, err)
-			}
-			canon2, err := CanonicalMarshal(tc, v2)
-			if err != nil {
-				t.Fatalf("%s: canonical value does not re-canonicalise: %v", tc, err)
-			}
-			if !bytes.Equal(canon, canon2) {
-				t.Fatalf("%s: canonical form is not a fixed point:\n%x\n%x", tc, canon, canon2)
-			}
-			// Value preservation: canonicalisation only normalises float
-			// representation, which NaN-tolerant equality cannot see.
-			eq, err := EqualValues(tc, v, v2, fuzzFloatEq)
-			if err != nil {
-				t.Fatalf("%s: comparing canonicalised value: %v", tc, err)
-			}
-			if !eq {
-				t.Fatalf("%s: canonicalisation changed the value: %v != %v", tc, v, v2)
-			}
-		}
-	})
-}
-
 // FuzzCDRDecode feeds arbitrary bytes to the value decoder under every
 // TypeCode shape and both byte orders. Byzantine replicas reach this code
 // with attacker-controlled bytes, so it must never panic, hang, or

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"itdos/internal/cdr"
+	"itdos/internal/replica"
 )
 
 // inProcCallers is how many closed-loop callers BenchmarkInProcCall runs,
@@ -22,37 +23,58 @@ const inProcCallers = 32
 //
 //	go test -run '^$' -bench InProcCall -cpuprofile cpu.out ./internal/cluster
 //
-// add is the 16-byte add() call; echo16k echoes a fresh 16 KiB string.
+// add is the 16-byte add() call; echo16k echoes a fresh 16 KiB string. Each
+// has a -tentative sibling that runs it with tentative execution on in every
+// process, which prices the one fast path left behind a setting.
 func BenchmarkInProcCall(b *testing.B) {
 	if testing.Short() {
 		b.Skip("starts a five-node loopback cluster")
 	}
-	b.Run("add", func(b *testing.B) {
-		benchInProcCall(b, "add", func(i int) ([]cdr.Value, cdr.Value) {
-			x := float64(i)
-			return []cdr.Value{x, 0.5}, x + 0.5
+	add := func(i int) ([]cdr.Value, cdr.Value) {
+		x := float64(i)
+		return []cdr.Value{x, 0.5}, x + 0.5
+	}
+	echo16k := func(i int) ([]cdr.Value, cdr.Value) {
+		head := fmt.Sprintf("call-%d-", i)
+		s := head + strings.Repeat(string(rune('a'+i%26)), 16<<10-len(head))
+		return []cdr.Value{s}, s
+	}
+	tentative := func(string) NodeOptions {
+		return NodeOptions{Tweak: func(cfg *replica.SystemConfig) { cfg.TentativeExecution = true }}
+	}
+	for _, w := range []struct {
+		name    string
+		op      string
+		bytes   int64
+		call    func(i int) ([]cdr.Value, cdr.Value)
+		optsFor func(process string) NodeOptions
+	}{
+		{"add", "add", 0, add, nil},
+		{"echo16k", "echo", 16 << 10, echo16k, nil},
+		{"add-tentative", "add", 0, add, tentative},
+		{"echo16k-tentative", "echo", 16 << 10, echo16k, tentative},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			if w.bytes > 0 {
+				b.SetBytes(w.bytes)
+			}
+			benchInProcCall(b, w.op, w.call, w.optsFor)
 		})
-	})
-	b.Run("echo16k", func(b *testing.B) {
-		b.SetBytes(16 << 10)
-		benchInProcCall(b, "echo", func(i int) ([]cdr.Value, cdr.Value) {
-			head := fmt.Sprintf("call-%d-", i)
-			s := head + strings.Repeat(string(rune('a'+i%26)), 16<<10-len(head))
-			return []cdr.Value{s}, s
-		})
-	})
+	}
 }
 
 // benchInProcCall runs b.N calls of op, the i-th with call(i)'s arguments,
-// and fails on any error or on a decided value other than call(i)'s.
-func benchInProcCall(b *testing.B, op string, call func(i int) ([]cdr.Value, cdr.Value)) {
+// on a cluster started with optsFor (nil: the defaults), and fails on any
+// error or on a decided value other than call(i)'s.
+func benchInProcCall(b *testing.B, op string, call func(i int) ([]cdr.Value, cdr.Value),
+	optsFor func(process string) NodeOptions) {
 	spec := &Spec{
 		Seed: 1, F: 1, Domain: "calc", Secret: "inproc-bench",
 		SendTimeoutMS: 500, MaxBatch: 16, BatchWaitMS: 2,
 		Nodes: []NodeSpec{{Name: "node0"}, {Name: "node1"}, {Name: "node2"}, {Name: "node3"},
 			{Name: "load", Pool: inProcCallers}},
 	}
-	cl, err := StartInProc(spec, nil)
+	cl, err := StartInProc(spec, optsFor)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -42,8 +42,9 @@ func eqCalls() []eqCall {
 	return calls
 }
 
-// canonical renders decided reply values transport-independently: exact
-// value bytes, no timing. Wall-clock anything stays out of the comparison.
+// canonical renders decided reply values transport-independently: their
+// big-endian CDR bytes, no timing. Wall-clock anything stays out of the
+// comparison.
 func canonical(t *testing.T, vals []cdr.Value) string {
 	t.Helper()
 	out := ""
@@ -52,9 +53,9 @@ func canonical(t *testing.T, vals []cdr.Value) string {
 		if _, ok := v.(string); ok {
 			tc = cdr.String
 		}
-		b, err := cdr.CanonicalMarshal(tc, v)
+		b, err := cdr.Marshal(tc, v, cdr.BigEndian)
 		if err != nil {
-			t.Fatalf("canonical marshal: %v", err)
+			t.Fatalf("marshal: %v", err)
 		}
 		out += fmt.Sprintf("%x;", b)
 	}

@@ -8,31 +8,30 @@ import (
 )
 
 func TestRequestFlagsRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ re, dig, ro bool }{
-		{false, false, false}, {true, false, false}, {true, true, false},
-		{true, false, true}, {true, true, true}, {false, true, true},
+	for _, tc := range []struct{ re, ro bool }{
+		{false, false}, {true, false}, {true, true}, {false, true},
 	} {
 		req := &Request{
 			RequestID: 5, ObjectKey: "k", Interface: "IDL:I:1.0", Operation: "op",
-			ResponseExpected: tc.re, DigestOK: tc.dig, ReadOnly: tc.ro,
+			ResponseExpected: tc.re, ReadOnly: tc.ro,
 		}
 		msg, err := Decode(EncodeRequest(cdr.BigEndian, req))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := msg.Request
-		if got.ResponseExpected != tc.re || got.DigestOK != tc.dig || got.ReadOnly != tc.ro {
-			t.Fatalf("flags %+v round-tripped as RE=%v DigestOK=%v ReadOnly=%v",
-				tc, got.ResponseExpected, got.DigestOK, got.ReadOnly)
+		if got.ResponseExpected != tc.re || got.ReadOnly != tc.ro {
+			t.Fatalf("flags %+v round-tripped as RE=%v ReadOnly=%v",
+				tc, got.ResponseExpected, got.ReadOnly)
 		}
 	}
 }
 
-// TestFlagOctetBackwardCompatible pins the wire discipline the fast paths
-// rely on: the new flags live in the octet that legacy encoders wrote as
-// exactly 0 or 1 for response_expected, so with both flags clear the
-// encoding is byte-identical to the legacy stream, and setting a flag
-// changes exactly that one octet.
+// TestFlagOctetBackwardCompatible pins the wire discipline the read-only
+// fast path relies on: its flag lives in the octet that legacy encoders
+// wrote as exactly 0 or 1 for response_expected, so with the flag clear the
+// encoding is byte-identical to the legacy stream, and setting it changes
+// exactly that one octet.
 func TestFlagOctetBackwardCompatible(t *testing.T) {
 	base := &Request{
 		RequestID: 9, ObjectKey: "k", Interface: "IDL:I:1.0", Operation: "op",
@@ -40,15 +39,15 @@ func TestFlagOctetBackwardCompatible(t *testing.T) {
 	}
 	plain := EncodeRequest(cdr.LittleEndian, base)
 
-	flagged := *base
-	flagged.DigestOK = true
-	dig := EncodeRequest(cdr.LittleEndian, &flagged)
-	if len(dig) != len(plain) {
-		t.Fatalf("flag changed message length: %d vs %d", len(dig), len(plain))
+	ro := *base
+	ro.ReadOnly = true
+	roBuf := EncodeRequest(cdr.LittleEndian, &ro)
+	if len(roBuf) != len(plain) {
+		t.Fatalf("flag changed message length: %d vs %d", len(roBuf), len(plain))
 	}
 	diff := -1
 	for i := range plain {
-		if plain[i] != dig[i] {
+		if plain[i] != roBuf[i] {
 			if diff != -1 {
 				t.Fatalf("flag changed more than one octet: %d and %d", diff, i)
 			}
@@ -56,21 +55,39 @@ func TestFlagOctetBackwardCompatible(t *testing.T) {
 		}
 	}
 	if diff == -1 {
-		t.Fatal("DigestOK flag not encoded")
+		t.Fatal("ReadOnly flag not encoded")
 	}
-	if plain[diff] != flagResponseExpected || dig[diff] != flagResponseExpected|flagDigestOK {
+	if plain[diff] != flagResponseExpected || roBuf[diff] != flagResponseExpected|flagReadOnly {
 		t.Fatalf("flag octet %#x -> %#x, want %#x -> %#x",
-			plain[diff], dig[diff], flagResponseExpected, flagResponseExpected|flagDigestOK)
+			plain[diff], roBuf[diff], flagResponseExpected, flagResponseExpected|flagReadOnly)
 	}
+}
 
-	ro := *base
-	ro.ReadOnly = true
-	roBuf := EncodeRequest(cdr.LittleEndian, &ro)
-	if roBuf[diff] != flagResponseExpected|flagReadOnly {
-		t.Fatalf("ReadOnly octet = %#x, want %#x", roBuf[diff], flagResponseExpected|flagReadOnly)
+// TestUnassignedFlagBitsIgnored: a response-flags octet with any unassigned
+// bit set (bit 1, bits 3–7) decodes as if the bit were clear and re-encodes
+// without it.
+func TestUnassignedFlagBitsIgnored(t *testing.T) {
+	base := &Request{
+		RequestID: 9, ObjectKey: "k", Interface: "IDL:I:1.0", Operation: "op",
+		ResponseExpected: true, ReadOnly: true, Body: []byte{1, 2, 3},
 	}
-	if !bytes.Equal(append(append([]byte{}, roBuf[:diff]...), roBuf[diff+1:]...),
-		append(append([]byte{}, plain[:diff]...), plain[diff+1:]...)) {
-		t.Fatal("ReadOnly changed octets beyond the flag octet")
+	plain := EncodeRequest(cdr.LittleEndian, base)
+	// The flag octet is the last one holding its value before the body's
+	// length prefix: only zero alignment padding lies between them.
+	at := bytes.LastIndexByte(plain[:len(plain)-len(base.Body)-4], flagResponseExpected|flagReadOnly)
+	for _, bit := range []byte{1 << 1, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7} {
+		wire := bytes.Clone(plain)
+		wire[at] |= bit
+		msg, err := Decode(wire)
+		if err != nil {
+			t.Fatalf("bit %#x: %v", bit, err)
+		}
+		got := msg.Request
+		if !got.ResponseExpected || !got.ReadOnly {
+			t.Fatalf("bit %#x: flags decoded as RE=%v ReadOnly=%v", bit, got.ResponseExpected, got.ReadOnly)
+		}
+		if again := EncodeRequest(cdr.LittleEndian, got); !bytes.Equal(again, plain) {
+			t.Fatalf("bit %#x survived a re-encode", bit)
+		}
 	}
 }

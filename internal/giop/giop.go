@@ -101,17 +101,11 @@ type Request struct {
 	// ResponseExpected is false for oneway operations.
 	ResponseExpected bool
 
-	// DigestOK marks a request whose sender accepts digest replies: the
-	// designated responder returns the full reply, every other replica a
-	// canonical-form digest (Castro–Liskov digest replies re-derived for
-	// heterogeneous replicas). Carried in bit 1 of the response-flags octet,
-	// which legacy encoders always wrote as 0 or 1 — so requests without the
-	// flag are byte-identical to the pre-digest wire form.
-	DigestOK bool
-
 	// ReadOnly marks an invocation the client may multicast directly,
 	// bypassing the ordering protocol (Castro–Liskov read-only
-	// optimisation). Carried in bit 2 of the response-flags octet.
+	// optimisation). Carried in bit 2 of the response-flags octet, which
+	// legacy encoders always wrote as 0 or 1 — so a request without the
+	// flag is byte-identical to the legacy wire form.
 	ReadOnly bool
 
 	// Body is the CDR-encoded input parameter list, marshalled in the byte
@@ -120,11 +114,11 @@ type Request struct {
 }
 
 // Request flag bits inside the response-flags octet. Bit 0 is the GIOP
-// response_expected boolean; the upper bits are ITDOS extensions that
-// legacy streams never set.
+// response_expected boolean; bit 2 is an ITDOS extension that legacy
+// streams never set. Every other bit is unassigned: never written, and
+// ignored on decode.
 const (
 	flagResponseExpected = 1 << 0
-	flagDigestOK         = 1 << 1
 	flagReadOnly         = 1 << 2
 )
 
@@ -134,9 +128,6 @@ func (r *Request) flags() byte {
 	if r.ResponseExpected {
 		b |= flagResponseExpected
 	}
-	if r.DigestOK {
-		b |= flagDigestOK
-	}
 	if r.ReadOnly {
 		b |= flagReadOnly
 	}
@@ -145,7 +136,6 @@ func (r *Request) flags() byte {
 
 func (r *Request) setFlags(b byte) {
 	r.ResponseExpected = b&flagResponseExpected != 0
-	r.DigestOK = b&flagDigestOK != 0
 	r.ReadOnly = b&flagReadOnly != 0
 }
 
@@ -255,9 +245,8 @@ func AppendRequest(dst []byte, order cdr.ByteOrder, r *Request) []byte {
 		e.WriteString(r.Interface)
 		e.WriteString(r.Operation)
 		// The response-flags octet: bit 0 is response_expected (a plain CDR
-		// boolean for legacy requests), bits 1-2 the ITDOS digest/read-only
-		// extensions. A request without extensions encodes exactly as the old
-		// WriteBoolean did.
+		// boolean for legacy requests), bit 2 the ITDOS read-only extension.
+		// A request without it encodes exactly as the old WriteBoolean did.
 		e.WriteOctet(r.flags())
 		e.WriteOctets(r.Body)
 	})

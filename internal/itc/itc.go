@@ -7,7 +7,7 @@
 // two-level feedback-control shape of Hammar & Stadler (DSN 2024) and the
 // proactive-recovery hygiene of SecureSMART, the controller subscribes to
 // the existing signals (voter FaultReports, SMIOP rejected-proof and
-// share-tamper attributions, digest/read-only fallbacks) and maintains a
+// share-tamper attributions) and maintains a
 // per-replica suspicion score with exponential time decay on the virtual
 // clock. Crossing thresholds drives three responses through the Group
 // Manager, in increasing severity:
@@ -18,8 +18,8 @@
 //  2. Expulsion: when one member's suspicion crosses expelThreshold and
 //     the controller holds transferable evidence (a signed-message proof
 //     meeting the §3.6 bar), it files a change_request. Weak signals
-//     (fallback attributions, tampered shares) raise suspicion but can
-//     never expel on their own.
+//     (tampered shares, rejected proofs) raise suspicion but can never
+//     expel on their own.
 //  3. Proactive recovery: independent of suspicion, replicas rotate
 //     through restart-from-clean-state + state-transfer resync on a fixed
 //     cadence, at most f per domain (and never the active primary) so the
@@ -58,8 +58,7 @@ const (
 	// faultWeight is the score added per voter fault report.
 	faultWeight = 1
 	// weakWeight is the score added per weak, unprovable signal — a
-	// fallback attributed to a designated responder, a tampered key
-	// share, a rejected proof.
+	// tampered key share, a rejected proof.
 	weakWeight = 0.25
 	// maxConcurrentRecoveries caps in-flight recoveries (also capped at f
 	// per domain regardless).
@@ -336,14 +335,6 @@ func (c *Controller) ObserveFault(domain string, member int, acc *smiop.ChangeRe
 		c.evidence[memberKey{domain, member}] = acc
 	}
 	c.maybeExpel(memberKey{domain, member})
-}
-
-// ObserveFallback records a reply-path fallback attributed to a
-// designated responder — weak evidence (a stalled digest vote does not
-// prove which member lied), so it only raises suspicion.
-func (c *Controller) ObserveFallback(domain string, member int) {
-	c.record(flight.KindDigestFallback, fmt.Sprintf("member=%s/r%d", domain, member))
-	c.bump(domain, member, weakWeight)
 }
 
 // ObserveShareTamper records a corrupt DPRF share attributed to a Group

@@ -94,7 +94,6 @@ func TestWeakSignalsNeverExpel(t *testing.T) {
 	// Pile weak signals far past the threshold: no decay to speak of, the
 	// score crosses 1.5, but with no transferable evidence nothing files.
 	for i := 0; i < 20; i++ {
-		ctrl.ObserveFallback("calc", 2)
 		ctrl.ObserveRejectedProof("calc", 2)
 	}
 	if s := ctrl.Suspicion("calc", 2); s < 1.5 {

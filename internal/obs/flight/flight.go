@@ -48,9 +48,9 @@ const (
 	// KindProofRejected: the Group Manager rejected a change_request's
 	// proof (groupmgr), or the controller observed the rejection (itc).
 	KindProofRejected
-	// KindDigestFallback: a digest-reply or read-only fast path fell back
-	// to the ordered/full path (smiop or itc observation).
-	KindDigestFallback
+	// KindFallback: a read-only or tentative fast path fell back to the
+	// ordered, plain vote (smiop).
+	KindFallback
 	// KindShareTamper: a corrupt DPRF key share was attributed to a Group
 	// Manager element (itc observation).
 	KindShareTamper
@@ -85,7 +85,7 @@ var kindNames = [...]string{
 	KindVoteDecided:       "vote-decided",
 	KindFaultReported:     "fault-reported",
 	KindProofRejected:     "proof-rejected",
-	KindDigestFallback:    "digest-fallback",
+	KindFallback:          "fallback",
 	KindShareTamper:       "share-tamper",
 	KindRekey:             "rekey",
 	KindExpulsionFiled:    "expulsion-filed",

@@ -218,7 +218,7 @@ func TestKindStringsStable(t *testing.T) {
 		KindVoteDecided:      "vote-decided",
 		KindFaultReported:    "fault-reported",
 		KindProofRejected:    "proof-rejected",
-		KindDigestFallback:   "digest-fallback",
+		KindFallback:         "fallback",
 		KindShareTamper:      "share-tamper",
 		KindRekey:            "rekey",
 		KindExpulsionFiled:   "expulsion-filed",

@@ -301,11 +301,11 @@ func (a *Ed25519Auth) Verify(sender string, d Digest, sig []byte) bool {
 // SignDigest is Ed25519 over the 32-byte digest d by the holder of priv. It
 // and VerifyDigest are the system's one Ed25519 pair: every signature covers
 // the SHA-256 of a preimage its layer hashes where the bytes lie — a PBFT
-// message's signingBytes, a SMIOP data, digest or reply-root context
-// (smiop.DataSigningDigest, DigestSigningDigest, RootDigest) — so all of
-// them move together. Ed25519 runs SHA-512 over its
-// whole input twice to sign and once to verify; over a 32-byte commitment
-// the message's bytes are hashed once, at SHA-256's speed. A signature binds
+// message's signingBytes, a SMIOP data or reply-root context
+// (smiop.DataSigningDigest, RootDigest) — so all of them move together.
+// Ed25519 runs SHA-512 over its whole input twice to sign and once to
+// verify; over a 32-byte commitment the message's bytes are hashed once, at
+// SHA-256's speed. A signature binds
 // its preimage only as far as SHA-256 resists collisions, which ordering
 // already assumes of every digest it certifies (DESIGN §4).
 func SignDigest(priv ed25519.PrivateKey, d Digest) []byte {

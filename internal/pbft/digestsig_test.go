@@ -300,9 +300,9 @@ func TestDigestSignatureDomains(t *testing.T) {
 
 	// Root signatures: a root built over the data preimage's own leaf.
 	priv := privs["client:x"]
-	digestDigest := smiop.DigestSigningDigest(1, 1, "client:x", 0, op[:smiop.DigestSize])
+	otherData := smiop.DataSigningDigest(1, 2, "client:x", 0, false, op)
 	sign := func(d []byte) []byte { return SignDigest(priv, Digest(d)) }
-	sigs, err := smiop.SignReplyBatch([][32]byte{dataDigest, digestDigest}, sign)
+	sigs, err := smiop.SignReplyBatch([][32]byte{dataDigest, otherData}, sign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestDigestSignatureDomains(t *testing.T) {
 	if _, err := Decode(rootPre); err == nil {
 		t.Error("a root preimage decodes as a PBFT message")
 	}
-	for name, d := range map[string]Digest{"data": dataDigest, "digest": digestDigest,
+	for name, d := range map[string]Digest{"data": dataDigest, "other data": otherData,
 		"PBFT": sha256.Sum256(signingBytes(req))} {
 		if VerifyDigest(pub, d, b.Sig) {
 			t.Errorf("root signature verified as a %s signature", name)

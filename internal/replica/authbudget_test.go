@@ -25,7 +25,7 @@ type smiopBudget struct {
 
 type smiopCounts struct {
 	Calls int `json:"calls"`
-	// Signs is data and digest signatures made, callers and elements.
+	// Signs is data signatures made, callers and elements.
 	Signs int `json:"signs"`
 	// ElementVerifies is payload signatures checked on request copies,
 	// CallerVerifies on reply copies (passed or failed); CallerMemo reply

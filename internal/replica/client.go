@@ -106,7 +106,8 @@ func (c *Client) CallAndRun(ref orb.ObjectRef, op string, args []cdr.Value, maxE
 }
 
 // onInbox handles direct messages: server replies and Group Manager key
-// shares (driver thread). A frame that does not decode counts as dropped.
+// shares (driver thread). A frame that does not decode, or whose kind this
+// inbox does not take, counts as dropped.
 func (c *Client) onInbox(payload []byte) {
 	env, err := smiop.DecodeEnvelope(payload)
 	if err != nil {
@@ -117,9 +118,7 @@ func (c *Client) onInbox(payload []byte) {
 	// straight into its reassembly buffer.
 	env.Owned = true
 	switch env.Kind {
-	case smiop.KindData, smiop.KindDigest:
-		// Digest envelopes take the same delivery path as data replies; the
-		// stream routes them into the digest vote.
+	case smiop.KindData:
 		c.handleData(env)
 	case smiop.KindKeyShare:
 		bundle, err := smiop.DecodeShareBundle(env.Payload)
@@ -130,6 +129,8 @@ func (c *Client) onInbox(payload []byte) {
 		// Direct sends are unauthenticated at the transport level; the
 		// pairwise-sealed share authenticates the Group Manager element.
 		c.handleBundle(bundle, nil)
+	default:
+		c.mDropped.Inc()
 	}
 }
 

@@ -225,68 +225,21 @@ func (el *Element) serve(cs *connState, val *smiop.MessageVal, tentative bool) {
 	reply.Tentative = tentative
 	// The results marshal once, into the message the cache keeps.
 	giopBytes := giop.EncodeReply(el.profile.Order, reply)
-	// Always cache the FULL reply: retries and digest fallbacks are
-	// answered with full replies regardless of how this copy went out.
-	// The cached bytes keep the tentative flag as sent, so retried votes
-	// compare identical copies across the group.
+	// The reply is cached for retries and fallbacks. The cached bytes keep
+	// the tentative flag as sent, so retried votes compare identical copies
+	// across the group.
 	cs.cachedReplyID = req.RequestID
 	cs.cachedReplyGIOP = giopBytes
-	if el.sys.cfg.DigestReplies && req.DigestOK && cs.peer.N == 1 {
-		responder := smiop.DesignatedResponder(req.RequestID, el.local.N, cs.conn.LocalExpelled)
-		if el.member != responder && el.sendDigestReply(cs, req.RequestID, val, giopBytes) {
-			return
-		}
-		// Designated responder — or digest computation failed: send full.
-	}
 	el.sendReply(cs, req.RequestID, giopBytes)
-}
-
-// sendDigestReply sends the canonical digest of the reply giopBytes encodes
-// directly to the singleton client instead of the full GIOP bytes. Returns
-// false when the digest could not be built (the caller falls back to a full
-// reply).
-func (el *Element) sendDigestReply(cs *connState, requestID uint64,
-	val *smiop.MessageVal, giopBytes []byte) bool {
-
-	// Digest the same (status, exception, values) tuple the client-side
-	// voter compares: the reply as sent, its results unmarshalled for
-	// non-exception replies, void otherwise.
-	msg, err := giop.Decode(giopBytes)
-	if err != nil || msg.Reply == nil {
-		return false
-	}
-	reply := msg.Reply
-	tc := cdr.Void
-	var body cdr.Value
-	if reply.Status == giop.StatusNoException {
-		op, err := el.sys.registry.Lookup(val.Interface, val.Operation)
-		if err != nil {
-			return false
-		}
-		tc = op.ResultsType()
-		body, err = cdr.Unmarshal(tc, reply.Body, el.profile.Order)
-		if err != nil {
-			return false
-		}
-	}
-	digest, err := smiop.CanonicalReplyDigest(val.Interface, val.Operation,
-		reply.Status, reply.Exception, tc, body)
-	if err != nil {
-		return false
-	}
-	frame := cs.conn.SealSignedDigest(requestID, digest, el.sign)
-	el.sys.cfg.Metrics.Counter("element_digest_replies_total", "domain="+el.local.Name).Inc()
-	el.sys.tr.Send(netsim.NodeID(el.identity),
-		netsim.NodeID(clientInboxAddr(cs.peer.Name)), frame.B, frame)
-	return true
 }
 
 // onDirectInbox handles a read-only fast-path request arriving on the
 // direct (unordered) channel — driver thread. Anything malformed, unkeyed,
 // or not eligible is dropped: the client's fallback timer turns a dropped
 // direct request into an ordered retry, so dropping is always safe. A frame
-// that fails to decode, open or verify is counted (smiop_dropped_total), and
-// its signature check is counted as a voted copy's (smiop_sig_checks_total).
+// that fails to decode, open or verify, or whose kind this inbox does not
+// take, is counted (smiop_dropped_total), and its signature check is counted
+// as a voted copy's (smiop_sig_checks_total).
 func (el *Element) onDirectInbox(payload []byte) {
 	if el.Desynced {
 		return
@@ -296,7 +249,11 @@ func (el *Element) onDirectInbox(payload []byte) {
 		el.mDropped.Inc()
 		return
 	}
-	if env.Kind != smiop.KindData || env.Reply || env.FragCount > 1 {
+	if env.Kind != smiop.KindData {
+		el.mDropped.Inc()
+		return
+	}
+	if env.Reply || env.FragCount > 1 {
 		return
 	}
 	// The delivery is this inbox's alone: it opens in place.

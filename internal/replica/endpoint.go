@@ -137,11 +137,10 @@ type endpoint struct {
 	mConnRetries *obs.Counter
 	mCallResends *obs.Counter // requests re-sent because their plain vote stayed undecided
 	mFragsOut    *obs.Counter
-	mSigns       *obs.Counter // data and digest signatures made
-	mDropped     *obs.Counter // direct-path frames that fail to decode, open or verify
+	mSigns       *obs.Counter // data signatures made
+	mDropped     *obs.Counter // direct-path frames refused: undecodable, unopened, unverified or of a kind not taken
 
 	// Reply fast-path counters.
-	mDigestCalls    *obs.Counter
 	mReadOnlyCalls  *obs.Counter
 	mReadOnlyAborts *obs.Counter
 	mTentCalls      *obs.Counter
@@ -173,7 +172,6 @@ func (ep *endpoint) init(sys *System, identity string, local smiop.PeerInfo, mem
 		ep.mFragsOut = r.Counter("smiop_fragments_total", "dir=out")
 		ep.mSigns = r.Counter("smiop_signatures_total")
 		ep.mDropped = r.Counter("smiop_dropped_total")
-		ep.mDigestCalls = r.Counter("digest_replies_armed_total")
 		ep.mReadOnlyCalls = r.Counter("readonly_fastpath_total")
 		ep.mReadOnlyAborts = r.Counter("readonly_fastpath_aborts_total")
 		ep.mTentCalls = r.Counter("tentative_replies_armed_total")
@@ -261,10 +259,8 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 	// the features off every request keeps the legacy wire form. The ORB
 	// sets req.ReadOnly from the registry, so the IDL declaration alone
 	// sends an operation down the direct path.
-	cfg := &ep.sys.cfg
 	fast := ep.local.N == 1 && cs.peer.N > 1
 	req.ReadOnly = fast && req.ReadOnly
-	req.DigestOK = false
 	var direct *pool.Buffer
 	if req.ReadOnly {
 		// The direct path delivers whole envelopes only (no reassembly
@@ -289,16 +285,8 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 	switch {
 	case req.ReadOnly:
 		policy, armed = smiop.ReadOnlyReply, ep.mReadOnlyCalls
-	case fast && cfg.TentativeExecution:
-		// Subsumes digest mode for the same invocation: the speculative
-		// reply arrives before a digest vote could close anyway.
+	case fast && ep.sys.cfg.TentativeExecution:
 		policy, armed = smiop.TentativeReply, ep.mTentCalls
-	case fast && cfg.DigestReplies:
-		policy = smiop.DigestReply(smiop.DesignatedResponder(reqID, cs.peer.N, func(m int) bool {
-			return cs.conn.Expelled(uint32(m))
-		}))
-		armed = ep.mDigestCalls
-		req.DigestOK = true
 	}
 	if err := cs.stream.Expect(reqID, ref.Interface, req.Operation, policy); err != nil {
 		if direct != nil {
@@ -330,7 +318,7 @@ func (ep *endpoint) Invoke(ref orb.ObjectRef, req *giop.Request) (*giop.Reply, c
 // fallback land. Under the request's own id, elements that already executed it
 // answer from their reply caches, so it still executes at most once.
 func (ep *endpoint) requestFull(cs *connState, ref orb.ObjectRef, req *giop.Request) error {
-	req.ReadOnly, req.DigestOK = false, false
+	req.ReadOnly = false
 	if err := cs.stream.ExpectReply(req.RequestID, ref.Interface, req.Operation); err != nil {
 		return fmt.Errorf("replica: %s: %w", ep.identity, err)
 	}
@@ -382,9 +370,9 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 	policy smiop.ReplyPolicy) (*giop.Reply, cdr.ByteOrder, error) {
 
 	for resends := 0; ; {
-		// Fast-path liveness: a silent designated responder, dropped
-		// direct requests or stalled speculation never trip the voter's
-		// stall detection, so a virtual-time timeout forces the fallback.
+		// Fast-path liveness: dropped direct requests or stalled
+		// speculation never trip the voter's stall detection, so a
+		// virtual-time timeout forces the fallback.
 		wait, signal := ep.sys.cfg.SendTimeout, any(fallbackSignal{})
 		plain := policy.Fallback == smiop.FallbackNone
 		if plain {
@@ -424,11 +412,6 @@ func (ep *endpoint) awaitReply(cs *connState, ref orb.ObjectRef, req *giop.Reque
 			}
 		case fallbackSignal:
 			cs.stream.NoteFallback() // idempotent when the stream fired it
-			if ctrl := ep.sys.itc; ctrl != nil && policy.Digest {
-				// A stalled digest vote implicates its designated
-				// responder without proving anything — weak signal.
-				ctrl.ObserveFallback(cs.peer.Name, policy.Responder)
-			}
 			if policy.Fallback == smiop.FallbackFreshID {
 				req.RequestID = cs.conn.NextRequestID()
 			}
@@ -612,8 +595,7 @@ func (ep *endpoint) fileChangeRequest(cs *connState, report vote.FaultReport) {
 			}
 		}
 		// The Group Manager's §3.6 bar is f+2 proof items (the accused plus
-		// f+1 agreeing signed messages). Digest-phase reports cannot meet it
-		// — their supporters are bare digests, not signed full messages.
+		// f+1 agreeing signed messages).
 		provable := len(cr.Proof) >= cs.peer.F+2
 		if ctrl := ep.sys.itc; ctrl != nil {
 			// Graduated response: the observation feeds the controller's
@@ -772,20 +754,13 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 		fmt.Sprintf("conn=%d", b.ConnID), fmt.Sprintf("era=%d", b.Era))
 	defer isp.End()
 
-	expelledPeer, expelledLocal := b.ExpelledTarget, b.ExpelledInitiator
+	expelledPeer := b.ExpelledTarget
 	if !initiator {
-		expelledPeer, expelledLocal = b.ExpelledInitiator, b.ExpelledTarget
+		expelledPeer = b.ExpelledInitiator
 	}
 	exp := make([]int, 0, len(expelledPeer))
 	for _, m := range expelledPeer {
 		exp = append(exp, int(m))
-	}
-	// Both sides also track the local domain's expulsions so the designated
-	// responder rotation (digest replies) converges to the same member on
-	// the client and on every element.
-	expLocal := make([]int, 0, len(expelledLocal))
-	for _, m := range expelledLocal {
-		expLocal = append(expLocal, int(m))
 	}
 
 	if cs, ok := ep.conns[b.ConnID]; ok {
@@ -793,7 +768,6 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 		// call on this connection can no longer complete (its reply may be
 		// sealed under the dead key): it re-sends under the new one.
 		cs.conn.Rekey(b.Era, key, exp)
-		cs.conn.ExpelLocal(expLocal)
 		if w := ep.waiting; w != nil && w.kind == waitReply && w.connID == b.ConnID {
 			ep.resume(rekeySignal{})
 		}
@@ -807,7 +781,6 @@ func (ep *endpoint) installConn(b *smiop.ShareBundle, peer smiop.PeerInfo, initi
 	if b.Era > 0 {
 		// Established mid-history: jump straight to the announced era.
 		conn.Rekey(b.Era, key, exp)
-		conn.ExpelLocal(expLocal)
 	}
 	stream, err := smiop.NewStream(conn, smiop.StreamConfig{
 		Registry:    ep.sys.registry,

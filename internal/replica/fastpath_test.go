@@ -14,6 +14,7 @@ import (
 	"itdos/internal/obs/flight"
 	"itdos/internal/orb"
 	"itdos/internal/smiop"
+	"itdos/internal/vote"
 )
 
 const kvIface = "IDL:test/KV:1.0"
@@ -116,168 +117,32 @@ func (ts *kvSys) connLabel(t *testing.T, client string) string {
 	return fmt.Sprintf("conn=%d", id)
 }
 
-func TestDigestRepliesHappyPath(t *testing.T) {
-	ts := newKVSystem(t, 11, func(cfg *SystemConfig) { cfg.DigestReplies = true })
-	alice := ts.sys.Client("alice")
-	const calls = 3
-	for i := 0; i < calls; i++ {
-		res, err := alice.CallAndRun(kvRef, "add",
-			[]cdr.Value{float64(i), float64(i + 1)}, 5_000_000)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if got := res[0].(float64); got != float64(2*i+1) {
-			t.Fatalf("call %d: result %v", i, got)
-		}
-	}
-	ts.sys.Net.Run(1_000_000)
-	// Ordered execution still happens on every replica.
-	for i, s := range ts.servants {
-		if s.mutations != calls {
-			t.Errorf("replica %d executed %d calls, want %d", i, s.mutations, calls)
-		}
-	}
-	// Per request: one full reply from the designated responder, N-1 short
-	// digests — counted on the per-connection series.
-	label := ts.connLabel(t, "alice")
-	if got := ts.metrics.Counter("smiop_digest_decisions_total", label).Value(); got != calls {
-		t.Errorf("digest decisions = %d, want %d", got, calls)
-	}
-	// The vote decides at full + f digests; stragglers arriving after the
-	// next call armed its vote are discarded before counting, so the exact
-	// tally is timing-dependent within [calls, 3*calls].
-	if got := ts.metrics.Counter("smiop_reply_digest_total", label).Value(); got < calls || got > 3*calls {
-		t.Errorf("digest replies = %d, want between %d and %d", got, calls, 3*calls)
-	}
-	if got := ts.metrics.Counter("smiop_reply_full_total", label).Value(); got != calls {
-		t.Errorf("full replies = %d, want %d", got, calls)
-	}
-	if got := ts.metrics.Counter("smiop_reply_fallback_total", label).Value(); got != 0 {
-		t.Errorf("fallbacks = %d, want 0", got)
-	}
-	if got := ts.metrics.Counter("digest_replies_armed_total").Value(); got != calls {
-		t.Errorf("armed = %d, want %d", got, calls)
-	}
-	// No fault reports: a digest mismatch never happened, and digests are
-	// not GM-verifiable evidence anyway.
-	if len(alice.FaultEvents) != 0 {
-		t.Errorf("fault events filed on the happy path: %+v", alice.FaultEvents)
-	}
-}
-
-// TestDigestPerConnectionLabels checks the per-connection metric series:
-// two clients, two connections, independently counted replies.
-func TestDigestPerConnectionLabels(t *testing.T) {
-	ts := newKVSystem(t, 12, func(cfg *SystemConfig) { cfg.DigestReplies = true })
+// TestReplyCountersPerConnection checks the per-connection metric series:
+// two clients, two connections, independently counted replies — every
+// member's full reply to each call, once the network has gone quiet.
+func TestReplyCountersPerConnection(t *testing.T) {
+	ts := newKVSystem(t, 12, nil)
 	alice, bob := ts.sys.Client("alice"), ts.sys.Client("bob")
-	if _, err := alice.CallAndRun(kvRef, "add", []cdr.Value{1.0, 2.0}, 5_000_000); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := bob.CallAndRun(kvRef, "add", []cdr.Value{3.0, 4.0}, 5_000_000); err != nil {
+	call := func(c *Client, a, b float64) {
+		t.Helper()
+		if _, err := c.CallAndRun(kvRef, "add", []cdr.Value{a, b}, 5_000_000); err != nil {
 			t.Fatal(err)
 		}
+		ts.sys.Net.Run(2_000_000)
+	}
+	call(alice, 1, 2)
+	for i := 0; i < 2; i++ {
+		call(bob, 3, 4)
 	}
 	la, lb := ts.connLabel(t, "alice"), ts.connLabel(t, "bob")
 	if la == lb {
 		t.Fatalf("clients share a connection label: %s", la)
 	}
-	if got := ts.metrics.Counter("smiop_reply_full_total", la).Value(); got != 1 {
-		t.Errorf("alice full replies = %d, want 1", got)
+	if got := ts.metrics.Counter("smiop_reply_full_total", la).Value(); got != 4 {
+		t.Errorf("alice full replies = %d, want 4", got)
 	}
-	if got := ts.metrics.Counter("smiop_reply_full_total", lb).Value(); got != 2 {
-		t.Errorf("bob full replies = %d, want 2", got)
-	}
-}
-
-// TestDigestLyingResponderFallsBack: the designated responder returns a
-// wrong full reply. Its canonical digest matches no honest digest, the
-// digest vote stalls, the client falls back to full replies — and still
-// decides the honest value, then files a change_request with proof.
-func TestDigestLyingResponderFallsBack(t *testing.T) {
-	ts := newKVSystem(t, 13, func(cfg *SystemConfig) { cfg.DigestReplies = true })
-	alice := ts.sys.Client("alice")
-	if _, err := alice.CallAndRun(kvRef, "add", []cdr.Value{1.0, 1.0}, 5_000_000); err != nil {
-		t.Fatal(err)
-	}
-	// Compromise exactly the member that will be the designated responder
-	// for the next request id.
-	id, _ := alice.ConnTo("kv")
-	nextID := alice.Conn(id).CurrentRequestID() + 1
-	liar := smiop.DesignatedResponder(nextID, 4, nil)
-	evil := orb.ServantFunc(func(_ *orb.CallContext, _ string, _ []cdr.Value) ([]cdr.Value, error) {
-		return []cdr.Value{666.0}, nil
-	})
-	if err := ts.sys.Domain("kv").Elements[liar].Adapter.Register("kv", kvIface, evil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := alice.CallAndRun(kvRef, "add", []cdr.Value{2.0, 3.0}, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].(float64); got != 5.0 {
-		t.Fatalf("lying responder's value won: %v", got)
-	}
-	label := ts.connLabel(t, "alice")
-	if got := ts.metrics.Counter("smiop_reply_fallback_total", label).Value(); got == 0 {
-		t.Error("no fallback recorded")
-	}
-	// The fallback's full-reply vote exposes the liar with verifiable
-	// evidence: the Group Manager expels it.
-	if err := ts.sys.RunUntil(func() bool {
-		for _, mgr := range ts.sys.GMManagers {
-			if !mgr.IsExpelled("kv", liar) {
-				return false
-			}
-		}
-		return true
-	}, 20_000_000); err != nil {
-		t.Fatalf("liar never expelled: %v (fault events %+v)", err, alice.FaultEvents)
-	}
-	// And the system keeps working under digest mode with the liar keyed
-	// out (the responder rotation skips it).
-	ts.sys.Net.Run(3_000_000)
-	res, err = alice.CallAndRun(kvRef, "add", []cdr.Value{4.0, 4.0}, 20_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].(float64); got != 8.0 {
-		t.Fatalf("post-expulsion result = %v", got)
-	}
-}
-
-// TestDigestFloatDivergenceFallsBack reruns the C3 mechanism under digest
-// mode: four platforms jitter their floats, so canonical digests scatter
-// and no f+1 digest class forms. The fallback's full-reply inexact vote
-// still decides.
-func TestDigestFloatDivergenceFallsBack(t *testing.T) {
-	profiles := []Profile{
-		{Order: cdr.BigEndian, FloatJitter: 1e-10, OS: "solaris", Lang: "cpp"},
-		{Order: cdr.LittleEndian, FloatJitter: 1e-10, OS: "linux", Lang: "java"},
-		{Order: cdr.BigEndian, FloatJitter: 1e-10, OS: "aix", Lang: "ada"},
-		{Order: cdr.LittleEndian, FloatJitter: 1e-10, OS: "hpux", Lang: "cpp"},
-	}
-	ts := newKVSystem(t, 14, func(cfg *SystemConfig) {
-		cfg.DigestReplies = true
-		cfg.Domains[0].Profiles = profiles
-		cfg.Epsilon = 1e-6
-	})
-	alice := ts.sys.Client("alice")
-	res, err := alice.CallAndRun(kvRef, "add", []cdr.Value{1.5, 2.5}, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res[0].(float64)
-	if got < 4.0-1e-6 || got > 4.0+1e-6 {
-		t.Fatalf("result %v outside epsilon of 4.0", got)
-	}
-	label := ts.connLabel(t, "alice")
-	if got := ts.metrics.Counter("smiop_reply_fallback_total", label).Value(); got == 0 {
-		t.Error("float divergence did not trigger the digest fallback")
-	}
-	// Jitter is honest platform behaviour, not a fault: nobody is accused.
-	if len(alice.FaultEvents) != 0 {
-		t.Errorf("fault events filed for float divergence: %+v", alice.FaultEvents)
+	if got := ts.metrics.Counter("smiop_reply_full_total", lb).Value(); got != 8 {
+		t.Errorf("bob full replies = %d, want 8", got)
 	}
 }
 
@@ -471,14 +336,11 @@ func TestReadOnlyLargeRequestAborts(t *testing.T) {
 
 // TestFastPathsOffNothingChanges: with every feature at its default (off)
 // and no operation declared read-only, no fast-path machinery engages — no
-// digest envelopes, no direct sends, no new counters.
+// direct sends, no new counters.
 func TestFastPathsOffNothingChanges(t *testing.T) {
 	ts := newKVSystem(t, 18, nil)
-	sawDigest, sawDirect := false, false
-	ts.sys.Net.AddFilter(func(_, to netsim.NodeID, payload []byte) ([]byte, bool) {
-		if env, err := smiop.DecodeEnvelope(payload); err == nil && env.Kind == smiop.KindDigest {
-			sawDigest = true
-		}
+	sawDirect := false
+	ts.sys.Net.AddFilter(func(_, to netsim.NodeID, _ []byte) ([]byte, bool) {
 		if strings.HasPrefix(string(to), "kv/r") && strings.HasSuffix(string(to), "/inbox") {
 			sawDirect = true
 		}
@@ -495,13 +357,10 @@ func TestFastPathsOffNothingChanges(t *testing.T) {
 	if got := res[0].(string); got != "x" {
 		t.Fatalf("get = %q, want x", got)
 	}
-	if sawDigest {
-		t.Error("digest envelope on the wire with DigestReplies off")
-	}
 	if sawDirect {
 		t.Error("direct element send with no operation declared read-only")
 	}
-	for _, name := range []string{"digest_replies_armed_total", "readonly_fastpath_total",
+	for _, name := range []string{"tentative_replies_armed_total", "readonly_fastpath_total",
 		"readonly_fastpath_aborts_total"} {
 		if got := ts.metrics.Counter(name).Value(); got != 0 {
 			t.Errorf("%s = %d, want 0", name, got)
@@ -552,15 +411,15 @@ func TestPlainVoteStallWithFlagsOn(t *testing.T) {
 		t.Errorf("fallbacks = %d, want 0", got)
 	}
 	for _, ev := range rec.Events("alice") {
-		if ev.Kind == flight.KindDigestFallback {
-			t.Errorf("digest-fallback flight event for a plain vote: %+v", ev)
+		if ev.Kind == flight.KindFallback {
+			t.Errorf("fallback flight event for a plain vote: %+v", ev)
 		}
 	}
 }
 
-// TestFastPathFlagMatrix runs one workload under every subset of the three
-// fast paths — the two flags and get's read-only declaration (R) — with and
-// without a lying replica. They choose a reply policy per call and nothing
+// TestFastPathFlagMatrix runs one workload under every subset of the two
+// fast paths — tentative execution (T) and get's read-only declaration (R)
+// — with and without a lying replica. They choose a reply policy per call and nothing
 // else: every subset must decide the same values, fall back at most once
 // per call, and expel at most f.
 func TestFastPathFlagMatrix(t *testing.T) {
@@ -585,13 +444,13 @@ func TestFastPathFlagMatrix(t *testing.T) {
 		}
 		return []cdr.Value{"evil"}, nil
 	})
-	for flags := 0; flags < 8; flags++ {
-		d, r, tent := flags&1 != 0, flags&2 != 0, flags&4 != 0
+	for flags := 0; flags < 4; flags++ {
+		r, tent := flags&1 != 0, flags&2 != 0
 		for _, lying := range []bool{false, true} {
-			name := fmt.Sprintf("D=%t,R=%t,T=%t,liar=%t", d, r, tent, lying)
+			name := fmt.Sprintf("R=%t,T=%t,liar=%t", r, tent, lying)
 			t.Run(name, func(t *testing.T) {
-				ts := newKVSystem(t, int64(100+flags), func(cfg *SystemConfig) {
-					cfg.DigestReplies, cfg.TentativeExecution = d, tent
+				ts := newKVSystem(t, int64(100+2*flags), func(cfg *SystemConfig) {
+					cfg.TentativeExecution = tent
 					cfg.Registry = kvRegistry(r)
 				})
 				if lying {
@@ -644,7 +503,9 @@ func TestFastPathFlagMatrix(t *testing.T) {
 // before its write would be (pool.SetPoison's 0xDB). With the read-only
 // get's requests to the elements poisoned, the get still decides on its
 // ordered retry; with every element's reply to the caller poisoned, nothing
-// decides. Either way the drops are counted.
+// decides. Either way the drops are counted. So is a well-formed envelope
+// of a kind the inbox does not take (7, the retired digest reply): one
+// frame moves the counter by one, and nothing is served or decided.
 func TestPoisonedDirectFramesCounted(t *testing.T) {
 	ts := newKVSystem(t, 21, declareGetReadOnly)
 	alice := ts.sys.Client("alice")
@@ -679,6 +540,37 @@ func TestPoisonedDirectFramesCounted(t *testing.T) {
 			}
 			if got := dropped.Value() - before; got == 0 {
 				t.Error("poisoned direct frames dropped uncounted")
+			}
+		})
+	}
+	ts.sys.Net.ClearFilters()
+	connID, _ := alice.ConnTo("kv")
+	decisions := ts.metrics.Counter("vote_decisions_total", "mode="+vote.EagerFPlus1.String())
+	for _, c := range []struct {
+		name             string
+		from, to, domain string
+		reply            bool
+	}{
+		{"element inbox, kind 7", "alice", elementInboxAddr("kv", 0), "alice", false},
+		{"caller inbox, kind 7", "kv/r0", clientInboxAddr("alice"), "kv", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts.sys.Net.Run(2_000_000)
+			before, decided := dropped.Value(), decisions.Value()
+			served := ts.sys.Domain("kv").Elements[0].ReadOnlyUpcalls
+			env := &smiop.Envelope{Kind: 7, ConnID: connID, SrcDomain: c.domain,
+				RequestID: alice.conns[connID].conn.CurrentRequestID(), Reply: c.reply,
+				Payload: make([]byte, 64)}
+			ts.sys.tr.Send(netsim.NodeID(c.from), netsim.NodeID(c.to), env.Encode())
+			ts.sys.Net.Run(2_000_000)
+			if got := dropped.Value() - before; got != 1 {
+				t.Errorf("smiop_dropped_total moved by %d, want 1", got)
+			}
+			if got := decisions.Value() - decided; got != 0 {
+				t.Errorf("%d votes decided", got)
+			}
+			if got := ts.sys.Domain("kv").Elements[0].ReadOnlyUpcalls - served; got != 0 {
+				t.Errorf("the element served %d requests", got)
 			}
 		})
 	}

@@ -113,13 +113,6 @@ type SystemConfig struct {
 	MaxBatch  int
 	BatchWait time.Duration
 
-	// DigestReplies enables the canonical-form reply-digest protocol
-	// (Castro-Liskov digest replies adapted to heterogeneous encodings):
-	// per request one designated element returns the full reply; the rest
-	// return a short digest over a canonical re-marshalling of the reply
-	// values. Off by default — the legacy wire streams stay byte-identical.
-	DigestReplies bool
-
 	// TentativeExecution enables Castro–Liskov speculative execution in
 	// the replication domains (not the Group Manager): elements execute
 	// prepared-but-uncommitted batches, mark the resulting replies
@@ -131,8 +124,7 @@ type SystemConfig struct {
 
 	// ITC, when non-nil, enables the intrusion-tolerance controller: a
 	// deployment-level singleton that turns the stack's detection signals
-	// (voter fault reports, fallback attributions, tampered shares,
-	// rejected proofs) into graduated responses — feedback-scheduled
+	// (voter fault reports, tampered shares, rejected proofs) into graduated responses — feedback-scheduled
 	// rekeys, evidence-gated expulsions, and proactive recovery — through
 	// the Group Manager (see package itc). Nil keeps every legacy code
 	// path and wire stream byte-identical.
@@ -370,12 +362,12 @@ func (sys *System) dataSigner(domain string, member uint32) string {
 	return domain
 }
 
-// checkData checks a data or digest message's signature by its signer.
+// checkData checks a data message's signature by its signer.
 func (sys *System) checkData(domain string, member uint32, digest, sig []byte) smiop.SigOutcome {
 	return sys.checkIdentity(sys.dataSigner(domain, member), digest, sig)
 }
 
-// verifyData checks a data or digest message's signature by its signer.
+// verifyData checks a data message's signature by its signer.
 func (sys *System) verifyData(domain string, member uint32, digest, sig []byte) bool {
 	return sys.checkData(domain, member, digest, sig) != smiop.SigRejected
 }

@@ -93,23 +93,3 @@ func TestTentativeLyingReplicaFallsBack(t *testing.T) {
 		}
 	}
 }
-
-// TestTentativeModeSubsumesDigest: with both features on, the client arms
-// tentative votes, not digest votes — the speculative reply arrives before
-// a digest vote could close, so digest mode would only add machinery.
-func TestTentativeModeSubsumesDigest(t *testing.T) {
-	ts := newKVSystem(t, 43, func(cfg *SystemConfig) {
-		cfg.TentativeExecution = true
-		cfg.DigestReplies = true
-	})
-	alice := ts.sys.Client("alice")
-	if _, err := alice.CallAndRun(kvRef, "add", []cdr.Value{1.0, 2.0}, 5_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := ts.metrics.Counter("tentative_replies_armed_total").Value(); got != 1 {
-		t.Errorf("tentative armed = %d, want 1", got)
-	}
-	if got := ts.metrics.Counter("digest_replies_armed_total").Value(); got != 0 {
-		t.Errorf("digest armed = %d, want 0", got)
-	}
-}

@@ -18,8 +18,8 @@ import (
 // node is SHA-256(0x01 ‖ left ‖ right), and a tree of n > 1 leaves splits at
 // the largest power of two below n. The root signature covers RootDigest,
 // SHA-256 of rootContext ‖ root, whose first octet ('i') begins no PBFT
-// preimage (a type octet, 1–11) and no data or digest preimage (a CDR string
-// length, 0).
+// preimage (a type octet, 1–11) and no data preimage (a CDR string length,
+// 0).
 //
 // A batched reply carries its path in the signed payload's Sig octets:
 //

@@ -43,7 +43,7 @@ func mth(leaves [][32]byte) [32]byte {
 
 // TestSigningDigests: each digest a signature covers, hashed as it streams,
 // is SHA-256 of its context's from-definition layout — data (the leaf a
-// reply enters a batch as), digest and reply root — whatever the domain
+// reply enters a batch as) and reply root — whatever the domain
 // name's alignment and length (past the scratch the context encodes into
 // included) and the payload's length.
 func TestSigningDigests(t *testing.T) {
@@ -61,8 +61,6 @@ func TestSigningDigests(t *testing.T) {
 					DataSigningBytes(11, 42, domain, 3, false, body)},
 				{"data reply", DataSigningDigest(11, 42, domain, 3, true, body),
 					DataSigningBytes(11, 42, domain, 3, true, body)},
-				{"digest", DigestSigningDigest(11, 42, domain, 3, body),
-					DigestSigningBytes(11, 42, domain, 3, body)},
 				{"root", RootDigest(root), append([]byte(rootContext), root[:]...)},
 			} {
 				if c.streamed != sha256.Sum256(c.reference) {
@@ -140,9 +138,9 @@ func TestParseBatchedSigRefuses(t *testing.T) {
 	}
 }
 
-// TestPayloadDecodersRefuseTrailingOctets: each signed copy and each digest
-// payload has exactly one encoding; one octet more is refused, and so is a
-// signed payload's nonzero padding.
+// TestPayloadDecodersRefuseTrailingOctets: each signed copy has exactly one
+// encoding; one octet more is refused, and so is a signed payload's nonzero
+// padding.
 func TestPayloadDecodersRefuseTrailingOctets(t *testing.T) {
 	conn := wireConn(t)
 	frames, err := sealSigned(conn, 1, true, []byte("giop"), testSign, 0)
@@ -162,21 +160,11 @@ func TestPayloadDecodersRefuseTrailingOctets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := (&DigestPayload{Digest: make([]byte, DigestSize), Sig: []byte("sig")}).Encode()
-	for _, tc := range []struct {
-		name   string
-		buf    []byte
-		decode func([]byte) error
-	}{
-		{"signed payload", signed, func(b []byte) error { _, err := DecodeSignedPayload(b); return err }},
-		{"digest payload", digest, func(b []byte) error { _, err := DecodeDigestPayload(b); return err }},
-	} {
-		if err := tc.decode(tc.buf); err != nil {
-			t.Fatalf("%s: exact encoding refused: %v", tc.name, err)
-		}
-		if err := tc.decode(append(append([]byte(nil), tc.buf...), 0)); err == nil {
-			t.Errorf("%s: one trailing octet accepted", tc.name)
-		}
+	if _, err := DecodeSignedPayload(signed); err != nil {
+		t.Fatalf("signed payload: exact encoding refused: %v", err)
+	}
+	if _, err := DecodeSignedPayload(append(bytes.Clone(signed), 0)); err == nil {
+		t.Error("signed payload: one trailing octet accepted")
 	}
 	padded := signedPayloadBytes([]byte("giop!"), []byte("sig")) // three octets of padding
 	padded[4+5] = 1

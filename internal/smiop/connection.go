@@ -48,12 +48,8 @@ type Connection struct {
 	nextReq uint64
 
 	// expelled marks peer members keyed out by the Group Manager; their
-	// envelopes are dropped without decryption attempts. localExpelled
-	// tracks expelled members of the local domain (the peer's view), so
-	// both sides skip the same members when rotating the designated
-	// responder.
-	expelled      map[uint32]bool
-	localExpelled map[int]bool
+	// envelopes are dropped without decryption attempts.
+	expelled map[uint32]bool
 }
 
 // NewConnection builds a connection endpoint.
@@ -113,24 +109,6 @@ func (c *Connection) KeyEra() uint64 { return c.keyEra }
 // Expelled reports whether a peer member has been keyed out.
 func (c *Connection) Expelled(member uint32) bool { return c.expelled[member] }
 
-// ExpelLocal marks members of the *local* domain as expelled. The
-// designated-responder rotation skips expelled members, and both sides of
-// a connection must skip consistently — each side tracks its own domain's
-// expulsions here and the peer's in expelled.
-func (c *Connection) ExpelLocal(members []int) {
-	if c.localExpelled == nil {
-		c.localExpelled = make(map[int]bool)
-	}
-	for _, m := range members {
-		if m >= 0 && m < c.Local.N {
-			c.localExpelled[m] = true
-		}
-	}
-}
-
-// LocalExpelled reports whether a local-domain member has been expelled.
-func (c *Connection) LocalExpelled(member int) bool { return c.localExpelled[member] }
-
 // NextRequestID allocates the next strictly increasing request id for
 // messages this element originates on the connection.
 func (c *Connection) NextRequestID() uint64 {
@@ -147,7 +125,7 @@ func (c *Connection) CurrentRequestID() uint64 { return c.nextReq }
 // the envelope's header too. An envelope of another kind or connection, or
 // from a member that is unknown or expelled, is refused unopened.
 func (c *Connection) OpenData(env *Envelope) ([]byte, error) {
-	if env.Kind != KindData && env.Kind != KindDigest {
+	if env.Kind != KindData {
 		return nil, fmt.Errorf("smiop: conn %d: not a data envelope: %s", c.ID, env.Kind)
 	}
 	if env.ConnID != c.ID {

@@ -12,46 +12,6 @@ import (
 	"itdos/internal/giop"
 )
 
-// TestGenDigestCorpus writes the committed seed corpus for
-// FuzzReplyDigestDecode: well-formed payloads (with and without a
-// signature), both digest-length violations, and a truncation. Regenerate
-// with:
-//
-//	go test -tags corpusgen -run TestGenDigestCorpus ./internal/smiop
-func TestGenDigestCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzReplyDigestDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	digest := make([]byte, DigestSize)
-	for i := range digest {
-		digest[i] = byte(i)
-	}
-	signed := (&DigestPayload{Digest: digest, Sig: []byte("itdos-signature-bytes")}).Encode()
-	// Oversize length fields (the payload is big-endian CDR: ULong length +
-	// octets, twice): a digest length claiming 4 GiB from an 8-byte buffer,
-	// and a well-formed digest followed by a signature length claiming 2 GiB.
-	oversizeDigestLen := []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4}
-	unsigned := (&DigestPayload{Digest: digest}).Encode()
-	oversizeSigLen := append(unsigned[:len(unsigned)-4], 0x7F, 0xFF, 0xFF, 0xFF)
-	seeds := [][]byte{
-		signed,
-		(&DigestPayload{Digest: digest}).Encode(),
-		(&DigestPayload{Digest: digest[:DigestSize-1]}).Encode(),
-		(&DigestPayload{Digest: append(digest, 0xFF)}).Encode(),
-		signed[:len(signed)-5],
-		oversizeDigestLen,
-		oversizeSigLen,
-	}
-	for i, seed := range seeds {
-		name := filepath.Join(dir, fmt.Sprintf("seed-%d", i))
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // chunk renders one fragment record in FuzzSMIOPReassemble's input format:
 // member(1) | fragIndex(1) | fragCount(1) | flags(1) | len(1) | payload.
 func chunk(member, idx, count, flags byte, payload []byte) []byte {

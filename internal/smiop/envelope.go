@@ -42,13 +42,10 @@ const (
 	KindChangeRequest
 	// KindClose tears down a connection.
 	KindClose
-	// KindDigest is a sealed canonical reply digest: a replica that is not
-	// the designated responder for a digest-flagged request answers with
-	// the digest of its reply's canonical re-marshalling instead of the
-	// full sealed GIOP reply (Castro–Liskov digest replies, re-derived for
-	// heterogeneous encodings). Only emitted when digest replies are
-	// enabled, so legacy streams never carry it.
-	KindDigest
+	// 7 is unassigned (it was the retired digest reply): no sender makes
+	// it, every receiver refuses it, and the kinds after it keep their
+	// values.
+	_
 	// KindRekeyRequest asks the Group Manager to move every connection a
 	// domain participates in to a fresh era without expelling anyone. Only
 	// the configured intrusion-tolerance controller may send it, so legacy
@@ -71,8 +68,6 @@ func (k Kind) String() string {
 		return "CHANGE_REQUEST"
 	case KindClose:
 		return "CLOSE"
-	case KindDigest:
-		return "DIGEST"
 	case KindRekeyRequest:
 		return "REKEY_REQUEST"
 	default:

@@ -176,7 +176,7 @@ func TestReassemblerContextSwitchDropsStale(t *testing.T) {
 // a direct-path delivery is.
 func byzantineFragment(t *testing.T, member *Connection, reqID uint64, index, count uint32, plaintext []byte) *Envelope {
 	t.Helper()
-	env, err := DecodeEnvelope(member.sealEnvelope(KindData, reqID, true, index, count, plaintext).Detach())
+	env, err := DecodeEnvelope(member.sealEnvelope(reqID, true, index, count, plaintext).Detach())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,36 +97,6 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	})
 }
 
-// FuzzReplyDigestDecode drives the digest-payload parser with arbitrary
-// bytes. Digest payloads arrive inside sealed envelopes but their contents
-// are Byzantine-controlled plaintext after opening, so the parser must
-// never panic, must only accept digests of exactly DigestSize bytes, and
-// anything it accepts must survive an encode → decode round trip.
-func FuzzReplyDigestDecode(f *testing.F) {
-	f.Add((&DigestPayload{Digest: make([]byte, DigestSize), Sig: []byte("sig")}).Encode())
-	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := bytes.Clone(data)
-		p, err := DecodeDigestPayload(data)
-		if !bytes.Equal(data, in) {
-			t.Fatal("DecodeDigestPayload wrote its input, which Digest and Sig alias")
-		}
-		if err != nil {
-			return
-		}
-		if len(p.Digest) != DigestSize {
-			t.Fatalf("accepted digest of %d bytes, want %d", len(p.Digest), DigestSize)
-		}
-		p2, err := DecodeDigestPayload(p.Encode())
-		if err != nil {
-			t.Fatalf("accepted payload does not round-trip: %v", err)
-		}
-		if !bytes.Equal(p2.Digest, p.Digest) || !bytes.Equal(p2.Sig, p.Sig) {
-			t.Fatalf("round trip changed payload: %+v vs %+v", p2, p)
-		}
-	})
-}
-
 // FuzzSMIOPReassemble drives the fragment reassembler with an arbitrary
 // stream of fragments decoded from the fuzz input. Fragment headers come
 // from envelope cleartext, so a Byzantine sender controls every field the

@@ -1,18 +1,14 @@
 package smiop
 
 // ReplyPolicy is everything that varies between the reply votes a client
-// arms (Stream.Expect): how many matching copies decide, who sends the
-// full reply, and what a stalled or timed-out vote re-requests. The zero
-// value is the paper's §3.6 vote — every member sends its full reply, f+1
-// matching copies decide, and a stall has nothing to fall back to. Every
+// arms (Stream.Expect): how many matching copies decide, and what a stalled
+// or timed-out vote re-requests. Every member always sends its full reply.
+// The zero value is the paper's §3.6 vote — f+1 matching copies decide, and
+// a stall has nothing to fall back to. Every
 // fallback lands on that zero policy, so a call falls back at most once.
 type ReplyPolicy struct {
-	Quorum ReplyQuorum
-	// Digest: only the designated Responder sends the full reply; every
-	// other member sends the canonical digest of its own (see vote.Config).
-	Digest    bool
-	Responder int
-	Fallback  ReplyFallback
+	Quorum   ReplyQuorum
+	Fallback ReplyFallback
 }
 
 // ReplyQuorum is the number of matching copies that decides a reply vote.
@@ -53,8 +49,3 @@ var (
 	// one commit round early.
 	TentativeReply = ReplyPolicy{Quorum: QuorumReadOnly, Fallback: FallbackSameID}
 )
-
-// DigestReply votes one full reply from responder plus f matching digests.
-func DigestReply(responder int) ReplyPolicy {
-	return ReplyPolicy{Digest: true, Responder: responder, Fallback: FallbackSameID}
-}

@@ -93,9 +93,8 @@ func (h *policyHarness) fallBack() {
 	}
 }
 
-// send delivers what member m answers to the outstanding request: under a
-// digest policy everyone but the responder sends the canonical digest of
-// its reply, otherwise the full reply. forge breaks the signature.
+// send delivers member m's full reply to the outstanding request. forge
+// breaks the signature.
 func (h *policyHarness) send(m int, sum float64, forge bool) {
 	h.t.Helper()
 	signer := uint32(m)
@@ -103,10 +102,6 @@ func (h *policyHarness) send(m int, sum float64, forge bool) {
 		signer++
 	}
 	sign := func(msg []byte) []byte { return toySig(signer, msg) }
-	if h.policy.Digest && m != h.policy.Responder {
-		h.deliver(h.digestEnv(m, h.id, sum, sign))
-		return
-	}
 	op, _ := testRegistry().Lookup(policyTestIface, policyTestOp)
 	body, err := cdr.Marshal(op.ResultsType(), []cdr.Value{sum}, cdr.BigEndian)
 	if err != nil {
@@ -114,23 +109,6 @@ func (h *policyHarness) send(m int, sum float64, forge bool) {
 	}
 	rep := giop.EncodeReply(cdr.BigEndian, &giop.Reply{RequestID: h.id, Body: body})
 	h.deliver(sealEnvs(h.t, h.servers[m], h.id, true, rep, sign, 0)[0])
-}
-
-func (h *policyHarness) digestEnv(m int, id uint64, sum float64, sign func([]byte) []byte) *Envelope {
-	h.t.Helper()
-	op, _ := testRegistry().Lookup(policyTestIface, policyTestOp)
-	digest, err := CanonicalReplyDigest(policyTestIface, policyTestOp, giop.StatusNoException, "",
-		op.ResultsType(), []cdr.Value{sum})
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	frame := h.servers[m].SealSignedDigest(id, digest, sign)
-	defer frame.Release()
-	env, err := DecodeEnvelope(bytes.Clone(frame.B))
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	return env
 }
 
 // deliver feeds one envelope; Deliver's error is diagnostic (the stream
@@ -143,7 +121,7 @@ func (h *policyHarness) fallbackCount() uint64 {
 
 func (h *policyHarness) fallbackEvents() (n int) {
 	for _, ev := range h.flight.Events("client") {
-		if ev.Kind == flight.KindDigestFallback {
+		if ev.Kind == flight.KindFallback {
 			n++
 		}
 	}
@@ -155,14 +133,13 @@ func (h *policyHarness) fallbackEvents() (n int) {
 // are the ones the policy names — copies needed, and whether (and under
 // which id) a stall or timeout falls back.
 func TestReplyPolicyTable(t *testing.T) {
-	const responder, honest, lie = 1, 42.5, 666.0
+	const liar, honest, lie = 1, 42.5, 666.0
 	policies := []struct {
 		name   string
 		p      ReplyPolicy
 		copies int // submissions received when an all-honest vote decides
 	}{
 		{"plain", ReplyPolicy{}, 2},
-		{"digest", DigestReply(responder), 2},
 		{"readonly", ReadOnlyReply, 3},
 		{"tentative", TentativeReply, 3},
 	}
@@ -175,11 +152,8 @@ func TestReplyPolicyTable(t *testing.T) {
 	// late is how many full copies arrive, agreeing, after the vote that
 	// finally decides (the plain one once a policy fell back): each is
 	// discarded unverified.
-	late := func(p ReplyPolicy, plain, digest, quorum3 uint64) uint64 {
-		switch {
-		case p.Digest:
-			return digest
-		case p.Quorum == QuorumReadOnly:
+	late := func(p ReplyPolicy, plain, quorum3 uint64) uint64 {
+		if p.Quorum == QuorumReadOnly {
 			return quorum3
 		}
 		return plain
@@ -196,33 +170,20 @@ func TestReplyPolicyTable(t *testing.T) {
 					h.send(m, honest, false)
 				}
 			},
-			// A digest vote's stragglers are digests, which keep their path.
-			want: func(p ReplyPolicy) want { return want{discarded: late(p, 2, 0, 1)} },
+			want: func(p ReplyPolicy) want { return want{discarded: late(p, 2, 1)} },
 		},
 		{
-			// The member that sends the full reply lies. Plain and 2f+1
-			// votes mask it (three honest copies remain); a digest vote has
-			// no other reply bytes, stalls, and falls back — and the full
-			// vote it re-arms re-counts the carried lie, so it is reported
-			// without being re-sent.
+			// The first member to answer lies. Plain and 2f+1 votes mask it
+			// (three honest copies remain) and report it, with no fallback.
 			name: "lying full responder",
 			run: func(h *policyHarness) {
-				h.send(responder, lie, false)
+				h.send(liar, lie, false)
 				for _, m := range []int{0, 2, 3} {
 					h.send(m, honest, false)
 				}
-				if h.fellBack > 0 {
-					for _, m := range []int{0, 2, 3} {
-						h.send(m, honest, false)
-					}
-				}
 			},
 			want: func(p ReplyPolicy) want {
-				w := want{faults: []int{responder}, discarded: late(p, 1, 1, 0)}
-				if p.Digest {
-					w.fallbacks = 1
-				}
-				return w
+				return want{faults: []int{liar}, discarded: late(p, 1, 0)}
 			},
 		},
 		{
@@ -261,30 +222,7 @@ func TestReplyPolicyTable(t *testing.T) {
 			},
 		},
 		{
-			// After the re-arm no digest vote is armed: a late digest for
-			// the same id is stale or Byzantine — discarded, nobody blamed.
-			name: "stale digest after re-arm",
-			run: func(h *policyHarness) {
-				h.send(0, honest, false)
-				if h.policy.Fallback != FallbackNone {
-					h.fallBack()
-				}
-				h.deliver(h.digestEnv(2, h.id, honest, func(msg []byte) []byte { return toySig(2, msg) }))
-				for _, m := range []int{0, 2, 3} {
-					h.send(m, honest, false)
-				}
-			},
-			want: func(p ReplyPolicy) want {
-				w := want{discarded: 2} // the digest, and member 3's late copy
-				if p.Fallback != FallbackNone {
-					w.fallbacks = 1
-				}
-				return w
-			},
-		},
-		{
-			// Full copy or digest, the signature is checked before the
-			// vote sees it.
+			// The signature is checked before the vote sees the copy.
 			name: "forged signature",
 			run: func(h *policyHarness) {
 				h.send(0, honest, true)
@@ -292,7 +230,7 @@ func TestReplyPolicyTable(t *testing.T) {
 					h.send(m, honest, false)
 				}
 			},
-			want: func(p ReplyPolicy) want { return want{dropped: 1, discarded: late(p, 1, 0, 0)} },
+			want: func(p ReplyPolicy) want { return want{dropped: 1, discarded: late(p, 1, 0)} },
 		},
 	}
 	for _, pc := range policies {
@@ -311,7 +249,7 @@ func TestReplyPolicyTable(t *testing.T) {
 					t.Errorf("smiop_reply_fallback_total = %d, want %d", got, w.fallbacks)
 				}
 				if got := h.fallbackEvents(); uint64(got) != w.fallbacks {
-					t.Errorf("digest-fallback flight events = %d, want %d", got, w.fallbacks)
+					t.Errorf("fallback flight events = %d, want %d", got, w.fallbacks)
 				}
 				if uint64(h.fellBack) != w.fallbacks {
 					t.Errorf("caller fell back %d times, want %d", h.fellBack, w.fallbacks)

@@ -50,8 +50,8 @@ func DecodeSignedPayload(buf []byte) (*SignedPayload, error) {
 }
 
 // VerifyFunc authenticates a sending element's signature, Ed25519 over the
-// 32-byte digest of its data or digest context (DataSigningDigest,
-// DigestSigningDigest), refusing a digest of any other length. It must not
+// 32-byte digest of its data context (DataSigningDigest) or of a reply root
+// (RootDigest), refusing a digest of any other length. It must not
 // retain the digest.
 type VerifyFunc func(srcDomain string, member uint32, digest, sig []byte) bool
 

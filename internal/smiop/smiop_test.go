@@ -92,6 +92,33 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEnvelopeKindValues pins the kind octet of every envelope kind. 7, the
+// retired digest reply, stays unassigned, so the kinds after it keep their
+// values; an envelope of kind 7 still decodes, and OpenData refuses it.
+func TestEnvelopeKindValues(t *testing.T) {
+	for k, want := range map[Kind]byte{
+		KindData: 1, KindOpenRequest: 2, KindOpenAck: 3, KindKeyShare: 4,
+		KindChangeRequest: 5, KindClose: 6, KindRekeyRequest: 8,
+	} {
+		if byte(k) != want {
+			t.Errorf("%s = %d, want %d", k, byte(k), want)
+		}
+	}
+	if got := Kind(7).String(); got != "Kind(7)" {
+		t.Errorf("Kind(7) names itself %q", got)
+	}
+	client, server := connPair(t)
+	env := sealEnvs(t, server, 1, true, []byte("giop"), testSign, 0)[0]
+	env.Kind = 7
+	got, err := DecodeEnvelope(env.Encode())
+	if err != nil {
+		t.Fatalf("kind-7 envelope does not decode: %v", err)
+	}
+	if _, err := client.OpenData(got); err == nil {
+		t.Fatal("OpenData opened a kind-7 envelope")
+	}
+}
+
 func TestEnvelopeDecodeGarbageNeverPanics(t *testing.T) {
 	prop := func(b []byte) bool {
 		_, _ = DecodeEnvelope(b)

@@ -97,7 +97,7 @@ type StreamConfig struct {
 	// heterogeneity (experiment C2).
 	ByteVoting bool
 	// VerifySig authenticates the sending element's signature over the
-	// digest of its data or digest context (see VerifyFunc). Required.
+	// digest of its data context (see VerifyFunc). Required.
 	VerifySig VerifyFunc
 	// SignerOf names the identity VerifySig checks (srcDomain, member)
 	// against. An ordered copy whose every fragment the ordering layer
@@ -142,10 +142,8 @@ type Stream struct {
 	// use it to resend the cached reply without re-executing.
 	OnPostDecision func(env *Envelope, val *MessageVal)
 	// OnFallback fires once per armed vote whose policy has a fallback when
-	// the vote stalls — no class can still decide. Digest votes stall under
-	// a lying designated responder or canonical-digest divergence; 2f+1
-	// votes stall when the quorum is out of reach. The endpoint reacts by
-	// re-requesting what the policy names.
+	// the vote stalls — no class can still reach its 2f+1 quorum. The
+	// endpoint reacts by re-requesting what the policy names.
 	OnFallback func(requestID uint64)
 	// CheckSig, if set, checks signatures in place of StreamConfig.VerifySig
 	// and says when a memo of earlier verifications answered; those checks
@@ -170,10 +168,6 @@ type Stream struct {
 	policy        ReplyPolicy
 	fallbackFired bool
 
-	// revoted counts the copies a reopened vote re-voted (see Expect) whose
-	// outcome has yet to surface.
-	revoted int
-
 	// decoded holds the distinct messages the current vote has decoded, so
 	// that a copy with the same bytes is not decoded again.
 	decoded []*MessageVal
@@ -192,10 +186,8 @@ type Stream struct {
 
 	// Reply-path counters, labelled by connection id so reuse runs expose
 	// per-client asymmetries.
-	mReplyFull       *obs.Counter
-	mReplyDigest     *obs.Counter
-	mDigestDecisions *obs.Counter
-	mFallbacks       *obs.Counter
+	mReplyFull *obs.Counter
+	mFallbacks *obs.Counter
 
 	// What became of each copy's signature check (smiop_sig_checks_total):
 	// run and passed, run and failed, answered by a memo of an earlier pass,
@@ -244,8 +236,6 @@ func NewStream(conn *Connection, cfg StreamConfig) (*Stream, error) {
 		s.gInflight = r.Gauge("vote_inflight")
 		connLabel := fmt.Sprintf("conn=%d", conn.ID)
 		s.mReplyFull = r.Counter("smiop_reply_full_total", connLabel)
-		s.mReplyDigest = r.Counter("smiop_reply_digest_total", connLabel)
-		s.mDigestDecisions = r.Counter("smiop_digest_decisions_total", connLabel)
 		s.mFallbacks = r.Counter("smiop_reply_fallback_total", connLabel)
 		// An acceptor's stream votes request copies, an initiator's reply
 		// copies: the label keeps the two sides of a call apart.
@@ -293,13 +283,9 @@ func (s *Stream) comparator() vote.Comparator {
 // client-side vote opens. The operation identifies the result TypeCode.
 // Expecting the outstanding id again is the retry: after a rekey killed the
 // in-flight vote, or when a stalled fast path re-requests full replies
-// under the same id. Falling back from a digest vote re-votes the full
-// replies it already accepted (signature-verified signed payloads; see
-// vote.Policy.Reopen); what that re-vote decides or reports surfaces on the
-// next full copy's Deliver, never while the caller of Expect is still
-// arranging to wait for it.
+// under the same id. Either way the vote starts over from no copies.
 func (s *Stream) Expect(requestID uint64, iface, op string, p ReplyPolicy) error {
-	vp := vote.Policy{Digest: p.Digest, Responder: p.Responder, Reopen: requestID == s.cv.CurrentID()}
+	vp := vote.Policy{Reopen: requestID == s.cv.CurrentID()}
 	if p.Quorum == QuorumReadOnly {
 		vp.Threshold = quorum.ReadOnly(s.conn.Peer.F)
 	}
@@ -308,7 +294,6 @@ func (s *Stream) Expect(requestID uint64, iface, op string, p ReplyPolicy) error
 	}
 	s.expectedIface, s.expectedOp = iface, op
 	s.policy = p
-	s.revoted = s.cv.Voter().Received()
 	s.markVoteOpen()
 	s.faultsForwarded = 0
 	s.fallbackFired = false
@@ -386,12 +371,10 @@ func (s *Stream) Verify(env *Envelope, payload *SignedPayload) error {
 
 // Deliver processes one inbound data envelope through the full pipeline:
 // open, reassemble, authenticate, unmarshal, submit. Whatever policy armed
-// the vote, a copy takes this one path; a digest vote differs only in what
-// it submits (the canonical digest, sent or recomputed from the full
-// reply). A full reply copy that arrives after its vote decided is compared
-// before it is authenticated, and goes on only if it disagrees. Errors are
-// diagnostic: the stream has already accounted for the envelope (dropped,
-// discarded or submitted) when Deliver returns.
+// the vote, a copy takes this one path. A reply copy that arrives after its
+// vote decided is compared before it is authenticated, and goes on only if
+// it disagrees. Errors are diagnostic: the stream has already accounted for
+// the envelope (dropped, discarded or submitted) when Deliver returns.
 func (s *Stream) Deliver(env *Envelope) error {
 	s.mEnvelopes.Inc()
 	sp := s.cfg.Tracer.Start("smiop.deliver",
@@ -410,7 +393,7 @@ func (s *Stream) Deliver(env *Envelope) error {
 		return nil
 	}
 	// A fragment whose place is taken is a replay: it is ignored unopened.
-	fragment := env.Kind == KindData && env.FragCount > 1
+	fragment := env.FragCount > 1
 	if fragment && s.frags.filled(env) {
 		return nil
 	}
@@ -419,93 +402,56 @@ func (s *Stream) Deliver(env *Envelope) error {
 		return s.drop(err)
 	}
 	if env.Reply {
-		if env.Kind == KindDigest {
-			s.mReplyDigest.Inc()
-		} else {
-			s.mReplyFull.Inc()
-		}
+		s.mReplyFull.Inc()
 	}
-	digestVote := s.policy.Digest
-	sub := vote.Submission{Member: int(env.SrcMember)}
-	if env.Kind == KindDigest {
-		if !digestVote {
-			// Stale (post-fallback) or Byzantine.
-			s.discard()
-			return nil
+	// Fragmented messages reassemble before verification; incomplete
+	// messages simply wait for their remaining fragments.
+	sub := vote.Submission{Member: int(env.SrcMember), Raw: plaintext}
+	vouched := s.vouched(env)
+	if fragment {
+		sub.Raw, vouched, err = s.frags.add(env, plaintext, vouched)
+		if errors.Is(err, errOversize) {
+			s.mOversize.Inc()
 		}
-		if sub.Digest, err = openDigestPayload(env, plaintext, s.cfg.VerifySig); err != nil {
-			return s.drop(err)
-		}
-		sub.Raw = plaintext
-	} else {
-		if n := s.revoted; n > 0 {
-			// What the re-vote in Expect decided or reported surfaces now.
-			s.revoted = 0
-			s.mSubmissions.Add(uint64(n))
-			if err := s.settle(env.RequestID, s.cv.Voter().Decision(), nil); err != nil {
-				return err
-			}
-		}
-		// Fragmented messages reassemble before verification; incomplete
-		// messages simply wait for their remaining fragments.
-		sub.Raw = plaintext
-		vouched := s.vouched(env)
-		if fragment {
-			sub.Raw, vouched, err = s.frags.add(env, plaintext, vouched)
-			if errors.Is(err, errOversize) {
-				s.mOversize.Inc()
-			}
-			if err != nil {
-				return s.drop(err)
-			}
-			if sub.Raw == nil {
-				return nil
-			}
-		}
-		// Raw is the evidence: signed payload (GIOP + signature).
-		payload, err := DecodeSignedPayload(sub.Raw)
 		if err != nil {
 			return s.drop(err)
 		}
-		// A reply copy that arrives once its vote has decided can change
-		// nothing unless it disagrees: it is compared first, and pays for
-		// its signature check only if it is about to become evidence.
-		late := env.Reply && !digestVote && s.cv.Decided()
-		if !late {
-			if err := s.authenticate(env, payload, vouched); err != nil {
-				return s.drop(err)
-			}
+		if sub.Raw == nil {
+			return nil
 		}
-		// Byte voting compares the GIOP bytes; a digest still needs the
-		// values it is the canonical digest of.
-		if s.cfg.ByteVoting {
-			sub.Value = payload.GIOP
+	}
+	// Raw is the evidence: signed payload (GIOP + signature).
+	payload, err := DecodeSignedPayload(sub.Raw)
+	if err != nil {
+		return s.drop(err)
+	}
+	// A reply copy that arrives once its vote has decided can change
+	// nothing unless it disagrees: it is compared first, and pays for its
+	// signature check only if it is about to become evidence.
+	late := env.Reply && s.cv.Decided()
+	if !late {
+		if err := s.authenticate(env, payload, vouched); err != nil {
+			return s.drop(err)
 		}
-		if !s.cfg.ByteVoting || digestVote {
-			val, err := s.unmarshal(payload.GIOP)
-			if err != nil {
-				return s.drop(err)
-			}
-			if sub.Value == nil {
-				sub.Value = val
-			}
-			if digestVote {
-				sub.Digest, err = CanonicalReplyDigest(val.Interface, val.Operation, val.Status,
-					val.Exception, val.TC, val.Body)
-				if err != nil {
-					return s.drop(err)
-				}
-			}
+	}
+	// Byte voting compares the GIOP bytes.
+	if s.cfg.ByteVoting {
+		sub.Value = payload.GIOP
+	} else {
+		val, err := s.unmarshal(payload.GIOP)
+		if err != nil {
+			return s.drop(err)
 		}
-		if late {
-			if eq, err := s.comparator().Equal(s.cv.Voter().Decision().Value, sub.Value); err == nil && eq {
-				s.mSigLateEqual.Inc()
-				s.discard()
-				return nil
-			}
-			if err := s.authenticate(env, payload, vouched); err != nil {
-				return s.drop(err)
-			}
+		sub.Value = val
+	}
+	if late {
+		if eq, err := s.comparator().Equal(s.cv.Voter().Decision().Value, sub.Value); err == nil && eq {
+			s.mSigLateEqual.Inc()
+			s.discard()
+			return nil
+		}
+		if err := s.authenticate(env, payload, vouched); err != nil {
+			return s.drop(err)
 		}
 	}
 	decidedBefore := s.cv.Decided()
@@ -547,14 +493,9 @@ func (s *Stream) deliverDecision(dec *vote.Decision) error {
 		return nil
 	}
 	s.mDecisions.Inc()
-	path := ""
-	if s.policy.Digest {
-		s.mDigestDecisions.Inc()
-		path = "path=digest "
-	}
 	s.hReceived.Observe(float64(dec.Received))
 	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindVoteDecided, 0, 0,
-		s.cv.CurrentID(), fmt.Sprintf("%sreceived=%d", path, dec.Received))
+		s.cv.CurrentID(), fmt.Sprintf("received=%d", dec.Received))
 	val, ok := dec.Value.(*MessageVal)
 	if !ok {
 		// Byte voting compared raw GIOP; consumers still need the message.
@@ -575,8 +516,8 @@ func (s *Stream) deliverDecision(dec *vote.Decision) error {
 }
 
 // maybeFallback fires OnFallback exactly once when the armed vote has
-// stalled (digest mismatch, lying responder, or a 2f+1 quorum out of
-// reach) and its policy has somewhere to fall back to.
+// stalled (its 2f+1 quorum is out of reach) and its policy has somewhere to
+// fall back to.
 func (s *Stream) maybeFallback(requestID uint64) {
 	if s.policy.Fallback == FallbackNone || s.fallbackFired || s.OnFallback == nil ||
 		requestID != s.cv.CurrentID() || !s.cv.Stalled() {
@@ -598,7 +539,7 @@ func (s *Stream) NoteFallback() {
 func (s *Stream) recordFallback(cause string) {
 	s.fallbackFired = true
 	s.mFallbacks.Inc()
-	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindDigestFallback, 0, 0, s.cv.CurrentID(), cause)
+	s.cfg.Flight.Append(s.cfg.FlightID, flight.KindFallback, 0, 0, s.cv.CurrentID(), cause)
 }
 
 // unmarshal decodes one copy's GIOP message for the vote. A copy whose bytes

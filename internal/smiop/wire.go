@@ -34,17 +34,15 @@ import (
 //
 // and the signed payload, before slicing, is octets(GIOP) ‖ octets(Sig)
 // with Sig over DataSigningDigest (empty when the sender does not sign: a
-// singleton caller's ordered request, vouched for by its PBFT Request). A
-// digest envelope is the same layout with kind KindDigest, fragment index
-// and count 0, and an encoded DigestPayload sealed.
+// singleton caller's ordered request, vouched for by its PBFT Request).
 //
 // Ownership: every returned frame is a pool.Buffer holding exactly one
 // reference, which the caller hands on: to transport.Send as the payload's
 // owner (the transport releases it once written), to an ordered sender
 // (srm.Sender.SendFrames), or back with Release on an abort path.
 //
-// On the receive side no decoder copies: DecodeEnvelope, DecodeSignedPayload
-// and DecodeDigestPayload return slices of the buffer they are given. That
+// On the receive side no decoder copies: DecodeEnvelope and
+// DecodeSignedPayload return slices of the buffer they are given. That
 // buffer is a transport delivery, opened in place when the receiver owns it
 // (Envelope.Owned), an opened seal or a reassembled message — each memory
 // its receiver owns and no one else writes — never a pooled frame, which is
@@ -54,16 +52,16 @@ import (
 // envelope's cleartext header or in a signing context.
 func headSlack(domain string) int { return 64 + len(domain) }
 
-// sealEnvelope, the one writer of sealed envelopes, encodes one of kind
-// (data or digest) — cleartext header, payload length, seal header,
-// ciphertext, tag — into a pooled wire frame in a single pass, the seal
-// authenticating the header as associated data. The sealed length is known
+// sealEnvelope, the one writer of sealed data envelopes, encodes one —
+// cleartext header, payload length, seal header, ciphertext, tag — into a
+// pooled wire frame in a single pass, the seal authenticating the header as
+// associated data. The sealed length is known
 // before sealing (seckey.SealedLen), so seckey fills the reserved region in
 // place, encrypting plaintext straight into the frame.
-func (c *Connection) sealEnvelope(kind Kind, requestID uint64, reply bool,
+func (c *Connection) sealEnvelope(requestID uint64, reply bool,
 	fragIndex, fragCount uint32, plaintext []byte) *pool.Buffer {
 
-	hdr := Envelope{Kind: kind, ConnID: c.ID, SrcDomain: c.Local.Name, SrcMember: uint32(c.LocalMember),
+	hdr := Envelope{Kind: KindData, ConnID: c.ID, SrcDomain: c.Local.Name, SrcMember: uint32(c.LocalMember),
 		RequestID: requestID, Reply: reply, FragIndex: fragIndex, FragCount: fragCount}
 	wb := pool.Get(headSlack(c.Local.Name) + seckey.SealedLen(len(plaintext)))
 	e := cdr.NewEncoderOver(cdr.BigEndian, wb.B)
@@ -138,7 +136,7 @@ func (c *Connection) sealData(requestID uint64, reply bool, appendGIOP func(dst 
 	}
 
 	if len(whole) <= fragSize {
-		return []*pool.Buffer{c.sealEnvelope(KindData, requestID, reply, 0, 0, whole)}, nil
+		return []*pool.Buffer{c.sealEnvelope(requestID, reply, 0, 0, whole)}, nil
 	}
 	count := (len(whole) + fragSize - 1) / fragSize
 	if count > maxFragments {
@@ -149,7 +147,7 @@ func (c *Connection) sealData(requestID uint64, reply bool, appendGIOP func(dst 
 	for i := 0; i < count; i++ {
 		lo := i * fragSize
 		hi := min(lo+fragSize, len(whole))
-		frames = append(frames, c.sealEnvelope(KindData, requestID, reply, uint32(i), uint32(count), whole[lo:hi]))
+		frames = append(frames, c.sealEnvelope(requestID, reply, uint32(i), uint32(count), whole[lo:hi]))
 	}
 	return frames, nil
 }

@@ -36,21 +36,15 @@ func NewConnectionVoter(n, f int, mode Mode) (*ConnectionVoter, error) {
 	return &ConnectionVoter{n: n, f: f, mode: mode}, nil
 }
 
-// Policy is what varies between the votes of one connection: the class
-// size that decides, and whether one designated responder sends the full
-// reply while the rest send canonical digests (see Config.Digest). The zero
-// value is the paper's vote: full copies from everyone, f+1 decide.
+// Policy is what varies between the votes of one connection. The zero
+// value is the paper's vote: f+1 decide.
 type Policy struct {
 	// Threshold is the class size required to decide; 0 selects f+1.
 	Threshold int
-	Digest    bool
-	Responder int
 	// Reopen restarts collation for the outstanding identifier — the retry
 	// after a rekey killed the in-flight vote or a fast path stalled —
-	// instead of opening the next one. Reopening a digest vote under the
-	// plain rule re-votes the full replies it already accepted (a lying
-	// responder's reply then re-counts, and re-conflicts, without being
-	// re-sent); any other reopen starts with fresh state.
+	// instead of opening the next one. A reopened vote starts with fresh
+	// state.
 	Reopen bool
 }
 
@@ -67,12 +61,7 @@ func (c *ConnectionVoter) Expect(requestID uint64, cmp Comparator, p Policy) err
 		return fmt.Errorf("vote: request id %d not increasing (current %d)",
 			requestID, c.currentID)
 	}
-	cfg := Config{N: c.n, F: c.f, Comparator: cmp, Mode: c.mode,
-		Threshold: p.Threshold, Digest: p.Digest, Responder: p.Responder}
-	if c.voter != nil && p.Reopen && c.voter.cfg.Digest && !p.Digest {
-		return c.voter.Revote(cfg)
-	}
-	v, err := NewVoter(cfg)
+	v, err := NewVoter(Config{N: c.n, F: c.f, Comparator: cmp, Mode: c.mode, Threshold: p.Threshold})
 	if err != nil {
 		return err
 	}

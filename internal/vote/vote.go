@@ -144,29 +144,14 @@ type Config struct {
 	// matching an unordered read on 2f+1 replicas guarantees the value
 	// intersects every ordered quorum (Castro–Liskov §read-only).
 	Threshold int
-	// Digest arms the reply-digest vote of the Castro–Liskov digest-reply
-	// optimisation, re-derived for heterogeneous replicas: only the
-	// designated Responder sends its full reply, every other member the
-	// digest of the *canonical re-marshalling* of its reply values — a
-	// digest over raw bytes would disagree exactly where byte-by-byte voting
-	// fails (paper §3.6). Digests count as supporters, but a class decides
-	// only once it also holds a full reply to return; a lying responder or
-	// scattered digests therefore surface as a stall, and the caller re-votes
-	// the full replies it holds under the plain rule (Revote).
-	Digest    bool
-	Responder int
 }
 
 // Submission is one member's message content for the vote.
 type Submission struct {
 	// Member is the source replication domain element index.
 	Member int
-	// Value is the unmarshalled message value; in a digest vote, nil marks
-	// a digest-only copy.
+	// Value is the unmarshalled message value.
 	Value cdr.Value
-	// Digest is the copy's canonical digest, which a digest vote classes
-	// copies by; a plain vote classes them with the Comparator.
-	Digest []byte
 	// Raw is the original message bytes (retained as evidence/proof for
 	// the Group Manager, paper §3.6).
 	Raw []byte
@@ -197,14 +182,13 @@ type FaultReport struct {
 	Description string
 }
 
+// class is one set of matching copies: members index them in Voter.subs,
+// in arrival order, the first being the class's representative.
 type class struct {
-	// digest is what a digest vote's class members carry.
-	digest string
-	// rep indexes the class's first full copy in Voter.subs, -1 while it
-	// holds digests only; members index every copy, in arrival order.
-	rep     int
 	members []int
 }
+
+func (c *class) rep() int { return c.members[0] }
 
 // Voter runs one vote over submissions from a replication domain. It is
 // not safe for concurrent use; the ITDOS stack drives it from the
@@ -240,17 +224,12 @@ func NewVoter(cfg Config) (*Voter, error) {
 		return nil, fmt.Errorf("vote: n=%d can never reach threshold %d (f=%d)",
 			cfg.N, cfg.Threshold, cfg.F)
 	}
-	if cfg.Digest && (cfg.Responder < 0 || cfg.Responder >= cfg.N) {
-		return nil, fmt.Errorf("vote: responder %d out of range [0,%d)", cfg.Responder, cfg.N)
-	}
 	return &Voter{cfg: cfg, subs: make([]Submission, 0, cfg.N)}, nil
 }
 
-// Revote restarts the vote under cfg over the full copies accepted so far,
-// replayed in arrival order; digest-only copies are dropped. Widening an
-// adaptive vote's tolerance and the fallback from a stalled digest vote to
-// the plain one both re-vote this way, so copies already verified count
-// again without being re-sent.
+// Revote restarts the vote under cfg over the copies accepted so far,
+// replayed in arrival order. Widening an adaptive vote's tolerance re-votes
+// this way, so copies already verified count again without being re-sent.
 func (v *Voter) Revote(cfg Config) error {
 	nv, err := NewVoter(cfg)
 	if err != nil {
@@ -259,9 +238,6 @@ func (v *Voter) Revote(cfg Config) error {
 	old := *v
 	*v = *nv
 	for i := range old.subs {
-		if !old.full(&old.subs[i]) {
-			continue
-		}
 		if _, err := v.Submit(old.subs[i]); err != nil {
 			return err
 		}
@@ -282,10 +258,6 @@ func (v *Voter) Decision() *Decision { return v.decision }
 // observed after a decision). The slice is shared; callers must not modify.
 func (v *Voter) Faults() []FaultReport { return v.faults }
 
-// full reports whether s carries a value the vote could return: every copy
-// of a plain vote does, a digest vote's only with its Value.
-func (v *Voter) full(s *Submission) bool { return !v.cfg.Digest || s.Value != nil }
-
 func (v *Voter) seen(member int) bool {
 	for i := range v.subs {
 		if v.subs[i].Member == member {
@@ -303,9 +275,6 @@ func (v *Voter) Submit(s Submission) (*Decision, error) {
 	if s.Member < 0 || s.Member >= v.cfg.N {
 		return nil, fmt.Errorf("vote: member %d out of range [0,%d)", s.Member, v.cfg.N)
 	}
-	if v.cfg.Digest && len(s.Digest) == 0 {
-		return nil, fmt.Errorf("vote: member %d submitted an empty digest", s.Member)
-	}
 	if v.seen(s.Member) {
 		return nil, nil
 	}
@@ -315,7 +284,7 @@ func (v *Voter) Submit(s Submission) (*Decision, error) {
 	// Cluster with the first matching class (first-match, non-transitive).
 	var home *class
 	for _, c := range v.classes {
-		eq, err := v.matches(c, &s)
+		eq, err := v.cfg.Comparator.Equal(v.subs[c.rep()].Value, s.Value)
 		if err != nil {
 			return nil, fmt.Errorf("vote: compare member %d: %w", s.Member, err)
 		}
@@ -325,13 +294,10 @@ func (v *Voter) Submit(s Submission) (*Decision, error) {
 		}
 	}
 	if home == nil {
-		home = &class{digest: string(s.Digest), rep: -1}
+		home = &class{}
 		v.classes = append(v.classes, home)
 	}
 	home.members = append(home.members, idx)
-	if home.rep < 0 && v.full(&s) {
-		home.rep = idx
-	}
 
 	if v.decision != nil {
 		// Late message after the decision: if it conflicts with the decided
@@ -343,15 +309,6 @@ func (v *Voter) Submit(s Submission) (*Decision, error) {
 	}
 	v.tryDecide()
 	return v.decision, nil
-}
-
-// matches reports whether s joins class c: by digest in a digest vote, by
-// the Comparator against the class representative otherwise.
-func (v *Voter) matches(c *class, s *Submission) (bool, error) {
-	if v.cfg.Digest {
-		return c.digest == string(s.Digest), nil
-	}
-	return v.cfg.Comparator.Equal(v.subs[c.rep].Value, s.Value)
 }
 
 func (v *Voter) tryDecide() {
@@ -368,9 +325,7 @@ func (v *Voter) tryDecide() {
 		}
 	}
 	for _, c := range v.classes {
-		// A class of digests alone has no bytes to return: it waits for a
-		// full copy however many supporters it has.
-		if c.rep >= 0 && len(c.members) >= v.cfg.Threshold {
+		if len(c.members) >= v.cfg.Threshold {
 			v.decide(c)
 			return
 		}
@@ -381,8 +336,8 @@ func (v *Voter) decide(c *class) {
 	byMember := slices.Clone(c.members)
 	slices.SortFunc(byMember, func(a, b int) int { return v.subs[a].Member - v.subs[b].Member })
 	d := &Decision{
-		Value:         v.subs[c.rep].Value,
-		Raw:           v.subs[c.rep].Raw,
+		Value:         v.subs[c.rep()].Value,
+		Raw:           v.subs[c.rep()].Raw,
 		Supporters:    make([]int, len(byMember)),
 		SupporterRaws: make([][]byte, len(byMember)),
 		Received:      len(v.subs),
@@ -402,14 +357,9 @@ func (v *Voter) decide(c *class) {
 	}
 }
 
-// reportFault files a conflicting copy. Only a full copy is reported: a bare
-// digest does not reveal the value it commits to, so it is no evidence the
-// Group Manager could re-vote — the fallback's full vote re-detects it.
+// reportFault files a conflicting copy.
 func (v *Voter) reportFault(idx int) {
 	s := &v.subs[idx]
-	if !v.full(s) {
-		return
-	}
 	v.faults = append(v.faults, FaultReport{
 		Member:      s.Member,
 		Evidence:    s.Raw,
@@ -420,25 +370,22 @@ func (v *Voter) reportFault(idx int) {
 
 // Stalled reports whether the vote can no longer decide even if all
 // remaining members submit — possible when values scatter across classes
-// (e.g. exact voting over heterogeneous floats), or when no class that holds
-// a full copy can reach the threshold once the digest vote's responder has
-// answered. Callers use this to fall back or to widen tolerance (adaptive
+// (e.g. exact voting over heterogeneous floats) or a 2f+1 threshold is out
+// of reach. Callers use this to fall back or to widen tolerance (adaptive
 // voting).
 func (v *Voter) Stalled() bool {
 	if v.decision != nil {
 		return false
 	}
 	remaining := v.cfg.N - len(v.subs)
-	// Whether a member that sends full copies has yet to answer.
-	fullPending := !v.cfg.Digest || !v.seen(v.cfg.Responder)
 	for _, c := range v.classes {
-		if (c.rep >= 0 || fullPending) && len(c.members)+remaining >= v.cfg.Threshold {
+		if len(c.members)+remaining >= v.cfg.Threshold {
 			return false
 		}
 	}
-	// A member yet to answer could still open a fresh class with its full
-	// copy and the remaining members' support.
-	return !fullPending || remaining < v.cfg.Threshold
+	// A member yet to answer could still open a fresh class with the
+	// remaining members' support.
+	return remaining < v.cfg.Threshold
 }
 
 // Approval implements Parhami's third voting category [31]: instead of

@@ -271,28 +271,23 @@ func TestConnectionVoterRequestIDDiscipline(t *testing.T) {
 	}
 }
 
-// TestConnectionVoterReopen: a Reopen never moves the id. From a digest vote
-// to the plain rule it re-votes the full copies already accepted; a Reopen
-// that keeps the rule starts with fresh state.
+// TestConnectionVoterReopen: a Reopen never moves the id, and it starts
+// with fresh state under whatever threshold it names.
 func TestConnectionVoterReopen(t *testing.T) {
 	cv, err := NewConnectionVoter(4, 1, EagerFPlus1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{Digest: true, Responder: 1}); err != nil {
+	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cv.Submit(5, Submission{Member: 0, Value: dv(1.0)}); err == nil {
-		t.Fatal("digest policy did not arm a digest vote: a copy without a digest was accepted")
-	}
-	if _, err := cv.Submit(5, Submission{Member: 1, Value: dv(1.0), Digest: []byte("D")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cv.Submit(5, Submission{Member: 3, Digest: []byte("D")}); err != nil {
-		t.Fatal(err)
+	for m := 0; m < 2; m++ {
+		if _, err := cv.Submit(5, Submission{Member: m, Value: dv(1.0)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !cv.Decided() {
-		t.Fatal("responder's full reply and a matching digest did not decide")
+		t.Fatal("f+1 matching copies did not decide")
 	}
 	if err := cv.Expect(6, Exact{TC: doubleTC}, Policy{Reopen: true}); err == nil {
 		t.Fatal("reopen moved the request id")
@@ -300,8 +295,8 @@ func TestConnectionVoterReopen(t *testing.T) {
 	if err := cv.Expect(5, Exact{TC: doubleTC}, Policy{Reopen: true, Threshold: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if cv.Decided() || cv.Voter().Received() != 1 || cv.CurrentID() != 5 {
-		t.Fatalf("reopen did not re-vote the one full copy for id 5 (received %d)", cv.Voter().Received())
+	if cv.Decided() || cv.Voter().Received() != 0 || cv.CurrentID() != 5 {
+		t.Fatalf("reopen of id 5 kept the previous vote's copies (received %d)", cv.Voter().Received())
 	}
 	for m := 0; m < 2; m++ {
 		if d, _ := cv.Submit(5, Submission{Member: m, Value: dv(1.0)}); d != nil {
@@ -315,7 +310,7 @@ func TestConnectionVoterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cv.Decided() || cv.Voter().Received() != 0 {
-		t.Fatal("a reopen under the plain rule kept the previous plain vote's copies")
+		t.Fatal("a reopen under the plain rule kept the previous vote's copies")
 	}
 }
 
