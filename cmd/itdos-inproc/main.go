@@ -217,8 +217,9 @@ func measure(tree string) (Row, error) {
 
 type benchResult struct{ ns, bytes, allocs float64 }
 
-// benchLine matches a -benchmem result line of BenchmarkInProcCall.
-var benchLine = regexp.MustCompile(`^BenchmarkInProcCall/(\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
+// benchLine matches a -benchmem result line of BenchmarkInProcCall, whose
+// throughput and reported metrics sit between ns/op and B/op.
+var benchLine = regexp.MustCompile(`^BenchmarkInProcCall/(\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.e+-]+ \S+)*?\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
 
 // benchOnce runs one workload once and writes its CPU profile to prof.
 func benchOnce(bin, name, prof string) (benchResult, error) {

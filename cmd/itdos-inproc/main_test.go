@@ -104,6 +104,10 @@ func TestParseBench(t *testing.T) {
 	if _, ok := parseBench(out, "add"); ok {
 		t.Error("found a workload the output does not hold")
 	}
+	out = "BenchmarkInProcCall/add-2 \t    3000\t    412345 ns/op\t         0.2490 awaited/call\t         0 full/call\t         0.0003 idle/call\t         0.001 timer/call\t  123456 B/op\t    1234 allocs/op\n"
+	if res, ok := parseBench(out, "add"); !ok || res != (benchResult{412345, 123456, 1234}) {
+		t.Fatalf("with reported metrics: parsed %+v, %v", res, ok)
+	}
 }
 
 // TestBenchInprocShape pins the committed BENCH_INPROC.json: its schema,

@@ -13,7 +13,7 @@ import (
 )
 
 // inProcCallers is how many closed-loop callers BenchmarkInProcCall runs,
-// each through its own client.
+// each through its own client, unless a workload names its own count.
 const inProcCallers = 32
 
 // BenchmarkInProcCall drives voted calls through a whole cluster — four
@@ -25,7 +25,10 @@ const inProcCallers = 32
 //
 // add is the 16-byte add() call; echo16k echoes a fresh 16 KiB string. Each
 // has a -tentative sibling that runs it with tentative execution on in every
-// process, which prices the one fast path left behind a setting.
+// process, which prices the one fast path left behind a setting. add-c4 is
+// add from four callers, the load at which a batch window can open with
+// nothing in flight. Every workload reports the calc group's proposals per
+// call by trigger (pbft_proposals_total).
 func BenchmarkInProcCall(b *testing.B) {
 	if testing.Short() {
 		b.Skip("starts a five-node loopback cluster")
@@ -46,33 +49,36 @@ func BenchmarkInProcCall(b *testing.B) {
 		name    string
 		op      string
 		bytes   int64
+		callers int
 		call    func(i int) ([]cdr.Value, cdr.Value)
 		optsFor func(process string) NodeOptions
 	}{
-		{"add", "add", 0, add, nil},
-		{"echo16k", "echo", 16 << 10, echo16k, nil},
-		{"add-tentative", "add", 0, add, tentative},
-		{"echo16k-tentative", "echo", 16 << 10, echo16k, tentative},
+		{"add", "add", 0, inProcCallers, add, nil},
+		{"echo16k", "echo", 16 << 10, inProcCallers, echo16k, nil},
+		{"add-tentative", "add", 0, inProcCallers, add, tentative},
+		{"echo16k-tentative", "echo", 16 << 10, inProcCallers, echo16k, tentative},
+		{"add-c4", "add", 0, 4, add, nil},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			if w.bytes > 0 {
 				b.SetBytes(w.bytes)
 			}
-			benchInProcCall(b, w.op, w.call, w.optsFor)
+			benchInProcCall(b, w.op, w.callers, w.call, w.optsFor)
 		})
 	}
 }
 
-// benchInProcCall runs b.N calls of op, the i-th with call(i)'s arguments,
-// on a cluster started with optsFor (nil: the defaults), and fails on any
-// error or on a decided value other than call(i)'s.
-func benchInProcCall(b *testing.B, op string, call func(i int) ([]cdr.Value, cdr.Value),
+// benchInProcCall runs b.N calls of op from callers closed-loop callers,
+// the i-th call with call(i)'s arguments, on a cluster started with optsFor
+// (nil: the defaults), and fails on any error or on a decided value other
+// than call(i)'s.
+func benchInProcCall(b *testing.B, op string, callers int, call func(i int) ([]cdr.Value, cdr.Value),
 	optsFor func(process string) NodeOptions) {
 	spec := &Spec{
 		Seed: 1, F: 1, Domain: "calc", Secret: "inproc-bench",
 		SendTimeoutMS: 500, MaxBatch: 16, BatchWaitMS: 2,
 		Nodes: []NodeSpec{{Name: "node0"}, {Name: "node1"}, {Name: "node2"}, {Name: "node3"},
-			{Name: "load", Pool: inProcCallers}},
+			{Name: "load", Pool: callers}},
 	}
 	cl, err := StartInProc(spec, optsFor)
 	if err != nil {
@@ -113,6 +119,18 @@ func benchInProcCall(b *testing.B, op string, call func(i int) ([]cdr.Value, cdr
 	if err := each(func(client string) error { return check(client, 0) }); err != nil {
 		b.Fatal(err)
 	}
+	triggers := []string{"awaited", "idle", "timer", "full"}
+	proposals := func() []uint64 {
+		counts := make([]uint64, len(triggers))
+		for _, nd := range spec.Nodes[:4] {
+			for i, trigger := range triggers {
+				counts[i] += cl.Nodes[nd.Name].Metrics.Counter("pbft_proposals_total",
+					"group="+spec.Domain, "trigger="+trigger).Value()
+			}
+		}
+		return counts
+	}
+	before := proposals()
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -126,5 +144,9 @@ func benchInProcCall(b *testing.B, op string, call func(i int) ([]cdr.Value, cdr
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	b.StopTimer()
+	for i, n := range proposals() {
+		b.ReportMetric(float64(n-before[i])/float64(b.N), triggers[i]+"/call")
 	}
 }

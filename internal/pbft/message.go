@@ -509,7 +509,10 @@ type PreparedProof struct {
 
 func (p *PreparedProof) marshal(e *cdr.Encoder) {
 	p.PrePrepare.marshal(e)
-	writeList(e, p.Prepares)
+	e.WriteULong(uint32(len(p.Prepares)))
+	for _, prep := range p.Prepares {
+		prep.marshal(e)
+	}
 }
 
 func (p *PreparedProof) unmarshal(d *cdr.Decoder) error {
@@ -538,8 +541,14 @@ func (*ViewChange) Type() MsgType { return MTViewChange }
 func (m *ViewChange) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.NewView)
 	e.WriteULongLong(m.LastStable)
-	writeList(e, m.CheckpointProof)
-	writeList(e, m.Prepared)
+	e.WriteULong(uint32(len(m.CheckpointProof)))
+	for _, c := range m.CheckpointProof {
+		c.marshal(e)
+	}
+	e.WriteULong(uint32(len(m.Prepared)))
+	for _, proof := range m.Prepared {
+		proof.marshal(e)
+	}
 	writeTail(e, m.Replica, m.Sig)
 }
 
@@ -578,8 +587,14 @@ func (*NewView) Type() MsgType { return MTNewView }
 
 func (m *NewView) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.View)
-	writeList(e, m.ViewChanges)
-	writeList(e, m.PrePrepares)
+	e.WriteULong(uint32(len(m.ViewChanges)))
+	for _, vc := range m.ViewChanges {
+		vc.marshal(e)
+	}
+	e.WriteULong(uint32(len(m.PrePrepares)))
+	for _, pp := range m.PrePrepares {
+		pp.marshal(e)
+	}
 	writeTail(e, m.Replica, m.Sig)
 }
 
@@ -642,7 +657,10 @@ func (*StateData) Type() MsgType { return MTStateData }
 func (m *StateData) marshal(e *cdr.Encoder) {
 	e.WriteULongLong(m.Seq)
 	e.WriteOctets(m.Snapshot)
-	writeList(e, m.Proof)
+	e.WriteULong(uint32(len(m.Proof)))
+	for _, c := range m.Proof {
+		c.marshal(e)
+	}
 	writeTail(e, m.Replica, m.Sig)
 }
 
@@ -701,16 +719,11 @@ func (m *FetchEntry) sender() ReplicaID { return m.Replica }
 // Byzantine sender cannot trigger huge allocations.
 const maxProofEntries = 4096
 
-// writeList encodes a counted list: its length, then each item.
-func writeList[T interface{ marshal(*cdr.Encoder) }](e *cdr.Encoder, items []T) {
-	e.WriteULong(uint32(len(items)))
-	for _, it := range items {
-		it.marshal(e)
-	}
-}
-
-// readList decodes a counted list, refusing a count above maxProofEntries
-// before anything is allocated for it.
+// readList decodes a counted list — its length, then each item — refusing a
+// count above maxProofEntries before anything is allocated for it. The
+// marshal methods write their lists with plain loops: a generic writer's
+// call through its type dictionary would let the encoder escape (see
+// Encode).
 func readList[T any, P interface {
 	*T
 	unmarshal(*cdr.Decoder) error
@@ -734,11 +747,37 @@ func readList[T any, P interface {
 
 // Encode serialises a message with its type tag in canonical (big-endian)
 // CDR. The encoding is deterministic: it is the input to signatures and
-// digests.
+// digests. It calls marshal on the concrete type, so the encoder stays on
+// the stack: the buffer is the one allocation.
 func Encode(m Message) []byte {
 	e := cdr.NewEncoderOver(cdr.BigEndian, make([]byte, 0, encodedBound(m)))
 	e.WriteOctet(byte(m.Type()))
-	m.marshal(e)
+	switch msg := m.(type) {
+	case *Request:
+		msg.marshal(e)
+	case *PrePrepare:
+		msg.marshal(e)
+	case *Prepare:
+		msg.marshal(e)
+	case *Commit:
+		msg.marshal(e)
+	case *Reply:
+		msg.marshal(e)
+	case *Checkpoint:
+		msg.marshal(e)
+	case *ViewChange:
+		msg.marshal(e)
+	case *NewView:
+		msg.marshal(e)
+	case *FetchState:
+		msg.marshal(e)
+	case *StateData:
+		msg.marshal(e)
+	case *FetchEntry:
+		msg.marshal(e)
+	default:
+		panic(fmt.Sprintf("pbft: Encode of %T", m))
+	}
 	return e.Bytes()
 }
 

@@ -213,6 +213,11 @@ type Replica struct {
 	// lastBatch is the size of the last batch this primary proposed: the
 	// load signal of the batching policy (see assignOrder).
 	lastBatch int
+	// awaited holds the clients this primary has answered since its last
+	// proposal and not heard from again: a synchronous caller keeps one
+	// request in flight, so they are the callers about to send. Every
+	// proposal and every view change empties it; backups never fill it.
+	awaited map[string]struct{}
 
 	// ppIndex maps each unexecuted proposed request digest to the log
 	// sequence of the pre-prepare carrying it, replacing the O(window)
@@ -284,6 +289,7 @@ type Replica struct {
 	mProposeIdle    *obs.Counter
 	mProposeTimer   *obs.Counter
 	mProposeFull    *obs.Counter
+	mProposeAwaited *obs.Counter
 	mCkptHashed     *obs.Counter
 	mCkptSerialised *obs.Counter
 	mRejectDigest   *obs.Counter
@@ -315,6 +321,7 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		clientTable: make(map[string]*clientRecord),
 		outstanding: make(map[Digest]*Request),
 		pendingSet:  make(map[Digest]bool),
+		awaited:     make(map[string]struct{}),
 		ppIndex:     make(map[Digest]uint64),
 		viewChanges: make(map[uint64]map[ReplicaID]*ViewChange),
 		vcTimeout:   cfg.ViewTimeout,
@@ -344,6 +351,7 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		r.mProposeIdle = m.Counter("pbft_proposals_total", label, "trigger=idle")
 		r.mProposeTimer = m.Counter("pbft_proposals_total", label, "trigger=timer")
 		r.mProposeFull = m.Counter("pbft_proposals_total", label, "trigger=full")
+		r.mProposeAwaited = m.Counter("pbft_proposals_total", label, "trigger=awaited")
 		r.mCkptHashed = m.Counter("pbft_checkpoint_bytes_total", label, "kind=hashed")
 		r.mCkptSerialised = m.Counter("pbft_checkpoint_bytes_total", label, "kind=serialised")
 		r.mRejectDigest = m.Counter("pbft_state_rejected_total", label, "reason=digest")
@@ -490,6 +498,7 @@ func (r *Replica) onRequest(req *Request) {
 
 func (r *Replica) assignOrder(req *Request) {
 	d := req.Digest()
+	delete(r.awaited, req.ClientID)
 	// Don't order the same request twice (client retransmissions). Instead,
 	// retransmit the existing pre-prepare: a backup may have missed it
 	// (e.g. it raced ahead of the NEW-VIEW installing this view). The
@@ -518,11 +527,17 @@ func (r *Replica) assignOrder(req *Request) {
 	// loaded: propose at once. A batch of two or more keeps the primary
 	// on the timer until a window again closes on a lone request. With
 	// MaxBatch 1 every arrival fills its batch, so the timer never arms.
+	// An open window with nothing in flight closes as soon as every caller
+	// answered since the last proposal has asked again: no one else is
+	// about to send, so the rest of the window would buy nothing.
 	switch {
 	case !r.batchTimerArmed && r.seq <= r.lastExec && r.lastBatch <= 1:
 		r.flushPending(r.mProposeIdle)
 	case len(r.pending) >= r.cfg.MaxBatch:
 		r.flushPending(r.mProposeFull)
+	case r.seq <= r.lastExec && len(r.awaited) == 0:
+		r.batchTimerArmed = false
+		r.flushPending(r.mProposeAwaited)
 	case !r.batchTimerArmed:
 		r.batchTimerArmed = true
 		r.env.SetBatchTimer(r.cfg.BatchWait)
@@ -530,8 +545,12 @@ func (r *Replica) assignOrder(req *Request) {
 }
 
 // HandleBatchTimer proposes the accumulated batch. Drive it from the same
-// single-threaded loop as HandleMessage/HandleTimer.
+// single-threaded loop as HandleMessage/HandleTimer. A firing for a window
+// that already closed on its awaited callers proposes nothing.
 func (r *Replica) HandleBatchTimer() {
+	if !r.batchTimerArmed {
+		return
+	}
 	r.batchTimerArmed = false
 	r.flushPending(r.mProposeTimer)
 }
@@ -576,6 +595,7 @@ func (r *Replica) flushPending(trigger *obs.Counter) {
 func (r *Replica) proposeBatch(batch []*Request) {
 	r.seq++
 	r.lastBatch = len(batch)
+	clear(r.awaited)
 	pp := &PrePrepare{
 		View: r.view, Seq: r.seq, Digest: BatchDigest(batch),
 		Requests: batch, Replica: r.cfg.ID,
@@ -823,6 +843,9 @@ func (r *Replica) executeEntry(seq uint64, en *entry) {
 				}
 				r.sign(reply)
 				r.env.SendAddr(req.ReplyTo, Encode(reply))
+				if r.isPrimary() && !r.inViewChange {
+					r.awaited[req.ClientID] = struct{}{}
+				}
 			}
 			if r.OnExecute != nil {
 				r.OnExecute(seq, req, result)

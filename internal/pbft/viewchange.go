@@ -31,6 +31,7 @@ func (r *Replica) startViewChange(newView uint64) {
 		delete(r.pendingSet, d)
 	}
 	r.batchTimerArmed = false
+	clear(r.awaited)
 	r.setBacklogGauge()
 	vc := &ViewChange{
 		NewView:         newView,

@@ -237,9 +237,10 @@ func (el *Element) serve(cs *connState, val *smiop.MessageVal, tentative bool) {
 // direct (unordered) channel — driver thread. Anything malformed, unkeyed,
 // or not eligible is dropped: the client's fallback timer turns a dropped
 // direct request into an ordered retry, so dropping is always safe. A frame
-// that fails to decode, open or verify, or whose kind this inbox does not
-// take, is counted (smiop_dropped_total), and its signature check is counted
-// as a voted copy's (smiop_sig_checks_total).
+// that fails to decode, open or verify, or that this inbox does not take — a
+// kind other than data, a reply, a fragment: no honest sender makes one — is
+// counted (smiop_dropped_total), and its signature check is counted as a
+// voted copy's (smiop_sig_checks_total).
 func (el *Element) onDirectInbox(payload []byte) {
 	if el.Desynced {
 		return
@@ -249,11 +250,8 @@ func (el *Element) onDirectInbox(payload []byte) {
 		el.mDropped.Inc()
 		return
 	}
-	if env.Kind != smiop.KindData {
+	if env.Kind != smiop.KindData || env.Reply || env.FragCount > 1 {
 		el.mDropped.Inc()
-		return
-	}
-	if env.Reply || env.FragCount > 1 {
 		return
 	}
 	// The delivery is this inbox's alone: it opens in place.

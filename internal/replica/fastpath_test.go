@@ -549,18 +549,22 @@ func TestPoisonedDirectFramesCounted(t *testing.T) {
 	for _, c := range []struct {
 		name             string
 		from, to, domain string
+		kind             smiop.Kind
 		reply            bool
+		fragCount        uint32
 	}{
-		{"element inbox, kind 7", "alice", elementInboxAddr("kv", 0), "alice", false},
-		{"caller inbox, kind 7", "kv/r0", clientInboxAddr("alice"), "kv", true},
+		{"element inbox, kind 7", "alice", elementInboxAddr("kv", 0), "alice", 7, false, 0},
+		{"caller inbox, kind 7", "kv/r0", clientInboxAddr("alice"), "kv", 7, true, 0},
+		{"element inbox, reply", "kv/r1", elementInboxAddr("kv", 0), "kv", smiop.KindData, true, 0},
+		{"element inbox, fragment", "alice", elementInboxAddr("kv", 0), "alice", smiop.KindData, false, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ts.sys.Net.Run(2_000_000)
 			before, decided := dropped.Value(), decisions.Value()
 			served := ts.sys.Domain("kv").Elements[0].ReadOnlyUpcalls
-			env := &smiop.Envelope{Kind: 7, ConnID: connID, SrcDomain: c.domain,
+			env := &smiop.Envelope{Kind: c.kind, ConnID: connID, SrcDomain: c.domain,
 				RequestID: alice.conns[connID].conn.CurrentRequestID(), Reply: c.reply,
-				Payload: make([]byte, 64)}
+				FragCount: c.fragCount, Payload: make([]byte, 64)}
 			ts.sys.tr.Send(netsim.NodeID(c.from), netsim.NodeID(c.to), env.Encode())
 			ts.sys.Net.Run(2_000_000)
 			if got := dropped.Value() - before; got != 1 {
