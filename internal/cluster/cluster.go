@@ -74,8 +74,10 @@ type Spec struct {
 	// load against real sockets is what batching exists for — a live
 	// deployment wants something like 16.
 	MaxBatch int `json:"max_batch,omitempty"`
-	// BatchWaitMS is the primary's batch accumulation window in
-	// milliseconds (only used with MaxBatch > 1).
+	// BatchWaitMS is the longest, in milliseconds, the primary holds a
+	// batch open for callers it is not awaiting (see pbft.Config.BatchWait;
+	// only used with MaxBatch > 1). A window closes sooner once every caller
+	// the primary just answered has asked again.
 	BatchWaitMS int `json:"batch_wait_ms,omitempty"`
 	// Nodes lists the processes. At least quorum.N(F) entries.
 	Nodes []NodeSpec `json:"nodes"`

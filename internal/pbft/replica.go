@@ -90,11 +90,15 @@ type Config struct {
 	// quadratic prepare/commit traffic over up to MaxBatch requests per
 	// round; a full batch is proposed at once.
 	MaxBatch int
-	// BatchWait is the window over which a loaded primary accumulates a
-	// batch before proposing it (never reached with MaxBatch 1). It should be
-	// comparable to the transport latency spread so concurrent arrivals
-	// coalesce. An idle, lightly loaded primary does not wait (see
-	// assignOrder).
+	// BatchWait is the longest a loaded primary holds a batch open for
+	// callers it is not awaiting (never reached with MaxBatch 1). A window
+	// with nothing in flight closes as soon as every caller the primary
+	// answered since its last proposal has asked again, and an idle,
+	// lightly loaded primary does not open one (see assignOrder); so the
+	// window runs out only on open-loop arrivals, on a caller that stopped,
+	// or on a caller whose next request outran the primary's reply. It
+	// should be comparable to the transport latency spread so concurrent
+	// arrivals coalesce.
 	BatchWait time.Duration
 	// TentativeExecution enables Castro–Liskov speculative execution: a
 	// replica executes a batch as soon as it is *prepared* (skipping the
